@@ -1,13 +1,13 @@
 # tsperr build/verify targets.
 #
 # `make check` is the tier-2 verification gate: vet, the project linters
-# (tsperrlint source passes + the netlist structural lint), and the full
-# test suite under the race detector (the resilience tests exercise the
-# scenario worker pool concurrently).
+# (tsperrlint source passes + the netlist structural lint), the full-budget
+# Monte Carlo oracles, and the full test suite under the race detector (the
+# resilience tests exercise the scenario worker pool concurrently).
 
 GO ?= go
 
-.PHONY: all build test lint lint-fix-check check fuzz cover smoke smoke-cluster smoke-surrogate smoke-oppoint bench pprof clean
+.PHONY: all build test lint lint-fix-check check oracle fuzz cover smoke smoke-cluster smoke-surrogate smoke-oppoint bench pprof clean
 
 all: build
 
@@ -33,9 +33,15 @@ lint:
 lint-fix-check: lint
 	@echo "lint-fix-check: triage clean — 0 findings, suppressions within budget"
 
-check: lint fuzz
+check: lint fuzz oracle
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# `make oracle` runs the standing Monte Carlo oracles at their full budget:
+# the Section 5 simulation check and the Equation (14) sampling check over
+# all 12 benchmarks (`go test` runs them on a tenth of the budget).
+oracle:
+	$(GO) test -count=1 -run 'Oracle' ./internal/harness -args -oracle.full
 
 # `make fuzz` runs the native fuzz targets briefly: long enough to catch a
 # canonical-hashing regression, short enough for the pre-commit gate. The

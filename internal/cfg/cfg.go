@@ -130,7 +130,7 @@ type Profile struct {
 	// only when a block start retires.
 	prevIdx int
 	// incoming caches per-block incoming-edge adjacency, built lazily by
-	// IncomingEdges and dropped whenever new observations arrive.
+	// Settle and dropped whenever new observations arrive.
 	incoming [][]Edge
 	// pendK/pendN form a small direct-mapped write-back cache of edge-count
 	// deltas: the observer fires per retired instruction, and the tight loops
@@ -261,24 +261,35 @@ func (pr *Profile) Observer() cpu.Observer {
 // per block is quadratic in practice. Callers must not mutate the returned
 // slice.
 func (pr *Profile) IncomingEdges(block int) []Edge {
-	pr.Finish()
-	if pr.incoming == nil {
-		in := make([][]Edge, len(pr.Graph.Blocks))
-		for e := range pr.EdgeCount {
-			if e.To >= 0 && e.To < len(in) {
-				in[e.To] = append(in[e.To], e)
-			}
-		}
-		for b := range in {
-			s := in[b]
-			sort.Slice(s, func(i, j int) bool { return s[i].From < s[j].From })
-		}
-		pr.incoming = in
-	}
+	pr.Settle()
 	if block < 0 || block >= len(pr.incoming) {
 		return nil
 	}
 	return pr.incoming[block]
+}
+
+// Settle drains pending edge counts (Finish) and materializes the
+// incoming-edge adjacency. The readers call it implicitly, so a profile used
+// from one goroutine never needs it; a caller that hands the profile to
+// several goroutines calls it first, after which IncomingEdges,
+// ActivationProb and the count fields are only read. New observations undo
+// it.
+func (pr *Profile) Settle() {
+	pr.Finish()
+	if pr.incoming != nil {
+		return
+	}
+	in := make([][]Edge, len(pr.Graph.Blocks))
+	for e := range pr.EdgeCount {
+		if e.To >= 0 && e.To < len(in) {
+			in[e.To] = append(in[e.To], e)
+		}
+	}
+	for b := range in {
+		s := in[b]
+		sort.Slice(s, func(i, j int) bool { return s[i].From < s[j].From })
+	}
+	pr.incoming = in
 }
 
 // ActivationProb returns p^a for an edge: the fraction of the target block's

@@ -2,6 +2,7 @@ package cfg
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"tsperr/internal/cpu"
@@ -105,6 +106,38 @@ func TestProfileCountsAndActivation(t *testing.T) {
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("incoming activation sums to %v", sum)
 	}
+}
+
+// A settled profile serves concurrent readers: with -race this fails if a
+// reader still fills the lazy edge state.
+func TestSettledProfileConcurrentReaders(t *testing.T) {
+	p, g := buildLoop(t)
+	pr := NewProfile(g)
+	c, err := cpu.New(p, cpu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(pr.Observer()); err != nil {
+		t.Fatal(err)
+	}
+	pr.Settle()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range g.Blocks {
+				var sum float64
+				for _, e := range pr.IncomingEdges(b) {
+					sum += pr.ActivationProb(e)
+				}
+				if b == 1 && math.Abs(sum-1) > 1e-12 {
+					t.Errorf("block 1 incoming activation sums to %v", sum)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestProfileScale(t *testing.T) {

@@ -51,14 +51,21 @@ type Estimate struct {
 	// B1, B2 are the expected Chen-Stein terms (Eqs 7, 8) for diagnostics.
 	B1, B2 float64
 
-	// Equation (14) quadrature memo: the Simpson nodes and the Gaussian
-	// density weights depend only on the lambda distribution, not on the
-	// query point k, so they are computed once per estimate. Figure 3 and
-	// the quantile bisection evaluate the CDF hundreds of times.
+	// Equation (14) quadrature memo, built once per estimate: the Simpson
+	// nodes and Gaussian weights depend only on the lambda distribution, not
+	// on the query point k, and Figure 3, the quantile bisections and the
+	// Monte Carlo check evaluate the CDF hundreds of times. The nodes are
+	// ascending; mixNodes[:mixSplit] lie at or below
+	// dist.PoissonNormalSwitch and are tabulated: exactCDF[i] is their
+	// weighted Poisson CDF at count exactLo+i (the last entry holds beyond
+	// the table). The nodes above the switch are evaluated per query.
 	mixOnce  sync.Once
 	mixNodes []float64
 	mixW     []float64
+	mixSplit int
 	mixTrunc float64
+	exactLo  float64
+	exactCDF []float64
 }
 
 // NewEstimate runs the Section 5 estimation over the scenarios. ctx cancels
@@ -218,16 +225,20 @@ func steinBound(g *cfg.Graph, scenarios []Scenario, weighted [][]float64) float6
 // quadrature, matching the pre-memoized implementation.
 const mixtureIntervals = 600
 
-// initMixture precomputes the k-independent part of the Equation (14)
-// quadrature: node positions and composite-Simpson coefficients folded with
-// the Gaussian density of lambda.
-func (e *Estimate) initMixture() {
+// mixtureNodes returns the Equation (14) quadrature: node positions with
+// composite-Simpson coefficients folded with the Gaussian density of
+// lambda, and the Gaussian mass truncated below zero. A point-mass lambda
+// (zero spread) is the single node max(0, mean) of weight 1.
+func (e *Estimate) mixtureNodes() (nodes, weights []float64, trunc float64) {
+	if e.LambdaStd <= 0 {
+		return []float64{math.Max(0, e.LambdaMean)}, []float64{1}, 0
+	}
 	g := numeric.Gaussian{Mean: e.LambdaMean, Std: e.LambdaStd}
 	lo := math.Max(0, e.LambdaMean-8*e.LambdaStd)
 	hi := e.LambdaMean + 8*e.LambdaStd
 	h := (hi - lo) / mixtureIntervals
-	e.mixNodes = make([]float64, mixtureIntervals+1)
-	e.mixW = make([]float64, mixtureIntervals+1)
+	nodes = make([]float64, mixtureIntervals+1)
+	weights = make([]float64, mixtureIntervals+1)
 	for i := 0; i <= mixtureIntervals; i++ {
 		x := lo + float64(i)*h
 		c := 1.0
@@ -238,31 +249,87 @@ func (e *Estimate) initMixture() {
 				c = 2
 			}
 		}
-		e.mixNodes[i] = x
-		e.mixW[i] = c * g.PDF(x) * h / 3
+		nodes[i] = x
+		weights[i] = c * g.PDF(x) * h / 3
 	}
 	// Mass truncated below zero behaves as lambda == 0 (CDF = 1 for k >= 0).
 	if lo == 0 {
-		e.mixTrunc = g.CDF(0)
+		trunc = g.CDF(0)
 	}
+	return nodes, weights, trunc
+}
+
+// initMixture builds the per-estimate memo of the Equation (14) CDF. Each
+// node up to the normal switch adds its weighted Poisson PMF over the
+// window holding its mass (dist.Poisson.PMFWindow, O(sqrt(lambda)) terms);
+// one running sum then turns the table into the CDF, so a query costs a
+// lookup instead of a sum over hundreds of nodes.
+func (e *Estimate) initMixture() {
+	e.mixNodes, e.mixW, e.mixTrunc = e.mixtureNodes()
+	for e.mixSplit < len(e.mixNodes) && e.mixNodes[e.mixSplit] <= dist.PoissonNormalSwitch {
+		e.mixSplit++
+	}
+	if e.mixSplit == 0 {
+		return
+	}
+	// The windows move up with lambda, so the last node's window sizes the
+	// buffer and the two outermost windows size the table: each is allocated
+	// once instead of growing node by node.
+	hi, win := dist.Poisson{Lambda: e.mixNodes[e.mixSplit-1]}.PMFWindow(nil)
+	hi += len(win)
+	lo, _ := dist.Poisson{Lambda: e.mixNodes[0]}.PMFWindow(win)
+	pmf := make([]float64, max(hi-lo, 0))
+	for i, x := range e.mixNodes[:e.mixSplit] {
+		var k0 int
+		k0, win = dist.Poisson{Lambda: x}.PMFWindow(win)
+		if k0 < lo {
+			pmf = append(make([]float64, lo-k0, lo-k0+len(pmf)), pmf...)
+			lo = k0
+		}
+		if n := k0 - lo + len(win); n > len(pmf) {
+			pmf = append(pmf, make([]float64, n-len(pmf))...)
+		}
+		for j, p := range win {
+			pmf[k0-lo+j] += e.mixW[i] * p
+		}
+	}
+	var run numeric.KahanSum
+	for j, p := range pmf {
+		run.Add(p)
+		pmf[j] = run.Value()
+	}
+	e.exactLo, e.exactCDF = float64(lo), pmf
 }
 
 // poissonMixtureCDF evaluates Equation (14): the probability of at most k
 // errors, integrating the Poisson CDF against the Gaussian density of
-// lambda, clamped to lambda > 0. Only the Poisson CDF factor depends on k;
-// the quadrature nodes and Gaussian weights come from the per-estimate memo.
+// lambda, clamped to lambda > 0. The nodes up to the normal switch come
+// from the tabulated memo, except below the table, where their far lower
+// tails (below 2^-60 of the mass, which the table drops) are summed
+// directly so that tiny probabilities keep their relative precision. The
+// nodes above the switch are evaluated per query.
 func (e *Estimate) poissonMixtureCDF(k float64) float64 {
-	if e.LambdaStd <= 0 {
-		return dist.Poisson{Lambda: math.Max(0, e.LambdaMean)}.CDF(k)
+	if k < 0 {
+		return 0
 	}
 	e.mixOnce.Do(e.initMixture)
 	var integral float64
-	for i, x := range e.mixNodes {
-		integral += e.mixW[i] * dist.Poisson{Lambda: x}.CDF(k)
+	if n := len(e.exactCDF); n > 0 {
+		switch i := math.Floor(k) - e.exactLo; {
+		case i < 0:
+			for j, x := range e.mixNodes[:e.mixSplit] {
+				integral += e.mixW[j] * dist.Poisson{Lambda: x}.CDF(k)
+			}
+		case i < float64(n):
+			integral = e.exactCDF[int(i)]
+		default:
+			integral = e.exactCDF[n-1]
+		}
 	}
-	if k >= 0 {
-		integral += e.mixTrunc
+	for j := e.mixSplit; j < len(e.mixNodes); j++ {
+		integral += e.mixW[j] * dist.Poisson{Lambda: e.mixNodes[j]}.CDF(k)
 	}
+	integral += e.mixTrunc
 	return numeric.Clamp(integral, 0, 1)
 }
 
@@ -320,10 +387,16 @@ func (e *Estimate) ErrorRateQuantile(p float64) float64 {
 	if p >= 1 {
 		return hi
 	}
+	// The CDF depends on the rate only through the whole error count, and
+	// the late bisection steps stay within one count: reuse the last value.
+	lastK, lastC := math.Inf(-1), 0.0
 	lo := 0.0
 	for i := 0; i < 60 && hi-lo > 1e-12; i++ {
 		mid := (lo + hi) / 2
-		if e.ErrorRateCDF(mid) < p {
+		if k := math.Floor(mid * e.TotalInsts); math.Float64bits(k) != math.Float64bits(lastK) {
+			lastK, lastC = k, e.ErrorCountCDF(k)
+		}
+		if lastC < p {
 			lo = mid
 		} else {
 			hi = mid

@@ -8,15 +8,21 @@ import (
 	"tsperr/internal/numeric"
 )
 
-// The Equation (14) quadrature memo (initMixture) caches the k-independent
-// Simpson nodes and Gaussian weights. This property test pins its equivalence
-// with a direct, un-memoized composite-Simpson evaluation over seeded random
-// lambda distributions and query points: memoization must change the cost of
-// the CDF, never its value.
+// The Equation (14) memo (initMixture) tabulates the nodes at or below the
+// normal switch and keeps the nodes above it for per-query evaluation. This
+// property test pins its equivalence with a direct, un-memoized
+// composite-Simpson evaluation over seeded random lambda distributions,
+// small ones and ones straddling dist.PoissonNormalSwitch, and query points
+// down into the far lower tail: memoization must change the cost of the
+// CDF, never its value — to 1e-9 relative, or 1e-15 absolute where the
+// table drops each node's tail below 2^-60 of its mass.
 func TestMixtureMemoMatchesDirectSimpson(t *testing.T) {
 	rng := numeric.NewRNG(0x51b50)
-	for i := 0; i < 60; i++ {
+	for i := 0; i < 80; i++ {
 		mean := 0.5 + 200*rng.Float64()
+		if i%4 == 3 {
+			mean = 2000 + 6000*rng.Float64()
+		}
 		std := mean / 3 * rng.Float64()
 		e := &Estimate{LambdaMean: mean, LambdaStd: std}
 
@@ -25,6 +31,9 @@ func TestMixtureMemoMatchesDirectSimpson(t *testing.T) {
 		hi := mean + 8*std
 		for j := 0; j < 8; j++ {
 			k := math.Floor(4 * mean * rng.Float64())
+			if j == 0 {
+				k = math.Floor(mean / 4)
+			}
 			direct := numeric.Simpson(func(x float64) float64 {
 				return g.PDF(x) * dist.Poisson{Lambda: x}.CDF(k)
 			}, lo, hi, mixtureIntervals)
@@ -33,10 +42,33 @@ func TestMixtureMemoMatchesDirectSimpson(t *testing.T) {
 			}
 			direct = numeric.Clamp(direct, 0, 1)
 			got := e.ErrorCountCDF(k)
-			if d := math.Abs(got - direct); d > 1e-9 {
+			if d := math.Abs(got - direct); d > 1e-9*direct+1e-15 {
 				t.Fatalf("case %d/%d: memoized CDF(%v) = %v, direct Simpson %v (diff %v, mean %v std %v)",
 					i, j, k, got, direct, d, mean, std)
 			}
+		}
+	}
+}
+
+// Above lambda = 745 the old term-by-term Poisson CDF started from an
+// underflowed exp(-lambda) and read 0, so a low-count estimate's CDF sat at
+// 0 below its top nodes and all three quantiles collapsed onto one value.
+// Pin the shape a patricia-sized estimate must have: CDF(mean) near 1/2 and
+// each quantile at its Cornish-Fisher value within about one error count.
+// The mixed Poisson count has variance Var(lambda) + E[lambda] and third
+// cumulant E[lambda] + 3 Var(lambda).
+func TestLowCountQuantilesAboveUnderflow(t *testing.T) {
+	e := &Estimate{LambdaMean: 2443, LambdaStd: 81, TotalInsts: 1.16e6}
+	if c := e.ErrorCountCDF(e.LambdaMean); math.Abs(c-0.5) > 0.01 {
+		t.Errorf("CDF at the mean = %v, want about 0.5", c)
+	}
+	v := e.LambdaStd * e.LambdaStd
+	sd := math.Sqrt(v + e.LambdaMean)
+	skew := (e.LambdaMean + 3*v) / (sd * sd * sd)
+	for _, c := range []struct{ p, z float64 }{{0.50, 0}, {0.95, 1.6449}, {0.99, 2.3263}} {
+		want := (e.LambdaMean + (c.z+(c.z*c.z-1)*skew/6)*sd) / e.TotalInsts
+		if got := e.ErrorRateQuantile(c.p); math.Abs(got-want)*e.TotalInsts > 1.5 {
+			t.Errorf("p%v quantile %v, want about %v", 100*c.p, got, want)
 		}
 	}
 }

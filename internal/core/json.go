@@ -87,6 +87,34 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
+// Summary returns the report's wire projection: a copy without the CFG
+// graph and the per-scenario solver state, whose estimate keeps only its
+// wire fields, so it marshals to the same bytes (the scenario count moves to
+// the round-trip memo). A long-lived holder of reports, such as the
+// service's result cache, keeps the summary: a few hundred bytes, where the
+// full report carries per-instruction arrays for every scenario and the
+// estimate's Equation (14) memo tens of kilobytes. A query on the summary's
+// estimate rebuilds that memo, bit-identically, on first use.
+func (r *Report) Summary() *Report {
+	s := *r
+	if len(r.Scenarios) > 0 {
+		s.scenarioCount = len(r.Scenarios)
+	}
+	s.Graph, s.Scenarios = nil, nil
+	if e := r.Estimate; e != nil {
+		s.Estimate = &Estimate{
+			LambdaMean: e.LambdaMean,
+			LambdaStd:  e.LambdaStd,
+			TotalInsts: e.TotalInsts,
+			DKLambda:   e.DKLambda,
+			DKCount:    e.DKCount,
+			B1:         e.B1,
+			B2:         e.B2,
+		}
+	}
+	return &s
+}
+
 // UnmarshalJSON decodes the wire schema back into a Report. The projection is
 // lossy by design — the CFG graph and per-scenario solver state never leave
 // the producing process — so the decoded Report carries the summary fields

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -211,5 +212,52 @@ func TestEstimateJSONMatchesAccessors(t *testing.T) {
 	if m["p50_error_rate"] >= m["p95_error_rate"] || m["p95_error_rate"] >= m["p99_error_rate"] {
 		t.Errorf("quantiles not increasing: %v / %v / %v",
 			m["p50_error_rate"], m["p95_error_rate"], m["p99_error_rate"])
+	}
+}
+
+// A cached report's estimate is encoded by concurrent cache hits: the
+// once-per-estimate quadrature memo must hand every encoder the same bytes
+// (and, under -race, build without a data race).
+func TestEstimateJSONConcurrentEncodes(t *testing.T) {
+	e := &Estimate{LambdaMean: 2443, LambdaStd: 81, TotalInsts: 1.16e6}
+	want, err := json.Marshal(&Estimate{LambdaMean: 2443, LambdaStd: 81, TotalInsts: 1.16e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := make([][]byte, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = json.Marshal(e)
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if !bytes.Equal(g, want) {
+			t.Errorf("encode %d: %s, want %s", i, g, want)
+		}
+	}
+}
+
+// Summary drops the solver state but keeps the wire bytes.
+func TestReportSummaryMarshalsIdentically(t *testing.T) {
+	for _, rep := range []*Report{goldenReport(), {Name: "plain", Scenarios: make([]Scenario, 4), Estimate: &Estimate{LambdaMean: 9, LambdaStd: 2, TotalInsts: 1e4}}} {
+		want, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := rep.Summary()
+		if sum.Scenarios != nil || sum.Graph != nil {
+			t.Errorf("%s: summary keeps solver state", rep.Name)
+		}
+		got, err := json.Marshal(sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: summary marshals to\n%s\nwant\n%s", rep.Name, got, want)
+		}
 	}
 }

@@ -65,14 +65,25 @@ func (p Poisson) PMF(k int) float64 {
 		}
 		return 0
 	}
-	lg, _ := math.Lgamma(float64(k) + 1)
-	return math.Exp(float64(k)*math.Log(p.Lambda) - p.Lambda - lg)
+	return poissonPMF(float64(k), p.Lambda)
 }
 
-// CDF returns P(X <= floor(x)). For large Lambda it switches to the
-// normal approximation with continuity correction, whose error is
-// O(1/sqrt(Lambda)) and negligible at the program scales of the paper
-// (Lambda in the millions).
+// PoissonNormalSwitch is the rate above which Poisson.CDF uses the normal
+// approximation with continuity correction instead of exact summation. Its
+// worst-case absolute error over k is about 0.0665/sqrt(Lambda) (the
+// skewness term of the Edgeworth expansion): below 9.4e-4 just above the
+// switch and below 7e-5 at Lambda = 1e6, pinned by
+// TestPoissonNormalSwitchErrorBound. Exact summation costs O(sqrt(Lambda))
+// terms per evaluation, which the Equation (14) quadrature cannot afford at
+// the paper's program scales (Lambda in the millions).
+const PoissonNormalSwitch = 5000
+
+// CDF returns P(X <= floor(x)), the regularized upper incomplete gamma
+// function Q(floor(x)+1, Lambda). Up to PoissonNormalSwitch it sums the
+// probabilities from k towards the far tail of the shorter side (the lower
+// tail below the mean, 1 minus the upper tail above it); every term comes
+// from the saddle-point PMF, so nothing underflows before the true value
+// does. Above the switch it is the normal approximation.
 func (p Poisson) CDF(x float64) float64 {
 	if x < 0 {
 		return 0
@@ -81,18 +92,137 @@ func (p Poisson) CDF(x float64) float64 {
 	if p.Lambda <= 0 {
 		return 1
 	}
-	if p.Lambda > 5000 {
+	if p.Lambda > PoissonNormalSwitch {
 		return numeric.NormalCDF((k + 0.5 - p.Lambda) / math.Sqrt(p.Lambda))
 	}
-	// Direct stable summation in the log domain, anchored at the mode.
+	lam := p.Lambda
+	if k < lam {
+		// Lower tail: P(X = j) shrinks by j/lam per step down from k.
+		return tailSum(poissonPMF(k, lam), func(j float64) float64 { return j / lam }, k, -1)
+	}
+	// Upper tail: P(X = j+1) = P(X = j) * lam/(j+1), shrinking above k.
+	return 1 - tailSum(poissonPMF(k+1, lam), func(j float64) float64 { return lam / (j + 1) }, k+1, 1)
+}
+
+// tailCutoff is the mass below which a Poisson tail is dropped: far below
+// the rounding error of a probability near one.
+const tailCutoff = 0x1p-60
+
+// tailSum sums the geometric-like series term, term*ratio(j), ... stepping
+// j by step from j0 until j would leave the support or the rest of the
+// series, bounded by term*r/(1-r) since ratio decreases along the walk, is
+// below tailCutoff relative to the sum.
+func tailSum(term float64, ratio func(j float64) float64, j0, step float64) float64 {
 	var sum numeric.KahanSum
-	term := math.Exp(-p.Lambda)
-	sum.Add(term)
-	for i := 1; i <= int(k); i++ {
-		term *= p.Lambda / float64(i)
+	for j := j0; term > 0; j += step {
 		sum.Add(term)
+		r := ratio(j)
+		if r <= 0 || (r < 1 && term*r/(1-r) < tailCutoff*sum.Value()) {
+			break
+		}
+		term *= r
 	}
 	return math.Min(1, sum.Value())
+}
+
+// PMFWindow returns P(X = k0+i) as pmf[i] for the integers k0, k0+1, ...
+// holding all but a tailCutoff share of the mass, appended to buf[:0]. The
+// walk starts at the mode from the saddle-point PMF and recurses outwards,
+// so its cost is O(sqrt(Lambda)) however large Lambda is. Lambda <= 0 is the
+// point mass at 0.
+func (p Poisson) PMFWindow(buf []float64) (k0 int, pmf []float64) {
+	lam := p.Lambda
+	if lam <= 0 {
+		return 0, append(buf[:0], 1)
+	}
+	mode := math.Floor(lam)
+	peak := poissonPMF(mode, lam)
+	// Lower side, collected outwards from the mode and reversed after.
+	down := buf[:0]
+	j, t := mode, peak
+	for j > 0 {
+		r := j / lam
+		if t*r/(1-r) < tailCutoff {
+			break
+		}
+		t *= r
+		j--
+		down = append(down, t)
+	}
+	for a, b := 0, len(down)-1; a < b; a, b = a+1, b-1 {
+		down[a], down[b] = down[b], down[a]
+	}
+	pmf = append(down, peak)
+	for j, t = mode+1, peak*lam/(mode+1); ; j++ {
+		pmf = append(pmf, t)
+		r := lam / (j + 1)
+		if t*r/(1-r) < tailCutoff {
+			break
+		}
+		t *= r
+	}
+	return int(mode) - len(down), pmf
+}
+
+// poissonPMF is P(X = k) for rate lam > 0 in Loader's saddle-point form,
+// exp(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k): the exponent is formed
+// from small, accurately computed pieces, where k ln(lam) - lam -
+// lgamma(k+1) would cancel large terms (and exp(-lam) alone underflows
+// beyond lam = 745).
+func poissonPMF(k, lam float64) float64 {
+	if k == 0 {
+		return math.Exp(-lam)
+	}
+	return math.Exp(-stirlerr(k)-bd0(k, lam)) / math.Sqrt(2*math.Pi*k)
+}
+
+// stirlerr returns ln(n!) - ((n+1/2) ln n - n + ln sqrt(2 pi)), the error of
+// Stirling's formula, for integer n >= 1: directly from math.Lgamma for
+// small n and from its asymptotic series beyond.
+func stirlerr(n float64) float64 {
+	const (
+		s0 = 1.0 / 12
+		s1 = 1.0 / 360
+		s2 = 1.0 / 1260
+		s3 = 1.0 / 1680
+		s4 = 1.0 / 1188
+	)
+	if n <= 15 {
+		lg, _ := math.Lgamma(n + 1)
+		return lg - (n+0.5)*math.Log(n) + n - 0.5*math.Log(2*math.Pi)
+	}
+	nn := n * n
+	switch {
+	case n > 500:
+		return (s0 - s1/nn) / n
+	case n > 80:
+		return (s0 - (s1-s2/nn)/nn) / n
+	case n > 35:
+		return (s0 - (s1-(s2-s3/nn)/nn)/nn) / n
+	}
+	return (s0 - (s1-(s2-(s3-s4/nn)/nn)/nn)/nn) / n
+}
+
+// bd0 returns x ln(x/m) + m - x, the deviance term of the saddle-point PMF,
+// by a series in v = (x-m)/(x+m) where the closed form would cancel.
+func bd0(x, m float64) float64 {
+	if math.Abs(x-m) >= 0.1*(x+m) {
+		return x*math.Log(x/m) + m - x
+	}
+	v := (x - m) / (x + m)
+	s := (x - m) * v
+	ej := 2 * x * v
+	v *= v
+	// |v| < 0.1, so the terms shrink at least a hundredfold per step.
+	for j := 1; j < 40; j++ {
+		ej *= v
+		term := ej / float64(2*j+1)
+		s += term
+		if math.Abs(term) <= 0x1p-60*math.Abs(s) {
+			break
+		}
+	}
+	return s
 }
 
 // Mean returns Lambda.

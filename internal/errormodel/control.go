@@ -189,6 +189,9 @@ func (m *Machine) CharacterizeControlWorkers(ctx context.Context, g *cfg.Graph, 
 	}
 	trained := make([]bool, nb)
 	errs := make([]error, nb)
+	// The block workers share pr: settle its lazily built edge state first,
+	// so that they only read it.
+	pr.Settle()
 	pool.Run(ctx, nb, workers, false, errs, func(_ context.Context, b int) error {
 		return m.characterizeBlock(g, pr, results, cc, trained, b)
 	})

@@ -394,7 +394,10 @@ func (s *Server) complete(key string, f *flight, rep *core.Report, err error) {
 		delete(s.flights, key)
 	}
 	if err == nil {
-		s.cache.add(key, rep)
+		// The cache serves the wire projection only; the solver state
+		// behind it would hold per-instruction arrays for every scenario of
+		// every cached key.
+		s.cache.add(key, rep.Summary())
 	} else {
 		s.met.failures.Add(1)
 	}
