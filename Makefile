@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-fix-check check oracle fuzz cover smoke smoke-cluster smoke-surrogate smoke-oppoint bench pprof clean
+.PHONY: all build test lint lint-fix-check check oracle fuzz cover smoke smoke-cluster smoke-surrogate smoke-oppoint bench pprof pprof-setup clean
 
 all: build
 
@@ -104,6 +104,15 @@ pprof:
 	$(GO) test -run '^$$' -bench 'BenchmarkEndToEndWarm$$' -benchtime 1000x \
 		-cpuprofile cpu.prof -memprofile mem.prof .
 	@echo "wrote cpu.prof / mem.prof; try: $(GO) tool pprof -top cpu.prof"
+
+# `make pprof-setup` profiles the cold framework build (BenchmarkFrameworkSetup:
+# netlist generation, SSTA calibration, datapath training), the cost every
+# cold tsperr run and every new /v1/oppoint condition pays. Inspect with:
+#   go tool pprof -top -cum setup-cpu.prof
+pprof-setup:
+	$(GO) test -run '^$$' -bench 'BenchmarkFrameworkSetup$$' -benchtime 10x \
+		-cpuprofile setup-cpu.prof -memprofile setup-mem.prof .
+	@echo "wrote setup-cpu.prof / setup-mem.prof; try: $(GO) tool pprof -top -cum setup-cpu.prof"
 
 clean:
 	$(GO) clean ./...

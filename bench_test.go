@@ -9,6 +9,7 @@ package tsperr
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -295,6 +296,103 @@ func BenchmarkFrameworkSetupWarm(b *testing.B) {
 		if !warm {
 			b.Fatal("primed cache should stay warm")
 		}
+	}
+}
+
+// benchUnits returns the five pipeline netlists, the SSTA variation model
+// and the options NewMachine calibrates them with.
+func benchUnits(b *testing.B) ([]*netlist.Netlist, *variation.Model, errormodel.Options) {
+	b.Helper()
+	opts := errormodel.DefaultOptions()
+	model, err := variation.NewModel(opts.VariationLevels, opts.CorrShare)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nets := []*netlist.Netlist{
+		gen.Control().N, gen.Adder().N, gen.Shifter().N, gen.Logic().N, gen.Multiplier().N,
+	}
+	return nets, model, opts
+}
+
+// benchMultiplier returns an SSTA engine over the multiplier, whose
+// endpoints carry the largest k-critical-path searches of the five units.
+func benchMultiplier(b *testing.B) (*sta.Engine, errormodel.Options) {
+	b.Helper()
+	nets, model, opts := benchUnits(b)
+	e, err := sta.NewEngine(nets[4], model, 1e6/opts.BaseFreqMHz, opts.SigmaRel, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return e, opts
+}
+
+var (
+	benchPathsSink []netlist.Path
+	benchFormSink  variation.Canon
+)
+
+// BenchmarkCalibrateScale measures the SSTA calibration of the five units
+// at the default options, serially: k-critical-path enumeration for every
+// endpoint, then the statistical maximum over all path delays. It is the
+// bulk of BenchmarkFrameworkSetup.
+func BenchmarkCalibrateScale(b *testing.B) {
+	nets, model, opts := benchUnits(b)
+	target := 1e6 / opts.BaseFreqMHz / opts.PoFFRatio
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, n := range nets {
+			if _, err := gen.CalibrateScale([]*netlist.Netlist{n}, model,
+				opts.SigmaRel, target, opts.CalibrationPercentile, opts.KPaths); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkCriticalPaths measures the k-critical-path search over every
+// endpoint of the multiplier, one CriticalPaths call each.
+func BenchmarkCriticalPaths(b *testing.B) {
+	e, opts := benchMultiplier(b)
+	var eps []netlist.GateID
+	for s := 0; s < e.N.Stages; s++ {
+		eps = append(eps, e.N.Endpoints(s)...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ep := range eps {
+			benchPathsSink = e.CriticalPaths(ep, opts.KPaths)
+		}
+	}
+}
+
+// BenchmarkStatMin measures the greedy statistical minimum over the
+// multiplier's path slack forms: 96 forms is the greedy limit, 200 adds
+// the sorted pre-fold.
+func BenchmarkStatMin(b *testing.B) {
+	e, opts := benchMultiplier(b)
+	var forms []variation.Canon
+	for s := 0; s < e.N.Stages; s++ {
+		bySlack := e.EndpointSlackForms(s, opts.KPaths)
+		for _, ep := range e.N.Endpoints(s) {
+			forms = append(forms, bySlack[ep]...)
+		}
+	}
+	for _, n := range []int{96, 200} {
+		if len(forms) < n {
+			b.Fatalf("multiplier has %d path slack forms, want %d", len(forms), n)
+		}
+		b.Run(fmt.Sprintf("forms=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mn, err := sta.StatMin(forms[:n])
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchFormSink = mn
+			}
+		})
 	}
 }
 

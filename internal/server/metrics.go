@@ -52,6 +52,8 @@ type metrics struct {
 	// histogram (surrogate.go); rendered only when a surrogate is attached.
 	surrogateMetrics
 
+	// latency times an answered estimate from arrival to its last body
+	// byte, so the response encode is included.
 	latency histogram
 	// batchLatency measures whole-suite wall time, admission to last entry.
 	batchLatency histogram

@@ -464,8 +464,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.surrogateEligible(req) {
 		if rep := s.consultSurrogate(req, key); rep != nil {
-			s.met.latency.observe(time.Since(start))
 			writeJSON(w, http.StatusOK, estimateResponse{Key: key, Tier: core.TierSurrogate, Report: rep})
+			s.met.latency.observe(time.Since(start))
 			return
 		}
 	}
@@ -473,8 +473,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	rep, f, outcome := s.join(req, key, nil)
 	switch outcome {
 	case joinCacheHit:
-		s.met.latency.observe(time.Since(start))
 		writeJSON(w, http.StatusOK, estimateResponse{Key: key, Cached: true, Tier: core.TierExact, Report: rep})
+		s.met.latency.observe(time.Since(start))
 		return
 	case joinRejected:
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "compute queue full, retry later"})
@@ -491,16 +491,16 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.leave(key, f)
-	s.met.latency.observe(time.Since(start))
 	if f.err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
 			code = http.StatusServiceUnavailable
 		}
 		writeJSON(w, code, errorResponse{Error: f.err.Error()})
-		return
+	} else {
+		writeJSON(w, http.StatusOK, estimateResponse{Key: key, Cached: false, Tier: core.TierExact, Report: f.rep})
 	}
-	writeJSON(w, http.StatusOK, estimateResponse{Key: key, Cached: false, Tier: core.TierExact, Report: f.rep})
+	s.met.latency.observe(time.Since(start))
 }
 
 // handleEstimateAsync registers a job, attaches it to the flight (or

@@ -566,3 +566,58 @@ func TestAnalyzePanicIsContained(t *testing.T) {
 		t.Errorf("healthz after panic: %d", resp.StatusCode)
 	}
 }
+
+// slowWriter is a ResponseWriter whose body writes take at least delay, as
+// a large response encode or a slow client would.
+type slowWriter struct {
+	*httptest.ResponseRecorder
+	delay time.Duration
+}
+
+func (w slowWriter) Write(b []byte) (int, error) {
+	time.Sleep(w.delay)
+	return w.ResponseRecorder.Write(b)
+}
+
+// The request-latency histogram must cover the response write on every
+// answered path (computed, cache hit, surrogate): it is what a caller
+// waits for, and on a cache hit it is most of the time.
+func TestRequestLatencyIncludesResponseWrite(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	analyze := func(ctx context.Context, benchmark string, scenarios int, opts core.AnalyzeOpts) (*core.Report, error) {
+		return fakeReport(benchmark), nil
+	}
+	stub := &stubSurrogate{decision: confidentDecision()}
+	s, _ := newTestServer(t, context.Background(), Config{
+		Analyze: analyze, Surrogate: stub, SurrogateMode: SurrogateServe,
+	})
+	for _, tc := range []struct {
+		name       string
+		serve      bool // whether the surrogate answers
+		tier       string
+		wantCached bool
+	}{
+		{"surrogate", true, core.TierSurrogate, false},
+		{"computed", false, core.TierExact, false},
+		{"cache hit", false, core.TierExact, true},
+	} {
+		stub.decision.Serve = tc.serve
+		count, sum := s.met.latency.count.Load(), s.met.latency.sumUS.Load()
+		w := slowWriter{httptest.NewRecorder(), delay}
+		req := httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(`{"benchmark":"typeset"}`))
+		s.Handler().ServeHTTP(w, req)
+		var body estimateResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, %v: %s", tc.name, w.Code, err, w.Body)
+		}
+		if body.Tier != tc.tier || body.Cached != tc.wantCached {
+			t.Fatalf("%s: answered by tier %q cached %v", tc.name, body.Tier, body.Cached)
+		}
+		if got := s.met.latency.count.Load() - count; got != 1 {
+			t.Errorf("%s: %d latency observations, want 1", tc.name, got)
+		}
+		if got := time.Duration(s.met.latency.sumUS.Load()-sum) * time.Microsecond; got < delay {
+			t.Errorf("%s: observed latency %v excludes the %v response write", tc.name, got, delay)
+		}
+	}
+}

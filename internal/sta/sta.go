@@ -8,14 +8,15 @@
 package sta
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"tsperr/internal/cell"
 	"tsperr/internal/netlist"
+	"tsperr/internal/numeric"
 	"tsperr/internal/variation"
 )
 
@@ -38,6 +39,14 @@ type Engine struct {
 
 	delays []variation.Canon
 	topo   []netlist.GateID
+	// sigma holds each gate delay's standard deviation and arrival the
+	// longest source-to-gate arrival per ranking metric: pure functions of
+	// the gate delays, filled once by prepare on the first path query (a
+	// warm start that never searches paths skips the cost) and read-only
+	// afterwards, so the DTA analyzer's workers share an engine.
+	prep    sync.Once
+	sigma   []float64
+	arrival [numMetrics][]float64
 }
 
 // NewEngine prepares an engine at the nominal operating condition. The
@@ -80,6 +89,19 @@ func NewEngineAt(n *netlist.Netlist, model *variation.Model, clockPeriod, sigmaR
 	return e, nil
 }
 
+// prepare fills the sigma and arrival tables on first use.
+func (e *Engine) prepare() {
+	e.prep.Do(func() {
+		e.sigma = make([]float64, len(e.delays))
+		for i, d := range e.delays {
+			e.sigma[i] = d.Std()
+		}
+		for m := range e.arrival {
+			e.arrival[m] = e.maxArrival(nominalMetric(m))
+		}
+	})
+}
+
 // GateDelay returns the canonical delay form of a gate.
 func (e *Engine) GateDelay(id netlist.GateID) variation.Canon { return e.delays[id] }
 
@@ -90,22 +112,24 @@ const (
 	metricNominal nominalMetric = iota
 	metricWorst                 // 99th percentile gate delays
 	metricBest                  // 1st percentile gate delays
+	numMetrics
 )
 
 func (e *Engine) scalarDelay(id netlist.GateID, m nominalMetric) float64 {
-	d := e.delays[id]
+	mean := e.delays[id].Mean
 	switch m {
 	case metricWorst:
-		return d.Mean + 2.3263478740408408*d.Std()
+		return mean + 2.3263478740408408*e.sigma[id]
 	case metricBest:
-		return d.Mean - 2.3263478740408408*d.Std()
+		return mean - 2.3263478740408408*e.sigma[id]
 	default:
-		return d.Mean
+		return mean
 	}
 }
 
 // maxArrival computes, for the chosen metric, the longest source-to-gate
-// (inclusive) combinational arrival for every gate.
+// (inclusive) combinational arrival for every gate. It reads sigma, so only
+// prepare calls it.
 func (e *Engine) maxArrival(m nominalMetric) []float64 {
 	arr := make([]float64, e.N.NumGates())
 	gates := e.N.Gates()
@@ -129,71 +153,114 @@ func (e *Engine) maxArrival(m nominalMetric) []float64 {
 	return arr
 }
 
-// searchState is a partial path suffix [gate ... endpointDriver] in the
-// best-first k-critical-path search.
-type searchState struct {
-	gate     netlist.GateID
-	suffix   []netlist.GateID
-	sufDelay float64
-	priority float64
+// pathSearch is the scratch state of the best-first k-critical-path
+// search: an arena of partial paths, each linked to the suffix it extends,
+// and a binary max-heap of arena indices. The heap sifts exactly as
+// container/heap does, so paths of equal priority (common under the
+// nominal metric) pop in the same order and the same k paths come out.
+type pathSearch struct {
+	states []searchState
+	heap   []heapEntry
 }
 
-type stateHeap []*searchState
+// searchState is a partial path suffix [gate ... endpointDriver]: gate
+// followed by the suffix of state next (-1 after the driver), depth gates
+// in all.
+type searchState struct {
+	gate     netlist.GateID
+	next     int32
+	depth    int32
+	sufDelay float64
+}
 
-func (h stateHeap) Len() int            { return len(h) }
-func (h stateHeap) Less(i, j int) bool  { return h[i].priority > h[j].priority }
-func (h stateHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *stateHeap) Push(x interface{}) { *h = append(*h, x.(*searchState)) }
-func (h *stateHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	s := old[n-1]
-	*h = old[:n-1]
-	return s
+type heapEntry struct {
+	priority float64
+	state    int32
+}
+
+// add appends a state to the arena and pushes it with the given priority.
+func (ps *pathSearch) add(s searchState, priority float64) {
+	ps.states = append(ps.states, s)
+	h := append(ps.heap, heapEntry{priority: priority, state: int32(len(ps.states) - 1)})
+	// container/heap's up.
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2
+		if i == j || !(h[j].priority > h[i].priority) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	ps.heap = h
+}
+
+// pop removes and returns the arena index of the highest-priority state.
+func (ps *pathSearch) pop() int32 {
+	h := ps.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	// container/heap's down over h[:n].
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].priority > h[j].priority {
+			j = j2
+		}
+		if !(h[j].priority > h[i].priority) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	ps.heap = h[:n]
+	return h[n].state
+}
+
+// gates materializes the path suffix of state idx, source first.
+func (ps *pathSearch) gates(idx int32) []netlist.GateID {
+	out := make([]netlist.GateID, ps.states[idx].depth)
+	for i := range out {
+		out[i] = ps.states[idx].gate
+		idx = ps.states[idx].next
+	}
+	return out
 }
 
 // kCriticalTo enumerates up to k complete paths ending at endpoint ep in
 // exactly decreasing order of total delay under the chosen metric, using
 // best-first (A*) search with the max-arrival upper bound as heuristic.
-func (e *Engine) kCriticalTo(ep netlist.GateID, k int, m nominalMetric, arr []float64) []netlist.Path {
+// ps is reset and reused as scratch.
+func (e *Engine) kCriticalTo(ep netlist.GateID, k int, m nominalMetric, ps *pathSearch) []netlist.Path {
 	g := e.N.Gate(ep)
 	if g.Kind != cell.DFF {
 		return nil
 	}
+	e.prepare()
+	arr := e.arrival[m]
 	driver := g.Fanin[0]
-	h := &stateHeap{}
-	start := &searchState{
-		gate:     driver,
-		suffix:   []netlist.GateID{driver},
-		sufDelay: e.scalarDelay(driver, m),
-	}
-	start.priority = e.prefixBound(driver, arr) + start.sufDelay
-	heap.Push(h, start)
+	ps.states, ps.heap = ps.states[:0], ps.heap[:0]
+	start := searchState{gate: driver, next: -1, depth: 1, sufDelay: e.scalarDelay(driver, m)}
+	ps.add(start, e.prefixBound(driver, arr)+start.sufDelay)
 	var out []netlist.Path
-	for h.Len() > 0 && len(out) < k {
-		s := heap.Pop(h).(*searchState)
+	for len(ps.heap) > 0 && len(out) < k {
+		idx := ps.pop()
+		s := ps.states[idx]
 		sg := e.N.Gate(s.gate)
 		if sg.Kind.IsSource() {
-			gates := make([]netlist.GateID, len(s.suffix))
-			copy(gates, s.suffix)
 			out = append(out, netlist.Path{
-				Gates:        gates,
+				Gates:        ps.gates(idx),
 				Endpoint:     ep,
 				NominalDelay: s.sufDelay + cell.Setup,
 			})
 			continue
 		}
 		for _, f := range sg.Fanin {
-			suffix := make([]netlist.GateID, 0, len(s.suffix)+1)
-			suffix = append(suffix, f)
-			suffix = append(suffix, s.suffix...)
-			ns := &searchState{
-				gate:     f,
-				suffix:   suffix,
-				sufDelay: s.sufDelay + e.scalarDelay(f, m),
-			}
-			ns.priority = e.prefixBound(f, arr) + ns.sufDelay
-			heap.Push(h, ns)
+			ns := searchState{gate: f, next: idx, depth: s.depth + 1, sufDelay: s.sufDelay + e.scalarDelay(f, m)}
+			ps.add(ns, e.prefixBound(f, arr)+ns.sufDelay)
 		}
 	}
 	return out
@@ -225,11 +292,17 @@ func (e *Engine) prefixBound(g netlist.GateID, arr []float64) float64 {
 // Algorithm 1 under SSTA: it guarantees the set contains every path that
 // could become the true critical path over process variation.
 func (e *Engine) CriticalPaths(ep netlist.GateID, k int) []netlist.Path {
+	var ps pathSearch
+	return e.criticalPaths(ep, k, &ps)
+}
+
+// criticalPaths is CriticalPaths with caller-owned search scratch, which a
+// loop over endpoints grows once instead of once per endpoint.
+func (e *Engine) criticalPaths(ep netlist.GateID, k int, ps *pathSearch) []netlist.Path {
 	seen := map[string]bool{}
 	var out []netlist.Path
-	for _, m := range []nominalMetric{metricNominal, metricWorst, metricBest} {
-		arr := e.maxArrival(m)
-		for _, p := range e.kCriticalTo(ep, k, m, arr) {
+	for _, m := range [...]nominalMetric{metricNominal, metricWorst, metricBest} {
+		for _, p := range e.kCriticalTo(ep, k, m, ps) {
 			key := pathKey(p)
 			if seen[key] {
 				continue
@@ -314,28 +387,71 @@ func StatMin(forms []variation.Canon) (variation.Canon, error) {
 		work = work[:statMinGreedyLimit]
 		work[statMinGreedyLimit-1] = acc
 	}
-	for len(work) > 1 {
+	n := len(work)
+	if n == 1 {
+		return work[0], nil
+	}
+	// sd caches each form's sigma and corr the pairwise correlations, a
+	// symmetric matrix with row i at corr[i*stride:], holding exactly the
+	// values Canon.Corr returns (Cov is symmetric bit for bit). A merge
+	// changes one form, so only its row and column are recomputed.
+	stride := n
+	sd := make([]float64, n)
+	corr := make([]float64, n*n)
+	for i := range work {
+		sd[i] = work[i].Std()
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			r := corrOf(work[i], work[j], sd[i], sd[j])
+			corr[i*stride+j], corr[j*stride+i] = r, r
+		}
+	}
+	for ; n > 1; n-- {
+		// The first maximal pair in (i, j) order, as a full rescan of
+		// Canon.Corr would pick it.
 		bi, bj := 0, 1
 		best := math.Inf(-1)
-		for i := 0; i < len(work); i++ {
-			for j := i + 1; j < len(work); j++ {
-				if r := work[i].Corr(work[j]); r > best {
+		for i := 0; i < n; i++ {
+			row := corr[i*stride : i*stride+n]
+			for j := i + 1; j < n; j++ {
+				if r := row[j]; r > best {
 					best, bi, bj = r, i, j
 				}
 			}
 		}
 		merged := work[bi].Min(work[bj])
-		work[bj] = work[len(work)-1]
-		work = work[:len(work)-1]
-		work[bi] = merged
+		// Move the last form into slot bj, then the merged form into bi.
+		last := n - 1
+		work[bj], sd[bj] = work[last], sd[last]
+		for x := 0; x < last; x++ {
+			corr[bj*stride+x] = corr[last*stride+x]
+			corr[x*stride+bj] = corr[x*stride+last]
+		}
+		work[bi], sd[bi] = merged, merged.Std()
+		for x := 0; x < last; x++ {
+			if x != bi {
+				r := corrOf(work[bi], work[x], sd[bi], sd[x])
+				corr[bi*stride+x], corr[x*stride+bi] = r, r
+			}
+		}
 	}
 	return work[0], nil
+}
+
+// corrOf is Canon.Corr given both forms' sigmas.
+func corrOf(a, b variation.Canon, sa, sb float64) float64 {
+	if sa == 0 || sb == 0 {
+		return 0
+	}
+	return numeric.Clamp(a.Cov(b)/(sa*sb), -1, 1)
 }
 
 // WorstSlackNominal returns the most negative nominal endpoint slack in a
 // stage (the classic STA number), used to calibrate operating points.
 func (e *Engine) WorstSlackNominal(stage int) float64 {
-	arr := e.maxArrival(metricNominal)
+	e.prepare()
+	arr := e.arrival[metricNominal]
 	worst := math.Inf(1)
 	for _, ep := range e.N.Endpoints(stage) {
 		driver := e.N.Gate(ep).Fanin[0]
@@ -350,7 +466,8 @@ func (e *Engine) WorstSlackNominal(stage int) float64 {
 // MaxDelayNominal returns the longest nominal path delay (including setup)
 // across all stages: the minimum clock period of the design under STA.
 func (e *Engine) MaxDelayNominal() float64 {
-	arr := e.maxArrival(metricNominal)
+	e.prepare()
+	arr := e.arrival[metricNominal]
 	worst := 0.0
 	for s := 0; s < e.N.Stages; s++ {
 		for _, ep := range e.N.Endpoints(s) {
@@ -369,9 +486,10 @@ func (e *Engine) MaxDelayNominal() float64 {
 // 718 MHz with guardband) corresponds to a high percentile of this value.
 func (e *Engine) MaxDelayPercentile(p float64, k int) float64 {
 	var forms []variation.Canon
+	var ps pathSearch
 	for s := 0; s < e.N.Stages; s++ {
 		for _, ep := range e.N.Endpoints(s) {
-			for _, path := range e.CriticalPaths(ep, k) {
+			for _, path := range e.criticalPaths(ep, k, &ps) {
 				forms = append(forms, e.PathDelay(path))
 			}
 		}
@@ -398,8 +516,9 @@ func (e *Engine) EndpointSlackForms(stage int, k int) map[netlist.GateID][]varia
 	out := map[netlist.GateID][]variation.Canon{}
 	eps := e.N.Endpoints(stage)
 	sort.Slice(eps, func(i, j int) bool { return eps[i] < eps[j] })
+	var ps pathSearch
 	for _, ep := range eps {
-		for _, p := range e.CriticalPaths(ep, k) {
+		for _, p := range e.criticalPaths(ep, k, &ps) {
 			out[ep] = append(out[ep], e.PathSlack(p))
 		}
 	}
