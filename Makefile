@@ -2,12 +2,14 @@
 #
 # `make check` is the tier-2 verification gate: vet, the project linters
 # (tsperrlint source passes + the netlist structural lint), the full-budget
-# Monte Carlo oracles, and the full test suite under the race detector (the
-# resilience tests exercise the scenario worker pool concurrently).
+# Monte Carlo oracles, the full test suite under the race detector (the
+# resilience tests exercise the scenario worker pool concurrently), and vet
+# plus tests of the nested bench/ module, which the root `go test ./...`
+# never compiles.
 
 GO ?= go
 
-.PHONY: all build test lint lint-fix-check check oracle fuzz cover smoke smoke-cluster smoke-surrogate smoke-oppoint bench pprof pprof-setup clean
+.PHONY: all build test lint lint-fix-check check oracle fuzz cover smoke smoke-cluster smoke-surrogate smoke-oppoint bench pprof pprof-miss pprof-setup clean
 
 all: build
 
@@ -36,6 +38,7 @@ lint-fix-check: lint
 check: lint fuzz oracle
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # `make oracle` runs the standing Monte Carlo oracles at their full budget:
 # the Section 5 simulation check and the Equation (14) sampling check over
@@ -104,6 +107,17 @@ pprof:
 	$(GO) test -run '^$$' -bench 'BenchmarkEndToEndWarm$$' -benchtime 1000x \
 		-cpuprofile cpu.prof -memprofile mem.prof .
 	@echo "wrote cpu.prof / mem.prof; try: $(GO) tool pprof -top cpu.prof"
+
+# `make pprof-miss` captures CPU and allocation profiles of the estimate-miss
+# mix in process (BenchmarkLayer/estimate-miss-mix: the nine high-count
+# programs at 1-32 scenarios, two passes over all 288 keys), the daemon's
+# cache-miss path without the HTTP layer. Inspect with:
+#   go tool pprof -top miss-cpu.prof
+#   go tool pprof -top -sample_index=alloc_space miss-mem.prof
+pprof-miss:
+	$(GO) test -run '^$$' -bench 'BenchmarkLayer/estimate-miss-mix$$' -benchtime 576x \
+		-cpuprofile miss-cpu.prof -memprofile miss-mem.prof .
+	@echo "wrote miss-cpu.prof / miss-mem.prof; try: $(GO) tool pprof -top miss-cpu.prof"
 
 # `make pprof-setup` profiles the cold framework build (BenchmarkFrameworkSetup:
 # netlist generation, SSTA calibration, datapath training), the cost every

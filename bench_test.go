@@ -16,6 +16,7 @@ import (
 
 	"tsperr/internal/activity"
 	"tsperr/internal/cell"
+	"tsperr/internal/cfg"
 	"tsperr/internal/core"
 	"tsperr/internal/cpu"
 	"tsperr/internal/errormodel"
@@ -810,4 +811,154 @@ func BenchmarkEstimateSurrogateHit(b *testing.B) {
 			b.Fatal("gate escalated mid-benchmark")
 		}
 	}
+}
+
+// missMixPrograms are the programs of the estimate-miss workload: the Table
+// 2 programs whose Eq. (14) range stays above the normal switch, so the
+// exact pipeline is the whole cost of a miss.
+var missMixPrograms = []string{
+	"basicmath", "bitcount", "dijkstra", "pgp.encode", "pgp.decode",
+	"tiff2bw", "typeset", "ghostscript", "gsm.decode",
+}
+
+// BenchmarkLayer measures the estimate-miss path layer by layer: the
+// workload's request mix in process, then the interpreter and the two
+// retirement observers that every simulated instruction feeds, each in ns
+// per retired instruction over scenario 0 of every mix program. `make
+// pprof-miss` profiles the mix.
+func BenchmarkLayer(b *testing.B) {
+	f, err := harness.SharedFramework()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("estimate-miss-mix", benchMissMix)
+
+	cfgCPU := cpu.DefaultConfig()
+	cfgCPU.SkipToggles = true // as the framework runs it
+	run := func(b *testing.B, bm mibench.Benchmark, obs cpu.BatchObserver) int64 {
+		m, err := cpu.New(bm.Prog, cfgCPU)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer m.Release()
+		if err := bm.Setup(m, 0); err != nil {
+			b.Fatal(err)
+		}
+		st, err := m.RunBatched(context.Background(), obs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st.Instructions
+	}
+	// The observers replay the batches each program retires, recorded on
+	// first use so that a run of the mix alone skips the recording.
+	type stream struct {
+		bm      mibench.Benchmark
+		g       *cfg.Graph
+		batches [][]cpu.DynInst
+	}
+	var streams []stream
+	var insts int64
+	record := func(b *testing.B) {
+		if len(streams) > 0 {
+			return
+		}
+		for _, name := range missMixPrograms {
+			bm, err := mibench.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := cfg.Build(bm.Prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := stream{bm: bm, g: g}
+			insts += run(b, bm, func(ds []cpu.DynInst) { s.batches = append(s.batches, append([]cpu.DynInst(nil), ds...)) })
+			streams = append(streams, s)
+		}
+	}
+	perInst := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*insts), "ns/inst")
+	}
+
+	b.Run("cpu-run", func(b *testing.B) {
+		record(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, s := range streams {
+				run(b, s.bm, func([]cpu.DynInst) {})
+			}
+		}
+		perInst(b)
+	})
+	b.Run("profile-observe", func(b *testing.B) {
+		record(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, s := range streams {
+				pr := cfg.NewProfile(s.g)
+				for _, ds := range s.batches {
+					pr.ObserveBatch(ds)
+				}
+			}
+		}
+		perInst(b)
+	})
+	b.Run("features-observe", func(b *testing.B) {
+		record(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, s := range streams {
+				fc, _ := errormodel.NewFeatureCollector(len(s.bm.Prog.Insts), f.Datapath)
+				for _, ds := range s.batches {
+					fc.ObserveBatch(ds)
+				}
+			}
+		}
+		perInst(b)
+	})
+}
+
+// benchMissMix replays the estimate-miss workload's request mix in process:
+// the high-count programs at 1 to 32 scenarios through
+// harness.AnalyzeWithOpts. One untimed 32-scenario request per program
+// comes first, so every op is a warm miss like the daemon's: the control
+// characterization is memoized and every scenario is simulated anew. Op i
+// asks for program i mod 9, and its scenario count pairs with its
+// neighbour's to 33, so every even prefix asks for the mix's mean and 288
+// ops walk all 288 keys.
+func benchMissMix(b *testing.B) {
+	ctx := context.Background()
+	const maxScenarios = 32
+	// insts[p][n] is the instruction count a request for program p at n
+	// scenarios simulates.
+	insts := make([][]int64, len(missMixPrograms))
+	for p, name := range missMixPrograms {
+		rep, err := harness.AnalyzeWithOpts(ctx, name, maxScenarios, core.AnalyzeOpts{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts[p] = make([]int64, maxScenarios+1)
+		for s, sc := range rep.Scenarios {
+			insts[p][s+1] = insts[p][s]
+			for _, c := range sc.Features.Count {
+				insts[p][s+1] += c
+			}
+		}
+	}
+	var total int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, n := i%len(missMixPrograms), 1+13*(i/2)%(maxScenarios/2)
+		if i%2 == 1 {
+			n = maxScenarios + 1 - n
+		}
+		if _, err := harness.AnalyzeWithOpts(ctx, missMixPrograms[p], n, core.AnalyzeOpts{}); err != nil {
+			b.Fatal(err)
+		}
+		total += insts[p][n]
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }

@@ -46,6 +46,9 @@ import (
 	"tsperr/internal/mibench"
 )
 
+// oppointUsage is the -oppoint usage line, printed with exit status 2.
+const oppointUsage = "usage: tsperr -oppoint -target F [-min-ratio R] [-max-ratio R] [-steps N] [-voltage V] [-temp C] [-json] <benchmark>"
+
 // splitLines breaks a FailureDetail block into lines for indentation.
 func splitLines(s string) []string {
 	return strings.Split(strings.TrimRight(s, "\n"), "\n")
@@ -124,7 +127,7 @@ func main() {
 	}
 	if *oppointMode {
 		if flag.NArg() != 1 || *batchPath != "" {
-			fmt.Fprintln(os.Stderr, "usage: tsperr -oppoint -target F [-min-ratio R] [-max-ratio R] [-steps N] [-voltage V] [-temp C] [-json] <benchmark>")
+			fmt.Fprintln(os.Stderr, oppointUsage)
 			os.Exit(cliutil.ExitUsage)
 		}
 		runOppoint(flag.Arg(0), *scenarios, *timeout, cond,

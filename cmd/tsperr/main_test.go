@@ -124,6 +124,21 @@ func TestSmokeOppointBadTargetIsUsage(t *testing.T) {
 	}
 }
 
+// A ratio grid the search cannot walk is a usage error, like a bad target:
+// the search rejects it before building anything.
+func TestSmokeOppointBadGridIsUsage(t *testing.T) {
+	for _, args := range [][]string{
+		{"-steps", "0"},
+		{"-min-ratio", "1.3", "-max-ratio", "1.1"},
+		{"-min-ratio", "NaN"},
+	} {
+		code, _, stderr := runSelf(t, append(append([]string{"-oppoint"}, args...), "typeset")...)
+		if code != 2 || !strings.Contains(stderr, "usage: tsperr -oppoint") {
+			t.Errorf("%v: exit = %d, stderr = %s; want oppoint usage error", args, code, stderr)
+		}
+	}
+}
+
 func TestSmokeOppointBadVoltageIsUsage(t *testing.T) {
 	code, _, stderr := runSelf(t, "-oppoint", "-voltage", "9", "typeset")
 	if code != 2 {

@@ -3,16 +3,15 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"time"
 
 	"tsperr/internal/cell"
 	"tsperr/internal/cliutil"
 	"tsperr/internal/core"
-	"tsperr/internal/cpu"
 	"tsperr/internal/errormodel"
 	"tsperr/internal/harness"
 	"tsperr/internal/mibench"
@@ -38,8 +37,9 @@ type oppointJSON struct {
 
 // runOppoint bisects the fastest frequency ratio meeting the target error
 // rate at one operating condition (tsperr -oppoint). Exit status follows the
-// command contract: 2 for usage errors (already rejected by the caller), 1
-// for analysis failures; an infeasible target is a result, not a failure.
+// command contract: 2 for usage errors, including a target or ratio grid the
+// search rejects; 1 for analysis failures; an infeasible target is a result,
+// not a failure.
 func runOppoint(name string, scenarios int, timeout time.Duration, cond cell.OperatingCondition,
 	target, minRatio, maxRatio float64, steps int, jsonOut bool) {
 	// Unknown benchmark is an analysis failure (exit 1), matching the plain
@@ -49,25 +49,19 @@ func runOppoint(name string, scenarios int, timeout time.Duration, cond cell.Ope
 		fmt.Fprintf(os.Stderr, "tsperr: %v\n", err)
 		os.Exit(cliutil.ExitFailure)
 	}
-	if !(target >= 0 && target <= 1) {
-		fmt.Fprintf(os.Stderr, "tsperr: -target %v outside [0, 1]\n", target)
-		os.Exit(cliutil.ExitUsage)
-	}
 	ctx, cancel := cliutil.Context(timeout)
 	defer cancel()
 
-	// Each probed ratio's report is kept so the chosen point's risk summary
-	// comes from the computation that decided the bisection.
-	reports := make(map[uint64]*core.Report)
-	eval := func(ctx context.Context, ratio float64) (float64, error) {
-		rep, err := harness.AnalyzeAtPoint(ctx, name, scenarios, core.AnalyzeOpts{}, cond, ratio)
-		if err != nil {
-			return 0, err
-		}
-		reports[math.Float64bits(ratio)] = rep
-		return rep.Estimate.MeanErrorRate(), nil
+	analyze := func(ctx context.Context, ratio float64) (*core.Report, error) {
+		return harness.AnalyzeAtPoint(ctx, name, scenarios, core.AnalyzeOpts{}, cond, ratio)
 	}
-	res, err := core.BisectRatio(ctx, minRatio, maxRatio, steps, target, eval)
+	op, err := core.SelectOperatingPoint(ctx, minRatio, maxRatio, steps, target, analyze)
+	if errors.Is(err, core.ErrBadSearch) {
+		// The search checks its arguments before the first probe, so no
+		// framework was built.
+		fmt.Fprintf(os.Stderr, "tsperr: %v\n%s\n", err, oppointUsage)
+		os.Exit(cliutil.ExitUsage)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tsperr: %s: oppoint search failed:\n", name)
 		for _, line := range splitLines(harness.FailureDetail(err)) {
@@ -77,23 +71,20 @@ func runOppoint(name string, scenarios int, timeout time.Duration, cond cell.Ope
 	}
 
 	baseFreq := errormodel.DefaultOptions().BaseFreqMHz
-	pm := cpu.PerfModel{FreqRatio: res.Ratio, BaseCPI: 1, Scheme: cpu.ReplayHalfFrequency}
 	doc := oppointJSON{
-		Benchmark:       name,
-		VoltageV:        cond.Norm().VoltageV,
-		TempC:           cond.Norm().TempC,
-		TargetErrorRate: target,
-		BaseFreqMHz:     baseFreq,
-		Feasible:        res.Feasible,
-		Ratio:           res.Ratio,
-		PeriodPs:        1e6 / baseFreq / res.Ratio,
-		FreqMHz:         baseFreq * res.Ratio,
-		ErrorRate:       res.ErrorRate,
-		Speedup:         pm.Speedup(res.ErrorRate),
-		Evals:           res.Evals,
-	}
-	if rep := reports[math.Float64bits(res.Ratio)]; rep != nil && rep.Estimate != nil {
-		doc.CDFBelowBreakEven = rep.Estimate.ErrorRateCDF(pm.BreakEvenErrorRate())
+		Benchmark:         name,
+		VoltageV:          cond.Norm().VoltageV,
+		TempC:             cond.Norm().TempC,
+		TargetErrorRate:   target,
+		BaseFreqMHz:       baseFreq,
+		Feasible:          op.Feasible,
+		Ratio:             op.Ratio,
+		PeriodPs:          1e6 / baseFreq / op.Ratio,
+		FreqMHz:           baseFreq * op.Ratio,
+		ErrorRate:         op.ErrorRate,
+		Speedup:           op.Speedup,
+		CDFBelowBreakEven: op.CDFBelowBreakEven,
+		Evals:             op.Evals,
 	}
 
 	if jsonOut {
@@ -106,10 +97,10 @@ func runOppoint(name string, scenarios int, timeout time.Duration, cond cell.Ope
 	}
 	fmt.Printf("%s: operating-point search at %s (base %.0f MHz)\n", name, cond, baseFreq)
 	fmt.Printf("target error rate: %.3g over ratios [%.4g, %.4g] in %d steps (%d evals)\n",
-		target, minRatio, maxRatio, steps, res.Evals)
-	if !res.Feasible {
+		target, minRatio, maxRatio, steps, op.Evals)
+	if !op.Feasible {
 		fmt.Printf("INFEASIBLE: even ratio %.4f has error rate %.3g > target\n",
-			res.Ratio, res.ErrorRate)
+			op.Ratio, op.ErrorRate)
 		return
 	}
 	fmt.Printf("fastest feasible ratio: %.4f (%.0f MHz, period %.1f ps)\n",

@@ -39,18 +39,12 @@ func main() {
 	fmt.Printf("%8s %10s %12s %12s %14s\n",
 		"ratio", "freq(MHz)", "errors(%)", "speedup", "verdict")
 
+	spec := core.ProgramSpec{Prog: b.Prog, Setup: b.Setup, Scenarios: 4, ScaleToInsts: b.ScaleTo}
 	for _, ratio := range []float64{1.00, 1.05, 1.10, 1.13, 1.15, 1.18, 1.21, 1.25} {
-		// Re-target the machine at this operating point and re-train the
-		// datapath tables (their DTS depends on the clock).
-		fw.Machine.SetWorkingPeriod(base / ratio)
-		dp, err := fw.Machine.TrainDatapath(context.Background())
-		if err != nil {
-			log.Fatal(err)
-		}
-		fw.Datapath = dp
-		rep, err := fw.Analyze(ctx, b.Name, core.ProgramSpec{
-			Prog: b.Prog, Setup: b.Setup, Scenarios: 4, ScaleToInsts: b.ScaleTo,
-		})
+		// Analyze with the machine re-targeted at this operating point and
+		// the datapath tables re-trained (their DTS depends on the clock);
+		// the framework is restored afterwards.
+		rep, err := fw.AnalyzeAtRatio(ctx, b.Name, spec, ratio, core.AnalyzeOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,6 +59,6 @@ func main() {
 			verdict = "error-free"
 		}
 		fmt.Printf("%8.2f %10.0f %12.4f %12.4f %14s\n",
-			ratio, 1e6/fw.Machine.WorkingPeriodPs, 100*er, speedup, verdict)
+			ratio, 1e6/(base/ratio), 100*er, speedup, verdict)
 	}
 }

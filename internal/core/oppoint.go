@@ -2,24 +2,32 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
 	"tsperr/internal/cpu"
 )
 
-// OperatingPoint is one evaluated frequency setting.
+// OperatingPoint is the outcome of one SelectOperatingPoint search.
 type OperatingPoint struct {
-	// Ratio is speculative over baseline frequency.
+	// Feasible reports whether any grid ratio met the target; when false the
+	// point describes the infeasible low end of the grid.
+	Feasible bool
+	// Ratio is the fastest (largest) grid ratio whose error rate meets the
+	// target, speculative over baseline frequency.
 	Ratio float64
-	// ErrorRate is the estimated mean error rate at this frequency.
+	// ErrorRate is the estimated mean error rate at Ratio.
 	ErrorRate float64
-	// Speedup is the expected performance relative to baseline.
+	// Speedup is the expected performance relative to baseline under the
+	// replay-at-half-frequency model.
 	Speedup float64
 	// CDFBelowBreakEven is the probability the program's error rate stays
 	// below this point's break-even (a risk measure: high means speculation
 	// is reliably profitable across chips and inputs).
 	CDFBelowBreakEven float64
+	// Evals is how many ratios the search analyzed.
+	Evals int
 }
 
 // AnalyzeAtRatio analyzes the program with the machine re-targeted at the
@@ -58,98 +66,41 @@ func (f *Framework) AnalyzeAtRatio(ctx context.Context, name string, spec Progra
 	return f.AnalyzeWithOpts(ctx, name, spec, opts)
 }
 
-// EvaluateOperatingPoint analyzes the program at one frequency ratio and
-// summarizes it as an OperatingPoint under the replay-at-half-frequency
-// performance model. The machine is restored afterwards (see
-// AnalyzeAtRatio).
-func (f *Framework) EvaluateOperatingPoint(ctx context.Context, name string, spec ProgramSpec, ratio float64) (OperatingPoint, error) {
-	rep, err := f.AnalyzeAtRatio(ctx, name, spec, ratio, AnalyzeOpts{})
-	if err != nil {
-		return OperatingPoint{}, err
-	}
-	return reportOperatingPoint(rep, ratio), nil
-}
-
-// reportOperatingPoint summarizes one analyzed report at a frequency ratio.
-func reportOperatingPoint(rep *Report, ratio float64) OperatingPoint {
-	er := rep.Estimate.MeanErrorRate()
-	pm := cpu.PerfModel{FreqRatio: ratio, BaseCPI: 1, Scheme: cpu.ReplayHalfFrequency}
-	return OperatingPoint{
-		Ratio:             ratio,
-		ErrorRate:         er,
-		Speedup:           pm.Speedup(er),
-		CDFBelowBreakEven: rep.Estimate.ErrorRateCDF(pm.BreakEvenErrorRate()),
-	}
-}
-
-// SelectOperatingPoint evaluates the program at each frequency ratio and
-// returns all points plus the index of the best expected speedup — the
-// per-application operating point selection of the authors' companion work
-// (Assare & Gupta, ICCD 2016), here driven by the error-rate estimator.
-// The framework's original working period and datapath are restored on
-// exit, so the sweep leaves no trace on subsequent analyses.
-func (f *Framework) SelectOperatingPoint(ctx context.Context, name string, spec ProgramSpec, ratios []float64) ([]OperatingPoint, int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(ratios) == 0 {
-		return nil, 0, fmt.Errorf("core: no ratios to evaluate")
-	}
-	points := make([]OperatingPoint, len(ratios))
-	best := 0
-	for i, ratio := range ratios {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, fmt.Errorf("core: operating-point sweep aborted at ratio %v: %w", ratio, err)
-		}
-		pt, err := f.EvaluateOperatingPoint(ctx, name, spec, ratio)
-		if err != nil {
-			return nil, 0, err
-		}
-		points[i] = pt
-		if points[i].Speedup > points[best].Speedup {
-			best = i
-		}
-	}
-	return points, best, nil
-}
-
-// MaxBisectSteps bounds the quantized ratio grid of BisectRatio; 2^20 grid
-// intervals resolve a frequency ratio to ~1e-6, far below model fidelity.
+// MaxBisectSteps bounds the quantized ratio grid of SelectOperatingPoint;
+// 2^20 grid intervals resolve a frequency ratio to ~1e-6, far below model
+// fidelity.
 const MaxBisectSteps = 1 << 20
 
-// BisectResult is the outcome of one BisectRatio search.
-type BisectResult struct {
-	// Feasible reports whether any grid ratio met the target; when false
-	// Ratio/ErrorRate describe the infeasible low end of the grid.
-	Feasible bool
-	// Ratio is the fastest (largest) grid ratio whose error rate meets the
-	// target; ErrorRate is the evaluated rate there.
-	Ratio     float64
-	ErrorRate float64
-	// Evals is how many times eval ran (grid endpoints + bisection probes).
-	Evals int
-}
+// ErrBadSearch is the cause of every SelectOperatingPoint argument error (a
+// bad ratio range, step count, or target), so a caller can tell a request it
+// should reject from an analysis that failed.
+var ErrBadSearch = errors.New("core: bad operating-point search")
 
-// BisectRatio finds the fastest frequency ratio meeting a target error rate
-// on the quantized grid {lo + i*(hi-lo)/steps : i = 0..steps}, assuming the
-// evaluated error rate is monotone non-decreasing in the ratio (physically:
-// a shorter clock period can only add timing errors). The search is index
-// bisection, so it is deterministic — the probe sequence depends only on
-// eval outcomes, which makes the result invariant to caller-side concerns
-// like cache warmth or the order a surrounding grid is walked in. eval must
-// be deterministic for a given ratio.
-func BisectRatio(ctx context.Context, lo, hi float64, steps int, target float64, eval func(context.Context, float64) (float64, error)) (BisectResult, error) {
+// SelectOperatingPoint finds the fastest frequency ratio meeting a target
+// error rate on the quantized grid {lo + i*(hi-lo)/steps : i = 0..steps} —
+// the per-application operating point selection of the authors' companion
+// work (Assare & Gupta, ICCD 2016), driven by the error-rate estimator.
+// analyze returns the report at one ratio and must be deterministic; the
+// search assumes the error rate is monotone non-decreasing in the ratio
+// (physically: a shorter clock period can only add timing errors).
+//
+// The search is index bisection, so the probe sequence depends only on the
+// analyzed rates, which makes the result invariant to caller-side concerns
+// like cache warmth or the order a surrounding grid is walked in. Only the
+// report of the current best ratio is kept, and the returned point's speedup
+// and P(profitable) come from it: the report that decided the search.
+func SelectOperatingPoint(ctx context.Context, lo, hi float64, steps int, target float64, analyze func(context.Context, float64) (*Report, error)) (OperatingPoint, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if !(lo > 0) || !(hi >= lo) || math.IsInf(hi, 0) {
-		return BisectResult{}, fmt.Errorf("core: bad bisection range [%v, %v]", lo, hi)
+		return OperatingPoint{}, fmt.Errorf("%w: ratio range [%v, %v]", ErrBadSearch, lo, hi)
 	}
 	if steps < 1 || steps > MaxBisectSteps {
-		return BisectResult{}, fmt.Errorf("core: bisection steps %d outside [1, %d]", steps, MaxBisectSteps)
+		return OperatingPoint{}, fmt.Errorf("%w: steps %d outside [1, %d]", ErrBadSearch, steps, MaxBisectSteps)
 	}
 	if !(target >= 0 && target <= 1) {
-		return BisectResult{}, fmt.Errorf("core: target error rate %v outside [0, 1]", target)
+		return OperatingPoint{}, fmt.Errorf("%w: target error rate %v outside [0, 1]", ErrBadSearch, target)
 	}
 	ratioAt := func(i int) float64 {
 		if i == steps {
@@ -157,48 +108,62 @@ func BisectRatio(ctx context.Context, lo, hi float64, steps int, target float64,
 		}
 		return lo + (hi-lo)*float64(i)/float64(steps)
 	}
-	res := BisectResult{}
-	evalAt := func(i int) (float64, error) {
+	evals := 0
+	probe := func(i int) (*Report, error) {
+		ratio := ratioAt(i)
 		if err := ctx.Err(); err != nil {
-			return 0, fmt.Errorf("core: bisection aborted at ratio %v: %w", ratioAt(i), err)
+			return nil, fmt.Errorf("core: bisection aborted at ratio %v: %w", ratio, err)
 		}
-		res.Evals++
-		return eval(ctx, ratioAt(i))
+		evals++
+		rep, err := analyze(ctx, ratio)
+		if err == nil && (rep == nil || rep.Estimate == nil) {
+			err = fmt.Errorf("core: analysis at ratio %v returned no estimate", ratio)
+		}
+		return rep, err
+	}
+	meets := func(rep *Report) bool { return rep.Estimate.MeanErrorRate() <= target }
+	point := func(rep *Report, i int, feasible bool) OperatingPoint {
+		ratio, er := ratioAt(i), rep.Estimate.MeanErrorRate()
+		pm := cpu.PerfModel{FreqRatio: ratio, BaseCPI: 1, Scheme: cpu.ReplayHalfFrequency}
+		return OperatingPoint{
+			Feasible:          feasible,
+			Ratio:             ratio,
+			ErrorRate:         er,
+			Speedup:           pm.Speedup(er),
+			CDFBelowBreakEven: rep.Estimate.ErrorRateCDF(pm.BreakEvenErrorRate()),
+			Evals:             evals,
+		}
 	}
 	// The slow end must be feasible for the search to mean anything.
-	loRate, err := evalAt(0)
+	best, err := probe(0)
 	if err != nil {
-		return BisectResult{}, err
+		return OperatingPoint{}, err
 	}
-	if loRate > target {
-		res.Ratio, res.ErrorRate = ratioAt(0), loRate
-		return res, nil
+	if !meets(best) {
+		return point(best, 0, false), nil
 	}
-	res.Feasible = true
-	res.Ratio, res.ErrorRate = ratioAt(0), loRate
 	// Fast path: the whole range may be feasible.
-	hiRate, err := evalAt(steps)
+	rep, err := probe(steps)
 	if err != nil {
-		return BisectResult{}, err
+		return OperatingPoint{}, err
 	}
-	if hiRate <= target {
-		res.Ratio, res.ErrorRate = ratioAt(steps), hiRate
-		return res, nil
+	if meets(rep) {
+		return point(rep, steps, true), nil
 	}
-	// Invariant: grid index good is feasible, bad is not; good < bad.
+	// Invariant: grid index good is feasible with report best, bad is not;
+	// good < bad.
 	good, bad := 0, steps
 	for bad-good > 1 {
 		mid := good + (bad-good)/2
-		rate, err := evalAt(mid)
+		rep, err := probe(mid)
 		if err != nil {
-			return BisectResult{}, err
+			return OperatingPoint{}, err
 		}
-		if rate <= target {
-			good = mid
-			res.Ratio, res.ErrorRate = ratioAt(mid), rate
+		if meets(rep) {
+			good, best = mid, rep
 		} else {
 			bad = mid
 		}
 	}
-	return res, nil
+	return point(best, good, true), nil
 }

@@ -171,13 +171,3 @@ func AnalyzeAtPoint(ctx context.Context, name string, scenarios int, opts core.A
 	}
 	return e.fw.AnalyzeAtRatio(ctx, b.Name, SpecFor(b, scenarios), r, opts)
 }
-
-// EvaluateAtPoint is AnalyzeAtPoint summarized as an error rate — the eval
-// function of an operating-point bisection.
-func EvaluateAtPoint(ctx context.Context, name string, scenarios int, cond cell.OperatingCondition, ratio float64) (float64, error) {
-	rep, err := AnalyzeAtPoint(ctx, name, scenarios, core.AnalyzeOpts{}, cond, ratio)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Estimate.MeanErrorRate(), nil
-}

@@ -12,18 +12,18 @@ import (
 
 	"tsperr/internal/cell"
 	"tsperr/internal/core"
-	"tsperr/internal/cpu"
 	"tsperr/internal/errormodel"
 )
 
 // POST /v1/oppoint: operating-point selection as a service. Given a target
 // error rate and a (voltage, temperature) grid, the handler bisects over the
-// frequency ratio at each condition — core.BisectRatio's deterministic index
-// bisection — and returns the Pareto frontier of fastest (period, voltage)
-// points meeting the target. Every bisection probe is an ordinary estimate
-// sub-request pushed through the same join machinery as /v1/estimate, so
-// probes hit the LRU cache and dedup against concurrent searches and plain
-// estimates; the oppoint_* counters in /metrics make that sharing visible.
+// frequency ratio at each condition — core.SelectOperatingPoint's
+// deterministic index bisection — and returns the Pareto frontier of fastest
+// (period, voltage) points meeting the target. Every bisection probe is an
+// ordinary estimate sub-request pushed through the same join machinery as
+// /v1/estimate, so probes hit the LRU cache and dedup against concurrent
+// searches and plain estimates; the oppoint_* counters in /metrics make that
+// sharing visible.
 
 // Oppoint search envelope: defaults and caps.
 const (
@@ -263,11 +263,7 @@ func (s *Server) handleOppoint(w http.ResponseWriter, r *http.Request) {
 	for _, cond := range q.conditions() {
 		cond := cond
 		s.met.oppointSearches.Add(1)
-		// reports keeps each probed ratio's full report so the chosen
-		// point's risk summary comes from the same computation that decided
-		// the bisection — no extra probe at the end.
-		reports := make(map[uint64]*core.Report)
-		eval := func(ctx context.Context, ratio float64) (float64, error) {
+		analyze := func(ctx context.Context, ratio float64) (*core.Report, error) {
 			sub := &Request{
 				Benchmark: q.Benchmark,
 				Scenarios: q.Scenarios,
@@ -277,19 +273,15 @@ func (s *Server) handleOppoint(w http.ResponseWriter, r *http.Request) {
 			}
 			rep, cached, err := s.oppointSub(ctx, sub)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			resp.Subrequests++
 			if cached {
 				resp.CacheHits++
 			}
-			if rep == nil || rep.Estimate == nil {
-				return 0, fmt.Errorf("sub-request at %s ratio %g returned no estimate", cond, ratio)
-			}
-			reports[math.Float64bits(ratio)] = rep
-			return rep.Estimate.MeanErrorRate(), nil
+			return rep, nil
 		}
-		res, err := core.BisectRatio(ctx, q.MinRatio, q.MaxRatio, q.Steps, q.TargetErrorRate, eval)
+		op, err := core.SelectOperatingPoint(ctx, q.MinRatio, q.MaxRatio, q.Steps, q.TargetErrorRate, analyze)
 		if err != nil {
 			code := http.StatusInternalServerError
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errOppointQueueFull) {
@@ -298,25 +290,21 @@ func (s *Server) handleOppoint(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, code, errorResponse{Error: fmt.Sprintf("search at %s: %v", cond, err)})
 			return
 		}
-		if !res.Feasible {
+		if !op.Feasible {
 			s.met.oppointInfeasible.Add(1)
 		}
-		pm := cpu.PerfModel{FreqRatio: res.Ratio, BaseCPI: 1, Scheme: cpu.ReplayHalfFrequency}
-		pt := OppointPoint{
-			VoltageV:  cond.VoltageV,
-			TempC:     cond.TempC,
-			Feasible:  res.Feasible,
-			Ratio:     res.Ratio,
-			PeriodPs:  basePeriod / res.Ratio,
-			FreqMHz:   baseFreq * res.Ratio,
-			ErrorRate: res.ErrorRate,
-			Speedup:   pm.Speedup(res.ErrorRate),
-			Evals:     res.Evals,
-		}
-		if rep := reports[math.Float64bits(res.Ratio)]; rep != nil && rep.Estimate != nil {
-			pt.CDFBelowBreakEven = rep.Estimate.ErrorRateCDF(pm.BreakEvenErrorRate())
-		}
-		resp.Points = append(resp.Points, pt)
+		resp.Points = append(resp.Points, OppointPoint{
+			VoltageV:          cond.VoltageV,
+			TempC:             cond.TempC,
+			Feasible:          op.Feasible,
+			Ratio:             op.Ratio,
+			PeriodPs:          basePeriod / op.Ratio,
+			FreqMHz:           baseFreq * op.Ratio,
+			ErrorRate:         op.ErrorRate,
+			Speedup:           op.Speedup,
+			CDFBelowBreakEven: op.CDFBelowBreakEven,
+			Evals:             op.Evals,
+		})
 	}
 	resp.Frontier = oppointFrontier(resp.Points)
 	writeJSON(w, http.StatusOK, resp)

@@ -16,8 +16,9 @@ import (
 
 // fakeAnalyzeAt builds a deterministic operating-point analyzer: the error
 // rate grows quadratically in the over-nominal ratio, steeper at lower
-// voltage — monotone in ratio at fixed condition, exactly what BisectRatio
-// assumes. Reports are marshalable, so the handler's risk summary works.
+// voltage — monotone in ratio at fixed condition, exactly what
+// core.SelectOperatingPoint assumes. Reports carry an estimate, so the
+// search's risk summary works.
 func fakeAnalyzeAt() AnalyzeAtFunc {
 	return func(ctx context.Context, benchmark string, scenarios int, opts core.AnalyzeOpts, cond cell.OperatingCondition, ratio float64) (*core.Report, error) {
 		n := cond.Norm()
