@@ -427,7 +427,10 @@ func BenchmarkCharacterizeControl(b *testing.B) {
 }
 
 // BenchmarkSimulationThroughput measures instrumented-simulation speed in
-// instructions per second (the paper reports ~4.6 M inst/s on its host).
+// instructions per second (the paper reports ~4.6 M inst/s on its host). Each
+// op is one scenario as core.simScenario runs it: a fresh machine, the tally
+// run, the profile and features taken from its tally, and the machine's
+// release.
 func BenchmarkSimulationThroughput(b *testing.B) {
 	f, err := harness.SharedFramework()
 	if err != nil {
@@ -437,6 +440,11 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	g, err := cfg.Build(bm.Prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ft := f.Datapath.FailTable()
 	var insts int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -447,13 +455,14 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 		if err := bm.Setup(machine, i); err != nil {
 			b.Fatal(err)
 		}
-		feats, obs := errormodel.NewFeatureCollector(len(bm.Prog.Insts), f.Datapath)
-		st, err := machine.Run(obs)
+		t, st, err := machine.RunTally(context.Background(), ft)
 		if err != nil {
 			b.Fatal(err)
 		}
+		cfg.FromTally(g, t, st.Instructions)
+		errormodel.FeaturesFromTally(t)
+		machine.Release()
 		insts += st.Instructions
-		_ = feats
 	}
 	b.StopTimer()
 	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
@@ -822,10 +831,11 @@ var missMixPrograms = []string{
 }
 
 // BenchmarkLayer measures the estimate-miss path layer by layer: the
-// workload's request mix in process, then the interpreter and the two
-// retirement observers that every simulated instruction feeds, each in ns
-// per retired instruction over scenario 0 of every mix program. `make
-// pprof-miss` profiles the mix.
+// workload's request mix in process, then the tally run that simulates it,
+// and the observer path it replaced — the batched interpreter and the two
+// retirement observers that read its stream back — each in ns per retired
+// instruction over scenario 0 of every mix program. `make pprof-miss`
+// profiles the mix.
 func BenchmarkLayer(b *testing.B) {
 	f, err := harness.SharedFramework()
 	if err != nil {
@@ -834,16 +844,20 @@ func BenchmarkLayer(b *testing.B) {
 	b.Run("estimate-miss-mix", benchMissMix)
 
 	cfgCPU := cpu.DefaultConfig()
-	cfgCPU.SkipToggles = true // as the framework runs it
-	run := func(b *testing.B, bm mibench.Benchmark, obs cpu.BatchObserver) int64 {
+	cfgCPU.SkipToggles = true // as the observer path ran it in the framework
+	machine := func(b *testing.B, bm mibench.Benchmark) *cpu.CPU {
 		m, err := cpu.New(bm.Prog, cfgCPU)
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer m.Release()
 		if err := bm.Setup(m, 0); err != nil {
 			b.Fatal(err)
 		}
+		return m
+	}
+	run := func(b *testing.B, bm mibench.Benchmark, obs cpu.BatchObserver) int64 {
+		m := machine(b, bm)
+		defer m.Release()
 		st, err := m.RunBatched(context.Background(), obs)
 		if err != nil {
 			b.Fatal(err)
@@ -881,6 +895,21 @@ func BenchmarkLayer(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*insts), "ns/inst")
 	}
 
+	b.Run("sim-tally", func(b *testing.B) {
+		record(b)
+		ft := f.Datapath.FailTable()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, s := range streams {
+				m := machine(b, s.bm)
+				if _, _, err := m.RunTally(context.Background(), ft); err != nil {
+					b.Fatal(err)
+				}
+				m.Release()
+			}
+		}
+		perInst(b)
+	})
 	b.Run("cpu-run", func(b *testing.B) {
 		record(b)
 		b.ResetTimer()

@@ -7,6 +7,8 @@ package cfg
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"tsperr/internal/cpu"
@@ -109,140 +111,126 @@ func Build(p *isa.Program) (*Graph, error) {
 	return g, nil
 }
 
-// Profile holds measured execution behaviour of a program on its input data.
+// Profile holds measured execution behaviour of a program on its input data,
+// observed over one run. Its block and edge counts follow from per
+// instruction counts, which a tally run hands over whole (FromTally) and
+// Observe and ObserveBatch accumulate from a DynInst stream.
 type Profile struct {
 	Graph *Graph
 	// ExecCount[i] is e_i, the number of executions of block i.
 	ExecCount []int64
 	// EdgeCount holds dynamic traversal counts, including edges only
-	// discoverable dynamically (indirect jumps). The Observer batches
-	// increments in pend; read it through IncomingEdges/ActivationProb or
-	// after Finish, which drains the pending deltas.
+	// discoverable dynamically (indirect jumps). After observations, read it
+	// through IncomingEdges/ActivationProb or after Finish, which derives it.
 	EdgeCount map[Edge]int64
 	// InstCount is the total number of retired instructions.
 	InstCount int64
 
-	// isStart[i] reports whether instruction i leads a block (a dense mirror
-	// of Blocks[BlockOf[i]].Start == i, one byte load on the observer path).
-	isStart []bool
-	// prevIdx is the previously retired instruction's index (-1 before the
-	// first retirement); block-transition edges are derived from it lazily,
-	// only when a block start retires.
-	prevIdx int
+	// count, taken and jumps are cpu.Tally's Count, Taken and Jumps;
+	// dirty reports observations EdgeCount does not reflect yet.
+	count, taken []int64
+	jumps        map[cpu.Jump]int64
+	dirty        bool
 	// incoming caches per-block incoming-edge adjacency, built lazily by
 	// Settle and dropped whenever new observations arrive.
 	incoming [][]Edge
-	// pendK/pendN form a small direct-mapped write-back cache of edge-count
-	// deltas: the observer fires per retired instruction, and the tight loops
-	// that dominate a profile traverse the same few edges over and over, so
-	// almost every increment lands in a pending slot instead of hashing into
-	// the map. The tag packs From<<32|To into one word so the hit check is a
-	// single register compare rather than a 16-byte struct comparison.
-	pendK [pendSlots]uint64
-	pendN [pendSlots]int64
-	// pendDirty reports whether any slot holds an undrained delta, so the
-	// frequent Finish calls on an already-drained profile cost one branch
-	// instead of a sweep over the slots.
-	pendDirty bool
 }
-
-// pendSlots sizes the pending edge cache (4 KiB of tags and counts); loops
-// of up to a few dozen blocks map their edges to distinct slots with high
-// probability. A profile hotspot showed the smaller table with a weak
-// (from*31+to) hash thrashing between conflicting edges and spilling into
-// the map every few instructions on the larger mibench kernels.
-const pendSlots = 256
-
-// pendHash is the Fibonacci multiplier (2^64/phi) spreading packed edge tags
-// across slots; the high bits of the product decorrelate adjacent block ids.
-const pendHash = 0x9E3779B97F4A7C15
 
 // NewProfile prepares an empty profile for a graph.
 func NewProfile(g *Graph) *Profile {
-	isStart := make([]bool, len(g.Prog.Insts))
-	for i := range g.Blocks {
-		isStart[g.Blocks[i].Start] = true
-	}
-	return &Profile{
+	n := len(g.Prog.Insts)
+	return FromTally(g, &cpu.Tally{Count: make([]int64, n), Taken: make([]int64, n), Jumps: map[cpu.Jump]int64{}}, 0)
+}
+
+// FromTally returns the profile of one tally run that retired insts
+// instructions. It shares t's counts, and Scale never scales them.
+func FromTally(g *Graph, t *cpu.Tally, insts int64) *Profile {
+	pr := &Profile{
 		Graph:     g,
 		ExecCount: make([]int64, len(g.Blocks)),
 		EdgeCount: map[Edge]int64{},
-		isStart:   isStart,
-		prevIdx:   -1,
+		InstCount: insts,
+		count:     t.Count,
+		taken:     t.Taken,
+		jumps:     t.Jumps,
+	}
+	for b := range g.Blocks {
+		pr.ExecCount[b] = t.Count[g.Blocks[b].Start]
+	}
+	pr.deriveEdges()
+	return pr
+}
+
+// deriveEdges rebuilds EdgeCount from the per-instruction counts. Control
+// leaves a block only through its last instruction L, and every branch or
+// jal target leads a block, so the identity is exact:
+//   - a branch sends taken[L] to its target's block, count[L]-taken[L] on;
+//   - a jal sends count[L] to its target's block;
+//   - a jr sends each (L, target) count to target's block if target leads
+//     one (an entry into a block's middle is no block entry);
+//   - a halt sends nothing, and any other L sends count[L] on;
+//   - control that falls off the end of the program enters no block.
+func (pr *Profile) deriveEdges() {
+	g := pr.Graph
+	n := len(g.Prog.Insts)
+	clear(pr.EdgeCount)
+	add := func(from, to int, k int64) {
+		if k > 0 && to < n {
+			pr.EdgeCount[Edge{From: from, To: g.BlockOf[to]}] += k
+		}
+	}
+	for b := range g.Blocks {
+		last := g.Blocks[b].End - 1
+		switch in := &g.Prog.Insts[last]; {
+		case in.Op.IsBranch():
+			add(b, in.Target, pr.taken[last])
+			add(b, last+1, pr.count[last]-pr.taken[last])
+		case in.Op == isa.OpJal:
+			add(b, in.Target, pr.count[last])
+		case in.Op != isa.OpJr && in.Op != isa.OpHalt:
+			add(b, last+1, pr.count[last])
+		}
+	}
+	for j, k := range pr.jumps {
+		if j.Target < n && g.Blocks[g.BlockOf[j.Target]].Start == j.Target {
+			add(g.BlockOf[j.PC], j.Target, k)
+		}
 	}
 }
 
-// Finish drains pending edge-count deltas into EdgeCount. Profile readers
+// Finish derives EdgeCount from the observations so far. Profile readers
 // call it implicitly; it only needs to be called explicitly before reading
 // the EdgeCount map directly. Idempotent.
 func (pr *Profile) Finish() {
-	if !pr.pendDirty {
-		return
+	if pr.dirty {
+		pr.deriveEdges()
+		pr.dirty = false
 	}
-	for i, n := range pr.pendN {
-		if n != 0 {
-			k := pr.pendK[i]
-			pr.EdgeCount[Edge{From: int(k >> 32), To: int(uint32(k))}] += n
-			pr.pendN[i] = 0
-		}
-	}
-	pr.pendDirty = false
 }
 
-// Observe accumulates one retired instruction. It is the hot path behind
-// Observer and is deliberately tiny — a byte load, a branch, and a store — so
-// it inlines into a caller's fused observer; the block and edge bookkeeping
-// runs only when a block start retires. Callers of Observe (rather than the
-// Observer closure) own InstCount and must set it from the run's Stats.
-func (pr *Profile) Observe(d *cpu.DynInst) {
-	pr.incoming = nil
-	if pr.isStart[d.Index] {
-		pr.observeStart(d.Index, pr.prevIdx)
-	}
-	pr.prevIdx = d.Index
-}
+// Observe accumulates one retired instruction, as ObserveBatch does.
+func (pr *Profile) Observe(d *cpu.DynInst) { pr.ObserveBatch([]cpu.DynInst{*d}) }
 
-// ObserveBatch accumulates a batch of retired instructions, equivalent to
-// calling Observe on each in order; the per-instruction work is a byte load
-// off the block-start bitmap. Like Observe, it leaves InstCount to the
-// caller.
+// ObserveBatch accumulates a batch of retired instructions: their counts
+// and, for each that leads a block, the block's execution (blocks tile the
+// program in order, so idx leads one when idx-1 lies in another). Callers
+// own InstCount and must set it from the run's Stats.
 func (pr *Profile) ObserveBatch(ds []cpu.DynInst) {
-	pr.incoming = nil
-	isStart := pr.isStart
-	prev := pr.prevIdx
-	for i := range ds {
-		idx := ds[i].Index
-		if isStart[idx] {
-			pr.observeStart(idx, prev)
-		}
-		prev = idx
-	}
-	pr.prevIdx = prev
-}
-
-// observeStart charges the block entered at instruction index idx and the
-// edge it was entered through (prevIdx is the previously retired
-// instruction, -1 at program start). Block indices fit in 32 bits (blocks
-// are at most one per instruction), so the pending tag packs the edge
-// losslessly.
-func (pr *Profile) observeStart(idx, prevIdx int) {
+	pr.incoming, pr.dirty = nil, true
 	blockOf := pr.Graph.BlockOf
-	b := blockOf[idx]
-	pr.ExecCount[b]++
-	if prevIdx >= 0 {
-		from := blockOf[prevIdx]
-		k := uint64(uint32(from))<<32 | uint64(uint32(b))
-		s := int((k * pendHash) >> 56) & (pendSlots - 1)
-		if pr.pendK[s] != k {
-			if pr.pendN[s] != 0 {
-				old := pr.pendK[s]
-				pr.EdgeCount[Edge{From: int(old >> 32), To: int(uint32(old))}] += pr.pendN[s]
-			}
-			pr.pendK[s] = k
-			pr.pendN[s] = 0
+	for i := range ds {
+		d := &ds[i]
+		idx := d.Index
+		pr.count[idx]++
+		if b := blockOf[idx]; idx == 0 || blockOf[idx-1] != b {
+			pr.ExecCount[b]++
 		}
-		pr.pendN[s]++
-		pr.pendDirty = true
+		if d.Taken {
+			pr.taken[idx]++
+			if d.Op == isa.OpJr {
+				pr.jumps[cpu.Jump{PC: idx, Target: int(d.A)}]++
+			}
+		}
 	}
 }
 
@@ -268,7 +256,7 @@ func (pr *Profile) IncomingEdges(block int) []Edge {
 	return pr.incoming[block]
 }
 
-// Settle drains pending edge counts (Finish) and materializes the
+// Settle derives the edge counts (Finish) and materializes the
 // incoming-edge adjacency. The readers call it implicitly, so a profile used
 // from one goroutine never needs it; a caller that hands the profile to
 // several goroutines calls it first, after which IncomingEdges,
@@ -303,9 +291,11 @@ func (pr *Profile) ActivationProb(e Edge) float64 {
 	return float64(pr.EdgeCount[e]) / float64(pr.ExecCount[e.To])
 }
 
-// Scale multiplies all counts by k, emulating a proportionally larger input
-// dataset. The Section 5 statistics consume only the counts, so scaling is
-// exact for workloads whose block frequencies are input-size invariant.
+// Scale multiplies the block, edge and instruction totals by k, emulating a
+// proportionally larger input dataset; the per-instruction counts stay
+// those of the run. The Section 5 statistics consume only the totals, so
+// scaling is exact for workloads whose block frequencies are input-size
+// invariant. Call it after the last observation.
 func (pr *Profile) Scale(k int64) {
 	pr.Finish()
 	for i := range pr.ExecCount {
@@ -323,19 +313,15 @@ func (pr *Profile) Scale(k int64) {
 // estimate — clone before scaling.
 func (pr *Profile) Clone() *Profile {
 	pr.Finish()
-	cp := &Profile{
+	return &Profile{
 		Graph:     pr.Graph,
-		ExecCount: make([]int64, len(pr.ExecCount)),
-		EdgeCount: make(map[Edge]int64, len(pr.EdgeCount)),
+		ExecCount: slices.Clone(pr.ExecCount),
+		EdgeCount: maps.Clone(pr.EdgeCount),
 		InstCount: pr.InstCount,
-		isStart:   pr.isStart,
-		prevIdx:   pr.prevIdx,
+		count:     slices.Clone(pr.count),
+		taken:     slices.Clone(pr.taken),
+		jumps:     maps.Clone(pr.jumps),
 	}
-	copy(cp.ExecCount, pr.ExecCount)
-	for e, n := range pr.EdgeCount {
-		cp.EdgeCount[e] = n
-	}
-	return cp
 }
 
 // SCC computes strongly connected components over the union of static edges

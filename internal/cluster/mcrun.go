@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -196,7 +195,7 @@ func (c *Coordinator) remoteChunk(ctx context.Context, p *peer, job core.MCJob, 
 		return montecarlo.ChunkResult{}, fmt.Errorf("cluster: chunk %d on %s: %s", chunk, p.addr, resp.Status)
 	}
 	var res montecarlo.ChunkResult
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxChunkResponse)).Decode(&res); err != nil {
+	if err := DecodeJSON(nil, resp.Body, maxChunkResponse, &res); err != nil {
 		return montecarlo.ChunkResult{}, fmt.Errorf("cluster: chunk %d on %s: bad response: %w", chunk, p.addr, err)
 	}
 	if res.Index != chunk {

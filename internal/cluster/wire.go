@@ -2,6 +2,10 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
 
 	"tsperr/internal/montecarlo"
 )
@@ -42,3 +46,27 @@ type ChunkRequest struct {
 // Trials and Seed are left zero — the chunk handler fills them from the
 // request. The daemon wires harness.MCSpec; tests substitute fixtures.
 type SpecSource func(ctx context.Context, benchmark string, scenarios int) (montecarlo.Spec, error)
+
+// DecodeJSON decodes exactly one JSON value from body into v, and fails
+// closed: a body longer than limit bytes, an unknown field, or anything but
+// whitespace after the value is an error. It is the decode of every JSON
+// body tsperrd reads, from a client or a peer. A handler passes its
+// ResponseWriter, so that net/http closes the connection after an oversized
+// body; a client reading a peer's response passes nil.
+func DecodeJSON(w http.ResponseWriter, body io.ReadCloser, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	_, err := dec.Token()
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, &tooLarge):
+		return err
+	default:
+		return errors.New("unexpected data after the JSON value")
+	}
+}

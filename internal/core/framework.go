@@ -377,9 +377,6 @@ func (f *Framework) simScenario(ctx context.Context, name string, spec ProgramSp
 			return nil, fail(err)
 		}
 	}
-	// The error-rate pipeline consumes only the depth features; skip the
-	// per-instruction toggle population counts.
-	cfgCPU.SkipToggles = true
 	machine, err := cpu.New(spec.Prog, cfgCPU)
 	if err != nil {
 		return nil, fail(err)
@@ -396,18 +393,14 @@ func (f *Framework) simScenario(ctx context.Context, name string, spec ProgramSp
 			return nil, fail(err)
 		}
 	}
-	pr := cfg.NewProfile(g)
-	feats, _ := errormodel.NewFeatureCollector(len(spec.Prog.Insts), f.Datapath)
-	// The fused batch observer hands each retirement batch to the profile and
-	// feature accumulators as slices, so their per-instruction work runs as
-	// plain loop iterations instead of indirect calls per retirement.
-	st, err := machine.RunBatched(ctx, func(ds []cpu.DynInst) { pr.ObserveBatch(ds); feats.ObserveBatch(ds) })
+	// The tally run accumulates, inside the interpreter loop, exactly what
+	// the profile and the datapath features read.
+	t, st, err := machine.RunTally(ctx, f.Datapath.FailTable())
 	if err != nil {
 		return nil, fail(err)
 	}
-	// Direct Observe callers own InstCount; the observer fires exactly once
-	// per retired instruction, so the run's count is the profile's.
-	pr.InstCount = st.Instructions
+	pr := cfg.FromTally(g, t, st.Instructions)
+	feats := errormodel.FeaturesFromTally(t)
 	var unscaled *cfg.Profile
 	if spec.ScaleToInsts > 0 && pr.InstCount > 0 {
 		if k := spec.ScaleToInsts / pr.InstCount; k > 1 {

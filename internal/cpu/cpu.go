@@ -55,8 +55,8 @@ type Config struct {
 	BranchPenalty int64
 	// SkipToggles leaves DynInst.Toggle and DynInst.ToggleFlush unspecified,
 	// saving four population counts per retired instruction. Set it when no
-	// observer consumes the toggle features (the error-rate pipeline uses
-	// only the depth features); everything else is unaffected.
+	// observer consumes the toggle features; everything else is unaffected.
+	// RunTally, the error-rate pipeline's loop, never computes them.
 	SkipToggles bool
 }
 
@@ -289,11 +289,12 @@ type BatchObserver func([]DynInst)
 // between the simulator writing it and the observers reading it back.
 const batchLen = 128
 
-// RunBatched is the core interpreter loop; RunContext adapts per-instruction
-// observers onto it. Batching exists for the hot consumers (profile and
-// feature accumulation) whose per-instruction work is a handful of memory
-// operations — delivering them a slice turns three indirect calls per
-// retired instruction into plain loop iterations.
+// RunBatched is the interpreter loop that delivers the DynInst stream;
+// RunContext adapts per-instruction observers onto it, and RunTally is its
+// fused twin for the estimation path. Batching exists for consumers whose
+// per-instruction work is a handful of memory operations — delivering them a
+// slice turns indirect calls per retired instruction into plain loop
+// iterations.
 func (c *CPU) RunBatched(ctx context.Context, batch BatchObserver) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -209,7 +209,9 @@ func seedCPU(c *CPU) {
 
 // runEquiv retires prog through both interpreters from identical initial
 // state and requires bit-identical DynInst streams, stats, errors, registers,
-// and memory.
+// memory and rolling datapath state. It then retires prog through the tally
+// run under each test table, which must end in the same stats, error and
+// machine state with the tally of the oracle's stream.
 func runEquiv(t *testing.T, prog *isa.Program, cfg Config) {
 	t.Helper()
 	collect := func(run func(*CPU, Observer) (Stats, error)) ([]DynInst, Stats, error, *CPU) {
@@ -240,11 +242,39 @@ func runEquiv(t *testing.T, prog *isa.Program, cfg Config) {
 			t.Fatalf("retire %d diverges:\ndispatch %+v\noracle   %+v", i, gotDs[i], wantDs[i])
 		}
 	}
-	if gotC.regs != wantC.regs {
-		t.Errorf("final registers diverge:\ndispatch %v\noracle   %v", gotC.regs, wantC.regs)
+	sameState(t, "dispatch", gotC, wantC)
+
+	for i, ft := range testFailTables() {
+		c, err := New(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedCPU(c)
+		tally, st, err := c.RunTally(t.Context(), ft)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("table %d: error mismatch: tally %v, oracle %v", i, err, wantErr)
+		}
+		if st != wantSt {
+			t.Errorf("table %d: stats mismatch: tally %+v, oracle %+v", i, st, wantSt)
+		}
+		sameState(t, fmt.Sprintf("tally (table %d)", i), c, wantC)
+		sameTally(t, fmt.Sprintf("table %d", i), tally, streamTally(wantDs, len(prog.Insts), ft))
 	}
-	if !reflect.DeepEqual(gotC.mem, wantC.mem) {
-		t.Errorf("final memory diverges")
+}
+
+// sameState requires got's registers, memory and rolling datapath state to
+// equal the oracle machine's.
+func sameState(t *testing.T, name string, got, want *CPU) {
+	t.Helper()
+	if got.regs != want.regs {
+		t.Errorf("final registers diverge:\n%s %v\noracle   %v", name, got.regs, want.regs)
+	}
+	if !reflect.DeepEqual(got.mem, want.mem) {
+		t.Errorf("%s: final memory diverges", name)
+	}
+	if got.prevA != want.prevA || got.prevB != want.prevB || got.prevCarries != want.prevCarries {
+		t.Errorf("%s: rolling state (%#x, %#x, %#x), oracle (%#x, %#x, %#x)", name,
+			got.prevA, got.prevB, got.prevCarries, want.prevA, want.prevB, want.prevCarries)
 	}
 }
 

@@ -3,7 +3,6 @@ package errormodel
 import (
 	"tsperr/internal/cfg"
 	"tsperr/internal/cpu"
-	"tsperr/internal/isa"
 )
 
 // ScenarioFeatures accumulates per-static-instruction datapath failure
@@ -21,12 +20,9 @@ type ScenarioFeatures struct {
 	// instruction, needed by the control characterization stimulus.
 	Results []uint32
 
-	// lut points at the datapath model's per-op depth tables; it is resolved
-	// once at collector creation so Observe indexes it without the once-guard.
-	lut *[isa.NumOps]*[maxDepthFeature + 1]float64
-	// lutMin mirrors DatapathModel.lutMin: the per-op minimum depth with a
-	// nonzero failure probability, gating the row probes with a byte compare.
-	lutMin *[isa.NumOps]uint8
+	// table is the datapath model's per-op depth table, resolved once at
+	// collector creation so Observe indexes it without the once-guard.
+	table *cpu.FailTable
 }
 
 // InstanceMoments returns the instance count and the first four power sums
@@ -51,16 +47,29 @@ func NewFeatureCollector(numInsts int, dp *DatapathModel) (*ScenarioFeatures, cp
 		Results:   make([]uint32, numInsts),
 	}
 	// The observer runs once per retired instruction; evaluate the model
-	// through its depth LUT directly, hoisting the once-guard out of the loop.
-	dp.lutOnce.Do(dp.buildLUT)
-	f.lut = &dp.lut
-	f.lutMin = &dp.lutMin
+	// through its depth table directly, hoisting the once-guard out of the
+	// loop.
+	f.table = dp.FailTable()
 	return f, f.Observe
 }
 
+// FeaturesFromTally returns the features of one tally run, sharing t's
+// slices. Its sums are the ones Observe would accumulate over the run's
+// DynInst stream.
+func FeaturesFromTally(t *cpu.Tally) *ScenarioFeatures {
+	return &ScenarioFeatures{
+		Count:     t.Count,
+		sumFailC:  t.SumP,
+		sumFailE:  t.SumQ,
+		sumFailC2: t.SumP2,
+		sumFailC3: t.SumP3,
+		sumFailC4: t.SumP4,
+		Results:   t.Result,
+	}
+}
+
 // Observe accumulates one retired instruction. It is the static-dispatch hot
-// path behind the Observer returned by NewFeatureCollector; the framework's
-// fused observer calls it directly.
+// path behind the Observer returned by NewFeatureCollector.
 func (f *ScenarioFeatures) Observe(d *cpu.DynInst) {
 	f.Count[d.Index]++
 	f.Results[d.Index] = d.Result
@@ -68,11 +77,11 @@ func (f *ScenarioFeatures) Observe(d *cpu.DynInst) {
 	// untrained class); a byte compare against the op's minimum nonzero
 	// depth skips both row probes then. Skipping the power-sum updates is
 	// bit-exact because x + 0 == x for the non-negative accumulators.
-	md := int(f.lutMin[d.Op])
+	md := int(f.table.Min[d.Op])
 	if d.Depth < md && d.DepthFlush < md {
 		return
 	}
-	row := f.lut[d.Op]
+	row := f.table.Rows[d.Op]
 	if row == nil {
 		return
 	}
@@ -93,17 +102,17 @@ func (f *ScenarioFeatures) Observe(d *cpu.DynInst) {
 // of the loop, so the common all-zero-probability instruction costs two
 // array updates and a table probe.
 func (f *ScenarioFeatures) ObserveBatch(ds []cpu.DynInst) {
-	count, results, lut, lutMin := f.Count, f.Results, f.lut, f.lutMin
+	count, results, rows, mins := f.Count, f.Results, &f.table.Rows, &f.table.Min
 	for i := range ds {
 		d := &ds[i]
 		idx := d.Index
 		count[idx]++
 		results[idx] = d.Result
-		md := int(lutMin[d.Op])
+		md := int(mins[d.Op])
 		if d.Depth < md && d.DepthFlush < md {
 			continue
 		}
-		row := lut[d.Op]
+		row := rows[d.Op]
 		if row == nil {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"tsperr/internal/activity"
+	"tsperr/internal/cpu"
 	"tsperr/internal/dta"
 	"tsperr/internal/isa"
 	"tsperr/internal/netlist"
@@ -34,17 +35,13 @@ type DatapathModel struct {
 	MulSlack []variation.Canon
 	MulFail  []float64
 
-	// lut flattens the per-class clamping rules of failProbClassify into one
-	// depth-indexed table per opcode, built lazily on first FailProb call
-	// (after training or cache restore). FailProb runs once or twice per
-	// retired instruction, so it must be a pair of loads, not a switch.
-	lutOnce sync.Once
-	lut     [isa.NumOps]*[maxDepthFeature + 1]float64
-	// lutMin[op] is the smallest depth whose LUT entry is nonzero (255 when
-	// the whole row is zero or absent). Every column below it is zero by
-	// definition, so a single byte compare rules out the overwhelmingly
-	// common zero-probability instructions before any row probe.
-	lutMin [isa.NumOps]uint8
+	// table flattens the per-class clamping rules of failProbSlow into one
+	// depth-indexed row per opcode, built lazily on first use (after
+	// training or cache restore). FailProb and the tally run read it once or
+	// twice per retired instruction, so it must be a pair of loads, not a
+	// switch.
+	tableOnce sync.Once
+	table     *cpu.FailTable
 }
 
 // setWordDense writes a 32-bit word into a dense primary-input slice.
@@ -229,14 +226,12 @@ func (m *Machine) trainLogic(dp *DatapathModel, eps []netlist.GateID) error {
 	return nil
 }
 
-// maxDepthFeature bounds the activated-depth feature: carry chains and toggle
-// runs on a 32-bit datapath never exceed 32, and the per-class tables saturate
-// below that. LUT columns cover [0, maxDepthFeature] and failProbSlow clamps
-// anything larger, so a single upper clamp makes the LUT exact.
-const maxDepthFeature = 32
+// maxDepthFeature bounds the activated-depth feature; failProbSlow clamps
+// anything larger, so the table's columns [0, maxDepthFeature] make it exact.
+const maxDepthFeature = cpu.MaxDepthFeature
 
-// failProbSlow is the reference per-class classification; it seeds the LUT
-// and anchors the LUT-equivalence test.
+// failProbSlow is the reference per-class classification; it seeds the
+// table and anchors the table-equivalence test.
 func (dp *DatapathModel) failProbSlow(op isa.Op, depth int) float64 {
 	if depth <= 0 {
 		return 0
@@ -274,28 +269,16 @@ func (dp *DatapathModel) failProbSlow(op isa.Op, depth int) float64 {
 	}
 }
 
-// buildLUT materializes failProbSlow into per-op depth tables. Ops with no
-// datapath model keep a nil row, which the fast path reads as probability 0.
-func (dp *DatapathModel) buildLUT() {
-	for op := isa.Op(0); op < isa.NumOps; op++ {
-		var row [maxDepthFeature + 1]float64
-		min := 255
-		for d := 0; d <= maxDepthFeature; d++ {
-			row[d] = dp.failProbSlow(op, d)
-			if row[d] != 0 && min == 255 {
-				min = d
-			}
-		}
-		dp.lutMin[op] = uint8(min)
-		if min < 255 {
-			dp.lut[op] = &row
-		}
-	}
+// FailTable returns the model's per-op depth table, the form cpu.RunTally
+// evaluates. It is built once and must not be modified.
+func (dp *DatapathModel) FailTable() *cpu.FailTable {
+	dp.tableOnce.Do(func() { dp.table = cpu.NewFailTable(dp.failProbSlow) })
+	return dp.table
 }
 
-// lutDepth clamps a depth feature into the LUT column range. Column 0 holds
-// probability 0, matching failProbSlow's depth <= 0 contract, so callers can
-// index a row directly with the clamped value.
+// lutDepth clamps a depth feature into the table's column range. Column 0
+// holds probability 0, matching failProbSlow's depth <= 0 contract, so
+// callers can index a row directly with the clamped value.
 func lutDepth(d int) int {
 	if d < 0 {
 		return 0
@@ -310,16 +293,13 @@ func lutDepth(d int) int {
 // whose activated-depth feature is depth. Monotonicity in depth is inherited
 // from the trained tables.
 func (dp *DatapathModel) FailProb(op isa.Op, depth int) float64 {
-	dp.lutOnce.Do(dp.buildLUT)
-	if depth <= 0 || int(op) >= len(dp.lut) {
+	ft := dp.FailTable()
+	if depth <= 0 || int(op) >= len(ft.Rows) {
 		return 0
 	}
-	row := dp.lut[op]
+	row := ft.Rows[op]
 	if row == nil {
 		return 0
 	}
-	if depth > maxDepthFeature {
-		depth = maxDepthFeature
-	}
-	return row[depth]
+	return row[lutDepth(depth)]
 }

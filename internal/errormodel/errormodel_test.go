@@ -65,7 +65,7 @@ func TestNewMachineRejectsBadOptions(t *testing.T) {
 	}
 }
 
-// TestFailProbLUTMatchesSlow proves the depth-indexed LUT (and the lutMin
+// TestFailProbLUTMatchesSlow proves the depth-indexed table (and the Min
 // byte gate in front of it) is bit-identical to the reference per-class
 // classification for every opcode and every depth, including clamping beyond
 // the table edge and the depth <= 0 contract.
@@ -84,10 +84,11 @@ func TestFailProbLUTMatchesSlow(t *testing.T) {
 			}
 		}
 		// The byte gate must never skip a nonzero column: every depth below
-		// lutMin[op] has probability exactly 0.
-		for d := 0; d < int(dp.lutMin[op]) && d <= maxDepthFeature; d++ {
+		// Min[op] has probability exactly 0.
+		min := dp.FailTable().Min[op]
+		for d := 0; d < int(min) && d <= maxDepthFeature; d++ {
 			if p := dp.failProbSlow(op, d); p != 0 {
-				t.Fatalf("lutMin[%v] = %d but depth %d has probability %v", op, dp.lutMin[op], d, p)
+				t.Fatalf("Min[%v] = %d but depth %d has probability %v", op, min, d, p)
 			}
 		}
 	}

@@ -1,12 +1,11 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
+	"tsperr/internal/cluster"
 	"tsperr/internal/core"
 )
 
@@ -61,11 +60,9 @@ type batch struct {
 
 // parseBatchRequest decodes and validates a whole suite upfront, so a batch
 // is accepted or rejected atomically — no half-admitted suites.
-func parseBatchRequest(r *http.Request, limits Limits, maxBatch int) ([]*Request, error) {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
+func parseBatchRequest(w http.ResponseWriter, r *http.Request, limits Limits, maxBatch int) ([]*Request, error) {
 	var br BatchRequest
-	if err := dec.Decode(&br); err != nil {
+	if err := cluster.DecodeJSON(w, r.Body, maxRequestBody, &br); err != nil {
 		return nil, fmt.Errorf("invalid request body: %w", err)
 	}
 	if len(br.Scenarios) == 0 {
@@ -101,7 +98,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "model warming up, retry shortly"})
 		return
 	}
-	reqs, err := parseBatchRequest(r, s.cfg.Limits, s.cfg.MaxBatch)
+	reqs, err := parseBatchRequest(w, r, s.cfg.Limits, s.cfg.MaxBatch)
 	if err != nil {
 		s.met.badRequests.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})

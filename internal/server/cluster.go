@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 
 	"tsperr/internal/cluster"
@@ -99,10 +98,8 @@ func (s *Server) handleClusterChunk(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, errorResponse{Error: "model fingerprint mismatch"})
 		return
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
 	var creq cluster.ChunkRequest
-	if err := dec.Decode(&creq); err != nil {
+	if err := cluster.DecodeJSON(w, r.Body, maxRequestBody, &creq); err != nil {
 		s.met.badRequests.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid chunk request: " + err.Error()})
 		return

@@ -2,15 +2,14 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
 
 	"tsperr/internal/cell"
+	"tsperr/internal/cluster"
 	"tsperr/internal/core"
 	"tsperr/internal/errormodel"
 )
@@ -230,10 +229,8 @@ func (s *Server) handleOppoint(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "model warming up, retry shortly"})
 		return
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
 	var q OppointRequest
-	if err := dec.Decode(&q); err != nil {
+	if err := cluster.DecodeJSON(w, r.Body, maxRequestBody, &q); err != nil {
 		s.met.badRequests.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid request body: " + err.Error()})
 		return

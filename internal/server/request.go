@@ -12,10 +12,8 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"time"
@@ -84,11 +82,9 @@ const maxRequestBody = 1 << 20
 // parseRequest decodes, normalizes, and validates one estimate request.
 // Unknown fields are rejected so a typoed knob fails loudly instead of
 // silently selecting a default.
-func parseRequest(r *http.Request, limits Limits) (*Request, error) {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
+func parseRequest(w http.ResponseWriter, r *http.Request, limits Limits) (*Request, error) {
 	var req Request
-	if err := dec.Decode(&req); err != nil {
+	if err := cluster.DecodeJSON(w, r.Body, maxRequestBody, &req); err != nil {
 		return nil, fmt.Errorf("invalid request body: %w", err)
 	}
 	req.normalize(limits)

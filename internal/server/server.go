@@ -446,7 +446,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, errorResponse{Error: "model fingerprint mismatch"})
 		return
 	}
-	req, err := parseRequest(r, s.cfg.Limits)
+	req, err := parseRequest(w, r, s.cfg.Limits)
 	if err != nil {
 		s.met.badRequests.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
