@@ -47,12 +47,16 @@ oracle:
 	$(GO) test -count=1 -run 'Oracle' ./internal/harness -args -oracle.full
 
 # `make fuzz` runs the native fuzz targets briefly: long enough to catch a
-# canonical-hashing regression, short enough for the pre-commit gate. The
-# checked-in seed corpus always runs as part of `make test` regardless.
+# canonical-hashing regression or a decoder that trusts untrusted bytes (a
+# model-cache snapshot, a cluster peer's chunk response), short enough for
+# the pre-commit gate. The seed corpora always run as part of `make test`
+# regardless.
 FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRequestHash -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME) ./internal/modelcache/
+	$(GO) test -run '^$$' -fuzz FuzzChunkResponse -fuzztime $(FUZZTIME) ./internal/cluster/
 
 # `make cover` is the coverage ratchet: total statement coverage must stay
 # at or above COVER_MIN. Raise the floor when coverage grows; never lower it

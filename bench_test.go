@@ -834,8 +834,11 @@ var missMixPrograms = []string{
 // workload's request mix in process, then the tally run that simulates it,
 // and the observer path it replaced — the batched interpreter and the two
 // retirement observers that read its stream back — each in ns per retired
-// instruction over scenario 0 of every mix program. `make pprof-miss`
-// profiles the mix.
+// instruction over scenario 0 of every mix program. The control rows time
+// the control characterization of those nine scenario-0 profiles, as a miss
+// characterizes its first scenario: cold after the stimulus memo is
+// dropped, as at a daemon's first request for a program, and warm. `make
+// pprof-miss` profiles the mix.
 func BenchmarkLayer(b *testing.B) {
 	f, err := harness.SharedFramework()
 	if err != nil {
@@ -945,6 +948,60 @@ func BenchmarkLayer(b *testing.B) {
 			}
 		}
 		perInst(b)
+	})
+
+	type controlInput struct {
+		g       *cfg.Graph
+		pr      *cfg.Profile
+		results []uint32
+	}
+	var controls []controlInput
+	recordControls := func(b *testing.B) {
+		if len(controls) == 0 {
+			ft := f.Datapath.FailTable()
+			for _, name := range missMixPrograms {
+				bm, err := mibench.ByName(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				g, err := cfg.Build(bm.Prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m := machine(b, bm)
+				t, st, err := m.RunTally(context.Background(), ft)
+				m.Release()
+				if err != nil {
+					b.Fatal(err)
+				}
+				controls = append(controls, controlInput{g, cfg.FromTally(g, t, st.Instructions), t.Result})
+			}
+		}
+	}
+	characterize := func(b *testing.B) {
+		for _, in := range controls {
+			if _, err := f.Machine.CharacterizeControl(context.Background(), in.g, in.pr, in.results); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("control-cold", func(b *testing.B) {
+		recordControls(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			f.Machine.ClearStimulusMemo()
+			b.StartTimer()
+			characterize(b)
+		}
+	})
+	b.Run("control-warm", func(b *testing.B) {
+		recordControls(b)
+		characterize(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			characterize(b)
+		}
 	})
 }
 

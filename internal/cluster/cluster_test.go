@@ -38,7 +38,7 @@ loop:
 // scenario-scaled conditionals (the same shape the montecarlo package tests
 // use). Every node in a test cluster derives its spec from this one function,
 // mirroring how real workers rebuild specs from the benchmark identity.
-func testSpec(t *testing.T, scenarios, trials int, seed uint64) montecarlo.Spec {
+func testSpec(t testing.TB, scenarios, trials int, seed uint64) montecarlo.Spec {
 	t.Helper()
 	p, err := isa.Assemble("mcloop", loopSrc)
 	if err != nil {
@@ -75,6 +75,8 @@ type testWorker struct {
 	slow time.Duration
 	// fingerprint, when set, 409s any chunk request carrying a different one.
 	fingerprint string
+	// negate answers every chunk with its first count negated.
+	negate bool
 }
 
 func newTestWorker(t *testing.T, spec montecarlo.Spec) *testWorker {
@@ -115,6 +117,9 @@ func newTestWorker(t *testing.T, spec montecarlo.Spec) *testWorker {
 		if err != nil {
 			rw.WriteHeader(http.StatusInternalServerError)
 			return
+		}
+		if w.negate {
+			res.Counts[0] = -res.Counts[0] - 1
 		}
 		json.NewEncoder(rw).Encode(res)
 	})
@@ -310,6 +315,32 @@ func TestDistributedBitIdenticalToSerial(t *testing.T) {
 			t.Fatalf("accepted chunks %d remote + %d local, want 20 total", st.RemoteChunks, st.LocalChunks)
 		}
 		return st.RemoteChunks > 0
+	})
+}
+
+// A peer whose chunks carry a negative count is a bad response: every such
+// chunk is re-queued for the local runner, none is accepted, and the run
+// stays bit-identical to the serial one.
+func TestNegativeChunkCountsAreStolenBitIdentical(t *testing.T) {
+	spec := testSpec(t, 2, 400, 99)
+	const chunkSize = 20
+	serial, err := montecarlo.RunSharded(context.Background(), spec, montecarlo.ShardOpts{ChunkSize: chunkSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runChaos(t, 50, func() bool {
+		w := newTestWorker(t, spec)
+		w.negate = true
+		c := newTestCoordinator(t, Config{LocalWorkers: 1}, w)
+		got, err := c.MCRun(context.Background(), mcJob(spec, chunkSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, got, serial)
+		if st := c.Stats(); st.RemoteChunks != 0 || st.LocalChunks != 20 {
+			t.Fatalf("accepted chunks %d remote + %d local, want 0 + 20", st.RemoteChunks, st.LocalChunks)
+		}
+		return w.chunkCalls.Load() > 0
 	})
 }
 

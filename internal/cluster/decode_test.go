@@ -13,9 +13,9 @@ import (
 )
 
 // TestRemoteChunkRejectsMalformedResponses checks that a peer's chunk
-// response is one JSON value of at most maxChunkResponse bytes: trailing
-// data or an oversized body is a bad response, never a silently accepted
-// prefix.
+// response is one JSON value of at most maxChunkResponse bytes whose counts
+// are non-negative integers: trailing data, an oversized body or a count no
+// chunk run produces is a bad response, never a silently accepted value.
 func TestRemoteChunkRejectsMalformedResponses(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(t, 1, 40, 9)
@@ -38,6 +38,10 @@ func TestRemoteChunkRejectsMalformedResponses(t *testing.T) {
 		{"trailing junk", value + " junk", false},
 		{"unknown field", `{"index":0,"counts":[],"extra":1}`, false},
 		{"oversized", value + strings.Repeat(" ", maxChunkResponse), false},
+		{"negative count", `{"index":0,"counts":[3,-1],"instructions":7}`, false},
+		{"fractional count", `{"index":0,"counts":[3,0.5],"instructions":7}`, false},
+		{"negative zero count", `{"index":0,"counts":[-0],"instructions":7}`, false},
+		{"negative instructions", `{"index":0,"counts":[3],"instructions":-7}`, false},
 	} {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			io.WriteString(w, tc.body)

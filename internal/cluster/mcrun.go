@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -194,12 +195,26 @@ func (c *Coordinator) remoteChunk(ctx context.Context, p *peer, job core.MCJob, 
 	if resp.StatusCode != http.StatusOK {
 		return montecarlo.ChunkResult{}, fmt.Errorf("cluster: chunk %d on %s: %s", chunk, p.addr, resp.Status)
 	}
+	res, err := decodeChunk(resp.Body, chunk)
+	if err != nil {
+		return montecarlo.ChunkResult{}, fmt.Errorf("cluster: chunk %d on %s: %w", chunk, p.addr, err)
+	}
+	return res, nil
+}
+
+// decodeChunk reads a peer's answer to a request for chunk: one JSON chunk
+// result of at most maxChunkResponse bytes, for that chunk, whose counts
+// pass ChunkResult.Validate.
+func decodeChunk(body io.ReadCloser, chunk int) (montecarlo.ChunkResult, error) {
 	var res montecarlo.ChunkResult
-	if err := DecodeJSON(nil, resp.Body, maxChunkResponse, &res); err != nil {
-		return montecarlo.ChunkResult{}, fmt.Errorf("cluster: chunk %d on %s: bad response: %w", chunk, p.addr, err)
+	if err := DecodeJSON(nil, body, maxChunkResponse, &res); err != nil {
+		return montecarlo.ChunkResult{}, fmt.Errorf("bad response: %w", err)
+	}
+	if err := res.Validate(); err != nil {
+		return montecarlo.ChunkResult{}, fmt.Errorf("bad response: %w", err)
 	}
 	if res.Index != chunk {
-		return montecarlo.ChunkResult{}, fmt.Errorf("cluster: %s answered chunk %d with chunk %d", p.addr, chunk, res.Index)
+		return montecarlo.ChunkResult{}, fmt.Errorf("answered with chunk %d", res.Index)
 	}
 	return res, nil
 }

@@ -12,10 +12,11 @@ import (
 // dir. On a warm start (a valid snapshot exists for these options and the
 // current cell library) the expensive once-per-design work — SSTA calibration
 // of every unit and datapath training — is skipped: the machine rebuilds
-// from the cached delay scales and the trained tables restore directly. On a
-// miss the framework builds normally and its results are published to the
-// cache for the next run; a failed cache write is deliberately non-fatal
-// (the framework is still correct, the next run just stays cold).
+// from the cached delay scales and the trained tables restore directly once
+// they pass DatapathModel.Validate. On a miss the framework builds normally
+// and its results are published to the cache for the next run; a failed
+// cache write is deliberately non-fatal (the framework is still correct, the
+// next run just stays cold).
 //
 // The returned warm flag reports whether the cache was hit.
 func NewFrameworkCached(opts errormodel.Options, dir string) (*Framework, bool, error) {
@@ -29,10 +30,14 @@ func NewFrameworkCachedContext(ctx context.Context, opts errormodel.Options, dir
 	if snap, ok := modelcache.Load(dir, key); ok {
 		m, merr := errormodel.NewMachineWithScalesContext(ctx, opts, snap.Scales)
 		if merr == nil {
+			merr = snap.Datapath.Validate(m.Model.NumPCs())
+		}
+		if merr == nil {
 			return &Framework{Machine: m, Datapath: snap.Datapath}, true, nil
 		}
-		// A snapshot that validates but cannot rebuild a machine (e.g. a unit
-		// was renamed without a schema bump) falls through to a full rebuild.
+		// A snapshot whose scales cannot rebuild a machine (a corrupt file,
+		// or a unit renamed without a schema bump) or whose datapath model
+		// does not validate is a miss: the full rebuild below overwrites it.
 	}
 	fw, err = NewFrameworkContext(ctx, opts)
 	if err != nil {

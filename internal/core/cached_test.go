@@ -1,12 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"maps"
+	"math"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tsperr/internal/cell"
 	"tsperr/internal/errormodel"
+	"tsperr/internal/isa"
 	"tsperr/internal/modelcache"
 )
 
@@ -87,5 +94,88 @@ func TestNewFrameworkCachedColdPublishes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(hot.Machine.Scales(), cold.Machine.Scales()) {
 		t.Error("warm scales differ from the cold build")
+	}
+}
+
+// TestNewFrameworkCachedRebuildsInvalidSnapshot restores from snapshots
+// that decode under the right key but carry a corrupt model. Before the
+// load path validated the model, adder tables cut to 3 rows made every
+// scenario panic in FailTable, and NaN adder probabilities reported a NaN
+// error rate with a verdict. Each must now be a miss: the framework
+// rebuilds, reports the clean model's bytes, and overwrites the snapshot
+// with one that validates.
+func TestNewFrameworkCachedRebuildsInvalidSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full framework builds in -short mode")
+	}
+	f := testFramework(t)
+	pcs := f.Machine.Model.NumPCs()
+	if err := f.Datapath.Validate(pcs); err != nil {
+		t.Fatalf("trained model does not validate: %v", err)
+	}
+	report := func(fw *Framework) []byte {
+		t.Helper()
+		rep, err := fw.Analyze(context.Background(), "sumloop", ProgramSpec{
+			Prog: isa.MustAssemble("sumloop", fwProg), Setup: fwSetup, Scenarios: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Training, rep.Simulation = 0, 0
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := report(f)
+	opts := errormodel.DefaultOptions()
+	key := modelcache.Key(opts, cell.Fingerprint())
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*modelcache.Snapshot)
+	}{
+		{"adder tables cut to 3 rows", func(s *modelcache.Snapshot) {
+			s.Datapath.AdderSlack, s.Datapath.AdderFail = s.Datapath.AdderSlack[:3], s.Datapath.AdderFail[:3]
+		}},
+		{"adder probabilities NaN", func(s *modelcache.Snapshot) {
+			for d := range s.Datapath.AdderFail {
+				s.Datapath.AdderFail[d] = math.NaN()
+			}
+		}},
+		{"a scale NaN", func(s *modelcache.Snapshot) { s.Scales[f.Machine.AdderEngine.N.Name] = math.NaN() }},
+	} {
+		dir := t.TempDir()
+		dp := f.Datapath
+		snap := &modelcache.Snapshot{
+			Scales: maps.Clone(f.Machine.Scales()),
+			Datapath: &errormodel.DatapathModel{
+				AdderSlack: dp.AdderSlack, AdderFail: slices.Clone(dp.AdderFail),
+				ShiftSlack: dp.ShiftSlack, ShiftFail: dp.ShiftFail,
+				MulSlack: dp.MulSlack, MulFail: dp.MulFail,
+				LogicFail: dp.LogicFail,
+			},
+		}
+		tc.corrupt(snap)
+		if err := modelcache.Save(dir, key, snap); err != nil {
+			t.Fatal(err)
+		}
+		fw, warm, err := NewFrameworkCached(opts, dir)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if warm {
+			t.Fatalf("%s: the corrupt snapshot was served", tc.name)
+		}
+		if got := report(fw); !bytes.Equal(got, want) {
+			t.Errorf("%s: report\n%s\nwant the clean model's\n%s", tc.name, got, want)
+		}
+		re, ok := modelcache.Load(dir, key)
+		if !ok {
+			t.Fatalf("%s: the rebuild published no snapshot", tc.name)
+		}
+		if err := re.Datapath.Validate(pcs); err != nil {
+			t.Errorf("%s: the snapshot was not overwritten: %v", tc.name, err)
+		}
 	}
 }

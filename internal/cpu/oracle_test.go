@@ -395,3 +395,37 @@ func TestDispatchMatchesOracleHalts(t *testing.T) {
 	}}
 	runEquiv(t, p, oracleConfig())
 }
+
+// TestDispatchMatchesOracleLoadUseStop stops runs between a load and the
+// next instruction, which reads the loaded register. The tally run derives
+// its cycle count from the load's retirement count, so a stop there must
+// drop the stall the consumer never paid: by the instruction limit, at the
+// first poll point and at later ones, and by an unimplemented op naming the
+// loaded register, which never retires and so consumes nothing. The loop's
+// jal and jr carry the depth-0 feature the first test table prices.
+func TestDispatchMatchesOracleLoadUseStop(t *testing.T) {
+	loop := isa.MustAssemble("loaduse", `
+	loop:
+		lw   r5, 0(r1)
+		add  r6, r6, r5     # load-use stall
+		jal  r31, sub
+		j    loop
+	sub:
+		jr   r31
+	`)
+	// The lw retires 5k+1-th; 24576 is also a multiple of the poll
+	// interval, and 5k+2 stops after the consumer.
+	for _, limit := range []int64{1, 2, 6, 8196, 24576, 24577} {
+		cfg := oracleConfig()
+		cfg.MaxInsts = limit
+		runEquiv(t, loop, cfg)
+	}
+	bad := &isa.Program{Name: "loaduse-bad", Insts: []isa.Inst{
+		{Op: isa.OpAddi, Rd: 1, Imm: 4},
+		{Op: isa.OpLw, Rd: 5, Rs1: 1},
+		{Op: isa.NumOps, Rd: 6, Rs1: 5, Rs2: 5}, // not a real opcode
+		{Op: isa.OpAdd, Rd: 6, Rs1: 5, Rs2: 5},
+		{Op: isa.OpHalt},
+	}}
+	runEquiv(t, bad, oracleConfig())
+}

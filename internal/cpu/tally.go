@@ -80,210 +80,385 @@ func newTally(n int) *Tally {
 	}
 }
 
+// dumpReg is the register slot a tally run writes the result of an
+// instruction that writes no register to, so that every retirement can
+// store its result unconditionally.
+const dumpReg = 32
+
+// tallyOp is one static instruction of a tally run: how the loop dispatches
+// it, resolved once from the decoded program and the FailTable when the run
+// starts, and its tally while the run is in flight, which the run copies out
+// to Tally's slices when it ends.
+type tallyOp struct {
+	// row and min are the op's FailTable row and Min.
+	row *[MaxDepthFeature + 1]float64
+	// p is the failure probability at the depth feature of an op whose
+	// feature is fixed at decode (then Depth equals DepthFlush).
+	p      float64
+	imm    uint32
+	target int32
+	// kind is the op, or isa.NumOps for an unimplemented one.
+	kind         isa.Op
+	rd, rs1, rs2 uint8 // rd is dumpReg when the instruction writes nothing
+	min          uint8
+	// loadUse marks a load with rd != 0 whose next instruction reads rd:
+	// every retirement of it that the run follows with that consumer
+	// stalls once.
+	loadUse bool
+
+	count, taken                    int64
+	sumP, sumP2, sumP3, sumP4, sumQ float64
+	result                          uint32
+}
+
+// addP adds the failure probability at the Depth feature of one retirement
+// to the four power sums.
+func (op *tallyOp) addP(p float64) {
+	p2 := p * p
+	op.sumP += p
+	op.sumP2 += p2
+	op.sumP3 += p2 * p
+	op.sumP4 += p2 * p2
+}
+
+// stackOps is the largest program whose op table a tally run keeps on the
+// stack; every benchmark kernel fits.
+const stackOps = 160
+
+// fixedDepth returns the depth feature of an instruction whose feature does
+// not depend on its operands: single-level logic and lui at 1, an immediate
+// shift at its active layers plus one, and ops without a datapath feature
+// (nop, halt, jal, jr) at 0.
+func fixedDepth(dc *decoded) (int, bool) {
+	switch {
+	case dc.class == classLogic:
+		return 1, true
+	case dc.class == classNone:
+		return 0, true
+	case dc.class == classShift && dc.flags&fReadsRs2 == 0:
+		return bits.OnesCount32(dc.imm&31) + 1, true
+	}
+	return 0, false
+}
+
+// tallyOps fills a run's op table, one entry per instruction of code, from
+// the decoded program and ft.
+func tallyOps(ops []tallyOp, code []decoded, ft *FailTable) {
+	for i := range code {
+		dc := &code[i]
+		op := &ops[i]
+		if dc.flags&fBad != 0 {
+			op.kind = isa.NumOps
+			continue
+		}
+		*op = tallyOp{
+			row: ft.Rows[dc.op], min: ft.Min[dc.op],
+			imm: dc.imm, target: dc.target,
+			kind: dc.op, rd: dc.rd, rs1: dc.rs1, rs2: dc.rs2,
+		}
+		if dc.flags&fWritesRd == 0 {
+			op.rd = dumpReg
+		}
+		if d, ok := fixedDepth(dc); ok && d >= int(op.min) {
+			op.p = op.row[d]
+		}
+		// A load always falls through, so whether its next retirement
+		// stalls is a property of the instruction after it. An
+		// unimplemented op never retires, so it consumes nothing.
+		if dc.flags&fLoad != 0 && dc.rd != 0 && i+1 < len(code) {
+			nx := &code[i+1]
+			op.loadUse = nx.flags&fBad == 0 &&
+				(nx.flags&fReadsRs1 != 0 && nx.rs1 == dc.rd || nx.flags&fReadsRs2 != 0 && nx.rs2 == dc.rd)
+		}
+	}
+}
+
 // RunTally is RunBatched with the estimation path's accumulation fused into
 // the loop: it tallies each retirement where it executes instead of writing
 // a DynInst for observers to read back. Its control flow, Stats, errors and
 // machine state (registers, memory, the rolling datapath state) are exactly
 // RunBatched's, and its tally equals what the DynInst stream would feed
 // cfg.Profile and errormodel.ScenarioFeatures: the failure probabilities are
-// ft's entries at the Depth and DepthFlush features, and the sums skip only
-// zero probabilities. On an error the tally covers the instructions retired
-// before it.
+// ft's entries at the Depth and DepthFlush features, added in retirement
+// order. On an error the tally covers the instructions retired before it.
 //
-// Two shortcuts make it fast and keep it exact. Ops dispatch through a
-// switch, which compiles to a jump table, whose cases mirror opExec. And an
-// adder-class feature is the longest run of set bits of a carry mask, which
-// is at most the mask's population count, so a mask with fewer set bits
-// than Min[op] reads a zero column and its run is never measured.
+// Everything that is constant per static instruction is resolved once, into
+// the run's op table (tallyOps), so a retirement pays one switch on the op:
+//   - An adder-class case forms its carry mask from its own ALU operands
+//     ((a+eb+cin)^a^eb in 32 bits is CarriesMask) and shares one feature
+//     block. The feature is the longest run of set bits of a mask, which is
+//     at most the mask's population count, so a mask with fewer set bits
+//     than Min reads a zero column and is never measured; past the gate a
+//     zero probability is added as is, which leaves every non-negative sum's
+//     bits alone.
+//   - Register shifts and mul compute their feature behind the same gate.
+//   - Every other op's feature is fixed at decode (fixedDepth), so its
+//     probability is looked up once per run.
+//
+// The cycle count is derived from the tally when the run ends: one cycle per
+// retirement, BranchPenalty per taken transfer, and LoadUseStall per
+// retirement of a loadUse load that the run followed with its consumer. A
+// load always falls through, so that is the load's count, less one if the
+// run stopped between the load and its consumer.
 func (c *CPU) RunTally(ctx context.Context, ft *FailTable) (*Tally, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	code := c.code
-	t := newTally(len(code))
-	count, taken, result := t.Count, t.Taken, t.Result
-	sumP, sumP2, sumP3, sumP4, sumQ := t.SumP, t.SumP2, t.SumP3, t.SumP4, t.SumQ
-	rows, mins := &ft.Rows, &ft.Min
-	var st Stats
-	regs := &c.regs
+	var stack [stackOps]tallyOp
+	var ops []tallyOp
+	if n := len(c.code); n <= stackOps {
+		ops = stack[:n]
+	} else {
+		ops = make([]tallyOp, n)
+	}
+	tallyOps(ops, c.code, ft)
+	t := newTally(len(ops))
+	jumps := t.Jumps
+	var regs [dumpReg + 1]uint32
+	copy(regs[:], c.regs[:])
 	mem, memMask := c.mem, c.memMask
 	maxInsts := c.cfg.MaxInsts
-	loadUseStall, branchPenalty := c.cfg.LoadUseStall, c.cfg.BranchPenalty
 	prevA, prevB, prevCarries := c.prevA, c.prevB, c.prevCarries
-	var insts, cycles int64
+	// insts counts the instructions retired before the current chunk of
+	// budget, which the loop counts down to the next poll point.
+	var insts, chunk, budget int64
+	var halted bool
+	var op *tallyOp // the instruction dispatched last
+	var err error
 	pc := 0
-	var lastWasLoad bool
-	var lastRd uint8
-	budget := int64(0)
-	for pc >= 0 && pc < len(code) {
+	for uint(pc) < uint(len(ops)) {
 		if budget == 0 {
-			st.Instructions, st.Cycles = insts, cycles
-			c.prevA, c.prevB, c.prevCarries = prevA, prevB, prevCarries
+			insts += chunk
+			chunk = 0
 			if insts >= maxInsts {
-				return t, st, fmt.Errorf("%w: limit %d (runaway program?)", ErrInstLimit, maxInsts)
+				err = fmt.Errorf("%w: limit %d (runaway program?)", ErrInstLimit, maxInsts)
+				break
 			}
-			if err := ctx.Err(); err != nil {
-				return t, st, fmt.Errorf("cpu: run aborted after %d instructions: %w", insts, err)
+			if err = ctx.Err(); err != nil {
+				err = fmt.Errorf("cpu: run aborted after %d instructions: %w", insts, err)
+				break
 			}
-			budget = ctxCheckInterval
-			if rem := maxInsts - insts; rem < budget {
-				budget = rem
-			}
+			chunk = min(ctxCheckInterval, maxInsts-insts)
+			budget = chunk
 		}
 		budget--
-		dc := &code[pc]
-		if dc.flags&fBad != 0 {
-			st.Instructions, st.Cycles = insts, cycles
-			c.prevA, c.prevB, c.prevCarries = prevA, prevB, prevCarries
-			return t, st, fmt.Errorf("cpu: unimplemented op %v at %d", dc.op, pc)
-		}
-		a := regs[dc.rs1]
-		b := dc.imm
-		if dc.flags&fReadsRs2 != 0 {
-			b = regs[dc.rs2]
-		}
+		op = &ops[pc]
+		a := regs[op.rs1]
+		var b, res, carries uint32
+		var d int
+		next := pc + 1
 
-		// The cases mirror opExec; nop and halt produce 0.
-		var res uint32
-		var tk bool
-		switch dc.op {
-		case isa.OpAdd, isa.OpAddi:
+		// The cases mirror opExec: b is the Rs2 register or the immediate,
+		// and nop, halt, branches and jr produce 0.
+		switch op.kind {
+		case isa.OpAdd:
+			b = regs[op.rs2]
 			res = a + b
+			carries = res ^ a ^ b
+		case isa.OpAddi:
+			b = op.imm
+			res = a + b
+			carries = res ^ a ^ b
 		case isa.OpSub:
+			b = regs[op.rs2]
 			res = a - b
-		case isa.OpAnd, isa.OpAndi:
-			res = a & b
-		case isa.OpOr, isa.OpOri:
-			res = a | b
-		case isa.OpXor, isa.OpXori:
-			res = a ^ b
-		case isa.OpSll, isa.OpSlli:
-			res = a << (b & 31)
-		case isa.OpSrl, isa.OpSrli:
-			res = a >> (b & 31)
-		case isa.OpSra, isa.OpSrai:
-			res = uint32(int32(a) >> (b & 31))
-		case isa.OpSlt, isa.OpSlti:
+			carries = res ^ a ^ ^b
+		case isa.OpSlt:
+			b = regs[op.rs2]
+			carries = (a - b) ^ a ^ ^b
 			if int32(a) < int32(b) {
 				res = 1
 			}
-		case isa.OpMul:
-			res = a * b
-		case isa.OpLui:
-			res = dc.imm << 16
-		case isa.OpLw:
-			res = mem[(a+dc.imm)&memMask]
-		case isa.OpSw:
-			res = a + dc.imm
-			mem[res&memMask] = b
-		case isa.OpBeq:
-			tk = a == b
-		case isa.OpBne:
-			tk = a != b
-		case isa.OpBlt:
-			tk = int32(a) < int32(b)
-		case isa.OpBge:
-			tk = int32(a) >= int32(b)
-		case isa.OpJal:
-			res, tk = uint32(pc+1), true
-		case isa.OpJr:
-			tk = true
-		}
-		if dc.flags&fWritesRd != 0 {
-			regs[dc.rd] = res
-		}
-		count[pc]++
-		result[pc] = res
-		next := pc + 1
-		if tk {
-			taken[pc]++
-			if dc.flags&fJr != 0 {
-				next = int(a)
-				t.Jumps[Jump{pc, next}]++
-			} else {
-				next = int(dc.target)
+		case isa.OpSlti:
+			b = op.imm
+			carries = (a - b) ^ a ^ ^b
+			if int32(a) < int32(b) {
+				res = 1
 			}
+		case isa.OpLw:
+			b = op.imm
+			addr := a + b
+			carries = addr ^ a ^ b
+			res = mem[addr&memMask]
+		case isa.OpSw:
+			b = regs[op.rs2]
+			res = a + op.imm
+			mem[res&memMask] = b
+			carries = (a + b) ^ a ^ b
+		case isa.OpBeq:
+			b = regs[op.rs2]
+			carries = (a - b) ^ a ^ ^b
+			if a == b {
+				op.taken++
+				next = int(op.target)
+			}
+		case isa.OpBne:
+			b = regs[op.rs2]
+			carries = (a - b) ^ a ^ ^b
+			if a != b {
+				op.taken++
+				next = int(op.target)
+			}
+		case isa.OpBlt:
+			b = regs[op.rs2]
+			carries = (a - b) ^ a ^ ^b
+			if int32(a) < int32(b) {
+				op.taken++
+				next = int(op.target)
+			}
+		case isa.OpBge:
+			b = regs[op.rs2]
+			carries = (a - b) ^ a ^ ^b
+			if int32(a) >= int32(b) {
+				op.taken++
+				next = int(op.target)
+			}
+
+		case isa.OpSll:
+			b = regs[op.rs2]
+			res = a << (b & 31)
+			d = bits.OnesCount32(b&31) + 1
+			goto operandFeature
+		case isa.OpSrl:
+			b = regs[op.rs2]
+			res = a >> (b & 31)
+			d = bits.OnesCount32(b&31) + 1
+			goto operandFeature
+		case isa.OpSra:
+			b = regs[op.rs2]
+			res = uint32(int32(a) >> (b & 31))
+			d = bits.OnesCount32(b&31) + 1
+			goto operandFeature
+		case isa.OpMul:
+			b = regs[op.rs2]
+			res = a * b
+			d = 32 - bits.LeadingZeros32(min(a, b)|1)
+			goto operandFeature
+
+		case isa.OpAnd:
+			b = regs[op.rs2]
+			res = a & b
+			goto fixedFeature
+		case isa.OpAndi:
+			b = op.imm
+			res = a & b
+			goto fixedFeature
+		case isa.OpOr:
+			b = regs[op.rs2]
+			res = a | b
+			goto fixedFeature
+		case isa.OpOri:
+			b = op.imm
+			res = a | b
+			goto fixedFeature
+		case isa.OpXor:
+			b = regs[op.rs2]
+			res = a ^ b
+			goto fixedFeature
+		case isa.OpXori:
+			b = op.imm
+			res = a ^ b
+			goto fixedFeature
+		case isa.OpSlli:
+			b = op.imm
+			res = a << (b & 31)
+			goto fixedFeature
+		case isa.OpSrli:
+			b = op.imm
+			res = a >> (b & 31)
+			goto fixedFeature
+		case isa.OpSrai:
+			b = op.imm
+			res = uint32(int32(a) >> (b & 31))
+			goto fixedFeature
+		case isa.OpLui:
+			b = op.imm
+			res = b << 16
+			goto fixedFeature
+		case isa.OpNop:
+			b = op.imm
+			goto fixedFeature
+		case isa.OpHalt:
+			b = op.imm
+			halted = true
+			next = -1
+			goto fixedFeature
+		case isa.OpJal:
+			b = op.imm
+			res = uint32(pc + 1)
+			op.taken++
+			next = int(op.target)
+			goto fixedFeature
+		case isa.OpJr:
+			b = op.imm
+			op.taken++
+			next = int(a)
+			jumps[Jump{pc, next}]++
+			goto fixedFeature
+
+		default:
+			budget++ // it does not retire
+			err = fmt.Errorf("cpu: unimplemented op %v at %d", c.code[pc].op, pc)
+			goto stop
 		}
 
-		// Failure probabilities at the activity features, by decode-time
-		// class; p is at Depth and q at DepthFlush.
-		md := int(mins[dc.op])
-		var p, q float64
-		switch dc.class {
-		case classAdder, classAdderInv:
-			eb, cin := b, false
-			if dc.class == classAdderInv {
-				eb, cin = ^b, true
-			}
-			carries := CarriesMask(a, eb, cin)
+		// Adder class: p at the carries that changed since the previous
+		// adder op (Depth), q at all of them (DepthFlush).
+		{
+			md := int(op.min)
 			if x := carries ^ prevCarries; bits.OnesCount32(x) >= md {
-				p = rows[dc.op][LongestRun(x)]
+				op.addP(op.row[LongestRun(x)])
 			}
 			if bits.OnesCount32(carries) >= md {
-				q = rows[dc.op][LongestRun(carries)]
+				op.sumQ += op.row[LongestRun(carries)]
 			}
 			prevCarries = carries
-		case classShift:
-			if d := bits.OnesCount32(b&31) + 1; d >= md {
-				p = rows[dc.op][d]
-				q = p
-			}
-			prevCarries = 0 // the ALU computed something else; carry state gone
-		case classMul:
-			lo := a
-			if b < a {
-				lo = b
-			}
-			if d := 32 - bits.LeadingZeros32(lo|1); d >= md {
-				p = rows[dc.op][d]
-				q = p
-			}
-			prevCarries = 0
-		case classLogic:
-			if md <= 1 {
-				p = rows[dc.op][1]
-				q = p
-			}
-			prevCarries = 0
-		default:
-			if md == 0 {
-				p = rows[dc.op][0]
-				q = p
-			}
-			prevCarries = 0
+			goto retire
 		}
-		if p != 0 {
-			sumP[pc] += p
-			p2 := p * p
-			sumP2[pc] += p2
-			sumP3[pc] += p2 * p
-			sumP4[pc] += p2 * p2
+
+	operandFeature:
+		if d >= int(op.min) {
+			p := op.row[d]
+			op.addP(p)
+			op.sumQ += p
 		}
-		if q != 0 {
-			sumQ[pc] += q
+		prevCarries = 0 // the ALU computed something else; carry state gone
+		goto retire
+
+	fixedFeature:
+		if p := op.p; p != 0 {
+			op.addP(p)
+			op.sumQ += p
 		}
+		prevCarries = 0
+
+	retire:
+		regs[op.rd] = res
+		op.count++
+		op.result = res
 		prevA, prevB = a, b
-
-		cycles++
-		if lastWasLoad && lastRd != 0 &&
-			((dc.flags&fReadsRs1 != 0 && dc.rs1 == lastRd) || (dc.flags&fReadsRs2 != 0 && dc.rs2 == lastRd)) {
-			cycles += loadUseStall
-		}
-		if tk {
-			cycles += branchPenalty
-		}
-		lastWasLoad = dc.flags&fLoad != 0
-		lastRd = dc.rd
-
-		insts++
-		if dc.flags&fHalt != 0 {
-			st.Halted = true
-			break
-		}
 		pc = next
 	}
-	st.Instructions, st.Cycles = insts, cycles
+stop:
+	copy(c.regs[:], regs[:])
 	c.prevA, c.prevB, c.prevCarries = prevA, prevB, prevCarries
-	st.Cycles += NumStages - 1
-	return t, st, nil
+	st := Stats{Instructions: insts + chunk - budget, Halted: halted}
+	var taken, stalls int64
+	for i := range ops {
+		e := &ops[i]
+		t.Count[i], t.Taken[i], t.Result[i] = e.count, e.taken, e.result
+		t.SumP[i], t.SumP2[i], t.SumP3[i], t.SumP4[i], t.SumQ[i] = e.sumP, e.sumP2, e.sumP3, e.sumP4, e.sumQ
+		taken += e.taken
+		if e.loadUse {
+			stalls += e.count
+		}
+	}
+	if err != nil && op != nil && op.loadUse {
+		stalls-- // stopped at a poll point between the load and its consumer
+	}
+	st.Cycles = st.Instructions + c.cfg.BranchPenalty*taken + c.cfg.LoadUseStall*stalls
+	if err == nil {
+		st.Cycles += NumStages - 1 // drain the pipeline
+	}
+	return t, st, err
 }

@@ -97,39 +97,54 @@ func (c *pollCtx) Err() error {
 
 // TestTallyCancelMatchesBatched proves a cancelled tally run stops at the
 // same poll point as RunBatched, with the same stats, error and machine
-// state, and a tally of exactly the instructions retired before it.
+// state, and a tally of exactly the instructions retired before it. In the
+// second program every poll point falls between a load and the next
+// instruction, which reads the loaded register.
 func TestTallyCancelMatchesBatched(t *testing.T) {
-	p := &isa.Program{Name: "spin", Insts: []isa.Inst{
+	spin := &isa.Program{Name: "spin", Insts: []isa.Inst{
 		{Op: isa.OpAddi, Rd: 20, Rs1: 20, Imm: 1},
 		{Op: isa.OpAdd, Rd: 21, Rs1: 21, Rs2: 20},
 		{Op: isa.OpJal, Target: 0},
 	}}
+	// Three nops, then a four-instruction loop whose lw retires 4k-th.
+	loadUse := &isa.Program{Name: "loaduse", Insts: []isa.Inst{
+		{Op: isa.OpNop}, {Op: isa.OpNop}, {Op: isa.OpNop},
+		{Op: isa.OpLw, Rd: 5, Rs1: 20},
+		{Op: isa.OpAdd, Rd: 21, Rs1: 21, Rs2: 5},
+		{Op: isa.OpAddi, Rd: 20, Rs1: 20, Imm: 1},
+		{Op: isa.OpJal, Target: 3},
+	}}
 	ft := testFailTables()[1]
-	for _, after := range []int{1, 2, 4} {
-		run := func(tally bool) (*CPU, Stats, error, *Tally, []DynInst) {
-			c, err := New(p, oracleConfig())
-			if err != nil {
-				t.Fatal(err)
+	for _, p := range []*isa.Program{spin, loadUse} {
+		for _, after := range []int{1, 2, 4} {
+			run := func(tally bool) (*CPU, Stats, error, *Tally, []DynInst) {
+				c, err := New(p, oracleConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				seedCPU(c)
+				ctx := &pollCtx{Context: context.Background(), after: after}
+				if tally {
+					tl, st, err := c.RunTally(ctx, ft)
+					return c, st, err, tl, nil
+				}
+				var ds []DynInst
+				st, err := c.RunBatched(ctx, func(b []DynInst) { ds = append(ds, b...) })
+				return c, st, err, nil, ds
 			}
-			seedCPU(c)
-			ctx := &pollCtx{Context: context.Background(), after: after}
-			if tally {
-				tl, st, err := c.RunTally(ctx, ft)
-				return c, st, err, tl, nil
+			bc, bst, berr, _, ds := run(false)
+			tc, tst, terr, tl, _ := run(true)
+			if !errors.Is(terr, context.Canceled) || berr == nil || terr.Error() != berr.Error() {
+				t.Fatalf("%s, after %d polls: tally error %v, batched %v", p.Name, after, terr, berr)
 			}
-			var ds []DynInst
-			st, err := c.RunBatched(ctx, func(b []DynInst) { ds = append(ds, b...) })
-			return c, st, err, nil, ds
+			if tst != bst || tst.Instructions != int64(after-1)*ctxCheckInterval {
+				t.Errorf("%s, after %d polls: tally stats %+v, batched %+v", p.Name, after, tst, bst)
+			}
+			if n := len(ds); p == loadUse && n > 0 && ds[n-1].Op != isa.OpLw {
+				t.Fatalf("%s, after %d polls: the run stopped after %v, not the load", p.Name, after, ds[n-1].Op)
+			}
+			sameState(t, "tally", tc, bc)
+			sameTally(t, "cancelled", tl, streamTally(ds, len(p.Insts), ft))
 		}
-		bc, bst, berr, _, ds := run(false)
-		tc, tst, terr, tl, _ := run(true)
-		if !errors.Is(terr, context.Canceled) || berr == nil || terr.Error() != berr.Error() {
-			t.Fatalf("after %d polls: tally error %v, batched %v", after, terr, berr)
-		}
-		if tst != bst || tst.Instructions != int64(after-1)*ctxCheckInterval {
-			t.Errorf("after %d polls: tally stats %+v, batched %+v", after, tst, bst)
-		}
-		sameState(t, "tally", tc, bc)
-		sameTally(t, "cancelled", tl, streamTally(ds, len(p.Insts), ft))
 	}
 }

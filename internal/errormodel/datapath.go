@@ -2,6 +2,8 @@ package errormodel
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync"
 
 	"tsperr/internal/activity"
@@ -222,6 +224,65 @@ func (m *Machine) trainLogic(dp *DatapathModel, eps []netlist.GateID) error {
 	tr.Sets = append(tr.Sets, sim.CycleDense(vals))
 	if slack, ok := m.LogicDTA.StageDTS(eps, 1, tr); ok {
 		dp.LogicFail = dta.ErrorProbability(slack)
+	}
+	return nil
+}
+
+// Validate reports whether dp has the shape and the numbers training gives
+// it, for a variation model of pcs principal components. A model that comes
+// from outside the process (a model-cache snapshot) must pass it before it
+// is used: it checks the row counts the generators fix (33 adder, 6 shift,
+// 17 multiplier rows); that a trained slack form has pcs finite
+// sensitivities, a finite mean and residual, and a failure probability equal
+// bit for bit to dta.ErrorProbability of the form, while an untrained slot
+// holds the zero form and probability 0; and that the logic probability is
+// in [0, 1].
+func (dp *DatapathModel) Validate(pcs int) error {
+	for _, u := range []struct {
+		name  string
+		slack []variation.Canon
+		fail  []float64
+		rows  int
+	}{
+		{"adder", dp.AdderSlack, dp.AdderFail, 33},
+		{"shift", dp.ShiftSlack, dp.ShiftFail, 6},
+		{"multiplier", dp.MulSlack, dp.MulFail, 17},
+	} {
+		if len(u.slack) != u.rows || len(u.fail) != u.rows {
+			return fmt.Errorf("errormodel: %s tables have %d and %d rows, want %d", u.name, len(u.slack), len(u.fail), u.rows)
+		}
+		for d, s := range u.slack {
+			if err := validateRow(s, u.fail[d], pcs); err != nil {
+				return fmt.Errorf("errormodel: %s row %d: %w", u.name, d, err)
+			}
+		}
+	}
+	if !(dp.LogicFail >= 0 && dp.LogicFail <= 1) {
+		return fmt.Errorf("errormodel: logic failure probability %v outside [0, 1]", dp.LogicFail)
+	}
+	return nil
+}
+
+// validateRow checks one trained-table slot; see Validate.
+func validateRow(s variation.Canon, fail float64, pcs int) error {
+	if len(s.Sens) == 0 {
+		if s.Mean != 0 || s.Rand != 0 || fail != 0 {
+			return fmt.Errorf("untrained slot holds mean %v, residual %v, probability %v", s.Mean, s.Rand, fail)
+		}
+		return nil
+	}
+	if len(s.Sens) != pcs {
+		return fmt.Errorf("%d sensitivities, want %d", len(s.Sens), pcs)
+	}
+	finite := !math.IsNaN(s.Mean) && !math.IsInf(s.Mean, 0) && !math.IsNaN(s.Rand) && !math.IsInf(s.Rand, 0)
+	for _, v := range s.Sens {
+		finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+	}
+	if !finite {
+		return fmt.Errorf("slack form is not finite")
+	}
+	if want := dta.ErrorProbability(s); math.Float64bits(fail) != math.Float64bits(want) {
+		return fmt.Errorf("failure probability %v, its slack form gives %v", fail, want)
 	}
 	return nil
 }

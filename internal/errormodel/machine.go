@@ -10,6 +10,7 @@ package errormodel
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"tsperr/internal/cell"
@@ -133,8 +134,8 @@ func NewMachineContext(ctx context.Context, opts Options) (*Machine, error) {
 // calibration of each unit. It is the warm path of the persistent model
 // cache: the netlists regenerate deterministically, so a machine restored
 // with the scales of an earlier NewMachine call is identical to it. A
-// missing or non-positive scale is an error (the caller should fall back to
-// full calibration).
+// missing, non-positive or non-finite scale is an error (the caller should
+// fall back to full calibration).
 func NewMachineWithScales(opts Options, scales map[string]float64) (*Machine, error) {
 	return NewMachineWithScalesContext(context.Background(), opts, scales)
 }
@@ -211,8 +212,8 @@ func newMachine(ctx context.Context, opts Options, scales map[string]float64) (*
 		var scale float64
 		if scales != nil {
 			scale = scales[u.n.Name]
-			if scale <= 0 {
-				return fmt.Errorf("errormodel: no cached scale for %s", u.n.Name)
+			if !(scale > 0) || math.IsInf(scale, 1) {
+				return fmt.Errorf("errormodel: no finite positive cached scale for %s", u.n.Name)
 			}
 		} else {
 			target := m.PoFFPeriodPs * u.ratio

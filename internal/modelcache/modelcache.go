@@ -126,12 +126,15 @@ func Load(dir, key string) (snap *Snapshot, ok bool) {
 		return nil, false
 	}
 	defer f.Close()
-	var s Snapshot
+	// Decode into a non-nil map: gob sizes a nil destination map by the
+	// entry count the stream claims, so a corrupt count would allocate
+	// without bound before the entries ran out.
+	s := Snapshot{Scales: map[string]float64{}}
 	if err := gob.NewDecoder(f).Decode(&s); err != nil {
 		removeIfSameFile(f, p)
 		return nil, false
 	}
-	if s.Schema != SchemaVersion || s.Key != key || s.Scales == nil || s.Datapath == nil {
+	if s.Schema != SchemaVersion || s.Key != key || len(s.Scales) == 0 || s.Datapath == nil {
 		removeIfSameFile(f, p)
 		return nil, false
 	}

@@ -1,8 +1,10 @@
 package modelcache
 
 import (
+	"bytes"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -219,5 +221,81 @@ func TestDefaultDir(t *testing.T) {
 	}
 	if !strings.HasSuffix(d, "tsperr") {
 		t.Errorf("default dir %q should end in tsperr", d)
+	}
+}
+
+// inflateMapCount rewrites a gob stream whose last message encodes a
+// one-entry map keyed by key, so that the map claims count entries. Gob
+// writes each message as its length and then its bytes, and a map as its
+// entry count and then the entries.
+func inflateMapCount(t *testing.T, stream []byte, key string, count uint64) []byte {
+	t.Helper()
+	// A gob uint below 128 is one byte; a larger one is its byte count,
+	// negated, and then its big-endian bytes.
+	encUint := func(x uint64) []byte {
+		if x < 128 {
+			return []byte{byte(x)}
+		}
+		var be []byte
+		for ; x > 0; x >>= 8 {
+			be = append([]byte{byte(x)}, be...)
+		}
+		return append([]byte{byte(-len(be))}, be...)
+	}
+	decUint := func(b []byte) (x uint64, n int) {
+		if b[0] < 128 {
+			return uint64(b[0]), 1
+		}
+		n = int(-int8(b[0]))
+		for _, c := range b[1 : 1+n] {
+			x = x<<8 | uint64(c)
+		}
+		return x, 1 + n
+	}
+	var last int // offset of the last message
+	for off := 0; off < len(stream); {
+		last = off
+		l, n := decUint(stream[off:])
+		off += n + int(l)
+	}
+	l, n := decUint(stream[last:])
+	msg := stream[last+n:]
+	entry := append(encUint(uint64(len(key))), key...)
+	i := bytes.Index(msg, append([]byte{1}, entry...))
+	if i < 0 {
+		t.Fatal("map entry not found in the stream")
+	}
+	body := append(append(append([]byte{}, msg[:i]...), encUint(count)...), msg[i+1:]...)
+	out := append(append([]byte{}, stream[:last]...), encUint(l+uint64(len(body)-len(msg)))...)
+	return append(out, body...)
+}
+
+// TestLoadBoundsAClaimedMapCount loads a snapshot whose scale map claims
+// 2^22 entries and holds one. Load must miss without sizing a map for the
+// claim: decoding into a nil map made gob allocate ~100 MB for it.
+func TestLoadBoundsAClaimedMapCount(t *testing.T) {
+	dir := t.TempDir()
+	key := Key(errormodel.DefaultOptions(), "lib")
+	snap := testSnapshot()
+	snap.Scales = map[string]float64{"inflated": 1.25}
+	if err := Save(dir, key, snap); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(Path(dir, key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(Path(dir, key), inflateMapCount(t, raw, "inflated", 1<<22), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ok := Load(dir, key)
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatal("a snapshot whose map holds fewer entries than it claims must miss")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+		t.Errorf("Load allocated %d MB for the claimed entries", alloc>>20)
 	}
 }

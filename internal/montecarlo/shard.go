@@ -3,6 +3,7 @@ package montecarlo
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"tsperr/internal/cpu"
@@ -60,6 +61,23 @@ type ChunkResult struct {
 	// Instructions is the dynamic instruction count of the chunk's last
 	// trial.
 	Instructions int64 `json:"instructions"`
+}
+
+// Validate reports whether every count is a non-negative integer and the
+// instruction count is not negative, as RunChunk produces them. A chunk from
+// a cluster peer is untrusted input: Assemble rejects one that fails.
+func (ch ChunkResult) Validate() error {
+	if ch.Instructions < 0 {
+		return fmt.Errorf("montecarlo: chunk %d carries %d instructions", ch.Index, ch.Instructions)
+	}
+	for i, v := range ch.Counts {
+		// Modf leaves a NaN fraction for a NaN or an infinity, and Signbit
+		// catches a negative zero, which no local count carries.
+		if _, frac := math.Modf(v); frac != 0 || math.Signbit(v) {
+			return fmt.Errorf("montecarlo: chunk %d count %d is %v, not a non-negative integer", ch.Index, i, v)
+		}
+	}
+	return nil
 }
 
 // NumChunks returns how many chunks a trial budget splits into.
@@ -136,11 +154,11 @@ func RunChunk(ctx context.Context, spec Spec, chunkSize, c int) (ChunkResult, er
 }
 
 // Assemble merges a complete set of chunk results into the sharded result.
-// Every chunk of the budget must be present exactly once (order does not
-// matter — chunks land at their global indices, and the per-chunk statistics
-// are folded in index order through the fixed pairwise tree), so the output
-// is bit-identical no matter which mix of local and remote executors
-// produced the chunks.
+// Every chunk must pass ChunkResult.Validate, and every chunk of the budget
+// must be present exactly once (order does not matter — chunks land at
+// their global indices, and the per-chunk statistics are folded in index
+// order through the fixed pairwise tree), so the output is bit-identical no
+// matter which mix of local and remote executors produced the chunks.
 func Assemble(trials, chunkSize int, chunks []ChunkResult) (*ShardedResult, error) {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
@@ -167,6 +185,9 @@ func Assemble(trials, chunkSize int, chunks []ChunkResult) (*ShardedResult, erro
 		lo, hi := chunkBounds(trials, chunkSize, ch.Index)
 		if len(ch.Counts) != hi-lo {
 			return nil, fmt.Errorf("montecarlo: chunk %d carries %d counts, want %d", ch.Index, len(ch.Counts), hi-lo)
+		}
+		if err := ch.Validate(); err != nil {
+			return nil, err
 		}
 		for i, v := range ch.Counts {
 			res.Counts[lo+i] = v

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"tsperr/internal/errormodel"
@@ -212,6 +213,49 @@ func TestAssembleRejectsIncompleteSets(t *testing.T) {
 	oob[0].Index = n + 3
 	if _, err := montecarlo.Assemble(spec.Trials, chunkSize, oob); err == nil {
 		t.Error("out-of-range chunk index must fail assembly")
+	}
+}
+
+// TestAssembleRejectsBadCounts feeds Assemble chunks whose numbers no chunk
+// run produces, as a faulty or hostile cluster peer might send them: each
+// must fail assembly with an error naming the chunk.
+func TestAssembleRejectsBadCounts(t *testing.T) {
+	p, _, _, conds := fixture(t, 0.02, 0.05, 1)
+	spec := montecarlo.Spec{Prog: p, Cond: conds, Trials: 100, Seed: 1}
+	const chunkSize = 32
+	n := montecarlo.NumChunks(spec.Trials, chunkSize)
+	good := make([]montecarlo.ChunkResult, 0, n)
+	for c := 0; c < n; c++ {
+		r, err := montecarlo.RunChunk(context.Background(), spec, chunkSize, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good = append(good, r)
+	}
+	if _, err := montecarlo.Assemble(spec.Trials, chunkSize, good); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*montecarlo.ChunkResult)
+	}{
+		{"negative count", func(ch *montecarlo.ChunkResult) { ch.Counts[3] = -1 }},
+		{"negative zero count", func(ch *montecarlo.ChunkResult) { ch.Counts[3] = math.Copysign(0, -1) }},
+		{"fractional count", func(ch *montecarlo.ChunkResult) { ch.Counts[3] += 0.5 }},
+		{"NaN count", func(ch *montecarlo.ChunkResult) { ch.Counts[3] = math.NaN() }},
+		{"infinite count", func(ch *montecarlo.ChunkResult) { ch.Counts[3] = math.Inf(1) }},
+		{"negative instructions", func(ch *montecarlo.ChunkResult) { ch.Instructions = -5 }},
+	} {
+		chunks := append([]montecarlo.ChunkResult{}, good...)
+		chunks[2].Counts = append([]float64{}, chunks[2].Counts...)
+		tc.corrupt(&chunks[2])
+		if err := chunks[2].Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the chunk", tc.name)
+		}
+		_, err := montecarlo.Assemble(spec.Trials, chunkSize, chunks)
+		if err == nil || !strings.Contains(err.Error(), "chunk 2 ") {
+			t.Errorf("%s: Assemble error %v, want one naming chunk 2", tc.name, err)
+		}
 	}
 }
 
