@@ -567,7 +567,7 @@ func BenchmarkStageDTSMemoHit(b *testing.B) {
 
 // BenchmarkPeriodSweepTraining measures datapath re-training while the
 // working period alternates between the working and PoFF points — the shape
-// of an operating-point bisection or a `tsperr -batch` sweep. The endpoint
+// of an operating-point bisection or a `tsperr batch` sweep. The endpoint
 // path sets and activation signatures are period-independent, so how much of
 // the per-period work the analyzers reuse shows up directly here.
 func BenchmarkPeriodSweepTraining(b *testing.B) {

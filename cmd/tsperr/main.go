@@ -1,29 +1,46 @@
-// Command tsperr runs the full error-rate estimation framework on one
-// benchmark and reports the Table 2 row, the headline distribution numbers,
-// and the resulting timing-speculation verdict.
+// Command tsperr is the result CLI of the framework. Without a mode it runs
+// the error-rate estimation on one benchmark and reports the Table 2 row, the
+// headline distribution numbers, and the resulting timing-speculation
+// verdict; its modes run a suite, search an operating point, evaluate the
+// surrogate fast tier, and regenerate the paper's evaluation.
 //
 // Usage:
 //
 //	tsperr [-scenarios N] [-timeout D] [-retries N] [-min-scenarios N]
-//	       [-mc-trials N] [-mc-seed S] [-voltage V] [-temp C] [-json]
-//	       [-explain] <benchmark>
-//	tsperr -batch suite.json [-json] [flags]
-//	tsperr -surrogate-eval [-surrogate-holdout F] [-surrogate-seed S] [-json]
-//	tsperr -oppoint -target F [-min-ratio R] [-max-ratio R] [-steps N] <benchmark>
+//	       [-mc-trials N] [-mc-seed S] [-voltage V] [-temp C] [-json] <benchmark>
+//	tsperr batch [the estimate's flags] <suite.json>
+//	tsperr oppoint [-target F] [-min-ratio R] [-max-ratio R] [-steps N]
+//	       [-scenarios N] [-timeout D] [-voltage V] [-temp C] [-json] <benchmark>
+//	tsperr surrogate-eval [-surrogate-holdout F] [-surrogate-seed S]
+//	       [-timeout D] [-voltage V] [-temp C] [-json]
+//	tsperr table2 [-scenarios N] [-bench name] [-timeout D] [-retries N] [-min-scenarios N]
+//	tsperr figure3 [-scenarios N] [-bench name] [-points N] [-max maxRatePct] [-csv] [-timeout D]
+//	tsperr report [-scenarios N] [-o file.md] [-timeout D] [-retries N] [-min-scenarios N] [-json]
+//	tsperr explain
 //
-// Run with no arguments to list the available benchmarks. With -batch, the
-// argument is a suite file ({"entries":[{"benchmark":...,"scenarios":...}]})
-// run through the shared framework with identical entries computed once;
-// results stream as text rows, or -json emits one document reusing the
-// shared core.Report encoding per entry. -mc-trials appends a sharded Monte
-// Carlo validation of the analytic distribution to the report.
+// Every mode but explain also takes -model-cache and -model-cache-dir. A
+// mode takes only the flags it reads: any other flag is a usage error. Run
+// with no arguments to list the available benchmarks.
+//
+// batch runs a suite file ({"entries":[{"benchmark":...,"scenarios":...}]})
+// through the shared framework with identical entries computed once; results
+// stream as text rows, or -json emits one document reusing the shared
+// core.Report encoding per entry. -mc-trials appends a sharded Monte Carlo
+// validation of the analytic distribution to the report.
 //
 // -voltage/-temp evaluate at an explicit operating condition (the cell-delay
 // scaling law inflates delays and variability as the supply droops or the die
-// heats); zero means the nominal 1.1 V / 25 C corner. -oppoint bisects the
+// heats); zero means the nominal 1.1 V / 25 C corner. oppoint bisects the
 // fastest frequency ratio whose error rate stays at or below -target at that
 // condition and prints the resulting operating point (or -json, one document
 // mirroring a point of tsperrd's /v1/oppoint response).
+//
+// table2 and figure3 regenerate Table 2 and Figure 3 of the paper. report is
+// the one-shot "regenerate everything" entry point: a single markdown report
+// with Table 2, a Figure 3 CDF table per benchmark, the operating-point
+// anchors, and a Monte Carlo validation section; with -json it emits the
+// operating point and every benchmark's core.Report in the shared JSON schema
+// instead (the Monte Carlo section is markdown-only).
 //
 // Exit status is 2 for usage errors and 1 for analysis failures (in batch
 // mode: if any entry failed); on failure every failing scenario is reported
@@ -31,6 +48,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -39,20 +57,11 @@ import (
 	"strings"
 	"time"
 
-	"tsperr/internal/cell"
 	"tsperr/internal/cliutil"
 	"tsperr/internal/core"
 	"tsperr/internal/harness"
 	"tsperr/internal/mibench"
 )
-
-// oppointUsage is the -oppoint usage line, printed with exit status 2.
-const oppointUsage = "usage: tsperr -oppoint -target F [-min-ratio R] [-max-ratio R] [-steps N] [-voltage V] [-temp C] [-json] <benchmark>"
-
-// splitLines breaks a FailureDetail block into lines for indentation.
-func splitLines(s string) []string {
-	return strings.Split(strings.TrimRight(s, "\n"), "\n")
-}
 
 const explainText = `The framework follows the flow of Figures 1 and 2 of the paper:
 
@@ -76,116 +85,160 @@ const explainText = `The framework follows the flow of Figures 1 and 2 of the pa
     approximately Normal; Chen-Stein and Stein bounds quantify the
     approximation error (Section 5); Equation (14) gives the CDF.`
 
+// usage is the bare command's synopsis, listing every mode.
+const usage = `usage: tsperr [flags] <benchmark>
+       tsperr batch [flags] <suite.json>
+       tsperr oppoint [flags] <benchmark>
+       tsperr surrogate-eval [flags]
+       tsperr table2 | figure3 | report [flags]
+       tsperr explain
+Run 'tsperr <mode> -h' for a mode's flags. The estimate's flags:`
+
+// modes maps each subcommand to its entry point; any other first argument
+// starts the single-benchmark estimate.
+var modes = map[string]func(args []string){
+	"batch":          runBatch,
+	"oppoint":        runOppoint,
+	"surrogate-eval": runSurrogateEval,
+	"explain":        runExplain,
+	"table2":         runTable2,
+	"figure3":        runFigure3,
+	"report":         runReport,
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tsperr: ")
-	scenarios := flag.Int("scenarios", harness.DefaultScenarios, "input datasets")
-	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of the text summary")
-	explain := flag.Bool("explain", false, "print the estimation-flow walkthrough and exit")
-	timeout := flag.Duration("timeout", 0, "abort the analysis after this duration (0 = none)")
-	retries := flag.Int("retries", 0, "per-scenario retries for transient failures")
-	minScenarios := flag.Int("min-scenarios", 0,
-		"proceed degraded if at least this many scenarios survive (0 = all must succeed)")
-	mcTrials := flag.Int("mc-trials", 0,
-		"validate the analytic distribution with this many sharded Monte Carlo trials (0 = off)")
-	mcSeed := flag.Uint64("mc-seed", 0, "Monte Carlo seed (0 = the pipeline default)")
-	batchPath := flag.String("batch", "",
-		"run a JSON suite file instead of one benchmark; identical entries compute once")
-	surrogateEval := flag.Bool("surrogate-eval", false,
-		"evaluate the ML surrogate fast tier: label the suite exactly, train on a split, print the coverage-vs-accuracy curve")
-	surrogateHoldout := flag.Float64("surrogate-holdout", 0,
-		"held-out fraction for -surrogate-eval (0 = 0.3 default)")
-	surrogateSeed := flag.Uint64("surrogate-seed", 42, "train/test split seed for -surrogate-eval")
-	voltage := flag.Float64("voltage", 0, "supply voltage in volts (0 = nominal 1.1)")
-	temp := flag.Float64("temp", 0, "die temperature in C (0 = nominal 25)")
-	oppointMode := flag.Bool("oppoint", false,
-		"bisect the fastest frequency ratio meeting -target at the given condition")
-	target := flag.Float64("target", 0.01, "target error rate for -oppoint (fraction, not percent)")
-	minRatio := flag.Float64("min-ratio", 1.0, "lower frequency-ratio bound for -oppoint")
-	maxRatio := flag.Float64("max-ratio", 1.3, "upper frequency-ratio bound for -oppoint")
-	steps := flag.Int("steps", 16, "bisection steps for -oppoint")
-	modelCache := cliutil.ModelCacheFlags()
-	flag.Parse()
-	harness.SetModelCache(modelCache())
-	cond := cell.OperatingCondition{VoltageV: *voltage, TempC: *temp}
-	if err := harness.SetOperatingCondition(cond); err != nil {
-		fmt.Fprintf(os.Stderr, "tsperr: %v\n", err)
-		os.Exit(cliutil.ExitUsage)
+	if len(os.Args) > 1 {
+		if run, ok := modes[os.Args[1]]; ok {
+			run(os.Args[2:])
+			return
+		}
 	}
+	runEstimate(os.Args[1:])
+}
 
-	if *explain {
-		fmt.Println(explainText)
-		return
+// newFlagSet returns the flag set of one mode. Its usage message is the
+// mode's synopsis followed by its flags; parsing a flag the mode does not
+// register exits 2 with a message naming it.
+func newFlagSet(name, synopsis string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), synopsis)
+		fs.PrintDefaults()
 	}
-	if *surrogateEval {
-		if flag.NArg() != 0 || *batchPath != "" {
-			fmt.Fprintln(os.Stderr, "usage: tsperr -surrogate-eval [-surrogate-holdout F] [-surrogate-seed S] [-timeout D] [-json]")
-			os.Exit(cliutil.ExitUsage)
-		}
-		runSurrogateEval(*timeout, *surrogateHoldout, *surrogateSeed, *jsonOut)
-		return
-	}
-	if *oppointMode {
-		if flag.NArg() != 1 || *batchPath != "" {
-			fmt.Fprintln(os.Stderr, oppointUsage)
-			os.Exit(cliutil.ExitUsage)
-		}
-		runOppoint(flag.Arg(0), *scenarios, *timeout, cond,
-			*target, *minRatio, *maxRatio, *steps, *jsonOut)
-		return
-	}
-	opts := core.AnalyzeOpts{
-		Retries:      *retries,
-		MinScenarios: *minScenarios,
-		MCTrials:     *mcTrials,
-		MCSeed:       *mcSeed,
-	}
-	if *batchPath != "" {
-		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: tsperr -batch suite.json [-json] [flags] (no benchmark argument)")
-			os.Exit(cliutil.ExitUsage)
-		}
-		runBatch(*batchPath, *timeout, *scenarios, opts, *jsonOut)
-		return
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tsperr [-scenarios N] [-timeout D] [-retries N] [-min-scenarios N] [-mc-trials N] [-json] [-explain] <benchmark>")
-		fmt.Fprintln(os.Stderr, "       tsperr -batch suite.json [-json] [flags]")
-		fmt.Fprintln(os.Stderr, "available benchmarks:")
-		for _, b := range mibench.All() {
-			fmt.Fprintf(os.Stderr, "  %-13s (%s)\n", b.Name, b.Category)
-		}
+	return fs
+}
+
+// parse parses a mode's arguments and requires exactly npos positional
+// arguments after the flags; any other count is a usage error.
+func parse(fs *flag.FlagSet, args []string, npos int) {
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
+	if fs.NArg() != npos {
+		fs.Usage()
 		os.Exit(cliutil.ExitUsage)
 	}
-	name := flag.Arg(0)
-	ctx, cancel := cliutil.Context(*timeout)
-	defer cancel()
-	rep, err := harness.AnalyzeWithOpts(ctx, name, *scenarios, opts)
+}
+
+// printDetail writes a FailureDetail block to stderr, one indented line per
+// failing scenario.
+func printDetail(err error) {
+	for _, line := range strings.Split(strings.TrimRight(harness.FailureDetail(err), "\n"), "\n") {
+		fmt.Fprintf(os.Stderr, "  %s\n", line)
+	}
+}
+
+// analyze runs one benchmark through the shared framework and exits 1 with
+// the per-scenario failure detail if the analysis fails.
+func analyze(ctx context.Context, name string, scenarios int, opts core.AnalyzeOpts) *core.Report {
+	rep, err := harness.AnalyzeWithOpts(ctx, name, scenarios, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tsperr: %s: analysis failed:\n", name)
-		for _, line := range splitLines(harness.FailureDetail(err)) {
-			fmt.Fprintf(os.Stderr, "  %s\n", line)
-		}
+		printDetail(err)
 		os.Exit(cliutil.ExitFailure)
 	}
+	return rep
+}
+
+// sharedFramework returns the harness's shared framework, exiting 1 if it
+// cannot be built.
+func sharedFramework() *core.Framework {
+	f, err := harness.SharedFramework()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return f
+}
+
+// jsonDoc encodes v as the modes print it: indented, newline-terminated.
+// Reports use the shared core.Report encoding, the same document tsperrd
+// serves, so scripted consumers parse one schema regardless of entry point.
+func jsonDoc(v any) []byte {
+	buf, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		log.Fatal(err)
+	}
+	return append(buf, '\n')
+}
+
+func runExplain(args []string) {
+	parse(newFlagSet("explain", "usage: tsperr explain"), args, 0)
+	fmt.Println(explainText)
+}
+
+// estimateArgs are the parsed flags of the single-benchmark estimate, which
+// batch mode shares: each suite entry is one estimate.
+type estimateArgs struct {
+	arg       string // the benchmark, or batch mode's suite file
+	scenarios int
+	timeout   time.Duration
+	opts      core.AnalyzeOpts
+	json      bool
+}
+
+// parseEstimate registers the estimate's flags on fs, parses args, and
+// applies the model cache and operating condition they select.
+func parseEstimate(fs *flag.FlagSet, args []string) estimateArgs {
+	var a estimateArgs
+	scenarios := cliutil.Scenarios(fs)
+	timeout := cliutil.Timeout(fs)
+	cliutil.Resilience(fs, &a.opts)
+	fs.IntVar(&a.opts.MCTrials, "mc-trials", 0,
+		"validate the analytic distribution with this many sharded Monte Carlo trials (0 = off)")
+	fs.Uint64Var(&a.opts.MCSeed, "mc-seed", 0, "Monte Carlo seed (0 = the pipeline default)")
+	fs.BoolVar(&a.json, "json", false, "emit JSON (the shared core.Report encoding) instead of text")
+	condition := cliutil.Condition(fs)
+	modelCache := cliutil.ModelCache(fs)
+	parse(fs, args, 1)
+	harness.SetModelCache(modelCache())
+	condition()
+	a.arg, a.scenarios, a.timeout = fs.Arg(0), *scenarios, *timeout
+	return a
+}
+
+func runEstimate(args []string) {
+	fs := newFlagSet("tsperr", usage)
+	flagUsage := fs.Usage
+	fs.Usage = func() {
+		flagUsage()
+		fmt.Fprintln(fs.Output(), "available benchmarks:")
+		for _, b := range mibench.All() {
+			fmt.Fprintf(fs.Output(), "  %-13s (%s)\n", b.Name, b.Category)
+		}
+	}
+	a := parseEstimate(fs, args)
+	ctx, cancel := cliutil.Context(a.timeout)
+	defer cancel()
+	rep := analyze(ctx, a.arg, a.scenarios, a.opts)
 	if rep.Degraded {
 		fmt.Fprintf(os.Stderr, "tsperr: warning: degraded run, %d scenario(s) dropped:\n", rep.FailedScenarios)
-		for _, line := range splitLines(harness.FailureDetail(rep.Failures)) {
-			fmt.Fprintf(os.Stderr, "  %s\n", line)
-		}
+		printDetail(rep.Failures)
 	}
-	if *jsonOut {
-		// The shared core.Report encoding — the same document tsperrd serves
-		// — so scripted consumers parse one schema regardless of entry point.
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(buf))
+	if a.json {
+		os.Stdout.Write(jsonDoc(rep))
 		return
 	}
-	f, _ := harness.SharedFramework()
-	pm := f.PerfModel()
+	pm := sharedFramework().PerfModel()
 	e := rep.Estimate
 
 	fmt.Println(harness.Table2Header())
@@ -212,11 +265,11 @@ func main() {
 		verdict = "is hurt by timing speculation"
 	}
 	fmt.Printf("performance at 1.15x frequency with replay-at-half-frequency: %+.2f%% — %s %s\n",
-		imp, name, verdict)
+		imp, a.arg, verdict)
 	fmt.Printf("break-even error rate: %.3f%%\n", 100*pm.BreakEvenErrorRate())
 }
 
-// batchItemJSON is one entry of the -batch -json document; Report reuses the
+// batchItemJSON is one entry of the batch -json document; Report reuses the
 // shared core.Report encoding, the same schema tsperrd serves.
 type batchItemJSON struct {
 	Index      int          `json:"index"`
@@ -239,17 +292,18 @@ type batchJSON struct {
 // runBatch executes a suite file. Text mode streams one row per entry as it
 // lands; JSON mode emits the whole document at the end. Exits 1 when any
 // entry failed, 2 when the suite itself is unusable.
-func runBatch(path string, timeout time.Duration, scenarios int, opts core.AnalyzeOpts, jsonOut bool) {
-	suite, err := harness.LoadSuite(path)
+func runBatch(args []string) {
+	a := parseEstimate(newFlagSet("batch", "usage: tsperr batch [flags] <suite.json>"), args)
+	suite, err := harness.LoadSuite(a.arg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsperr: %v\n", err)
+		log.Print(err)
 		os.Exit(cliutil.ExitUsage)
 	}
-	ctx, cancel := cliutil.Context(timeout)
+	ctx, cancel := cliutil.Context(a.timeout)
 	defer cancel()
 
 	var onResult func(core.BatchItemResult)
-	if !jsonOut {
+	if !a.json {
 		fmt.Println(harness.Table2Header())
 		onResult = func(r core.BatchItemResult) {
 			switch {
@@ -262,12 +316,12 @@ func runBatch(path string, timeout time.Duration, scenarios int, opts core.Analy
 			}
 		}
 	}
-	res, err := harness.RunSuite(ctx, suite, opts, scenarios, onResult)
+	res, err := harness.RunSuite(ctx, suite, a.opts, a.scenarios, onResult)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsperr: %v\n", err)
+		log.Print(err)
 		os.Exit(cliutil.ExitFailure)
 	}
-	if jsonOut {
+	if a.json {
 		doc := batchJSON{
 			Items:      make([]batchItemJSON, len(res.Items)),
 			Computed:   res.Computed,
@@ -284,11 +338,7 @@ func runBatch(path string, timeout time.Duration, scenarios int, opts core.Analy
 				doc.Items[i].Error = r.Err.Error()
 			}
 		}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(buf))
+		os.Stdout.Write(jsonDoc(doc))
 	} else {
 		fmt.Printf("suite: %d entries, %d computed, %d deduped, %d failed in %.2fs\n",
 			len(res.Items), res.Computed, res.Deduped, res.Failed, res.Elapsed.Seconds())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -84,7 +85,7 @@ func TestSmokeUnknownBenchmarkIsAnalysisFailure(t *testing.T) {
 }
 
 func TestSmokeExplain(t *testing.T) {
-	code, stdout, stderr := runSelf(t, "-explain")
+	code, stdout, stderr := runSelf(t, "explain")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\nstderr: %s", code, stderr)
 	}
@@ -94,28 +95,28 @@ func TestSmokeExplain(t *testing.T) {
 }
 
 func TestSmokeBatchMissingSuiteFile(t *testing.T) {
-	code, _, stderr := runSelf(t, "-batch", "/no/such/suite.json")
+	code, _, stderr := runSelf(t, "batch", "/no/such/suite.json")
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2 (usage)\nstderr: %s", code, stderr)
 	}
 }
 
 func TestSmokeBatchRejectsPositionalArg(t *testing.T) {
-	code, _, stderr := runSelf(t, "-batch", "suite.json", "dijkstra")
-	if code != 2 || !strings.Contains(stderr, "no benchmark argument") {
+	code, _, stderr := runSelf(t, "batch", "suite.json", "dijkstra")
+	if code != 2 || !strings.Contains(stderr, "usage: tsperr batch") {
 		t.Fatalf("exit = %d, stderr = %s; want usage error", code, stderr)
 	}
 }
 
 func TestSmokeOppointMissingBenchmarkIsUsage(t *testing.T) {
-	code, _, stderr := runSelf(t, "-oppoint", "-target", "0.01")
-	if code != 2 || !strings.Contains(stderr, "usage: tsperr -oppoint") {
+	code, _, stderr := runSelf(t, "oppoint", "-target", "0.01")
+	if code != 2 || !strings.Contains(stderr, "usage: tsperr oppoint") {
 		t.Fatalf("exit = %d, stderr = %s; want oppoint usage error", code, stderr)
 	}
 }
 
 func TestSmokeOppointBadTargetIsUsage(t *testing.T) {
-	code, _, stderr := runSelf(t, "-oppoint", "-target", "2", "typeset")
+	code, _, stderr := runSelf(t, "oppoint", "-target", "2", "typeset")
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2 (usage)\nstderr: %s", code, stderr)
 	}
@@ -132,22 +133,22 @@ func TestSmokeOppointBadGridIsUsage(t *testing.T) {
 		{"-min-ratio", "1.3", "-max-ratio", "1.1"},
 		{"-min-ratio", "NaN"},
 	} {
-		code, _, stderr := runSelf(t, append(append([]string{"-oppoint"}, args...), "typeset")...)
-		if code != 2 || !strings.Contains(stderr, "usage: tsperr -oppoint") {
+		code, _, stderr := runSelf(t, append(append([]string{"oppoint"}, args...), "typeset")...)
+		if code != 2 || !strings.Contains(stderr, "usage: tsperr oppoint") {
 			t.Errorf("%v: exit = %d, stderr = %s; want oppoint usage error", args, code, stderr)
 		}
 	}
 }
 
 func TestSmokeOppointBadVoltageIsUsage(t *testing.T) {
-	code, _, stderr := runSelf(t, "-oppoint", "-voltage", "9", "typeset")
+	code, _, stderr := runSelf(t, "oppoint", "-voltage", "9", "typeset")
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2 (usage)\nstderr: %s", code, stderr)
 	}
 }
 
 func TestSmokeOppointUnknownBenchmarkIsAnalysisFailure(t *testing.T) {
-	code, _, stderr := runSelf(t, "-oppoint", "no-such-benchmark")
+	code, _, stderr := runSelf(t, "oppoint", "no-such-benchmark")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 (analysis failure)\nstderr: %s", code, stderr)
 	}
@@ -157,8 +158,8 @@ func TestSmokeOppointUnknownBenchmarkIsAnalysisFailure(t *testing.T) {
 }
 
 func TestSmokeOppointRejectsBatch(t *testing.T) {
-	code, _, stderr := runSelf(t, "-oppoint", "-batch", "suite.json")
-	if code != 2 || !strings.Contains(stderr, "usage: tsperr -oppoint") {
+	code, _, stderr := runSelf(t, "oppoint", "-batch", "suite.json")
+	if code != 2 || !strings.Contains(stderr, "usage: tsperr oppoint") {
 		t.Fatalf("exit = %d, stderr = %s; want oppoint usage error", code, stderr)
 	}
 }
@@ -168,8 +169,73 @@ func TestSmokeBatchMalformedSuite(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, _, stderr := runSelf(t, "-batch", path)
+	code, _, stderr := runSelf(t, "batch", path)
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2 (usage)\nstderr: %s", code, stderr)
+	}
+}
+
+// A mode takes only the flags it reads: any other flag is a usage error
+// naming it, never silently dropped.
+func TestSmokeFlagOutsideModeIsUsage(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"target", []string{"-target", "0.1", "no-such-benchmark"}},
+		{"retries", []string{"oppoint", "-retries", "1", "typeset"}},
+		{"retries", []string{"figure3", "-retries", "1"}},
+	} {
+		code, _, stderr := runSelf(t, c.args...)
+		if code != 2 || !strings.Contains(stderr, "not defined: -"+c.flag) {
+			t.Errorf("%v: exit = %d, stderr = %s; want a usage error naming -%s", c.args, code, stderr, c.flag)
+		}
+	}
+}
+
+func TestSmokeReportUnknownFlag(t *testing.T) {
+	code, _, stderr := runSelf(t, "report", "-no-such-flag")
+	if code != 2 || !strings.Contains(stderr, "no-such-flag") {
+		t.Fatalf("exit = %d, stderr = %s; want flag error", code, stderr)
+	}
+}
+
+func TestSmokeReportHelpListsFlags(t *testing.T) {
+	code, _, stderr := runSelf(t, "report", "-h")
+	if code != 0 {
+		t.Fatalf("exit = %d, want 0 for -h\nstderr: %s", code, stderr)
+	}
+	for _, f := range []string{"-scenarios", "-json", "-model-cache"} {
+		if !strings.Contains(stderr, f) {
+			t.Errorf("help output missing %s: %s", f, stderr)
+		}
+	}
+}
+
+// TestResultGoldens pins the figure3 and report modes to bytes the earlier
+// standalone figure3 and report binaries printed, from a cold (uncached)
+// build.
+func TestResultGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a framework and analyzes every benchmark")
+	}
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"figure3_typeset.csv", []string{"figure3", "-model-cache=false", "-bench", "typeset", "-scenarios", "1", "-csv"}},
+		{"report.md", []string{"report", "-model-cache=false", "-scenarios", "1"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runSelf(t, c.args...)
+		if code != 0 {
+			t.Fatalf("%v: exit = %d\nstderr: %s", c.args, code, stderr)
+		}
+		if stdout != string(want) {
+			t.Errorf("%v: output drifted from testdata/%s:\n%s", c.args, c.golden, stdout)
+		}
 	}
 }

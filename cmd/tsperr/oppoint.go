@@ -2,14 +2,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"os"
-	"time"
 
-	"tsperr/internal/cell"
 	"tsperr/internal/cliutil"
 	"tsperr/internal/core"
 	"tsperr/internal/errormodel"
@@ -17,7 +14,7 @@ import (
 	"tsperr/internal/mibench"
 )
 
-// oppointJSON is the -oppoint -json document: the bisection outcome at one
+// oppointJSON is the oppoint -json document: the bisection outcome at one
 // operating condition, mirroring one point of tsperrd's /v1/oppoint response.
 type oppointJSON struct {
 	Benchmark         string  `json:"benchmark"`
@@ -36,37 +33,50 @@ type oppointJSON struct {
 }
 
 // runOppoint bisects the fastest frequency ratio meeting the target error
-// rate at one operating condition (tsperr -oppoint). Exit status follows the
+// rate at one operating condition (tsperr oppoint). Exit status follows the
 // command contract: 2 for usage errors, including a target or ratio grid the
 // search rejects; 1 for analysis failures; an infeasible target is a result,
 // not a failure.
-func runOppoint(name string, scenarios int, timeout time.Duration, cond cell.OperatingCondition,
-	target, minRatio, maxRatio float64, steps int, jsonOut bool) {
+func runOppoint(args []string) {
+	fs := newFlagSet("oppoint", "usage: tsperr oppoint [flags] <benchmark>")
+	target := fs.Float64("target", 0.01, "target error rate (fraction, not percent)")
+	minRatio := fs.Float64("min-ratio", 1.0, "lower frequency-ratio bound")
+	maxRatio := fs.Float64("max-ratio", 1.3, "upper frequency-ratio bound")
+	steps := fs.Int("steps", 16, "bisection steps")
+	scenarios := cliutil.Scenarios(fs)
+	timeout := cliutil.Timeout(fs)
+	jsonOut := fs.Bool("json", false, "emit the operating point as JSON instead of text")
+	condition := cliutil.Condition(fs)
+	modelCache := cliutil.ModelCache(fs)
+	parse(fs, args, 1)
+	harness.SetModelCache(modelCache())
+	cond := condition()
+	name := fs.Arg(0)
+
 	// Unknown benchmark is an analysis failure (exit 1), matching the plain
 	// single-benchmark mode; checking upfront avoids building a framework
 	// just to discover the name is bad.
 	if _, err := mibench.ByName(name); err != nil {
-		fmt.Fprintf(os.Stderr, "tsperr: %v\n", err)
+		log.Print(err)
 		os.Exit(cliutil.ExitFailure)
 	}
-	ctx, cancel := cliutil.Context(timeout)
+	ctx, cancel := cliutil.Context(*timeout)
 	defer cancel()
 
-	analyze := func(ctx context.Context, ratio float64) (*core.Report, error) {
-		return harness.AnalyzeAtPoint(ctx, name, scenarios, core.AnalyzeOpts{}, cond, ratio)
+	probe := func(ctx context.Context, ratio float64) (*core.Report, error) {
+		return harness.AnalyzeAtPoint(ctx, name, *scenarios, core.AnalyzeOpts{}, cond, ratio)
 	}
-	op, err := core.SelectOperatingPoint(ctx, minRatio, maxRatio, steps, target, analyze)
+	op, err := core.SelectOperatingPoint(ctx, *minRatio, *maxRatio, *steps, *target, probe)
 	if errors.Is(err, core.ErrBadSearch) {
 		// The search checks its arguments before the first probe, so no
 		// framework was built.
-		fmt.Fprintf(os.Stderr, "tsperr: %v\n%s\n", err, oppointUsage)
+		log.Print(err)
+		fs.Usage()
 		os.Exit(cliutil.ExitUsage)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tsperr: %s: oppoint search failed:\n", name)
-		for _, line := range splitLines(harness.FailureDetail(err)) {
-			fmt.Fprintf(os.Stderr, "  %s\n", line)
-		}
+		printDetail(err)
 		os.Exit(cliutil.ExitFailure)
 	}
 
@@ -75,7 +85,7 @@ func runOppoint(name string, scenarios int, timeout time.Duration, cond cell.Ope
 		Benchmark:         name,
 		VoltageV:          cond.Norm().VoltageV,
 		TempC:             cond.Norm().TempC,
-		TargetErrorRate:   target,
+		TargetErrorRate:   *target,
 		BaseFreqMHz:       baseFreq,
 		Feasible:          op.Feasible,
 		Ratio:             op.Ratio,
@@ -87,17 +97,13 @@ func runOppoint(name string, scenarios int, timeout time.Duration, cond cell.Ope
 		Evals:             op.Evals,
 	}
 
-	if jsonOut {
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(buf))
+	if *jsonOut {
+		os.Stdout.Write(jsonDoc(doc))
 		return
 	}
 	fmt.Printf("%s: operating-point search at %s (base %.0f MHz)\n", name, cond, baseFreq)
 	fmt.Printf("target error rate: %.3g over ratios [%.4g, %.4g] in %d steps (%d evals)\n",
-		target, minRatio, maxRatio, steps, op.Evals)
+		*target, *minRatio, *maxRatio, *steps, op.Evals)
 	if !op.Feasible {
 		fmt.Printf("INFEASIBLE: even ratio %.4f has error rate %.3g > target\n",
 			op.Ratio, op.ErrorRate)

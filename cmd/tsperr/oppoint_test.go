@@ -15,7 +15,7 @@ import (
 	"tsperr/internal/server"
 )
 
-// TestOppointMatchesDaemon runs one search through tsperr -oppoint and
+// TestOppointMatchesDaemon runs one search through tsperr oppoint and
 // through tsperrd's POST /v1/oppoint, at nominal and at a droop corner, and
 // requires every field the two documents share to agree bit for bit.
 func TestOppointMatchesDaemon(t *testing.T) {
@@ -43,7 +43,7 @@ func TestOppointMatchesDaemon(t *testing.T) {
 	flt := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	// A mild droop corner: its cold build is fast enough for the race run.
 	for _, cond := range []cell.OperatingCondition{{}, {VoltageV: 1.08, TempC: 40}} {
-		code, stdout, stderr := runSelf(t, "-oppoint", "-json", "-model-cache=false",
+		code, stdout, stderr := runSelf(t, "oppoint", "-json", "-model-cache=false",
 			"-scenarios", strconv.Itoa(scenarios), "-steps", strconv.Itoa(steps),
 			"-target", flt(target), "-min-ratio", flt(minRatio), "-max-ratio", flt(maxRatio),
 			"-voltage", flt(cond.VoltageV), "-temp", flt(cond.TempC), bench)

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"log"
 	"os"
 	"time"
 
@@ -21,8 +19,18 @@ var surrogateEvalBounds = []float64{0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.35, 0.5,
 // the surrogate on a split, and reports how the confidence gate trades
 // coverage (fraction of held-out requests served) against accuracy (MAE in
 // log10 error-rate units) as the uncertainty bound sweeps.
-func runSurrogateEval(timeout time.Duration, holdout float64, seed uint64, jsonOut bool) {
-	ctx, cancel := cliutil.Context(timeout)
+func runSurrogateEval(args []string) {
+	fs := newFlagSet("surrogate-eval", "usage: tsperr surrogate-eval [flags]")
+	holdout := fs.Float64("surrogate-holdout", 0, "held-out fraction (0 = 0.3 default)")
+	seed := fs.Uint64("surrogate-seed", 42, "train/test split seed")
+	timeout := cliutil.Timeout(fs)
+	jsonOut := fs.Bool("json", false, "emit the evaluation as JSON instead of text")
+	condition := cliutil.Condition(fs)
+	modelCache := cliutil.ModelCache(fs)
+	parse(fs, args, 0)
+	harness.SetModelCache(modelCache())
+	condition()
+	ctx, cancel := cliutil.Context(*timeout)
 	defer cancel()
 	t0 := time.Now()
 	samples, err := harness.SurrogateEvalSamples(ctx, nil, nil)
@@ -32,21 +40,17 @@ func runSurrogateEval(timeout time.Duration, holdout float64, seed uint64, jsonO
 	}
 	label := time.Since(t0)
 	res, err := surrogate.Eval(samples, surrogate.Config{Fingerprint: "eval"},
-		surrogateEvalBounds, holdout, seed)
+		surrogateEvalBounds, *holdout, *seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tsperr: surrogate eval: %v\n", err)
 		os.Exit(cliutil.ExitFailure)
 	}
-	if jsonOut {
-		buf, err := json.MarshalIndent(struct {
+	if *jsonOut {
+		os.Stdout.Write(jsonDoc(struct {
 			Samples  int                   `json:"samples"`
 			LabelSec float64               `json:"label_sec"`
 			Result   *surrogate.EvalResult `json:"result"`
-		}{len(samples), label.Seconds(), res}, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(buf))
+		}{len(samples), label.Seconds(), res}))
 		return
 	}
 	fmt.Printf("surrogate eval: %d labeled samples (exact pipeline, %.1fs), train %d / held-out %d\n",

@@ -161,21 +161,15 @@ func main() {
 		"exact results observed before the surrogate first trains (0 = 32 default)")
 	surrogateRetrain := flag.Int("surrogate-retrain", 0,
 		"new observations between surrogate retrainings (0 = 16 default)")
-	voltage := flag.Float64("voltage", 0,
-		"supply voltage in volts the daemon serves at (0 = nominal 1.1)")
-	temp := flag.Float64("temp", 0,
-		"die temperature in C the daemon serves at (0 = nominal 25)")
-	modelCache := cliutil.ModelCacheFlags()
+	condition := cliutil.Condition(flag.CommandLine)
+	modelCache := cliutil.ModelCache(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: tsperrd [-listen addr] [flags]; run with -h for the list")
 		os.Exit(cliutil.ExitUsage)
 	}
 	harness.SetModelCache(modelCache())
-	if err := harness.SetOperatingCondition(cell.OperatingCondition{VoltageV: *voltage, TempC: *temp}); err != nil {
-		fmt.Fprintf(os.Stderr, "tsperrd: %v\n", err)
-		os.Exit(cliutil.ExitUsage)
-	}
+	condition()
 
 	// The same content address the model cache files under: options (with the
 	// operating condition) plus the cell library. Request keys therefore never
@@ -281,18 +275,9 @@ func main() {
 			log.Fatalf("model warm-up failed: %v", err)
 		}
 		if lazyTier != nil {
-			dir := ""
-			if enabled, d := modelCache(); enabled {
-				if d == "" {
-					if def, err := modelcache.DefaultDir(); err == nil {
-						d = def
-					}
-				}
-				dir = d
-			}
 			tier, err := surrogate.New(surrogate.Config{
 				Fingerprint:  fingerprint,
-				Dir:          dir,
+				Dir:          harness.ModelCacheDir(),
 				MaxStd:       *surrogateMaxStd,
 				GuardBand:    *surrogateGuardBand,
 				MinTrain:     *surrogateMinTrain,

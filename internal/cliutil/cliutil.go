@@ -1,15 +1,22 @@
 // Package cliutil holds the run-layer plumbing shared by the cmd/ tools:
-// a root context wired to the -timeout flag and to SIGINT/SIGTERM, and the
-// distinguished exit codes of the estimation CLIs.
+// the flags several commands read, a root context wired to the -timeout flag
+// and to SIGINT/SIGTERM, and the distinguished exit codes of the estimation
+// CLIs. Each flag helper registers on the flag set it is given, so a command
+// or subcommand declares exactly the flags it reads.
 package cliutil
 
 import (
 	"context"
 	"flag"
+	"log"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
+
+	"tsperr/internal/cell"
+	"tsperr/internal/core"
+	"tsperr/internal/harness"
 )
 
 // Exit codes shared by the cmd/ tools: usage errors are distinguishable
@@ -21,15 +28,49 @@ const (
 	ExitUsage = 2
 )
 
-// ModelCacheFlags registers the shared -model-cache and -model-cache-dir
-// flags on the default flag set and returns a function to read them after
-// flag.Parse. The cache defaults to on for the CLI tools (the library keeps
-// it off), so repeated invocations skip the once-per-design calibration and
-// training; -model-cache=false forces a cold build.
-func ModelCacheFlags() func() (enabled bool, dir string) {
-	enabled := flag.Bool("model-cache", true,
+// Scenarios registers -scenarios, the input datasets per benchmark.
+func Scenarios(fs *flag.FlagSet) *int {
+	return fs.Int("scenarios", harness.DefaultScenarios, "input datasets per benchmark")
+}
+
+// Timeout registers -timeout; pass its value to Context.
+func Timeout(fs *flag.FlagSet) *time.Duration {
+	return fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
+}
+
+// Resilience registers -retries and -min-scenarios into opts.
+func Resilience(fs *flag.FlagSet, opts *core.AnalyzeOpts) {
+	fs.IntVar(&opts.Retries, "retries", 0, "per-scenario retries for transient failures")
+	fs.IntVar(&opts.MinScenarios, "min-scenarios", 0,
+		"proceed degraded if at least this many scenarios survive per benchmark (0 = all must succeed)")
+}
+
+// Condition registers -voltage and -temp. The returned function, called
+// after parsing, sets them as the harness's operating condition and returns
+// it; a condition outside the cell library's range is a usage error, logged
+// before the process exits with ExitUsage.
+func Condition(fs *flag.FlagSet) func() cell.OperatingCondition {
+	voltage := fs.Float64("voltage", 0, "supply voltage in volts (0 = nominal 1.1)")
+	temp := fs.Float64("temp", 0, "die temperature in C (0 = nominal 25)")
+	return func() cell.OperatingCondition {
+		cond := cell.OperatingCondition{VoltageV: *voltage, TempC: *temp}
+		if err := harness.SetOperatingCondition(cond); err != nil {
+			log.Print(err)
+			os.Exit(ExitUsage)
+		}
+		return cond
+	}
+}
+
+// ModelCache registers -model-cache and -model-cache-dir and returns a
+// function to read them after parsing. The cache defaults to on for the CLI
+// tools (the library keeps it off), so repeated invocations skip the
+// once-per-design calibration and training; -model-cache=false forces a
+// cold build.
+func ModelCache(fs *flag.FlagSet) func() (enabled bool, dir string) {
+	enabled := fs.Bool("model-cache", true,
 		"reuse calibrated+trained models from the on-disk cache")
-	dir := flag.String("model-cache-dir", "",
+	dir := fs.String("model-cache-dir", "",
 		"model cache directory (default: the user cache dir)")
 	return func() (bool, string) { return *enabled, *dir }
 }

@@ -61,18 +61,18 @@ func TestContextCancelledBySignal(t *testing.T) {
 }
 
 func TestModelCacheFlags(t *testing.T) {
-	// The flags register on the default set (that is the package contract —
-	// every cmd/ tool shares flag.CommandLine), so this test reads defaults
-	// and then flips values via flag.Set rather than re-parsing.
-	read := ModelCacheFlags()
+	// The flags register on the flag set they are given, so this test reads
+	// defaults and then flips values via Set rather than re-parsing.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	read := ModelCache(fs)
 	enabled, dir := read()
 	if !enabled || dir != "" {
 		t.Fatalf("defaults = (%v, %q), want (true, \"\")", enabled, dir)
 	}
-	if err := flag.Set("model-cache", "false"); err != nil {
+	if err := fs.Set("model-cache", "false"); err != nil {
 		t.Fatal(err)
 	}
-	if err := flag.Set("model-cache-dir", "/tmp/mc"); err != nil {
+	if err := fs.Set("model-cache-dir", "/tmp/mc"); err != nil {
 		t.Fatal(err)
 	}
 	enabled, dir = read()

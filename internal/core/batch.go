@@ -49,18 +49,6 @@ type BatchItemResult struct {
 	Elapsed time.Duration
 }
 
-// BatchOpts tunes one EstimateBatch run.
-type BatchOpts struct {
-	// OnResult, when non-nil, streams each item's result as soon as it is
-	// known (computation finished, reused, or failed), in suite order. It is
-	// called synchronously from the batch loop.
-	OnResult func(BatchItemResult)
-	// StopOnError aborts the batch at the first failing item; the remaining
-	// items carry that item's error context. Default is to keep going so one
-	// bad benchmark does not sink a 30-entry sweep.
-	StopOnError bool
-}
-
 // BatchResult is the outcome of a suite.
 type BatchResult struct {
 	// Items holds one result per submitted item, in suite order.
@@ -80,10 +68,15 @@ type BatchResult struct {
 // marginal solves, sharded Monte Carlo chunks) already fan out over the
 // bounded worker pool, so batch-level parallelism would only oversubscribe
 // it. Identical items (equal Key()) are computed once and fanned out, which
-// is what makes a suite of near-duplicate sweep points cheap. Cancellation
-// stops between items; completed results are kept and the remaining items
-// carry the context error.
-func (f *Framework) EstimateBatch(ctx context.Context, items []BatchItem, opts BatchOpts) (*BatchResult, error) {
+// is what makes a suite of near-duplicate sweep points cheap. A failing item
+// does not stop the batch, so one bad benchmark does not sink a 30-entry
+// sweep. Cancellation stops between items; completed results are kept and
+// the remaining items carry the context error.
+//
+// onResult, when non-nil, streams each item's result as soon as it is known
+// (computation finished, reused, or failed), in suite order. It is called
+// synchronously from the batch loop.
+func (f *Framework) EstimateBatch(ctx context.Context, items []BatchItem, onResult func(BatchItemResult)) (*BatchResult, error) {
 	if len(items) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
@@ -98,8 +91,8 @@ func (f *Framework) EstimateBatch(ctx context.Context, items []BatchItem, opts B
 		if r.Err != nil {
 			res.Failed++
 		}
-		if opts.OnResult != nil {
-			opts.OnResult(r)
+		if onResult != nil {
+			onResult(r)
 		}
 	}
 	for i, it := range items {
@@ -124,14 +117,6 @@ func (f *Framework) EstimateBatch(ctx context.Context, items []BatchItem, opts B
 		res.Computed++
 		byKey[r.Key] = i
 		emit(r)
-		if err != nil && opts.StopOnError {
-			for j := i + 1; j < len(items); j++ {
-				rr := BatchItemResult{Index: j, Name: items[j].Name, Key: items[j].Key(),
-					Err: fmt.Errorf("core: batch stopped by item %d (%s): %w", i, it.Name, err)}
-				emit(rr)
-			}
-			break
-		}
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil

@@ -27,7 +27,7 @@ func TestBatchMatchesSerialPath(t *testing.T) {
 		batchItem("b", 3, AnalyzeOpts{MCTrials: 400, MCChunkSize: 64, MCSeed: 7}),
 		batchItem("a", 2, AnalyzeOpts{Workers: 3}),
 	}
-	batch, err := f.EstimateBatch(context.Background(), items, BatchOpts{})
+	batch, err := f.EstimateBatch(context.Background(), items, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +83,8 @@ func TestBatchDedupIdenticalItems(t *testing.T) {
 		items[i] = batchItem("same", 2, AnalyzeOpts{})
 	}
 	var streamed []BatchItemResult
-	batch, err := f.EstimateBatch(context.Background(), items, BatchOpts{
-		OnResult: func(r BatchItemResult) { streamed = append(streamed, r) },
-	})
+	batch, err := f.EstimateBatch(context.Background(), items,
+		func(r BatchItemResult) { streamed = append(streamed, r) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func TestBatchErrorHandling(t *testing.T) {
 	bad.Spec.Scenarios = 0 // invalid: fails fast in AnalyzeWithOpts
 	items := []BatchItem{bad, batchItem("good", 2, AnalyzeOpts{})}
 
-	batch, err := f.EstimateBatch(context.Background(), items, BatchOpts{})
+	batch, err := f.EstimateBatch(context.Background(), items, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,21 +151,13 @@ func TestBatchErrorHandling(t *testing.T) {
 		t.Errorf("failed = %d", batch.Failed)
 	}
 
-	stopped, err := f.EstimateBatch(context.Background(), items, BatchOpts{StopOnError: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stopped.Items[1].Err == nil {
-		t.Error("StopOnError should mark the remaining items failed")
-	}
-
-	if _, err := f.EstimateBatch(context.Background(), nil, BatchOpts{}); err == nil {
+	if _, err := f.EstimateBatch(context.Background(), nil, nil); err == nil {
 		t.Error("empty batch should error")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	aborted, err := f.EstimateBatch(ctx, items, BatchOpts{})
+	aborted, err := f.EstimateBatch(ctx, items, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

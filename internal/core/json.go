@@ -7,7 +7,7 @@ import (
 
 // The JSON encodings below are the one wire schema shared by every consumer
 // of a Report: the tsperrd estimation service, `tsperr -json`, and
-// `report -json` all emit exactly these bytes, pinned by the golden test in
+// `tsperr report -json` all emit exactly these bytes, pinned by the golden test in
 // json_test.go. The schema is a projection, not a dump: the CFG graph and
 // the per-scenario solver state stay out (they are huge and carry unexported
 // internals), while everything a client needs to rank, alert on, or re-plot

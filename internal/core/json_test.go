@@ -51,7 +51,7 @@ func goldenReport() *Report {
 }
 
 // The report wire schema is shared verbatim by tsperrd, `tsperr -json`, and
-// `report -json`; this golden pins it. Regenerate deliberately with
+// `tsperr report -json`; this golden pins it. Regenerate deliberately with
 // `go test ./internal/core -run TestReportJSONGolden -update` after a schema
 // change, and treat the diff as an API change for every service client.
 func TestReportJSONGolden(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"tsperr/internal/cell"
 	"tsperr/internal/core"
 	"tsperr/internal/cpu"
 	"tsperr/internal/errormodel"
@@ -61,32 +62,50 @@ func SharedFramework() (*core.Framework, error) {
 	if fw != nil {
 		return fw, nil
 	}
-	opts := errormodel.DefaultOptions()
-	opts.Cond = sharedCond
-	if cacheEnabled {
-		dir := cacheDir
-		if dir == "" {
-			d, err := modelcache.DefaultDir()
-			if err == nil {
-				dir = d
-			}
-			// With no usable cache dir, fall through to an uncached build.
-		}
-		if dir != "" {
-			f, _, err := buildFrameworkCached(opts, dir)
-			if err != nil {
-				return nil, err
-			}
-			fw = f
-			return fw, nil
-		}
-	}
-	f, err := buildFramework(opts)
+	f, err := buildAt(sharedCond, cacheDirFor(cacheEnabled, cacheDir))
 	if err != nil {
 		return nil, err
 	}
 	fw = f
 	return fw, nil
+}
+
+// ModelCacheDir returns the directory the model-cache policy set by
+// SetModelCache resolves to: "" when the cache is off or no usable directory
+// exists, in which case frameworks build uncached.
+func ModelCacheDir() string {
+	fwMu.Lock()
+	defer fwMu.Unlock()
+	return cacheDirFor(cacheEnabled, cacheDir)
+}
+
+// cacheDirFor is the rule behind ModelCacheDir: an enabled cache with an
+// empty dir uses modelcache.DefaultDir, and "" means build uncached.
+func cacheDirFor(enabled bool, dir string) string {
+	if !enabled {
+		return ""
+	}
+	if dir != "" {
+		return dir
+	}
+	def, err := modelcache.DefaultDir()
+	if err != nil {
+		return ""
+	}
+	return def
+}
+
+// buildAt builds a framework at an operating condition, through the model
+// cache in dir unless dir is "" (the condition is part of the cache key, so
+// each condition warms independently).
+func buildAt(cond cell.OperatingCondition, dir string) (*core.Framework, error) {
+	opts := errormodel.DefaultOptions()
+	opts.Cond = cond
+	if dir == "" {
+		return buildFramework(opts)
+	}
+	f, _, err := buildFrameworkCached(opts, dir)
+	return f, err
 }
 
 // SpecFor converts a benchmark into an analyzable program spec.

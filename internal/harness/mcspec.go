@@ -14,7 +14,8 @@ import (
 // specMemo caches rebuilt Monte Carlo specs by "benchmark|scenarios". Each
 // entry carries a once so concurrent chunk requests for the same benchmark
 // share a single analytic run; a failed build is not latched (the entry is
-// dropped), matching SharedFramework's retry semantics.
+// dropped), matching SharedFramework's retry semantics. The shared run is
+// bound to the context of the caller that started it.
 var (
 	specMu   sync.Mutex
 	specMemo = map[string]*specEntry{}
@@ -39,15 +40,22 @@ func MCSpec(ctx context.Context, benchmark string, scenarios int) (montecarlo.Sp
 		scenarios = DefaultScenarios
 	}
 	key := fmt.Sprintf("%s|%d", benchmark, scenarios)
-	specMu.Lock()
-	e, ok := specMemo[key]
-	if !ok {
-		e = &specEntry{}
-		specMemo[key] = e
-	}
-	specMu.Unlock()
-	e.once.Do(func() { e.spec, e.err = buildMCSpec(ctx, benchmark, scenarios) })
-	if e.err != nil {
+	for {
+		specMu.Lock()
+		e, ok := specMemo[key]
+		if !ok {
+			e = &specEntry{}
+			specMemo[key] = e
+		}
+		specMu.Unlock()
+		ran := false
+		e.once.Do(func() {
+			ran = true
+			e.spec, e.err = buildMCSpec(ctx, benchmark, scenarios)
+		})
+		if e.err == nil {
+			return e.spec, nil
+		}
 		// Do not latch the failure: a context cancellation or a transient
 		// framework-build error must not poison every later chunk request.
 		specMu.Lock()
@@ -55,8 +63,13 @@ func MCSpec(ctx context.Context, benchmark string, scenarios int) (montecarlo.Sp
 			delete(specMemo, key)
 		}
 		specMu.Unlock()
+		// A caller that joined another caller's run got that caller's error,
+		// possibly its cancellation; while this caller's own context is live,
+		// it runs the build itself.
+		if ran || ctx.Err() != nil {
+			return montecarlo.Spec{}, e.err
+		}
 	}
-	return e.spec, e.err
 }
 
 // buildMCSpec runs the strict analytic pipeline and assembles the spec from

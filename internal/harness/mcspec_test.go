@@ -2,9 +2,14 @@ package harness
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tsperr/internal/core"
+	"tsperr/internal/errormodel"
 	"tsperr/internal/montecarlo"
 )
 
@@ -92,5 +97,58 @@ func TestMCSpecUnknownBenchmarkFails(t *testing.T) {
 	// zero spec) and the memo does not grow.
 	if _, err := MCSpec(context.Background(), "nonesuch", 2); err == nil {
 		t.Fatal("failed build must not be cached as success")
+	}
+}
+
+// Regression: a caller that joined another caller's in-flight build got that
+// caller's error, even its context cancellation, which turned a live chunk
+// request on a cluster worker into a 503. A joiner whose own context is live
+// must run the build itself.
+func TestMCSpecJoinerOutlivesCancelledBuilder(t *testing.T) {
+	shared, err := SharedFramework()
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapBuildHooks(t)
+	started, release := make(chan struct{}), make(chan struct{})
+	var builds atomic.Int32
+	buildFramework = func(errormodel.Options) (*core.Framework, error) {
+		if builds.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		return shared, nil
+	}
+	const bench, scenarios = "typeset", 1
+	forget := func() {
+		specMu.Lock()
+		delete(specMemo, fmt.Sprintf("%s|%d", bench, scenarios))
+		specMu.Unlock()
+	}
+	forget()
+	t.Cleanup(forget)
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	builderErr, joinerErr := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := MCSpec(cancelled, bench, scenarios)
+		builderErr <- err
+	}()
+	<-started // the builder now holds the shared run
+	go func() {
+		_, err := MCSpec(context.Background(), bench, scenarios)
+		joinerErr <- err
+	}()
+	// Nothing observable marks the joiner as waiting on the run, so give it
+	// time to get there. A joiner that arrives after the failure starts its
+	// own run and passes without exercising the join, never falsely.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	if err := <-builderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled builder: err = %v, want context.Canceled", err)
+	}
+	if err := <-joinerErr; err != nil {
+		t.Fatalf("live joiner got the builder's error: %v", err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"tsperr/internal/core"
 	"tsperr/internal/errormodel"
 	"tsperr/internal/mibench"
-	"tsperr/internal/modelcache"
 )
 
 // Operating-point serving. The shared framework is built at one condition
@@ -108,29 +107,6 @@ func conditionEntry(key string) *condEntry {
 	return e
 }
 
-// buildAtCondition builds a framework at the given condition, honoring the
-// model-cache policy configured via SetModelCache (the condition is part of
-// the cache key, so each condition warms independently).
-func buildAtCondition(cond cell.OperatingCondition) (*core.Framework, error) {
-	opts := errormodel.DefaultOptions()
-	opts.Cond = cond
-	fwMu.Lock()
-	enabled, dir := cacheEnabled, cacheDir
-	fwMu.Unlock()
-	if enabled {
-		if dir == "" {
-			if d, err := modelcache.DefaultDir(); err == nil {
-				dir = d
-			}
-		}
-		if dir != "" {
-			f, _, err := buildFrameworkCached(opts, dir)
-			return f, err
-		}
-	}
-	return buildFramework(opts)
-}
-
 // AnalyzeAtPoint analyzes one benchmark at an explicit operating point:
 // a (voltage, temperature) condition and a frequency ratio (0 means the
 // design's configured working ratio). Points matching the shared
@@ -159,7 +135,7 @@ func AnalyzeAtPoint(ctx context.Context, name string, scenarios int, opts core.A
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.fw == nil {
-		f, err := buildAtCondition(cond)
+		f, err := buildAt(cond, ModelCacheDir())
 		if err != nil {
 			return nil, err
 		}

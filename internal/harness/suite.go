@@ -120,5 +120,5 @@ func RunSuite(ctx context.Context, s *Suite, defaults core.AnalyzeOpts, defaultS
 	if err != nil {
 		return nil, err
 	}
-	return f.EstimateBatch(ctx, items, core.BatchOpts{OnResult: onResult})
+	return f.EstimateBatch(ctx, items, onResult)
 }

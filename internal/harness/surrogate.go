@@ -103,7 +103,7 @@ var DefaultEvalScenarioGrid = []int{1, 2, 3, 4, 6, 8}
 
 // SurrogateEvalSamples runs the exact pipeline over benchmarks x scenario
 // grid and returns one labeled sample per run — the dataset behind
-// `tsperr -surrogate-eval` and the held-out accuracy acceptance test.
+// `tsperr surrogate-eval` and the held-out accuracy acceptance test.
 // Benchmarks whose estimate carries a zero mean rate are skipped (no log10
 // label). A nil benchmark list selects the full suite; a nil grid selects
 // DefaultEvalScenarioGrid.

@@ -41,33 +41,11 @@ type Cluster interface {
 func (s *Server) execute(ctx context.Context, req *Request, key string) (*core.Report, error) {
 	opts := req.analyzeOpts()
 	c := s.cfg.Cluster
-	if req.pointOverride() {
-		// An operating-point override runs through AnalyzeAt. Routing still
-		// applies (the overrides are part of the proxy body and the key, so
-		// the owner computes the identical result), but Monte Carlo fan-out
-		// does not: peers rebuild chunk specs at their default point, so an
-		// override's trials stay local.
-		if c != nil && opts.MCTrials == 0 && !req.forwarded {
-			if addr := c.Route(key); addr != "" {
-				if body, err := json.Marshal(req.proxyBody()); err == nil {
-					if rep, err := c.ProxyEstimate(ctx, addr, body); err == nil {
-						return rep, nil
-					}
-				}
-			}
-		}
-		return s.cfg.AnalyzeAt(ctx, req.Benchmark, req.Scenarios, opts, req.cond(), req.FreqRatio)
-	}
-	if c == nil {
-		return s.cfg.Analyze(ctx, req.Benchmark, req.Scenarios, opts)
-	}
-	if opts.MCTrials > 0 {
-		// The analytic phase runs locally (it needs the warm framework
-		// anyway); only the trial budget leaves the node.
-		opts.MCRun = c.MCRun
-		return s.cfg.Analyze(ctx, req.Benchmark, req.Scenarios, opts)
-	}
-	if !req.forwarded {
+	// Forwarded requests are never routed again (no mesh loops), and a Monte
+	// Carlo request runs its analytic phase locally. Operating-point
+	// overrides route like plain estimates: the overrides are part of the
+	// proxy body and the key, so the owner computes the identical result.
+	if c != nil && opts.MCTrials == 0 && !req.forwarded {
 		if addr := c.Route(key); addr != "" {
 			if body, err := json.Marshal(req.proxyBody()); err == nil {
 				if rep, err := c.ProxyEstimate(ctx, addr, body); err == nil {
@@ -77,6 +55,16 @@ func (s *Server) execute(ctx context.Context, req *Request, key string) (*core.R
 				// execution answers the request regardless.
 			}
 		}
+	}
+	if req.pointOverride() {
+		// Monte Carlo fan-out does not apply: peers rebuild chunk specs at
+		// their default point, so an override's trials stay local.
+		return s.cfg.AnalyzeAt(ctx, req.Benchmark, req.Scenarios, opts, req.cond(), req.FreqRatio)
+	}
+	if c != nil && opts.MCTrials > 0 {
+		// The analytic phase runs locally (it needs the warm framework
+		// anyway); only the trial budget leaves the node.
+		opts.MCRun = c.MCRun
 	}
 	return s.cfg.Analyze(ctx, req.Benchmark, req.Scenarios, opts)
 }

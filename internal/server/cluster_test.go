@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"tsperr/internal/cell"
 	"tsperr/internal/cluster"
 	"tsperr/internal/core"
 	"tsperr/internal/errormodel"
@@ -110,29 +111,47 @@ func TestReadyzWithoutClusterTracksWarmth(t *testing.T) {
 	}
 }
 
-func TestEstimateRoutesToOwningPeer(t *testing.T) {
-	ctx := context.Background()
-	var analyzeCalls atomic.Int64
-	fc := &fakeCluster{route: "http://peer-1", proxyRep: fakeReport("routed")}
-	cfg := Config{
-		Analyze: func(ctx context.Context, b string, n int, o core.AnalyzeOpts) (*core.Report, error) {
-			analyzeCalls.Add(1)
-			return fakeReport(b), nil
+// clusterEstimates are the request bodies the routing tests run: a plain
+// estimate and an operating-point override, which route alike.
+var clusterEstimates = []string{
+	`{"benchmark":"typeset"}`,
+	`{"benchmark":"typeset","voltage":0.95,"freq_ratio":1.1}`,
+}
+
+// countingConfig attaches fc to a config whose two local entry points, the
+// default point and operating-point overrides, count their calls in calls.
+func countingConfig(fc *fakeCluster, calls *atomic.Int64) Config {
+	analyze := func(ctx context.Context, b string, n int, o core.AnalyzeOpts) (*core.Report, error) {
+		calls.Add(1)
+		return fakeReport(b), nil
+	}
+	return Config{
+		Analyze: analyze,
+		AnalyzeAt: func(ctx context.Context, b string, n int, o core.AnalyzeOpts, _ cell.OperatingCondition, _ float64) (*core.Report, error) {
+			return analyze(ctx, b, n, o)
 		},
 		Cluster: fc,
 	}
-	_, ts := newTestServer(t, ctx, cfg)
-	code, body, err := postEstimate(ctx, ts.URL, `{"benchmark":"typeset"}`)
-	if err != nil || code != http.StatusOK {
-		t.Fatalf("routed estimate: %d %v", code, err)
-	}
-	rep := body["report"].(map[string]any)
-	if rep["name"] != "routed" {
-		t.Fatalf("got report %v, want the peer's", rep["name"])
-	}
-	if fc.proxyCalls.Load() != 1 || analyzeCalls.Load() != 0 {
-		t.Fatalf("proxy=%d analyze=%d; want the peer to answer and local to stay idle",
-			fc.proxyCalls.Load(), analyzeCalls.Load())
+}
+
+func TestEstimateRoutesToOwningPeer(t *testing.T) {
+	ctx := context.Background()
+	for _, req := range clusterEstimates {
+		var analyzeCalls atomic.Int64
+		fc := &fakeCluster{route: "http://peer-1", proxyRep: fakeReport("routed")}
+		_, ts := newTestServer(t, ctx, countingConfig(fc, &analyzeCalls))
+		code, body, err := postEstimate(ctx, ts.URL, req)
+		if err != nil || code != http.StatusOK {
+			t.Fatalf("%s: routed estimate: %d %v", req, code, err)
+		}
+		rep := body["report"].(map[string]any)
+		if rep["name"] != "routed" {
+			t.Fatalf("%s: got report %v, want the peer's", req, rep["name"])
+		}
+		if fc.proxyCalls.Load() != 1 || analyzeCalls.Load() != 0 {
+			t.Fatalf("%s: proxy=%d analyze=%d; want the peer to answer and local to stay idle",
+				req, fc.proxyCalls.Load(), analyzeCalls.Load())
+		}
 	}
 }
 
@@ -174,23 +193,21 @@ func TestForwardedEstimateNeverReRoutes(t *testing.T) {
 
 func TestProxyFailureFallsBackToLocal(t *testing.T) {
 	ctx := context.Background()
-	fc := &fakeCluster{route: "http://peer-1", proxyErr: io.ErrUnexpectedEOF}
-	cfg := Config{
-		Analyze: func(ctx context.Context, b string, n int, o core.AnalyzeOpts) (*core.Report, error) {
-			return fakeReport(b), nil
-		},
-		Cluster: fc,
-	}
-	_, ts := newTestServer(t, ctx, cfg)
-	code, body, err := postEstimate(ctx, ts.URL, `{"benchmark":"typeset"}`)
-	if err != nil || code != http.StatusOK {
-		t.Fatalf("fallback estimate: %d %v", code, err)
-	}
-	if rep := body["report"].(map[string]any); rep["name"] != "typeset" {
-		t.Fatalf("fallback answered with %v, want the local report", rep["name"])
-	}
-	if fc.proxyCalls.Load() != 1 {
-		t.Fatalf("proxy attempted %d times, want exactly 1", fc.proxyCalls.Load())
+	for _, req := range clusterEstimates {
+		var analyzeCalls atomic.Int64
+		fc := &fakeCluster{route: "http://peer-1", proxyErr: io.ErrUnexpectedEOF}
+		_, ts := newTestServer(t, ctx, countingConfig(fc, &analyzeCalls))
+		code, body, err := postEstimate(ctx, ts.URL, req)
+		if err != nil || code != http.StatusOK {
+			t.Fatalf("%s: fallback estimate: %d %v", req, code, err)
+		}
+		if rep := body["report"].(map[string]any); rep["name"] != "typeset" {
+			t.Fatalf("%s: fallback answered with %v, want the local report", req, rep["name"])
+		}
+		if fc.proxyCalls.Load() != 1 || analyzeCalls.Load() != 1 {
+			t.Fatalf("%s: proxy=%d analyze=%d; want one failed proxy, then local execution",
+				req, fc.proxyCalls.Load(), analyzeCalls.Load())
+		}
 	}
 }
 

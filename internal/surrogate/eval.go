@@ -13,7 +13,7 @@ import (
 // split of labeled samples, sweep the confidence bound over the held-out
 // split, and report, per bound, how much traffic the gate would serve and
 // how accurate the served answers would be. This is what
-// `tsperr -surrogate-eval` prints and what the acceptance test pins
+// `tsperr surrogate-eval` prints and what the acceptance test pins
 // (held-out MAE within the documented budget).
 
 // EvalSample is one labeled request: its features and the exact pipeline's
