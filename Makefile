@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-fix-check check oracle fuzz cover smoke smoke-cluster smoke-surrogate smoke-oppoint bench pprof pprof-miss pprof-setup clean
+.PHONY: all build test lint lint-fix-check check oracle fuzz cover smoke bench pprof pprof-miss pprof-setup clean
 
 all: build
 
@@ -48,13 +48,14 @@ oracle:
 
 # `make fuzz` runs the native fuzz targets briefly: long enough to catch a
 # canonical-hashing regression or a decoder that trusts untrusted bytes (a
-# model-cache snapshot, a cluster peer's chunk response), short enough for
-# the pre-commit gate. The seed corpora always run as part of `make test`
-# regardless.
+# request body, a model-cache snapshot, a cluster peer's chunk response),
+# short enough for the pre-commit gate. The seed corpora always run as part
+# of `make test` regardless.
 FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRequestHash -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzParseRequest -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME) ./internal/modelcache/
 	$(GO) test -run '^$$' -fuzz FuzzChunkResponse -fuzztime $(FUZZTIME) ./internal/cluster/
 
@@ -70,29 +71,17 @@ cover:
 		   if ($$3 + 0 < min) { printf "FAIL: coverage %.1f%% below ratchet %.1f%%\n", $$3, min; exit 1 } \
 		   printf "coverage %.1f%% (ratchet %.1f%%)\n", $$3, min }'
 
-# `make smoke` runs the tsperrd daemon end to end: warm-up, one estimate, a
-# 16-request dedup burst, and a SIGTERM drain (mirrors the CI smoke job).
+# `make smoke` runs the four tsperrd end-to-end smokes, each driving
+# re-executed daemons on kernel-chosen ports: the daemon (warm-up, one
+# estimate, a 16-request dedup burst), the operating-point search (a 2x2
+# voltage/temperature grid whose warm re-run is served from the cache), the
+# surrogate tier (untrained escalations, background training, shadow
+# residuals, the response tier field) and the cluster (a coordinator plus
+# two workers, one SIGKILLed mid-run, matching a single-node run byte for
+# byte), each ending in a SIGTERM drain. `go test ./...` runs them too,
+# except under -short.
 smoke:
-	./scripts/tsperrd-smoke.sh
-
-# `make smoke-cluster` runs the distributed chaos smoke: a coordinator plus
-# two workers, one SIGKILLed mid-run; the surviving nodes must return a
-# complete validation byte-identical to a single-node run, then drain cleanly.
-smoke-cluster:
-	./scripts/tsperrd-cluster-smoke.sh
-
-# `make smoke-surrogate` runs the two-tier daemon end to end: untrained
-# escalations, background training, shadow residuals from forced-exact
-# requests, the response tier field, and a SIGTERM drain.
-smoke-surrogate:
-	./scripts/tsperrd-surrogate-smoke.sh
-
-# `make smoke-oppoint` runs the operating-point search end to end: a 2x2
-# voltage/temperature grid through POST /v1/oppoint, a warm re-run that must
-# answer every bisection probe from the cache (pinned via the oppoint
-# sub-request metrics), and a SIGTERM drain.
-smoke-oppoint:
-	./scripts/tsperrd-oppoint-smoke.sh
+	$(GO) test -count=1 -run '^TestSmoke(Daemon|Oppoint|Surrogate|Cluster)$$' ./cmd/tsperrd
 
 # `make bench` records the full benchmark suite as go-test JSON events in
 # BENCH_<date>.json (benchstat-friendly after extracting the output lines:

@@ -33,18 +33,28 @@ import (
 	"tsperr/internal/variation"
 )
 
+// benchEngine is the uncached nominal engine every benchmark here shares, so
+// a test binary builds the framework once.
+var benchEngine = func() *harness.Engine {
+	e, err := harness.New(cell.OperatingCondition{}, "")
+	if err != nil {
+		panic(err)
+	}
+	return e
+}()
+
 // benchTable2 runs the full framework on one benchmark and reports its
 // Table 2 row as benchmark metrics.
 func benchTable2(b *testing.B, name string) {
 	b.Helper()
-	if _, err := harness.SharedFramework(); err != nil {
+	if _, err := benchEngine.Framework(); err != nil {
 		b.Fatal(err)
 	}
 	var rep *core.Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = harness.Analyze(context.Background(), name, 4)
+		rep, err = benchEngine.Analyze(context.Background(), name, 4, core.AnalyzeOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,11 +84,11 @@ func BenchmarkTable2GSMDecode(b *testing.B)    { benchTable2(b, "gsm.decode") }
 // benchFigure3 regenerates one benchmark's Figure 3 CDF series with bounds.
 func benchFigure3(b *testing.B, name string) {
 	b.Helper()
-	f, err := harness.SharedFramework()
+	f, err := benchEngine.Framework()
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep, err := harness.Analyze(context.Background(), name, 4)
+	rep, err := benchEngine.Analyze(context.Background(), name, 4, core.AnalyzeOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -171,7 +181,7 @@ func BenchmarkPerfModelAnchors(b *testing.B) {
 // Monte Carlo simulation of the Markov error process versus the
 // Poisson-mixture estimate, reporting the worst CDF distance and the bound.
 func BenchmarkApproxValidation(b *testing.B) {
-	f, err := harness.SharedFramework()
+	f, err := benchEngine.Framework()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,15 +258,15 @@ func BenchmarkAblationKPaths(b *testing.B) {
 // BenchmarkAblationScenarios quantifies how the number of input datasets
 // sharpens the data-variation spread (lambda SD stabilizes with scenarios).
 func BenchmarkAblationScenarios(b *testing.B) {
-	if _, err := harness.SharedFramework(); err != nil {
+	if _, err := benchEngine.Framework(); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		rep2, err := harness.Analyze(context.Background(), "stringsearch", 2)
+		rep2, err := benchEngine.Analyze(context.Background(), "stringsearch", 2, core.AnalyzeOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep8, err := harness.Analyze(context.Background(), "stringsearch", 8)
+		rep8, err := benchEngine.Analyze(context.Background(), "stringsearch", 8, core.AnalyzeOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -402,11 +412,11 @@ func BenchmarkStatMin(b *testing.B) {
 // is cleared each iteration so the number reflects a cold characterization;
 // a separate metric reports the warm (fully memoized) cost.
 func BenchmarkCharacterizeControl(b *testing.B) {
-	f, err := harness.SharedFramework()
+	f, err := benchEngine.Framework()
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep, err := harness.Analyze(context.Background(), "stringsearch", 2)
+	rep, err := benchEngine.Analyze(context.Background(), "stringsearch", 2, core.AnalyzeOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -432,7 +442,7 @@ func BenchmarkCharacterizeControl(b *testing.B) {
 // run, the profile and features taken from its tally, and the machine's
 // release.
 func BenchmarkSimulationThroughput(b *testing.B) {
-	f, err := harness.SharedFramework()
+	f, err := benchEngine.Framework()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -483,16 +493,16 @@ func benchSetWord(vals []bool, gates [32]netlist.GateID, w uint32) {
 // This is the ROADMAP's hot-path number: everything model-setup related is
 // amortized by the shared framework and the first untimed request.
 func BenchmarkEndToEndWarm(b *testing.B) {
-	if _, err := harness.SharedFramework(); err != nil {
+	if _, err := benchEngine.Framework(); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := harness.Analyze(context.Background(), "stringsearch", 4); err != nil {
+	if _, err := benchEngine.Analyze(context.Background(), "stringsearch", 4, core.AnalyzeOpts{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.Analyze(context.Background(), "stringsearch", 4); err != nil {
+		if _, err := benchEngine.Analyze(context.Background(), "stringsearch", 4, core.AnalyzeOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -504,7 +514,7 @@ func BenchmarkEndToEndWarm(b *testing.B) {
 // rounds the analyzer answers from its activation-signature memo — the
 // steady-state cost of Algorithm 1 inside a characterization loop.
 func BenchmarkPerCycleDTA(b *testing.B) {
-	f, err := harness.SharedFramework()
+	f, err := benchEngine.Framework()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -537,7 +547,7 @@ func BenchmarkPerCycleDTA(b *testing.B) {
 // memo, and every timed iteration must answer from it. The allocs/op column
 // is the guarded number — the hit path is supposed to be allocation-free.
 func BenchmarkStageDTSMemoHit(b *testing.B) {
-	f, err := harness.SharedFramework()
+	f, err := benchEngine.Framework()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -588,10 +598,10 @@ func BenchmarkPeriodSweepTraining(b *testing.B) {
 
 // BenchmarkPoissonMixtureCDF measures the Equation (14) quadrature.
 func BenchmarkPoissonMixtureCDF(b *testing.B) {
-	if _, err := harness.SharedFramework(); err != nil {
+	if _, err := benchEngine.Framework(); err != nil {
 		b.Fatal(err)
 	}
-	rep, err := harness.Analyze(context.Background(), "patricia", 3)
+	rep, err := benchEngine.Analyze(context.Background(), "patricia", 3, core.AnalyzeOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -700,7 +710,7 @@ func BenchmarkAblationCLAvsRipple(b *testing.B) {
 // compares their calibration against the analytic probabilities — the
 // paper's argument for a DTS-based statistical model.
 func BenchmarkAblationMLBaseline(b *testing.B) {
-	f, err := harness.SharedFramework()
+	f, err := benchEngine.Framework()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -761,7 +771,7 @@ func BenchmarkAblationMLBaseline(b *testing.B) {
 // versus the seed's unbounded per-scenario fan-out shows up as a drop in
 // this metric rather than slipping in unnoticed.
 func BenchmarkAnalyzeScenarioPool(b *testing.B) {
-	if _, err := harness.SharedFramework(); err != nil {
+	if _, err := benchEngine.Framework(); err != nil {
 		b.Fatal(err)
 	}
 	const scenarios = 16
@@ -769,7 +779,7 @@ func BenchmarkAnalyzeScenarioPool(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = harness.Analyze(context.Background(), "stringsearch", scenarios)
+		rep, err = benchEngine.Analyze(context.Background(), "stringsearch", scenarios, core.AnalyzeOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -790,11 +800,11 @@ func BenchmarkAnalyzeScenarioPool(b *testing.B) {
 // ~1.3ms): a surrogate hit must be at least two orders of magnitude cheaper
 // for the two-tier design to pay off.
 func BenchmarkEstimateSurrogateHit(b *testing.B) {
-	fw, err := harness.SharedFramework()
+	fw, err := benchEngine.Framework()
 	if err != nil {
 		b.Fatal(err)
 	}
-	samples, err := harness.SurrogateEvalSamples(context.Background(), nil, nil)
+	samples, err := benchEngine.SurrogateEvalSamples(context.Background(), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -840,7 +850,7 @@ var missMixPrograms = []string{
 // dropped, as at a daemon's first request for a program, and warm. `make
 // pprof-miss` profiles the mix.
 func BenchmarkLayer(b *testing.B) {
-	f, err := harness.SharedFramework()
+	f, err := benchEngine.Framework()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1007,7 +1017,7 @@ func BenchmarkLayer(b *testing.B) {
 
 // benchMissMix replays the estimate-miss workload's request mix in process:
 // the high-count programs at 1 to 32 scenarios through
-// harness.AnalyzeWithOpts. One untimed 32-scenario request per program
+// benchEngine.Analyze. One untimed 32-scenario request per program
 // comes first, so every op is a warm miss like the daemon's: the control
 // characterization is memoized and every scenario is simulated anew. Op i
 // asks for program i mod 9, and its scenario count pairs with its
@@ -1020,7 +1030,7 @@ func benchMissMix(b *testing.B) {
 	// scenarios simulates.
 	insts := make([][]int64, len(missMixPrograms))
 	for p, name := range missMixPrograms {
-		rep, err := harness.AnalyzeWithOpts(ctx, name, maxScenarios, core.AnalyzeOpts{})
+		rep, err := benchEngine.Analyze(ctx, name, maxScenarios, core.AnalyzeOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1040,7 +1050,7 @@ func benchMissMix(b *testing.B) {
 		if i%2 == 1 {
 			n = maxScenarios + 1 - n
 		}
-		if _, err := harness.AnalyzeWithOpts(ctx, missMixPrograms[p], n, core.AnalyzeOpts{}); err != nil {
+		if _, err := benchEngine.Analyze(ctx, missMixPrograms[p], n, core.AnalyzeOpts{}); err != nil {
 			b.Fatal(err)
 		}
 		total += insts[p][n]

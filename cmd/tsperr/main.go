@@ -148,10 +148,10 @@ func printDetail(err error) {
 	}
 }
 
-// analyze runs one benchmark through the shared framework and exits 1 with
-// the per-scenario failure detail if the analysis fails.
-func analyze(ctx context.Context, name string, scenarios int, opts core.AnalyzeOpts) *core.Report {
-	rep, err := harness.AnalyzeWithOpts(ctx, name, scenarios, opts)
+// analyze runs one benchmark through the engine and exits 1 with the
+// per-scenario failure detail if the analysis fails.
+func analyze(ctx context.Context, eng *harness.Engine, name string, scenarios int, opts core.AnalyzeOpts) *core.Report {
+	rep, err := eng.Analyze(ctx, name, scenarios, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tsperr: %s: analysis failed:\n", name)
 		printDetail(err)
@@ -160,10 +160,9 @@ func analyze(ctx context.Context, name string, scenarios int, opts core.AnalyzeO
 	return rep
 }
 
-// sharedFramework returns the harness's shared framework, exiting 1 if it
-// cannot be built.
-func sharedFramework() *core.Framework {
-	f, err := harness.SharedFramework()
+// framework returns the engine's framework, exiting 1 if it cannot be built.
+func framework(eng *harness.Engine) *core.Framework {
+	f, err := eng.Framework()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -190,6 +189,7 @@ func runExplain(args []string) {
 // batch mode shares: each suite entry is one estimate.
 type estimateArgs struct {
 	arg       string // the benchmark, or batch mode's suite file
+	eng       *harness.Engine
 	scenarios int
 	timeout   time.Duration
 	opts      core.AnalyzeOpts
@@ -197,7 +197,7 @@ type estimateArgs struct {
 }
 
 // parseEstimate registers the estimate's flags on fs, parses args, and
-// applies the model cache and operating condition they select.
+// builds the engine at the model cache and operating condition they select.
 func parseEstimate(fs *flag.FlagSet, args []string) estimateArgs {
 	var a estimateArgs
 	scenarios := cliutil.Scenarios(fs)
@@ -207,12 +207,9 @@ func parseEstimate(fs *flag.FlagSet, args []string) estimateArgs {
 		"validate the analytic distribution with this many sharded Monte Carlo trials (0 = off)")
 	fs.Uint64Var(&a.opts.MCSeed, "mc-seed", 0, "Monte Carlo seed (0 = the pipeline default)")
 	fs.BoolVar(&a.json, "json", false, "emit JSON (the shared core.Report encoding) instead of text")
-	condition := cliutil.Condition(fs)
-	modelCache := cliutil.ModelCache(fs)
+	engine := cliutil.Engine(fs, true)
 	parse(fs, args, 1)
-	harness.SetModelCache(modelCache())
-	condition()
-	a.arg, a.scenarios, a.timeout = fs.Arg(0), *scenarios, *timeout
+	a.arg, a.eng, a.scenarios, a.timeout = fs.Arg(0), engine(), *scenarios, *timeout
 	return a
 }
 
@@ -229,7 +226,7 @@ func runEstimate(args []string) {
 	a := parseEstimate(fs, args)
 	ctx, cancel := cliutil.Context(a.timeout)
 	defer cancel()
-	rep := analyze(ctx, a.arg, a.scenarios, a.opts)
+	rep := analyze(ctx, a.eng, a.arg, a.scenarios, a.opts)
 	if rep.Degraded {
 		fmt.Fprintf(os.Stderr, "tsperr: warning: degraded run, %d scenario(s) dropped:\n", rep.FailedScenarios)
 		printDetail(rep.Failures)
@@ -238,7 +235,7 @@ func runEstimate(args []string) {
 		os.Stdout.Write(jsonDoc(rep))
 		return
 	}
-	pm := sharedFramework().PerfModel()
+	pm := framework(a.eng).PerfModel()
 	e := rep.Estimate
 
 	fmt.Println(harness.Table2Header())
@@ -316,7 +313,7 @@ func runBatch(args []string) {
 			}
 		}
 	}
-	res, err := harness.RunSuite(ctx, suite, a.opts, a.scenarios, onResult)
+	res, err := a.eng.RunSuite(ctx, suite, a.opts, a.scenarios, onResult)
 	if err != nil {
 		log.Print(err)
 		os.Exit(cliutil.ExitFailure)

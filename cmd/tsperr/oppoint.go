@@ -10,7 +10,6 @@ import (
 	"tsperr/internal/cliutil"
 	"tsperr/internal/core"
 	"tsperr/internal/errormodel"
-	"tsperr/internal/harness"
 	"tsperr/internal/mibench"
 )
 
@@ -46,11 +45,10 @@ func runOppoint(args []string) {
 	scenarios := cliutil.Scenarios(fs)
 	timeout := cliutil.Timeout(fs)
 	jsonOut := fs.Bool("json", false, "emit the operating point as JSON instead of text")
-	condition := cliutil.Condition(fs)
-	modelCache := cliutil.ModelCache(fs)
+	engine := cliutil.Engine(fs, true)
 	parse(fs, args, 1)
-	harness.SetModelCache(modelCache())
-	cond := condition()
+	eng := engine()
+	cond := eng.Options().Cond
 	name := fs.Arg(0)
 
 	// Unknown benchmark is an analysis failure (exit 1), matching the plain
@@ -64,7 +62,7 @@ func runOppoint(args []string) {
 	defer cancel()
 
 	probe := func(ctx context.Context, ratio float64) (*core.Report, error) {
-		return harness.AnalyzeAtPoint(ctx, name, *scenarios, core.AnalyzeOpts{}, cond, ratio)
+		return eng.AnalyzeAt(ctx, name, *scenarios, core.AnalyzeOpts{}, cond, ratio)
 	}
 	op, err := core.SelectOperatingPoint(ctx, *minRatio, *maxRatio, *steps, *target, probe)
 	if errors.Is(err, core.ErrBadSearch) {

@@ -30,9 +30,13 @@ func TestOppointMatchesDaemon(t *testing.T) {
 		minRatio  = 1.0
 		maxRatio  = 1.3
 	)
+	eng, err := harness.New(cell.OperatingCondition{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv, err := server.New(context.Background(), server.Config{
-		Analyze:   harness.AnalyzeWithOpts,
-		AnalyzeAt: harness.AnalyzeAtPoint,
+		Analyze:   eng.Analyze,
+		AnalyzeAt: eng.AnalyzeAt,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -40,9 +40,9 @@ func runTable2(args []string) {
 	timeout := cliutil.Timeout(fs)
 	var opts core.AnalyzeOpts
 	cliutil.Resilience(fs, &opts)
-	modelCache := cliutil.ModelCache(fs)
+	engine := cliutil.Engine(fs, false)
 	parse(fs, args, 0)
-	harness.SetModelCache(modelCache())
+	eng := engine()
 	ctx, cancel := cliutil.Context(*timeout)
 	defer cancel()
 
@@ -51,7 +51,7 @@ func runTable2(args []string) {
 	var totalInsts, totalBlocks int64
 	var totalTrain, totalSim float64
 	for _, name := range benchNames(*bench) {
-		rep := analyze(ctx, name, *scenarios, opts)
+		rep := analyze(ctx, eng, name, *scenarios, opts)
 		fmt.Println(harness.Table2Row(rep))
 		totalInsts += rep.Instructions
 		totalBlocks += int64(rep.BasicBlocks)
@@ -74,18 +74,18 @@ func runFigure3(args []string) {
 	maxRate := fs.Float64("max", 1.6, "largest error rate (percent) on the axis")
 	csv := fs.Bool("csv", false, "emit CSV series instead of text panels")
 	timeout := cliutil.Timeout(fs)
-	modelCache := cliutil.ModelCache(fs)
+	engine := cliutil.Engine(fs, false)
 	parse(fs, args, 0)
-	harness.SetModelCache(modelCache())
+	eng := engine()
 	ctx, cancel := cliutil.Context(*timeout)
 	defer cancel()
 
-	pm := sharedFramework().PerfModel()
+	pm := framework(eng).PerfModel()
 	if *csv {
 		fmt.Println("benchmark,rate_pct,perf_improvement_pct,cdf_lower,cdf,cdf_upper")
 	}
 	for _, name := range benchNames(*bench) {
-		rep := analyze(ctx, name, *scenarios, core.AnalyzeOpts{})
+		rep := analyze(ctx, eng, name, *scenarios, core.AnalyzeOpts{})
 		if *csv {
 			for _, p := range harness.Figure3Series(rep, pm, *maxRate, *points) {
 				fmt.Printf("%s,%.4f,%.3f,%.4f,%.4f,%.4f\n",
@@ -107,18 +107,17 @@ func runReport(args []string) {
 	var opts core.AnalyzeOpts
 	cliutil.Resilience(fs, &opts)
 	jsonOut := fs.Bool("json", false, "emit the evaluation as JSON instead of markdown")
-	modelCache := cliutil.ModelCache(fs)
+	engine := cliutil.Engine(fs, false)
 	parse(fs, args, 0)
-	harness.SetModelCache(modelCache())
+	eng := engine()
 	ctx, cancel := cliutil.Context(*timeout)
 	defer cancel()
 
-	f := sharedFramework()
 	var doc []byte
 	if *jsonOut {
-		doc = reportJSON(ctx, f, *scenarios, opts)
+		doc = reportJSON(ctx, eng, *scenarios, opts)
 	} else {
-		doc = reportMarkdown(ctx, f, *scenarios, opts)
+		doc = reportMarkdown(ctx, eng, *scenarios, opts)
 	}
 	if *out == "" {
 		if _, err := os.Stdout.Write(doc); err != nil {
@@ -135,7 +134,8 @@ func runReport(args []string) {
 // reportMarkdown renders Table 2, a Figure 3 CDF table per benchmark, the
 // operating-point anchors, and a Monte Carlo validation of the smallest
 // benchmark as one markdown report.
-func reportMarkdown(ctx context.Context, f *core.Framework, scenarios int, opts core.AnalyzeOpts) []byte {
+func reportMarkdown(ctx context.Context, eng *harness.Engine, scenarios int, opts core.AnalyzeOpts) []byte {
+	f := framework(eng)
 	var sb bytes.Buffer
 	pm := f.PerfModel()
 	fmt.Fprintf(&sb, "# tsperr evaluation report\n\n")
@@ -151,7 +151,7 @@ func reportMarkdown(ctx context.Context, f *core.Framework, scenarios int, opts 
 	reports := map[string]*core.Report{}
 	var degraded []*core.Report
 	for _, b := range mibench.All() {
-		rep := analyze(ctx, b.Name, scenarios, opts)
+		rep := analyze(ctx, eng, b.Name, scenarios, opts)
 		reports[b.Name] = rep
 		if rep.Degraded {
 			degraded = append(degraded, rep)
@@ -226,7 +226,8 @@ func reportMarkdown(ctx context.Context, f *core.Framework, scenarios int, opts 
 // reportJSON encodes the operating point and every benchmark's report in the
 // shared core.Report JSON schema (the same document the estimate's -json
 // prints and tsperrd serves).
-func reportJSON(ctx context.Context, f *core.Framework, scenarios int, opts core.AnalyzeOpts) []byte {
+func reportJSON(ctx context.Context, eng *harness.Engine, scenarios int, opts core.AnalyzeOpts) []byte {
+	f := framework(eng)
 	doc := struct {
 		BaseFreqMHz      float64        `json:"base_freq_mhz"`
 		WorkingFreqMHz   float64        `json:"working_freq_mhz"`
@@ -242,7 +243,7 @@ func reportJSON(ctx context.Context, f *core.Framework, scenarios int, opts core
 		Scenarios:        scenarios,
 	}
 	for _, b := range mibench.All() {
-		doc.Reports = append(doc.Reports, analyze(ctx, b.Name, scenarios, opts))
+		doc.Reports = append(doc.Reports, analyze(ctx, eng, b.Name, scenarios, opts))
 	}
 	return jsonDoc(doc)
 }

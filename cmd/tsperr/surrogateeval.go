@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tsperr/internal/cliutil"
-	"tsperr/internal/harness"
 	"tsperr/internal/surrogate"
 )
 
@@ -25,15 +24,13 @@ func runSurrogateEval(args []string) {
 	seed := fs.Uint64("surrogate-seed", 42, "train/test split seed")
 	timeout := cliutil.Timeout(fs)
 	jsonOut := fs.Bool("json", false, "emit the evaluation as JSON instead of text")
-	condition := cliutil.Condition(fs)
-	modelCache := cliutil.ModelCache(fs)
+	engine := cliutil.Engine(fs, true)
 	parse(fs, args, 0)
-	harness.SetModelCache(modelCache())
-	condition()
+	eng := engine()
 	ctx, cancel := cliutil.Context(*timeout)
 	defer cancel()
 	t0 := time.Now()
-	samples, err := harness.SurrogateEvalSamples(ctx, nil, nil)
+	samples, err := eng.SurrogateEvalSamples(ctx, nil, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tsperr: surrogate eval: %v\n", err)
 		os.Exit(cliutil.ExitFailure)

@@ -1,6 +1,6 @@
-// Command tsperrd is the resident estimation service: it warms one shared
-// framework (calibrated machine + trained datapath model, backed by the
-// persistent model cache) and serves error-rate estimates over HTTP/JSON.
+// Command tsperrd is the resident estimation service: it warms one harness
+// engine's framework (calibrated machine + trained datapath model, backed by
+// the persistent model cache) and serves error-rate estimates over HTTP/JSON.
 //
 // Usage:
 //
@@ -70,6 +70,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -90,7 +91,7 @@ import (
 )
 
 // lazySurrogate defers the fast tier's construction to model warm-up (the
-// adapter needs the shared framework) while giving server.New a stable
+// adapter needs the engine's framework) while giving server.New a stable
 // handle at startup. Until set() publishes the real adapter every request
 // escalates as untrained — the same behavior a freshly trained-out tier has.
 type lazySurrogate struct {
@@ -161,21 +162,19 @@ func main() {
 		"exact results observed before the surrogate first trains (0 = 32 default)")
 	surrogateRetrain := flag.Int("surrogate-retrain", 0,
 		"new observations between surrogate retrainings (0 = 16 default)")
-	condition := cliutil.Condition(flag.CommandLine)
-	modelCache := cliutil.ModelCache(flag.CommandLine)
+	engine := cliutil.Engine(flag.CommandLine, true)
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: tsperrd [-listen addr] [flags]; run with -h for the list")
 		os.Exit(cliutil.ExitUsage)
 	}
-	harness.SetModelCache(modelCache())
-	condition()
+	eng := engine()
 
 	// The same content address the model cache files under: options (with the
 	// operating condition) plus the cell library. Request keys therefore never
 	// collide across operating points or library revisions — and cluster nodes
 	// with different models refuse each other's chunks instead of mixing bits.
-	fingerprint := modelcache.Key(harness.SharedOptions(), cell.Fingerprint())
+	fingerprint := modelcache.Key(eng.Options(), cell.Fingerprint())
 
 	var lazyTier *lazySurrogate
 	switch *surrogateMode {
@@ -200,7 +199,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tsperrd: -peers requires -role coordinator")
 			os.Exit(cliutil.ExitUsage)
 		}
-		chunkSource = harness.MCSpec
+		chunkSource = eng.MCSpec
 	case "coordinator":
 		var peers []string
 		for _, p := range strings.Split(*peersFlag, ",") {
@@ -222,15 +221,15 @@ func main() {
 		})
 		// Coordinators serve chunks too, so symmetric deployments (every
 		// node a coordinator peering with the others) need no worker role.
-		chunkSource = harness.MCSpec
+		chunkSource = eng.MCSpec
 	default:
 		fmt.Fprintf(os.Stderr, "tsperrd: unknown -role %q (single, coordinator, worker)\n", *role)
 		os.Exit(cliutil.ExitUsage)
 	}
 
 	cfg := server.Config{
-		Analyze:     harness.AnalyzeWithOpts,
-		AnalyzeAt:   harness.AnalyzeAtPoint,
+		Analyze:     eng.Analyze,
+		AnalyzeAt:   eng.AnalyzeAt,
 		Fingerprint: fingerprint,
 		Workers:     *workers,
 		QueueDepth:  *queueDepth,
@@ -265,19 +264,35 @@ func main() {
 		log.Printf("coordinating %d peer(s); quorum %d", len(coord.PeerStatuses()), coord.Quorum())
 	}
 
-	// Warm the shared framework off the serving path so the listener is up
+	// Bind before logging the address, so the log names the port bound (the
+	// kernel's choice under -listen :0); a signal after that line drains.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("listening on %s", ln.Addr())
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- httpSrv.Serve(ln) }()
+
+	// Warm the engine's framework off the serving path so the listener is up
 	// (and /healthz answers "warming") while calibration and training run —
 	// or, with a warm model cache, restore in well under a second.
 	go func() {
 		t0 := time.Now()
-		fw, err := harness.SharedFramework()
+		fw, err := eng.Framework()
 		if err != nil {
 			log.Fatalf("model warm-up failed: %v", err)
 		}
 		if lazyTier != nil {
 			tier, err := surrogate.New(surrogate.Config{
 				Fingerprint:  fingerprint,
-				Dir:          harness.ModelCacheDir(),
+				Dir:          eng.CacheDir(),
 				MaxStd:       *surrogateMaxStd,
 				GuardBand:    *surrogateGuardBand,
 				MinTrain:     *surrogateMinTrain,
@@ -295,20 +310,9 @@ func main() {
 		log.Printf("model warm in %.2fs; serving estimates", time.Since(t0).Seconds())
 	}()
 
-	httpSrv := &http.Server{
-		Addr:              *listen,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	log.Printf("listening on %s", *listen)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
-		// The listener died on its own (port in use, ...): nothing to drain.
+		// The listener died on its own: nothing to drain.
 		log.Fatal(err)
 	case sig := <-sigCh:
 		log.Printf("received %s; draining in-flight estimates (up to %s)", sig, *drainTimeout)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"os/exec"
 	"strings"
@@ -48,4 +49,27 @@ func TestSmokeUnknownFlag(t *testing.T) {
 	if code != 2 || !strings.Contains(stderr, "no-such-flag") {
 		t.Fatalf("exit = %d, stderr = %s; want flag error", code, stderr)
 	}
+}
+
+// A port already in use fails the bind: exit 1, with no "listening on" line
+// naming an address the daemon never bound.
+func TestSmokeHeldPortFailsBeforeListening(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	code, stderr := runSelf(t, "-listen", ln.Addr().String(), "-model-cache=false")
+	if code != 1 || strings.Contains(stderr, "listening on") {
+		t.Fatalf("exit = %d, stderr = %s; want exit 1 and no listening line", code, stderr)
+	}
+}
+
+// -listen 127.0.0.1:0 binds a port the kernel chooses, and the log names it.
+func TestSmokeListenLogsBoundPort(t *testing.T) {
+	d := startDaemon(t, "tsperrd", "-model-cache=false")
+	if _, port, err := net.SplitHostPort(d.addr); err != nil || port == "0" {
+		t.Fatalf("listening on %s, want the bound port", d.addr)
+	}
+	d.drain()
 }

@@ -17,6 +17,7 @@ import (
 	"tsperr/internal/cell"
 	"tsperr/internal/core"
 	"tsperr/internal/harness"
+	"tsperr/internal/modelcache"
 )
 
 // Exit codes shared by the cmd/ tools: usage errors are distinguishable
@@ -45,34 +46,29 @@ func Resilience(fs *flag.FlagSet, opts *core.AnalyzeOpts) {
 		"proceed degraded if at least this many scenarios survive per benchmark (0 = all must succeed)")
 }
 
-// Condition registers -voltage and -temp. The returned function, called
-// after parsing, sets them as the harness's operating condition and returns
-// it; a condition outside the cell library's range is a usage error, logged
-// before the process exits with ExitUsage.
-func Condition(fs *flag.FlagSet) func() cell.OperatingCondition {
-	voltage := fs.Float64("voltage", 0, "supply voltage in volts (0 = nominal 1.1)")
-	temp := fs.Float64("temp", 0, "die temperature in C (0 = nominal 25)")
-	return func() cell.OperatingCondition {
-		cond := cell.OperatingCondition{VoltageV: *voltage, TempC: *temp}
-		if err := harness.SetOperatingCondition(cond); err != nil {
-			log.Print(err)
-			os.Exit(ExitUsage)
-		}
-		return cond
+// Engine registers -model-cache and -model-cache-dir, plus -voltage and
+// -temp when withCondition is set, and returns a function that builds the
+// harness engine they select after parsing. The cache defaults to on for the
+// CLI tools, so repeated invocations skip the once-per-design training. A
+// condition outside the cell library's range is a usage error (ExitUsage).
+func Engine(fs *flag.FlagSet, withCondition bool) func() *harness.Engine {
+	var cond cell.OperatingCondition
+	if withCondition {
+		fs.Float64Var(&cond.VoltageV, "voltage", 0, "supply voltage in volts (0 = nominal 1.1)")
+		fs.Float64Var(&cond.TempC, "temp", 0, "die temperature in C (0 = nominal 25)")
 	}
-}
-
-// ModelCache registers -model-cache and -model-cache-dir and returns a
-// function to read them after parsing. The cache defaults to on for the CLI
-// tools (the library keeps it off), so repeated invocations skip the
-// once-per-design calibration and training; -model-cache=false forces a
-// cold build.
-func ModelCache(fs *flag.FlagSet) func() (enabled bool, dir string) {
 	enabled := fs.Bool("model-cache", true,
 		"reuse calibrated+trained models from the on-disk cache")
 	dir := fs.String("model-cache-dir", "",
 		"model cache directory (default: the user cache dir)")
-	return func() (bool, string) { return *enabled, *dir }
+	return func() *harness.Engine {
+		eng, err := harness.New(cond, modelcache.Dir(*enabled, *dir))
+		if err != nil {
+			log.Print(err)
+			os.Exit(ExitUsage)
+		}
+		return eng
+	}
 }
 
 // Context returns the root context of a CLI invocation: cancelled on

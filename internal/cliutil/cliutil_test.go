@@ -7,6 +7,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"tsperr/internal/cell"
+	"tsperr/internal/modelcache"
 )
 
 func TestContextTimeout(t *testing.T) {
@@ -64,20 +67,37 @@ func TestModelCacheFlags(t *testing.T) {
 	// The flags register on the flag set they are given, so this test reads
 	// defaults and then flips values via Set rather than re-parsing.
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	read := ModelCache(fs)
-	enabled, dir := read()
-	if !enabled || dir != "" {
-		t.Fatalf("defaults = (%v, %q), want (true, \"\")", enabled, dir)
+	engine := Engine(fs, false)
+	if fs.Lookup("voltage") != nil || fs.Lookup("temp") != nil {
+		t.Error("-voltage/-temp registered for a mode that does not read them")
 	}
-	if err := fs.Set("model-cache", "false"); err != nil {
-		t.Fatal(err)
+	if got, want := engine().CacheDir(), modelcache.Dir(true, ""); got != want {
+		t.Fatalf("default cache dir = %q, want %q", got, want)
 	}
 	if err := fs.Set("model-cache-dir", "/tmp/mc"); err != nil {
 		t.Fatal(err)
 	}
-	enabled, dir = read()
-	if enabled || dir != "/tmp/mc" {
-		t.Errorf("after Set = (%v, %q), want (false, \"/tmp/mc\")", enabled, dir)
+	if got := engine().CacheDir(); got != "/tmp/mc" {
+		t.Errorf("-model-cache-dir /tmp/mc: cache dir = %q", got)
+	}
+	if err := fs.Set("model-cache", "false"); err != nil {
+		t.Fatal(err)
+	}
+	if got := engine().CacheDir(); got != "" {
+		t.Errorf("-model-cache=false: cache dir = %q, want uncached", got)
+	}
+
+	fs = flag.NewFlagSet("cond", flag.ContinueOnError)
+	engine = Engine(fs, true)
+	if err := fs.Set("voltage", "1.0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Set("temp", "85"); err != nil {
+		t.Fatal(err)
+	}
+	want := cell.OperatingCondition{VoltageV: 1.0, TempC: 85}
+	if got := engine().Options().Cond; !got.Equal(want) {
+		t.Errorf("engine condition = %v, want %v", got, want)
 	}
 }
 

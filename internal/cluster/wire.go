@@ -44,7 +44,8 @@ type ChunkRequest struct {
 // SpecSource rebuilds the Monte Carlo spec for a benchmark's validation run:
 // program, per-scenario setup, and the analytically derived conditionals.
 // Trials and Seed are left zero — the chunk handler fills them from the
-// request. The daemon wires harness.MCSpec; tests substitute fixtures.
+// request. The daemon wires its harness engine's MCSpec; tests substitute
+// fixtures.
 type SpecSource func(ctx context.Context, benchmark string, scenarios int) (montecarlo.Spec, error)
 
 // DecodeJSON decodes exactly one JSON value from body into v, and fails

@@ -14,98 +14,95 @@ import (
 	"tsperr/internal/cpu"
 	"tsperr/internal/errormodel"
 	"tsperr/internal/mibench"
-	"tsperr/internal/modelcache"
 )
 
 // DefaultScenarios is the number of input datasets per benchmark; their
 // spread is the data-variation axis of Figure 3.
 const DefaultScenarios = 8
 
-var (
-	fwMu sync.Mutex
-	// fw is the lazily built shared framework; guarded by fwMu.
-	fw *core.Framework
+// Engine is the once-per-design half of the paper's flow held as one value:
+// the framework calibrated and trained at the engine's operating condition,
+// the frameworks of the other conditions an operating-point search visits,
+// and the Monte Carlo specs a cluster worker rebuilds. Each command, daemon
+// and test holds its own engine, and two engines share nothing. Its methods
+// are safe for concurrent use.
+type Engine struct {
+	cond     cell.OperatingCondition
+	cacheDir string
+	// build is buildFramework; tests substitute it.
+	build func(opts errormodel.Options, dir string) (*core.Framework, error)
 
-	// Model-cache policy for SharedFramework. Disabled by default so
-	// library consumers (and `go test ./...`) never touch the filesystem;
-	// the CLI commands opt in via SetModelCache before first use.
-	cacheEnabled bool   // guarded by fwMu
-	cacheDir     string // guarded by fwMu
-)
+	mu sync.Mutex
+	fw *core.Framework // guarded by mu
 
-// Build hooks, substituted by tests to exercise failure and retry semantics.
-var (
-	buildFramework       = core.NewFramework
-	buildFrameworkCached = core.NewFrameworkCached
-)
+	condMu  sync.Mutex
+	condFWs map[string]*condEntry // guarded by condMu
+	condLRU []string              // most recently used last; guarded by condMu
 
-// SetModelCache configures whether SharedFramework consults the persistent
-// model cache and where; dir == "" selects modelcache.DefaultDir. It only
-// affects frameworks built after the call, so commands invoke it before
-// their first SharedFramework use.
-func SetModelCache(enabled bool, dir string) {
-	fwMu.Lock()
-	defer fwMu.Unlock()
-	cacheEnabled = enabled
-	cacheDir = dir
+	specMu   sync.Mutex
+	specMemo map[string]*specEntry // guarded by specMu
 }
 
-// SharedFramework builds (once) the calibrated machine and trained datapath
-// model shared by all benchmarks — the machine-dependent "training" the
-// paper performs once per design. Concurrent callers during the build wait
-// for the single in-flight attempt; unlike a sync.Once, a failed build is
-// not latched, so a later call retries instead of replaying the old error
-// forever.
-func SharedFramework() (*core.Framework, error) {
-	fwMu.Lock()
-	defer fwMu.Unlock()
-	if fw != nil {
-		return fw, nil
-	}
-	f, err := buildAt(sharedCond, cacheDirFor(cacheEnabled, cacheDir))
-	if err != nil {
+// New returns an engine whose framework builds at cond through the model
+// cache in cacheDir; "" builds uncached. Nothing is built before first use.
+// A condition outside the cell library's range is an error.
+func New(cond cell.OperatingCondition, cacheDir string) (*Engine, error) {
+	if err := cond.Validate(); err != nil {
 		return nil, err
 	}
-	fw = f
-	return fw, nil
+	return &Engine{
+		cond:     cond,
+		cacheDir: cacheDir,
+		build:    buildFramework,
+		condFWs:  map[string]*condEntry{},
+		specMemo: map[string]*specEntry{},
+	}, nil
 }
 
-// ModelCacheDir returns the directory the model-cache policy set by
-// SetModelCache resolves to: "" when the cache is off or no usable directory
-// exists, in which case frameworks build uncached.
-func ModelCacheDir() string {
-	fwMu.Lock()
-	defer fwMu.Unlock()
-	return cacheDirFor(cacheEnabled, cacheDir)
+// buildFramework is an engine's build: through the model cache in dir unless
+// dir is "" (the condition is part of the cache key, so each condition warms
+// independently).
+func buildFramework(opts errormodel.Options, dir string) (*core.Framework, error) {
+	if dir == "" {
+		return core.NewFramework(opts)
+	}
+	f, _, err := core.NewFrameworkCached(opts, dir)
+	return f, err
 }
 
-// cacheDirFor is the rule behind ModelCacheDir: an enabled cache with an
-// empty dir uses modelcache.DefaultDir, and "" means build uncached.
-func cacheDirFor(enabled bool, dir string) string {
-	if !enabled {
-		return ""
-	}
-	if dir != "" {
-		return dir
-	}
-	def, err := modelcache.DefaultDir()
-	if err != nil {
-		return ""
-	}
-	return def
-}
-
-// buildAt builds a framework at an operating condition, through the model
-// cache in dir unless dir is "" (the condition is part of the cache key, so
-// each condition warms independently).
-func buildAt(cond cell.OperatingCondition, dir string) (*core.Framework, error) {
+// optionsAt returns the default errormodel options at an operating condition.
+func optionsAt(cond cell.OperatingCondition) errormodel.Options {
 	opts := errormodel.DefaultOptions()
 	opts.Cond = cond
-	if dir == "" {
-		return buildFramework(opts)
+	return opts
+}
+
+// Options returns the errormodel options the engine's framework is (or will
+// be) built with, its condition included: the options a daemon must
+// fingerprint under.
+func (e *Engine) Options() errormodel.Options { return optionsAt(e.cond) }
+
+// CacheDir returns the model-cache directory the engine builds through, or
+// "" when it builds uncached.
+func (e *Engine) CacheDir() string { return e.cacheDir }
+
+// Framework builds (once) the calibrated machine and trained datapath model
+// shared by all benchmarks — the machine-dependent "training" the paper
+// performs once per design. Concurrent callers during the build wait for the
+// single in-flight attempt; unlike a sync.Once, a failed build is not
+// latched, so a later call retries instead of replaying the old error
+// forever.
+func (e *Engine) Framework() (*core.Framework, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.fw == nil {
+		f, err := e.build(e.Options(), e.cacheDir)
+		if err != nil {
+			return nil, err
+		}
+		e.fw = f
 	}
-	f, _, err := buildFrameworkCached(opts, dir)
-	return f, err
+	return e.fw, nil
 }
 
 // SpecFor converts a benchmark into an analyzable program spec.
@@ -121,20 +118,16 @@ func SpecFor(b mibench.Benchmark, scenarios int) core.ProgramSpec {
 	}
 }
 
-// Analyze runs the full framework on one named benchmark with strict
-// failure semantics, honoring ctx cancellation and deadlines.
-func Analyze(ctx context.Context, name string, scenarios int) (*core.Report, error) {
-	return AnalyzeWithOpts(ctx, name, scenarios, core.AnalyzeOpts{})
-}
-
-// AnalyzeWithOpts is Analyze with explicit resilience options (worker
-// bound, retries, fail-fast, graceful degradation via MinScenarios).
-func AnalyzeWithOpts(ctx context.Context, name string, scenarios int, opts core.AnalyzeOpts) (*core.Report, error) {
+// Analyze runs the full framework on one named benchmark, honoring ctx
+// cancellation and deadlines and the resilience options (worker bound,
+// retries, fail-fast, graceful degradation via MinScenarios); it is the
+// daemon's server.Config.Analyze.
+func (e *Engine) Analyze(ctx context.Context, name string, scenarios int, opts core.AnalyzeOpts) (*core.Report, error) {
 	b, err := mibench.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	f, err := SharedFramework()
+	f, err := e.Framework()
 	if err != nil {
 		return nil, err
 	}

@@ -3,20 +3,36 @@ package harness
 import (
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
+	"tsperr/internal/cell"
 	"tsperr/internal/core"
 	"tsperr/internal/errormodel"
 	"tsperr/internal/faultinject"
 	"tsperr/internal/mibench"
+	"tsperr/internal/modelcache"
 )
+
+// nominal is the engine the package's full-framework tests share, so the
+// test binary builds the nominal framework once.
+var nominal = newEngine(cell.OperatingCondition{}, "")
+
+// newEngine is New for a condition the caller knows is valid.
+func newEngine(cond cell.OperatingCondition, dir string) *Engine {
+	e, err := New(cond, dir)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
 
 func TestAnalyzeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full framework run")
 	}
-	rep, err := Analyze(context.Background(), "patricia", 3)
+	rep, err := nominal.Analyze(context.Background(), "patricia", 3, core.AnalyzeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +54,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 }
 
 func TestAnalyzeUnknown(t *testing.T) {
-	if _, err := Analyze(context.Background(), "nonesuch", 2); err == nil {
+	if _, err := nominal.Analyze(context.Background(), "nonesuch", 2, core.AnalyzeOpts{}); err == nil {
 		t.Error("unknown benchmark should fail")
 	}
 }
@@ -47,7 +63,7 @@ func TestTable2Formatting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full framework run")
 	}
-	rep, err := Analyze(context.Background(), "patricia", 2)
+	rep, err := nominal.Analyze(context.Background(), "patricia", 2, core.AnalyzeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +83,11 @@ func TestFigure3SeriesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full framework run")
 	}
-	f, err := SharedFramework()
+	f, err := nominal.Framework()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Analyze(context.Background(), "patricia", 2)
+	rep, err := nominal.Analyze(context.Background(), "patricia", 2, core.AnalyzeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +135,7 @@ func TestSpecForDefaults(t *testing.T) {
 // failure detail must name every dropped scenario with its phase tag.
 func TestDegradedRowAndFailureDetail(t *testing.T) {
 	inj := faultinject.New(1, faultinject.FailAlways(faultinject.Setup, 1))
-	rep, err := AnalyzeWithOpts(context.Background(), "stringsearch", 3, core.AnalyzeOpts{
+	rep, err := nominal.Analyze(context.Background(), "stringsearch", 3, core.AnalyzeOpts{
 		MinScenarios: 2,
 		RetryBackoff: -1,
 		Inject: func(ctx context.Context, ph core.Phase, s int) error {
@@ -142,73 +158,64 @@ func TestDegradedRowAndFailureDetail(t *testing.T) {
 	}
 }
 
-// swapBuildHooks snapshots and clears the shared-framework state so a test
-// can substitute build hooks, restoring everything on cleanup.
-func swapBuildHooks(t *testing.T) {
-	t.Helper()
-	fwMu.Lock()
-	origFw, origEnabled, origDir := fw, cacheEnabled, cacheDir
-	fw = nil
-	fwMu.Unlock()
-	origBuild, origCached := buildFramework, buildFrameworkCached
-	t.Cleanup(func() {
-		buildFramework, buildFrameworkCached = origBuild, origCached
-		fwMu.Lock()
-		fw, cacheEnabled, cacheDir = origFw, origEnabled, origDir
-		fwMu.Unlock()
-	})
-}
-
-// Regression: SharedFramework used a sync.Once, so a single failed build
-// (e.g. a transient resource problem) was latched and replayed to every
+// Regression: the shared framework used a sync.Once, so a single failed
+// build (e.g. a transient resource problem) was latched and replayed to every
 // later caller. A failure must leave the slot empty so the next call
 // retries; a success must be latched.
 func TestSharedFrameworkRetriesAfterFailure(t *testing.T) {
-	swapBuildHooks(t)
+	e := newEngine(cell.OperatingCondition{}, "")
 	calls := 0
 	sentinel := &core.Framework{}
-	buildFramework = func(errormodel.Options) (*core.Framework, error) {
+	e.build = func(errormodel.Options, string) (*core.Framework, error) {
 		calls++
 		if calls == 1 {
 			return nil, errors.New("transient build failure")
 		}
 		return sentinel, nil
 	}
-	if _, err := SharedFramework(); err == nil {
+	if _, err := e.Framework(); err == nil {
 		t.Fatal("first build should fail")
 	}
-	f, err := SharedFramework()
+	f, err := e.Framework()
 	if err != nil {
 		t.Fatalf("second call should retry the build: %v", err)
 	}
 	if f != sentinel || calls != 2 {
 		t.Errorf("framework %p after %d build calls", f, calls)
 	}
-	if f2, err := SharedFramework(); err != nil || f2 != sentinel || calls != 2 {
+	if f2, err := e.Framework(); err != nil || f2 != sentinel || calls != 2 {
 		t.Errorf("success should be latched without rebuilding (calls=%d)", calls)
 	}
 }
 
 func TestSharedFrameworkUsesModelCache(t *testing.T) {
-	swapBuildHooks(t)
 	dir := t.TempDir()
+	e := newEngine(cell.OperatingCondition{}, dir)
 	sentinel := &core.Framework{}
 	var gotDir string
-	buildFrameworkCached = func(_ errormodel.Options, d string) (*core.Framework, bool, error) {
+	e.build = func(_ errormodel.Options, d string) (*core.Framework, error) {
 		gotDir = d
-		return sentinel, true, nil
+		return sentinel, nil
 	}
-	buildFramework = func(errormodel.Options) (*core.Framework, error) {
-		t.Error("cache-enabled build must go through the cached constructor")
-		return nil, errors.New("wrong path")
-	}
-	SetModelCache(true, dir)
-	f, err := SharedFramework()
+	f, err := e.Framework()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f != sentinel || gotDir != dir {
 		t.Errorf("framework %p via dir %q, want %q", f, gotDir, dir)
+	}
+	if testing.Short() {
+		return
+	}
+	// The real build goes through the cached constructor: it leaves the
+	// snapshot a later engine restores from.
+	cached := newEngine(cell.OperatingCondition{}, t.TempDir())
+	if _, err := cached.Framework(); err != nil {
+		t.Fatal(err)
+	}
+	snap := modelcache.Path(cached.CacheDir(), modelcache.Key(cached.Options(), cell.Fingerprint()))
+	if _, err := os.Stat(snap); err != nil {
+		t.Errorf("cache-enabled build left no snapshot: %v", err)
 	}
 }
 

@@ -11,16 +11,11 @@ import (
 	"tsperr/internal/montecarlo"
 )
 
-// specMemo caches rebuilt Monte Carlo specs by "benchmark|scenarios". Each
-// entry carries a once so concurrent chunk requests for the same benchmark
-// share a single analytic run; a failed build is not latched (the entry is
-// dropped), matching SharedFramework's retry semantics. The shared run is
-// bound to the context of the caller that started it.
-var (
-	specMu   sync.Mutex
-	specMemo = map[string]*specEntry{}
-)
-
+// specEntry is one MCSpec memo entry, keyed by "benchmark|scenarios". Its
+// once lets concurrent chunk requests for the same benchmark share a single
+// analytic run, bound to the context of the caller that started it; a failed
+// build is not latched (the entry is dropped), matching Framework's retry
+// semantics.
 type specEntry struct {
 	once sync.Once
 	spec montecarlo.Spec
@@ -30,44 +25,44 @@ type specEntry struct {
 // MCSpec rebuilds the Monte Carlo simulation spec for one benchmark — the
 // cluster.SpecSource a worker node wires as server.Config.ChunkSource. The
 // conditionals are derived by running the analytic pipeline against this
-// node's shared framework, exactly as a coordinator derives its own before
+// engine's framework, exactly as a coordinator derives its own before
 // fanning chunks out; with matching model fingerprints (enforced by the chunk
 // endpoint) the rebuilt spec is bit-identical to the coordinator's, so
 // montecarlo.RunChunk over it returns the same bytes a local execution would
 // have produced. Results are memoized per (benchmark, scenarios).
-func MCSpec(ctx context.Context, benchmark string, scenarios int) (montecarlo.Spec, error) {
+func (e *Engine) MCSpec(ctx context.Context, benchmark string, scenarios int) (montecarlo.Spec, error) {
 	if scenarios <= 0 {
 		scenarios = DefaultScenarios
 	}
 	key := fmt.Sprintf("%s|%d", benchmark, scenarios)
 	for {
-		specMu.Lock()
-		e, ok := specMemo[key]
+		e.specMu.Lock()
+		se, ok := e.specMemo[key]
 		if !ok {
-			e = &specEntry{}
-			specMemo[key] = e
+			se = &specEntry{}
+			e.specMemo[key] = se
 		}
-		specMu.Unlock()
+		e.specMu.Unlock()
 		ran := false
-		e.once.Do(func() {
+		se.once.Do(func() {
 			ran = true
-			e.spec, e.err = buildMCSpec(ctx, benchmark, scenarios)
+			se.spec, se.err = e.buildMCSpec(ctx, benchmark, scenarios)
 		})
-		if e.err == nil {
-			return e.spec, nil
+		if se.err == nil {
+			return se.spec, nil
 		}
 		// Do not latch the failure: a context cancellation or a transient
 		// framework-build error must not poison every later chunk request.
-		specMu.Lock()
-		if specMemo[key] == e {
-			delete(specMemo, key)
+		e.specMu.Lock()
+		if e.specMemo[key] == se {
+			delete(e.specMemo, key)
 		}
-		specMu.Unlock()
+		e.specMu.Unlock()
 		// A caller that joined another caller's run got that caller's error,
 		// possibly its cancellation; while this caller's own context is live,
 		// it runs the build itself.
 		if ran || ctx.Err() != nil {
-			return montecarlo.Spec{}, e.err
+			return montecarlo.Spec{}, se.err
 		}
 	}
 }
@@ -77,12 +72,12 @@ func MCSpec(ctx context.Context, benchmark string, scenarios int) (montecarlo.Sp
 // strict (non-degraded) run covers every scenario, so the conditionals align
 // index-for-index with the coordinator's — coordinators never distribute
 // degraded jobs (core marks them LocalOnly).
-func buildMCSpec(ctx context.Context, benchmark string, scenarios int) (montecarlo.Spec, error) {
+func (e *Engine) buildMCSpec(ctx context.Context, benchmark string, scenarios int) (montecarlo.Spec, error) {
 	b, err := mibench.ByName(benchmark)
 	if err != nil {
 		return montecarlo.Spec{}, err
 	}
-	rep, err := AnalyzeWithOpts(ctx, benchmark, scenarios, core.AnalyzeOpts{})
+	rep, err := e.Analyze(ctx, benchmark, scenarios, core.AnalyzeOpts{})
 	if err != nil {
 		return montecarlo.Spec{}, err
 	}

@@ -3,11 +3,11 @@ package harness
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tsperr/internal/cell"
 	"tsperr/internal/core"
 	"tsperr/internal/errormodel"
 	"tsperr/internal/montecarlo"
@@ -37,7 +37,7 @@ func TestMCSpecRebuildsTheCoordinatorSpec(t *testing.T) {
 			return montecarlo.RunSharded(ctx, job.Spec, job.Shard)
 		},
 	}
-	if _, err := AnalyzeWithOpts(ctx, "patricia", 2, opts); err != nil {
+	if _, err := nominal.Analyze(ctx, "patricia", 2, opts); err != nil {
 		t.Fatal(err)
 	}
 	if captured.Trials != 96 || chunkSize != 32 {
@@ -45,7 +45,7 @@ func TestMCSpecRebuildsTheCoordinatorSpec(t *testing.T) {
 	}
 
 	// Worker side: rebuild from the benchmark identity alone.
-	spec, err := MCSpec(ctx, "patricia", 2)
+	spec, err := nominal.MCSpec(ctx, "patricia", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestMCSpecRebuildsTheCoordinatorSpec(t *testing.T) {
 	}
 
 	// The second call must come from the memo: same backing conditionals.
-	again, err := MCSpec(ctx, "patricia", 2)
+	again, err := nominal.MCSpec(ctx, "patricia", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +90,20 @@ func TestMCSpecRebuildsTheCoordinatorSpec(t *testing.T) {
 }
 
 func TestMCSpecUnknownBenchmarkFails(t *testing.T) {
-	if _, err := MCSpec(context.Background(), "nonesuch", 2); err == nil {
+	e := newEngine(cell.OperatingCondition{}, "")
+	if _, err := e.MCSpec(context.Background(), "nonesuch", 2); err == nil {
 		t.Fatal("unknown benchmark should fail")
 	}
 	// The failure must not be latched: the same key still errors (not a stale
 	// zero spec) and the memo does not grow.
-	if _, err := MCSpec(context.Background(), "nonesuch", 2); err == nil {
+	if _, err := e.MCSpec(context.Background(), "nonesuch", 2); err == nil {
 		t.Fatal("failed build must not be cached as success")
+	}
+	e.specMu.Lock()
+	n := len(e.specMemo)
+	e.specMu.Unlock()
+	if n != 0 {
+		t.Errorf("memo holds %d entries after failed builds", n)
 	}
 }
 
@@ -105,14 +112,14 @@ func TestMCSpecUnknownBenchmarkFails(t *testing.T) {
 // request on a cluster worker into a 503. A joiner whose own context is live
 // must run the build itself.
 func TestMCSpecJoinerOutlivesCancelledBuilder(t *testing.T) {
-	shared, err := SharedFramework()
+	shared, err := nominal.Framework()
 	if err != nil {
 		t.Fatal(err)
 	}
-	swapBuildHooks(t)
+	e := newEngine(cell.OperatingCondition{}, "")
 	started, release := make(chan struct{}), make(chan struct{})
 	var builds atomic.Int32
-	buildFramework = func(errormodel.Options) (*core.Framework, error) {
+	e.build = func(errormodel.Options, string) (*core.Framework, error) {
 		if builds.Add(1) == 1 {
 			close(started)
 			<-release
@@ -120,24 +127,17 @@ func TestMCSpecJoinerOutlivesCancelledBuilder(t *testing.T) {
 		return shared, nil
 	}
 	const bench, scenarios = "typeset", 1
-	forget := func() {
-		specMu.Lock()
-		delete(specMemo, fmt.Sprintf("%s|%d", bench, scenarios))
-		specMu.Unlock()
-	}
-	forget()
-	t.Cleanup(forget)
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	builderErr, joinerErr := make(chan error, 1), make(chan error, 1)
 	go func() {
-		_, err := MCSpec(cancelled, bench, scenarios)
+		_, err := e.MCSpec(cancelled, bench, scenarios)
 		builderErr <- err
 	}()
 	<-started // the builder now holds the shared run
 	go func() {
-		_, err := MCSpec(context.Background(), bench, scenarios)
+		_, err := e.MCSpec(context.Background(), bench, scenarios)
 		joinerErr <- err
 	}()
 	// Nothing observable marks the joiner as waiting on the run, so give it

@@ -12,52 +12,15 @@ import (
 	"tsperr/internal/mibench"
 )
 
-// Operating-point serving. The shared framework is built at one condition
-// (SetOperatingCondition; nominal by default) and answers plain analyses
-// concurrently. Requests at OTHER (voltage, temperature) points — the
-// oppoint search's sub-requests — go through a small registry of
-// per-condition frameworks: each condition gets its own calibrated machine
-// (warm from the model cache when enabled, since the condition is part of
-// the cache key), and a per-entry mutex serializes analyses on it because
-// ratio retargeting mutates shared machine state. Requests at the shared
-// framework's own condition and default ratio delegate to the plain path so
-// they share its concurrency and exact bytes.
-
-// sharedCond is the condition SharedFramework builds at; guarded by fwMu.
-var sharedCond cell.OperatingCondition
-
-// SetOperatingCondition sets the operating condition for frameworks built
-// after the call (the -voltage/-temp knobs). Like SetModelCache, commands
-// invoke it before their first SharedFramework use; it does not rebuild an
-// already-built shared framework.
-func SetOperatingCondition(cond cell.OperatingCondition) error {
-	if err := cond.Validate(); err != nil {
-		return err
-	}
-	fwMu.Lock()
-	defer fwMu.Unlock()
-	sharedCond = cond
-	return nil
-}
-
-// OperatingCondition returns the condition configured for the shared
-// framework.
-func OperatingCondition() cell.OperatingCondition {
-	fwMu.Lock()
-	defer fwMu.Unlock()
-	return sharedCond
-}
-
-// SharedOptions returns the errormodel options the shared framework is (or
-// will be) built with, including the configured operating condition — the
-// options a daemon must fingerprint under.
-func SharedOptions() errormodel.Options {
-	opts := errormodel.DefaultOptions()
-	fwMu.Lock()
-	opts.Cond = sharedCond
-	fwMu.Unlock()
-	return opts
-}
+// Operating-point serving. An engine's own framework is built at the
+// engine's condition and answers plain analyses concurrently. Requests at
+// OTHER (voltage, temperature) points — the oppoint search's sub-requests —
+// go through a small registry of per-condition frameworks: each condition
+// gets its own calibrated machine (warm from the model cache when enabled,
+// since the condition is part of the cache key), and a per-entry mutex
+// serializes analyses on it because ratio retargeting mutates shared machine
+// state. Requests at the engine's own condition and default ratio delegate to
+// the plain path so they share its concurrency and exact bytes.
 
 // maxConditionFrameworks bounds the per-condition registry: a calibrated
 // machine holds full netlists and engines, so an unbounded V/T grid must
@@ -73,48 +36,39 @@ type condEntry struct {
 	fw *core.Framework
 }
 
-var (
-	condMu  sync.Mutex
-	condFWs map[string]*condEntry
-	condLRU []string // most recently used last
-)
-
 // conditionEntry returns (creating if needed) the registry entry for a
 // normalized condition, updating LRU order and evicting the coldest entry
 // beyond the bound.
-func conditionEntry(key string) *condEntry {
-	condMu.Lock()
-	defer condMu.Unlock()
-	if condFWs == nil {
-		condFWs = make(map[string]*condEntry)
-	}
-	for i, k := range condLRU {
+func (e *Engine) conditionEntry(key string) *condEntry {
+	e.condMu.Lock()
+	defer e.condMu.Unlock()
+	for i, k := range e.condLRU {
 		if k == key {
-			condLRU = append(append(condLRU[:i:i], condLRU[i+1:]...), key)
-			return condFWs[key]
+			e.condLRU = append(append(e.condLRU[:i:i], e.condLRU[i+1:]...), key)
+			return e.condFWs[key]
 		}
 	}
-	if len(condLRU) >= maxConditionFrameworks {
-		evict := condLRU[0]
-		condLRU = condLRU[1:]
+	if len(e.condLRU) >= maxConditionFrameworks {
+		evict := e.condLRU[0]
+		e.condLRU = e.condLRU[1:]
 		// The entry vanishes from the registry; an in-flight analysis holding
 		// its mutex finishes on its private framework unharmed.
-		delete(condFWs, evict)
+		delete(e.condFWs, evict)
 	}
-	e := &condEntry{}
-	condFWs[key] = e
-	condLRU = append(condLRU, key)
-	return e
+	ce := &condEntry{}
+	e.condFWs[key] = ce
+	e.condLRU = append(e.condLRU, key)
+	return ce
 }
 
-// AnalyzeAtPoint analyzes one benchmark at an explicit operating point:
-// a (voltage, temperature) condition and a frequency ratio (0 means the
-// design's configured working ratio). Points matching the shared
-// framework's condition and the default ratio delegate to the plain
-// AnalyzeWithOpts path — bit-identical reports, full concurrency; all other
-// points run serialized on that condition's registry framework with the
-// machine re-targeted for the call and restored after it.
-func AnalyzeAtPoint(ctx context.Context, name string, scenarios int, opts core.AnalyzeOpts, cond cell.OperatingCondition, ratio float64) (*core.Report, error) {
+// AnalyzeAt analyzes one benchmark at an explicit operating point: a
+// (voltage, temperature) condition and a frequency ratio (0 means the
+// design's configured working ratio); it is the daemon's
+// server.Config.AnalyzeAt. Points matching the engine's condition and the
+// default ratio delegate to Analyze — bit-identical reports, full
+// concurrency; all other points run serialized on that condition's registry
+// framework with the machine re-targeted for the call and restored after it.
+func (e *Engine) AnalyzeAt(ctx context.Context, name string, scenarios int, opts core.AnalyzeOpts, cond cell.OperatingCondition, ratio float64) (*core.Report, error) {
 	if err := cond.Validate(); err != nil {
 		return nil, err
 	}
@@ -124,26 +78,26 @@ func AnalyzeAtPoint(ctx context.Context, name string, scenarios int, opts core.A
 	defaultRatio := errormodel.DefaultOptions().WorkingRatio
 	atDefaultRatio := ratio == 0 ||
 		math.Float64bits(ratio) == math.Float64bits(defaultRatio)
-	if cond.Equal(OperatingCondition()) && atDefaultRatio {
-		return AnalyzeWithOpts(ctx, name, scenarios, opts)
+	if cond.Equal(e.cond) && atDefaultRatio {
+		return e.Analyze(ctx, name, scenarios, opts)
 	}
 	b, err := mibench.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	e := conditionEntry(cond.String())
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.fw == nil {
-		f, err := buildAt(cond, ModelCacheDir())
+	ce := e.conditionEntry(cond.String())
+	ce.mu.Lock()
+	defer ce.mu.Unlock()
+	if ce.fw == nil {
+		f, err := e.build(optionsAt(cond), e.cacheDir)
 		if err != nil {
 			return nil, err
 		}
-		e.fw = f
+		ce.fw = f
 	}
 	r := ratio
 	if r == 0 {
-		r = e.fw.Machine.Opts.WorkingRatio
+		r = ce.fw.Machine.Opts.WorkingRatio
 	}
-	return e.fw.AnalyzeAtRatio(ctx, b.Name, SpecFor(b, scenarios), r, opts)
+	return ce.fw.AnalyzeAtRatio(ctx, b.Name, SpecFor(b, scenarios), r, opts)
 }

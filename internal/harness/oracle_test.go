@@ -34,7 +34,7 @@ func oracleBudget(short, full int) int {
 func TestSection5OracleAllBenchmarks(t *testing.T) {
 	trials := oracleBudget(400, 4000)
 	for _, b := range mibench.All() {
-		rep, err := AnalyzeWithOpts(context.Background(), b.Name, 4, core.AnalyzeOpts{MCTrials: trials, MCSeed: 1})
+		rep, err := nominal.Analyze(context.Background(), b.Name, 4, core.AnalyzeOpts{MCTrials: trials, MCSeed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -60,7 +60,7 @@ func TestEquation14SamplingOracle(t *testing.T) {
 	n := oracleBudget(2000, 20000)
 	eps := math.Sqrt(math.Log(2/1e-6)/(2*float64(n))) + 1e-3
 	for i, b := range mibench.All() {
-		rep, err := Analyze(context.Background(), b.Name, 4)
+		rep, err := nominal.Analyze(context.Background(), b.Name, 4, core.AnalyzeOpts{})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

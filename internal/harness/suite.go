@@ -108,15 +108,16 @@ func (s *Suite) Items(defaults core.AnalyzeOpts, defaultScenarios int) ([]core.B
 	return items, nil
 }
 
-// RunSuite runs a suite against the shared framework via core.EstimateBatch.
+// RunSuite runs a suite against the engine's framework via
+// core.EstimateBatch.
 // onResult, when non-nil, observes each entry's result as it lands (in suite
 // order), which is how the CLI streams progress rows.
-func RunSuite(ctx context.Context, s *Suite, defaults core.AnalyzeOpts, defaultScenarios int, onResult func(core.BatchItemResult)) (*core.BatchResult, error) {
+func (e *Engine) RunSuite(ctx context.Context, s *Suite, defaults core.AnalyzeOpts, defaultScenarios int, onResult func(core.BatchItemResult)) (*core.BatchResult, error) {
 	items, err := s.Items(defaults, defaultScenarios)
 	if err != nil {
 		return nil, err
 	}
-	f, err := SharedFramework()
+	f, err := e.Framework()
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // SurrogateAdapter binds the surrogate fast tier to the benchmark suite and
-// the shared framework: it resolves a benchmark name to its program, derives
+// a framework: it resolves a benchmark name to its program, derives
 // the pre-simulation feature vector through core.SurrogateFeatures, and
 // translates between the tier's feature-space API and the serving layer's
 // name-based one. It implements server.SurrogateTier.
@@ -23,7 +23,7 @@ type SurrogateAdapter struct {
 
 var _ server.SurrogateTier = (*SurrogateAdapter)(nil)
 
-// NewSurrogateAdapter wraps a tier around the shared framework.
+// NewSurrogateAdapter wraps a tier around a framework.
 func NewSurrogateAdapter(fw *core.Framework, tier *surrogate.Tier) *SurrogateAdapter {
 	return &SurrogateAdapter{fw: fw, tier: tier}
 }
@@ -107,7 +107,7 @@ var DefaultEvalScenarioGrid = []int{1, 2, 3, 4, 6, 8}
 // Benchmarks whose estimate carries a zero mean rate are skipped (no log10
 // label). A nil benchmark list selects the full suite; a nil grid selects
 // DefaultEvalScenarioGrid.
-func SurrogateEvalSamples(ctx context.Context, benchmarks []string, grid []int) ([]surrogate.EvalSample, error) {
+func (e *Engine) SurrogateEvalSamples(ctx context.Context, benchmarks []string, grid []int) ([]surrogate.EvalSample, error) {
 	if benchmarks == nil {
 		for _, b := range mibench.All() {
 			benchmarks = append(benchmarks, b.Name)
@@ -116,7 +116,7 @@ func SurrogateEvalSamples(ctx context.Context, benchmarks []string, grid []int) 
 	if grid == nil {
 		grid = DefaultEvalScenarioGrid
 	}
-	fw, err := SharedFramework()
+	fw, err := e.Framework()
 	if err != nil {
 		return nil, err
 	}

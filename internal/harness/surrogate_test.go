@@ -14,7 +14,7 @@ var evalSamplesCache []surrogate.EvalSample
 func evalSamples(ctx context.Context, t *testing.T) []surrogate.EvalSample {
 	t.Helper()
 	if evalSamplesCache == nil {
-		samples, err := SurrogateEvalSamples(ctx, nil, nil)
+		samples, err := nominal.SurrogateEvalSamples(ctx, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestSurrogateHeldOutAccuracy(t *testing.T) {
 // every served answer's reported uncertainty is within the bound it claims.
 func TestSurrogateGateHonestyOnSuite(t *testing.T) {
 	samples := evalSamples(context.Background(), t)
-	fw, err := SharedFramework()
+	fw, err := nominal.Framework()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSurrogateGateHonestyOnSuite(t *testing.T) {
 // TestSurrogateAdapterUnknownBenchmark: names the suite does not know
 // escalate as untrained and are never observed.
 func TestSurrogateAdapterUnknownBenchmark(t *testing.T) {
-	fw, err := SharedFramework()
+	fw, err := nominal.Framework()
 	if err != nil {
 		t.Fatal(err)
 	}

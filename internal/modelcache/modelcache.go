@@ -75,6 +75,18 @@ func DefaultDir() (string, error) {
 	return filepath.Join(base, "tsperr"), nil
 }
 
+// Dir is the -model-cache/-model-cache-dir rule: an enabled cache without a
+// dir uses DefaultDir; "" (build uncached) when off or no dir is usable.
+func Dir(enabled bool, dir string) string {
+	if !enabled {
+		return ""
+	}
+	if dir == "" {
+		dir, _ = DefaultDir() // "" when there is no user cache dir
+	}
+	return dir
+}
+
 // Save atomically writes a snapshot under its key, creating dir as needed.
 // The snapshot's Schema and Key fields are stamped here.
 func Save(dir, key string, snap *Snapshot) error {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"time"
@@ -219,8 +220,7 @@ func (s *Server) setEntryStatus(e *batchEntry, status string, dedup bool) {
 // admitted batch entry pins its computation the way async jobs do: it always
 // runs to completion, drain included.
 func (s *Server) awaitEntry(b *batch, e *batchEntry, f *flight, dedup bool) {
-	<-f.done
-	s.leave(e.key, f)
+	_ = s.wait(context.Background(), e.key, f)
 	s.finishEntry(b, e, f.rep, f.err, false, dedup)
 }
 

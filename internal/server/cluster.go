@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 
 	"tsperr/internal/cluster"
@@ -93,22 +92,13 @@ func (s *Server) handleClusterChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec, err := s.cfg.ChunkSource(r.Context(), creq.Benchmark, creq.Scenarios)
-	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, errorResponse{Error: err.Error()})
-		return
+	var res montecarlo.ChunkResult
+	if err == nil {
+		spec.Trials, spec.Seed = creq.Trials, creq.Seed
+		res, err = montecarlo.RunChunk(r.Context(), spec, creq.ChunkSize, creq.Index)
 	}
-	spec.Trials, spec.Seed = creq.Trials, creq.Seed
-	res, err := montecarlo.RunChunk(r.Context(), spec, creq.ChunkSize, creq.Index)
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, errorResponse{Error: err.Error()})
+		writeJSON(w, errorStatus(err, http.StatusBadRequest), errorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, res)

@@ -1,12 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"tsperr/internal/cluster"
+	"tsperr/internal/mibench"
 )
 
 // toggleFloat returns a value whose %g rendering (the canonical-hash form)
@@ -132,4 +138,95 @@ func FuzzRequestHash(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzParseRequest runs arbitrary bytes through the three request decoders
+// — parseRequest, parseBatchRequest, and the oppoint decode with its
+// normalize and validate — none of which may panic. An accepted estimate
+// request lies within the limits, and its re-marshalled body (what a
+// coordinator proxies to a peer) parses to the same key.
+func FuzzParseRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"benchmark":"typeset","scenarios":2}`,
+		`{"benchmark":"dijkstra","scenarios":4}`,
+		`{"benchmark":"typeset","scenarios":2,"mc_trials":5000}`,
+		`{"benchmark":"patricia","scenarios":2,"mc_trials":50}`,
+		`{"benchmark":"typeset","scenarios":2,"target_error_rate":0.02,
+		  "voltages":[1.1,1.05],"temps_c":[25,85],"min_ratio":1.0,"max_ratio":1.2,"steps":3}`,
+		`{"scenarios":[{"benchmark":"typeset"},{"benchmark":"dijkstra","scenarios":2}]}`,
+		`{"benchmark":"typeset","freq_ratio":1.2,"voltage":1.0,"temp_c":85,"workers":2,"timeout_ms":500}`,
+		`{"benchmark":"typeset","freq_ratio":-0,"voltage":-0,"temp_c":-0}`,
+	} {
+		f.Add([]byte(body))
+	}
+	limits := Limits{
+		DefaultScenarios: 8, MaxScenarios: 64, MaxRetries: 8, MaxWorkers: 64, MaxMCTrials: 5000,
+		Lookup: func(name string) error {
+			_, err := mibench.ByName(name)
+			return err
+		},
+	}
+	post := func(body []byte) *http.Request {
+		return httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if req, err := parseRequest(httptest.NewRecorder(), post(body), limits); err == nil {
+			if field := outsideLimits(req, limits); field != "" {
+				t.Fatalf("accepted request has %s outside the limits: %+v", field, req)
+			}
+			buf, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := parseRequest(httptest.NewRecorder(), post(buf), limits)
+			if err != nil {
+				t.Fatalf("re-marshalled body %s rejected: %v", buf, err)
+			}
+			if again.Key("fp") != req.Key("fp") {
+				t.Fatalf("re-marshalled body %s changed the key of %s", buf, body)
+			}
+		}
+		if reqs, err := parseBatchRequest(httptest.NewRecorder(), post(body), limits, 32); err == nil {
+			for i, req := range reqs {
+				if field := outsideLimits(req, limits); field != "" {
+					t.Fatalf("accepted batch entry %d has %s outside the limits: %+v", i, field, req)
+				}
+			}
+		}
+		var q OppointRequest
+		if cluster.DecodeJSON(httptest.NewRecorder(), post(body).Body, maxRequestBody, &q) == nil {
+			q.normalize(limits)
+			if q.validate(limits) == nil && len(q.conditions()) > maxOppointConditions {
+				t.Fatalf("accepted search spans %d conditions", len(q.conditions()))
+			}
+		}
+	})
+}
+
+// outsideLimits names the first field of an estimate request that lies
+// outside the limits, or returns "".
+func outsideLimits(q *Request, l Limits) string {
+	switch {
+	case l.Lookup(q.Benchmark) != nil:
+		return "benchmark"
+	case q.Scenarios < 1 || q.Scenarios > l.MaxScenarios:
+		return "scenarios"
+	case q.Workers < 0 || q.Workers > l.MaxWorkers:
+		return "workers"
+	case q.Retries < 0 || q.Retries > l.MaxRetries:
+		return "retries"
+	case q.MinScenarios < 0 || q.MinScenarios > q.Scenarios:
+		return "min_scenarios"
+	case q.MCTrials < 0 || q.MCTrials > l.MaxMCTrials:
+		return "mc_trials"
+	case q.TimeoutMS < 0:
+		return "timeout_ms"
+	case !(q.ErrorRateThreshold >= 0 && q.ErrorRateThreshold < 1):
+		return "error_rate_threshold"
+	case q.FreqRatio != 0 && !(q.FreqRatio >= minFreqRatio && q.FreqRatio <= maxFreqRatio):
+		return "freq_ratio"
+	case q.cond().Validate() != nil:
+		return "voltage/temp_c"
+	}
+	return ""
 }

@@ -210,13 +210,9 @@ func (s *Server) oppointSub(ctx context.Context, sub *Request) (rep *core.Report
 	case joinRejected:
 		return nil, false, errOppointQueueFull
 	}
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		s.leave(key, f)
-		return nil, false, ctx.Err()
+	if err := s.wait(ctx, key, f); err != nil {
+		return nil, false, err
 	}
-	s.leave(key, f)
 	if f.err != nil {
 		return nil, false, f.err
 	}
@@ -280,11 +276,8 @@ func (s *Server) handleOppoint(w http.ResponseWriter, r *http.Request) {
 		}
 		op, err := core.SelectOperatingPoint(ctx, q.MinRatio, q.MaxRatio, q.Steps, q.TargetErrorRate, analyze)
 		if err != nil {
-			code := http.StatusInternalServerError
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errOppointQueueFull) {
-				code = http.StatusServiceUnavailable
-			}
-			writeJSON(w, code, errorResponse{Error: fmt.Sprintf("search at %s: %v", cond, err)})
+			writeJSON(w, errorStatus(err, http.StatusInternalServerError),
+				errorResponse{Error: fmt.Sprintf("search at %s: %v", cond, err)})
 			return
 		}
 		if !op.Feasible {

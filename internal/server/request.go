@@ -197,7 +197,9 @@ func (q *Request) Key(fingerprint string) string {
 	fmt.Fprintf(h, "mc=%d\n", q.MCTrials)
 	// The operating-point overrides determine the result; unset (0) hashes
 	// as 0 — "the daemon's default point" — keeping the canonical form total.
-	fmt.Fprintf(h, "ratio=%g\nvolt=%g\ntemp=%g\n", q.FreqRatio, q.VoltageV, q.TempC)
+	// Adding +0 folds -0, which is unset too and which a re-marshalled body
+	// (omitempty) carries as absent, into 0.
+	fmt.Fprintf(h, "ratio=%g\nvolt=%g\ntemp=%g\n", q.FreqRatio+0, q.VoltageV+0, q.TempC+0)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -18,16 +18,16 @@ import (
 	"tsperr/internal/pool"
 )
 
-// AnalyzeFunc runs one estimation. The daemon wires
-// harness.AnalyzeWithOpts; tests substitute fakes. It must honor ctx
+// AnalyzeFunc runs one estimation. The daemon wires its harness engine's
+// Analyze; tests substitute fakes. It must honor ctx
 // cancellation — that is how client disconnects and shutdown reach the
 // pipeline.
 type AnalyzeFunc func(ctx context.Context, benchmark string, scenarios int, opts core.AnalyzeOpts) (*core.Report, error)
 
 // AnalyzeAtFunc runs one estimation at an explicit operating point: a
 // (voltage, temperature) condition plus a frequency ratio (0 = the design's
-// working ratio). The daemon wires harness.AnalyzeAtPoint; tests substitute
-// fakes.
+// working ratio). The daemon wires its harness engine's AnalyzeAt; tests
+// substitute fakes.
 type AnalyzeAtFunc func(ctx context.Context, benchmark string, scenarios int, opts core.AnalyzeOpts, cond cell.OperatingCondition, ratio float64) (*core.Report, error)
 
 // Config assembles a Server. Zero fields select the documented defaults.
@@ -71,7 +71,7 @@ type Config struct {
 	Cluster Cluster
 	// ChunkSource, when non-nil, mounts POST /v1/cluster/chunk so this node
 	// executes Monte Carlo chunks for cluster coordinators (worker role).
-	// The daemon wires harness.MCSpec.
+	// The daemon wires its harness engine's MCSpec.
 	ChunkSource cluster.SpecSource
 	// Surrogate, when non-nil, attaches the ML fast tier; SurrogateMode
 	// selects off (default), shadow (train + residuals, never serve), or
@@ -213,8 +213,8 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 }
 
 // SetReady marks the model warm; until then estimate requests get 503 and
-// /healthz reports warming. The daemon calls it after SharedFramework
-// returns.
+// /healthz reports warming. The daemon calls it once its harness engine's
+// framework is built.
 func (s *Server) SetReady() {
 	s.readyMu.Lock()
 	s.isReady = true
@@ -432,6 +432,27 @@ func (s *Server) leave(key string, f *flight) {
 	}
 }
 
+// wait blocks until f lands or ctx ends, then drops this waiter's reference
+// on f; it returns ctx's error when the waiter left first.
+func (s *Server) wait(ctx context.Context, key string, f *flight) (err error) {
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	s.leave(key, f)
+	return err
+}
+
+// errorStatus is a failed computation's HTTP status: 503 (retry later) for a
+// cancelled or timed-out context or a full queue, else the fallback.
+func errorStatus(err error, fallback int) int {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errOppointQueueFull) {
+		return http.StatusServiceUnavailable
+	}
+	return fallback
+}
+
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	s.met.estimateRequests.Add(1)
 	start := time.Now()
@@ -481,22 +502,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	select {
-	case <-f.done:
-	case <-r.Context().Done():
-		// The client hung up; release our reference so an otherwise
+	if s.wait(r.Context(), key, f) != nil {
+		// The client hung up; its reference is released, so an otherwise
 		// unobserved computation is cancelled instead of burning the pool.
-		s.leave(key, f)
 		s.met.clientCancels.Add(1)
 		return
 	}
-	s.leave(key, f)
 	if f.err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, errorResponse{Error: f.err.Error()})
+		writeJSON(w, errorStatus(f.err, http.StatusInternalServerError), errorResponse{Error: f.err.Error()})
 	} else {
 		writeJSON(w, http.StatusOK, estimateResponse{Key: key, Cached: false, Tier: core.TierExact, Report: f.rep})
 	}
