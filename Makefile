@@ -48,9 +48,9 @@ oracle:
 
 # `make fuzz` runs the native fuzz targets briefly: long enough to catch a
 # canonical-hashing regression or a decoder that trusts untrusted bytes (a
-# request body, a model-cache snapshot, a cluster peer's chunk response),
-# short enough for the pre-commit gate. The seed corpora always run as part
-# of `make test` regardless.
+# request body, a model-cache snapshot, a cluster peer's chunk response, a
+# VCD activity trace), short enough for the pre-commit gate. The seed
+# corpora always run as part of `make test` regardless.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseRequest -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME) ./internal/modelcache/
 	$(GO) test -run '^$$' -fuzz FuzzChunkResponse -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzReadVCD -fuzztime $(FUZZTIME) ./internal/activity/
 
 # `make cover` is the coverage ratchet: total statement coverage must stay
 # at or above COVER_MIN. Raise the floor when coverage grows; never lower it
@@ -112,12 +113,14 @@ pprof-miss:
 		-cpuprofile miss-cpu.prof -memprofile miss-mem.prof .
 	@echo "wrote miss-cpu.prof / miss-mem.prof; try: $(GO) tool pprof -top miss-cpu.prof"
 
-# `make pprof-setup` profiles the cold framework build (BenchmarkFrameworkSetup:
-# netlist generation, SSTA calibration, datapath training), the cost every
-# cold tsperr run and every new /v1/oppoint condition pays. Inspect with:
+# `make pprof-setup` profiles a fresh daemon's set-up in process
+# (BenchmarkLayer/setup-cold: an uncached framework build — netlist
+# generation, SSTA calibration, datapath training — plus the cold control
+# characterization of the nine estimate-miss programs), the cost every cold
+# tsperr run, fresh tsperrd and new /v1/oppoint condition pays. Inspect with:
 #   go tool pprof -top -cum setup-cpu.prof
 pprof-setup:
-	$(GO) test -run '^$$' -bench 'BenchmarkFrameworkSetup$$' -benchtime 10x \
+	$(GO) test -run '^$$' -bench 'BenchmarkLayer/setup-cold$$' -benchtime 10x \
 		-cpuprofile setup-cpu.prof -memprofile setup-mem.prof .
 	@echo "wrote setup-cpu.prof / setup-mem.prof; try: $(GO) tool pprof -top -cum setup-cpu.prof"
 

@@ -23,6 +23,7 @@ import (
 	"tsperr/internal/gdta"
 	"tsperr/internal/gen"
 	"tsperr/internal/harness"
+	"tsperr/internal/isa"
 	"tsperr/internal/mibench"
 	"tsperr/internal/mlpred"
 	"tsperr/internal/montecarlo"
@@ -480,13 +481,6 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	}
 }
 
-// benchSetWord writes a 32-bit word into a dense primary-input slice.
-func benchSetWord(vals []bool, gates [32]netlist.GateID, w uint32) {
-	for i := 0; i < 32; i++ {
-		vals[gates[i]] = (w>>uint(i))&1 == 1
-	}
-}
-
 // BenchmarkEndToEndWarm measures the warm per-request latency of the full
 // tsperr pipeline on stringsearch — instrumented simulation, (memoized)
 // control characterization, marginals, and the Poisson-mixture estimate.
@@ -509,23 +503,22 @@ func BenchmarkEndToEndWarm(b *testing.B) {
 }
 
 // BenchmarkPerCycleDTA measures the per-cycle DTA kernel: one gate-level
-// activity-simulation cycle of the adder followed by the stage-DTS lookup it
-// feeds. The stimulus rotates through a small pattern set, so after the first
-// rounds the analyzer answers from its activation-signature memo — the
-// steady-state cost of Algorithm 1 inside a characterization loop.
+// activity simulation of the adder, the previous pattern then the current
+// one, followed by the stage-DTS lookup the second cycle feeds. The stimulus
+// rotates through a small pattern set, so after the first rounds the
+// analyzer answers from its activation-signature memo — the steady-state
+// cost of Algorithm 1 inside a characterization loop.
 func BenchmarkPerCycleDTA(b *testing.B) {
 	f, err := benchEngine.Framework()
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := f.Machine
-	sim, err := activity.NewSimulator(m.Adder.N)
+	sim, err := activity.Compile(m.Adder.N)
 	if err != nil {
 		b.Fatal(err)
 	}
-	vals := make([]bool, m.Adder.N.NumGates())
 	eps := m.Adder.N.DataEndpoints(0)
-	tr := &activity.Trace{NumGates: m.Adder.N.NumGates()}
 	pats := [...][2]uint32{
 		{0xFFFFFFFF, 1}, {0, 0}, {0x0000FFFF, 1}, {0xAAAAAAAA, 0x55555555},
 		{1, 1}, {0x00FF00FF, 0xFF00FF00}, {0xFFFF0000, 0x10000}, {7, 3},
@@ -533,12 +526,20 @@ func BenchmarkPerCycleDTA(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := pats[i%len(pats)]
-		benchSetWord(vals, m.Adder.A, p[0])
-		benchSetWord(vals, m.Adder.B, p[1])
-		tr.Sets = tr.Sets[:0]
-		tr.Sets = append(tr.Sets, sim.CycleDense(vals))
-		_, _ = m.AdderDTA.StageDTS(eps, 0, tr)
+		prev, p := pats[(i+len(pats)-1)%len(pats)], pats[i%len(pats)]
+		tr, err := sim.Run(2, func(t int, in activity.Inputs) {
+			q := prev
+			if t == 1 {
+				q = p
+			}
+			in.SetWord(m.Adder.A[:], uint64(q[0]))
+			in.SetWord(m.Adder.B[:], uint64(q[1]))
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, _ = m.AdderDTA.StageDTS(eps, 1, tr)
+		tr.Release()
 	}
 }
 
@@ -552,16 +553,19 @@ func BenchmarkStageDTSMemoHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := f.Machine
-	sim, err := activity.NewSimulator(m.Adder.N)
+	sim, err := activity.Compile(m.Adder.N)
 	if err != nil {
 		b.Fatal(err)
 	}
-	vals := make([]bool, m.Adder.N.NumGates())
-	tr := &activity.Trace{NumGates: m.Adder.N.NumGates()}
-	tr.Sets = append(tr.Sets, sim.CycleDense(vals))
-	benchSetWord(vals, m.Adder.A, 0xFFFFFFFF)
-	benchSetWord(vals, m.Adder.B, 1)
-	tr.Sets = append(tr.Sets, sim.CycleDense(vals))
+	tr, err := sim.Run(2, func(t int, in activity.Inputs) {
+		if t == 1 {
+			in.SetWord(m.Adder.A[:], 0xFFFFFFFF)
+			in.SetWord(m.Adder.B[:], 1)
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	eps := m.Adder.N.DataEndpoints(0)
 	if _, ok := m.AdderDTA.StageDTS(eps, 1, tr); !ok {
 		b.Fatal("full-chain stimulus must activate a path")
@@ -636,21 +640,19 @@ func BenchmarkAblationGraphVsPathDTA(b *testing.B) {
 		b.Fatal(err)
 	}
 	pa := m.AdderDTA
-	sim, err := activity.NewSimulator(m.Adder.N)
+	sim, err := activity.Compile(m.Adder.N)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := numeric.NewRNG(2019)
-	tr := &activity.Trace{NumGates: m.Adder.N.NumGates()}
 	const cycles = 24
-	for t := 0; t < cycles; t++ {
-		in := map[netlist.GateID]bool{}
+	tr, err := sim.Run(cycles, func(_ int, in activity.Inputs) {
 		a, bb := uint32(rng.Uint64()), uint32(rng.Uint64())
-		for i := 0; i < 32; i++ {
-			in[m.Adder.A[i]] = (a>>uint(i))&1 == 1
-			in[m.Adder.B[i]] = (bb>>uint(i))&1 == 1
-		}
-		tr.Sets = append(tr.Sets, sim.Cycle(in))
+		in.SetWord(m.Adder.A[:], uint64(a))
+		in.SetWord(m.Adder.B[:], uint64(bb))
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 	eps := m.Adder.N.Endpoints(0)
 	var gap, worstGap float64
@@ -847,8 +849,13 @@ var missMixPrograms = []string{
 // instruction over scenario 0 of every mix program. The control rows time
 // the control characterization of those nine scenario-0 profiles, as a miss
 // characterizes its first scenario: cold after the stimulus memo is
-// dropped, as at a daemon's first request for a program, and warm. `make
-// pprof-miss` profiles the mix.
+// dropped, as at a daemon's first request for a program, and warm. The
+// activity row times the gate-level simulator alone over the distinct
+// control stimuli of that characterization, recorded once; setup-cold times
+// a fresh uncached framework plus the nine characterizations, the
+// in-process analogue of a fresh daemon's set-up (its DTA memos start cold
+// too). `make pprof-miss` profiles the mix and `make pprof-setup`
+// setup-cold.
 func BenchmarkLayer(b *testing.B) {
 	f, err := benchEngine.Framework()
 	if err != nil {
@@ -1013,6 +1020,117 @@ func BenchmarkLayer(b *testing.B) {
 			characterize(b)
 		}
 	})
+	b.Run("activity", func(b *testing.B) {
+		recordControls(b)
+		var streams [][][2]uint32
+		seen := map[string]bool{}
+		for _, in := range controls {
+			for _, st := range controlStimuli(in.g, in.pr, in.results) {
+				key := fmt.Sprint(st)
+				if !seen[key] {
+					seen[key] = true
+					streams = append(streams, st)
+				}
+			}
+		}
+		ctrl := f.Machine.Ctrl
+		sim, err := activity.Compile(ctrl.N)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, st := range streams {
+				tr, err := sim.Run(len(st), func(t int, in activity.Inputs) {
+					in.SetWord(ctrl.Instr[:], uint64(st[t][0]))
+					in.SetWord(ctrl.ExResult[:], uint64(st[t][1]))
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				tr.Release()
+			}
+		}
+		b.ReportMetric(float64(len(streams)), "stimuli")
+	})
+	b.Run("setup-cold", func(b *testing.B) {
+		recordControls(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fw, err := core.NewFramework(errormodel.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, in := range controls {
+				if _, err := fw.Machine.CharacterizeControl(context.Background(), in.g, in.pr, in.results); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// controlStimuli lists the (instruction word, EX result) streams the control
+// characterization of one profile simulates, as errormodel assembles them:
+// for every executed block, its body behind each incoming edge's
+// predecessor window (six nops for the residual program-entry mass), and
+// the flushed variant with a nop before each instruction; every stream
+// drains through the pipeline.
+func controlStimuli(g *cfg.Graph, pr *cfg.Profile, results []uint32) [][][2]uint32 {
+	nops := make([]int, cpu.NumStages)
+	for i := range nops {
+		nops[i] = -1
+	}
+	stream := func(idx []int) [][2]uint32 {
+		st := make([][2]uint32, len(idx)+cpu.NumStages)
+		for t := range st {
+			if t < len(idx) && idx[t] >= 0 {
+				st[t][0] = g.Prog.Insts[idx[t]].Encode()
+			} else if t < len(idx) {
+				st[t][0] = isa.Inst{}.Encode()
+			}
+			if k := t - cpu.StageEX; k >= 0 && k < len(idx) && idx[k] >= 0 {
+				st[t][1] = results[idx[k]]
+			}
+		}
+		return st
+	}
+	var out [][][2]uint32
+	for b := range g.Blocks {
+		if pr.ExecCount[b] == 0 {
+			continue
+		}
+		blk := &g.Blocks[b]
+		var body []int
+		for i := blk.Start; i < blk.End; i++ {
+			body = append(body, i)
+		}
+		var mass float64
+		for _, e := range pr.IncomingEdges(b) {
+			w := pr.ActivationProb(e)
+			if w <= 0 {
+				continue
+			}
+			mass += w
+			pred := &g.Blocks[e.From]
+			var idx []int
+			for i := max(pred.End-cpu.NumStages, pred.Start); i < pred.End; i++ {
+				idx = append(idx, i)
+			}
+			out = append(out, stream(append(idx, body...)))
+		}
+		if 1-mass > 1e-9 {
+			out = append(out, stream(append(append([]int(nil), nops...), body...)))
+		}
+		flush := append([]int(nil), nops...)
+		for _, i := range body {
+			flush = append(flush, -1, i)
+		}
+		out = append(out, stream(flush))
+	}
+	return out
 }
 
 // benchMissMix replays the estimate-miss workload's request mix in process:

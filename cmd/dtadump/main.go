@@ -23,12 +23,6 @@ import (
 	"tsperr/internal/numeric"
 )
 
-func setWord(in map[netlist.GateID]bool, gates [32]netlist.GateID, w uint32) {
-	for i := 0; i < 32; i++ {
-		in[gates[i]] = (w>>uint(i))&1 == 1
-	}
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dtadump: ")
@@ -49,56 +43,47 @@ func main() {
 	var (
 		n        *netlist.Netlist
 		analyzer *dta.Analyzer
-		tr       *activity.Trace
+		inputs   func(t int, in activity.Inputs)
 	)
 	switch *unit {
 	case "adder":
 		n = m.Adder.N
 		analyzer = m.AdderDTA
-		sim, err := activity.NewSimulator(n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr = &activity.Trace{NumGates: n.NumGates()}
-		for t := 0; t < *cycles; t++ {
-			if err := ctx.Err(); err != nil {
-				log.Fatalf("aborted at cycle %d: %v", t, err)
-			}
-			in := map[netlist.GateID]bool{}
+		inputs = func(t int, in activity.Inputs) {
 			a := uint32(rng.Uint64())
 			b := uint32(rng.Uint64())
 			if t%4 == 3 { // periodically force a full carry chain
 				a, b = 0xFFFFFFFF, 1
 			}
-			setWord(in, m.Adder.A, a)
-			setWord(in, m.Adder.B, b)
-			tr.Sets = append(tr.Sets, sim.Cycle(in))
+			in.SetWord(m.Adder.A[:], uint64(a))
+			in.SetWord(m.Adder.B[:], uint64(b))
 		}
 	case "control":
 		n = m.Ctrl.N
 		analyzer = m.CtrlDTA
-		sim, err := activity.NewSimulator(n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr = &activity.Trace{NumGates: n.NumGates()}
 		ops := []isa.Inst{
 			{Op: isa.OpAdd, Rd: 1, Rs1: 2, Rs2: 3},
 			{Op: isa.OpLw, Rd: 4, Rs1: 1, Imm: 8},
 			{Op: isa.OpBne, Rs1: 4, Rs2: 0, Imm: -2},
 			{Op: isa.OpXor, Rd: 5, Rs1: 4, Rs2: 1},
 		}
-		for t := 0; t < *cycles; t++ {
-			if err := ctx.Err(); err != nil {
-				log.Fatalf("aborted at cycle %d: %v", t, err)
-			}
-			in := map[netlist.GateID]bool{}
-			setWord(in, m.Ctrl.Instr, ops[t%len(ops)].Encode())
-			setWord(in, m.Ctrl.ExResult, uint32(rng.Uint64()))
-			tr.Sets = append(tr.Sets, sim.Cycle(in))
+		inputs = func(t int, in activity.Inputs) {
+			in.SetWord(m.Ctrl.Instr[:], uint64(ops[t%len(ops)].Encode()))
+			in.SetWord(m.Ctrl.ExResult[:], uint64(uint32(rng.Uint64())))
 		}
 	default:
 		log.Fatalf("unknown unit %q", *unit)
+	}
+	if err := ctx.Err(); err != nil {
+		log.Fatalf("aborted at cycle 0: %v", err)
+	}
+	sim, err := activity.Compile(n)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tr, err := sim.Run(*cycles, inputs)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if *vcdPath != "" {
@@ -128,10 +113,10 @@ func main() {
 		}
 		form, ok := analyzer.StageDTS(eps, t, tr)
 		if !ok {
-			fmt.Printf("%6d %12d %12s %12s %14s\n", t, tr.Sets[t].Count(), "-", "-", "no active path")
+			fmt.Printf("%6d %12d %12s %12s %14s\n", t, tr.Count(t), "-", "-", "no active path")
 			continue
 		}
 		fmt.Printf("%6d %12d %12.1f %12.1f %14.3g\n",
-			t, tr.Sets[t].Count(), form.Mean, form.Std(), dta.ErrorProbability(form))
+			t, tr.Count(t), form.Mean, form.Std(), dta.ErrorProbability(form))
 	}
 }

@@ -5,121 +5,183 @@
 // zero-delay settling model this is exactly "the settled output at cycle t
 // differs from the settled output at cycle t-1". The per-cycle activation
 // sets are the VCD(t) input of Algorithm 1.
+//
+// A netlist is compiled once into a Sim, which simulates a whole stimulus in
+// one pass over 64-cycle words: a gate's settled values over 64 consecutive
+// cycles are one uint64, bit t holding cycle t. A gate outside a sequential
+// loop costs one word operation per 64 cycles — a flip-flop is its D word
+// shifted one bit, and activation is v ^ v<<1. Only the gates on a feedback
+// loop through a flip-flop (a register that holds or counts) read their own
+// earlier cycles; their word operations repeat until the loop settles, in
+// dependency order with the rest.
 package activity
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"sync"
 
 	"tsperr/internal/cell"
 	"tsperr/internal/netlist"
 )
 
-// BitSet is a dense set of gate IDs.
-type BitSet []uint64
+// MaxTraceBits caps the size of a trace in gates × cycles (a gateless trace
+// counts as one gate): 2^22 bits, 512 KiB of activation words, about 4700
+// cycles of the 894-gate control network. Simulation rejects a longer
+// stimulus, and ReadVCD a document whose timestamps reach past the cap, so a
+// few bytes of input cannot demand unbounded memory.
+const MaxTraceBits = 1 << 22
 
-// NewBitSet returns a set able to hold n elements.
-func NewBitSet(n int) BitSet { return make(BitSet, (n+63)/64) }
-
-// Set inserts id.
-func (b BitSet) Set(id netlist.GateID) { b[id>>6] |= 1 << (uint(id) & 63) }
-
-// Clear removes id.
-func (b BitSet) Clear(id netlist.GateID) { b[id>>6] &^= 1 << (uint(id) & 63) }
-
-// Has reports membership.
-func (b BitSet) Has(id netlist.GateID) bool {
-	return b[id>>6]&(1<<(uint(id)&63)) != 0
+// Trace is the activation record of one run: VCD(t) for every cycle t.
+type Trace struct {
+	gates, cycles int
+	// act holds one word per gate per 64-cycle chunk: bit t of
+	// act[c*gates+id] is set when gate id is activated at cycle 64c+t.
+	act []uint64
+	// carry is Run's scratch: every gate's settled value in the last cycle
+	// of the previous chunk, one bit per gate.
+	carry []uint64
+	// owner is the simulator whose free list Release returns the storage
+	// to; nil once released, and for traces ReadVCD builds.
+	owner *Sim
 }
 
-// Count returns the number of members.
-func (b BitSet) Count() int {
+// reset shapes tr for a run of cycles cycles over gates gates, all words
+// cleared, reusing its storage where it is large enough.
+func (tr *Trace) reset(gates, cycles int) error {
+	if cycles < 0 || max(gates, 1) > MaxTraceBits/max(cycles, 1) {
+		return fmt.Errorf("activity: a trace of %d gates × %d cycles is outside [0, %d] bits", gates, cycles, MaxTraceBits)
+	}
+	tr.gates, tr.cycles = gates, cycles
+	tr.act = resize(tr.act, gates*((cycles+63)>>6))
+	tr.carry = resize(tr.carry, (gates+63)>>6)
+	return nil
+}
+
+// resize returns a cleared slice of n words, reusing s when it is large
+// enough.
+func resize(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Release returns the trace's storage to the simulator that made it, for a
+// later run to reuse; the trace must not be read afterwards. Releasing is
+// optional — an unreleased trace is garbage collected — and a no-op for a
+// trace ReadVCD built or one already released.
+func (tr *Trace) Release() {
+	if s := tr.owner; s != nil {
+		tr.owner = nil
+		s.free.Put(tr)
+	}
+}
+
+// NumGates returns the size of the simulated netlist.
+func (tr *Trace) NumGates() int { return tr.gates }
+
+// Cycles returns the trace length.
+func (tr *Trace) Cycles() int { return tr.cycles }
+
+// Activated reports whether gate id is activated at cycle t. Cycles outside
+// the trace report false.
+func (tr *Trace) Activated(t int, id netlist.GateID) bool {
+	if uint(t) >= uint(tr.cycles) {
+		return false
+	}
+	return tr.act[t>>6*tr.gates+int(id)]>>(uint(t)&63)&1 != 0
+}
+
+// AllActivated reports whether every gate in ids is activated at cycle t —
+// for a path's gates, whether the path is activated (Definition 3.3). It
+// tests the gates last-first: a path's last gate drives its endpoint, so
+// when an endpoint's D pin is quiet every path to it fails the first test.
+func (tr *Trace) AllActivated(t int, ids []netlist.GateID) bool {
+	if uint(t) >= uint(tr.cycles) {
+		return len(ids) == 0
+	}
+	words, sh := tr.act[t>>6*tr.gates:][:tr.gates], uint(t)&63
+	for i := len(ids) - 1; i >= 0; i-- {
+		if words[ids[i]]>>sh&1 == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Count returns the number of gates activated at cycle t.
+func (tr *Trace) Count(t int) int {
 	n := 0
-	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
+	for id := 0; id < tr.gates; id++ {
+		if tr.Activated(t, netlist.GateID(id)) {
 			n++
 		}
 	}
 	return n
 }
 
-// Clone returns a copy.
-func (b BitSet) Clone() BitSet {
-	c := make(BitSet, len(b))
-	copy(c, b)
-	return c
+// Inputs sets the primary inputs of one cycle of a run. Inputs left unset
+// read as false; values set on gates that are not inputs are ignored.
+type Inputs struct {
+	val []uint64
+	bit uint64
 }
 
-// Trace records per-cycle activation sets: Sets[t] is VCD(t).
-type Trace struct {
-	Sets []BitSet
-	// NumGates is the size of the simulated netlist, kept for VCD encoding.
-	NumGates int
-}
-
-// Activated reports whether gate id is activated at cycle t. Cycles outside
-// the trace report false.
-func (tr *Trace) Activated(t int, id netlist.GateID) bool {
-	if t < 0 || t >= len(tr.Sets) {
-		return false
-	}
-	return tr.Sets[t].Has(id)
-}
-
-// Cycles returns the trace length.
-func (tr *Trace) Cycles() int { return len(tr.Sets) }
-
-// Simulator evaluates a netlist one clock cycle at a time.
-type Simulator struct {
-	n       *netlist.Netlist
-	topo    []netlist.GateID
-	values  []bool // settled output values in the current cycle
-	prev    []bool // settled output values in the previous cycle
-	state   []bool // flip-flop captured states
-	inBuf   []bool // scratch for gate input gathering
-	inDense []bool // scratch for map-to-dense input conversion
-	first   bool
-}
-
-// simScratch bundles the per-gate-count working slices of one simulator so
-// they recycle as a unit.
-type simScratch struct {
-	values, prev, state, inDense []bool
-	inBuf                        []bool
-}
-
-// simPools recycles simulator scratch per gate count. Datapath training and
-// control characterization build many short-lived simulators over the same
-// handful of netlists, so the dense slices are reused across them (zeroed on
-// reuse, matching the power-on state of a fresh allocation) instead of
-// reallocated per stimulus.
-var simPools sync.Map // map[int]*sync.Pool
-
-func getScratch(m int) *simScratch {
-	p, ok := simPools.Load(m)
-	if !ok {
-		p, _ = simPools.LoadOrStore(m, &sync.Pool{})
-	}
-	if sc, ok := p.(*sync.Pool).Get().(*simScratch); ok {
-		clear(sc.values)
-		clear(sc.prev)
-		clear(sc.state)
-		clear(sc.inDense)
-		clear(sc.inBuf)
-		return sc
-	}
-	return &simScratch{
-		values:  make([]bool, m),
-		prev:    make([]bool, m),
-		state:   make([]bool, m),
-		inDense: make([]bool, m),
-		inBuf:   make([]bool, 3),
+// Set drives gate id with v.
+func (in Inputs) Set(id netlist.GateID, v bool) {
+	if v {
+		in.val[id] |= in.bit
+	} else {
+		in.val[id] &^= in.bit
 	}
 }
 
-// NewSimulator builds a simulator; the netlist must validate. The working
-// slices come from a per-size slab pool; call Release when the simulator is
-// done to recycle them.
-func NewSimulator(n *netlist.Netlist) (*Simulator, error) {
+// SetWord drives ids[i] with bit i of w.
+func (in Inputs) SetWord(ids []netlist.GateID, w uint64) {
+	for i, id := range ids {
+		in.Set(id, w>>uint(i)&1 != 0)
+	}
+}
+
+// op is one gate of the compiled schedule: its kind, its output slot and
+// its fanin slots in pin order (unused pins are 0).
+type op struct {
+	kind cell.Kind
+	dst  int32
+	in   [3]int32
+}
+
+// segment is a run of ops evaluated together: each op once on whole words,
+// or, for sequential loops, the ops in order until their words settle.
+type segment struct {
+	ops  []op
+	loop bool
+}
+
+// Sim is a netlist compiled for word-parallel simulation. It is safe for
+// concurrent use.
+type Sim struct {
+	gates int
+	segs  []segment
+	// free recycles the storage of released traces: a caller that simulates
+	// many stimuli in turn reuses a few traces instead of allocating one
+	// per run.
+	free sync.Pool
+}
+
+// Compile prepares a netlist for simulation; the netlist must validate.
+// Gates are scheduled by the strongly connected components of the graph
+// whose edges run from each gate to its fanins, flip-flop D pins included,
+// every component after those it reads. A component of one gate that does
+// not feed itself is a word operation (primary inputs are set by the run);
+// a larger component, or a flip-flop that holds its own output, is a
+// sequential loop, its gates in topological order with its flip-flops
+// first.
+func Compile(n *netlist.Netlist) (*Sim, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
@@ -127,131 +189,207 @@ func NewSimulator(n *netlist.Netlist) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := getScratch(n.NumGates())
-	return &Simulator{
-		n:       n,
-		topo:    topo,
-		values:  sc.values,
-		prev:    sc.prev,
-		state:   sc.state,
-		inBuf:   sc.inBuf,
-		inDense: sc.inDense,
-		first:   true,
-	}, nil
-}
-
-// Release returns the simulator's scratch slices to the slab pool. The
-// simulator must not be used afterwards; the returned activation BitSets are
-// freshly allocated per cycle and remain valid.
-func (s *Simulator) Release() {
-	if s.values == nil {
-		return
+	gates := n.Gates()
+	pos := make([]int, len(gates))
+	for i, id := range topo {
+		if !gates[id].Kind.Known() {
+			return nil, fmt.Errorf("activity: netlist %q: gate %q has unknown kind %v", n.Name, gates[id].Name, gates[id].Kind)
+		}
+		pos[id] = i
 	}
-	sc := &simScratch{values: s.values, prev: s.prev, state: s.state,
-		inDense: s.inDense, inBuf: s.inBuf}
-	s.values, s.prev, s.state, s.inDense, s.inBuf = nil, nil, nil, nil, nil
-	if p, ok := simPools.Load(len(sc.values)); ok {
-		p.(*sync.Pool).Put(sc)
-	}
-}
-
-// Reset clears all state, returning the simulator to power-on (all zeros).
-func (s *Simulator) Reset() {
-	for i := range s.values {
-		s.values[i] = false
-		s.prev[i] = false
-		s.state[i] = false
-	}
-	s.first = true
-}
-
-// SetState forces a flip-flop's captured state (used to seed architectural
-// state).
-func (s *Simulator) SetState(id netlist.GateID, v bool) { s.state[id] = v }
-
-// State reads a flip-flop's captured state.
-func (s *Simulator) State(id netlist.GateID) bool { return s.state[id] }
-
-// Value reads a gate's settled output in the last simulated cycle.
-func (s *Simulator) Value(id netlist.GateID) bool { return s.values[id] }
-
-// Cycle advances one clock cycle: flip-flops capture the D values settled in
-// the previous cycle, primary inputs take the supplied values, combinational
-// logic settles, and the set of activated gates is returned. The returned
-// BitSet is freshly allocated and safe to retain. Inputs absent from the map
-// read as false.
-func (s *Simulator) Cycle(inputs map[netlist.GateID]bool) BitSet {
-	for i := range s.inDense {
-		s.inDense[i] = false
-	}
-	for id, v := range inputs {
-		if v && int(id) < len(s.inDense) {
-			s.inDense[id] = true
+	s := &Sim{gates: len(gates)}
+	for _, comp := range components(gates) {
+		g := &gates[comp[0]]
+		if len(comp) == 1 && !slices.Contains(g.Fanin, g.ID) {
+			if g.Kind != cell.INPUT {
+				s.add(false, g)
+			}
+			continue
+		}
+		sort.Slice(comp, func(i, j int) bool {
+			fi, fj := gates[comp[i]].Kind == cell.DFF, gates[comp[j]].Kind == cell.DFF
+			if fi != fj {
+				return fi
+			}
+			return pos[comp[i]] < pos[comp[j]]
+		})
+		for _, id := range comp {
+			s.add(true, &gates[id])
 		}
 	}
-	return s.CycleDense(s.inDense)
+	return s, nil
 }
 
-// CycleDense is Cycle with the primary-input values supplied as a dense
-// slice indexed by GateID (len >= NumGates); only INPUT gates are read. The
-// caller may mutate and reuse vals across cycles, which avoids the per-cycle
-// map hashing of Cycle on hot characterization paths.
-func (s *Simulator) CycleDense(vals []bool) BitSet {
-	gates := s.n.Gates()
-	// Clock edge: capture D pins from the previous cycle's settled values.
-	if !s.first {
-		for i := range gates {
-			g := &gates[i]
-			if g.Kind == cell.DFF {
-				s.state[g.ID] = s.values[g.Fanin[0]]
+// add appends gate g to the schedule, opening a new segment when the
+// evaluation mode changes.
+func (s *Sim) add(loop bool, g *netlist.Gate) {
+	o := op{kind: g.Kind, dst: int32(g.ID)}
+	for i, f := range g.Fanin {
+		o.in[i] = int32(f)
+	}
+	if k := len(s.segs); k == 0 || s.segs[k-1].loop != loop {
+		s.segs = append(s.segs, segment{loop: loop})
+	}
+	seg := &s.segs[len(s.segs)-1]
+	seg.ops = append(seg.ops, o)
+}
+
+// components returns the strongly connected components of the graph whose
+// edges run from each gate to its fanins (Tarjan's algorithm), each
+// component after every component it reads.
+func components(gates []netlist.Gate) [][]netlist.GateID {
+	index := make([]int, len(gates)) // DFS preorder number + 1; 0 = unvisited
+	low := make([]int, len(gates))
+	onStack := make([]bool, len(gates))
+	var stack []netlist.GateID
+	var out [][]netlist.GateID
+	next := 1
+	var visit func(v netlist.GateID)
+	visit = func(v netlist.GateID) {
+		index[v], low[v] = next, next
+		next++
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, w := range gates[v].Fanin {
+			if index[w] == 0 {
+				visit(w)
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
 			}
 		}
-	}
-	s.prev, s.values = s.values, s.prev
-	// Settle in topological order.
-	for _, id := range s.topo {
-		g := &gates[id]
-		switch g.Kind {
-		case cell.INPUT:
-			s.values[id] = vals[id]
-		case cell.DFF:
-			s.values[id] = s.state[id]
-		case cell.CONST0:
-			s.values[id] = false
-		case cell.CONST1:
-			s.values[id] = true
-		default:
-			in := s.inBuf[:len(g.Fanin)]
-			for k, f := range g.Fanin {
-				in[k] = s.values[f]
-			}
-			s.values[id] = g.Kind.Eval(in)
+		if low[v] != index[v] {
+			return
 		}
+		var comp []netlist.GateID
+		for {
+			w := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			onStack[w] = false
+			comp = append(comp, w)
+			if w == v {
+				break
+			}
+		}
+		out = append(out, comp)
 	}
-	// Activation: settled value changed versus the previous cycle. In the
-	// very first cycle everything that settles to 1 is considered activated
-	// (transition from the unknown/zero power-on state).
-	act := NewBitSet(len(gates))
 	for i := range gates {
-		id := netlist.GateID(i)
-		if s.first {
-			if s.values[id] {
-				act.Set(id)
-			}
-		} else if s.values[id] != s.prev[id] {
-			act.Set(id)
+		if index[i] == 0 {
+			visit(netlist.GateID(i))
 		}
 	}
-	s.first = false
-	return act
+	return out
 }
 
-// Run simulates len(inputSeq) cycles, applying inputSeq[t] at cycle t, and
-// returns the activation trace.
-func (s *Simulator) Run(inputSeq []map[netlist.GateID]bool) *Trace {
-	tr := &Trace{NumGates: s.n.NumGates()}
-	for _, in := range inputSeq {
-		tr.Sets = append(tr.Sets, s.Cycle(in))
+// Run simulates cycles clock cycles from power-on, when every net and
+// flip-flop is 0, and returns the activation trace. inputs, when non-nil,
+// is called once per cycle, in cycle order, to set that cycle's primary
+// inputs. A trace larger than MaxTraceBits is an error.
+func (s *Sim) Run(cycles int, inputs func(t int, in Inputs)) (*Trace, error) {
+	tr, _ := s.free.Get().(*Trace)
+	if tr == nil {
+		tr = new(Trace)
 	}
-	return tr
+	tr.owner = s
+	if err := tr.reset(s.gates, cycles); err != nil {
+		tr.Release()
+		return nil, err
+	}
+	for c := 0; 64*c < cycles; c++ {
+		val := tr.act[c*s.gates : (c+1)*s.gates]
+		n := min(cycles-64*c, 64)
+		if inputs != nil {
+			for t := 0; t < n; t++ {
+				inputs(64*c+t, Inputs{val, 1 << uint(t)})
+			}
+		}
+		s.chunk(val, tr.carry, n)
+		tr.activate(val, n, 64*(c+1) < cycles)
+	}
+	return tr, nil
+}
+
+// chunk settles the n cycles of one 64-cycle chunk into val, whose primary
+// input words are already set; carry holds every gate's value in the last
+// cycle of the previous chunk (zero in the first).
+//
+// A sequential loop settles by repeating its word operations, in order,
+// until no word changes within the chunk's n cycles. Cycle t of a loop gate
+// depends only on cycles up to t — a flip-flop reads its D pin one cycle
+// late — so every pass fixes at least one more cycle and the settled words
+// are the loop's unique solution, reached in at most n+1 passes: the cost
+// of evaluating the loop one cycle at a time. A register that holds still
+// or loads settles in two or three passes; a counter's low bit, which
+// toggles every cycle, takes all n.
+func (s *Sim) chunk(val, carry []uint64, n int) {
+	for i := range s.segs {
+		seg := &s.segs[i]
+		if !seg.loop {
+			for j := range seg.ops {
+				o := &seg.ops[j]
+				val[o.dst] = o.eval(val, carry)
+			}
+			continue
+		}
+		mask := ^uint64(0) >> uint(64-n)
+		for changed := true; changed; {
+			changed = false
+			for j := range seg.ops {
+				o := &seg.ops[j]
+				v := o.eval(val, carry)
+				changed = changed || (v^val[o.dst])&mask != 0
+				val[o.dst] = v
+			}
+		}
+	}
+}
+
+// eval computes the op's output word from its fanin words. A flip-flop
+// outputs its D pin one cycle late, so its word is D's shifted one bit,
+// continued from D's last value in the previous chunk.
+func (o *op) eval(val, carry []uint64) uint64 {
+	a, b := o.in[0], o.in[1]
+	switch o.kind {
+	case cell.CONST0:
+		return 0
+	case cell.CONST1:
+		return ^uint64(0)
+	case cell.BUF:
+		return val[a]
+	case cell.INV:
+		return ^val[a]
+	case cell.AND2:
+		return val[a] & val[b]
+	case cell.OR2:
+		return val[a] | val[b]
+	case cell.NAND2:
+		return ^(val[a] & val[b])
+	case cell.NOR2:
+		return ^(val[a] | val[b])
+	case cell.XOR2:
+		return val[a] ^ val[b]
+	case cell.XNOR2:
+		return ^(val[a] ^ val[b])
+	case cell.MUX2:
+		sel := val[o.in[2]]
+		return val[a]&^sel | val[b]&sel
+	default: // DFF
+		return val[a]<<1 | carry[a>>6]>>(uint(a)&63)&1
+	}
+}
+
+// activate turns the settled values of an n-cycle chunk into activation
+// words in place: a gate is activated when its value differs from the
+// cycle before. When more chunks follow, it records every gate's last value
+// in carry.
+func (tr *Trace) activate(val []uint64, n int, more bool) {
+	mask := ^uint64(0) >> uint(64-n)
+	for id, v := range val {
+		w, sh := id>>6, uint(id)&63
+		prev := tr.carry[w] >> sh & 1
+		if more {
+			tr.carry[w] = tr.carry[w]&^(1<<sh) | (v>>uint(n-1)&1)<<sh
+		}
+		val[id] = (v ^ (v<<1 | prev)) & mask
+	}
 }

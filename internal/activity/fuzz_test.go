@@ -33,22 +33,39 @@ func TestReadVCDNeverPanics(t *testing.T) {
 	}
 }
 
+// equalTraces reports whether two traces of the same shape activate the
+// same gates in the same cycles.
+func equalTraces(a, b *Trace) bool {
+	for c := 0; c < a.Cycles(); c++ {
+		for g := 0; g < a.NumGates(); g++ {
+			if a.Activated(c, netlist.GateID(g)) != b.Activated(c, netlist.GateID(g)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestVCDRoundTripRandomTraces round-trips randomly generated activation
-// traces of varying shapes.
+// traces of varying shapes, some longer than one 64-cycle chunk.
 func TestVCDRoundTripRandomTraces(t *testing.T) {
 	rng := numeric.NewRNG(77)
 	for trial := 0; trial < 100; trial++ {
 		gates := 1 + rng.Intn(200)
 		cycles := rng.Intn(20)
-		tr := &Trace{NumGates: gates}
+		if trial%10 == 0 {
+			cycles = 60 + rng.Intn(80)
+		}
+		tr := &Trace{}
+		if err := tr.reset(gates, cycles); err != nil {
+			t.Fatal(err)
+		}
 		for c := 0; c < cycles; c++ {
-			set := NewBitSet(gates)
 			for g := 0; g < gates; g++ {
 				if rng.Float64() < 0.2 {
-					set.Set(netlist.GateID(g))
+					tr.act[c>>6*gates+g] |= 1 << uint(c&63)
 				}
 			}
-			tr.Sets = append(tr.Sets, set)
 		}
 		var buf bytes.Buffer
 		if err := WriteVCD(&buf, tr, "fuzz"); err != nil {
@@ -58,15 +75,11 @@ func TestVCDRoundTripRandomTraces(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if back.NumGates != gates || back.Cycles() != cycles {
+		if back.NumGates() != gates || back.Cycles() != cycles {
 			t.Fatalf("trial %d: shape mismatch", trial)
 		}
-		for c := 0; c < cycles; c++ {
-			for g := 0; g < gates; g++ {
-				if tr.Activated(c, netlist.GateID(g)) != back.Activated(c, netlist.GateID(g)) {
-					t.Fatalf("trial %d: mismatch at cycle %d gate %d", trial, c, g)
-				}
-			}
+		if !equalTraces(tr, back) {
+			t.Fatalf("trial %d: activation mismatch", trial)
 		}
 	}
 }

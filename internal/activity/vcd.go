@@ -30,8 +30,16 @@ func idCode(i int) string {
 	return string(b)
 }
 
+// maxIDLen bounds the identifiers parseIDCode accepts: five characters
+// encode every index below 94^5, far past any trace's gate count, and keep
+// the decoded value from overflowing.
+const maxIDLen = 5
+
 // parseIDCode inverts idCode; ok is false for malformed identifiers.
 func parseIDCode(s string) (int, bool) {
+	if len(s) == 0 || len(s) > maxIDLen {
+		return 0, false
+	}
 	v := 0
 	mul := 1
 	for i := 0; i < len(s); i++ {
@@ -53,16 +61,15 @@ func WriteVCD(w io.Writer, tr *Trace, moduleName string) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "$date tsperr $end\n$version tsperr activity trace $end\n")
 	fmt.Fprintf(bw, "$timescale 1ns $end\n$scope module %s $end\n", moduleName)
-	for i := 0; i < tr.NumGates; i++ {
+	for i := 0; i < tr.gates; i++ {
 		fmt.Fprintf(bw, "$var wire 1 %s g%d $end\n", idCode(i), i)
 	}
 	fmt.Fprintf(bw, "$upscope $end\n$enddefinitions $end\n")
-	vals := make([]bool, tr.NumGates)
-	for t, set := range tr.Sets {
+	vals := make([]bool, tr.gates)
+	for t := 0; t < tr.cycles; t++ {
 		fmt.Fprintf(bw, "#%d\n", t)
-		for i := 0; i < tr.NumGates; i++ {
-			id := netlist.GateID(i)
-			if set.Has(id) {
+		for i := 0; i < tr.gates; i++ {
+			if tr.Activated(t, netlist.GateID(i)) {
 				vals[i] = !vals[i]
 				bit := byte('0')
 				if vals[i] {
@@ -77,21 +84,12 @@ func WriteVCD(w io.Writer, tr *Trace, moduleName string) error {
 
 // ReadVCD parses a VCD document written by WriteVCD (or any VCD using scalar
 // single-bit changes with #cycle timestamps) back into an activation trace.
+// Timestamps must increase, and the trace they span must fit MaxTraceBits.
 func ReadVCD(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	tr := &Trace{}
-	numGates := 0
 	cur := -1
-	var set BitSet
-	flush := func() {
-		if cur >= 0 {
-			for len(tr.Sets) < cur {
-				tr.Sets = append(tr.Sets, NewBitSet(numGates))
-			}
-			tr.Sets = append(tr.Sets, set)
-		}
-	}
 	inHeader := true
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -100,12 +98,9 @@ func ReadVCD(r io.Reader) (*Trace, error) {
 		}
 		if inHeader {
 			if strings.HasPrefix(line, "$var") {
-				numGates++
-				continue
-			}
-			if strings.HasPrefix(line, "$enddefinitions") {
+				tr.gates++
+			} else if strings.HasPrefix(line, "$enddefinitions") {
 				inHeader = false
-				tr.NumGates = numGates
 			}
 			continue
 		}
@@ -115,18 +110,25 @@ func ReadVCD(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, fmt.Errorf("activity: bad timestamp %q", line)
 			}
-			flush()
+			if t <= cur {
+				return nil, fmt.Errorf("activity: timestamp %q does not follow #%d", line, cur)
+			}
+			if max(tr.gates, 1) > MaxTraceBits/(t+1) {
+				return nil, fmt.Errorf("activity: timestamp %q: %d gates × %d cycles exceed %d bits", line, tr.gates, t+1, MaxTraceBits)
+			}
 			cur = t
-			set = NewBitSet(numGates)
+			if n := (cur>>6 + 1) * tr.gates; len(tr.act) < n {
+				tr.act = append(tr.act, make([]uint64, n-len(tr.act))...)
+			}
 		case '0', '1', 'x', 'z':
 			idx, ok := parseIDCode(line[1:])
-			if !ok || idx >= numGates {
+			if !ok || idx >= tr.gates {
 				return nil, fmt.Errorf("activity: bad identifier in %q", line)
 			}
 			if cur < 0 {
 				return nil, fmt.Errorf("activity: value change before first timestamp: %q", line)
 			}
-			set.Set(netlist.GateID(idx))
+			tr.act[cur>>6*tr.gates+idx] |= 1 << (uint(cur) & 63)
 		case '$':
 			// $dumpvars etc. — ignore.
 		default:
@@ -136,6 +138,6 @@ func ReadVCD(r io.Reader) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	flush()
+	tr.cycles = cur + 1
 	return tr, nil
 }

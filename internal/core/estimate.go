@@ -143,6 +143,20 @@ func NewEstimate(ctx context.Context, g *cfg.Graph, scenarios []Scenario) (*Esti
 	// features are unavailable the bound degrades to static-instruction
 	// granularity using the scenario samples of e_i * p_ik.
 	e.DKLambda = steinBound(g, scenarios, weighted)
+	// Fail closed: a non-finite moment or bound (a NaN probability upstream)
+	// must not become a report with a verdict.
+	for _, q := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"lambda mean", e.LambdaMean}, {"lambda std", e.LambdaStd},
+		{"b1", e.B1}, {"b2", e.B2},
+		{"count bound", e.DKCount}, {"lambda bound", e.DKLambda},
+	} {
+		if math.IsNaN(q.v) || math.IsInf(q.v, 0) {
+			return nil, fmt.Errorf("core: non-finite %s %v", q.name, q.v)
+		}
+	}
 	return e, nil
 }
 

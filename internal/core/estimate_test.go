@@ -261,6 +261,21 @@ func TestStdErrorRateIncludesPoissonTerm(t *testing.T) {
 	}
 }
 
+// TestEstimateRejectsNonFinite checks that scenarios whose marginal
+// probabilities are not finite yield an error, which AnalyzeWithOpts reports
+// in the estimate phase, instead of an estimate with a NaN or infinite λ.
+func TestEstimateRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		g, sc := synthScenarios(t, [][]float64{
+			{0.001, bad, 0.003, 0},
+			{0.002, 0.004, 0.006, 0},
+		}, 1000)
+		if e, err := NewEstimate(context.Background(), g, sc); err == nil {
+			t.Errorf("marginal %v: estimate with lambda mean %v, want an error", bad, e.LambdaMean)
+		}
+	}
+}
+
 func TestFrameworkPerfModel(t *testing.T) {
 	f := &Framework{Machine: &errormodel.Machine{Opts: errormodel.DefaultOptions()}}
 	pm := f.PerfModel()

@@ -112,6 +112,30 @@ type setRef struct {
 	n   int
 }
 
+// epSet is an interned endpoint set. Its endpoints' candidate paths are
+// resolved once, on first use, so StageDTS walks them without taking the
+// analyzer lock or probing the endpoint cache per endpoint per call.
+type epSet struct {
+	id    int32
+	eps   []netlist.GateID
+	once  sync.Once
+	paths []*epPaths // per endpoint, in eps order; read-only after once
+	bits  int        // candidate paths over all endpoints
+}
+
+// resolve returns the set's per-endpoint candidate paths, enumerating them
+// on first use.
+func (s *epSet) resolve(a *Analyzer) []*epPaths {
+	s.once.Do(func() {
+		s.paths = make([]*epPaths, len(s.eps))
+		for i, ep := range s.eps {
+			s.paths[i] = a.endpointPaths(ep)
+			s.bits += len(s.paths[i].ps)
+		}
+	})
+	return s.paths
+}
+
 // Analyzer caches per-endpoint critical-path sets for a netlist and engine,
 // plus memoized stage DTS reductions. All methods are safe for concurrent
 // use by multiple goroutines. Endpoint slices passed to StageDTS are
@@ -127,8 +151,8 @@ type Analyzer struct {
 	cache map[netlist.GateID]*epPaths
 	// setsByPtr and setsByContent intern endpoint sets: the pointer table is
 	// the fast path, the content table the ground truth; guarded by mu.
-	setsByPtr     map[setRef]int32
-	setsByContent map[string]int32
+	setsByPtr     map[setRef]*epSet
+	setsByContent map[string]*epSet
 	// stage and stageBig memoize stage-level DTS reductions for packed and
 	// oversized activation signatures respectively; guarded by mu.
 	stage    map[stageKey]*stageEntry
@@ -146,8 +170,8 @@ func New(e *sta.Engine, k int) *Analyzer {
 	return &Analyzer{
 		Engine: e, K: k,
 		cache:         map[netlist.GateID]*epPaths{},
-		setsByPtr:     map[setRef]int32{},
-		setsByContent: map[string]int32{},
+		setsByPtr:     map[setRef]*epSet{},
+		setsByContent: map[string]*epSet{},
 		stage:         map[stageKey]*stageEntry{},
 		stageBig:      map[string]*stageEntry{},
 	}
@@ -190,19 +214,16 @@ func (a *Analyzer) endpointPaths(ep netlist.GateID) *epPaths {
 	return e
 }
 
-// internSet maps an endpoint slice to a stable small integer id, by pointer
+// internSet maps a non-empty endpoint slice to its interned set, by pointer
 // identity when possible and by content otherwise. Two slices with equal
-// contents get the same id, so memo entries survive callers that rebuild
+// contents get the same set, so memo entries survive callers that rebuild
 // their endpoint sets.
-func (a *Analyzer) internSet(eps []netlist.GateID) int32 {
-	if len(eps) == 0 {
-		return 0
-	}
+func (a *Analyzer) internSet(eps []netlist.GateID) *epSet {
 	ref := setRef{&eps[0], len(eps)}
 	a.mu.Lock()
-	if id, ok := a.setsByPtr[ref]; ok {
+	if s, ok := a.setsByPtr[ref]; ok {
 		a.mu.Unlock()
-		return id
+		return s
 	}
 	a.mu.Unlock()
 
@@ -212,38 +233,26 @@ func (a *Analyzer) internSet(eps []netlist.GateID) int32 {
 	}
 	content := string(b)
 	a.mu.Lock()
-	id, ok := a.setsByContent[content]
+	s, ok := a.setsByContent[content]
 	if !ok {
-		id = int32(len(a.setsByContent) + 1)
-		a.setsByContent[content] = id
+		s = &epSet{id: int32(len(a.setsByContent) + 1), eps: eps}
+		a.setsByContent[content] = s
 	}
 	if len(a.setsByPtr) < setPtrLimit {
-		a.setsByPtr[ref] = id
+		a.setsByPtr[ref] = s
 	}
 	a.mu.Unlock()
-	return id
-}
-
-// activated reports whether every gate of the path is in VCD(t)
-// (Definition 3.3).
-func activated(p netlist.Path, tr *activity.Trace, t int) bool {
-	for _, g := range p.Gates {
-		if !tr.Activated(t, g) {
-			return false
-		}
-	}
-	return true
+	return s
 }
 
 // reduce runs the two Algorithm 1 criticality scans per endpoint over the
 // activation bits exposed by actAt (positions advance per endpoint in path
 // order, matching the key packing) and returns the statistical minimum of
 // the collected activated negated-delay forms.
-func (a *Analyzer) reduce(eps []netlist.GateID, actAt func(int) bool) *stageEntry {
+func (a *Analyzer) reduce(paths []*epPaths, actAt func(int) bool) *stageEntry {
 	var ap []variation.Canon
 	pos := 0
-	for _, ep := range eps {
-		e := a.endpointPaths(ep)
+	for _, e := range paths {
 		n := len(e.ps)
 		if n == 0 {
 			continue
@@ -311,15 +320,19 @@ func finishEntry(e *stageEntry, period float64) (variation.Canon, bool) {
 // so repeated cycles with identical activation patterns cost one map probe —
 // allocation-free for signatures that fit the packed key.
 func (a *Analyzer) StageDTS(eps []netlist.GateID, t int, tr *activity.Trace) (variation.Canon, bool) {
-	key := stageKey{set: a.internSet(eps)}
+	if len(eps) == 0 {
+		return variation.Canon{}, false
+	}
+	set := a.internSet(eps)
+	paths := set.resolve(a)
+	if set.bits > stageKeyBits {
+		return a.stageDTSBig(set, paths, t, tr)
+	}
+	key := stageKey{set: set.id}
 	pos := 0
-	for _, ep := range eps {
-		e := a.endpointPaths(ep)
-		if pos+len(e.ps) > stageKeyBits {
-			return a.stageDTSBig(eps, t, tr)
-		}
+	for _, e := range paths {
 		for i := range e.ps {
-			if activated(e.ps[i].path, tr, t) {
+			if tr.AllActivated(t, e.ps[i].path.Gates) {
 				key.w[pos>>6] |= 1 << (uint(pos) & 63)
 			}
 			pos++
@@ -335,7 +348,7 @@ func (a *Analyzer) StageDTS(eps []netlist.GateID, t int, tr *activity.Trace) (va
 	}
 	a.mu.Unlock()
 
-	ent := a.reduce(eps, key.bit)
+	ent := a.reduce(paths, key.bit)
 	a.mu.Lock()
 	if prev, ok := a.stage[key]; ok {
 		ent = prev // a concurrent miss won the race; both computed the same value
@@ -354,16 +367,15 @@ func (a *Analyzer) StageDTS(eps []netlist.GateID, t int, tr *activity.Trace) (va
 // stageDTSBig is the StageDTS fallback for endpoint sets whose candidate
 // paths overflow the packed key: the signature becomes a byte string and the
 // probe allocates, but the memoized reduction is shared all the same.
-func (a *Analyzer) stageDTSBig(eps []netlist.GateID, t int, tr *activity.Trace) (variation.Canon, bool) {
-	var act []bool
-	for _, ep := range eps {
-		e := a.endpointPaths(ep)
+func (a *Analyzer) stageDTSBig(set *epSet, paths []*epPaths, t int, tr *activity.Trace) (variation.Canon, bool) {
+	act := make([]bool, 0, set.bits)
+	for _, e := range paths {
 		for i := range e.ps {
-			act = append(act, activated(e.ps[i].path, tr, t))
+			act = append(act, tr.AllActivated(t, e.ps[i].path.Gates))
 		}
 	}
 	key := make([]byte, 4, 4+len(act)/8+1)
-	binary.LittleEndian.PutUint32(key, uint32(a.internSet(eps)))
+	binary.LittleEndian.PutUint32(key, uint32(set.id))
 	var bits byte
 	for i, on := range act {
 		if on {
@@ -388,7 +400,7 @@ func (a *Analyzer) stageDTSBig(eps []netlist.GateID, t int, tr *activity.Trace) 
 	}
 	a.mu.Unlock()
 
-	ent := a.reduce(eps, func(pos int) bool { return act[pos] })
+	ent := a.reduce(paths, func(pos int) bool { return act[pos] })
 	a.mu.Lock()
 	if prev, ok := a.stageBig[k]; ok {
 		ent = prev

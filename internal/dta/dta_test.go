@@ -22,10 +22,19 @@ func newModel(t *testing.T) *variation.Model {
 	return m
 }
 
-func setWord(in map[netlist.GateID]bool, gates [32]netlist.GateID, w uint32) {
-	for i := 0; i < 32; i++ {
-		in[gates[i]] = (w>>uint(i))&1 == 1
+// simulate compiles n and runs one cycle per call of set, which drives that
+// cycle's inputs.
+func simulate(t *testing.T, n *netlist.Netlist, cycles int, set func(c int, in activity.Inputs)) *activity.Trace {
+	t.Helper()
+	sim, err := activity.Compile(n)
+	if err != nil {
+		t.Fatal(err)
 	}
+	tr, err := sim.Run(cycles, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // adderFixture simulates the adder for the given operand sequence and
@@ -37,17 +46,10 @@ func adderFixture(t *testing.T, period float64, ops [][2]uint32) (*Analyzer, *ac
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := activity.NewSimulator(ad.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &activity.Trace{NumGates: ad.N.NumGates()}
-	for _, op := range ops {
-		in := map[netlist.GateID]bool{}
-		setWord(in, ad.A, op[0])
-		setWord(in, ad.B, op[1])
-		tr.Sets = append(tr.Sets, sim.Cycle(in))
-	}
+	tr := simulate(t, ad.N, len(ops), func(c int, in activity.Inputs) {
+		in.SetWord(ad.A[:], uint64(ops[c][0]))
+		in.SetWord(ad.B[:], uint64(ops[c][1]))
+	})
 	return New(e, 8), tr, ad
 }
 
@@ -109,15 +111,11 @@ func TestInstDTSMinOverStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, _ := activity.NewSimulator(c.N)
-	tr := &activity.Trace{NumGates: c.N.NumGates()}
 	words := []uint32{0x04211000, 0x58E70FFC, 0x04211000, 0x2C850008, 0x04211000, 0x58E70FFC, 0x04211000}
-	for _, w := range words {
-		in := map[netlist.GateID]bool{}
-		setWord(in, c.Instr, w)
-		setWord(in, c.ExResult, w^0x5A5A5A5A)
-		tr.Sets = append(tr.Sets, sim.Cycle(in))
-	}
+	tr := simulate(t, c.N, len(words), func(cyc int, in activity.Inputs) {
+		in.SetWord(c.Instr[:], uint64(words[cyc]))
+		in.SetWord(c.ExResult[:], uint64(words[cyc]^0x5A5A5A5A))
+	})
 	a := New(e, 8)
 	inst, ok := a.InstDTS(1, tr, nil)
 	if !ok {

@@ -39,14 +39,12 @@ const prefixWindow = cpu.NumStages
 // of their key).
 const stimMemoLimit = 1 << 12
 
-// stimEntry is one memoized control-stimulus run. The activation trace is
-// simulated once under the once guard; per-position instruction failure
-// probabilities fill in lazily as blocks query them.
+// stimEntry is one memoized control stimulus: the control-path instruction
+// failure probability at every fetch position queried so far. The
+// activation trace is not kept — a query for a position the entry lacks
+// simulates the stimulus again (microseconds) — so an entry costs a few
+// floats, not a trace.
 type stimEntry struct {
-	once sync.Once
-	tr   *activity.Trace
-	err  error
-
 	mu sync.Mutex
 	// fail maps sequence position to failure probability; guarded by mu.
 	fail map[int]float64
@@ -57,23 +55,12 @@ type stimEntry struct {
 // EX result value for static instruction index i (from the training run);
 // entries for pseudo-instructions (nops) observe zero.
 func (m *Machine) controlStimulus(seq []isa.Inst, seqIdx []int, results []uint32) (*activity.Trace, error) {
-	sim, err := activity.NewSimulator(m.Ctrl.N)
-	if err != nil {
-		return nil, err
-	}
-	defer sim.Release()
-	tr := &activity.Trace{NumGates: m.Ctrl.N.NumGates()}
 	total := len(seq) + cpu.NumStages // drain so late stages see the tail
-	vals := make([]bool, m.Ctrl.N.NumGates())
-	for t := 0; t < total; t++ {
+	return m.ctrlSim.Run(total, func(t int, in activity.Inputs) {
 		word, res := m.stimulusCycle(seq, seqIdx, results, t)
-		setWordDense(vals, m.Ctrl.Instr, word)
-		setWordDense(vals, m.Ctrl.ExResult, res)
-		vals[m.Ctrl.Stall] = false
-		vals[m.Ctrl.Flush] = false
-		tr.Sets = append(tr.Sets, sim.CycleDense(vals))
-	}
-	return tr, nil
+		in.SetWord(m.Ctrl.Instr[:], uint64(word))
+		in.SetWord(m.Ctrl.ExResult[:], uint64(res))
+	})
 }
 
 // stimulusCycle returns the (instruction word, EX result) pair the control
@@ -93,11 +80,13 @@ func (m *Machine) stimulusCycle(seq []isa.Inst, seqIdx []int, results []uint32, 
 
 // stimulusFails returns the control-path instruction failure probability at
 // each queried fetch position of the stimulus defined by (seq, seqIdx,
-// results). Both the simulated trace and the per-position probabilities are
-// memoized on the exact (instruction word, EX result) stream: different
-// blocks and incoming edges frequently replay identical streams (shared
-// predecessors, all-nop prefixes), and the probability is a pure function of
-// the stream, so reusing the memo is bit-identical to recomputing.
+// results). The per-position probabilities are memoized on the exact
+// (instruction word, EX result) stream: different blocks and incoming edges
+// frequently replay identical streams (shared predecessors, all-nop
+// prefixes), and the probability is a pure function of the stream, so
+// reusing the memo is bit-identical to recomputing. A query with a position
+// the entry lacks simulates the stream and fills in every missing position;
+// concurrent queries may both simulate, and both store the same values.
 func (m *Machine) stimulusFails(seq []isa.Inst, seqIdx []int, results []uint32, positions []int) ([]float64, error) {
 	total := len(seq) + cpu.NumStages
 	key := make([]byte, 0, 8*total)
@@ -120,27 +109,33 @@ func (m *Machine) stimulusFails(seq []isa.Inst, seqIdx []int, results []uint32, 
 		m.stim[string(key)] = e
 	}
 	m.stimMu.Unlock()
-	e.once.Do(func() {
-		e.tr, e.err = m.controlStimulus(seq, seqIdx, results)
-	})
-	if e.err != nil {
-		return nil, e.err
-	}
 	out := make([]float64, len(positions))
+	var missing []int // indices into positions
+	e.mu.Lock()
 	for i, t := range positions {
-		e.mu.Lock()
 		f, ok := e.fail[t]
-		e.mu.Unlock()
 		if !ok {
-			// Concurrent queries for the same position may both compute; the
-			// result is deterministic, so last-write-wins is harmless.
-			f = m.instDTSFail(t, e.tr)
-			e.mu.Lock()
-			e.fail[t] = f
-			e.mu.Unlock()
+			missing = append(missing, i)
 		}
 		out[i] = f
 	}
+	e.mu.Unlock()
+	if len(missing) == 0 {
+		return out, nil
+	}
+	tr, err := m.controlStimulus(seq, seqIdx, results)
+	if err != nil {
+		return nil, err
+	}
+	for _, i := range missing {
+		out[i] = m.instDTSFail(positions[i], tr)
+	}
+	tr.Release()
+	e.mu.Lock()
+	for _, i := range missing {
+		e.fail[positions[i]] = out[i]
+	}
+	e.mu.Unlock()
 	return out, nil
 }
 

@@ -46,20 +46,6 @@ type DatapathModel struct {
 	table     *cpu.FailTable
 }
 
-// setWordDense writes a 32-bit word into a dense primary-input slice.
-func setWordDense(vals []bool, gates [32]netlist.GateID, w uint32) {
-	for i := 0; i < 32; i++ {
-		vals[gates[i]] = (w>>uint(i))&1 == 1
-	}
-}
-
-// setMulWordDense writes a 16-bit word into a dense primary-input slice.
-func setMulWordDense(vals []bool, gates [16]netlist.GateID, w uint32) {
-	for i := 0; i < 16; i++ {
-		vals[gates[i]] = (w>>uint(i))&1 == 1
-	}
-}
-
 // TrainDatapath measures the per-depth DTS tables. It mirrors the training
 // flow of Figure 2: run targeted vectors through the gate-level unit, record
 // activity, and apply Algorithm 1 to the data endpoints. Training runs on the
@@ -83,6 +69,15 @@ func (m *Machine) TrainDatapathWorkers(ctx context.Context, workers int) (*Datap
 		MulSlack:   make([]variation.Canon, 17),
 		MulFail:    make([]float64, 17),
 	}
+	// Each unit is compiled for simulation once and shared by its tasks.
+	var sims [4]*activity.Sim
+	for i, n := range []*netlist.Netlist{m.Adder.N, m.Shifter.N, m.Mult.N, m.Logic.N} {
+		sim, err := activity.Compile(n)
+		if err != nil {
+			return nil, err
+		}
+		sims[i] = sim
+	}
 	adderEps := m.Adder.N.DataEndpoints(0)
 	shiftEps := m.Shifter.N.DataEndpoints(0)
 	mulEps := m.Mult.N.DataEndpoints(0)
@@ -94,17 +89,17 @@ func (m *Machine) TrainDatapathWorkers(ctx context.Context, workers int) (*Datap
 	var tasks []func() error
 	for d := 1; d <= 32; d++ {
 		d := d
-		tasks = append(tasks, func() error { return m.trainAdderDepth(dp, adderEps, d) })
+		tasks = append(tasks, func() error { return m.trainAdderDepth(dp, sims[0], adderEps, d) })
 	}
 	for k := 1; k <= 5; k++ {
 		k := k
-		tasks = append(tasks, func() error { return m.trainShiftLayers(dp, shiftEps, k) })
+		tasks = append(tasks, func() error { return m.trainShiftLayers(dp, sims[1], shiftEps, k) })
 	}
 	for d := 1; d <= 16; d++ {
 		d := d
-		tasks = append(tasks, func() error { return m.trainMulWidth(dp, mulEps, d) })
+		tasks = append(tasks, func() error { return m.trainMulWidth(dp, sims[2], mulEps, d) })
 	}
-	tasks = append(tasks, func() error { return m.trainLogic(dp, logicEps) })
+	tasks = append(tasks, func() error { return m.trainLogic(dp, sims[3], logicEps) })
 
 	errs := make([]error, len(tasks))
 	pool.Run(ctx, len(tasks), workers, false, errs,
@@ -117,25 +112,21 @@ func (m *Machine) TrainDatapathWorkers(ctx context.Context, workers int) (*Datap
 
 // trainAdderDepth measures the adder DTS with a carry chain of exactly d
 // bits activated and fills table slot d.
-func (m *Machine) trainAdderDepth(dp *DatapathModel, eps []netlist.GateID, d int) error {
-	sim, err := activity.NewSimulator(m.Adder.N)
+func (m *Machine) trainAdderDepth(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, d int) error {
+	a := uint64(0xFFFFFFFF)
+	if d < 32 {
+		a = (uint64(1) << uint(d)) - 1
+	}
+	// Cycle 0 settles at zero; cycle 1 applies a + 1 with carry-in 0.
+	tr, err := sim.Run(2, func(t int, in activity.Inputs) {
+		if t == 1 {
+			in.SetWord(m.Adder.A[:], a)
+			in.SetWord(m.Adder.B[:], 1)
+		}
+	})
 	if err != nil {
 		return err
 	}
-	defer sim.Release()
-	vals := make([]bool, m.Adder.N.NumGates())
-	setWordDense(vals, m.Adder.A, 0)
-	setWordDense(vals, m.Adder.B, 0)
-	vals[m.Adder.Cin] = false
-	tr := &activity.Trace{NumGates: m.Adder.N.NumGates()}
-	tr.Sets = append(tr.Sets, sim.CycleDense(vals))
-	a := uint32(0xFFFFFFFF)
-	if d < 32 {
-		a = (uint32(1) << uint(d)) - 1
-	}
-	setWordDense(vals, m.Adder.A, a)
-	setWordDense(vals, m.Adder.B, 1)
-	tr.Sets = append(tr.Sets, sim.CycleDense(vals))
 	slack, ok := m.AdderDTA.StageDTS(eps, 1, tr)
 	if !ok {
 		return nil // no activated path at this depth
@@ -147,25 +138,17 @@ func (m *Machine) trainAdderDepth(dp *DatapathModel, eps []netlist.GateID, d int
 
 // trainShiftLayers measures the shifter DTS with k active barrel layers and
 // fills table slot k.
-func (m *Machine) trainShiftLayers(dp *DatapathModel, eps []netlist.GateID, k int) error {
-	sim, err := activity.NewSimulator(m.Shifter.N)
+func (m *Machine) trainShiftLayers(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, k int) error {
+	amt := (uint64(1) << uint(k)) - 1 // k low bits set => k active layers
+	tr, err := sim.Run(2, func(t int, in activity.Inputs) {
+		if t == 1 {
+			in.SetWord(m.Shifter.In[:], 0xFFFFFFFF)
+			in.SetWord(m.Shifter.Amt[:], amt)
+		}
+	})
 	if err != nil {
 		return err
 	}
-	defer sim.Release()
-	vals := make([]bool, m.Shifter.N.NumGates())
-	setWordDense(vals, m.Shifter.In, 0)
-	for i := 0; i < 5; i++ {
-		vals[m.Shifter.Amt[i]] = false
-	}
-	tr := &activity.Trace{NumGates: m.Shifter.N.NumGates()}
-	tr.Sets = append(tr.Sets, sim.CycleDense(vals))
-	setWordDense(vals, m.Shifter.In, 0xFFFFFFFF)
-	amt := (uint32(1) << uint(k)) - 1 // k low bits set => k active layers
-	for i := 0; i < 5; i++ {
-		vals[m.Shifter.Amt[i]] = (amt>>uint(i))&1 == 1
-	}
-	tr.Sets = append(tr.Sets, sim.CycleDense(vals))
 	slack, ok := m.ShifterDTA.StageDTS(eps, 1, tr)
 	if !ok {
 		return nil
@@ -177,24 +160,20 @@ func (m *Machine) trainShiftLayers(dp *DatapathModel, eps []netlist.GateID, k in
 
 // trainMulWidth measures the multiplier DTS with d significant bits in the
 // smaller operand and fills table slot d.
-func (m *Machine) trainMulWidth(dp *DatapathModel, eps []netlist.GateID, d int) error {
-	sim, err := activity.NewSimulator(m.Mult.N)
+func (m *Machine) trainMulWidth(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, d int) error {
+	bw := uint64(0xFFFF)
+	if d < 16 {
+		bw = (uint64(1) << uint(d)) - 1
+	}
+	tr, err := sim.Run(2, func(t int, in activity.Inputs) {
+		if t == 1 {
+			in.SetWord(m.Mult.A[:], 0xFFFF)
+			in.SetWord(m.Mult.B[:], bw)
+		}
+	})
 	if err != nil {
 		return err
 	}
-	defer sim.Release()
-	vals := make([]bool, m.Mult.N.NumGates())
-	setMulWordDense(vals, m.Mult.A, 0)
-	setMulWordDense(vals, m.Mult.B, 0)
-	tr := &activity.Trace{NumGates: m.Mult.N.NumGates()}
-	tr.Sets = append(tr.Sets, sim.CycleDense(vals))
-	bw := uint32(0xFFFF)
-	if d < 16 {
-		bw = (uint32(1) << uint(d)) - 1
-	}
-	setMulWordDense(vals, m.Mult.A, 0xFFFF)
-	setMulWordDense(vals, m.Mult.B, bw)
-	tr.Sets = append(tr.Sets, sim.CycleDense(vals))
 	slack, ok := m.MultDTA.StageDTS(eps, 1, tr)
 	if !ok {
 		return nil
@@ -205,23 +184,17 @@ func (m *Machine) trainMulWidth(dp *DatapathModel, eps []netlist.GateID, d int) 
 }
 
 // trainLogic performs the single full-switch logic-unit measurement.
-func (m *Machine) trainLogic(dp *DatapathModel, eps []netlist.GateID) error {
-	sim, err := activity.NewSimulator(m.Logic.N)
+func (m *Machine) trainLogic(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID) error {
+	tr, err := sim.Run(2, func(t int, in activity.Inputs) {
+		if t == 1 {
+			in.SetWord(m.Logic.A[:], 0xFFFFFFFF)
+			in.SetWord(m.Logic.B[:], 0x55555555)
+			in.Set(m.Logic.Sel[1], true) // xor
+		}
+	})
 	if err != nil {
 		return err
 	}
-	defer sim.Release()
-	vals := make([]bool, m.Logic.N.NumGates())
-	setWordDense(vals, m.Logic.A, 0)
-	setWordDense(vals, m.Logic.B, 0)
-	vals[m.Logic.Sel[0]] = false
-	vals[m.Logic.Sel[1]] = false
-	tr := &activity.Trace{NumGates: m.Logic.N.NumGates()}
-	tr.Sets = append(tr.Sets, sim.CycleDense(vals))
-	setWordDense(vals, m.Logic.A, 0xFFFFFFFF)
-	setWordDense(vals, m.Logic.B, 0x55555555)
-	vals[m.Logic.Sel[1]] = true // xor
-	tr.Sets = append(tr.Sets, sim.CycleDense(vals))
 	if slack, ok := m.LogicDTA.StageDTS(eps, 1, tr); ok {
 		dp.LogicFail = dta.ErrorProbability(slack)
 	}

@@ -13,6 +13,7 @@ import (
 	"math"
 	"sync"
 
+	"tsperr/internal/activity"
 	"tsperr/internal/cell"
 	"tsperr/internal/dta"
 	"tsperr/internal/gen"
@@ -104,10 +105,15 @@ type Machine struct {
 	LogicDTA   *dta.Analyzer
 	MultDTA    *dta.Analyzer
 
-	// stim memoizes control-stimulus runs across blocks and programs at the
-	// current operating point (see control.go); guarded by stimMu.
+	// stim memoizes control-stimulus probabilities across blocks and
+	// programs at the current operating point (see control.go); guarded by
+	// stimMu.
 	stimMu sync.Mutex
 	stim   map[string]*stimEntry
+
+	// ctrlSim is the control network compiled for simulation, set by
+	// newMachine.
+	ctrlSim *activity.Sim
 
 	// ctrlSets holds the per-stage control-only endpoint sets of the control
 	// network, computed once so the per-instruction DTS queries of the
@@ -236,6 +242,9 @@ func newMachine(ctx context.Context, opts Options, scales map[string]float64) (*
 		return nil, err
 	}
 	m.ctrlSets = m.CtrlDTA.StageSets(func(g *netlist.Gate) bool { return !g.Data })
+	if m.ctrlSim, err = activity.Compile(m.Ctrl.N); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 

@@ -26,10 +26,19 @@ func newEngine(t *testing.T, n *netlist.Netlist, period float64) *sta.Engine {
 	return e
 }
 
-func setWord(in map[netlist.GateID]bool, gates [32]netlist.GateID, w uint32) {
-	for i := 0; i < 32; i++ {
-		in[gates[i]] = (w>>uint(i))&1 == 1
+// simulate compiles n and runs cycles cycles, set driving each cycle's
+// inputs.
+func simulate(t *testing.T, n *netlist.Netlist, cycles int, set func(c int, in activity.Inputs)) *activity.Trace {
+	t.Helper()
+	sim, err := activity.Compile(n)
+	if err != nil {
+		t.Fatal(err)
 	}
+	tr, err := sim.Run(cycles, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // chainFixture: in -> inv x n -> ff. Simple enough that the exact activated
@@ -51,13 +60,7 @@ func chainFixture(t *testing.T, n int, period float64) (*Analyzer, *dta.Analyzer
 		t.Fatal(err)
 	}
 	pa := dta.New(e, 8)
-	sim, err := activity.NewSimulator(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &activity.Trace{NumGates: nl.NumGates()}
-	tr.Sets = append(tr.Sets, sim.Cycle(map[netlist.GateID]bool{}))
-	tr.Sets = append(tr.Sets, sim.Cycle(map[netlist.GateID]bool{in: true}))
+	tr := simulate(t, nl, 2, func(c int, inp activity.Inputs) { inp.Set(in, c == 1) })
 	return ga, pa, tr, nl.Endpoints(0)
 }
 
@@ -98,16 +101,12 @@ func TestGraphAtMostPathDTSOnAdder(t *testing.T) {
 		t.Fatal(err)
 	}
 	pa := dta.New(e, 8)
-	sim, _ := activity.NewSimulator(ad.N)
-	tr := &activity.Trace{NumGates: ad.N.NumGates()}
 	ops := [][2]uint32{{0, 0}, {0xFFFFFFFF, 1}, {3, 5}, {0x0F0F0F0F, 0x00F0F0F1}}
-	for _, op := range ops {
-		in := map[netlist.GateID]bool{}
-		setWord(in, ad.A, op[0])
-		setWord(in, ad.B, op[1])
-		in[ad.Cin] = false
-		tr.Sets = append(tr.Sets, sim.Cycle(in))
-	}
+	tr := simulate(t, ad.N, len(ops), func(c int, in activity.Inputs) {
+		in.SetWord(ad.A[:], uint64(ops[c][0]))
+		in.SetWord(ad.B[:], uint64(ops[c][1]))
+		in.Set(ad.Cin, false)
+	})
 	eps := ad.N.Endpoints(0)
 	for cyc := 1; cyc < len(ops); cyc++ {
 		g, okG := ga.StageDTS(eps, cyc, tr)
@@ -139,14 +138,10 @@ func TestGraphInstDTSControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, _ := activity.NewSimulator(c.N)
-	tr := &activity.Trace{NumGates: c.N.NumGates()}
-	for i := 0; i < 10; i++ {
-		in := map[netlist.GateID]bool{}
-		setWord(in, c.Instr, uint32(0x04211000+i*0x5A5A5A5))
-		setWord(in, c.ExResult, uint32(i)*0x10101)
-		tr.Sets = append(tr.Sets, sim.Cycle(in))
-	}
+	tr := simulate(t, c.N, 10, func(i int, in activity.Inputs) {
+		in.SetWord(c.Instr[:], uint64(uint32(0x04211000+i*0x5A5A5A5)))
+		in.SetWord(c.ExResult[:], uint64(uint32(i)*0x10101))
+	})
 	inst, ok := ga.InstDTS(1, tr, func(g *netlist.Gate) bool { return !g.Data })
 	if !ok {
 		t.Fatal("expected an instruction DTS")

@@ -16,20 +16,18 @@ func newTestEngine(n *netlist.Netlist, m *variation.Model) (*sta.Engine, error) 
 	return sta.NewEngine(n, m, 2000, cell.SigmaRel, 1)
 }
 
-func claSum(t *testing.T, sim *activity.Simulator, ad *AdderNet, a, b uint32, cin bool) uint32 {
+// claSum returns a + b + cin as the adder computes it in one cycle.
+func claSum(t *testing.T, sim *activity.Sim, ad *AdderNet, a, b uint32, cin bool) uint32 {
 	t.Helper()
-	in := map[netlist.GateID]bool{}
-	setWord(in, ad.A, a)
-	setWord(in, ad.B, b)
-	in[ad.Cin] = cin
-	sim.Cycle(in)
-	var got uint32
-	for i := 0; i < 32; i++ {
-		if sim.Value(ad.N.Gate(ad.Sum[i]).Fanin[0]) {
-			got |= 1 << uint(i)
-		}
+	tr, err := sim.Run(1, func(_ int, in activity.Inputs) {
+		in.SetWord(ad.A[:], uint64(a))
+		in.SetWord(ad.B[:], uint64(b))
+		in.Set(ad.Cin, cin)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return got
+	return word(tr, ad.N, 0, ad.Sum[:])
 }
 
 func TestCLAAdderFunctional(t *testing.T) {
@@ -37,7 +35,10 @@ func TestCLAAdderFunctional(t *testing.T) {
 	if err := ad.N.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sim, _ := activity.NewSimulator(ad.N)
+	sim, err := activity.Compile(ad.N)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		a, b uint32
 		cin  bool
@@ -59,7 +60,10 @@ func TestCLAAdderFunctional(t *testing.T) {
 
 func TestCLAAdderProperty(t *testing.T) {
 	ad := CLAAdder()
-	sim, _ := activity.NewSimulator(ad.N)
+	sim, err := activity.Compile(ad.N)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := func(a, b uint32) bool {
 		return claSum(t, sim, ad, a, b, false) == a+b
 	}
@@ -107,14 +111,11 @@ func TestCLALessOperandDependentDelay(t *testing.T) {
 			t.Fatal(err)
 		}
 		an := dta.New(e, 8)
-		sim, _ := activity.NewSimulator(ad.N)
-		tr := &activity.Trace{NumGates: ad.N.NumGates()}
-		for _, op := range [][2]uint32{{0, 0}, {1, 1}, {0, 0}, {0xFFFFFFFF, 1}} {
-			in := map[netlist.GateID]bool{}
-			setWord(in, ad.A, op[0])
-			setWord(in, ad.B, op[1])
-			tr.Sets = append(tr.Sets, sim.Cycle(in))
-		}
+		ops := [][2]uint32{{0, 0}, {1, 1}, {0, 0}, {0xFFFFFFFF, 1}}
+		tr := simulate(t, ad.N, len(ops), func(c int, in activity.Inputs) {
+			in.SetWord(ad.A[:], uint64(ops[c][0]))
+			in.SetWord(ad.B[:], uint64(ops[c][1]))
+		})
 		eps := ad.N.Endpoints(0)
 		shortDTS, ok1 := an.StageDTS(eps, 1, tr)
 		longDTS, ok2 := an.StageDTS(eps, 3, tr)

@@ -38,11 +38,41 @@ func TestControlValidatesAndHasEndpoints(t *testing.T) {
 	}
 }
 
-// setWord drives 32 input gates with the bits of w.
-func setWord(in map[netlist.GateID]bool, gates [32]netlist.GateID, w uint32) {
-	for i := 0; i < 32; i++ {
-		in[gates[i]] = (w>>uint(i))&1 == 1
+// simulate compiles n and runs cycles cycles, set driving each cycle's
+// inputs.
+func simulate(t *testing.T, n *netlist.Netlist, cycles int, set func(c int, in activity.Inputs)) *activity.Trace {
+	t.Helper()
+	sim, err := activity.Compile(n)
+	if err != nil {
+		t.Fatal(err)
 	}
+	tr, err := sim.Run(cycles, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// value returns gate id's settled output at cycle t: every gate powers on at
+// 0 and toggles exactly when it is activated.
+func value(tr *activity.Trace, t int, id netlist.GateID) bool {
+	v := false
+	for c := 0; c <= t; c++ {
+		v = v != tr.Activated(c, id)
+	}
+	return v
+}
+
+// word reads a 32-bit result at cycle t from the D pins of the given
+// flip-flops.
+func word(tr *activity.Trace, n *netlist.Netlist, t int, ffs []netlist.GateID) uint32 {
+	var w uint32
+	for i, ff := range ffs {
+		if value(tr, t, n.Gate(ff).Fanin[0]) {
+			w |= 1 << uint(i)
+		}
+	}
+	return w
 }
 
 func findGate(n *netlist.Netlist, name string) netlist.GateID {
@@ -56,17 +86,17 @@ func findGate(n *netlist.Netlist, name string) netlist.GateID {
 
 func TestControlDecodeLogic(t *testing.T) {
 	c := Control()
-	sim, err := activity.NewSimulator(c.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	addWord := isa.Inst{Op: isa.OpAdd, Rd: 3, Rs1: 1, Rs2: 2}.Encode()
 	lwWord := isa.Inst{Op: isa.OpLw, Rd: 4, Rs1: 3, Imm: 8}.Encode()
-
-	in := map[netlist.GateID]bool{}
-	setWord(in, c.Instr, addWord)
-	sim.Cycle(in) // cycle 1: add enters IR inputs
-	sim.Cycle(in) // cycle 2: IR holds add, decode settles
+	// Cycles 0-1: add enters the IR inputs, then IR holds add and decode
+	// settles; cycles 2-3: the same for lw.
+	tr := simulate(t, c.N, 4, func(cyc int, in activity.Inputs) {
+		w := addWord
+		if cyc >= 2 {
+			w = lwWord
+		}
+		in.SetWord(c.Instr[:], uint64(w))
+	})
 
 	isRFF := findGate(c.N, "dec_isR_ff")
 	isLdFF := findGate(c.N, "dec_isLd_ff")
@@ -74,49 +104,42 @@ func TestControlDecodeLogic(t *testing.T) {
 	// captured. Check the combinational decode directly via the FF's fanin.
 	dR := c.N.Gate(isRFF).Fanin[0]
 	dLd := c.N.Gate(isLdFF).Fanin[0]
-	if !sim.Value(dR) {
+	if !value(tr, 1, dR) {
 		t.Error("add should decode as R-type")
 	}
-	if sim.Value(dLd) {
+	if value(tr, 1, dLd) {
 		t.Error("add should not decode as load")
 	}
-
-	setWord(in, c.Instr, lwWord)
-	sim.Cycle(in)
-	sim.Cycle(in)
-	if sim.Value(dR) {
+	if value(tr, 3, dR) {
 		t.Error("lw should not decode as R-type")
 	}
-	if !sim.Value(dLd) {
+	if !value(tr, 3, dLd) {
 		t.Error("lw should decode as load")
 	}
 }
 
 func TestControlActivityDependsOnInstructionSequence(t *testing.T) {
 	c := Control()
-	sim, _ := activity.NewSimulator(c.N)
-	in := map[netlist.GateID]bool{}
 	// Alternate two very different instructions: lots of decode activity.
 	w1 := isa.Inst{Op: isa.OpAdd, Rd: 3, Rs1: 1, Rs2: 2}.Encode()
 	w2 := isa.Inst{Op: isa.OpBeq, Rs1: 7, Rs2: 9, Imm: -4}.Encode()
+	tr := simulate(t, c.N, 10, func(i int, in activity.Inputs) {
+		if i%2 == 0 {
+			in.SetWord(c.Instr[:], uint64(w1))
+		} else {
+			in.SetWord(c.Instr[:], uint64(w2))
+		}
+	})
 	busy := 0
 	for i := 0; i < 10; i++ {
-		if i%2 == 0 {
-			setWord(in, c.Instr, w1)
-		} else {
-			setWord(in, c.Instr, w2)
-		}
-		busy += sim.Cycle(in).Count()
+		busy += tr.Count(i)
 	}
-	sim.Reset()
-	// Repeat one instruction: after warmup little should toggle.
+	// Repeat one instruction from power-on: after warmup little should
+	// toggle.
+	tr = simulate(t, c.N, 10, func(_ int, in activity.Inputs) { in.SetWord(c.Instr[:], uint64(w1)) })
 	quiet := 0
-	setWord(in, c.Instr, w1)
-	for i := 0; i < 10; i++ {
-		s := sim.Cycle(in)
-		if i >= 3 {
-			quiet += s.Count()
-		}
+	for i := 3; i < 10; i++ {
+		quiet += tr.Count(i)
 	}
 	if quiet*3 >= busy {
 		t.Errorf("steady instruction stream should activate far fewer gates: busy=%d quiet=%d", busy, quiet)
@@ -128,22 +151,15 @@ func TestAdderFunctional(t *testing.T) {
 	if err := ad.N.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sim, _ := activity.NewSimulator(ad.N)
 	cases := []struct{ a, b uint32 }{
 		{0, 0}, {1, 1}, {0xFFFFFFFF, 1}, {12345, 67890}, {0x80000000, 0x80000000},
 	}
-	for _, tc := range cases {
-		in := map[netlist.GateID]bool{}
-		setWord(in, ad.A, tc.a)
-		setWord(in, ad.B, tc.b)
-		sim.Cycle(in)
-		var got uint32
-		for i := 0; i < 32; i++ {
-			if sim.Value(ad.N.Gate(ad.Sum[i]).Fanin[0]) {
-				got |= 1 << uint(i)
-			}
-		}
-		if got != tc.a+tc.b {
+	tr := simulate(t, ad.N, len(cases), func(c int, in activity.Inputs) {
+		in.SetWord(ad.A[:], uint64(cases[c].a))
+		in.SetWord(ad.B[:], uint64(cases[c].b))
+	})
+	for c, tc := range cases {
+		if got := word(tr, ad.N, c, ad.Sum[:]); got != tc.a+tc.b {
 			t.Errorf("adder(%x,%x) = %x, want %x", tc.a, tc.b, got, tc.a+tc.b)
 		}
 	}
@@ -151,23 +167,15 @@ func TestAdderFunctional(t *testing.T) {
 
 func TestAdderActivationTracksCarryChain(t *testing.T) {
 	ad := Adder()
-	sim, _ := activity.NewSimulator(ad.N)
-	in := map[netlist.GateID]bool{}
-	setWord(in, ad.A, 0)
-	setWord(in, ad.B, 0)
-	sim.Cycle(in)
-	sim.Cycle(in)
-	// Short carry: 1+1 toggles only the low bits.
-	setWord(in, ad.A, 1)
-	setWord(in, ad.B, 1)
-	short := sim.Cycle(in).Count()
-	// Reset to zero, settle, then a full-length carry chain.
-	setWord(in, ad.A, 0)
-	setWord(in, ad.B, 0)
-	sim.Cycle(in)
-	setWord(in, ad.A, 0xFFFFFFFF)
-	setWord(in, ad.B, 1)
-	long := sim.Cycle(in).Count()
+	// Cycles 0-1 settle at zero, cycle 2 is a short carry (1+1, which
+	// toggles only the low bits), cycle 3 resets to zero, and cycle 4 is a
+	// full-length carry chain.
+	ops := [][2]uint32{{0, 0}, {0, 0}, {1, 1}, {0, 0}, {0xFFFFFFFF, 1}}
+	tr := simulate(t, ad.N, len(ops), func(c int, in activity.Inputs) {
+		in.SetWord(ad.A[:], uint64(ops[c][0]))
+		in.SetWord(ad.B[:], uint64(ops[c][1]))
+	})
+	short, long := tr.Count(2), tr.Count(4)
 	if long <= short {
 		t.Errorf("long carry chain should activate more gates: short=%d long=%d", short, long)
 	}
@@ -178,27 +186,18 @@ func TestShifterFunctional(t *testing.T) {
 	if err := sh.N.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sim, _ := activity.NewSimulator(sh.N)
 	cases := []struct {
 		v   uint32
 		amt uint32
 	}{
 		{0xDEADBEEF, 0}, {0xDEADBEEF, 1}, {0xDEADBEEF, 13}, {0xDEADBEEF, 31},
 	}
-	for _, tc := range cases {
-		in := map[netlist.GateID]bool{}
-		setWord(in, sh.In, tc.v)
-		for i := 0; i < 5; i++ {
-			in[sh.Amt[i]] = (tc.amt>>uint(i))&1 == 1
-		}
-		sim.Cycle(in)
-		var got uint32
-		for i := 0; i < 32; i++ {
-			if sim.Value(sh.N.Gate(sh.Out[i]).Fanin[0]) {
-				got |= 1 << uint(i)
-			}
-		}
-		if got != tc.v>>tc.amt {
+	tr := simulate(t, sh.N, len(cases), func(c int, in activity.Inputs) {
+		in.SetWord(sh.In[:], uint64(cases[c].v))
+		in.SetWord(sh.Amt[:], uint64(cases[c].amt))
+	})
+	for c, tc := range cases {
+		if got := word(tr, sh.N, c, sh.Out[:]); got != tc.v>>tc.amt {
 			t.Errorf("shift(%x,%d) = %x, want %x", tc.v, tc.amt, got, tc.v>>tc.amt)
 		}
 	}
@@ -206,23 +205,16 @@ func TestShifterFunctional(t *testing.T) {
 
 func TestLogicFunctional(t *testing.T) {
 	l := Logic()
-	sim, _ := activity.NewSimulator(l.N)
 	a, b := uint32(0xF0F0A5A5), uint32(0x0FF0FFFF)
-	for sel, want := range map[uint32]uint32{0: a & b, 1: a | b, 2: a ^ b, 3: a ^ b} {
-		in := map[netlist.GateID]bool{}
-		setWord(in, l.A, a)
-		setWord(in, l.B, b)
-		in[l.Sel[0]] = sel&1 == 1
-		in[l.Sel[1]] = sel&2 == 2
-		sim.Cycle(in)
-		var got uint32
-		for i := 0; i < 32; i++ {
-			if sim.Value(l.N.Gate(l.Out[i]).Fanin[0]) {
-				got |= 1 << uint(i)
-			}
-		}
-		if got != want {
-			t.Errorf("logic sel=%d = %x, want %x", sel, got, want)
+	want := []uint32{a & b, a | b, a ^ b, a ^ b} // by sel
+	tr := simulate(t, l.N, len(want), func(sel int, in activity.Inputs) {
+		in.SetWord(l.A[:], uint64(a))
+		in.SetWord(l.B[:], uint64(b))
+		in.SetWord(l.Sel[:], uint64(sel))
+	})
+	for sel := range want {
+		if got := word(tr, l.N, sel, l.Out[:]); got != want[sel] {
+			t.Errorf("logic sel=%d = %x, want %x", sel, got, want[sel])
 		}
 	}
 }

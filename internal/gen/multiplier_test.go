@@ -5,24 +5,30 @@ import (
 	"testing/quick"
 
 	"tsperr/internal/activity"
-	"tsperr/internal/netlist"
 )
 
-func mulOut(t *testing.T, sim *activity.Simulator, m *MultiplierNet, a, b uint32) uint32 {
+// mulOut returns the low 16 bits of a × b as the multiplier computes them
+// in one cycle.
+func mulOut(t *testing.T, sim *activity.Sim, m *MultiplierNet, a, b uint32) uint32 {
 	t.Helper()
-	in := map[netlist.GateID]bool{}
-	for i := 0; i < 16; i++ {
-		in[m.A[i]] = (a>>uint(i))&1 == 1
-		in[m.B[i]] = (b>>uint(i))&1 == 1
+	tr, err := sim.Run(1, func(_ int, in activity.Inputs) {
+		in.SetWord(m.A[:], uint64(a))
+		in.SetWord(m.B[:], uint64(b))
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sim.Cycle(in)
-	var got uint32
-	for i := 0; i < 16; i++ {
-		if sim.Value(m.N.Gate(m.P[i]).Fanin[0]) {
-			got |= 1 << uint(i)
-		}
+	return word(tr, m.N, 0, m.P[:])
+}
+
+// compile compiles the multiplier for simulation.
+func compile(t *testing.T, m *MultiplierNet) *activity.Sim {
+	t.Helper()
+	sim, err := activity.Compile(m.N)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return got
+	return sim
 }
 
 func TestMultiplierFunctional(t *testing.T) {
@@ -30,7 +36,7 @@ func TestMultiplierFunctional(t *testing.T) {
 	if err := m.N.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sim, _ := activity.NewSimulator(m.N)
+	sim := compile(t, m)
 	cases := [][2]uint32{
 		{0, 0}, {1, 1}, {3, 5}, {255, 255}, {0xFFFF, 0xFFFF},
 		{12345, 2}, {0x8000, 2}, {100, 100},
@@ -45,7 +51,7 @@ func TestMultiplierFunctional(t *testing.T) {
 
 func TestMultiplierProperty(t *testing.T) {
 	m := Multiplier()
-	sim, _ := activity.NewSimulator(m.N)
+	sim := compile(t, m)
 	f := func(a, b uint16) bool {
 		return mulOut(t, sim, m, uint32(a), uint32(b)) == uint32(a)*uint32(b)&0xFFFF
 	}
@@ -56,25 +62,22 @@ func TestMultiplierProperty(t *testing.T) {
 
 func TestMultiplierActivationGrowsWithMagnitude(t *testing.T) {
 	m := Multiplier()
-	sim, _ := activity.NewSimulator(m.N)
-	quiet := func() {
-		in := map[netlist.GateID]bool{}
-		sim.Cycle(in)
-		sim.Cycle(in)
+	// Two quiet cycles, 3 × 1 in cycle 2, two quiet cycles, then every
+	// operand bit set in cycle 5.
+	tr, err := compile(t, m).Run(6, func(c int, in activity.Inputs) {
+		switch c {
+		case 2:
+			in.SetWord(m.A[:], 3)
+			in.SetWord(m.B[:], 1)
+		case 5:
+			in.SetWord(m.A[:], 0xFFFF)
+			in.SetWord(m.B[:], 0xFFFF)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	quiet()
-	in := map[netlist.GateID]bool{}
-	for i := 0; i < 16; i++ {
-		in[m.A[i]] = (uint32(3)>>uint(i))&1 == 1
-		in[m.B[i]] = i == 0
-	}
-	small := sim.Cycle(in).Count()
-	quiet()
-	for i := 0; i < 16; i++ {
-		in[m.A[i]] = true
-		in[m.B[i]] = true
-	}
-	large := sim.Cycle(in).Count()
+	small, large := tr.Count(2), tr.Count(5)
 	if large <= small*2 {
 		t.Errorf("large operands should activate far more of the array: %d vs %d", large, small)
 	}

@@ -7,7 +7,7 @@ import (
 
 // SlabAlias machine-checks the scratch-slab aliasing rules of DESIGN.md
 // §13/§14: a value taken from a recycling pool (cpu data-memory slabs, the
-// activity simulator's scratch slices) is owned by the pool and is recycled
+// activity simulator's trace storage) is owned by the pool and is recycled
 // — and rewritten — as soon as the owner's Release runs. Any alias that
 // survives Release reads torn data from an unrelated later run.
 //
@@ -22,7 +22,7 @@ import (
 // Everywhere else, a slab-derived value must not
 //
 //   - be returned, unless the returned type carries a Release method (the
-//     owner object — CPU, Simulator — whose lifecycle ends at Release);
+//     owner object — CPU, Trace — whose lifecycle ends at Release);
 //   - be stored into a field of a type without a Release method, into a
 //     package-level variable, or into a composite literal of a type
 //     without Release;

@@ -8,15 +8,18 @@
 package sta
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
 	"tsperr/internal/cell"
 	"tsperr/internal/netlist"
 	"tsperr/internal/numeric"
+	"tsperr/internal/pool"
 	"tsperr/internal/variation"
 )
 
@@ -484,15 +487,37 @@ func (e *Engine) MaxDelayNominal() float64 {
 // path delay of the design, approximated by the statistical maximum over the
 // k most critical paths of every endpoint. SSTA sign-off (the paper's
 // 718 MHz with guardband) corresponds to a high percentile of this value.
+// The endpoints' path searches run on the shared worker pool with
+// GOMAXPROCS workers, each reusing one search arena, and their forms are
+// concatenated in endpoint order, so the result is bit-identical to a serial
+// search for any worker count.
 func (e *Engine) MaxDelayPercentile(p float64, k int) float64 {
-	var forms []variation.Canon
-	var ps pathSearch
+	var eps []netlist.GateID
 	for s := 0; s < e.N.Stages; s++ {
-		for _, ep := range e.N.Endpoints(s) {
-			for _, path := range e.criticalPaths(ep, k, &ps) {
-				forms = append(forms, e.PathDelay(path))
-			}
+		eps = append(eps, e.N.Endpoints(s)...)
+	}
+	// One search arena per worker: a task takes one and puts it back.
+	workers := runtime.GOMAXPROCS(0)
+	arenas := make(chan *pathSearch, workers)
+	for i := 0; i < workers; i++ {
+		arenas <- new(pathSearch)
+	}
+	perEP := make([][]variation.Canon, len(eps))
+	errs := make([]error, len(eps))
+	pool.Run(context.Background(), len(eps), workers, false, errs, func(_ context.Context, i int) error {
+		ps := <-arenas
+		defer func() { arenas <- ps }()
+		for _, path := range e.criticalPaths(eps[i], k, ps) {
+			perEP[i] = append(perEP[i], e.PathDelay(path))
 		}
+		return nil
+	})
+	if err := pool.FirstError(errs); err != nil {
+		panic(err) // a search bug, surfaced as the serial loop would have
+	}
+	var forms []variation.Canon
+	for _, f := range perEP {
+		forms = append(forms, f...)
 	}
 	if len(forms) == 0 {
 		return 0

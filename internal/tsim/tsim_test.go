@@ -14,10 +14,19 @@ import (
 	"tsperr/internal/variation"
 )
 
-func setWord(in map[netlist.GateID]bool, gates [32]netlist.GateID, w uint32) {
-	for i := 0; i < 32; i++ {
-		in[gates[i]] = (w>>uint(i))&1 == 1
+// simulate compiles n and runs cycles cycles, set driving each cycle's
+// inputs.
+func simulate(t *testing.T, n *netlist.Netlist, cycles int, set func(c int, in activity.Inputs)) *activity.Trace {
+	t.Helper()
+	sim, err := activity.Compile(n)
+	if err != nil {
+		t.Fatal(err)
 	}
+	tr, err := sim.Run(cycles, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func adderFixture(t *testing.T, period float64) (*Simulator, *gdta.Analyzer, *dta.Analyzer, *activity.Trace, *gen.AdderNet) {
@@ -40,15 +49,12 @@ func adderFixture(t *testing.T, period float64) (*Simulator, *gdta.Analyzer, *dt
 		t.Fatal(err)
 	}
 	pa := dta.New(e, 8)
-	sim, _ := activity.NewSimulator(ad.N)
-	tr := &activity.Trace{NumGates: ad.N.NumGates()}
-	for _, op := range [][2]uint32{{0, 0}, {0xFFFFFFFF, 1}, {3, 1}, {0x0F0F, 0xF0F1}} {
-		in := map[netlist.GateID]bool{}
-		setWord(in, ad.A, op[0])
-		setWord(in, ad.B, op[1])
-		in[ad.Cin] = false
-		tr.Sets = append(tr.Sets, sim.Cycle(in))
-	}
+	ops := [][2]uint32{{0, 0}, {0xFFFFFFFF, 1}, {3, 1}, {0x0F0F, 0xF0F1}}
+	tr := simulate(t, ad.N, len(ops), func(c int, in activity.Inputs) {
+		in.SetWord(ad.A[:], uint64(ops[c][0]))
+		in.SetWord(ad.B[:], uint64(ops[c][1]))
+		in.Set(ad.Cin, false)
+	})
 	return ts, ga, pa, tr, ad
 }
 
