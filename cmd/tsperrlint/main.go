@@ -1,28 +1,17 @@
 // Command tsperrlint is the repository's static-analysis driver. It runs
 // the internal/lint pass suite (mapiterorder, ctxflow, guardedfield,
-// floatcmp, detsource, slabalias, batchonce) in two modes, plus the
-// netlist structural linter and the suppression inventory:
+// detsource) over package patterns, or the netlist structural linter:
 //
-//	tsperrlint ./...                  standalone, over package patterns
-//	tsperrlint -json ./...            same, machine-readable output
-//	go vet -vettool=$(which tsperrlint) ./...   as a vet tool
-//	tsperrlint -netlist               structural lint of generated netlists
-//	tsperrlint -ignores ./...         inventory //tsperrlint:ignore directives
-//	tsperrlint -ignores -budget lint.budget ./...   enforce the ratchet
+//	tsperrlint ./...           the pass suite over non-test files
+//	tsperrlint -tests ./...    the same, in-package _test.go files included
+//	tsperrlint -netlist        structural lint of generated netlists
 //
-// Exit status: 0 clean, 1 usage or load failure, 2 findings (or budget
-// violations).
+// Exit status: 0 clean, 1 usage or load failure, 2 findings.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,11 +23,6 @@ import (
 	"tsperr/internal/netlist"
 )
 
-// version is the toolID reported to the go command. `go vet` requires a
-// three-field `name version hash` line whose third field is not "devel";
-// it keys the vet result cache, so bump it when analyzer behavior changes.
-const version = "tsperrlint-0.2.0"
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -47,70 +31,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tsperrlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: tsperrlint [flags] [package patterns | vet.cfg]\n")
+		fmt.Fprintf(fs.Output(), "usage: tsperrlint [flags] [package patterns]\n")
 		fs.PrintDefaults()
 	}
 	var (
-		vFlag     = fs.String("V", "", "print version and exit (go vet handshake; use -V=full)")
-		flagsFlag = fs.Bool("flags", false, "print the tool's flag schema as JSON and exit (go vet handshake)")
-		analyzers = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		tests     = fs.Bool("tests", false, "also analyze in-package _test.go files (standalone mode)")
-		jsonOut   = fs.Bool("json", false, "emit diagnostics as a JSON array (standalone mode)")
-		netMode   = fs.Bool("netlist", false, "run the structural netlist linter over all generated units instead of Go analysis")
-		ignores   = fs.Bool("ignores", false, "inventory //tsperrlint:ignore directives (always includes test files) instead of reporting findings")
-		budget    = fs.String("budget", "", "with -ignores: enforce the suppression budget file; exceeding a count is a violation")
+		tests   = fs.Bool("tests", false, "also analyze in-package _test.go files")
+		netMode = fs.Bool("netlist", false, "run the structural netlist linter over all generated units instead of Go analysis")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-
-	if *vFlag != "" {
-		// Third field must differ from "devel" or the go command rejects
-		// the tool as uncacheable.
-		fmt.Fprintf(stdout, "tsperrlint version %s\n", version)
-		return 0
-	}
-	if *flagsFlag {
-		// No flags are exposed through the vet driver; the empty schema
-		// keeps `go vet -vettool` happy.
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
-
 	if *netMode {
 		return runNetlistLint(stdout, stderr)
 	}
-	if *ignores {
-		return runIgnores(fs.Args(), *budget, stdout, stderr)
-	}
-
-	sel, err := lint.ByName(*analyzers)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runUnitchecker(rest[0], sel)
-	}
-	return runStandalone(rest, sel, *tests, *jsonOut, stdout, stderr)
+	return runPackages(fs.Args(), *tests, stdout, stderr)
 }
 
-// ---- standalone mode ----
-
-// jsonDiagnostic is the machine-readable diagnostic schema emitted by
-// -json, consumed by CI annotations; the field set is pinned by the golden
-// test in main_test.go.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func runStandalone(patterns []string, sel []*lint.Analyzer, tests, jsonOut bool, stdout, stderr io.Writer) int {
+// runPackages runs the pass suite over the packages matched by patterns
+// and prints each finding in the file:line:col form.
+func runPackages(patterns []string, tests bool, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -120,133 +59,23 @@ func runStandalone(patterns []string, sel []*lint.Analyzer, tests, jsonOut bool,
 		return 1
 	}
 	cwd, _ := os.Getwd()
-	var all []lint.Diagnostic
+	count := 0
 	for _, pkg := range pkgs {
-		diags, err := lint.RunAnalyzers(pkg, sel)
+		diags, err := lint.RunAnalyzers(pkg, lint.All())
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		for _, d := range diags {
-			all = append(all, relativize(cwd, d))
+			fmt.Fprintln(stdout, relativize(cwd, d).String())
 		}
+		count += len(diags)
 	}
-	if jsonOut {
-		out := make([]jsonDiagnostic, 0, len(all))
-		for _, d := range all {
-			out = append(out, jsonDiagnostic{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	} else {
-		for _, d := range all {
-			fmt.Fprintln(stdout, d.String())
-		}
-	}
-	if len(all) > 0 {
-		fmt.Fprintf(stderr, "tsperrlint: %d finding(s)\n", len(all))
+	if count > 0 {
+		fmt.Fprintf(stderr, "tsperrlint: %d finding(s)\n", count)
 		return 2
 	}
 	return 0
-}
-
-// ---- suppression inventory and budget ----
-
-// runIgnores lists every //tsperrlint:ignore directive in the matched
-// packages (test files always included — most suppressions live there) and,
-// with a budget file, enforces the ratchet: each analyzer's directive count
-// must stay at or below its budgeted count, and analyzers missing from the
-// budget get none. Counts are per analyzer name, so a multi-name directive
-// spends from each budget it names.
-func runIgnores(patterns []string, budgetFile string, stdout, stderr io.Writer) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := lint.Load(".", patterns, true)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	cwd, _ := os.Getwd()
-	counts := map[string]int{}
-	for _, pkg := range pkgs {
-		for _, d := range lint.ParseDirectives(pkg.Fset, pkg.Files) {
-			file := d.Pos.Filename
-			if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = rel
-			}
-			if d.Err != "" {
-				fmt.Fprintf(stdout, "%s:%d: MALFORMED: %s\n", file, d.Pos.Line, d.Err)
-				counts["malformed"]++
-				continue
-			}
-			fmt.Fprintf(stdout, "%s:%d: [%s] %s\n", file, d.Pos.Line, strings.Join(d.Names, ","), d.Reason)
-			for _, n := range d.Names {
-				counts[n]++
-			}
-		}
-	}
-	names := make([]string, 0, len(counts))
-	for n := range counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(stdout, "total %-14s %d\n", n, counts[n])
-	}
-	if budgetFile == "" {
-		return 0
-	}
-	budgets, err := readBudget(budgetFile)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	violations := 0
-	for _, n := range names {
-		if counts[n] > budgets[n] {
-			violations++
-			fmt.Fprintf(stderr, "tsperrlint: suppression budget exceeded for %s: %d directive(s), budget %d — remove a suppression (the budget only ratchets down)\n",
-				n, counts[n], budgets[n])
-		}
-	}
-	if violations > 0 {
-		return 2
-	}
-	return 0
-}
-
-// readBudget parses the budget file: `analyzer count` lines, #-comments
-// and blank lines ignored.
-func readBudget(path string) (map[string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("tsperrlint: reading budget: %w", err)
-	}
-	out := map[string]int{}
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var name string
-		var n int
-		if _, err := fmt.Sscanf(line, "%s %d", &name, &n); err != nil {
-			return nil, fmt.Errorf("tsperrlint: %s:%d: bad budget line %q (want `analyzer count`)", path, i+1, line)
-		}
-		out[name] = n
-	}
-	return out, nil
 }
 
 // relativize shortens absolute diagnostic paths for terminal output.
@@ -259,134 +88,6 @@ func relativize(cwd string, d lint.Diagnostic) lint.Diagnostic {
 	}
 	return d
 }
-
-// ---- go vet -vettool mode ----
-
-// vetConfig mirrors the JSON the go command writes to <objdir>/vet.cfg.
-// Only the fields the checker consumes are declared.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	GoVersion                 string
-	SucceedOnTypecheckFailure bool
-}
-
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-func runUnitchecker(cfgPath string, sel []*lint.Analyzer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsperrlint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "tsperrlint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-
-	// The driver reads the vetx file for cross-package facts; these
-	// analyzers carry none, so an empty file satisfies the protocol and
-	// keeps the result cacheable.
-	writeVetx := func() {
-		if cfg.VetxOutput != "" {
-			_ = os.WriteFile(cfg.VetxOutput, []byte{}, 0o666)
-		}
-	}
-	if cfg.VetxOnly {
-		// Dependency visited only to produce facts: nothing to analyze.
-		writeVetx()
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintf(os.Stderr, "tsperrlint: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	compImp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if path == "unsafe" {
-			return types.Unsafe, nil
-		}
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		return compImp.Import(path)
-	})
-
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	tconf := types.Config{Importer: imp, GoVersion: cfg.GoVersion}
-	tpkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "tsperrlint: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-
-	pkg := &lint.Package{
-		PkgPath: cfg.ImportPath,
-		Dir:     cfg.Dir,
-		Fset:    fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
-	}
-	diags, err := lint.RunAnalyzers(pkg, sel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsperrlint: %v\n", err)
-		return 1
-	}
-	writeVetx()
-	if len(diags) > 0 {
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d.String())
-		}
-		return 2
-	}
-	return 0
-}
-
-// ---- netlist structural lint mode ----
 
 // runNetlistLint generates every pipeline unit and runs the structural
 // linter over each, printing severity-tagged findings.

@@ -43,9 +43,16 @@ type Trace struct {
 	// of the previous chunk, one bit per gate.
 	carry []uint64
 	// owner is the simulator whose free list Release returns the storage
-	// to; nil once released, and for traces ReadVCD builds.
+	// to, in store; both are nil once released, and for traces ReadVCD
+	// builds.
 	owner *Sim
+	store *storage
 }
+
+// storage is the word storage a simulator recycles between runs. The pool
+// holds the storage, never a Trace, so a trace read after its Release
+// cannot see a later run's bits.
+type storage struct{ act, carry []uint64 }
 
 // reset shapes tr for a run of cycles cycles over gates gates, all words
 // cleared, reusing its storage where it is large enough.
@@ -71,13 +78,14 @@ func resize(s []uint64, n int) []uint64 {
 }
 
 // Release returns the trace's storage to the simulator that made it, for a
-// later run to reuse; the trace must not be read afterwards. Releasing is
-// optional — an unreleased trace is garbage collected — and a no-op for a
-// trace ReadVCD built or one already released.
+// later run to reuse. The trace must not be read afterwards: a read of its
+// cycles panics. Releasing is optional — an unreleased trace is garbage
+// collected — and a no-op for a trace ReadVCD built or one already released.
 func (tr *Trace) Release() {
 	if s := tr.owner; s != nil {
-		tr.owner = nil
-		s.free.Put(tr)
+		tr.store.act, tr.store.carry = tr.act, tr.carry
+		s.free.Put(tr.store)
+		tr.act, tr.carry, tr.owner, tr.store = nil, nil, nil, nil
 	}
 }
 
@@ -167,9 +175,9 @@ type segment struct {
 type Sim struct {
 	gates int
 	segs  []segment
-	// free recycles the storage of released traces: a caller that simulates
-	// many stimuli in turn reuses a few traces instead of allocating one
-	// per run.
+	// free recycles the *storage of released traces: a caller that
+	// simulates many stimuli in turn reuses a few word buffers instead of
+	// allocating them per run.
 	free sync.Pool
 }
 
@@ -286,11 +294,11 @@ func components(gates []netlist.Gate) [][]netlist.GateID {
 // is called once per cycle, in cycle order, to set that cycle's primary
 // inputs. A trace larger than MaxTraceBits is an error.
 func (s *Sim) Run(cycles int, inputs func(t int, in Inputs)) (*Trace, error) {
-	tr, _ := s.free.Get().(*Trace)
-	if tr == nil {
-		tr = new(Trace)
+	st, _ := s.free.Get().(*storage)
+	if st == nil {
+		st = new(storage)
 	}
-	tr.owner = s
+	tr := &Trace{act: st.act, carry: st.carry, owner: s, store: st}
 	if err := tr.reset(s.gates, cycles); err != nil {
 		tr.Release()
 		return nil, err

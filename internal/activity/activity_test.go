@@ -126,6 +126,37 @@ func TestSimulatorReset(t *testing.T) {
 	}
 }
 
+// TestReleasedTraceUnreadable checks that reading a trace after its Release
+// panics instead of returning the bits of the run that reused its storage.
+func TestReleasedTraceUnreadable(t *testing.T) {
+	n, ids := buildAdderStage(t)
+	sim, err := Compile(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := sim.Run(1, func(_ int, in Inputs) { in.Set(ids["a"], true) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Activated(0, ids["sum"]) {
+		t.Fatal("a rising input should activate sum")
+	}
+	a.Release()
+	b, err := sim.Run(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b == a {
+		t.Fatal("Run handed out the released trace")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("reading a released trace did not panic")
+		}
+	}()
+	a.Activated(0, ids["sum"])
+}
+
 func TestBitSet(t *testing.T) {
 	b := NewBitSet(130)
 	ids := []netlist.GateID{0, 63, 64, 129}

@@ -174,7 +174,6 @@ func assertBitIdentical(t *testing.T, got, want *montecarlo.ShardedResult) {
 		t.Fatalf("counts: got %d samples, want %d", len(got.Counts), len(want.Counts))
 	}
 	for i := range got.Counts {
-		//tsperrlint:ignore floatcmp distributed samples are asserted bit-identical, not approximate
 		if got.Counts[i] != want.Counts[i] {
 			t.Fatalf("count %d: got %v, want %v", i, got.Counts[i], want.Counts[i])
 		}

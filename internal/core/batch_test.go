@@ -56,7 +56,6 @@ func TestBatchMatchesSerialPath(t *testing.T) {
 			t.Errorf("item %d: batch estimate %s\nserial %s", i, gotJSON, serialJSON)
 		}
 		for s, l := range got.Report.Estimate.LambdaSamples {
-			//tsperrlint:ignore floatcmp batch-vs-serial determinism is asserted bit-identical, not approximate
 			if l != serial.Estimate.LambdaSamples[s] {
 				t.Errorf("item %d scenario %d: lambda %v vs serial %v", i, s, l, serial.Estimate.LambdaSamples[s])
 			}
@@ -65,7 +64,6 @@ func TestBatchMatchesSerialPath(t *testing.T) {
 			t.Fatalf("item %d: MC presence differs", i)
 		}
 		if got.Report.MC != nil {
-			//tsperrlint:ignore floatcmp MC determinism is asserted bit-identical, not approximate
 			if got.Report.MC.Mean != serial.MC.Mean || got.Report.MC.MaxCDFDistance != serial.MC.MaxCDFDistance {
 				t.Errorf("item %d: MC %+v vs serial %+v", i, got.Report.MC, serial.MC)
 			}

@@ -24,7 +24,6 @@ func datapathTablesEqual(a, b *errormodel.DatapathModel) bool {
 		reflect.DeepEqual(a.AdderFail, b.AdderFail) &&
 		reflect.DeepEqual(a.ShiftSlack, b.ShiftSlack) &&
 		reflect.DeepEqual(a.ShiftFail, b.ShiftFail) &&
-		//tsperrlint:ignore floatcmp a cache restore must reproduce the trained scalar bit-identically
 		a.LogicFail == b.LogicFail &&
 		reflect.DeepEqual(a.MulSlack, b.MulSlack) &&
 		reflect.DeepEqual(a.MulFail, b.MulFail)
@@ -57,7 +56,6 @@ func TestNewFrameworkCachedWarm(t *testing.T) {
 	if !reflect.DeepEqual(fw.Machine.Scales(), f.Machine.Scales()) {
 		t.Errorf("restored scales %v != trained %v", fw.Machine.Scales(), f.Machine.Scales())
 	}
-	//tsperrlint:ignore floatcmp a cache restore must reproduce the operating point bit-identically
 	if fw.Machine.WorkingPeriodPs != f.Machine.WorkingPeriodPs {
 		t.Error("operating point differs after restore")
 	}

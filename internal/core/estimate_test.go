@@ -158,7 +158,6 @@ func TestErrorRateCDFMatchesCountCDF(t *testing.T) {
 	}
 	lo1, hi1 := e.ErrorRateCDFBounds(rate)
 	lo2, hi2 := e.ErrorCountCDFBounds(rate * e.TotalInsts)
-	//tsperrlint:ignore floatcmp both bounds come from the same computation and must agree bit-exactly
 	if lo1 != lo2 || hi1 != hi2 {
 		t.Error("rate bounds should match count bounds")
 	}

@@ -171,15 +171,12 @@ func TestEstimateJSONRoundTripQueries(t *testing.T) {
 	if err := json.Unmarshal(raw, &dec); err != nil {
 		t.Fatal(err)
 	}
-	//tsperrlint:ignore floatcmp the decoded estimate must be bit-identical, not approximate
 	if dec.MeanErrorRate() != orig.MeanErrorRate() {
 		t.Errorf("decoded mean error rate diverged from original")
 	}
-	//tsperrlint:ignore floatcmp the decoded estimate must be bit-identical, not approximate
 	if dec.ErrorRateQuantile(0.95) != orig.ErrorRateQuantile(0.95) {
 		t.Errorf("decoded quantile diverged from original")
 	}
-	//tsperrlint:ignore floatcmp the decoded estimate must be bit-identical, not approximate
 	if dec.ErrorCountCDF(42) != orig.ErrorCountCDF(42) {
 		t.Errorf("decoded count CDF diverged from original")
 	}

@@ -299,7 +299,6 @@ func TestAnalyzeWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//tsperrlint:ignore floatcmp worker-count invariance is asserted bit-identical, not approximate
 	if seq.Estimate.LambdaMean != par.Estimate.LambdaMean || seq.Estimate.LambdaStd != par.Estimate.LambdaStd {
 		t.Errorf("worker count changed the estimate: %v/%v vs %v/%v",
 			seq.Estimate.LambdaMean, seq.Estimate.LambdaStd,

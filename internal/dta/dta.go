@@ -303,7 +303,7 @@ func (a *Analyzer) reduce(paths []*epPaths, actAt func(int) bool) *stageEntry {
 // finishEntry returns the period-applied form of a memo entry, refreshing
 // the cached slack when the operating period moved. Callers hold a.mu.
 func finishEntry(e *stageEntry, period float64) (variation.Canon, bool) {
-	//tsperrlint:ignore floatcmp the period is an exact configuration value, not a computed quantity
+	// The period is an exact configuration value, not a computed quantity.
 	if e.period != period {
 		if e.ok {
 			e.slack = e.neg.AddConst(period)

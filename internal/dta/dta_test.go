@@ -182,14 +182,12 @@ func TestStageDTSMemo(t *testing.T) {
 	if after := memoSize(a); after != before {
 		t.Errorf("identical signature must hit the memo: %d -> %d entries", before, after)
 	}
-	//tsperrlint:ignore floatcmp a memo hit must be bit-identical to the stored form; tolerance would mask a wrong entry
 	if d1.Mean != d3.Mean || d1.Rand != d3.Rand {
 		t.Errorf("memoized form differs: %v vs %v", d1.Mean, d3.Mean)
 	}
 	// A fresh analyzer recomputing cycle 3 from scratch must agree exactly.
 	fresh := New(a.Engine, a.K)
 	df, okf := fresh.StageDTS(eps, 3, tr)
-	//tsperrlint:ignore floatcmp recomputation from scratch is asserted bit-identical, not approximately equal
 	if !okf || df.Mean != d3.Mean || df.Rand != d3.Rand {
 		t.Errorf("fresh recomputation differs: %v vs %v", df.Mean, d3.Mean)
 	}
@@ -247,7 +245,6 @@ func TestAnalyzerConcurrent(t *testing.T) {
 			t.Fatalf("worker %d saw %d results, want %d", w, len(means[w]), len(means[0]))
 		}
 		for i := range means[w] {
-			//tsperrlint:ignore floatcmp worker determinism is asserted bit-identical across goroutines
 			same := means[w][i] == means[0][i] ||
 				(math.IsNaN(means[w][i]) && math.IsNaN(means[0][i]))
 			if !same {

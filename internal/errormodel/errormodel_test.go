@@ -78,7 +78,6 @@ func TestFailProbLUTMatchesSlow(t *testing.T) {
 	for op := isa.Op(0); op < isa.NumOps; op++ {
 		for d := -2; d <= maxDepthFeature+8; d++ {
 			want := dp.failProbSlow(op, d)
-			//tsperrlint:ignore floatcmp the LUT is a memoized copy of the slow path; it must be bit-identical
 			if got := dp.FailProb(op, d); got != want {
 				t.Fatalf("FailProb(%v, %d) = %v, want %v", op, d, got, want)
 			}
@@ -158,22 +157,18 @@ func TestFailProbDispatch(t *testing.T) {
 	if got := dp.FailProb(isa.OpAdd, 50); got != 0.32 {
 		t.Errorf("depth must clamp at 32: %v", got)
 	}
-	//tsperrlint:ignore floatcmp dispatch must return the exact stored table entry
 	if got := dp.FailProb(isa.OpMul, 9); got != dp.MulFail[9] {
 		t.Errorf("mul dispatch = %v", got)
 	}
-	//tsperrlint:ignore floatcmp dispatch must return the exact stored table entry
 	if got := dp.FailProb(isa.OpMul, 30); got != dp.MulFail[16] {
 		t.Errorf("mul depth must clamp at 16: %v", got)
 	}
 	if got := dp.FailProb(isa.OpSub, 0); got != 0 {
 		t.Errorf("zero depth must be safe: %v", got)
 	}
-	//tsperrlint:ignore floatcmp dispatch must return the exact stored table entry
 	if got := dp.FailProb(isa.OpSlli, 3); got != dp.ShiftFail[2] {
 		t.Errorf("shift dispatch = %v", got)
 	}
-	//tsperrlint:ignore floatcmp dispatch must return the exact stored table entry
 	if got := dp.FailProb(isa.OpXor, 1); got != dp.LogicFail {
 		t.Errorf("logic dispatch = %v", got)
 	}

@@ -105,11 +105,11 @@ type Machine struct {
 	LogicDTA   *dta.Analyzer
 	MultDTA    *dta.Analyzer
 
+	stimMu sync.Mutex
 	// stim memoizes control-stimulus probabilities across blocks and
 	// programs at the current operating point (see control.go); guarded by
 	// stimMu.
-	stimMu sync.Mutex
-	stim   map[string]*stimEntry
+	stim map[string]*stimEntry
 
 	// ctrlSim is the control network compiled for simulation, set by
 	// newMachine.

@@ -72,7 +72,6 @@ func TestMCSpecRebuildsTheCoordinatorSpec(t *testing.T) {
 			t.Fatalf("chunk %d: %d counts, want %d", c, len(got.Counts), len(want.Counts))
 		}
 		for i := range want.Counts {
-			//tsperrlint:ignore floatcmp bit-identical reproduction is the contract under test
 			if got.Counts[i] != want.Counts[i] {
 				t.Fatalf("chunk %d trial %d: count %v, want %v", c, i, got.Counts[i], want.Counts[i])
 			}

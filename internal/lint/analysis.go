@@ -2,16 +2,16 @@
 // and the minimal driver framework they run on. The repo has two machine-
 // checked contracts that ordinary `go vet` cannot see: parallel
 // characterization must stay bit-identical to serial execution (no
-// map-iteration-order-dependent accumulation, no unguarded memo access),
-// and context cancellation must thread through every long-running
-// scenario/instruction/cycle loop. The analyzers here enforce both, plus
-// the float-equality hygiene the estimation math depends on.
+// map-iteration-order-dependent accumulation, no unguarded memo access, no
+// wall-clock or ad-hoc-seeded input to a result), and context cancellation
+// must thread through every long-running scenario/instruction/cycle loop.
+// The four analyzers here enforce both; a finding cannot be suppressed.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API surface
 // (Analyzer, Pass, Diagnostic) but is built purely on the standard library
 // (go/ast, go/types, go/importer), because this module is dependency-free
-// by policy. cmd/tsperrlint is the multichecker driver; it runs both
-// standalone over package patterns and as a `go vet -vettool`.
+// by policy. cmd/tsperrlint is the driver; it runs the suite over package
+// patterns.
 package lint
 
 import (
@@ -20,7 +20,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Diagnostic is one finding of one analyzer at a source position.
@@ -44,7 +43,6 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	diags *[]Diagnostic
-	flows map[*ast.FuncDecl]*FuncFlow // FlowOf memo (dataflow.go)
 }
 
 // Reportf records a diagnostic at pos.
@@ -65,36 +63,11 @@ type Analyzer struct {
 
 // All returns the full pass suite in a fixed order.
 func All() []*Analyzer {
-	return []*Analyzer{MapIterOrder, CtxFlow, GuardedField, FloatCmp, DetSource, SlabAlias, BatchOnce}
+	return []*Analyzer{MapIterOrder, CtxFlow, GuardedField, DetSource}
 }
 
-// ByName resolves a comma-separated analyzer selection; an empty selection
-// means all analyzers.
-func ByName(names string) ([]*Analyzer, error) {
-	if strings.TrimSpace(names) == "" {
-		return All(), nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// RunAnalyzers applies the analyzers to one loaded package and returns the
-// surviving diagnostics sorted by position. Findings on lines carrying a
-// matching //tsperrlint:ignore directive are dropped; directive-hygiene
-// findings (ignores.go) are appended after the filter, so a malformed or
-// stale directive cannot suppress its own report.
+// RunAnalyzers applies the analyzers to one loaded package and returns their
+// diagnostics sorted by position.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -110,19 +83,8 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
 		}
 	}
-	dirs := ParseDirectives(pkg.Fset, pkg.Files)
-	sup := suppressionMap(dirs)
-	var kept []Diagnostic
-	for _, d := range diags {
-		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
-		if s := sup[key]; s != nil && s[d.Analyzer] {
-			continue
-		}
-		kept = append(kept, d)
-	}
-	kept = append(kept, checkDirectives(dirs, analyzers, diags)...)
-	sort.Slice(kept, func(i, j int) bool {
-		a, b := kept[i], kept[j]
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -134,7 +96,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return kept, nil
+	return diags, nil
 }
 
 // ---- shared type and syntax helpers used by several analyzers ----
@@ -193,4 +155,57 @@ func declaredWithin(info *types.Info, lhs ast.Expr, lo, hi token.Pos) bool {
 		return false
 	}
 	return obj.Pos() >= lo && obj.Pos() < hi
+}
+
+// def is one definition of a local variable: the identifier it binds and the
+// expression it is given. rhs is nil where the body gives no expression — a
+// range variable, a bare declaration, ++ or --. A compound assignment
+// (x += e) records e; a multi-value assignment records the one call for
+// every name it binds.
+type def struct {
+	id  *ast.Ident
+	rhs ast.Expr
+}
+
+// localDefs returns every definition of v in fn's body, closures included,
+// in source order. The lookup is flow-insensitive: it answers what v can be
+// given anywhere in the function, not which definitions reach a particular
+// use, so a check that accepts v only when every definition passes is
+// conservative. Parameters have no definition in the body.
+func localDefs(info *types.Info, fn *ast.FuncDecl, v *types.Var) []def {
+	var out []def
+	add := func(lhs, rhs ast.Expr) {
+		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && info.ObjectOf(id) == v {
+			out = append(out, def{id, rhs})
+		}
+	}
+	// value picks the expression given to the i-th of n names.
+	value := func(values []ast.Expr, i, n int) ast.Expr {
+		switch len(values) {
+		case n:
+			return values[i]
+		case 1:
+			return values[0]
+		}
+		return nil
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				add(lhs, value(n.Rhs, i, len(n.Lhs)))
+			}
+		case *ast.ValueSpec:
+			for i, name := range n.Names {
+				add(name, value(n.Values, i, len(n.Names)))
+			}
+		case *ast.IncDecStmt:
+			add(n.X, nil)
+		case *ast.RangeStmt:
+			add(n.Key, nil)
+			add(n.Value, nil)
+		}
+		return true
+	})
+	return out
 }

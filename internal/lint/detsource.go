@@ -20,12 +20,12 @@ import (
 //     the global generator is shared, racy, and (v2) nondeterministically
 //     seeded; all sampling goes through numeric.RNG;
 //  3. a NewRNG seed that does not flow from configuration: the argument
-//     must derive — through the function's def-use chains — only from
-//     constants, parameters, struct fields, package-level variables, and
-//     seed-derivation helpers (functions whose name mentions seed, mix,
-//     hash, splitmix, or fingerprint, e.g. montecarlo.chunkSeed). Ad-hoc
-//     seeds (loop indices, lengths, clocks) decorrelate chunk streams or
-//     break reproducibility;
+//     must derive — through every definition of each local variable it
+//     reads — only from constants, parameters, struct fields, package-level
+//     variables, and seed-derivation helpers (functions whose name mentions
+//     seed, mix, hash, splitmix, or fingerprint, e.g. montecarlo.chunkSeed).
+//     Ad-hoc seeds (loop indices, lengths, clocks) decorrelate chunk
+//     streams or break reproducibility;
 //  4. map-keyed nondeterminism feeding results: returning from inside a
 //     map-range loop an expression involving the iteration variables, or
 //     assigning an iteration variable to a longer-lived "picked" slot —
@@ -126,8 +126,7 @@ func checkDetCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr) {
 	if calleeName(call) != "NewRNG" || len(call.Args) != 1 {
 		return
 	}
-	flow := pass.FlowOf(fn)
-	if !seedOK(pass, flow, fn, call.Args[0], 0) {
+	if !seedOK(pass, fn, call.Args[0], 0) {
 		pass.Reportf(call.Args[0].Pos(),
 			"RNG seed does not flow from configuration or a seed-derivation helper; derive per-chunk seeds through the SplitMix64 mix (chunkSeed pattern), not ad-hoc expressions")
 	}
@@ -135,9 +134,10 @@ func checkDetCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr) {
 
 // seedOK reports whether the seed expression bottoms out only in approved
 // provenance: constants, parameters/receivers, struct fields, package-level
-// variables, and calls to seed-derivation helpers. Local variables are
-// resolved through their reaching definitions.
-func seedOK(pass *Pass, flow *FuncFlow, fn *ast.FuncDecl, e ast.Expr, depth int) bool {
+// variables, and calls to seed-derivation helpers. A local variable passes
+// when every one of its definitions does (localDefs); one the body never
+// defines, such as a closure parameter, is the caller's provenance.
+func seedOK(pass *Pass, fn *ast.FuncDecl, e ast.Expr, depth int) bool {
 	if depth > 12 {
 		return false // cyclic or pathological chain: refuse to vouch
 	}
@@ -146,13 +146,13 @@ func seedOK(pass *Pass, flow *FuncFlow, fn *ast.FuncDecl, e ast.Expr, depth int)
 	}
 	switch e := e.(type) {
 	case *ast.ParenExpr:
-		return seedOK(pass, flow, fn, e.X, depth)
+		return seedOK(pass, fn, e.X, depth)
 	case *ast.UnaryExpr:
-		return seedOK(pass, flow, fn, e.X, depth)
+		return seedOK(pass, fn, e.X, depth)
 	case *ast.BinaryExpr:
 		// Mixing arithmetic is fine when the operands themselves are
 		// approved — that is what a derivation helper's body looks like.
-		return seedOK(pass, flow, fn, e.X, depth) && seedOK(pass, flow, fn, e.Y, depth)
+		return seedOK(pass, fn, e.X, depth) && seedOK(pass, fn, e.Y, depth)
 	case *ast.SelectorExpr:
 		if sel, ok := pass.TypesInfo.Selections[e]; ok {
 			return sel.Kind() == types.FieldVal // spec.Seed-style configuration
@@ -176,30 +176,16 @@ func seedOK(pass *Pass, flow *FuncFlow, fn *ast.FuncDecl, e ast.Expr, depth int)
 		if obj.Parent() == pass.Pkg.Scope() {
 			return true // package-level variable: configuration
 		}
-		defs := flow.ReachingDefs(e)
-		if len(defs) == 0 {
-			// Not a tracked local: package-level variable (configuration).
-			if _, tracked := flow.defsOf[obj]; !tracked {
-				return true
-			}
-			return false
-		}
-		for _, d := range defs {
-			if d.Node == nil {
-				return true // synthetic param def
-			}
-			if d.RHS == nil {
-				return false // range variable or bare decl: index-like
-			}
-			if !seedOK(pass, flow, fn, d.RHS, depth+1) {
-				return false
+		for _, d := range localDefs(pass.TypesInfo, fn, obj) {
+			if d.rhs == nil || !seedOK(pass, fn, d.rhs, depth+1) {
+				return false // a range variable or bare declaration is index-like
 			}
 		}
 		return true
 	case *ast.CallExpr:
 		if tv, ok := pass.TypesInfo.Types[e.Fun]; ok && tv.IsType() {
 			if len(e.Args) == 1 {
-				return seedOK(pass, flow, fn, e.Args[0], depth)
+				return seedOK(pass, fn, e.Args[0], depth)
 			}
 			return false
 		}

@@ -25,7 +25,9 @@ var GuardedField = &Analyzer{
 	Run:  runGuardedField,
 }
 
-var guardedRe = regexp.MustCompile(`guarded by (\w+)`)
+// guardedRe matches the annotation; the mutex name may wrap onto the next
+// comment line, which CommentGroup.Text joins with a newline.
+var guardedRe = regexp.MustCompile(`guarded by\s+(\w+)`)
 
 // guardTarget couples a guarded object with the name of its mutex.
 type guardTarget struct {

@@ -2,7 +2,6 @@ package lint_test
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"tsperr/internal/lint"
@@ -36,10 +35,6 @@ func TestGuardedField(t *testing.T) {
 	linttest.Run(t, lint.GuardedField, fixture("guardedfield"), "fixture/guardedfield")
 }
 
-func TestFloatCmp(t *testing.T) {
-	linttest.Run(t, lint.FloatCmp, fixture("floatcmp"), "fixture/floatcmp")
-}
-
 func TestDetSource(t *testing.T) {
 	// The fixture is checked under a montecarlo import path so it falls
 	// inside DetSourceScope.
@@ -50,58 +45,5 @@ func TestDetSourceOutOfScope(t *testing.T) {
 	pkg, diags := linttest.MustRun(t, lint.DetSource, fixture("detsource"), "fixture/detsource")
 	if len(diags) != 0 {
 		t.Fatalf("detsource out of scope reported %d diagnostics in %s, want 0: %v", len(diags), pkg.PkgPath, diags)
-	}
-}
-
-func TestSlabAlias(t *testing.T) {
-	linttest.Run(t, lint.SlabAlias, fixture("slabalias"), "fixture/slabalias")
-}
-
-func TestBatchOnce(t *testing.T) {
-	linttest.Run(t, lint.BatchOnce, fixture("batchonce"), "fixture/batchonce")
-}
-
-// TestIgnoreHygiene pins the directive hygiene: malformed, unknown and
-// stale suppressions are findings under the "ignore" pseudo-analyzer, and
-// a broken directive suppresses nothing, so the underlying finding
-// surfaces alongside it. Expectations are explicit (not `// want`) because
-// a want comment cannot share a line with the directive it describes.
-func TestIgnoreHygiene(t *testing.T) {
-	_, diags := linttest.MustRun(t, lint.FloatCmp, fixture("ignores"), "fixture/ignores")
-	want := []struct {
-		line     int
-		analyzer string
-		substr   string
-	}{
-		{20, "ignore", "has no reason"},
-		{21, "floatcmp", "between floating-point expressions"},
-		{27, "ignore", `unknown analyzer "floatcompare"`},
-		{28, "floatcmp", "between floating-point expressions"},
-		{34, "ignore", "stale directive"},
-		{43, "floatcmp", "between floating-point expressions"},
-	}
-	if len(diags) != len(want) {
-		t.Fatalf("got %d diagnostics, want %d:\n%v", len(diags), len(want), diags)
-	}
-	for i, w := range want {
-		d := diags[i]
-		if d.Pos.Line != w.line || d.Analyzer != w.analyzer || !strings.Contains(d.Message, w.substr) {
-			t.Errorf("diag %d = %s:%d [%s] %q; want line %d [%s] containing %q",
-				i, d.Pos.Filename, d.Pos.Line, d.Analyzer, d.Message, w.line, w.analyzer, w.substr)
-		}
-	}
-}
-
-func TestByName(t *testing.T) {
-	all, err := lint.ByName("")
-	if err != nil || len(all) != 7 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 7, nil", len(all), err)
-	}
-	two, err := lint.ByName("floatcmp, ctxflow")
-	if err != nil || len(two) != 2 {
-		t.Fatalf("ByName(subset) = %v, err %v; want [floatcmp ctxflow]", two, err)
-	}
-	if _, err := lint.ByName("nosuch"); err == nil {
-		t.Fatal("ByName(\"nosuch\") succeeded, want error")
 	}
 }

@@ -37,14 +37,7 @@ var wantRe = regexp.MustCompile("// want (`([^`]*)`|\"([^\"]*)\")")
 // is checked as — scope-sensitive analyzers (ctxflow) switch on it.
 func Run(t *testing.T, a *lint.Analyzer, dir, pkgPath string) {
 	t.Helper()
-	pkg, err := loadFixture(dir, pkgPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
-	}
-	diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
-	}
+	pkg, diags := MustRun(t, a, dir, pkgPath)
 
 	type key struct {
 		file string

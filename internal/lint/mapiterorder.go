@@ -162,19 +162,22 @@ func sortedAfter(pass *Pass, fn *ast.FuncDecl, rs *ast.RangeStmt, lhs ast.Expr) 
 	return found
 }
 
-// aliasOfAfter reports whether every definition reaching this use of id was
-// taken from obj after pos — a post-loop alias of the collected slice, per
-// the function's def-use chains.
+// aliasOfAfter reports whether every definition of id's variable in fn was
+// taken from obj after pos — a post-loop alias of the collected slice.
 func aliasOfAfter(pass *Pass, fn *ast.FuncDecl, id *ast.Ident, obj types.Object, pos token.Pos) bool {
-	defs := pass.FlowOf(fn).ReachingDefs(id)
+	v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var)
+	if !ok {
+		return false
+	}
+	defs := localDefs(pass.TypesInfo, fn, v)
 	if len(defs) == 0 {
 		return false
 	}
 	for _, d := range defs {
-		if d.RHS == nil || d.Id == nil || d.Id.Pos() < pos {
+		if d.rhs == nil || d.id.Pos() < pos {
 			return false
 		}
-		r := rootIdent(d.RHS)
+		r := rootIdent(d.rhs)
 		if r == nil || pass.TypesInfo.ObjectOf(r) != obj {
 			return false
 		}

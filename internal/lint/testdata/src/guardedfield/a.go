@@ -65,6 +65,25 @@ func Lookup(name string) func() {
 	return registry[name] // want `never locks regMu`
 }
 
+// wrapped carries an annotation whose mutex name wraps onto the next
+// comment line.
+type wrapped struct {
+	mu sync.Mutex
+	// closed marks the store as draining: no new entries; guarded by
+	// mu.
+	closed bool
+}
+
+func (w *wrapped) Close() {
+	w.mu.Lock()
+	w.closed = true
+	w.mu.Unlock()
+}
+
+func (w *wrapped) Closed() bool {
+	return w.closed // want `never locks mu`
+}
+
 // unguarded has no annotation, so lock-free access is fine.
 var unguarded = map[string]int{}
 

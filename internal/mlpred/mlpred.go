@@ -171,7 +171,8 @@ func build(samples []Sample, idx []int, feats []int, cfg Config, depth int) *nod
 			}
 			leftN++
 			v, next := samples[order[k]].Features[f], samples[order[k+1]].Features[f]
-			//tsperrlint:ignore floatcmp adjacent sorted duplicates are bit-identical; no split point exists between equal keys
+			// Adjacent sorted duplicates are bit-identical; no split point
+			// exists between equal keys.
 			if v == next {
 				continue // can't split between equal values
 			}

@@ -2,6 +2,9 @@ package montecarlo_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
@@ -36,12 +39,10 @@ func TestShardedDeterminismAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: %d chunks vs %d serial", workers, par.Chunks, serial.Chunks)
 		}
 		for i := range par.Counts {
-			//tsperrlint:ignore floatcmp determinism is asserted bit-identical, not approximate
 			if par.Counts[i] != serial.Counts[i] {
 				t.Fatalf("workers=%d: count[%d] = %v, serial %v", workers, i, par.Counts[i], serial.Counts[i])
 			}
 		}
-		//tsperrlint:ignore floatcmp merged statistics are asserted bit-identical, not approximate
 		if par.Stats != serial.Stats {
 			t.Fatalf("workers=%d: stats %+v, serial %+v", workers, par.Stats, serial.Stats)
 		}
@@ -128,6 +129,39 @@ func TestChunkSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestShardedCountsPinned pins the sampled counts of one small spec at two
+// seeds and the default chunk size, as a SHA-256 of their bits. The other
+// sharding tests compare chunked runs with chunked runs, and the goldens go
+// through the serial Run, so only this test notices a change to how a chunk's
+// RNG is seeded — such as seeding chunk c with Seed+c, which hands every
+// chunk the chunk-0 stream shifted by c draws.
+func TestShardedCountsPinned(t *testing.T) {
+	p, _, _, conds := fixture(t, 0.02, 0.05, 1)
+	for _, tc := range []struct {
+		seed uint64
+		want string
+	}{
+		{1, "31199b86a6d3ce06431dccc8c81c26315e4b5c0c993b9af9984bd127e6757605"},
+		{2, "2380e0efb5317323c3b87a474b95d35713fbf927eb69207736829dd1613c7c87"},
+	} {
+		spec := montecarlo.Spec{Prog: p, Cond: conds, Trials: 600, Seed: tc.seed}
+		res, err := montecarlo.RunSharded(context.Background(), spec, montecarlo.ShardOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Chunks != 3 {
+			t.Fatalf("seed %d: %d chunks, want 3", tc.seed, res.Chunks)
+		}
+		h := sha256.New()
+		for _, v := range res.Counts {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("seed %d: counts digest %s, want %s", tc.seed, got, tc.want)
+		}
+	}
+}
+
 // TestChunkAssembleMatchesSharded pins the cluster-layer invariant: running
 // every chunk individually through RunChunk — in any order, even shipped
 // through a JSON round trip as the worker wire format does — and assembling
@@ -169,12 +203,10 @@ func TestChunkAssembleMatchesSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range got.Counts {
-		//tsperrlint:ignore floatcmp determinism is asserted bit-identical, not approximate
 		if got.Counts[i] != serial.Counts[i] {
 			t.Fatalf("count[%d] = %v, serial %v", i, got.Counts[i], serial.Counts[i])
 		}
 	}
-	//tsperrlint:ignore floatcmp merged statistics are asserted bit-identical, not approximate
 	if got.Stats != serial.Stats {
 		t.Fatalf("stats %+v, serial %+v", got.Stats, serial.Stats)
 	}

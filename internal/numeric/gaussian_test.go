@@ -132,7 +132,6 @@ func TestClarkMinDuality(t *testing.T) {
 func TestClarkDegenerateEqual(t *testing.T) {
 	a := Gaussian{2, 1}
 	res := ClarkMax(a, a, 1)
-	//tsperrlint:ignore floatcmp the degenerate Clark max is an algebraic identity and must hold exactly
 	if res.Mean != a.Mean || res.Std != a.Std {
 		t.Errorf("max of identical fully-correlated vars should be unchanged, got %+v", res)
 	}

@@ -5,7 +5,8 @@ import "math"
 // Simpson integrates f over [a, b] with n subintervals (rounded up to even)
 // using composite Simpson's rule.
 func Simpson(f func(float64) float64, a, b float64, n int) float64 {
-	//tsperrlint:ignore floatcmp identical bounds are the exact degenerate-interval sentinel; any tolerance would wrongly zero thin intervals
+	// Identical bounds are the exact degenerate-interval sentinel; any
+	// tolerance would wrongly zero thin intervals.
 	if a == b {
 		return 0
 	}
@@ -96,8 +97,9 @@ func Clamp(x, lo, hi float64) float64 {
 
 // ApproxEq reports whether a and b agree within tol, measured as absolute
 // error for small magnitudes and relative error for large ones:
-// |a-b| <= tol * max(1, |a|, |b|). This is the approved alternative to
-// exact float equality (see the floatcmp analyzer in internal/lint).
+// |a-b| <= tol * max(1, |a|, |b|). Use it where a computed quantity is
+// compared with a reference; exact equality is for bit-identity assertions
+// and exact sentinels.
 func ApproxEq(a, b, tol float64) bool {
 	m := math.Max(math.Abs(a), math.Abs(b))
 	return math.Abs(a-b) <= tol*math.Max(1, m)

@@ -315,7 +315,6 @@ func TestClusterChunkEndpointExecutesChunks(t *testing.T) {
 		t.Fatalf("chunk shape: got index %d/%d counts, want %d/%d", got.Index, len(got.Counts), want.Index, len(want.Counts))
 	}
 	for i := range got.Counts {
-		//tsperrlint:ignore floatcmp the worker's chunk must be bit-identical to a local execution
 		if got.Counts[i] != want.Counts[i] {
 			t.Fatalf("count %d: got %v, want %v", i, got.Counts[i], want.Counts[i])
 		}

@@ -151,7 +151,6 @@ func TestStatMinProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//tsperrlint:ignore floatcmp the one-element statistical minimum is an identity and must hold exactly
 	if single.Mean != a.Mean {
 		t.Error("StatMin of one element should be identity")
 	}

@@ -215,7 +215,6 @@ func TestCorrelationSymmetryProperty(t *testing.T) {
 		x1, y1, x2, y2 = wrap(x1), wrap(y1), wrap(x2), wrap(y2)
 		a := m.Correlation(x1, y1, x2, y2)
 		b := m.Correlation(x2, y2, x1, y1)
-		//tsperrlint:ignore floatcmp correlation symmetry is exact: both orders evaluate the same expression
 		return a == b && a >= 0 && a <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
