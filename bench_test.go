@@ -148,8 +148,7 @@ func BenchmarkOperatingPoint(b *testing.B) {
 			b.Fatal(err)
 		}
 		workER = dpWork.AdderFail[32]
-		m.SetWorkingPeriod(m.PoFFPeriodPs)
-		dpPoFF, err := m.TrainDatapath(context.Background())
+		dpPoFF, err := m.TrainDatapathWorkers(context.Background(), 0, m.PoFFPeriodPs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -538,7 +537,7 @@ func BenchmarkPerCycleDTA(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, _ = m.AdderDTA.StageDTS(eps, 1, tr)
+		_, _ = m.AdderDTA.StageDTS(eps, 1, tr, m.WorkingPeriodPs)
 		tr.Release()
 	}
 }
@@ -567,23 +566,23 @@ func BenchmarkStageDTSMemoHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	eps := m.Adder.N.DataEndpoints(0)
-	if _, ok := m.AdderDTA.StageDTS(eps, 1, tr); !ok {
+	if _, ok := m.AdderDTA.StageDTS(eps, 1, tr, m.WorkingPeriodPs); !ok {
 		b.Fatal("full-chain stimulus must activate a path")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := m.AdderDTA.StageDTS(eps, 1, tr); !ok {
+		if _, ok := m.AdderDTA.StageDTS(eps, 1, tr, m.WorkingPeriodPs); !ok {
 			b.Fatal("memoized stage DTS disappeared")
 		}
 	}
 }
 
-// BenchmarkPeriodSweepTraining measures datapath re-training while the
-// working period alternates between the working and PoFF points — the shape
-// of an operating-point bisection or a `tsperr batch` sweep. The endpoint
-// path sets and activation signatures are period-independent, so how much of
-// the per-period work the analyzers reuse shows up directly here.
+// BenchmarkPeriodSweepTraining measures datapath training at a period that
+// alternates between the working and PoFF points — the shape of an
+// operating-point bisection. The endpoint path sets and activation
+// signatures are period-independent, so how much of the per-period work the
+// analyzers reuse shows up directly here.
 func BenchmarkPeriodSweepTraining(b *testing.B) {
 	m, err := errormodel.NewMachine(errormodel.DefaultOptions())
 	if err != nil {
@@ -593,8 +592,7 @@ func BenchmarkPeriodSweepTraining(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.SetWorkingPeriod(periods[i%2])
-		if _, err := m.TrainDatapath(context.Background()); err != nil {
+		if _, err := m.TrainDatapathWorkers(context.Background(), 0, periods[i%2]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -662,7 +660,7 @@ func BenchmarkAblationGraphVsPathDTA(b *testing.B) {
 		gap, worstGap, n = 0, 0, 0
 		for t := 1; t < cycles; t++ {
 			g, okG := ga.StageDTS(eps, t, tr)
-			p, okP := pa.StageDTS(eps, t, tr)
+			p, okP := pa.StageDTS(eps, t, tr, m.WorkingPeriodPs)
 			if okG && okP {
 				d := p.Mean - g.Mean // graph sees more paths => smaller DTS
 				gap += d

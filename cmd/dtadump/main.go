@@ -111,7 +111,7 @@ func main() {
 		for s := 0; s < n.Stages; s++ {
 			eps = append(eps, n.Endpoints(s)...)
 		}
-		form, ok := analyzer.StageDTS(eps, t, tr)
+		form, ok := analyzer.StageDTS(eps, t, tr, m.WorkingPeriodPs)
 		if !ok {
 			fmt.Printf("%6d %12d %12s %12s %14s\n", t, tr.Count(t), "-", "-", "no active path")
 			continue

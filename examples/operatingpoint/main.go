@@ -12,7 +12,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"tsperr/internal/core"
 	"tsperr/internal/cpu"
@@ -21,32 +23,38 @@ import (
 )
 
 func main() {
-	ctx := context.Background()
 	log.SetFlags(0)
+	if err := run(context.Background(), os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds the framework and prints the ratio sweep table to w.
+func run(ctx context.Context, w io.Writer) error {
 	opts := errormodel.DefaultOptions()
 	fw, err := core.NewFramework(opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	b, err := mibench.ByName("stringsearch")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	base := fw.Machine.BasePeriodPs
-	fmt.Printf("STA sign-off: %.0f MHz (period %.1f ps); PoFF calibrated at %.2fx\n",
+	fmt.Fprintf(w, "STA sign-off: %.0f MHz (period %.1f ps); PoFF calibrated at %.2fx\n",
 		opts.BaseFreqMHz, base, opts.PoFFRatio)
-	fmt.Printf("%8s %10s %12s %12s %14s\n",
+	fmt.Fprintf(w, "%8s %10s %12s %12s %14s\n",
 		"ratio", "freq(MHz)", "errors(%)", "speedup", "verdict")
 
 	spec := core.ProgramSpec{Prog: b.Prog, Setup: b.Setup, Scenarios: 4, ScaleToInsts: b.ScaleTo}
 	for _, ratio := range []float64{1.00, 1.05, 1.10, 1.13, 1.15, 1.18, 1.21, 1.25} {
-		// Analyze with the machine re-targeted at this operating point and
-		// the datapath tables re-trained (their DTS depends on the clock);
-		// the framework is restored afterwards.
+		// Analyze at this operating point's clock period, with the datapath
+		// tables trained at it (their DTS depends on the clock); the one
+		// framework serves every ratio unchanged.
 		rep, err := fw.AnalyzeAtRatio(ctx, b.Name, spec, ratio, core.AnalyzeOpts{})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		er := rep.Estimate.MeanErrorRate()
 		pm := cpu.PerfModel{FreqRatio: ratio, BaseCPI: 1, Scheme: cpu.ReplayHalfFrequency}
@@ -58,7 +66,8 @@ func main() {
 		if er == 0 {
 			verdict = "error-free"
 		}
-		fmt.Printf("%8.2f %10.0f %12.4f %12.4f %14s\n",
+		fmt.Fprintf(w, "%8.2f %10.0f %12.4f %12.4f %14s\n",
 			ratio, 1e6/(base/ratio), 100*er, speedup, verdict)
 	}
+	return nil
 }

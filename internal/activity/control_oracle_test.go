@@ -113,7 +113,7 @@ func oracleCharacterize(t *testing.T, m *errormodel.Machine, g *cfg.Graph, pr *c
 		}
 		out := make([]float64, len(positions))
 		for i, p := range positions {
-			if form, ok := m.CtrlDTA.InstDTSSets(p, tr, ctrlSets); ok {
+			if form, ok := m.CtrlDTA.InstDTSSets(p, tr, ctrlSets, m.WorkingPeriodPs); ok {
 				out[i] = dta.ErrorProbability(form)
 			}
 		}
@@ -286,7 +286,7 @@ func TestConcurrentColdCharacterization(t *testing.T) {
 	}
 	wg.Wait()
 	m.ClearStimulusMemo()
-	want, err := m.CharacterizeControlWorkers(context.Background(), g, pr, results, 1)
+	want, err := m.CharacterizeControlWorkers(context.Background(), g, pr, results, 1, m.WorkingPeriodPs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,6 +213,13 @@ func (f *Framework) Analyze(ctx context.Context, name string, spec ProgramSpec) 
 // worker-pool concurrency, per-scenario retries with backoff, panic
 // recovery, fail-fast, and graceful degradation onto surviving scenarios.
 func (f *Framework) AnalyzeWithOpts(ctx context.Context, name string, spec ProgramSpec, opts AnalyzeOpts) (*Report, error) {
+	return f.analyze(ctx, name, spec, opts, f.Machine.WorkingPeriodPs, f.Datapath)
+}
+
+// analyze is AnalyzeWithOpts at clock period period, with dp the datapath
+// model trained at that period. It writes no field of f, so analyses at any
+// periods may share one framework concurrently.
+func (f *Framework) analyze(ctx context.Context, name string, spec ProgramSpec, opts AnalyzeOpts, period float64, dp *errormodel.DatapathModel) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -244,9 +251,10 @@ func (f *Framework) AnalyzeWithOpts(ctx context.Context, name string, spec Progr
 	raws := make([]*scenarioRaw, spec.Scenarios)
 	errs := make([]error, spec.Scenarios)
 	keepUnscaled := opts.MCTrials > 0
+	ft := dp.FailTable()
 	f.runPool(ctx, spec.Scenarios, opts, errs, func(poolCtx context.Context, s int) error {
 		return f.withRetry(poolCtx, opts, func(attempt int) *ScenarioError {
-			raw, serr := f.simScenario(poolCtx, name, spec, cfgCPU, g, s, opts.Inject, keepUnscaled)
+			raw, serr := f.simScenario(poolCtx, name, spec, cfgCPU, g, s, opts.Inject, keepUnscaled, ft)
 			if serr != nil {
 				serr.Attempts = attempt
 				return serr
@@ -282,7 +290,7 @@ func (f *Framework) AnalyzeWithOpts(ctx context.Context, name string, spec Progr
 	}
 	trainStart := time.Now()
 	cc, err := protect(func() (*errormodel.ControlChar, error) {
-		return f.Machine.CharacterizeControl(ctx, g, raws[first].profile, raws[first].feats.Results)
+		return f.Machine.CharacterizeControlWorkers(ctx, g, raws[first].profile, raws[first].feats.Results, 0, period)
 	})
 	if err != nil {
 		return nil, &ScenarioError{Benchmark: name, Scenario: -1, Phase: PhaseControl, Err: err}
@@ -360,10 +368,10 @@ func (f *Framework) AnalyzeWithOpts(ctx context.Context, name string, spec Progr
 	return rep, nil
 }
 
-// simScenario runs one scenario's instrumented simulation. All failures come
-// back as a phase-tagged ScenarioError; panics are recovered by the caller's
-// retry wrapper via protectScenario.
-func (f *Framework) simScenario(ctx context.Context, name string, spec ProgramSpec, cfgCPU cpu.Config, g *cfg.Graph, s int, inject InjectFn, keepUnscaled bool) (raw *scenarioRaw, serr *ScenarioError) {
+// simScenario runs one scenario's instrumented simulation under the datapath
+// failure table ft. All failures come back as a phase-tagged ScenarioError;
+// panics are recovered by the caller's retry wrapper via protectScenario.
+func (f *Framework) simScenario(ctx context.Context, name string, spec ProgramSpec, cfgCPU cpu.Config, g *cfg.Graph, s int, inject InjectFn, keepUnscaled bool, ft *cpu.FailTable) (raw *scenarioRaw, serr *ScenarioError) {
 	phase := PhaseSetup
 	defer recoverScenario(name, s, &phase, &serr)
 	fail := func(err error) *ScenarioError {
@@ -395,7 +403,7 @@ func (f *Framework) simScenario(ctx context.Context, name string, spec ProgramSp
 	}
 	// The tally run accumulates, inside the interpreter loop, exactly what
 	// the profile and the datapath features read.
-	t, st, err := machine.RunTally(ctx, f.Datapath.FailTable())
+	t, st, err := machine.RunTally(ctx, ft)
 	if err != nil {
 		return nil, fail(err)
 	}

@@ -30,40 +30,29 @@ type OperatingPoint struct {
 	Evals int
 }
 
-// AnalyzeAtRatio analyzes the program with the machine re-targeted at the
-// given frequency ratio (speculative over baseline) and the datapath model
-// re-trained for that period, then restores the original working period and
-// datapath before returning — on success, failure, and cancellation alike —
-// so a follow-up Analyze is bit-identical to one on a framework that never
-// retargeted. When the requested period is bit-identical to the current
-// working period the retarget is skipped entirely (preserving the stimulus
-// memo and the exact plain-Analyze path). Not safe for concurrent use with
-// other analyses on the same framework: the retarget mutates shared machine
-// state.
+// AnalyzeAtRatio analyzes the program at the given frequency ratio
+// (speculative over baseline): the clock period BasePeriodPs/ratio is passed
+// down the pipeline, and the datapath model is trained afresh at it. The
+// framework is only read, so concurrent analyses at any ratios may share it,
+// and a later Analyze is bit-identical to one on a framework that never saw
+// another ratio. A ratio whose period is bit-identical to the working period
+// is the plain AnalyzeWithOpts, with its trained datapath model.
 func (f *Framework) AnalyzeAtRatio(ctx context.Context, name string, spec ProgramSpec, ratio float64, opts AnalyzeOpts) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if ratio <= 0 || math.IsInf(ratio, 0) {
+	if !(ratio > 0) || math.IsInf(ratio, 0) {
 		return nil, fmt.Errorf("core: non-positive ratio %v", ratio)
 	}
-	target := f.Machine.BasePeriodPs / ratio
-	if math.Float64bits(target) == math.Float64bits(f.Machine.WorkingPeriodPs) {
+	period := f.Machine.BasePeriodPs / ratio
+	if math.Float64bits(period) == math.Float64bits(f.Machine.WorkingPeriodPs) {
 		return f.AnalyzeWithOpts(ctx, name, spec, opts)
 	}
-	origPeriod := f.Machine.WorkingPeriodPs
-	origDP := f.Datapath
-	defer func() {
-		f.Machine.SetWorkingPeriod(origPeriod)
-		f.Datapath = origDP
-	}()
-	f.Machine.SetWorkingPeriod(target)
-	dp, err := f.Machine.TrainDatapath(ctx)
+	dp, err := f.Machine.TrainDatapathWorkers(ctx, 0, period)
 	if err != nil {
 		return nil, err
 	}
-	f.Datapath = dp
-	return f.AnalyzeWithOpts(ctx, name, spec, opts)
+	return f.analyze(ctx, name, spec, opts, period, dp)
 }
 
 // MaxBisectSteps bounds the quantized ratio grid of SelectOperatingPoint;

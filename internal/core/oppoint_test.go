@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tsperr/internal/cell"
@@ -133,10 +135,20 @@ func TestSelectOperatingPointValidation(t *testing.T) {
 		t.Errorf("estimate-less report: err = %v", err)
 	}
 
+	// A ratio with no positive finite period is refused before any phase
+	// runs.
 	f := testFramework(t)
 	prog := isa.MustAssemble("h", "halt\n")
-	if _, err := f.AnalyzeAtRatio(ctx, "h", ProgramSpec{Prog: prog, Scenarios: 1}, -1, AnalyzeOpts{}); err == nil {
-		t.Error("negative ratio should fail")
+	for _, ratio := range []float64{-1, math.NaN()} {
+		var phases atomic.Int32
+		opts := AnalyzeOpts{Inject: func(context.Context, Phase, int) error { phases.Add(1); return nil }}
+		_, err := f.AnalyzeAtRatio(ctx, "h", ProgramSpec{Prog: prog, Scenarios: 1}, ratio, opts)
+		if err == nil || !strings.Contains(err.Error(), "non-positive ratio") {
+			t.Errorf("ratio %v: err = %v, want the non-positive-ratio error", ratio, err)
+		}
+		if n := phases.Load(); n != 0 {
+			t.Errorf("ratio %v: %d pipeline phases ran before the rejection", ratio, n)
+		}
 	}
 }
 
@@ -219,10 +231,10 @@ func stableReportJSON(t *testing.T, rep *Report) string {
 	return string(buf)
 }
 
-// TestSweepRestoreBitIdentical is the regression test for a ratio sweep
-// leaving the machine re-targeted at the last evaluated ratio: an Analyze
-// after a sweep of AnalyzeAtRatio calls must be bit-identical to one on a
-// framework that never swept.
+// TestSweepRestoreBitIdentical pins that a ratio sweep leaves the framework
+// as it found it: the same working period and datapath model, and an
+// Analyze after a sweep of AnalyzeAtRatio calls bit-identical to one before
+// it.
 func TestSweepRestoreBitIdentical(t *testing.T) {
 	f := testFramework(t)
 	ctx := context.Background()
@@ -244,10 +256,10 @@ func TestSweepRestoreBitIdentical(t *testing.T) {
 	}
 
 	if got := math.Float64bits(f.Machine.WorkingPeriodPs); got != wantPeriod {
-		t.Fatalf("working period not restored: bits %x != %x", got, wantPeriod)
+		t.Fatalf("working period moved: bits %x != %x", got, wantPeriod)
 	}
 	if f.Datapath != wantDP {
-		t.Fatal("datapath model not restored to the pre-sweep instance")
+		t.Fatal("datapath model is not the pre-sweep instance")
 	}
 	after, err := f.Analyze(ctx, "sumloop", spec)
 	if err != nil {
@@ -258,9 +270,8 @@ func TestSweepRestoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAnalyzeAtRatioRestoresOnError pins the restore on the failure path: a
-// scenario that fails at the re-targeted ratio must still leave the original
-// working period and datapath in place.
+// TestAnalyzeAtRatioRestoresOnError pins the failure path: a scenario that
+// fails at another ratio leaves the working period and datapath in place.
 func TestAnalyzeAtRatioRestoresOnError(t *testing.T) {
 	f := testFramework(t)
 	prog := isa.MustAssemble("sumloop", fwProg)
@@ -275,10 +286,78 @@ func TestAnalyzeAtRatioRestoresOnError(t *testing.T) {
 		t.Fatal("want setup failure")
 	}
 	if got := math.Float64bits(f.Machine.WorkingPeriodPs); got != wantPeriod {
-		t.Fatalf("working period not restored after error: bits %x != %x", got, wantPeriod)
+		t.Fatalf("working period moved after error: bits %x != %x", got, wantPeriod)
 	}
 	if f.Datapath != wantDP {
-		t.Fatal("datapath not restored after error")
+		t.Fatal("datapath replaced after error")
+	}
+}
+
+// freshFramework rebuilds f's design from its calibrated scales: a new
+// machine with empty memos and a datapath model trained on it, bit for bit
+// what a full build gives.
+func freshFramework(ctx context.Context, t *testing.T, f *Framework) *Framework {
+	t.Helper()
+	m, err := errormodel.NewMachineWithScales(f.Machine.Opts, f.Machine.Scales())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := m.TrainDatapath(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Framework{Machine: m, Datapath: dp}
+}
+
+// TestConcurrentRatiosShareOneFramework runs AnalyzeAtRatio at two
+// non-working ratios and AnalyzeWithOpts at the same time on one framework
+// (make check runs it under -race). An analysis only reads the framework, so
+// each report equals, bit for bit, the same call run alone on a fresh
+// framework.
+func TestConcurrentRatiosShareOneFramework(t *testing.T) {
+	f := testFramework(t)
+	ctx := context.Background()
+	spec := ProgramSpec{Prog: isa.MustAssemble("sumloop", fwProg), Setup: fwSetup, Scenarios: 2}
+	ratios := []float64{1.05, 1.22, 0} // 0: AnalyzeWithOpts at the working period
+	analyze := func(f *Framework, ratio float64) (*Report, error) {
+		if ratio == 0 {
+			return f.AnalyzeWithOpts(ctx, "sumloop", spec, AnalyzeOpts{})
+		}
+		return f.AnalyzeAtRatio(ctx, "sumloop", spec, ratio, AnalyzeOpts{})
+	}
+	want := make([]string, len(ratios))
+	for i, ratio := range ratios {
+		rep, err := analyze(freshFramework(ctx, t, f), ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = stableReportJSON(t, rep)
+	}
+	if want[0] == want[1] || want[1] == want[2] {
+		t.Fatal("fixture: the three calls do not tell their periods apart")
+	}
+
+	const rounds = 2
+	reps := make([]*Report, rounds*len(ratios))
+	errs := make([]error, len(reps))
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			reps[i], errs[i] = analyze(f, ratios[i%len(ratios)])
+		}(i)
+	}
+	wg.Wait()
+	for i, rep := range reps {
+		ratio := ratios[i%len(ratios)]
+		if errs[i] != nil {
+			t.Fatalf("ratio %v: %v", ratio, errs[i])
+		}
+		if got := stableReportJSON(t, rep); got != want[i%len(ratios)] {
+			t.Errorf("ratio %v run concurrently differs from a lone run on a fresh framework:\nalone:  %s\nshared: %s",
+				ratio, want[i%len(ratios)], got)
+		}
 	}
 }
 

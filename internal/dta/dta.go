@@ -18,14 +18,14 @@
 //     that activate the same subset of candidate paths have, by
 //     construction, the same DTS form, so the expensive statistical-minimum
 //     reduction runs once per distinct signature, and the memo probe itself
-//     is allocation-free for signatures up to stageKeyBits paths;
+//     is allocation-free for sets of up to stageKeyPaths candidate paths;
 //   - the clock period enters only at the very end: path slack is
 //     SL(p) = T - delay(p), so the memo stores the statistical minimum of the
-//     *negated delays* (period-free) and re-applies +T per operating period.
+//     *negated delays* (period-free) and every query adds its own period T.
 //     Criticality orderings, Clark pairing (driven by correlations, which
 //     live in the sensitivities) and the reduction structure are invariant
-//     under the common shift, so retargeting the engine's ClockPeriod reuses
-//     every enumeration and reduction instead of rebuilding the analyzer.
+//     under the common shift, so queries at different periods share every
+//     enumeration and reduction.
 package dta
 
 import (
@@ -63,40 +63,24 @@ type epPaths struct {
 	ordBest  []int32 // path indices by p99 ascending (most critical best-case first)
 }
 
-// stageKeyWords and stageKeyBits size the packed activation signature of the
-// allocation-free stage-memo key; endpoint sets whose candidate paths exceed
-// stageKeyBits fall back to a byte-string key.
-const (
-	stageKeyWords = 8
-	stageKeyBits  = stageKeyWords * 64
-)
+// stageKeyPaths is the largest candidate-path count whose stage-memo key
+// fits the stack buffer StageDTS builds it in (the shipped units' largest
+// set has 379); a larger set builds its key on the heap, with the same
+// layout.
+const stageKeyPaths = 512
 
-// stageKey identifies one StageDTS computation: the interned endpoint-set id
-// (which fixes the endpoint sequence and hence the meaning of every bit) and
-// the activation bits of the candidate paths in endpoint-major, path-index
-// order. It is a comparable value type, so probing the memo allocates nothing.
-type stageKey struct {
-	set int32
-	w   [stageKeyWords]uint64
-}
-
-func (k *stageKey) bit(pos int) bool { return k.w[pos>>6]>>(uint(pos)&63)&1 == 1 }
-
-// stageEntry is one memoized StageDTS outcome. neg/ok are the period-free
-// reduction (statistical minimum of the activated negated delays); period and
-// slack cache the period-applied form for the operating point that last
-// queried this entry. All fields are guarded by the owning Analyzer's mu.
+// stageEntry is one memoized StageDTS outcome: the period-free reduction
+// (statistical minimum of the activated negated delays), and whether any
+// path was activated. Entries are never modified once stored.
 type stageEntry struct {
-	neg    variation.Canon
-	ok     bool
-	period float64
-	slack  variation.Canon
+	neg variation.Canon
+	ok  bool
 }
 
 // stageMemoLimit bounds the StageDTS memo; a characterization run over a
 // large program can see many distinct activation signatures, and dropping
 // the memo wholesale on overflow keeps memory bounded without affecting
-// results (entries are pure functions of their key and the period).
+// results (entries are pure functions of their key).
 const stageMemoLimit = 1 << 16
 
 // setPtrLimit bounds the pointer-identity alias table of the endpoint-set
@@ -153,13 +137,9 @@ type Analyzer struct {
 	// the fast path, the content table the ground truth; guarded by mu.
 	setsByPtr     map[setRef]*epSet
 	setsByContent map[string]*epSet
-	// stage and stageBig memoize stage-level DTS reductions for packed and
-	// oversized activation signatures respectively; guarded by mu.
-	stage    map[stageKey]*stageEntry
-	stageBig map[string]*stageEntry
-	// allSets lazily caches the unfiltered per-stage endpoint sets used by
-	// InstDTS with a nil filter; guarded by mu.
-	allSets [][]netlist.GateID
+	// stage memoizes stage-level DTS reductions by activation signature (see
+	// StageDTS for the key layout); guarded by mu.
+	stage map[string]stageEntry
 }
 
 // New builds an analyzer. k must be positive.
@@ -172,8 +152,7 @@ func New(e *sta.Engine, k int) *Analyzer {
 		cache:         map[netlist.GateID]*epPaths{},
 		setsByPtr:     map[setRef]*epSet{},
 		setsByContent: map[string]*epSet{},
-		stage:         map[stageKey]*stageEntry{},
-		stageBig:      map[string]*stageEntry{},
+		stage:         map[string]stageEntry{},
 	}
 }
 
@@ -249,7 +228,7 @@ func (a *Analyzer) internSet(eps []netlist.GateID) *epSet {
 // activation bits exposed by actAt (positions advance per endpoint in path
 // order, matching the key packing) and returns the statistical minimum of
 // the collected activated negated-delay forms.
-func (a *Analyzer) reduce(paths []*epPaths, actAt func(int) bool) *stageEntry {
+func (a *Analyzer) reduce(paths []*epPaths, actAt func(int) bool) stageEntry {
 	var ap []variation.Canon
 	pos := 0
 	for _, e := range paths {
@@ -291,7 +270,7 @@ func (a *Analyzer) reduce(paths []*epPaths, actAt func(int) bool) *stageEntry {
 			ap = append(ap, e.ps[hi].neg)
 		}
 	}
-	ent := &stageEntry{}
+	var ent stageEntry
 	if len(ap) > 0 {
 		if mn, err := sta.StatMin(ap); err == nil {
 			ent.neg, ent.ok = mn, true
@@ -300,125 +279,63 @@ func (a *Analyzer) reduce(paths []*epPaths, actAt func(int) bool) *stageEntry {
 	return ent
 }
 
-// finishEntry returns the period-applied form of a memo entry, refreshing
-// the cached slack when the operating period moved. Callers hold a.mu.
-func finishEntry(e *stageEntry, period float64) (variation.Canon, bool) {
-	// The period is an exact configuration value, not a computed quantity.
-	if e.period != period {
-		if e.ok {
-			e.slack = e.neg.AddConst(period)
-		}
-		e.period = period
-	}
-	return e.slack, e.ok
-}
-
 // StageDTS is Algorithm 1 restricted to an endpoint set: it returns the
-// canonical DTS form of the given endpoints at cycle t, and false when no
-// path is activated (the stage imposes no timing constraint that cycle).
-// Results are memoized on the activation signature of the candidate paths,
-// so repeated cycles with identical activation patterns cost one map probe —
-// allocation-free for signatures that fit the packed key.
-func (a *Analyzer) StageDTS(eps []netlist.GateID, t int, tr *activity.Trace) (variation.Canon, bool) {
+// canonical DTS form of the given endpoints at cycle t under clock period
+// period (ps), and false when no path is activated (the stage imposes no
+// timing constraint that cycle). Results are memoized on the activation
+// signature of the candidate paths, so repeated cycles with identical
+// activation patterns cost one map probe — allocation-free for sets of up
+// to stageKeyPaths paths. The returned form shares its sensitivity slice
+// with the memo entry; no Canon operation writes into its operands.
+func (a *Analyzer) StageDTS(eps []netlist.GateID, t int, tr *activity.Trace, period float64) (variation.Canon, bool) {
 	if len(eps) == 0 {
 		return variation.Canon{}, false
 	}
 	set := a.internSet(eps)
 	paths := set.resolve(a)
-	if set.bits > stageKeyBits {
-		return a.stageDTSBig(set, paths, t, tr)
+	// The key is the interned set id (which fixes the endpoint sequence and
+	// hence the meaning of every bit), then the activation bits of the
+	// candidate paths in endpoint-major, path-index order.
+	var buf [4 + stageKeyPaths/8]byte
+	var key []byte
+	if n := 4 + (set.bits+7)/8; n <= len(buf) {
+		key = buf[:n]
+	} else {
+		key = make([]byte, n)
 	}
-	key := stageKey{set: set.id}
+	binary.LittleEndian.PutUint32(key, uint32(set.id))
+	act := key[4:]
 	pos := 0
 	for _, e := range paths {
 		for i := range e.ps {
 			if tr.AllActivated(t, e.ps[i].path.Gates) {
-				key.w[pos>>6] |= 1 << (uint(pos) & 63)
+				act[pos>>3] |= 1 << (pos & 7)
 			}
 			pos++
 		}
 	}
 
-	period := a.Engine.ClockPeriod
 	a.mu.Lock()
-	if e, ok := a.stage[key]; ok {
-		f, ok2 := finishEntry(e, period)
+	ent, hit := a.stage[string(key)]
+	a.mu.Unlock()
+	if !hit {
+		ent = a.reduce(paths, func(pos int) bool { return act[pos>>3]>>(pos&7)&1 == 1 })
+		a.mu.Lock()
+		if prev, ok := a.stage[string(key)]; ok {
+			ent = prev // a concurrent miss won the race; both computed the same value
+		} else {
+			if len(a.stage) >= stageMemoLimit {
+				a.stage = map[string]stageEntry{}
+			}
+			a.stage[string(key)] = ent
+		}
 		a.mu.Unlock()
-		return f, ok2
 	}
-	a.mu.Unlock()
-
-	ent := a.reduce(paths, key.bit)
-	a.mu.Lock()
-	if prev, ok := a.stage[key]; ok {
-		ent = prev // a concurrent miss won the race; both computed the same value
-	} else {
-		if len(a.stage)+len(a.stageBig) >= stageMemoLimit {
-			a.stage = map[stageKey]*stageEntry{}
-			a.stageBig = map[string]*stageEntry{}
-		}
-		a.stage[key] = ent
+	if !ent.ok {
+		return variation.Canon{}, false
 	}
-	f, ok := finishEntry(ent, period)
-	a.mu.Unlock()
-	return f, ok
-}
-
-// stageDTSBig is the StageDTS fallback for endpoint sets whose candidate
-// paths overflow the packed key: the signature becomes a byte string and the
-// probe allocates, but the memoized reduction is shared all the same.
-func (a *Analyzer) stageDTSBig(set *epSet, paths []*epPaths, t int, tr *activity.Trace) (variation.Canon, bool) {
-	act := make([]bool, 0, set.bits)
-	for _, e := range paths {
-		for i := range e.ps {
-			act = append(act, tr.AllActivated(t, e.ps[i].path.Gates))
-		}
-	}
-	key := make([]byte, 4, 4+len(act)/8+1)
-	binary.LittleEndian.PutUint32(key, uint32(set.id))
-	var bits byte
-	for i, on := range act {
-		if on {
-			bits |= 1 << (uint(i) & 7)
-		}
-		if i&7 == 7 {
-			key = append(key, bits)
-			bits = 0
-		}
-	}
-	if len(act)&7 != 0 {
-		key = append(key, bits)
-	}
-	k := string(key)
-
-	period := a.Engine.ClockPeriod
-	a.mu.Lock()
-	if e, ok := a.stageBig[k]; ok {
-		f, ok2 := finishEntry(e, period)
-		a.mu.Unlock()
-		return f, ok2
-	}
-	a.mu.Unlock()
-
-	ent := a.reduce(paths, func(pos int) bool { return act[pos] })
-	a.mu.Lock()
-	if prev, ok := a.stageBig[k]; ok {
-		ent = prev
-	} else {
-		if len(a.stage)+len(a.stageBig) >= stageMemoLimit {
-			a.stage = map[stageKey]*stageEntry{}
-			a.stageBig = map[string]*stageEntry{}
-		}
-		a.stageBig[k] = ent
-	}
-	f, ok := finishEntry(ent, period)
-	a.mu.Unlock()
-	return f, ok
-}
-
-// StageDTSAll runs StageDTS over all endpoints of a pipeline stage.
-func (a *Analyzer) StageDTSAll(stage, t int, tr *activity.Trace) (variation.Canon, bool) {
-	return a.StageDTS(a.Engine.N.Endpoints(stage), t, tr)
+	// Bitwise ent.neg.AddConst(period), without copying the sensitivities.
+	return variation.Canon{Mean: ent.neg.Mean + period, Sens: ent.neg.Sens, Rand: ent.neg.Rand}, true
 }
 
 // StageSets returns the per-stage endpoint sets accepted by keep (nil keeps
@@ -438,14 +355,15 @@ func (a *Analyzer) StageSets(keep func(*netlist.Gate) bool) [][]netlist.GateID {
 
 // InstDTSSets is Algorithm 2 over precomputed per-stage endpoint sets: the
 // DTS of the instruction that occupies stage 0 at cycle t is the minimum
-// over stages s of the stage DTS at cycle t+s.
-func (a *Analyzer) InstDTSSets(t int, tr *activity.Trace, sets [][]netlist.GateID) (variation.Canon, bool) {
+// over stages s of the stage DTS at cycle t+s, all under clock period
+// period.
+func (a *Analyzer) InstDTSSets(t int, tr *activity.Trace, sets [][]netlist.GateID, period float64) (variation.Canon, bool) {
 	var forms []variation.Canon
 	for s, eps := range sets {
 		if len(eps) == 0 {
 			continue
 		}
-		if f, ok := a.StageDTS(eps, t+s, tr); ok {
+		if f, ok := a.StageDTS(eps, t+s, tr, period); ok {
 			forms = append(forms, f)
 		}
 	}
@@ -457,28 +375,6 @@ func (a *Analyzer) InstDTSSets(t int, tr *activity.Trace, sets [][]netlist.GateI
 		return variation.Canon{}, false
 	}
 	return mn, true
-}
-
-// InstDTS is Algorithm 2 with an endpoint filter: keep selects the endpoints
-// considered (e.g. control endpoints only), nil keeps everything. The
-// unfiltered sets are cached on the analyzer; filtered calls rebuild the
-// sets per call, so hot callers should use StageSets + InstDTSSets.
-func (a *Analyzer) InstDTS(t int, tr *activity.Trace, keep func(*netlist.Gate) bool) (variation.Canon, bool) {
-	var sets [][]netlist.GateID
-	if keep == nil {
-		a.mu.Lock()
-		sets = a.allSets
-		a.mu.Unlock()
-		if sets == nil {
-			sets = a.StageSets(nil)
-			a.mu.Lock()
-			a.allSets = sets
-			a.mu.Unlock()
-		}
-	} else {
-		sets = a.StageSets(keep)
-	}
-	return a.InstDTSSets(t, tr, sets)
 }
 
 // ErrorProbability converts an instruction DTS form into the probability of

@@ -60,8 +60,8 @@ func TestStageDTSTracksActivatedDepth(t *testing.T) {
 		{0, 0}, {1, 1}, {0, 0}, {0xFFFFFFFF, 1},
 	})
 	eps := ad.N.Endpoints(0)
-	shortDTS, ok1 := a.StageDTS(eps, 1, tr)
-	longDTS, ok2 := a.StageDTS(eps, 3, tr)
+	shortDTS, ok1 := a.StageDTS(eps, 1, tr, a.Engine.ClockPeriod)
+	longDTS, ok2 := a.StageDTS(eps, 3, tr, a.Engine.ClockPeriod)
 	if !ok1 || !ok2 {
 		t.Fatal("both cycles should have activated paths")
 	}
@@ -78,7 +78,7 @@ func TestStageDTSNoActivation(t *testing.T) {
 	eps := ad.N.Endpoints(0)
 	// Cycle 2: identical operands, combinational logic quiet; only sum FFs
 	// captured values. Most endpoints should see no activated full path.
-	if _, ok := a.StageDTS(eps, 3, tr); ok {
+	if _, ok := a.StageDTS(eps, 3, tr, a.Engine.ClockPeriod); ok {
 		t.Error("steady-state cycle should have no activated endpoint paths")
 	}
 }
@@ -87,8 +87,8 @@ func TestErrorProbabilityMonotoneInPeriod(t *testing.T) {
 	ops := [][2]uint32{{0, 0}, {0xFFFFFFFF, 1}}
 	aFast, trFast, adf := adderFixture(t, 1700, ops)
 	aSlow, trSlow, ads := adderFixture(t, 2600, ops)
-	fast, ok1 := aFast.StageDTS(adf.N.Endpoints(0), 1, trFast)
-	slow, ok2 := aSlow.StageDTS(ads.N.Endpoints(0), 1, trSlow)
+	fast, ok1 := aFast.StageDTS(adf.N.Endpoints(0), 1, trFast, aFast.Engine.ClockPeriod)
+	slow, ok2 := aSlow.StageDTS(ads.N.Endpoints(0), 1, trSlow, aSlow.Engine.ClockPeriod)
 	if !ok1 || !ok2 {
 		t.Fatal("expected activated paths")
 	}
@@ -103,7 +103,7 @@ func TestErrorProbabilityMonotoneInPeriod(t *testing.T) {
 }
 
 func TestInstDTSMinOverStages(t *testing.T) {
-	// Control network: instruction flows through stages; InstDTS should be
+	// Control network: instruction flows through stages; InstDTSSets should be
 	// at most the minimum of the individual stage DTS values (statistical
 	// min can only reduce the mean).
 	c := gen.Control()
@@ -117,19 +117,20 @@ func TestInstDTSMinOverStages(t *testing.T) {
 		in.SetWord(c.ExResult[:], uint64(words[cyc]^0x5A5A5A5A))
 	})
 	a := New(e, 8)
-	inst, ok := a.InstDTS(1, tr, nil)
+	inst, ok := a.InstDTSSets(1, tr, a.StageSets(nil), e.ClockPeriod)
 	if !ok {
 		t.Fatal("expected instruction DTS")
 	}
 	for s := 0; s < c.N.Stages; s++ {
-		if f, ok := a.StageDTSAll(s, 1+s, tr); ok {
+		if f, ok := a.StageDTS(c.N.Endpoints(s), 1+s, tr, e.ClockPeriod); ok {
 			if inst.Mean > f.Mean+1 {
 				t.Errorf("instruction DTS mean %v exceeds stage %d DTS %v", inst.Mean, s, f.Mean)
 			}
 		}
 	}
 	// Control-endpoint restriction must also work.
-	if _, ok := a.InstDTS(1, tr, func(g *netlist.Gate) bool { return !g.Data }); !ok {
+	ctrl := a.StageSets(func(g *netlist.Gate) bool { return !g.Data })
+	if _, ok := a.InstDTSSets(1, tr, ctrl, e.ClockPeriod); !ok {
 		t.Error("control-only instruction DTS should exist")
 	}
 }
@@ -137,8 +138,8 @@ func TestInstDTSMinOverStages(t *testing.T) {
 func TestAnalyzerCaching(t *testing.T) {
 	a, tr, ad := adderFixture(t, 2500, [][2]uint32{{0, 0}, {3, 1}})
 	eps := ad.N.Endpoints(0)
-	d1, ok1 := a.StageDTS(eps, 1, tr)
-	d2, ok2 := a.StageDTS(eps, 1, tr)
+	d1, ok1 := a.StageDTS(eps, 1, tr, a.Engine.ClockPeriod)
+	d2, ok2 := a.StageDTS(eps, 1, tr, a.Engine.ClockPeriod)
 	if ok1 != ok2 || math.Abs(d1.Mean-d2.Mean) > 1e-12 {
 		t.Error("cached recomputation should be identical")
 	}
@@ -173,9 +174,9 @@ func TestStageDTSMemo(t *testing.T) {
 	eps := ad.N.Endpoints(0)
 	// Cycles 1 and 3 apply the same stimulus after a zero cycle, so their
 	// activation signatures match and the memo must serve cycle 3.
-	d1, ok1 := a.StageDTS(eps, 1, tr)
+	d1, ok1 := a.StageDTS(eps, 1, tr, a.Engine.ClockPeriod)
 	before := memoSize(a)
-	d3, ok3 := a.StageDTS(eps, 3, tr)
+	d3, ok3 := a.StageDTS(eps, 3, tr, a.Engine.ClockPeriod)
 	if !ok1 || !ok3 {
 		t.Fatal("expected activated paths at cycles 1 and 3")
 	}
@@ -187,26 +188,26 @@ func TestStageDTSMemo(t *testing.T) {
 	}
 	// A fresh analyzer recomputing cycle 3 from scratch must agree exactly.
 	fresh := New(a.Engine, a.K)
-	df, okf := fresh.StageDTS(eps, 3, tr)
+	df, okf := fresh.StageDTS(eps, 3, tr, fresh.Engine.ClockPeriod)
 	if !okf || df.Mean != d3.Mean || df.Rand != d3.Rand {
 		t.Errorf("fresh recomputation differs: %v vs %v", df.Mean, d3.Mean)
 	}
 }
 
-// TestStageDTSMemoHitZeroAlloc pins the packed-key fast path: once a stage
-// signature is memoized, re-querying it (same activation pattern, same
-// period) must not allocate — the key is built on the stack and the cached
-// canonical form is returned as-is.
+// TestStageDTSMemoHitZeroAlloc pins the memo-hit fast path: once a stage
+// signature is memoized, re-querying it must not allocate — the key is built
+// on the stack and the memoized form is shifted by the period without
+// copying its sensitivities.
 func TestStageDTSMemoHitZeroAlloc(t *testing.T) {
 	ops := [][2]uint32{{0, 0}, {0xFFFF, 1}, {0, 0}, {0xFFFF, 1}}
 	a, tr, ad := adderFixture(t, 2500, ops)
 	eps := ad.N.Endpoints(0)
-	if _, ok := a.StageDTS(eps, 1, tr); !ok {
+	if _, ok := a.StageDTS(eps, 1, tr, a.Engine.ClockPeriod); !ok {
 		t.Fatal("expected activated paths at cycle 1")
 	}
 	hit := true
 	allocs := testing.AllocsPerRun(100, func() {
-		_, ok := a.StageDTS(eps, 3, tr)
+		_, ok := a.StageDTS(eps, 3, tr, a.Engine.ClockPeriod)
 		hit = hit && ok
 	})
 	if !hit {
@@ -231,7 +232,7 @@ func TestAnalyzerConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for _, cyc := range []int{1, 2, 3, 1, 2, 3} {
-				if f, ok := a.StageDTS(eps, cyc, tr); ok {
+				if f, ok := a.StageDTS(eps, cyc, tr, a.Engine.ClockPeriod); ok {
 					means[w] = append(means[w], f.Mean)
 				} else {
 					means[w] = append(means[w], math.NaN())
@@ -251,5 +252,74 @@ func TestAnalyzerConcurrent(t *testing.T) {
 				t.Errorf("worker %d cycle-slot %d: %v vs %v", w, i, means[w][i], means[0][i])
 			}
 		}
+	}
+}
+
+// sameForm reports whether two canonical forms agree bit for bit.
+func sameForm(x, y variation.Canon) bool {
+	if math.Float64bits(x.Mean) != math.Float64bits(y.Mean) ||
+		math.Float64bits(x.Rand) != math.Float64bits(y.Rand) || len(x.Sens) != len(y.Sens) {
+		return false
+	}
+	for i := range x.Sens {
+		if math.Float64bits(x.Sens[i]) != math.Float64bits(y.Sens[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStageDTSPeriodArgument pins the period argument: one analyzer queried
+// at two periods in turn returns, bit for bit, what a fresh analyzer on an
+// engine built at each period returns, and the queries share one memo
+// entry.
+func TestStageDTSPeriodArgument(t *testing.T) {
+	a, tr, ad := adderFixture(t, 2500, [][2]uint32{{0, 0}, {0xFFFFFFFF, 1}})
+	eps := ad.N.Endpoints(0)
+	for _, period := range []float64{2500, 1700, 2500} {
+		got, ok := a.StageDTS(eps, 1, tr, period)
+		e, err := sta.NewEngine(ad.N, a.Engine.Model, period, cell.SigmaRel, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := New(e, a.K)
+		want, okw := fresh.StageDTS(eps, 1, tr, period)
+		if !ok || !okw || !sameForm(got, want) {
+			t.Errorf("period %v: form %+v (%v), fresh analyzer %+v (%v)", period, got, ok, want, okw)
+		}
+	}
+	if n := memoSize(a); n != 1 {
+		t.Errorf("three queries of one signature left %d memo entries, want 1", n)
+	}
+}
+
+// TestStageDTSLargeSet covers a set with more candidate paths than the
+// stack key holds: its heap-built key memoizes the same way, and its forms
+// equal a fresh analyzer's bit for bit.
+func TestStageDTSLargeSet(t *testing.T) {
+	ops := [][2]uint32{{0, 0}, {0xFFFF, 1}, {0, 0}, {0xFFFF, 1}}
+	small, tr, ad := adderFixture(t, 2500, ops)
+	const k = 64
+	a := New(small.Engine, k)
+	eps := ad.N.Endpoints(0)
+	set := a.internSet(eps)
+	set.resolve(a)
+	if set.bits <= stageKeyPaths {
+		t.Fatalf("fixture set has %d candidate paths, want more than %d", set.bits, stageKeyPaths)
+	}
+	period := a.Engine.ClockPeriod
+	d1, ok1 := a.StageDTS(eps, 1, tr, period)
+	before := memoSize(a)
+	d3, ok3 := a.StageDTS(eps, 3, tr, period)
+	if !ok1 || !ok3 {
+		t.Fatal("expected activated paths at cycles 1 and 3")
+	}
+	if after := memoSize(a); after != before {
+		t.Errorf("identical signature must hit the memo: %d -> %d entries", before, after)
+	}
+	fresh := New(a.Engine, k)
+	df, okf := fresh.StageDTS(eps, 3, tr, period)
+	if !okf || !sameForm(d1, d3) || !sameForm(df, d3) {
+		t.Errorf("large-set forms differ: cycle 1 %v, cycle 3 %v, fresh %v", d1.Mean, d3.Mean, df.Mean)
 	}
 }

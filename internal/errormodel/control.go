@@ -2,6 +2,8 @@ package errormodel
 
 import (
 	"context"
+	"encoding/binary"
+	"math"
 	"sync"
 
 	"tsperr/internal/activity"
@@ -78,18 +80,19 @@ func (m *Machine) stimulusCycle(seq []isa.Inst, seqIdx []int, results []uint32, 
 	return word, res
 }
 
-// stimulusFails returns the control-path instruction failure probability at
-// each queried fetch position of the stimulus defined by (seq, seqIdx,
-// results). The per-position probabilities are memoized on the exact
-// (instruction word, EX result) stream: different blocks and incoming edges
-// frequently replay identical streams (shared predecessors, all-nop
-// prefixes), and the probability is a pure function of the stream, so
-// reusing the memo is bit-identical to recomputing. A query with a position
-// the entry lacks simulates the stream and fills in every missing position;
-// concurrent queries may both simulate, and both store the same values.
-func (m *Machine) stimulusFails(seq []isa.Inst, seqIdx []int, results []uint32, positions []int) ([]float64, error) {
+// stimulusFails returns the control-path instruction failure probability
+// under clock period period at each queried fetch position of the stimulus
+// defined by (seq, seqIdx, results). The per-position probabilities are
+// memoized on the period and the exact (instruction word, EX result)
+// stream: different blocks and incoming edges frequently replay identical
+// streams (shared predecessors, all-nop prefixes), and the probability is a
+// pure function of the two, so reusing the memo is bit-identical to
+// recomputing. A query with a position the entry lacks simulates the stream
+// and fills in every missing position; concurrent queries may both
+// simulate, and both store the same values.
+func (m *Machine) stimulusFails(seq []isa.Inst, seqIdx []int, results []uint32, positions []int, period float64) ([]float64, error) {
 	total := len(seq) + cpu.NumStages
-	key := make([]byte, 0, 8*total)
+	key := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+8*total), math.Float64bits(period))
 	for t := 0; t < total; t++ {
 		word, res := m.stimulusCycle(seq, seqIdx, results, t)
 		key = append(key,
@@ -128,7 +131,7 @@ func (m *Machine) stimulusFails(seq []isa.Inst, seqIdx []int, results []uint32, 
 		return nil, err
 	}
 	for _, i := range missing {
-		out[i] = m.instDTSFail(positions[i], tr)
+		out[i] = m.instDTSFail(positions[i], tr, period)
 	}
 	tr.Release()
 	e.mu.Lock()
@@ -139,9 +142,8 @@ func (m *Machine) stimulusFails(seq []isa.Inst, seqIdx []int, results []uint32, 
 	return out, nil
 }
 
-// ClearStimulusMemo drops the stimulus memo. SetWorkingPeriod calls it
-// because memoized probabilities are per operating point; benchmarks call it
-// to measure cold characterization.
+// ClearStimulusMemo drops the stimulus memo, for benchmarks that measure
+// cold characterization.
 func (m *Machine) ClearStimulusMemo() {
 	m.stimMu.Lock()
 	m.stim = nil
@@ -149,9 +151,9 @@ func (m *Machine) ClearStimulusMemo() {
 }
 
 // instDTSFail returns the control-endpoint instruction error probability for
-// the instruction fetched at cycle t of the trace.
-func (m *Machine) instDTSFail(t int, tr *activity.Trace) float64 {
-	form, ok := m.CtrlDTA.InstDTSSets(t, tr, m.ctrlSets)
+// the instruction fetched at cycle t of the trace, under clock period period.
+func (m *Machine) instDTSFail(t int, tr *activity.Trace, period float64) float64 {
+	form, ok := m.CtrlDTA.InstDTSSets(t, tr, m.ctrlSets, period)
 	if !ok {
 		return 0
 	}
@@ -164,19 +166,19 @@ func (m *Machine) instDTSFail(t int, tr *activity.Trace) float64 {
 // only on short sequences (each block prefixed by a window of its
 // predecessor), not on whole program executions. results holds a
 // representative EX result value per static instruction, recorded during the
-// training run. Blocks characterize on the shared worker pool with
-// GOMAXPROCS workers.
+// training run. Blocks characterize at the working period on the shared
+// worker pool with GOMAXPROCS workers.
 func (m *Machine) CharacterizeControl(ctx context.Context, g *cfg.Graph, pr *cfg.Profile, results []uint32) (*ControlChar, error) {
-	return m.CharacterizeControlWorkers(ctx, g, pr, results, 0)
+	return m.CharacterizeControlWorkers(ctx, g, pr, results, 0, m.WorkingPeriodPs)
 }
 
-// CharacterizeControlWorkers is CharacterizeControl on a bounded pool of the
-// given number of workers (<= 0 selects runtime.GOMAXPROCS). Blocks are
-// independent tasks writing distinct rows of the output tables; per-block
-// accumulation preserves the serial edge order and every memoized quantity is
-// a pure function of its key, so the tables are bit-identical for any worker
-// count.
-func (m *Machine) CharacterizeControlWorkers(ctx context.Context, g *cfg.Graph, pr *cfg.Profile, results []uint32, workers int) (*ControlChar, error) {
+// CharacterizeControlWorkers is CharacterizeControl at clock period period
+// (ps) on a bounded pool of the given number of workers (<= 0 selects
+// runtime.GOMAXPROCS). Blocks are independent tasks writing distinct rows of
+// the output tables; per-block accumulation preserves the serial edge order
+// and every memoized quantity is a pure function of its key, so the tables
+// are bit-identical for any worker count.
+func (m *Machine) CharacterizeControlWorkers(ctx context.Context, g *cfg.Graph, pr *cfg.Profile, results []uint32, workers int, period float64) (*ControlChar, error) {
 	nb := len(g.Blocks)
 	cc := &ControlChar{
 		Fail:      make([][]float64, nb),
@@ -188,7 +190,7 @@ func (m *Machine) CharacterizeControlWorkers(ctx context.Context, g *cfg.Graph, 
 	// so that they only read it.
 	pr.Settle()
 	pool.Run(ctx, nb, workers, false, errs, func(_ context.Context, b int) error {
-		return m.characterizeBlock(g, pr, results, cc, trained, b)
+		return m.characterizeBlock(g, pr, results, cc, trained, b, period)
 	})
 	if err := pool.FirstError(errs); err != nil {
 		return nil, err
@@ -201,8 +203,9 @@ func (m *Machine) CharacterizeControlWorkers(ctx context.Context, g *cfg.Graph, 
 	return cc, nil
 }
 
-// characterizeBlock fills row b of the characterization tables.
-func (m *Machine) characterizeBlock(g *cfg.Graph, pr *cfg.Profile, results []uint32, cc *ControlChar, trained []bool, b int) error {
+// characterizeBlock fills row b of the characterization tables at clock
+// period period.
+func (m *Machine) characterizeBlock(g *cfg.Graph, pr *cfg.Profile, results []uint32, cc *ControlChar, trained []bool, b int, period float64) error {
 	blk := &g.Blocks[b]
 	n := blk.NumInsts()
 	cc.Fail[b] = make([]float64, n)
@@ -262,7 +265,7 @@ func (m *Machine) characterizeBlock(g *cfg.Graph, pr *cfg.Profile, results []uin
 		for k := 0; k < n; k++ {
 			positions[k] = len(in.prefix) + k
 		}
-		fails, err := m.stimulusFails(seq, seqIdx, results, positions)
+		fails, err := m.stimulusFails(seq, seqIdx, results, positions, period)
 		if err != nil {
 			return err
 		}
@@ -289,7 +292,7 @@ func (m *Machine) characterizeBlock(g *cfg.Graph, pr *cfg.Profile, results []uin
 		seq = append(seq, g.Prog.Insts[i])
 		seqIdx = append(seqIdx, i)
 	}
-	fails, err := m.stimulusFails(seq, seqIdx, results, pos)
+	fails, err := m.stimulusFails(seq, seqIdx, results, pos, period)
 	if err != nil {
 		return err
 	}

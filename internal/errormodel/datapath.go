@@ -48,19 +48,20 @@ type DatapathModel struct {
 
 // TrainDatapath measures the per-depth DTS tables. It mirrors the training
 // flow of Figure 2: run targeted vectors through the gate-level unit, record
-// activity, and apply Algorithm 1 to the data endpoints. Training runs on the
-// shared worker pool with GOMAXPROCS workers; ctx cancels between depth
-// measurements.
+// activity, and apply Algorithm 1 to the data endpoints. Training runs at the
+// working period on the shared worker pool with GOMAXPROCS workers; ctx
+// cancels between depth measurements.
 func (m *Machine) TrainDatapath(ctx context.Context) (*DatapathModel, error) {
-	return m.TrainDatapathWorkers(ctx, 0)
+	return m.TrainDatapathWorkers(ctx, 0, m.WorkingPeriodPs)
 }
 
-// TrainDatapathWorkers is TrainDatapath on a bounded pool of the given number
-// of workers (<= 0 selects runtime.GOMAXPROCS). Every per-depth measurement
-// is an independent task: it owns its simulator and trace, writes a distinct
-// table slot, and the DTA analyzers it consults are safe for concurrent use,
-// so the tables are bit-identical for any worker count.
-func (m *Machine) TrainDatapathWorkers(ctx context.Context, workers int) (*DatapathModel, error) {
+// TrainDatapathWorkers is TrainDatapath at clock period period (ps) on a
+// bounded pool of the given number of workers (<= 0 selects
+// runtime.GOMAXPROCS). Every per-depth measurement is an independent task:
+// it owns its simulator and trace, writes a distinct table slot, and the DTA
+// analyzers it consults are safe for concurrent use, so the tables are
+// bit-identical for any worker count.
+func (m *Machine) TrainDatapathWorkers(ctx context.Context, workers int, period float64) (*DatapathModel, error) {
 	dp := &DatapathModel{
 		AdderSlack: make([]variation.Canon, 33),
 		AdderFail:  make([]float64, 33),
@@ -89,17 +90,17 @@ func (m *Machine) TrainDatapathWorkers(ctx context.Context, workers int) (*Datap
 	var tasks []func() error
 	for d := 1; d <= 32; d++ {
 		d := d
-		tasks = append(tasks, func() error { return m.trainAdderDepth(dp, sims[0], adderEps, d) })
+		tasks = append(tasks, func() error { return m.trainAdderDepth(dp, sims[0], adderEps, d, period) })
 	}
 	for k := 1; k <= 5; k++ {
 		k := k
-		tasks = append(tasks, func() error { return m.trainShiftLayers(dp, sims[1], shiftEps, k) })
+		tasks = append(tasks, func() error { return m.trainShiftLayers(dp, sims[1], shiftEps, k, period) })
 	}
 	for d := 1; d <= 16; d++ {
 		d := d
-		tasks = append(tasks, func() error { return m.trainMulWidth(dp, sims[2], mulEps, d) })
+		tasks = append(tasks, func() error { return m.trainMulWidth(dp, sims[2], mulEps, d, period) })
 	}
-	tasks = append(tasks, func() error { return m.trainLogic(dp, sims[3], logicEps) })
+	tasks = append(tasks, func() error { return m.trainLogic(dp, sims[3], logicEps, period) })
 
 	errs := make([]error, len(tasks))
 	pool.Run(ctx, len(tasks), workers, false, errs,
@@ -112,7 +113,7 @@ func (m *Machine) TrainDatapathWorkers(ctx context.Context, workers int) (*Datap
 
 // trainAdderDepth measures the adder DTS with a carry chain of exactly d
 // bits activated and fills table slot d.
-func (m *Machine) trainAdderDepth(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, d int) error {
+func (m *Machine) trainAdderDepth(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, d int, period float64) error {
 	a := uint64(0xFFFFFFFF)
 	if d < 32 {
 		a = (uint64(1) << uint(d)) - 1
@@ -127,7 +128,7 @@ func (m *Machine) trainAdderDepth(dp *DatapathModel, sim *activity.Sim, eps []ne
 	if err != nil {
 		return err
 	}
-	slack, ok := m.AdderDTA.StageDTS(eps, 1, tr)
+	slack, ok := m.AdderDTA.StageDTS(eps, 1, tr, period)
 	if !ok {
 		return nil // no activated path at this depth
 	}
@@ -138,7 +139,7 @@ func (m *Machine) trainAdderDepth(dp *DatapathModel, sim *activity.Sim, eps []ne
 
 // trainShiftLayers measures the shifter DTS with k active barrel layers and
 // fills table slot k.
-func (m *Machine) trainShiftLayers(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, k int) error {
+func (m *Machine) trainShiftLayers(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, k int, period float64) error {
 	amt := (uint64(1) << uint(k)) - 1 // k low bits set => k active layers
 	tr, err := sim.Run(2, func(t int, in activity.Inputs) {
 		if t == 1 {
@@ -149,7 +150,7 @@ func (m *Machine) trainShiftLayers(dp *DatapathModel, sim *activity.Sim, eps []n
 	if err != nil {
 		return err
 	}
-	slack, ok := m.ShifterDTA.StageDTS(eps, 1, tr)
+	slack, ok := m.ShifterDTA.StageDTS(eps, 1, tr, period)
 	if !ok {
 		return nil
 	}
@@ -160,7 +161,7 @@ func (m *Machine) trainShiftLayers(dp *DatapathModel, sim *activity.Sim, eps []n
 
 // trainMulWidth measures the multiplier DTS with d significant bits in the
 // smaller operand and fills table slot d.
-func (m *Machine) trainMulWidth(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, d int) error {
+func (m *Machine) trainMulWidth(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, d int, period float64) error {
 	bw := uint64(0xFFFF)
 	if d < 16 {
 		bw = (uint64(1) << uint(d)) - 1
@@ -174,7 +175,7 @@ func (m *Machine) trainMulWidth(dp *DatapathModel, sim *activity.Sim, eps []netl
 	if err != nil {
 		return err
 	}
-	slack, ok := m.MultDTA.StageDTS(eps, 1, tr)
+	slack, ok := m.MultDTA.StageDTS(eps, 1, tr, period)
 	if !ok {
 		return nil
 	}
@@ -184,7 +185,7 @@ func (m *Machine) trainMulWidth(dp *DatapathModel, sim *activity.Sim, eps []netl
 }
 
 // trainLogic performs the single full-switch logic-unit measurement.
-func (m *Machine) trainLogic(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID) error {
+func (m *Machine) trainLogic(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, period float64) error {
 	tr, err := sim.Run(2, func(t int, in activity.Inputs) {
 		if t == 1 {
 			in.SetWord(m.Logic.A[:], 0xFFFFFFFF)
@@ -195,7 +196,7 @@ func (m *Machine) trainLogic(dp *DatapathModel, sim *activity.Sim, eps []netlist
 	if err != nil {
 		return err
 	}
-	if slack, ok := m.LogicDTA.StageDTS(eps, 1, tr); ok {
+	if slack, ok := m.LogicDTA.StageDTS(eps, 1, tr, period); ok {
 		dp.LogicFail = dta.ErrorProbability(slack)
 	}
 	return nil

@@ -76,7 +76,7 @@ func seedCharacterizeControl(m *Machine, g *cfg.Graph, pr *cfg.Profile, results 
 				return nil, err
 			}
 			for k := 0; k < n; k++ {
-				cc.Fail[b][k] += in.weight * m.instDTSFail(len(in.prefix)+k, tr)
+				cc.Fail[b][k] += in.weight * m.instDTSFail(len(in.prefix)+k, tr, m.WorkingPeriodPs)
 			}
 		}
 
@@ -99,7 +99,7 @@ func seedCharacterizeControl(m *Machine, g *cfg.Graph, pr *cfg.Profile, results 
 			return nil, err
 		}
 		for k := 0; k < n; k++ {
-			cc.FailFlush[b][k] = m.instDTSFail(pos[k], tr)
+			cc.FailFlush[b][k] = m.instDTSFail(pos[k], tr, m.WorkingPeriodPs)
 		}
 	}
 	return cc, nil
@@ -135,14 +135,14 @@ func TestCharacterizeControlDeterministic(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		m.ClearStimulusMemo() // cold: every value computed by this run
-		got, err := m.CharacterizeControlWorkers(context.Background(), g, pr, feats.Results, workers)
+		got, err := m.CharacterizeControlWorkers(context.Background(), g, pr, feats.Results, workers, m.WorkingPeriodPs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		check("cold", got)
 	}
 	// Warm: the memo is primed by the runs above; reuse must not change bits.
-	got, err := m.CharacterizeControlWorkers(context.Background(), g, pr, feats.Results, 4)
+	got, err := m.CharacterizeControlWorkers(context.Background(), g, pr, feats.Results, 4, m.WorkingPeriodPs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestCharacterizeControlDeterministic(t *testing.T) {
 // bit-identical tables for any worker count.
 func TestTrainDatapathDeterministic(t *testing.T) {
 	m := testMachine(t)
-	d1, err := m.TrainDatapathWorkers(context.Background(), 1)
+	d1, err := m.TrainDatapathWorkers(context.Background(), 1, m.WorkingPeriodPs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d8, err := m.TrainDatapathWorkers(context.Background(), 8)
+	d8, err := m.TrainDatapathWorkers(context.Background(), 8, m.WorkingPeriodPs)
 	if err != nil {
 		t.Fatal(err)
 	}

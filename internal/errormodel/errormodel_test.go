@@ -340,16 +340,13 @@ func TestMarginalsHandDerivedChain(t *testing.T) {
 	}
 }
 
-func TestSetWorkingPeriodRaisesErrorProbability(t *testing.T) {
+func TestShorterPeriodRaisesErrorProbability(t *testing.T) {
 	m := testMachine(t)
 	dpSlow, err := m.TrainDatapath(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	origPeriod := m.WorkingPeriodPs
-	defer m.SetWorkingPeriod(origPeriod)
-	m.SetWorkingPeriod(origPeriod * 0.95) // higher frequency
-	dpFast, err := m.TrainDatapath(context.Background())
+	dpFast, err := m.TrainDatapathWorkers(context.Background(), 0, m.WorkingPeriodPs*0.95) // higher frequency
 	if err != nil {
 		t.Fatal(err)
 	}

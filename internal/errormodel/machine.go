@@ -88,7 +88,9 @@ type Machine struct {
 	Mult    *gen.MultiplierNet
 
 	// BasePeriodPs, PoFFPeriodPs and WorkingPeriodPs are the clock periods
-	// of the three operating points in picoseconds.
+	// of the three operating points in picoseconds, fixed at construction.
+	// The engines carry WorkingPeriodPs; an analysis at another period
+	// passes it to the period-taking methods instead.
 	BasePeriodPs    float64
 	PoFFPeriodPs    float64
 	WorkingPeriodPs float64
@@ -106,9 +108,9 @@ type Machine struct {
 	MultDTA    *dta.Analyzer
 
 	stimMu sync.Mutex
-	// stim memoizes control-stimulus probabilities across blocks and
-	// programs at the current operating point (see control.go); guarded by
-	// stimMu.
+	// stim memoizes control-stimulus probabilities across blocks, programs
+	// and clock periods, keyed by period and stimulus (see control.go);
+	// guarded by stimMu.
 	stim map[string]*stimEntry
 
 	// ctrlSim is the control network compiled for simulation, set by
@@ -250,20 +252,3 @@ func newMachine(ctx context.Context, opts Options, scales map[string]float64) (*
 
 // WorkingFreqMHz returns the speculative operating frequency.
 func (m *Machine) WorkingFreqMHz() float64 { return 1e6 / m.WorkingPeriodPs }
-
-// SetWorkingPeriod re-targets all engines at a new clock period, used by the
-// operating-point sweep example. The DTA analyzers survive the retarget: the
-// clock period enters their memoized reductions only as a final additive
-// constant (see package dta), so path enumerations and stage reductions are
-// reused across operating points. Only the stimulus memo — which stores
-// probabilities, genuinely period-dependent — is dropped. Must not be called
-// concurrently with analysis.
-func (m *Machine) SetWorkingPeriod(periodPs float64) {
-	m.WorkingPeriodPs = periodPs
-	m.ClearStimulusMemo() // memoized probabilities are per operating point
-	for _, eng := range []*sta.Engine{
-		m.CtrlEngine, m.AdderEngine, m.ShifterEngine, m.LogicEngine, m.MultEngine,
-	} {
-		eng.ClockPeriod = periodPs
-	}
-}

@@ -117,8 +117,8 @@ func TestCLALessOperandDependentDelay(t *testing.T) {
 			in.SetWord(ad.B[:], uint64(ops[c][1]))
 		})
 		eps := ad.N.Endpoints(0)
-		shortDTS, ok1 := an.StageDTS(eps, 1, tr)
-		longDTS, ok2 := an.StageDTS(eps, 3, tr)
+		shortDTS, ok1 := an.StageDTS(eps, 1, tr, an.Engine.ClockPeriod)
+		longDTS, ok2 := an.StageDTS(eps, 3, tr, an.Engine.ClockPeriod)
 		if !ok1 || !ok2 {
 			t.Fatal("expected activated paths in both cycles")
 		}

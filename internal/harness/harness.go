@@ -32,8 +32,7 @@ type Engine struct {
 	// build is buildFramework; tests substitute it.
 	build func(opts errormodel.Options, dir string) (*core.Framework, error)
 
-	mu sync.Mutex
-	fw *core.Framework // guarded by mu
+	own condEntry // the framework at cond
 
 	condMu  sync.Mutex
 	condFWs map[string]*condEntry // guarded by condMu
@@ -88,22 +87,8 @@ func (e *Engine) CacheDir() string { return e.cacheDir }
 
 // Framework builds (once) the calibrated machine and trained datapath model
 // shared by all benchmarks — the machine-dependent "training" the paper
-// performs once per design. Concurrent callers during the build wait for the
-// single in-flight attempt; unlike a sync.Once, a failed build is not
-// latched, so a later call retries instead of replaying the old error
-// forever.
-func (e *Engine) Framework() (*core.Framework, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.fw == nil {
-		f, err := e.build(e.Options(), e.cacheDir)
-		if err != nil {
-			return nil, err
-		}
-		e.fw = f
-	}
-	return e.fw, nil
-}
+// performs once per design.
+func (e *Engine) Framework() (*core.Framework, error) { return e.frameworkAt(&e.own, e.cond) }
 
 // SpecFor converts a benchmark into an analyzable program spec.
 func SpecFor(b mibench.Benchmark, scenarios int) core.ProgramSpec {

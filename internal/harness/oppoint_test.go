@@ -9,6 +9,7 @@ import (
 	"tsperr/internal/cell"
 	"tsperr/internal/core"
 	"tsperr/internal/errormodel"
+	"tsperr/internal/mibench"
 )
 
 func TestAnalyzeAtPointValidation(t *testing.T) {
@@ -90,9 +91,9 @@ func maskedJSON(t *testing.T, rep *core.Report) string {
 	return string(buf)
 }
 
-// TestAnalyzeAtPointDelegatesAtDefaultPoint pins the fast path: the engine's
-// condition at the default working ratio is the plain analysis —
-// bit-for-bit, via the engine's framework, with no registry machine built.
+// TestAnalyzeAtPointDelegatesAtDefaultPoint pins the default point: the
+// engine's condition at the default working ratio is the plain analysis —
+// bit-for-bit, on the engine's framework, with no registry machine built.
 func TestAnalyzeAtPointDelegatesAtDefaultPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full framework run")
@@ -126,6 +127,42 @@ func TestAnalyzeAtPointDelegatesAtDefaultPoint(t *testing.T) {
 	}
 }
 
+// TestAnalyzeAtOwnConditionOtherRatio pins that a ratio override at the
+// engine's own condition runs on the engine's framework: no registry
+// framework is built, and the report is, byte for byte, AnalyzeAtRatio's on
+// a fresh framework at that condition.
+func TestAnalyzeAtOwnConditionOtherRatio(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full framework run")
+	}
+	ctx := context.Background()
+	at, err := nominal.AnalyzeAt(ctx, "patricia", 2, core.AnalyzeOpts{}, cell.Nominal(), 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nominal.condMu.Lock()
+	_, built := nominal.condFWs[cell.Nominal().String()]
+	nominal.condMu.Unlock()
+	if built {
+		t.Error("an override at the engine's own condition built a registry framework")
+	}
+	fresh, err := core.NewFramework(nominal.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mibench.ByName("patricia")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.AnalyzeAtRatio(ctx, b.Name, SpecFor(b, 2), 1.2, core.AnalyzeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := maskedJSON(t, want), maskedJSON(t, at); a != b {
+		t.Errorf("override differs from AnalyzeAtRatio on a fresh framework\nfresh: %s\nat:    %s", a, b)
+	}
+}
+
 // TestAnalyzeAtPointDroopRaisesErrorRate runs the registry path end to end:
 // a droop-and-heat corner at the same ratio must not lower the error rate
 // (the scaling law only inflates delays), and repeated calls reuse the
@@ -150,8 +187,14 @@ func TestAnalyzeAtPointDroopRaisesErrorRate(t *testing.T) {
 	nominal.condMu.Lock()
 	entry := nominal.condFWs[droop.String()]
 	nominal.condMu.Unlock()
-	if entry == nil || entry.fw == nil {
+	if entry == nil {
 		t.Fatal("droop analysis did not populate the registry")
+	}
+	entry.mu.Lock()
+	built := entry.fw != nil
+	entry.mu.Unlock()
+	if !built {
+		t.Fatal("droop analysis left its registry entry unbuilt")
 	}
 	// A second call must reuse the same framework, not rebuild.
 	if _, err := nominal.AnalyzeAt(ctx, "patricia", 2, core.AnalyzeOpts{}, droop, 1.1); err != nil {

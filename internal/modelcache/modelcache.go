@@ -93,16 +93,41 @@ func Save(dir, key string, snap *Snapshot) error {
 	if snap == nil || snap.Scales == nil || snap.Datapath == nil {
 		return fmt.Errorf("modelcache: incomplete snapshot")
 	}
+	snap.Schema = SchemaVersion
+	snap.Key = key
+	return writeAtomic(dir, "model-*.tmp", Path(dir, key), snap)
+}
+
+// Load returns the snapshot stored under key, or ok == false on any miss:
+// absent file, undecodable bytes, or metadata that does not match the
+// requested key or schema. Invalid files are removed so the next Save
+// replaces them; a miss is never an error, the caller just rebuilds.
+func Load(dir, key string) (snap *Snapshot, ok bool) {
+	// Decode into a non-nil map: gob sizes a nil destination map by the
+	// entry count the stream claims, so a corrupt count would allocate
+	// without bound before the entries ran out.
+	s := Snapshot{Scales: map[string]float64{}}
+	ok = readValid(Path(dir, key), &s, func() bool {
+		return s.Schema == SchemaVersion && s.Key == key && len(s.Scales) > 0 && s.Datapath != nil
+	})
+	if !ok {
+		return nil, false
+	}
+	return &s, true
+}
+
+// writeAtomic gob-encodes v into a temp file in dir (created as needed),
+// fsyncs, and renames it over path, so a crashed or concurrent writer never
+// leaves a half-written snapshot visible under path.
+func writeAtomic(dir, tmpPattern, path string, v any) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("modelcache: %w", err)
 	}
-	snap.Schema = SchemaVersion
-	snap.Key = key
-	tmp, err := os.CreateTemp(dir, "model-*.tmp")
+	tmp, err := os.CreateTemp(dir, tmpPattern)
 	if err != nil {
 		return fmt.Errorf("modelcache: %w", err)
 	}
-	if err := gob.NewEncoder(tmp).Encode(snap); err != nil {
+	if err := gob.NewEncoder(tmp).Encode(v); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("modelcache: encoding snapshot: %w", err)
@@ -120,37 +145,27 @@ func Save(dir, key string, snap *Snapshot) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("modelcache: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), Path(dir, key)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("modelcache: publishing snapshot: %w", err)
 	}
 	return nil
 }
 
-// Load returns the snapshot stored under key, or ok == false on any miss:
-// absent file, undecodable bytes, or metadata that does not match the
-// requested key or schema. Invalid files are removed so the next Save
-// replaces them; a miss is never an error, the caller just rebuilds.
-func Load(dir, key string) (snap *Snapshot, ok bool) {
-	p := Path(dir, key)
+// readValid gob-decodes the file at p into v and reports whether it decoded
+// and valid accepts the result. An undecodable or invalid file is removed,
+// under the same-file guard; an absent one is just a miss.
+func readValid(p string, v any, valid func() bool) bool {
 	f, err := os.Open(p)
 	if err != nil {
-		return nil, false
+		return false
 	}
 	defer f.Close()
-	// Decode into a non-nil map: gob sizes a nil destination map by the
-	// entry count the stream claims, so a corrupt count would allocate
-	// without bound before the entries ran out.
-	s := Snapshot{Scales: map[string]float64{}}
-	if err := gob.NewDecoder(f).Decode(&s); err != nil {
+	if err := gob.NewDecoder(f).Decode(v); err != nil || !valid() {
 		removeIfSameFile(f, p)
-		return nil, false
+		return false
 	}
-	if s.Schema != SchemaVersion || s.Key != key || len(s.Scales) == 0 || s.Datapath == nil {
-		removeIfSameFile(f, p)
-		return nil, false
-	}
-	return &s, true
+	return true
 }
 
 // removeIfSameFile deletes the invalid snapshot at p, but only while p still

@@ -1,9 +1,7 @@
 package modelcache
 
 import (
-	"encoding/gob"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"tsperr/internal/mlpred"
@@ -77,57 +75,13 @@ func SaveSurrogate(dir, fingerprint string, snap *SurrogateSnapshot) error {
 // files are removed (with the same same-file guard as Load) so the next
 // SaveSurrogate replaces them.
 func LoadSurrogate(dir, fingerprint string) (snap *SurrogateSnapshot, ok bool) {
-	p := SurrogatePath(dir, fingerprint)
-	f, err := os.Open(p)
-	if err != nil {
-		return nil, false
-	}
-	defer f.Close()
 	var s SurrogateSnapshot
-	if err := gob.NewDecoder(f).Decode(&s); err != nil {
-		removeIfSameFile(f, p)
+	ok = readValid(SurrogatePath(dir, fingerprint), &s, func() bool {
+		return s.Schema == SurrogateSchemaVersion && s.Fingerprint == fingerprint &&
+			(s.Forest == nil || s.Forest.Validate() == nil)
+	})
+	if !ok {
 		return nil, false
-	}
-	if s.Schema != SurrogateSchemaVersion || s.Fingerprint != fingerprint {
-		removeIfSameFile(f, p)
-		return nil, false
-	}
-	if s.Forest != nil {
-		if err := s.Forest.Validate(); err != nil {
-			removeIfSameFile(f, p)
-			return nil, false
-		}
 	}
 	return &s, true
-}
-
-// writeAtomic gob-encodes v into a temp file in dir, fsyncs, and renames it
-// over path — the same crash-safe publish Save uses for model snapshots.
-func writeAtomic(dir, tmpPattern, path string, v any) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("modelcache: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, tmpPattern)
-	if err != nil {
-		return fmt.Errorf("modelcache: %w", err)
-	}
-	if err := gob.NewEncoder(tmp).Encode(v); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("modelcache: encoding snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("modelcache: syncing snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("modelcache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("modelcache: publishing snapshot: %w", err)
-	}
-	return nil
 }

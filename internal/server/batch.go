@@ -239,7 +239,7 @@ func (s *Server) rejectEntries(b *batch, from int) {
 	s.mu.Unlock()
 	if done {
 		s.met.batchesFinished.Add(1)
-		s.met.batchLatency.observe(time.Since(b.created))
+		s.met.batchLatency.observeDuration(time.Since(b.created))
 	}
 }
 
@@ -261,7 +261,7 @@ func (s *Server) finishEntry(b *batch, e *batchEntry, rep *core.Report, err erro
 	s.mu.Unlock()
 	if done {
 		s.met.batchesFinished.Add(1)
-		s.met.batchLatency.observe(time.Since(b.created))
+		s.met.batchLatency.observeDuration(time.Since(b.created))
 	}
 }
 

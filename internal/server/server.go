@@ -197,7 +197,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	lifeCtx, lifeStop := context.WithCancel(ctx)
 	s := &Server{
 		cfg:      cfg,
-		met:      &metrics{},
+		met:      newMetrics(),
 		lifeCtx:  lifeCtx,
 		lifeStop: lifeStop,
 		start:    time.Now(),
@@ -486,7 +486,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if s.surrogateEligible(req) {
 		if rep := s.consultSurrogate(req, key); rep != nil {
 			writeJSON(w, http.StatusOK, estimateResponse{Key: key, Tier: core.TierSurrogate, Report: rep})
-			s.met.latency.observe(time.Since(start))
+			s.met.latency.observeDuration(time.Since(start))
 			return
 		}
 	}
@@ -495,7 +495,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	switch outcome {
 	case joinCacheHit:
 		writeJSON(w, http.StatusOK, estimateResponse{Key: key, Cached: true, Tier: core.TierExact, Report: rep})
-		s.met.latency.observe(time.Since(start))
+		s.met.latency.observeDuration(time.Since(start))
 		return
 	case joinRejected:
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "compute queue full, retry later"})
@@ -513,7 +513,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		writeJSON(w, http.StatusOK, estimateResponse{Key: key, Cached: false, Tier: core.TierExact, Report: f.rep})
 	}
-	s.met.latency.observe(time.Since(start))
+	s.met.latency.observeDuration(time.Since(start))
 }
 
 // handleEstimateAsync registers a job, attaches it to the flight (or

@@ -602,7 +602,7 @@ func TestRequestLatencyIncludesResponseWrite(t *testing.T) {
 		{"cache hit", false, core.TierExact, true},
 	} {
 		stub.decision.Serve = tc.serve
-		count, sum := s.met.latency.count.Load(), s.met.latency.sumUS.Load()
+		count, sum := s.met.latency.count.Load(), s.met.latency.sum.Load()
 		w := slowWriter{httptest.NewRecorder(), delay}
 		req := httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(`{"benchmark":"typeset"}`))
 		s.Handler().ServeHTTP(w, req)
@@ -616,7 +616,7 @@ func TestRequestLatencyIncludesResponseWrite(t *testing.T) {
 		if got := s.met.latency.count.Load() - count; got != 1 {
 			t.Errorf("%s: %d latency observations, want 1", tc.name, got)
 		}
-		if got := time.Duration(s.met.latency.sumUS.Load()-sum) * time.Microsecond; got < delay {
+		if got := time.Duration(s.met.latency.sum.Load()-sum) * time.Microsecond; got < delay {
 			t.Errorf("%s: observed latency %v excludes the %v response write", tc.name, got, delay)
 		}
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sync/atomic"
 
@@ -154,7 +153,7 @@ type surrogateMetrics struct {
 	escUntrained      atomic.Uint64
 	escUncertain      atomic.Uint64
 	escNearThreshold  atomic.Uint64
-	surrogateResidual residualHistogram
+	surrogateResidual *histogram
 }
 
 // surrogateEscalation counts one escalation by reason; unknown reasons fold
@@ -173,42 +172,7 @@ func (m *metrics) surrogateEscalation(reason string) {
 // residualBounds are the shadow-residual histogram bucket upper bounds in
 // absolute log10 error: 0.01 (~2%) resolves a well-trained surrogate, 2
 // (100x) catches a badly wrong one.
-var residualBounds = [...]float64{0.01, 0.025, 0.05, 0.1, 0.2, 0.3, 0.5, 1, 2}
-
-// residualHistogram is a fixed-bucket histogram over residualBounds (final
-// implicit bucket +Inf), mirroring the latency histogram's layout.
-type residualHistogram struct {
-	buckets [len(residualBounds) + 1]atomic.Uint64
-	count   atomic.Uint64
-	// sumMilli accumulates residuals in thousandths so the atomic stays
-	// integral at well below bucket resolution.
-	sumMilli atomic.Uint64
-}
-
-// observe records one absolute log10 residual.
-func (h *residualHistogram) observe(r float64) {
-	i := 0
-	for i < len(residualBounds) && r > residualBounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumMilli.Add(uint64(math.Round(r * 1000)))
-}
-
-// renderResidualHistogram writes the cumulative exposition.
-func renderResidualHistogram(w io.Writer, name, help string, h *residualHistogram) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	var cum uint64
-	for i, b := range residualBounds {
-		cum += h.buckets[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum)
-	}
-	cum += h.buckets[len(residualBounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sumMilli.Load())/1000)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
-}
+var residualBounds = []float64{0.01, 0.025, 0.05, 0.1, 0.2, 0.3, 0.5, 1, 2}
 
 // surrogateGauges is the fast-tier state sampled at render time.
 type surrogateGauges struct {

@@ -87,7 +87,7 @@ func TestDeterministicVerdictHidesProbability(t *testing.T) {
 		t.Fatal("expected activity")
 	}
 	// Retune the clock to sit 1 sigma above the nominal critical delay.
-	form, ok := pa.StageDTS(eps, 1, tr)
+	form, ok := pa.StageDTS(eps, 1, tr, pa.Engine.ClockPeriod)
 	if !ok {
 		t.Fatal("expected DTS")
 	}
@@ -104,7 +104,7 @@ func TestDeterministicVerdictHidesProbability(t *testing.T) {
 	if res.Violation {
 		t.Fatalf("deterministic sim should pass at +1 sigma: slack %v", res.Slack)
 	}
-	form2, _ := pa2.StageDTS(eps, 1, tr)
+	form2, _ := pa2.StageDTS(eps, 1, tr, pa2.Engine.ClockPeriod)
 	p := dta.ErrorProbability(form2)
 	if p < 0.05 {
 		t.Errorf("SSTA should assign a visible failure probability, got %v", p)
