@@ -40,8 +40,7 @@ oracle:
 
 # `make fuzz` runs the native fuzz targets briefly: long enough to catch a
 # canonical-hashing regression or a decoder that trusts untrusted bytes (a
-# request body, a model-cache snapshot, a cluster peer's chunk response, a
-# VCD activity trace), short enough for the pre-commit gate. The seed
+# request body, a model-cache snapshot, a VCD activity trace), short enough for the pre-commit gate. The seed
 # corpora always run as part of `make test` regardless.
 FUZZTIME ?= 10s
 
@@ -49,7 +48,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRequestHash -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzParseRequest -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME) ./internal/modelcache/
-	$(GO) test -run '^$$' -fuzz FuzzChunkResponse -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzReadVCD -fuzztime $(FUZZTIME) ./internal/activity/
 
 # `make cover` is the coverage ratchet: total statement coverage must stay
@@ -69,9 +67,10 @@ cover:
 # estimate, a 16-request dedup burst), the operating-point search (a 2x2
 # voltage/temperature grid whose warm re-run is served from the cache), the
 # surrogate tier (untrained escalations, background training, shadow
-# residuals, the response tier field) and the cluster (a coordinator plus
-# two workers, one SIGKILLed mid-run, matching a single-node run byte for
-# byte), each ending in a SIGTERM drain. `go test ./...` runs them too,
+# residuals, the response tier field) and the cluster (a -peers coordinator
+# routing a Monte Carlo request to one of two plain daemons, which is
+# SIGKILLed mid-request; the local fallback matches a single-node run byte
+# for byte), each ending in a SIGTERM drain. `go test ./...` runs them too,
 # except under -short.
 smoke:
 	$(GO) test -count=1 -run '^TestSmoke(Daemon|Oppoint|Surrogate|Cluster)$$' ./cmd/tsperrd

@@ -9,9 +9,7 @@
 //	        [-max-scenarios N] [-max-batch N] [-max-mc-trials N]
 //	        [-request-timeout D] [-max-timeout D]
 //	        [-drain-timeout D] [-model-cache] [-model-cache-dir DIR]
-//	        [-role single|coordinator|worker] [-peers URL,URL,...]
-//	        [-probe-interval D] [-chunk-timeout D] [-hedge-after D]
-//	        [-peer-concurrency N]
+//	        [-peers URL,URL,...] [-probe-interval D]
 //	        [-surrogate off|shadow|serve] [-surrogate-max-std S]
 //	        [-surrogate-guard-band S] [-surrogate-min-train N]
 //	        [-surrogate-retrain N]
@@ -27,16 +25,12 @@
 //	        model. The trained surrogate persists in the model cache keyed
 //	        on the model fingerprint.
 //
-// Cluster roles:
-//
-//	single       (default) everything runs in this process
-//	worker       additionally serves POST /v1/cluster/chunk so coordinators
-//	             can fan Monte Carlo chunks onto this node
-//	coordinator  fans Monte Carlo validations across -peers (worker daemons),
-//	             routes plain estimates to their consistent-hash owner for
-//	             cluster-wide dedup, and degrades to local execution when
-//	             peers die; also serves chunks, so coordinators can peer with
-//	             each other
+// Cluster: with -peers set, the daemon coordinates: it routes every
+// estimate request (Monte Carlo validations included) to the owner of its
+// key on a consistent-hash ring over itself and the peers, for cluster-wide
+// dedup, and answers locally when the owner fails. Every daemon answers the
+// requests a coordinator routes to it, so the peers are plain daemons, and
+// daemons can coordinate over each other.
 //
 // Endpoints:
 //
@@ -141,17 +135,10 @@ func main() {
 		"cap on the per-request timeout_ms knob (0 = no cap)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"how long shutdown waits for in-flight estimates")
-	role := flag.String("role", "single", "cluster role: single, coordinator, or worker")
 	peersFlag := flag.String("peers", "",
-		"comma-separated peer base URLs, e.g. http://10.0.0.2:8080 (coordinator role)")
+		"comma-separated peer base URLs, e.g. http://10.0.0.2:8080; set, this daemon coordinates")
 	probeInterval := flag.Duration("probe-interval", 0,
 		"healthy-peer probe period (0 = 2s default)")
-	chunkTimeout := flag.Duration("chunk-timeout", 0,
-		"remote Monte Carlo chunk deadline before the chunk is stolen back (0 = 30s default)")
-	hedgeAfter := flag.Duration("hedge-after", 0,
-		"speculatively re-dispatch a chunk still in flight after this long (0 = chunk-timeout/2)")
-	peerConcurrency := flag.Int("peer-concurrency", 0,
-		"chunks kept in flight per healthy peer (0 = 2 default)")
 	surrogateMode := flag.String("surrogate", server.SurrogateOff,
 		"ML fast tier: off, shadow (train and track accuracy only), or serve (confident predictions answer directly)")
 	surrogateMaxStd := flag.Float64("surrogate-max-std", 0,
@@ -173,7 +160,8 @@ func main() {
 	// The same content address the model cache files under: options (with the
 	// operating condition) plus the cell library. Request keys therefore never
 	// collide across operating points or library revisions — and cluster nodes
-	// with different models refuse each other's chunks instead of mixing bits.
+	// with different models refuse each other's requests instead of mixing
+	// bits.
 	fingerprint := modelcache.Key(eng.Options(), cell.Fingerprint())
 
 	var lazyTier *lazySurrogate
@@ -187,44 +175,22 @@ func main() {
 	}
 
 	var coord *cluster.Coordinator
-	var chunkSource cluster.SpecSource
-	switch *role {
-	case "single":
-		if *peersFlag != "" {
-			fmt.Fprintln(os.Stderr, "tsperrd: -peers requires -role coordinator")
-			os.Exit(cliutil.ExitUsage)
+	var peers []string
+	for _, p := range strings.Split(*peersFlag, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			peers = append(peers, p)
 		}
-	case "worker":
-		if *peersFlag != "" {
-			fmt.Fprintln(os.Stderr, "tsperrd: -peers requires -role coordinator")
-			os.Exit(cliutil.ExitUsage)
-		}
-		chunkSource = eng.MCSpec
-	case "coordinator":
-		var peers []string
-		for _, p := range strings.Split(*peersFlag, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, p)
-			}
-		}
-		if len(peers) == 0 {
-			fmt.Fprintln(os.Stderr, "tsperrd: -role coordinator requires -peers")
-			os.Exit(cliutil.ExitUsage)
-		}
-		coord = cluster.New(cluster.Config{
-			Peers:           peers,
-			Fingerprint:     fingerprint,
-			ProbeInterval:   *probeInterval,
-			ChunkTimeout:    *chunkTimeout,
-			HedgeAfter:      *hedgeAfter,
-			PeerConcurrency: *peerConcurrency,
-		})
-		// Coordinators serve chunks too, so symmetric deployments (every
-		// node a coordinator peering with the others) need no worker role.
-		chunkSource = eng.MCSpec
-	default:
-		fmt.Fprintf(os.Stderr, "tsperrd: unknown -role %q (single, coordinator, worker)\n", *role)
+	}
+	if *peersFlag != "" && len(peers) == 0 {
+		fmt.Fprintf(os.Stderr, "tsperrd: -peers %q names no peer URL\n", *peersFlag)
 		os.Exit(cliutil.ExitUsage)
+	}
+	if len(peers) > 0 {
+		coord = cluster.New(cluster.Config{
+			Peers:         peers,
+			Fingerprint:   fingerprint,
+			ProbeInterval: *probeInterval,
+		})
 	}
 
 	cfg := server.Config{
@@ -246,7 +212,6 @@ func main() {
 		DefaultTimeout: *requestTimeout,
 		MaxTimeout:     *maxTimeout,
 		MaxBatch:       *maxBatch,
-		ChunkSource:    chunkSource,
 	}
 	if coord != nil {
 		cfg.Cluster = coord

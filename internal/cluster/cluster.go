@@ -1,23 +1,21 @@
-// Package cluster distributes tsperrd work across peer daemons. A
-// coordinator node fans the chunks of a Monte Carlo validation run out over
-// worker nodes (plus its own CPUs) and routes plain estimate requests by
-// consistent hash so identical requests arriving at different front-ends
-// dedup cluster-wide. Everything is stdlib HTTP/JSON.
+// Package cluster routes tsperrd estimate requests across peer daemons: a
+// coordinator node sends each request to the owner of its key on a
+// consistent-hash ring, so identical requests arriving at different
+// front-ends dedup cluster-wide. Everything is stdlib HTTP/JSON.
 //
-// Distribution is a scheduling decision, never a semantic one: chunk results
-// are bit-identical wherever they run (montecarlo.RunChunk is a pure function
-// of spec, chunk size, and index, and Go's JSON float64 encoding round-trips
-// exactly), assembly validates that exactly one copy of every chunk landed,
-// and any remote failure falls back to local execution. A cluster of N nodes
-// can therefore be killed down to the coordinator alone mid-run and still
-// produce the same bytes a single node would have — just slower.
+// Routing is a scheduling decision, never a semantic one: the owner computes
+// the same report the coordinator would (the pipeline is deterministic given
+// the model fingerprint, which every routed request carries and the owner
+// checks), the proxied report re-marshals to the owner's exact bytes, and any
+// peer failure falls back to local execution. Killing every peer leaves a
+// coordinator that answers everything itself — just without cluster-wide
+// dedup.
 package cluster
 
 import (
 	"context"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,35 +25,20 @@ import (
 
 // Config assembles a Coordinator. Zero fields select the documented defaults.
 type Config struct {
-	// Peers are the worker base URLs (e.g. "http://10.0.0.2:8080"). The local
-	// execution slot is always a ring member in addition to these.
+	// Peers are the peer daemons' base URLs (e.g. "http://10.0.0.2:8080").
+	// The local execution slot is always a ring member in addition to these.
 	Peers []string
 	// Fingerprint is this node's model fingerprint, sent with every
 	// intra-cluster request and verified by the receiver.
 	Fingerprint string
-	// Client issues intra-cluster requests; tests wrap its transport with
-	// fault injection. Default: a dedicated client with no global timeout
-	// (per-call contexts bound every request).
+	// Client issues intra-cluster requests. Default: a dedicated client with
+	// no global timeout (per-call contexts bound every request).
 	Client *http.Client
 	// ProbeInterval is the health-probe period for a healthy peer (default
 	// 2s); a failing peer is instead re-probed on the Backoff schedule.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one /healthz probe (default 1s).
 	ProbeTimeout time.Duration
-	// ChunkTimeout bounds one remote chunk execution (default 30s); on expiry
-	// the chunk is re-queued for any other runner.
-	ChunkTimeout time.Duration
-	// HedgeAfter re-dispatches a chunk still in flight after this long
-	// (default ChunkTimeout/2), racing a second copy against the slow one;
-	// first result wins.
-	HedgeAfter time.Duration
-	// PeerConcurrency is the number of chunks kept in flight per healthy peer
-	// (default 2).
-	PeerConcurrency int
-	// LocalWorkers is the number of local chunk runners participating in a
-	// distributed run (default GOMAXPROCS, minimum 1 — the local slot is the
-	// progress guarantee when every peer is dead).
-	LocalWorkers int
 	// Backoff shapes the probe retry schedule for an unhealthy peer (default
 	// 250ms base, 5s cap, full jitter).
 	Backoff retry.Policy
@@ -67,7 +50,7 @@ type Config struct {
 	Quorum int
 }
 
-// peer tracks one worker's health and traffic counters.
+// peer tracks one peer daemon's health and traffic counters.
 type peer struct {
 	addr string
 
@@ -100,16 +83,8 @@ type PeerStatus struct {
 	LastError           string `json:"last_error,omitempty"`
 }
 
-// Stats are the coordinator's cumulative distribution counters.
+// Stats are the coordinator's cumulative routing counters.
 type Stats struct {
-	// RemoteChunks and LocalChunks count accepted chunk results by origin.
-	RemoteChunks uint64
-	LocalChunks  uint64
-	// StolenChunks counts chunks re-queued after a remote failure and
-	// completed by another runner; HedgedChunks counts speculative
-	// re-dispatches of slow in-flight chunks.
-	StolenChunks uint64
-	HedgedChunks uint64
 	// ProxiedEstimates counts estimate requests routed to a peer and answered
 	// there; ProxyFallbacks counts routed requests that fell back to local
 	// execution after a peer failure.
@@ -120,18 +95,14 @@ type Stats struct {
 }
 
 type stats struct {
-	remoteChunks          atomic.Uint64
-	localChunks           atomic.Uint64
-	stolenChunks          atomic.Uint64
-	hedgedChunks          atomic.Uint64
 	proxiedEstimates      atomic.Uint64
 	proxyFallbacks        atomic.Uint64
 	fingerprintMismatches atomic.Uint64
 }
 
 // Coordinator owns the cluster view of one tsperrd node: the peer set with
-// its health probes, the consistent-hash ring, and the distributed executors
-// (MCRun for Monte Carlo fan-out, ProxyEstimate for request routing).
+// its health probes, the consistent-hash ring, and ProxyEstimate, which
+// executes a routed request on its owner.
 type Coordinator struct {
 	cfg   Config
 	peers []*peer
@@ -157,18 +128,6 @@ func New(cfg Config) *Coordinator {
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = time.Second
-	}
-	if cfg.ChunkTimeout <= 0 {
-		cfg.ChunkTimeout = 30 * time.Second
-	}
-	if cfg.HedgeAfter <= 0 {
-		cfg.HedgeAfter = cfg.ChunkTimeout / 2
-	}
-	if cfg.PeerConcurrency <= 0 {
-		cfg.PeerConcurrency = 2
-	}
-	if cfg.LocalWorkers <= 0 {
-		cfg.LocalWorkers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Backoff == (retry.Policy{}) {
 		cfg.Backoff = retry.Policy{Base: 250 * time.Millisecond, Cap: 5 * time.Second, Jitter: true}
@@ -339,7 +298,7 @@ func (c *Coordinator) HealthyPeers() int {
 // Quorum is the healthy-peer count Ready requires.
 func (c *Coordinator) Quorum() int { return c.cfg.Quorum }
 
-// Ready reports whether the cluster view supports distributed operation: a
+// Ready reports whether the cluster view supports cluster-wide routing: a
 // quorum of peers is healthy. A coordinator below quorum still serves — every
 // path degrades to local execution — but advertises not-ready so load
 // balancers prefer fully connected nodes.
@@ -363,13 +322,9 @@ func (c *Coordinator) PeerStatuses() []PeerStatus {
 	return out
 }
 
-// Stats snapshots the distribution counters.
+// Stats snapshots the routing counters.
 func (c *Coordinator) Stats() Stats {
 	return Stats{
-		RemoteChunks:          c.stats.remoteChunks.Load(),
-		LocalChunks:           c.stats.localChunks.Load(),
-		StolenChunks:          c.stats.stolenChunks.Load(),
-		HedgedChunks:          c.stats.hedgedChunks.Load(),
 		ProxiedEstimates:      c.stats.proxiedEstimates.Load(),
 		ProxyFallbacks:        c.stats.proxyFallbacks.Load(),
 		FingerprintMismatches: c.stats.fingerprintMismatches.Load(),

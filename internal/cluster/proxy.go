@@ -16,7 +16,7 @@ const maxProxyResponse = 8 << 20
 
 // proxyResponse is the slice of the peer's estimate response the coordinator
 // needs; core.Report's UnmarshalJSON guarantees the re-marshal served to the
-// client is byte-identical to what the worker produced.
+// client is byte-identical to what the peer produced.
 type proxyResponse struct {
 	Report *core.Report `json:"report"`
 }

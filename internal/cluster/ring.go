@@ -12,7 +12,7 @@ import (
 // the whole ring stays small enough to rebuild on startup without care.
 const vnodes = 64
 
-// ring is a consistent-hash ring over the cluster members (worker base URLs
+// ring is a consistent-hash ring over the cluster members (peer base URLs
 // plus the empty string for the local execution slot). Membership is fixed at
 // construction: health is a routing-time concern (owners returns the full
 // successor order and the caller takes the first usable member), so a

@@ -28,8 +28,9 @@ func (it BatchItem) Key() string {
 	fmt.Fprintf(h, "name=%s\nscenarios=%d\nscale=%d\nretries=%d\nmin=%d\nfailfast=%t\n",
 		it.Name, it.Spec.Scenarios, it.Spec.ScaleToInsts,
 		it.Opts.Retries, it.Opts.MinScenarios, it.Opts.FailFast)
-	fmt.Fprintf(h, "mc=%d\nmcchunk=%d\nmcseed=%d\n",
-		it.Opts.MCTrials, it.Opts.MCChunkSize, it.Opts.MCSeed)
+	// The mcchunk=0 line dates from when the chunk size was an option; it
+	// stays so that keys do not change.
+	fmt.Fprintf(h, "mc=%d\nmcchunk=0\nmcseed=%d\n", it.Opts.MCTrials, it.Opts.MCSeed)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -24,7 +24,7 @@ func TestBatchMatchesSerialPath(t *testing.T) {
 	f := testFramework(t)
 	items := []BatchItem{
 		batchItem("a", 2, AnalyzeOpts{}),
-		batchItem("b", 3, AnalyzeOpts{MCTrials: 400, MCChunkSize: 64, MCSeed: 7}),
+		batchItem("b", 3, AnalyzeOpts{MCTrials: 400, MCSeed: 7}),
 		batchItem("a", 2, AnalyzeOpts{Workers: 3}),
 	}
 	batch, err := f.EstimateBatch(context.Background(), items, nil)
@@ -171,7 +171,7 @@ func TestBatchErrorHandling(t *testing.T) {
 func TestAnalyzeMCValidation(t *testing.T) {
 	f := testFramework(t)
 	prog := isa.MustAssemble("sumloop", fwProg)
-	opts := AnalyzeOpts{MCTrials: 600, MCChunkSize: 64, MCSeed: 3, Workers: 4}
+	opts := AnalyzeOpts{MCTrials: 600, MCSeed: 3, Workers: 4}
 
 	rep, err := f.AnalyzeWithOpts(context.Background(), "plain", ProgramSpec{
 		Prog: prog, Setup: fwSetup, Scenarios: 2,
@@ -183,7 +183,7 @@ func TestAnalyzeMCValidation(t *testing.T) {
 	if mc == nil {
 		t.Fatal("MC validation missing")
 	}
-	if mc.Trials != 600 || mc.Chunks != (600+63)/64 {
+	if mc.Trials != 600 || mc.Chunks != (600+255)/256 {
 		t.Errorf("trials %d chunks %d", mc.Trials, mc.Chunks)
 	}
 	if mc.UnscaledReference {

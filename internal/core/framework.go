@@ -11,7 +11,6 @@ import (
 	"tsperr/internal/cpu"
 	"tsperr/internal/errormodel"
 	"tsperr/internal/isa"
-	"tsperr/internal/montecarlo"
 	"tsperr/internal/pool"
 	"tsperr/internal/retry"
 )
@@ -102,48 +101,9 @@ type AnalyzeOpts struct {
 	// executions, spread round-robin over the surviving scenarios and split
 	// into fixed-size chunks over the same bounded worker pool.
 	MCTrials int
-	// MCChunkSize is the trials-per-chunk of the validation run
-	// (0 = montecarlo.DefaultChunkSize).
-	MCChunkSize int
 	// MCSeed seeds the validation run (the default 0 is a valid seed; the
 	// run is deterministic either way).
 	MCSeed uint64
-	// MCRun, when non-nil, replaces the local sharded execution of the Monte
-	// Carlo validation — the cluster coordinator injects its chunk fan-out
-	// runner here. The runner must return results bit-identical to
-	// montecarlo.RunSharded on the job's spec: distribution is a scheduling
-	// choice, never a semantic one. Jobs with LocalOnly set must not leave
-	// the process.
-	MCRun MCRunner
-}
-
-// MCRunner executes one Monte Carlo validation job; the default (nil) runner
-// is montecarlo.RunSharded on the job's spec and shard options.
-type MCRunner func(ctx context.Context, job MCJob) (*montecarlo.ShardedResult, error)
-
-// MCJob is everything an alternative Monte Carlo runner needs: the resolved
-// local spec for any chunks it executes in-process, plus the analytic
-// context (benchmark name, requested scenario count, model-independent seed
-// and budget) a remote worker needs to rebuild the identical spec on its
-// side.
-type MCJob struct {
-	// Benchmark is the canonical benchmark name the analytic run resolved.
-	Benchmark string
-	// Scenarios is the scenario fan-out the spec's conditionals were derived
-	// from.
-	Scenarios int
-	// ChunkSize is the resolved trials-per-chunk split (never zero).
-	ChunkSize int
-	// LocalOnly marks jobs distribution must not touch: a degraded analytic
-	// run (a remote rebuild would derive conditionals from the full scenario
-	// set, not the survivors) or a fault-injected one (the injection schedule
-	// exists only in this process).
-	LocalOnly bool
-	// Spec is the fully resolved experiment; Spec.Trials and Spec.Seed carry
-	// the budget and seed.
-	Spec montecarlo.Spec
-	// Shard is the local shard configuration (chunk size, worker bound).
-	Shard montecarlo.ShardOpts
 }
 
 const (
@@ -324,6 +284,9 @@ func (f *Framework) analyze(ctx context.Context, name string, spec ProgramSpec, 
 	// validation compares against an estimate of the program that is actually
 	// simulated.
 	var unscaledProfiles []*cfg.Profile
+	// datasets maps each survivor to its scenario index, the dataset a Monte
+	// Carlo validation sets the machine up with.
+	var datasets []int
 	var failures []error
 	for s := range scenarios {
 		if errs[s] != nil {
@@ -331,6 +294,7 @@ func (f *Framework) analyze(ctx context.Context, name string, spec ProgramSpec, 
 			continue
 		}
 		surviving = append(surviving, *scenarios[s])
+		datasets = append(datasets, s)
 		if keepUnscaled {
 			unscaledProfiles = append(unscaledProfiles, raws[s].unscaled)
 		}
@@ -359,7 +323,7 @@ func (f *Framework) analyze(ctx context.Context, name string, spec ProgramSpec, 
 
 	if opts.MCTrials > 0 {
 		ref, unscaled := mcRefScenarios(surviving, unscaledProfiles)
-		mc, err := f.validateMC(ctx, name, spec, cfgCPU, g, est, ref, unscaled, rep.Degraded, opts)
+		mc, err := f.validateMC(ctx, spec, cfgCPU, g, est, ref, datasets, unscaled, opts)
 		if err != nil {
 			return nil, &ScenarioError{Benchmark: name, Scenario: -1, Phase: PhaseMonteCarlo, Err: err}
 		}

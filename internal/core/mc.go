@@ -43,8 +43,10 @@ type MCValidation struct {
 // substituted where Scale() was applied (see mcRef in AnalyzeWithOpts); the
 // simulation executes the real program, so when scaling inflated the estimate
 // an unscaled reference estimate is solved for the comparison, and otherwise
-// the already computed estimate is reused.
-func (f *Framework) validateMC(ctx context.Context, name string, spec ProgramSpec, cfgCPU cpu.Config, g *cfg.Graph, est *Estimate, ref []Scenario, unscaled, degraded bool, opts AnalyzeOpts) (*MCValidation, error) {
+// the already computed estimate is reused. datasets[i] is the scenario index
+// of survivor i: a degraded run simulates each survivor on its own dataset,
+// not on the dataset at its position among the survivors.
+func (f *Framework) validateMC(ctx context.Context, spec ProgramSpec, cfgCPU cpu.Config, g *cfg.Graph, est *Estimate, ref []Scenario, datasets []int, unscaled bool, opts AnalyzeOpts) (*MCValidation, error) {
 	refEst := est
 	if unscaled {
 		var err error
@@ -57,36 +59,18 @@ func (f *Framework) validateMC(ctx context.Context, name string, spec ProgramSpe
 	for i := range ref {
 		conds[i] = ref[i].Cond
 	}
-	mcSpec := montecarlo.Spec{
+	setup := spec.Setup
+	if setup != nil {
+		setup = func(c *cpu.CPU, i int) error { return spec.Setup(c, datasets[i]) }
+	}
+	res, err := montecarlo.RunSharded(ctx, montecarlo.Spec{
 		Prog:      spec.Prog,
-		Setup:     spec.Setup,
+		Setup:     setup,
 		Cond:      conds,
 		Trials:    opts.MCTrials,
 		Seed:      opts.MCSeed,
 		CPUConfig: cfgCPU,
-	}
-	shard := montecarlo.ShardOpts{ChunkSize: opts.MCChunkSize, Workers: opts.Workers}
-	run := montecarlo.RunSharded
-	if opts.MCRun != nil {
-		chunkSize := opts.MCChunkSize
-		if chunkSize <= 0 {
-			chunkSize = montecarlo.DefaultChunkSize
-		}
-		job := MCJob{
-			Benchmark: name,
-			Scenarios: spec.Scenarios,
-			ChunkSize: chunkSize,
-			// A degraded run's conditionals cover the survivors only and a
-			// fault-injection schedule exists only in this process; a remote
-			// rebuild would diverge, so such jobs must stay local.
-			LocalOnly: degraded || opts.Inject != nil,
-		}
-		run = func(ctx context.Context, s montecarlo.Spec, o montecarlo.ShardOpts) (*montecarlo.ShardedResult, error) {
-			job.Spec, job.Shard = s, o
-			return opts.MCRun(ctx, job)
-		}
-	}
-	res, err := run(ctx, mcSpec, shard)
+	}, montecarlo.ShardOpts{Workers: opts.Workers})
 	if err != nil {
 		return nil, err
 	}

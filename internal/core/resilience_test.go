@@ -7,8 +7,11 @@ import (
 	"time"
 
 	"tsperr/internal/cpu"
+	"tsperr/internal/errormodel"
 	"tsperr/internal/faultinject"
 	"tsperr/internal/isa"
+	"tsperr/internal/montecarlo"
+	"tsperr/internal/numeric"
 )
 
 // hook adapts a faultinject.Injector to the AnalyzeOpts hook signature.
@@ -114,6 +117,71 @@ func TestAnalyzeDegradedRun(t *testing.T) {
 	}
 	if !errors.Is(rep.Failures, faultinject.ErrInjected) {
 		t.Error("joined failures must preserve the injected cause")
+	}
+}
+
+// tripProg sums a dataset whose first word sets its length, so datasets of
+// different lengths retire different instruction sequences.
+const tripProg = `
+	lw   r2, 2048(r0)
+	li   r1, 0
+	li   r3, 0
+loop:
+	lw   r4, 2049(r1)
+	add  r3, r3, r4
+	addi r1, r1, 1
+	blt  r1, r2, loop
+	sw   r3, 4096(r0)
+	halt
+`
+
+func tripSetup(c *cpu.CPU, scenario int) error {
+	n := 10 + 40*scenario
+	c.SetMem(2048, uint32(n))
+	rng := numeric.NewRNG(uint64(scenario + 1))
+	for i := 0; i < n; i++ {
+		c.SetMem(uint32(2049+i), uint32(rng.Intn(1<<(8+4*scenario))))
+	}
+	return nil
+}
+
+// A degraded run validates each survivor on its own dataset. Scenario 0
+// fails at setup, so the one survivor is dataset 1, and the Monte Carlo
+// section must be a RunSharded over dataset 1 under dataset 1's
+// conditionals — not dataset 0, which retires 160 fewer instructions,
+// simulated under them.
+func TestDegradedMCSimulatesSurvivorsOwnDatasets(t *testing.T) {
+	f := testFramework(t)
+	ctx := context.Background()
+	prog := isa.MustAssemble("triploop", tripProg)
+	inj := faultinject.New(1, faultinject.FailAlways(faultinject.Setup, 0))
+	rep, err := f.AnalyzeWithOpts(ctx, "triploop", ProgramSpec{Prog: prog, Setup: tripSetup, Scenarios: 2}, AnalyzeOpts{
+		MinScenarios: 1,
+		RetryBackoff: -1,
+		Inject:       hook(inj),
+		MCTrials:     512,
+		MCSeed:       5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Degraded || len(rep.Scenarios) != 1 || rep.MC == nil {
+		t.Fatalf("want a degraded run on one survivor with a montecarlo section: degraded=%v survivors=%d mc=%v",
+			rep.Degraded, len(rep.Scenarios), rep.MC)
+	}
+	want, err := montecarlo.RunSharded(ctx, montecarlo.Spec{
+		Prog:   prog,
+		Setup:  func(c *cpu.CPU, _ int) error { return tripSetup(c, 1) },
+		Cond:   []*errormodel.Conditionals{rep.Scenarios[0].Cond},
+		Trials: 512,
+		Seed:   5,
+	}, montecarlo.ShardOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MC.Mean != want.Stats.Mean || rep.MC.Std != want.Stats.Std() {
+		t.Errorf("montecarlo mean %v std %v; dataset 1 under its own conditionals gives mean %v std %v",
+			rep.MC.Mean, rep.MC.Std, want.Stats.Mean, want.Stats.Std())
 	}
 }
 

@@ -33,13 +33,6 @@ const (
 	Simulation Point = "simulation"
 	// Marginals fires before the per-scenario marginal solve.
 	Marginals Point = "marginals"
-
-	// NetRequest fires in the cluster transport before a request leaves the
-	// process; NetResponse fires after the response arrives. For both, the
-	// rule's Scenario field selects a Monte Carlo chunk index (carried in the
-	// request's chunk header; -1 matches every request).
-	NetRequest  Point = "net_request"
-	NetResponse Point = "net_response"
 )
 
 // Mode selects what an armed rule does when it fires.
@@ -53,11 +46,6 @@ const (
 	// Delay sleeps for Rule.Delay (context-aware), then proceeds normally;
 	// used to hold scenarios in flight while a test cancels the run.
 	Delay
-	// Truncate, on a NetResponse rule, lets the request complete and then
-	// cuts the response body in half — the partial-response fault a worker
-	// dying mid-write produces. Only the network Transport interprets it;
-	// pipeline hook points treat it as a no-op.
-	Truncate
 )
 
 func (m Mode) String() string {
@@ -68,8 +56,6 @@ func (m Mode) String() string {
 		return "panic"
 	case Delay:
 		return "delay"
-	case Truncate:
-		return "truncate"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }

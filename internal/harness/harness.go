@@ -22,10 +22,9 @@ const DefaultScenarios = 8
 
 // Engine is the once-per-design half of the paper's flow held as one value:
 // the framework calibrated and trained at the engine's operating condition,
-// the frameworks of the other conditions an operating-point search visits,
-// and the Monte Carlo specs a cluster worker rebuilds. Each command, daemon
-// and test holds its own engine, and two engines share nothing. Its methods
-// are safe for concurrent use.
+// and the frameworks of the other conditions an operating-point search
+// visits. Each command, daemon and test holds its own engine, and two
+// engines share nothing. Its methods are safe for concurrent use.
 type Engine struct {
 	cond     cell.OperatingCondition
 	cacheDir string
@@ -37,9 +36,6 @@ type Engine struct {
 	condMu  sync.Mutex
 	condFWs map[string]*condEntry // guarded by condMu
 	condLRU []string              // most recently used last; guarded by condMu
-
-	specMu   sync.Mutex
-	specMemo map[string]*specEntry // guarded by specMu
 }
 
 // New returns an engine whose framework builds at cond through the model
@@ -54,7 +50,6 @@ func New(cond cell.OperatingCondition, cacheDir string) (*Engine, error) {
 		cacheDir: cacheDir,
 		build:    buildFramework,
 		condFWs:  map[string]*condEntry{},
-		specMemo: map[string]*specEntry{},
 	}, nil
 }
 

@@ -5,10 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"tsperr/internal/errormodel"
@@ -159,151 +157,6 @@ func TestShardedCountsPinned(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 			t.Errorf("seed %d: counts digest %s, want %s", tc.seed, got, tc.want)
 		}
-	}
-}
-
-// TestChunkAssembleMatchesSharded pins the cluster-layer invariant: running
-// every chunk individually through RunChunk — in any order, even shipped
-// through a JSON round trip as the worker wire format does — and assembling
-// must be bit-identical to RunSharded.
-func TestChunkAssembleMatchesSharded(t *testing.T) {
-	p, _, _, conds := fixture(t, 0.02, 0.05, 3)
-	spec := montecarlo.Spec{Prog: p, Cond: conds, Trials: 500, Seed: 99}
-	const chunkSize = 64
-
-	serial, err := montecarlo.RunSharded(context.Background(), spec, montecarlo.ShardOpts{ChunkSize: chunkSize, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := montecarlo.NumChunks(spec.Trials, chunkSize)
-	if n != serial.Chunks {
-		t.Fatalf("NumChunks = %d, RunSharded used %d", n, serial.Chunks)
-	}
-	chunks := make([]montecarlo.ChunkResult, 0, n)
-	// Reverse order: assembly must not care who produced which chunk when.
-	for c := n - 1; c >= 0; c-- {
-		r, err := montecarlo.RunChunk(context.Background(), spec, chunkSize, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The cluster worker ships chunks as JSON; the round trip must be
-		// bit-exact for the distributed result to stay bit-identical.
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rt montecarlo.ChunkResult
-		if err := json.Unmarshal(b, &rt); err != nil {
-			t.Fatal(err)
-		}
-		chunks = append(chunks, rt)
-	}
-	got, err := montecarlo.Assemble(spec.Trials, chunkSize, chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got.Counts {
-		if got.Counts[i] != serial.Counts[i] {
-			t.Fatalf("count[%d] = %v, serial %v", i, got.Counts[i], serial.Counts[i])
-		}
-	}
-	if got.Stats != serial.Stats {
-		t.Fatalf("stats %+v, serial %+v", got.Stats, serial.Stats)
-	}
-	if got.Instructions != serial.Instructions || got.Chunks != serial.Chunks {
-		t.Fatalf("instructions/chunks %d/%d vs serial %d/%d",
-			got.Instructions, got.Chunks, serial.Instructions, serial.Chunks)
-	}
-}
-
-func TestAssembleRejectsIncompleteSets(t *testing.T) {
-	p, _, _, conds := fixture(t, 0.02, 0.05, 1)
-	spec := montecarlo.Spec{Prog: p, Cond: conds, Trials: 100, Seed: 1}
-	const chunkSize = 32
-	n := montecarlo.NumChunks(spec.Trials, chunkSize)
-	chunks := make([]montecarlo.ChunkResult, 0, n)
-	for c := 0; c < n; c++ {
-		r, err := montecarlo.RunChunk(context.Background(), spec, chunkSize, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chunks = append(chunks, r)
-	}
-	if _, err := montecarlo.Assemble(spec.Trials, chunkSize, chunks[:n-1]); err == nil {
-		t.Error("missing chunk must fail assembly")
-	}
-	dup := append(append([]montecarlo.ChunkResult{}, chunks[:n-1]...), chunks[0])
-	if _, err := montecarlo.Assemble(spec.Trials, chunkSize, dup); err == nil {
-		t.Error("duplicate chunk must fail assembly")
-	}
-	short := append([]montecarlo.ChunkResult{}, chunks...)
-	short[1].Counts = short[1].Counts[:len(short[1].Counts)-1]
-	if _, err := montecarlo.Assemble(spec.Trials, chunkSize, short); err == nil {
-		t.Error("truncated chunk (a partial remote response) must fail assembly")
-	}
-	oob := append([]montecarlo.ChunkResult{}, chunks...)
-	oob[0].Index = n + 3
-	if _, err := montecarlo.Assemble(spec.Trials, chunkSize, oob); err == nil {
-		t.Error("out-of-range chunk index must fail assembly")
-	}
-}
-
-// TestAssembleRejectsBadCounts feeds Assemble chunks whose numbers no chunk
-// run produces, as a faulty or hostile cluster peer might send them: each
-// must fail assembly with an error naming the chunk.
-func TestAssembleRejectsBadCounts(t *testing.T) {
-	p, _, _, conds := fixture(t, 0.02, 0.05, 1)
-	spec := montecarlo.Spec{Prog: p, Cond: conds, Trials: 100, Seed: 1}
-	const chunkSize = 32
-	n := montecarlo.NumChunks(spec.Trials, chunkSize)
-	good := make([]montecarlo.ChunkResult, 0, n)
-	for c := 0; c < n; c++ {
-		r, err := montecarlo.RunChunk(context.Background(), spec, chunkSize, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		good = append(good, r)
-	}
-	if _, err := montecarlo.Assemble(spec.Trials, chunkSize, good); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name    string
-		corrupt func(*montecarlo.ChunkResult)
-	}{
-		{"negative count", func(ch *montecarlo.ChunkResult) { ch.Counts[3] = -1 }},
-		{"negative zero count", func(ch *montecarlo.ChunkResult) { ch.Counts[3] = math.Copysign(0, -1) }},
-		{"fractional count", func(ch *montecarlo.ChunkResult) { ch.Counts[3] += 0.5 }},
-		{"NaN count", func(ch *montecarlo.ChunkResult) { ch.Counts[3] = math.NaN() }},
-		{"infinite count", func(ch *montecarlo.ChunkResult) { ch.Counts[3] = math.Inf(1) }},
-		{"negative instructions", func(ch *montecarlo.ChunkResult) { ch.Instructions = -5 }},
-	} {
-		chunks := append([]montecarlo.ChunkResult{}, good...)
-		chunks[2].Counts = append([]float64{}, chunks[2].Counts...)
-		tc.corrupt(&chunks[2])
-		if err := chunks[2].Validate(); err == nil {
-			t.Errorf("%s: Validate accepted the chunk", tc.name)
-		}
-		_, err := montecarlo.Assemble(spec.Trials, chunkSize, chunks)
-		if err == nil || !strings.Contains(err.Error(), "chunk 2 ") {
-			t.Errorf("%s: Assemble error %v, want one naming chunk 2", tc.name, err)
-		}
-	}
-}
-
-func TestRunChunkValidation(t *testing.T) {
-	p, _, _, conds := fixture(t, 0.02, 0.05, 1)
-	spec := montecarlo.Spec{Prog: p, Cond: conds, Trials: 100, Seed: 1}
-	if _, err := montecarlo.RunChunk(context.Background(), spec, 32, -1); err == nil {
-		t.Error("negative chunk index must fail")
-	}
-	if _, err := montecarlo.RunChunk(context.Background(), spec, 32, 4); err == nil {
-		t.Error("chunk index past the budget must fail")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := montecarlo.RunChunk(ctx, spec, 32, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled chunk: err = %v, want Canceled", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,9 +13,6 @@ import (
 	"tsperr/internal/cell"
 	"tsperr/internal/cluster"
 	"tsperr/internal/core"
-	"tsperr/internal/errormodel"
-	"tsperr/internal/isa"
-	"tsperr/internal/montecarlo"
 )
 
 // fakeCluster scripts the coordinator surface so the server's routing and
@@ -32,19 +28,18 @@ type fakeCluster struct {
 	stats    cluster.Stats
 
 	proxyCalls atomic.Int64
-	mcCalls    atomic.Int64
+	// proxyBody is the body of the last ProxyEstimate call, written before
+	// proxyCalls counts the call so a test that loads the count first may
+	// read it.
+	proxyBody []byte
 }
 
 func (f *fakeCluster) Route(string) string { return f.route }
 
-func (f *fakeCluster) ProxyEstimate(context.Context, string, []byte) (*core.Report, error) {
+func (f *fakeCluster) ProxyEstimate(_ context.Context, _ string, body []byte) (*core.Report, error) {
+	f.proxyBody = body
 	f.proxyCalls.Add(1)
 	return f.proxyRep, f.proxyErr
-}
-
-func (f *fakeCluster) MCRun(ctx context.Context, job core.MCJob) (*montecarlo.ShardedResult, error) {
-	f.mcCalls.Add(1)
-	return montecarlo.RunSharded(ctx, job.Spec, job.Shard)
 }
 
 func (f *fakeCluster) Ready() bool                        { return f.ready }
@@ -111,11 +106,13 @@ func TestReadyzWithoutClusterTracksWarmth(t *testing.T) {
 	}
 }
 
-// clusterEstimates are the request bodies the routing tests run: a plain
-// estimate and an operating-point override, which route alike.
-var clusterEstimates = []string{
-	`{"benchmark":"typeset"}`,
-	`{"benchmark":"typeset","voltage":0.95,"freq_ratio":1.1}`,
+// clusterEstimates are the request bodies the routing tests run, one subtest
+// each: a plain estimate, an operating-point override and a Monte Carlo
+// validation, which all route alike.
+var clusterEstimates = []struct{ name, body string }{
+	{"estimate", `{"benchmark":"typeset"}`},
+	{"oppoint", `{"benchmark":"typeset","voltage":0.95,"freq_ratio":1.1}`},
+	{"mc_trials", `{"benchmark":"typeset","mc_trials":400}`},
 }
 
 // countingConfig attaches fc to a config whose two local entry points, the
@@ -136,22 +133,39 @@ func countingConfig(fc *fakeCluster, calls *atomic.Int64) Config {
 
 func TestEstimateRoutesToOwningPeer(t *testing.T) {
 	ctx := context.Background()
-	for _, req := range clusterEstimates {
-		var analyzeCalls atomic.Int64
-		fc := &fakeCluster{route: "http://peer-1", proxyRep: fakeReport("routed")}
-		_, ts := newTestServer(t, ctx, countingConfig(fc, &analyzeCalls))
-		code, body, err := postEstimate(ctx, ts.URL, req)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("%s: routed estimate: %d %v", req, code, err)
-		}
-		rep := body["report"].(map[string]any)
-		if rep["name"] != "routed" {
-			t.Fatalf("%s: got report %v, want the peer's", req, rep["name"])
-		}
-		if fc.proxyCalls.Load() != 1 || analyzeCalls.Load() != 0 {
-			t.Fatalf("%s: proxy=%d analyze=%d; want the peer to answer and local to stay idle",
-				req, fc.proxyCalls.Load(), analyzeCalls.Load())
-		}
+	for _, tc := range clusterEstimates {
+		t.Run(tc.name, func(t *testing.T) {
+			req := tc.body
+			var analyzeCalls atomic.Int64
+			fc := &fakeCluster{route: "http://peer-1", proxyRep: fakeReport("routed")}
+			_, ts := newTestServer(t, ctx, countingConfig(fc, &analyzeCalls))
+			code, body, err := postEstimate(ctx, ts.URL, req)
+			if err != nil || code != http.StatusOK {
+				t.Fatalf("%s: routed estimate: %d %v", req, code, err)
+			}
+			rep := body["report"].(map[string]any)
+			if rep["name"] != "routed" {
+				t.Fatalf("%s: got report %v, want the peer's", req, rep["name"])
+			}
+			if fc.proxyCalls.Load() != 1 || analyzeCalls.Load() != 0 {
+				t.Fatalf("%s: proxy=%d analyze=%d; want the peer to answer and local to stay idle",
+					req, fc.proxyCalls.Load(), analyzeCalls.Load())
+			}
+			// The proxied body carries every field of the request, so the owner
+			// computes the same report under the same key.
+			var sent, proxied map[string]any
+			if err := json.Unmarshal([]byte(req), &sent); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(fc.proxyBody, &proxied); err != nil {
+				t.Fatalf("%s: proxied body %s: %v", req, fc.proxyBody, err)
+			}
+			for k, v := range sent {
+				if proxied[k] != v {
+					t.Errorf("%s: proxied body %s has %s = %v, want %v", req, fc.proxyBody, k, proxied[k], v)
+				}
+			}
+		})
 	}
 }
 
@@ -193,162 +207,24 @@ func TestForwardedEstimateNeverReRoutes(t *testing.T) {
 
 func TestProxyFailureFallsBackToLocal(t *testing.T) {
 	ctx := context.Background()
-	for _, req := range clusterEstimates {
-		var analyzeCalls atomic.Int64
-		fc := &fakeCluster{route: "http://peer-1", proxyErr: io.ErrUnexpectedEOF}
-		_, ts := newTestServer(t, ctx, countingConfig(fc, &analyzeCalls))
-		code, body, err := postEstimate(ctx, ts.URL, req)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("%s: fallback estimate: %d %v", req, code, err)
-		}
-		if rep := body["report"].(map[string]any); rep["name"] != "typeset" {
-			t.Fatalf("%s: fallback answered with %v, want the local report", req, rep["name"])
-		}
-		if fc.proxyCalls.Load() != 1 || analyzeCalls.Load() != 1 {
-			t.Fatalf("%s: proxy=%d analyze=%d; want one failed proxy, then local execution",
-				req, fc.proxyCalls.Load(), analyzeCalls.Load())
-		}
-	}
-}
-
-func TestMCTrialsFanOutThroughCluster(t *testing.T) {
-	ctx := context.Background()
-	fc := &fakeCluster{route: "http://peer-1"}
-	spec := chunkTestSpec(t)
-	cfg := Config{
-		Analyze: func(ctx context.Context, b string, n int, o core.AnalyzeOpts) (*core.Report, error) {
-			if o.MCRun == nil {
-				t.Error("MCTrials request reached Analyze without the cluster runner")
-				return fakeReport(b), nil
+	for _, tc := range clusterEstimates {
+		t.Run(tc.name, func(t *testing.T) {
+			req := tc.body
+			var analyzeCalls atomic.Int64
+			fc := &fakeCluster{route: "http://peer-1", proxyErr: io.ErrUnexpectedEOF}
+			_, ts := newTestServer(t, ctx, countingConfig(fc, &analyzeCalls))
+			code, body, err := postEstimate(ctx, ts.URL, req)
+			if err != nil || code != http.StatusOK {
+				t.Fatalf("%s: fallback estimate: %d %v", req, code, err)
 			}
-			job := core.MCJob{Benchmark: b, Scenarios: n, ChunkSize: 16, Spec: spec}
-			job.Spec.Trials, job.Spec.Seed = o.MCTrials, 1
-			if _, err := o.MCRun(ctx, job); err != nil {
-				return nil, err
+			if rep := body["report"].(map[string]any); rep["name"] != "typeset" {
+				t.Fatalf("%s: fallback answered with %v, want the local report", req, rep["name"])
 			}
-			return fakeReport(b), nil
-		},
-		Cluster: fc,
-		Limits:  Limits{MaxMCTrials: 64},
-	}
-	_, ts := newTestServer(t, ctx, cfg)
-	code, _, err := postEstimate(ctx, ts.URL, `{"benchmark":"typeset","mc_trials":32}`)
-	if err != nil || code != http.StatusOK {
-		t.Fatalf("mc estimate: %d %v", code, err)
-	}
-	if fc.mcCalls.Load() != 1 {
-		t.Fatalf("cluster MCRun called %d times, want 1", fc.mcCalls.Load())
-	}
-	if fc.proxyCalls.Load() != 0 {
-		t.Fatal("MCTrials request was proxied whole instead of fanning out chunks")
-	}
-}
-
-// chunkTestSpec builds a minimal valid Monte Carlo spec for chunk-endpoint
-// tests.
-func chunkTestSpec(t *testing.T) montecarlo.Spec {
-	t.Helper()
-	p, err := isa.Assemble("chunkfix", "\tli r1, 2\nloop:\n\taddi r1, r1, -1\n\tbne r1, r0, loop\n\thalt\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(p.Insts)
-	cond := &errormodel.Conditionals{PC: make([]float64, n), PE: make([]float64, n)}
-	for i := range cond.PC {
-		cond.PC[i] = 0.01
-		cond.PE[i] = 0.02
-	}
-	return montecarlo.Spec{Prog: p, Cond: []*errormodel.Conditionals{cond}}
-}
-
-func TestClusterChunkEndpointExecutesChunks(t *testing.T) {
-	ctx := context.Background()
-	spec := chunkTestSpec(t)
-	cfg := Config{
-		Analyze: func(ctx context.Context, b string, n int, o core.AnalyzeOpts) (*core.Report, error) {
-			return fakeReport(b), nil
-		},
-		Fingerprint: "model-A",
-		ChunkSource: func(ctx context.Context, benchmark string, scenarios int) (montecarlo.Spec, error) {
-			if benchmark != "chunkfix" {
-				return montecarlo.Spec{}, errors.New("unknown benchmark")
+			if fc.proxyCalls.Load() != 1 || analyzeCalls.Load() != 1 {
+				t.Fatalf("%s: proxy=%d analyze=%d; want one failed proxy, then local execution",
+					req, fc.proxyCalls.Load(), analyzeCalls.Load())
 			}
-			return spec, nil
-		},
-	}
-	_, ts := newTestServer(t, ctx, cfg)
-	post := func(body, fingerprint string) (*http.Response, []byte) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/cluster/chunk", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fingerprint != "" {
-			req.Header.Set(cluster.HeaderFingerprint, fingerprint)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, raw
-	}
-
-	resp, raw := post(`{"benchmark":"chunkfix","scenarios":1,"trials":40,"seed":9,"chunk_size":16,"index":1}`, "model-A")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("chunk request: %d %s", resp.StatusCode, raw)
-	}
-	var got montecarlo.ChunkResult
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
-	}
-	refSpec := spec
-	refSpec.Trials, refSpec.Seed = 40, 9
-	want, err := montecarlo.RunChunk(ctx, refSpec, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Index != want.Index || len(got.Counts) != len(want.Counts) {
-		t.Fatalf("chunk shape: got index %d/%d counts, want %d/%d", got.Index, len(got.Counts), want.Index, len(want.Counts))
-	}
-	for i := range got.Counts {
-		if got.Counts[i] != want.Counts[i] {
-			t.Fatalf("count %d: got %v, want %v", i, got.Counts[i], want.Counts[i])
-		}
-	}
-
-	if resp, raw = post(`{"benchmark":"chunkfix","scenarios":1,"trials":40,"seed":9,"chunk_size":16,"index":0}`, "model-B"); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("fingerprint mismatch: %d %s, want 409", resp.StatusCode, raw)
-	}
-	if resp, raw = post(`{"benchmark":"nope","scenarios":1,"trials":40,"seed":9,"chunk_size":16,"index":0}`, "model-A"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown benchmark: %d %s, want 400", resp.StatusCode, raw)
-	}
-	if resp, raw = post(`{"benchmark":`, "model-A"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad body: %d %s, want 400", resp.StatusCode, raw)
-	}
-	if resp, raw = post(`{"benchmark":"chunkfix","scenarios":1,"trials":0,"seed":9,"chunk_size":16,"index":0}`, "model-A"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid trial budget: %d %s, want 400", resp.StatusCode, raw)
-	}
-}
-
-func TestChunkEndpointAbsentWithoutSource(t *testing.T) {
-	ctx := context.Background()
-	cfg := Config{
-		Analyze: func(ctx context.Context, b string, n int, o core.AnalyzeOpts) (*core.Report, error) {
-			return fakeReport(b), nil
-		},
-	}
-	_, ts := newTestServer(t, ctx, cfg)
-	resp, err := http.Post(ts.URL+"/v1/cluster/chunk", "application/json", strings.NewReader(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("worker endpoint on a non-worker node: %d, want 404", resp.StatusCode)
+		})
 	}
 }
 
@@ -387,7 +263,7 @@ func TestMetricsRenderClusterSection(t *testing.T) {
 			{Addr: "http://peer-1", Healthy: true},
 			{Addr: "http://peer-2", Healthy: false},
 		},
-		stats: cluster.Stats{RemoteChunks: 3, StolenChunks: 1, ProxiedEstimates: 2},
+		stats: cluster.Stats{ProxiedEstimates: 2, ProxyFallbacks: 1},
 	}
 	cfg := Config{
 		Analyze: func(ctx context.Context, b string, n int, o core.AnalyzeOpts) (*core.Report, error) {
@@ -407,14 +283,12 @@ func TestMetricsRenderClusterSection(t *testing.T) {
 	}
 	text := string(raw)
 	for _, want := range []string{
-		"tsperrd_cluster_remote_chunks_total 3",
-		"tsperrd_cluster_stolen_chunks_total 1",
 		"tsperrd_cluster_proxied_estimates_total 2",
+		"tsperrd_cluster_proxy_fallbacks_total 1",
 		"tsperrd_cluster_quorum 1",
 		`tsperrd_peer_healthy{peer="http://peer-1"} 1`,
 		`tsperrd_peer_healthy{peer="http://peer-2"} 0`,
 		`tsperrd_requests_total{endpoint="readyz"}`,
-		`tsperrd_requests_total{endpoint="cluster_chunk"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

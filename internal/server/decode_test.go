@@ -10,7 +10,6 @@ import (
 
 	"tsperr/internal/cluster"
 	"tsperr/internal/core"
-	"tsperr/internal/montecarlo"
 )
 
 // TestBodiesAreOneJSONValue sends every JSON endpoint a valid body followed
@@ -19,22 +18,17 @@ import (
 // dropped. Trailing whitespace stays valid.
 func TestBodiesAreOneJSONValue(t *testing.T) {
 	ctx := context.Background()
-	spec := chunkTestSpec(t)
 	_, ts := newTestServer(t, ctx, Config{
 		Analyze: func(ctx context.Context, b string, n int, o core.AnalyzeOpts) (*core.Report, error) {
 			return fakeReport(b), nil
 		},
 		AnalyzeAt:   fakeAnalyzeAt(),
 		Fingerprint: "model-A",
-		ChunkSource: func(ctx context.Context, benchmark string, scenarios int) (montecarlo.Spec, error) {
-			return spec, nil
-		},
 	})
 	endpoints := []struct{ path, body string }{
 		{"/v1/estimate", `{"benchmark":"typeset"}`},
 		{"/v1/batch", `{"scenarios":[{"benchmark":"typeset"}]}`},
 		{"/v1/oppoint", `{"benchmark":"typeset","target_error_rate":0.1}`},
-		{"/v1/cluster/chunk", `{"benchmark":"chunkfix","scenarios":1,"trials":40,"seed":9,"chunk_size":16,"index":1}`},
 	}
 	suffixes := []struct {
 		name, suffix, wantErr string

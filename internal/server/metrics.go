@@ -23,7 +23,6 @@ type metrics struct {
 	healthRequests   atomic.Uint64
 	readyRequests    atomic.Uint64
 	metricsRequests  atomic.Uint64
-	chunkRequests    atomic.Uint64
 
 	computations  atomic.Uint64
 	dedupJoins    atomic.Uint64
@@ -132,7 +131,7 @@ type gauges struct {
 	ready            bool
 	uptime           time.Duration
 	// cluster is the coordinator snapshot (nil on single-node daemons):
-	// per-peer health plus the fan-out counters.
+	// per-peer health plus the routing counters.
 	cluster *clusterGauges
 	// surrogate is the fast-tier snapshot (nil when the surrogate is off).
 	surrogate *surrogateGauges
@@ -163,7 +162,6 @@ func (m *metrics) render(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"healthz\"} %d\n", m.healthRequests.Load())
 	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"readyz\"} %d\n", m.readyRequests.Load())
 	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"metrics\"} %d\n", m.metricsRequests.Load())
-	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"cluster_chunk\"} %d\n", m.chunkRequests.Load())
 	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"oppoint\"} %d\n", m.oppointRequests.Load())
 
 	counter("tsperrd_computations_total", "Estimations actually executed (after dedup and cache).", m.computations.Load())
@@ -197,10 +195,6 @@ func (m *metrics) render(w io.Writer, g gauges) {
 	gauge("tsperrd_uptime_seconds", "Seconds since the server started.", g.uptime.Seconds())
 
 	if c := g.cluster; c != nil {
-		counter("tsperrd_cluster_remote_chunks_total", "Monte Carlo chunks executed by peers.", c.stats.RemoteChunks)
-		counter("tsperrd_cluster_local_chunks_total", "Monte Carlo chunks executed locally under cluster fan-out.", c.stats.LocalChunks)
-		counter("tsperrd_cluster_stolen_chunks_total", "Chunks re-queued after a peer failed them mid-run.", c.stats.StolenChunks)
-		counter("tsperrd_cluster_hedged_chunks_total", "Chunks hedge-re-dispatched after exceeding the hedge deadline.", c.stats.HedgedChunks)
 		counter("tsperrd_cluster_proxied_estimates_total", "Estimate requests answered by the owning peer.", c.stats.ProxiedEstimates)
 		counter("tsperrd_cluster_proxy_fallbacks_total", "Routed estimates that fell back to local execution.", c.stats.ProxyFallbacks)
 		counter("tsperrd_cluster_fingerprint_mismatches_total", "Peer responses rejected for a model fingerprint mismatch.", c.stats.FingerprintMismatches)

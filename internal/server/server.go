@@ -65,14 +65,9 @@ type Config struct {
 	// BatchRetention caps stored batches (default 64); when every retained
 	// batch is still running, new batch requests get 503.
 	BatchRetention int
-	// Cluster, when non-nil, attaches the distributed layer: Monte Carlo
-	// validation chunks fan out across the peers and plain estimates route
-	// by consistent hash for cluster-wide dedup (coordinator role).
+	// Cluster, when non-nil, makes this node a coordinator: requests route
+	// by consistent hash to their key's owner for cluster-wide dedup.
 	Cluster Cluster
-	// ChunkSource, when non-nil, mounts POST /v1/cluster/chunk so this node
-	// executes Monte Carlo chunks for cluster coordinators (worker role).
-	// The daemon wires its harness engine's MCSpec.
-	ChunkSource cluster.SpecSource
 	// Surrogate, when non-nil, attaches the ML fast tier; SurrogateMode
 	// selects off (default), shadow (train + residuals, never serve), or
 	// serve (confident predictions answer directly). See surrogate.go.
@@ -263,9 +258,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.cfg.ChunkSource != nil {
-		mux.HandleFunc("POST /v1/cluster/chunk", s.handleClusterChunk)
-	}
 	return mux
 }
 
