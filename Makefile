@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint check oracle fuzz cover smoke bench pprof pprof-miss pprof-setup clean
+.PHONY: all build test lint check oracle fuzz cover smoke bench bench-cold pprof pprof-miss pprof-setup clean
 
 all: build
 
@@ -82,6 +82,20 @@ BENCH_OUT := BENCH_$(shell date +%Y-%m-%d).json
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -json . | tee $(BENCH_OUT)
+
+# `make bench-cold` records the cold set-up rows the same way, in
+# BENCH_<date>-cold.json: an uncached framework build, the five-unit SSTA
+# calibration, the multiplier's k-critical-path searches, and a fresh
+# daemon's set-up with and without the framework build
+# (BenchmarkLayer/setup-cold and control-cold), five rounds at -cpu 1 and 2.
+# Two runs, because a pattern with a sub-benchmark level reports no
+# benchmark that has none.
+BENCH_COLD_OUT := BENCH_$(shell date +%Y-%m-%d)-cold.json
+BENCH_COLD_FLAGS := -run '^$$' -count 5 -cpu 1,2 -benchmem -json
+
+bench-cold:
+	{ $(GO) test $(BENCH_COLD_FLAGS) -bench '^(BenchmarkFrameworkSetup|BenchmarkCalibrateScale|BenchmarkCriticalPaths)$$' . && \
+	  $(GO) test $(BENCH_COLD_FLAGS) -bench '^BenchmarkLayer$$/^(setup-cold|control-cold)$$' . ; } | tee $(BENCH_COLD_OUT)
 
 # `make pprof` captures CPU and allocation profiles of the warm end-to-end
 # stringsearch estimate (BenchmarkEndToEndWarm drives the simulate -> activity

@@ -22,6 +22,10 @@ import (
 type Framework struct {
 	Machine  *errormodel.Machine
 	Datapath *errormodel.DatapathModel
+
+	// periodModels keeps the datapath models AnalyzeAtRatio trained at
+	// periods other than the working one.
+	periodModels datapathStore
 }
 
 // NewFramework builds and trains the machine-dependent parts (everything

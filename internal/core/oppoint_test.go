@@ -361,6 +361,58 @@ func TestConcurrentRatiosShareOneFramework(t *testing.T) {
 	}
 }
 
+// TestPeriodStoreKeepsRecentlyUsed fills a datapath model store past
+// periodModelLimit while asking for one period after every training: that
+// period keeps the model first trained, and the oldest untouched one is
+// dropped. It also pins the limit's reason: on the default operating-point
+// grid (1.0 to 1.3 in 16 steps, ratios computed as SelectOperatingPoint
+// does), every ratio but the working one has its own period,
+// periodModelLimit in all.
+func TestPeriodStoreKeepsRecentlyUsed(t *testing.T) {
+	ctx := context.Background()
+	m := testFramework(t).Machine
+	lo, hi, steps := 1.0, 1.3, 16
+	grid := map[uint64]bool{}
+	for i := 0; i <= steps; i++ {
+		ratio := hi
+		if i < steps {
+			ratio = lo + (hi-lo)*float64(i)/float64(steps)
+		}
+		if p := math.Float64bits(m.BasePeriodPs / ratio); p != math.Float64bits(m.WorkingPeriodPs) {
+			grid[p] = true
+		}
+	}
+	if len(grid) != periodModelLimit {
+		t.Errorf("the default grid has %d non-working periods, periodModelLimit is %d", len(grid), periodModelLimit)
+	}
+
+	var s datapathStore
+	at := func(ratio float64) *errormodel.DatapathModel {
+		t.Helper()
+		dp, err := s.at(ctx, m, m.BasePeriodPs/ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dp
+	}
+	hot := at(1.01)
+	at(1.02)
+	for i := 1; i < periodModelLimit; i++ {
+		at(1.1 + float64(i)/100)
+		if at(1.01) != hot {
+			t.Fatalf("after %d trainings the most recently used model was retrained", i+2)
+		}
+	}
+	s.mu.Lock()
+	_, ok := s.byPeriod[math.Float64bits(m.BasePeriodPs/1.02)]
+	kept := len(s.lru)
+	s.mu.Unlock()
+	if ok || kept != periodModelLimit {
+		t.Errorf("after %d trainings: least recently used kept %v, %d models kept; want it dropped and %d kept",
+			periodModelLimit+1, ok, kept, periodModelLimit)
+	}
+}
+
 var (
 	droopOnce sync.Once
 	droopFW   *Framework
@@ -515,5 +567,45 @@ func TestBisectRatioCancel(t *testing.T) {
 		func(context.Context, float64) (*Report, error) { return rateReport(0), nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRepeatedRatioTrainsOnce pins the framework's store of datapath models
+// trained at non-working periods: a repeated analysis at one ratio reuses
+// the model the first trained, so it allocates about what an analysis at
+// the working ratio does, a training's worth less than when it trained,
+// and its report equals the first one byte for byte.
+func TestRepeatedRatioTrainsOnce(t *testing.T) {
+	ctx := context.Background()
+	f := freshFramework(ctx, t, testFramework(t))
+	spec := ProgramSpec{Prog: isa.MustAssemble("sumloop", fwProg), Setup: fwSetup, Scenarios: 2}
+	const ratio = 1.22
+	first, err := f.AnalyzeAtRatio(ctx, "sumloop", spec, ratio, AnalyzeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again *Report
+	repeated := testing.AllocsPerRun(3, func() {
+		if again, err = f.AnalyzeAtRatio(ctx, "sumloop", spec, ratio, AnalyzeOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	working := testing.AllocsPerRun(3, func() {
+		if _, err := f.AnalyzeWithOpts(ctx, "sumloop", spec, AnalyzeOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	training := testing.AllocsPerRun(1, func() {
+		if _, err := f.Machine.TrainDatapathWorkers(ctx, 0, f.Machine.BasePeriodPs/ratio); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations: repeated override %.0f, working ratio %.0f, one training %.0f", repeated, working, training)
+	if repeated > working+training/2 {
+		t.Errorf("a repeated override allocates %.0f objects, want about the working ratio's %.0f (one training is %.0f)",
+			repeated, working, training)
+	}
+	if got, want := stableReportJSON(t, again), stableReportJSON(t, first); got != want {
+		t.Errorf("repeated override's report differs from the first:\nfirst:  %s\nrepeat: %s", want, got)
 	}
 }

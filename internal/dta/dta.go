@@ -108,12 +108,13 @@ type epSet struct {
 }
 
 // resolve returns the set's per-endpoint candidate paths, enumerating them
-// on first use.
+// on first use in one search arena.
 func (s *epSet) resolve(a *Analyzer) []*epPaths {
 	s.once.Do(func() {
+		var ar sta.Arena
 		s.paths = make([]*epPaths, len(s.eps))
 		for i, ep := range s.eps {
-			s.paths[i] = a.endpointPaths(ep)
+			s.paths[i] = a.endpointPaths(ep, &ar)
 			s.bits += len(s.paths[i].ps)
 		}
 	})
@@ -157,9 +158,10 @@ func New(e *sta.Engine, k int) *Analyzer {
 }
 
 // endpointPaths returns the cached candidate paths of an endpoint,
-// enumerating them on first use. Concurrent callers for the same endpoint
-// block on the entry's once instead of duplicating the search.
-func (a *Analyzer) endpointPaths(ep netlist.GateID) *epPaths {
+// enumerating them on first use in the caller's arena. Concurrent callers
+// for the same endpoint block on the entry's once instead of duplicating
+// the search.
+func (a *Analyzer) endpointPaths(ep netlist.GateID, ar *sta.Arena) *epPaths {
 	a.mu.Lock()
 	e, ok := a.cache[ep]
 	if !ok {
@@ -168,7 +170,7 @@ func (a *Analyzer) endpointPaths(ep netlist.GateID) *epPaths {
 	}
 	a.mu.Unlock()
 	e.once.Do(func() {
-		for _, p := range a.Engine.CriticalPaths(ep, a.K) {
+		for _, p := range a.Engine.CriticalPathsIn(ep, a.K, ar) {
 			n := a.Engine.PathDelay(p).Neg()
 			e.ps = append(e.ps, pathSlack{
 				path: p,

@@ -98,7 +98,7 @@ func (e *Engine) EndpointSlackSSTA(ep netlist.GateID) (variation.Canon, bool) {
 func (e *Engine) CriticalityGap(k int) float64 {
 	arr, valid := e.ArrivalSSTA()
 	worst := 0.0
-	var ps pathSearch
+	var a Arena
 	for s := 0; s < e.N.Stages; s++ {
 		for _, ep := range e.N.Endpoints(s) {
 			d := e.N.Gate(ep).Fanin[0]
@@ -106,7 +106,7 @@ func (e *Engine) CriticalityGap(k int) float64 {
 				continue
 			}
 			blockSlack := arr[d].Neg().AddConst(e.ClockPeriod - cell.Setup)
-			paths := e.criticalPaths(ep, k, &ps)
+			paths := e.CriticalPathsIn(ep, k, &a)
 			if len(paths) == 0 {
 				continue
 			}

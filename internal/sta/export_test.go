@@ -16,6 +16,16 @@ const (
 
 // KCriticalTo runs one k-critical-path search with fresh scratch.
 func (e *Engine) KCriticalTo(ep netlist.GateID, k int, m Metric) []netlist.Path {
-	var ps pathSearch
-	return e.kCriticalTo(ep, k, m, &ps)
+	return e.kCriticalTo(ep, k, m, new(Arena))
+}
+
+// SearchSize runs CriticalPaths' three searches on a fresh arena and
+// reports the most states and heap entries any of them held when it ended.
+func (e *Engine) SearchSize(ep netlist.GateID, k int) (states, heap int) {
+	var a Arena
+	for m := range numMetrics {
+		e.kCriticalTo(ep, k, m, &a)
+		states, heap = max(states, int(a.nstates)), max(heap, int(a.nheap))
+	}
+	return states, heap
 }

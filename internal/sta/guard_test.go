@@ -2,6 +2,7 @@ package sta_test
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,11 +14,15 @@ import (
 )
 
 // TestCriticalPathsAllocs bounds the allocations of one CriticalPaths call
-// by the paths it returns. The multiplier's largest searches expand ~10^5
-// states, so a per-expansion allocation (a copied suffix, a boxed heap
-// entry) overshoots the bound by orders of magnitude; what remains is each
-// path's gate slice and dedup key plus the logarithmic growth of the search
-// scratch.
+// by the paths it returns and the states its searches hold. The
+// multiplier's largest searches expand ~10^5 states, so a per-expansion
+// allocation (a copied suffix, a boxed heap entry) overshoots the object
+// bound by orders of magnitude; what remains is each path's gate slice and
+// dedup key plus the search arena's chunks. The byte bound admits one pass
+// over the arena: 16 bytes per state and per heap entry, a quarter more for
+// the last chunks' unused tails, the first chunk of each, the paths and a
+// few small headers. An arena that grows by copying (append's 1.25x steps
+// over 24-byte states) allocates five times that on the largest searches.
 func TestCriticalPathsAllocs(t *testing.T) {
 	opts := errormodel.DefaultOptions()
 	model, err := variation.NewModel(opts.VariationLevels, opts.CorrShare)
@@ -28,12 +33,27 @@ func TestCriticalPathsAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const entryBytes, chunkBytes = 16, 64 << 10
 	for _, ep := range endpoints(e.N) {
-		var paths int
-		allocs := testing.AllocsPerRun(1, func() { paths = len(e.CriticalPaths(ep, opts.KPaths)) })
-		if limit := float64(8*paths + 64); allocs > limit {
+		var paths []netlist.Path
+		allocs := testing.AllocsPerRun(1, func() { paths = e.CriticalPaths(ep, opts.KPaths) })
+		if limit := float64(8*len(paths) + 64); allocs > limit {
 			t.Errorf("endpoint %d: CriticalPaths allocates %.0f objects for %d paths, want <= %.0f",
-				ep, allocs, paths, limit)
+				ep, allocs, len(paths), limit)
+		}
+		states, heap := e.SearchSize(ep, opts.KPaths)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		paths = e.CriticalPaths(ep, opts.KPaths)
+		runtime.ReadMemStats(&after)
+		held := 0
+		for _, p := range paths {
+			held += 16*len(p.Gates) + 256 // gate slice, dedup key, path header
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		if limit := 1.25*entryBytes*float64(states+heap) + 2*chunkBytes + 4<<10 + float64(held); float64(got) > limit {
+			t.Errorf("endpoint %d: CriticalPaths allocates %d bytes for %d states, %d heap entries and %d paths, want <= %.0f",
+				ep, got, states, heap, len(paths), limit)
 		}
 	}
 }

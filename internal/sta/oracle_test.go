@@ -207,8 +207,20 @@ func pathBytes(p netlist.Path) []byte {
 	return b
 }
 
-// units returns SSTA engines over the five generated pipeline units.
-func units(t testing.TB) []*sta.Engine {
+// offNominal is the oracle's operating condition away from nominal, where
+// both of the condition's factors differ from 1 (DelayFactor 0.855,
+// SigmaFactor 0.927) and the searches stay close to nominal's size: summed
+// over the five units' endpoints and k in {1, 3, 8, 32}, the largest search
+// of each CriticalPaths call holds 2.71M states against nominal's 2.57M
+// (the largest single search 0.53M against 0.18M). Of the 20 corners
+// measured, 11 hold 8-72x nominal's states (1.05 V 28M, 1.0 V/85 C 158M)
+// and 4 under a third (1.08 V 0.11M); 1.07 V pushes ~73M states in one
+// framework build.
+var offNominal = cell.OperatingCondition{VoltageV: 1.2, TempC: -40}
+
+// units returns SSTA engines over the five generated pipeline units at an
+// operating condition.
+func units(t testing.TB, cond cell.OperatingCondition) []*sta.Engine {
 	t.Helper()
 	opts := errormodel.DefaultOptions()
 	model, err := variation.NewModel(opts.VariationLevels, opts.CorrShare)
@@ -220,7 +232,7 @@ func units(t testing.TB) []*sta.Engine {
 	}
 	out := make([]*sta.Engine, len(nets))
 	for i, n := range nets {
-		if out[i], err = sta.NewEngine(n, model, 1200, opts.SigmaRel, 1); err != nil {
+		if out[i], err = sta.NewEngineAt(n, model, 1200, opts.SigmaRel, 1, cond); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,19 +280,20 @@ func sameCanon(a, b variation.Canon) bool {
 }
 
 // TestKCriticalMatchesReference pins the arena search to the container/heap
-// original: for every endpoint of every generated unit, under each ranking
-// metric and path budget, the same paths come out in the same order with
-// bit-identical delays, and so does the merged CriticalPaths set.
+// original: for every endpoint of every generated unit, at the nominal
+// condition and at offNominal, under each ranking metric and path budget,
+// the same paths come out in the same order with bit-identical delays, and
+// so does the merged CriticalPaths set.
 func TestKCriticalMatchesReference(t *testing.T) {
 	metrics := [3]sta.Metric{sta.MetricNominal, sta.MetricWorst, sta.MetricBest}
-	for _, e := range units(t) {
+	for _, e := range append(units(t, cell.OperatingCondition{}), units(t, offNominal)...) {
 		var arr [3][]float64
 		for i, m := range metrics {
 			arr[i] = refMaxArrival(e, m)
 		}
 		eps := endpoints(e.N)
 		if len(eps) == 0 {
-			t.Fatalf("%s: no endpoints", e.N.Name)
+			t.Fatalf("%s at %v: no endpoints", e.N.Name, e.Cond)
 		}
 		for _, k := range []int{1, 3, 8, 32} {
 			for _, ep := range eps {
@@ -288,12 +301,12 @@ func TestKCriticalMatchesReference(t *testing.T) {
 				for i, m := range metrics {
 					want[i] = refKCriticalTo(e, ep, k, m, arr[i])
 					if got := e.KCriticalTo(ep, k, m); !samePaths(got, want[i]) {
-						t.Fatalf("%s ep %d k=%d metric %d: paths differ from the reference\n got %v\nwant %v",
-							e.N.Name, ep, k, m, got, want[i])
+						t.Fatalf("%s at %v ep %d k=%d metric %d: paths differ from the reference\n got %v\nwant %v",
+							e.N.Name, e.Cond, ep, k, m, got, want[i])
 					}
 				}
 				if got, w := e.CriticalPaths(ep, k), refCriticalPaths(e, want); !samePaths(got, w) {
-					t.Fatalf("%s ep %d k=%d: CriticalPaths differs from the reference", e.N.Name, ep, k)
+					t.Fatalf("%s at %v ep %d k=%d: CriticalPaths differs from the reference", e.N.Name, e.Cond, ep, k)
 				}
 			}
 		}

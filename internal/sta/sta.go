@@ -42,14 +42,15 @@ type Engine struct {
 
 	delays []variation.Canon
 	topo   []netlist.GateID
-	// sigma holds each gate delay's standard deviation and arrival the
-	// longest source-to-gate arrival per ranking metric: pure functions of
-	// the gate delays, filled once by prepare on the first path query (a
+	// Per ranking metric, delay holds each gate's scalar delay and bound its
+	// A* prefix bound (the longest arrival at any fanin, 0 for a source), so
+	// a gate's longest source-to-gate arrival is bound+delay: pure functions
+	// of the gate delays, filled once by prepare on the first path query (a
 	// warm start that never searches paths skips the cost) and read-only
 	// afterwards, so the DTA analyzer's workers share an engine.
-	prep    sync.Once
-	sigma   []float64
-	arrival [numMetrics][]float64
+	prep  sync.Once
+	delay [numMetrics][]float64
+	bound [numMetrics][]float64
 }
 
 // NewEngine prepares an engine at the nominal operating condition. The
@@ -92,15 +93,15 @@ func NewEngineAt(n *netlist.Netlist, model *variation.Model, clockPeriod, sigmaR
 	return e, nil
 }
 
-// prepare fills the sigma and arrival tables on first use.
+// prepare fills the per-metric tables on first use.
 func (e *Engine) prepare() {
 	e.prep.Do(func() {
-		e.sigma = make([]float64, len(e.delays))
+		sigma := make([]float64, len(e.delays))
 		for i, d := range e.delays {
-			e.sigma[i] = d.Std()
+			sigma[i] = d.Std()
 		}
-		for m := range e.arrival {
-			e.arrival[m] = e.maxArrival(nominalMetric(m))
+		for m := range e.delay {
+			e.tabulate(nominalMetric(m), sigma)
 		}
 	})
 }
@@ -118,61 +119,69 @@ const (
 	numMetrics
 )
 
-func (e *Engine) scalarDelay(id netlist.GateID, m nominalMetric) float64 {
-	mean := e.delays[id].Mean
-	switch m {
-	case metricWorst:
-		return mean + 2.3263478740408408*e.sigma[id]
-	case metricBest:
-		return mean - 2.3263478740408408*e.sigma[id]
-	default:
-		return mean
+// tabulate fills metric m's tables from the gate sigmas: every gate's
+// scalar delay, then, in topological order, its prefix bound.
+func (e *Engine) tabulate(m nominalMetric, sigma []float64) {
+	n := len(e.delays)
+	delay, bound := make([]float64, n), make([]float64, n)
+	for id, d := range e.delays {
+		switch m {
+		case metricWorst:
+			delay[id] = d.Mean + 2.3263478740408408*sigma[id]
+		case metricBest:
+			delay[id] = d.Mean - 2.3263478740408408*sigma[id]
+		default:
+			delay[id] = d.Mean
+		}
 	}
-}
-
-// maxArrival computes, for the chosen metric, the longest source-to-gate
-// (inclusive) combinational arrival for every gate. It reads sigma, so only
-// prepare calls it.
-func (e *Engine) maxArrival(m nominalMetric) []float64 {
-	arr := make([]float64, e.N.NumGates())
 	gates := e.N.Gates()
 	for _, id := range e.topo {
 		g := &gates[id]
 		if g.Kind.IsSource() {
-			arr[id] = e.scalarDelay(id, m) // clock-to-Q or 0
-			continue
+			continue // a source has no prefix: its arrival is its own delay
 		}
 		best := math.Inf(-1)
 		for _, f := range g.Fanin {
-			if arr[f] > best {
-				best = arr[f]
+			if arr := bound[f] + delay[f]; arr > best {
+				best = arr
 			}
 		}
 		if math.IsInf(best, -1) {
 			best = 0
 		}
-		arr[id] = best + e.scalarDelay(id, m)
+		bound[id] = best
 	}
-	return arr
+	e.delay[m], e.bound[m] = delay, bound
 }
 
-// pathSearch is the scratch state of the best-first k-critical-path
-// search: an arena of partial paths, each linked to the suffix it extends,
-// and a binary max-heap of arena indices. The heap sifts exactly as
-// container/heap does, so paths of equal priority (common under the
-// nominal metric) pop in the same order and the same k paths come out.
-type pathSearch struct {
-	states []searchState
-	heap   []heapEntry
+// chunkBits sizes the arena's chunks: 1<<chunkBits states or heap entries,
+// 64 KiB each.
+const (
+	chunkBits = 12
+	chunkLen  = 1 << chunkBits
+	chunkMask = chunkLen - 1
+)
+
+// Arena is the scratch of the best-first k-critical-path search: search
+// states, each linked to the suffix it extends, and a binary max-heap of
+// state indices. Both live in fixed-size chunks that are appended as the
+// search grows and never copied, and every search run on the arena reuses
+// them. The heap sifts exactly as container/heap does: the same pushes and
+// pops leave the same layout, so paths of equal priority (common under the
+// worst-case metric) pop in the same order and the same k paths come out.
+// The zero value is ready to use; an arena serves one search at a time.
+type Arena struct {
+	states  []*[chunkLen]searchState
+	heap    []*[chunkLen]heapEntry
+	nstates int32
+	nheap   int32
 }
 
 // searchState is a partial path suffix [gate ... endpointDriver]: gate
-// followed by the suffix of state next (-1 after the driver), depth gates
-// in all.
+// followed by the suffix of state next (-1 after the driver).
 type searchState struct {
 	gate     netlist.GateID
 	next     int32
-	depth    int32
 	sufDelay float64
 }
 
@@ -181,54 +190,77 @@ type heapEntry struct {
 	state    int32
 }
 
-// add appends a state to the arena and pushes it with the given priority.
-func (ps *pathSearch) add(s searchState, priority float64) {
-	ps.states = append(ps.states, s)
-	h := append(ps.heap, heapEntry{priority: priority, state: int32(len(ps.states) - 1)})
-	// container/heap's up.
-	j := len(h) - 1
-	for {
+func (a *Arena) state(i int32) *searchState { return &a.states[i>>chunkBits][i&chunkMask] }
+
+// add stores a state and pushes it with the given priority.
+func (a *Arena) add(s searchState, priority float64) {
+	idx := a.nstates
+	if int(idx) == len(a.states)*chunkLen {
+		a.states = append(a.states, new([chunkLen]searchState))
+	}
+	a.states[idx>>chunkBits][idx&chunkMask] = s
+	a.nstates++
+	j := a.nheap
+	if int(j) == len(a.heap)*chunkLen {
+		a.heap = append(a.heap, new([chunkLen]heapEntry))
+	}
+	a.nheap++
+	// container/heap's up, moving the hole instead of swapping into it.
+	h := a.heap
+	for j > 0 {
 		i := (j - 1) / 2
-		if i == j || !(h[j].priority > h[i].priority) {
+		p := &h[i>>chunkBits][i&chunkMask]
+		if !(priority > p.priority) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[j>>chunkBits][j&chunkMask] = *p
 		j = i
 	}
-	ps.heap = h
+	h[j>>chunkBits][j&chunkMask] = heapEntry{priority: priority, state: idx}
 }
 
-// pop removes and returns the arena index of the highest-priority state.
-func (ps *pathSearch) pop() int32 {
-	h := ps.heap
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	// container/heap's down over h[:n].
-	i := 0
+// pop removes and returns the state index of the highest-priority entry.
+func (a *Arena) pop() int32 {
+	h := a.heap
+	top := h[0][0].state
+	n := a.nheap - 1
+	a.nheap = n
+	last := h[n>>chunkBits][n&chunkMask]
+	// container/heap's down over the first n entries, with the last entry
+	// swapped into the root and moved as a hole.
+	i := int32(0)
 	for {
 		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && h[j2].priority > h[j].priority {
-			j = j2
+		c := &h[j>>chunkBits][j&chunkMask]
+		if j2 := j + 1; j2 < n {
+			if c2 := &h[j2>>chunkBits][j2&chunkMask]; c2.priority > c.priority {
+				j, c = j2, c2
+			}
 		}
-		if !(h[j].priority > h[i].priority) {
+		if !(c.priority > last.priority) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i>>chunkBits][i&chunkMask] = *c
 		i = j
 	}
-	ps.heap = h[:n]
-	return h[n].state
+	h[i>>chunkBits][i&chunkMask] = last
+	return top
 }
 
 // gates materializes the path suffix of state idx, source first.
-func (ps *pathSearch) gates(idx int32) []netlist.GateID {
-	out := make([]netlist.GateID, ps.states[idx].depth)
+func (a *Arena) gates(idx int32) []netlist.GateID {
+	n := 0
+	for i := idx; i >= 0; i = a.state(i).next {
+		n++
+	}
+	out := make([]netlist.GateID, n)
 	for i := range out {
-		out[i] = ps.states[idx].gate
-		idx = ps.states[idx].next
+		s := a.state(idx)
+		out[i] = s.gate
+		idx = s.next
 	}
 	return out
 }
@@ -236,56 +268,37 @@ func (ps *pathSearch) gates(idx int32) []netlist.GateID {
 // kCriticalTo enumerates up to k complete paths ending at endpoint ep in
 // exactly decreasing order of total delay under the chosen metric, using
 // best-first (A*) search with the max-arrival upper bound as heuristic.
-// ps is reset and reused as scratch.
-func (e *Engine) kCriticalTo(ep netlist.GateID, k int, m nominalMetric, ps *pathSearch) []netlist.Path {
-	g := e.N.Gate(ep)
+// The arena is reset and reused as scratch.
+func (e *Engine) kCriticalTo(ep netlist.GateID, k int, m nominalMetric, a *Arena) []netlist.Path {
+	gates := e.N.Gates()
+	g := &gates[ep]
 	if g.Kind != cell.DFF {
 		return nil
 	}
 	e.prepare()
-	arr := e.arrival[m]
+	delay, bound := e.delay[m], e.bound[m]
 	driver := g.Fanin[0]
-	ps.states, ps.heap = ps.states[:0], ps.heap[:0]
-	start := searchState{gate: driver, next: -1, depth: 1, sufDelay: e.scalarDelay(driver, m)}
-	ps.add(start, e.prefixBound(driver, arr)+start.sufDelay)
+	a.nstates, a.nheap = 0, 0 // keep the chunks
+	a.add(searchState{gate: driver, next: -1, sufDelay: delay[driver]}, bound[driver]+delay[driver])
 	var out []netlist.Path
-	for len(ps.heap) > 0 && len(out) < k {
-		idx := ps.pop()
-		s := ps.states[idx]
-		sg := e.N.Gate(s.gate)
+	for a.nheap > 0 && len(out) < k {
+		idx := a.pop()
+		s := *a.state(idx)
+		sg := &gates[s.gate]
 		if sg.Kind.IsSource() {
 			out = append(out, netlist.Path{
-				Gates:        ps.gates(idx),
+				Gates:        a.gates(idx),
 				Endpoint:     ep,
 				NominalDelay: s.sufDelay + cell.Setup,
 			})
 			continue
 		}
 		for _, f := range sg.Fanin {
-			ns := searchState{gate: f, next: idx, depth: s.depth + 1, sufDelay: s.sufDelay + e.scalarDelay(f, m)}
-			ps.add(ns, e.prefixBound(f, arr)+ns.sufDelay)
+			suf := s.sufDelay + delay[f]
+			a.add(searchState{gate: f, next: idx, sufDelay: suf}, bound[f]+suf)
 		}
 	}
 	return out
-}
-
-// prefixBound returns the best possible delay of any source-to-g-exclusive
-// prefix, used as the A* heuristic. Sources have no prefix.
-func (e *Engine) prefixBound(g netlist.GateID, arr []float64) float64 {
-	gate := e.N.Gate(g)
-	if gate.Kind.IsSource() {
-		return 0
-	}
-	best := math.Inf(-1)
-	for _, f := range gate.Fanin {
-		if arr[f] > best {
-			best = arr[f]
-		}
-	}
-	if math.IsInf(best, -1) {
-		return 0
-	}
-	return best
 }
 
 // CriticalPaths returns up to k paths per ranking metric for endpoint ep,
@@ -295,17 +308,16 @@ func (e *Engine) prefixBound(g netlist.GateID, arr []float64) float64 {
 // Algorithm 1 under SSTA: it guarantees the set contains every path that
 // could become the true critical path over process variation.
 func (e *Engine) CriticalPaths(ep netlist.GateID, k int) []netlist.Path {
-	var ps pathSearch
-	return e.criticalPaths(ep, k, &ps)
+	return e.CriticalPathsIn(ep, k, new(Arena))
 }
 
-// criticalPaths is CriticalPaths with caller-owned search scratch, which a
-// loop over endpoints grows once instead of once per endpoint.
-func (e *Engine) criticalPaths(ep netlist.GateID, k int, ps *pathSearch) []netlist.Path {
+// CriticalPathsIn is CriticalPaths searching in a caller-owned arena, which
+// a loop over endpoints grows once instead of once per endpoint.
+func (e *Engine) CriticalPathsIn(ep netlist.GateID, k int, a *Arena) []netlist.Path {
 	seen := map[string]bool{}
 	var out []netlist.Path
 	for _, m := range [...]nominalMetric{metricNominal, metricWorst, metricBest} {
-		for _, p := range e.kCriticalTo(ep, k, m, ps) {
+		for _, p := range e.kCriticalTo(ep, k, m, a) {
 			key := pathKey(p)
 			if seen[key] {
 				continue
@@ -342,7 +354,7 @@ func (e *Engine) nominalPathDelay(p netlist.Path) float64 {
 func (e *Engine) PathDelay(p netlist.Path) variation.Canon {
 	sum := e.Model.Const(cell.Setup)
 	for _, g := range p.Gates {
-		sum = sum.Add(e.delays[g])
+		sum.AddInPlace(e.delays[g])
 	}
 	return sum
 }
@@ -454,11 +466,11 @@ func corrOf(a, b variation.Canon, sa, sb float64) float64 {
 // stage (the classic STA number), used to calibrate operating points.
 func (e *Engine) WorstSlackNominal(stage int) float64 {
 	e.prepare()
-	arr := e.arrival[metricNominal]
+	bound, delay := e.bound[metricNominal], e.delay[metricNominal]
 	worst := math.Inf(1)
 	for _, ep := range e.N.Endpoints(stage) {
 		driver := e.N.Gate(ep).Fanin[0]
-		slack := e.ClockPeriod - cell.Setup - arr[driver]
+		slack := e.ClockPeriod - cell.Setup - (bound[driver] + delay[driver])
 		if slack < worst {
 			worst = slack
 		}
@@ -470,12 +482,12 @@ func (e *Engine) WorstSlackNominal(stage int) float64 {
 // across all stages: the minimum clock period of the design under STA.
 func (e *Engine) MaxDelayNominal() float64 {
 	e.prepare()
-	arr := e.arrival[metricNominal]
+	bound, delay := e.bound[metricNominal], e.delay[metricNominal]
 	worst := 0.0
 	for s := 0; s < e.N.Stages; s++ {
 		for _, ep := range e.N.Endpoints(s) {
 			driver := e.N.Gate(ep).Fanin[0]
-			if d := arr[driver] + cell.Setup; d > worst {
+			if d := bound[driver] + delay[driver] + cell.Setup; d > worst {
 				worst = d
 			}
 		}
@@ -498,16 +510,16 @@ func (e *Engine) MaxDelayPercentile(p float64, k int) float64 {
 	}
 	// One search arena per worker: a task takes one and puts it back.
 	workers := runtime.GOMAXPROCS(0)
-	arenas := make(chan *pathSearch, workers)
+	arenas := make(chan *Arena, workers)
 	for i := 0; i < workers; i++ {
-		arenas <- new(pathSearch)
+		arenas <- new(Arena)
 	}
 	perEP := make([][]variation.Canon, len(eps))
 	errs := make([]error, len(eps))
 	pool.Run(context.Background(), len(eps), workers, false, errs, func(_ context.Context, i int) error {
-		ps := <-arenas
-		defer func() { arenas <- ps }()
-		for _, path := range e.criticalPaths(eps[i], k, ps) {
+		a := <-arenas
+		defer func() { arenas <- a }()
+		for _, path := range e.CriticalPathsIn(eps[i], k, a) {
 			perEP[i] = append(perEP[i], e.PathDelay(path))
 		}
 		return nil
@@ -541,9 +553,9 @@ func (e *Engine) EndpointSlackForms(stage int, k int) map[netlist.GateID][]varia
 	out := map[netlist.GateID][]variation.Canon{}
 	eps := e.N.Endpoints(stage)
 	sort.Slice(eps, func(i, j int) bool { return eps[i] < eps[j] })
-	var ps pathSearch
+	var a Arena
 	for _, ep := range eps {
-		for _, p := range e.criticalPaths(ep, k, &ps) {
+		for _, p := range e.CriticalPathsIn(ep, k, &a) {
 			out[ep] = append(out[ep], e.PathSlack(p))
 		}
 	}

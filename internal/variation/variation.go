@@ -130,12 +130,19 @@ func (c Canon) Clone() Canon {
 // exactly in this representation).
 func (c Canon) Add(o Canon) Canon {
 	r := c.Clone()
-	r.Mean += o.Mean
-	for i, s := range o.Sens {
-		r.Sens[i] += s
-	}
-	r.Rand = math.Hypot(c.Rand, o.Rand)
+	r.AddInPlace(o)
 	return r
+}
+
+// AddInPlace adds o into c, leaving c bit for bit what c.Add(o) returns,
+// without allocating. c's sensitivities are written, so they must not be
+// shared with another form.
+func (c *Canon) AddInPlace(o Canon) {
+	c.Mean += o.Mean
+	for i, s := range o.Sens {
+		c.Sens[i] += s
+	}
+	c.Rand = math.Hypot(c.Rand, o.Rand)
 }
 
 // AddConst returns c shifted by v.
