@@ -52,8 +52,10 @@ fuzz:
 
 # `make cover` is the coverage ratchet: total statement coverage must stay
 # at or above COVER_MIN. Raise the floor when coverage grows; never lower it
-# to admit a regression. (Measured 78.9% when the ratchet was introduced.)
-COVER_MIN ?= 75.0
+# to admit a regression. (Measured 78.9% when the ratchet was introduced at
+# 75.0; 85.3-85.5% when the floor was raised to one point below the lower
+# reading.)
+COVER_MIN ?= 84.3
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
@@ -62,18 +64,15 @@ cover:
 		   if ($$3 + 0 < min) { printf "FAIL: coverage %.1f%% below ratchet %.1f%%\n", $$3, min; exit 1 } \
 		   printf "coverage %.1f%% (ratchet %.1f%%)\n", $$3, min }'
 
-# `make smoke` runs the four tsperrd end-to-end smokes, each driving
-# re-executed daemons on kernel-chosen ports: the daemon (warm-up, one
+# `make smoke` runs the three tsperrd end-to-end smokes, each driving a
+# re-executed daemon on a kernel-chosen port: the daemon (warm-up, one
 # estimate, a 16-request dedup burst), the operating-point search (a 2x2
-# voltage/temperature grid whose warm re-run is served from the cache), the
-# surrogate tier (untrained escalations, background training, shadow
-# residuals, the response tier field) and the cluster (a -peers coordinator
-# routing a Monte Carlo request to one of two plain daemons, which is
-# SIGKILLed mid-request; the local fallback matches a single-node run byte
-# for byte), each ending in a SIGTERM drain. `go test ./...` runs them too,
-# except under -short.
+# voltage/temperature grid whose warm re-run is served from the cache) and
+# the surrogate tier (untrained escalations, background training, shadow
+# residuals, the response tier field), each ending in a SIGTERM drain.
+# `go test ./...` runs them too, except under -short.
 smoke:
-	$(GO) test -count=1 -run '^TestSmoke(Daemon|Oppoint|Surrogate|Cluster)$$' ./cmd/tsperrd
+	$(GO) test -count=1 -run '^TestSmoke(Daemon|Oppoint|Surrogate)$$' ./cmd/tsperrd
 
 # `make bench` records the full benchmark suite as go-test JSON events in
 # BENCH_<date>.json (benchstat-friendly after extracting the output lines:

@@ -9,7 +9,6 @@
 //	        [-max-scenarios N] [-max-batch N] [-max-mc-trials N]
 //	        [-request-timeout D] [-max-timeout D]
 //	        [-drain-timeout D] [-model-cache] [-model-cache-dir DIR]
-//	        [-peers URL,URL,...] [-probe-interval D]
 //	        [-surrogate off|shadow|serve] [-surrogate-max-std S]
 //	        [-surrogate-guard-band S] [-surrogate-min-train N]
 //	        [-surrogate-retrain N]
@@ -24,13 +23,6 @@
 //	        escalate to the exact pipeline, whose results keep training the
 //	        model. The trained surrogate persists in the model cache keyed
 //	        on the model fingerprint.
-//
-// Cluster: with -peers set, the daemon coordinates: it routes every
-// estimate request (Monte Carlo validations included) to the owner of its
-// key on a consistent-hash ring over itself and the peers, for cluster-wide
-// dedup, and answers locally when the owner fails. Every daemon answers the
-// requests a coordinator routes to it, so the peers are plain daemons, and
-// daemons can coordinate over each other.
 //
 // Endpoints:
 //
@@ -47,9 +39,7 @@
 //	                      suite runs through the dedup/cache layer with
 //	                      bounded-queue pacing (identical entries compute once)
 //	GET  /v1/batches/{id} per-entry status and incremental results
-//	GET  /healthz         503 while the model warms, 200 once ready (liveness)
-//	GET  /readyz          readiness: warm AND, on a coordinator, a quorum of
-//	                      healthy peers
+//	GET  /healthz         503 while the model warms, 200 once ready
 //	GET  /metrics         Prometheus text format
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections and drains:
@@ -68,14 +58,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"tsperr/internal/cell"
 	"tsperr/internal/cliutil"
-	"tsperr/internal/cluster"
 	"tsperr/internal/core"
 	"tsperr/internal/harness"
 	"tsperr/internal/mibench"
@@ -135,10 +123,6 @@ func main() {
 		"cap on the per-request timeout_ms knob (0 = no cap)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"how long shutdown waits for in-flight estimates")
-	peersFlag := flag.String("peers", "",
-		"comma-separated peer base URLs, e.g. http://10.0.0.2:8080; set, this daemon coordinates")
-	probeInterval := flag.Duration("probe-interval", 0,
-		"healthy-peer probe period (0 = 2s default)")
 	surrogateMode := flag.String("surrogate", server.SurrogateOff,
 		"ML fast tier: off, shadow (train and track accuracy only), or serve (confident predictions answer directly)")
 	surrogateMaxStd := flag.Float64("surrogate-max-std", 0,
@@ -159,9 +143,7 @@ func main() {
 
 	// The same content address the model cache files under: options (with the
 	// operating condition) plus the cell library. Request keys therefore never
-	// collide across operating points or library revisions — and cluster nodes
-	// with different models refuse each other's requests instead of mixing
-	// bits.
+	// collide across operating points or library revisions.
 	fingerprint := modelcache.Key(eng.Options(), cell.Fingerprint())
 
 	var lazyTier *lazySurrogate
@@ -172,25 +154,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "tsperrd: unknown -surrogate %q (off, shadow, serve)\n", *surrogateMode)
 		os.Exit(cliutil.ExitUsage)
-	}
-
-	var coord *cluster.Coordinator
-	var peers []string
-	for _, p := range strings.Split(*peersFlag, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	if *peersFlag != "" && len(peers) == 0 {
-		fmt.Fprintf(os.Stderr, "tsperrd: -peers %q names no peer URL\n", *peersFlag)
-		os.Exit(cliutil.ExitUsage)
-	}
-	if len(peers) > 0 {
-		coord = cluster.New(cluster.Config{
-			Peers:         peers,
-			Fingerprint:   fingerprint,
-			ProbeInterval: *probeInterval,
-		})
 	}
 
 	cfg := server.Config{
@@ -213,9 +176,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		MaxBatch:       *maxBatch,
 	}
-	if coord != nil {
-		cfg.Cluster = coord
-	}
 	if lazyTier != nil {
 		cfg.Surrogate = lazyTier
 		cfg.SurrogateMode = *surrogateMode
@@ -223,10 +183,6 @@ func main() {
 	srv, err := server.New(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if coord != nil {
-		coord.Start(context.Background())
-		log.Printf("coordinating %d peer(s); quorum %d", len(coord.PeerStatuses()), coord.Quorum())
 	}
 
 	// Bind before logging the address, so the log names the port bound (the
@@ -298,9 +254,6 @@ func main() {
 		os.Exit(cliutil.ExitFailure)
 	}
 	srv.Close()
-	if coord != nil {
-		coord.Stop()
-	}
 	if lazyTier != nil {
 		// Let an in-flight background retraining finish (and persist) before
 		// the process exits.

@@ -51,15 +51,6 @@ func TestSmokeUnknownFlag(t *testing.T) {
 	}
 }
 
-// A -peers list that names no URL is a usage error, not a daemon that
-// silently coordinates nothing.
-func TestSmokePeersWithoutURLIsUsage(t *testing.T) {
-	code, stderr := runSelf(t, "-peers", " , ", "-model-cache=false")
-	if code != 2 || !strings.Contains(stderr, "names no peer URL") {
-		t.Fatalf("exit = %d, stderr = %s; want usage error", code, stderr)
-	}
-}
-
 // A port already in use fails the bind: exit 1, with no "listening on" line
 // naming an address the daemon never bound.
 func TestSmokeHeldPortFailsBeforeListening(t *testing.T) {

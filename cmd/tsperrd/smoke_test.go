@@ -2,8 +2,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -17,10 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"tsperr/internal/cell"
-	"tsperr/internal/cluster"
-	"tsperr/internal/harness"
-	"tsperr/internal/modelcache"
 	"tsperr/internal/server"
 )
 
@@ -198,11 +192,9 @@ func smoke(t *testing.T) {
 
 // estimate is the part of a POST /v1/estimate response the smokes read.
 type estimate struct {
-	Key    string `json:"key"`
 	Tier   string `json:"tier"`
 	Report struct {
-		Name string          `json:"name"`
-		MC   json.RawMessage `json:"montecarlo"`
+		Name string `json:"name"`
 	} `json:"report"`
 }
 
@@ -317,100 +309,4 @@ func TestSmokeSurrogate(t *testing.T) {
 		t.Errorf("gate decisions unaccounted for: %d hits, %d uncertain, %d untrained", hits, uncertain, untrained)
 	}
 	d.drain()
-}
-
-// TestSmokeCluster: a -peers coordinator routes requests by key over two
-// plain daemons. A 5000-trial Monte Carlo request owned by daemon B is sent
-// through the coordinator, and B is SIGKILLed while computing it: the
-// request still succeeds, through the coordinator's local fallback, with
-// the montecarlo section daemon A computes alone, byte for byte.
-func TestSmokeCluster(t *testing.T) {
-	smoke(t)
-	// Daemon A trains the model and fills the cache the others restore from.
-	cache := t.TempDir()
-	a := startDaemon(t, "daemon A", "-model-cache-dir", cache)
-	a.waitOK("/healthz")
-	b := startDaemon(t, "daemon B", "-model-cache-dir", cache)
-	peers := []string{"http://" + a.addr, "http://" + b.addr}
-	c := startDaemon(t, "coordinator", "-peers", strings.Join(peers, ","), "-model-cache-dir", cache)
-	b.waitOK("/healthz")
-	c.waitOK("/readyz")
-	poll(t, "two healthy peers", func() bool {
-		var r struct {
-			HealthyPeers int `json:"healthy_peers"`
-		}
-		_, body, err := c.fetch("/readyz", "")
-		return err == nil && json.Unmarshal(body, &r) == nil && r.HealthyPeers == 2
-	})
-
-	// The coordinator's ring is a function of its peer list, so a test
-	// coordinator over the same peers names each key's owner. Pick a
-	// scenario count whose request B owns.
-	eng, err := harness.New(cell.OperatingCondition{}, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fingerprint := modelcache.Key(eng.Options(), cell.Fingerprint())
-	ring := cluster.New(cluster.Config{Peers: peers})
-	ring.ProbeOnce(context.Background())
-	var req server.Request
-	for n := 1; n <= 32 && req.Benchmark == ""; n++ {
-		r := server.Request{Benchmark: "pgp.decode", Scenarios: n, MCTrials: 5000}
-		if ring.Route(r.Key(fingerprint)) == peers[1] {
-			req = r
-		}
-	}
-	if req.Benchmark == "" {
-		t.Fatal("daemon B owns no request of 1 to 32 scenarios")
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var ref estimate
-	a.post("/v1/estimate", string(body), &ref)
-	if ref.Key != req.Key(fingerprint) {
-		t.Fatalf("daemon A keyed the request %s, the test %s", ref.Key, req.Key(fingerprint))
-	}
-	type reply struct {
-		code int
-		body []byte
-		err  error
-	}
-	routed := make(chan reply, 1)
-	go func() {
-		code, b, err := c.fetch("/v1/estimate", string(body))
-		routed <- reply{code, b, err}
-	}()
-	for b.metric("tsperrd_inflight_computations") == 0 {
-		select {
-		case r := <-routed:
-			t.Fatalf("the routed request finished before daemon B was seen computing it: status %d, %v", r.code, r.err)
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	_ = b.cmd.Process.Kill()
-	r := <-routed
-	var got estimate
-	if r.err != nil || r.code != http.StatusOK || json.Unmarshal(r.body, &got) != nil {
-		t.Fatalf("routed request with its owner killed: status %d, %v: %s", r.code, r.err, r.body)
-	}
-
-	var refMC, gotMC bytes.Buffer
-	if json.Compact(&refMC, ref.Report.MC) != nil || json.Compact(&gotMC, got.Report.MC) != nil {
-		t.Fatalf("a response carries no montecarlo section: %s", got.Report.MC)
-	}
-	if refMC.String() != gotMC.String() {
-		t.Fatalf("routed montecarlo section diverges from the single-node run:\n%s\n%s", gotMC.String(), refMC.String())
-	}
-	var mc struct{ Trials int }
-	if err := json.Unmarshal(gotMC.Bytes(), &mc); err != nil || mc.Trials != 5000 {
-		t.Fatalf("validation incomplete (%v): %s", err, gotMC.String())
-	}
-	if n := c.metric("tsperrd_cluster_proxy_fallbacks_total"); n == 0 {
-		t.Error("no proxy fallback counted after daemon B died mid-request")
-	}
-	c.drain()
-	a.drain()
 }

@@ -34,8 +34,9 @@ func NewFramework(opts errormodel.Options) (*Framework, error) {
 	return NewFrameworkContext(context.Background(), opts)
 }
 
-// NewFrameworkContext is NewFramework under a context: cancellation aborts
-// between (and inside) the calibration and training phases.
+// NewFrameworkContext is NewFramework under a context: once ctx is done, no
+// further unit calibration or datapath measurement starts and the call
+// returns ctx's error. Work already running finishes first.
 func NewFrameworkContext(ctx context.Context, opts errormodel.Options) (*Framework, error) {
 	m, err := errormodel.NewMachineContext(ctx, opts)
 	if err != nil {
@@ -148,9 +149,9 @@ type Report struct {
 	Surrogate *SurrogateMeta
 
 	// scenarioCount and wireFailures preserve the wire-schema scenario count
-	// and flattened failure strings across a JSON round trip: a coordinator
-	// proxying a worker's report cannot reconstruct the Scenario values or the
-	// joined error tree, but its re-marshal must still emit the worker's exact
+	// and flattened failure strings across a JSON round trip: a client that
+	// decodes a report cannot reconstruct the Scenario values or the joined
+	// error tree, but its re-marshal must still emit the server's exact
 	// bytes. MarshalJSON falls back to them when the rich fields are empty.
 	scenarioCount int
 	wireFailures  []string
@@ -447,12 +448,9 @@ func (f *Framework) runPool(ctx context.Context, n int, opts AnalyzeOpts, errs [
 	pool.Run(ctx, n, opts.Workers, opts.FailFast, errs, work)
 }
 
-// retryPolicy maps AnalyzeOpts onto the shared backoff helper: zero
-// RetryBackoff selects the small default, negative disables delays entirely
-// (tests), and every schedule clamps at retryBackoffCap. Scenario retries
-// stay un-jittered — the delays are per-scenario and never synchronized, and
-// a jitter draw would make run timing seed-dependent for no decorrelation
-// benefit.
+// retryPolicy maps AnalyzeOpts onto the backoff helper: zero RetryBackoff
+// selects the small default, negative disables delays entirely (tests), and
+// every schedule clamps at retryBackoffCap.
 func retryPolicy(opts AnalyzeOpts) retry.Policy {
 	base := opts.RetryBackoff
 	switch {
@@ -465,11 +463,11 @@ func retryPolicy(opts AnalyzeOpts) retry.Policy {
 }
 
 // withRetry runs one scenario attempt, retrying transient failures up to
-// opts.Retries times with the shared capped-exponential backoff
+// opts.Retries times with the capped-exponential backoff
 // (internal/retry). Context cancellations and deadline expiries are terminal
 // immediately, including when they interrupt the backoff sleep itself.
 func (f *Framework) withRetry(ctx context.Context, opts AnalyzeOpts, attempt func(n int) *ScenarioError) error {
-	return retry.Do(ctx, retryPolicy(opts), 0, opts.Retries+1, func(n int) error {
+	return retry.Do(ctx, retryPolicy(opts), opts.Retries+1, func(n int) error {
 		// Return the typed error through a plain error variable only when
 		// non-nil: a nil *ScenarioError stuffed into an error interface would
 		// read as a failure.

@@ -120,8 +120,9 @@ func (r *Report) Summary() *Report {
 // the producing process — so the decoded Report carries the summary fields
 // only: Scenarios stays empty (the count lands in the unexported round-trip
 // memo) and Failures stays nil (the flattened strings likewise). Re-marshaling
-// the decoded Report emits the original bytes, which is what lets a cluster
-// coordinator proxy a worker's report without perturbing it.
+// the decoded Report emits the original bytes, which is what lets a client
+// that decodes a response re-encode it unchanged (the benchmark times the
+// server's encode that way).
 func (r *Report) UnmarshalJSON(b []byte) error {
 	var in reportJSON
 	if err := json.Unmarshal(b, &in); err != nil {

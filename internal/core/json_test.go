@@ -123,9 +123,9 @@ func TestReportJSONDegradationFields(t *testing.T) {
 	}
 }
 
-// TestReportJSONRoundTrip pins the proxy invariant the cluster layer leans
-// on: decode a report's wire bytes into a Report, re-marshal, and the bytes
-// are identical — scenario count, failure lines, durations, estimate, and
+// TestReportJSONRoundTrip pins the round-trip invariant a decoding client
+// leans on: decode a report's wire bytes into a Report, re-marshal, and the
+// bytes are identical — scenario count, failure lines, durations, estimate, and
 // Monte Carlo block all survive even though the decoded Report has no
 // Scenario values or error tree.
 func TestReportJSONRoundTrip(t *testing.T) {

@@ -49,8 +49,9 @@ type DatapathModel struct {
 // TrainDatapath measures the per-depth DTS tables. It mirrors the training
 // flow of Figure 2: run targeted vectors through the gate-level unit, record
 // activity, and apply Algorithm 1 to the data endpoints. Training runs at the
-// working period on the shared worker pool with GOMAXPROCS workers; ctx
-// cancels between depth measurements.
+// working period on the shared worker pool with GOMAXPROCS workers; once ctx
+// is done no further depth measurement starts, and the call returns ctx's
+// error.
 func (m *Machine) TrainDatapath(ctx context.Context) (*DatapathModel, error) {
 	return m.TrainDatapathWorkers(ctx, 0, m.WorkingPeriodPs)
 }
@@ -103,8 +104,12 @@ func (m *Machine) TrainDatapathWorkers(ctx context.Context, workers int, period 
 	tasks = append(tasks, func() error { return m.trainLogic(dp, sims[3], logicEps, period) })
 
 	errs := make([]error, len(tasks))
-	pool.Run(ctx, len(tasks), workers, false, errs,
-		func(_ context.Context, i int) error { return tasks[i]() })
+	pool.Run(ctx, len(tasks), workers, false, errs, func(ctx context.Context, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return tasks[i]()
+	})
 	if err := pool.FirstError(errs); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package errormodel
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -62,6 +63,21 @@ func TestNewMachineRejectsBadOptions(t *testing.T) {
 		if _, err := NewMachine(o); err == nil {
 			t.Errorf("CalibrationPercentile %v should fail", p)
 		}
+	}
+}
+
+// A cancelled context stops set-up before any work: NewMachineContext
+// calibrates no unit and TrainDatapath measures no depth, and both return
+// nil and context.Canceled.
+func TestSetUpHonoursCancelledContext(t *testing.T) {
+	m := testMachine(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := NewMachineContext(ctx, DefaultOptions()); got != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("NewMachineContext on a cancelled context = %p, %v; want nil, context.Canceled", got, err)
+	}
+	if dp, err := m.TrainDatapath(ctx); dp != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("TrainDatapath on a cancelled context = %p, %v; want nil, context.Canceled", dp, err)
 	}
 }
 

@@ -131,8 +131,10 @@ func NewMachine(opts Options) (*Machine, error) {
 	return NewMachineContext(context.Background(), opts)
 }
 
-// NewMachineContext is NewMachine with cancellable calibration: ctx aborts
-// the per-unit SSTA calibration between units.
+// NewMachineContext is NewMachine with cancellable calibration: once ctx is
+// done, no unit starts its SSTA calibration and the call returns ctx's
+// error. A unit already calibrating runs to the end of its path search
+// first.
 func NewMachineContext(ctx context.Context, opts Options) (*Machine, error) {
 	return newMachine(ctx, opts, nil)
 }
@@ -215,7 +217,10 @@ func newMachine(ctx context.Context, opts Options, scales map[string]float64) (*
 	// machine construction — runs on the shared bounded worker pool. A
 	// cached scale table (warm start) skips calibration entirely.
 	errs := make([]error, len(units))
-	pool.Run(ctx, len(units), 0, false, errs, func(_ context.Context, i int) error {
+	pool.Run(ctx, len(units), 0, false, errs, func(ctx context.Context, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		u := units[i]
 		var scale float64
 		if scales != nil {

@@ -15,7 +15,7 @@ import (
 // reports, in non-test files:
 //
 //  1. any call of time.Now — wall-clock input makes reports irreproducible
-//     and breaks the cluster's bit-identity contract;
+//     and breaks the model cache's bit-identity contract;
 //  2. any call of a package-level math/rand (or math/rand/v2) function —
 //     the global generator is shared, racy, and (v2) nondeterministically
 //     seeded; all sampling goes through numeric.RNG;
@@ -41,7 +41,7 @@ var DetSource = &Analyzer{
 }
 
 // DetSourceScope lists the result-determining packages: everything whose
-// output lands bit-for-bit in a report, a cached model, or a cluster chunk.
+// output lands bit-for-bit in a report or a cached model.
 var DetSourceScope = []string{
 	"tsperr/internal/dta",
 	"tsperr/internal/montecarlo",

@@ -28,10 +28,11 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 // min(workers, n) goroutines; workers <= 0 selects runtime.GOMAXPROCS(0). A
 // panicking task is recovered into a *PanicError. When errs is non-nil it
 // must have length >= n; each task's failure is recorded at its own index
-// (distinct slots, so no synchronization is needed by the caller). With
-// failFast set, the first failure cancels the pool context so in-flight
-// tasks abort at their next context poll and pending tasks observe the
-// cancelled context.
+// (distinct slots, so no synchronization is needed by the caller). Once ctx
+// is done, Run dispatches no further task and records ctx.Err() at every
+// index it did not run. With failFast set, the first failure cancels the
+// pool context so in-flight tasks abort at their next context poll and
+// pending tasks observe the cancelled context.
 //
 // Run returns once every dispatched task has finished. Tasks writing to
 // distinct elements of shared slices need no further synchronization: the
@@ -69,10 +70,20 @@ func Run(ctx context.Context, n, workers int, failFast bool, errs []error, work 
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
+	sent := 0
+	for sent < n && ctx.Err() == nil {
+		select {
+		case idx <- sent:
+			sent++
+		case <-ctx.Done():
+		}
 	}
 	close(idx)
+	if errs != nil {
+		for i := sent; i < n; i++ {
+			errs[i] = ctx.Err()
+		}
+	}
 	wg.Wait()
 }
 

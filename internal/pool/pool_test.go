@@ -86,6 +86,54 @@ func TestRunFailFastCancelsPending(t *testing.T) {
 	}
 }
 
+// A context that is already done dispatches nothing: every slot holds the
+// context's error, and no task runs to find that out for itself.
+func TestRunCancelledContextRunsNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const n = 16
+	errs := make([]error, n)
+	var ran atomic.Int64
+	Run(ctx, n, 4, false, errs, func(context.Context, int) error {
+		ran.Add(1)
+		return nil
+	})
+	if ran.Load() != 0 {
+		t.Errorf("%d tasks ran under a cancelled context, want 0", ran.Load())
+	}
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("errs[%d] = %v, want context.Canceled", i, err)
+		}
+	}
+}
+
+// A cancellation mid-run stops dispatch: with one worker, at most the task
+// already handed over runs after the one that cancelled, and every later
+// slot holds the context's error.
+func TestRunStopsDispatchOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const n = 16
+	errs := make([]error, n)
+	var ran atomic.Int64
+	Run(ctx, n, 1, false, errs, func(_ context.Context, i int) error {
+		ran.Add(1)
+		if i == 0 {
+			cancel()
+		}
+		return nil
+	})
+	if r := ran.Load(); r > 2 {
+		t.Errorf("%d tasks ran, want at most 2", r)
+	}
+	for i := 2; i < n; i++ {
+		if !errors.Is(errs[i], context.Canceled) {
+			t.Fatalf("errs[%d] = %v, want context.Canceled", i, errs[i])
+		}
+	}
+}
+
 func TestRunZeroTasksAndNilContext(t *testing.T) {
 	Run(context.Background(), 0, 4, false, nil, func(context.Context, int) error {
 		t.Fatal("must not run")

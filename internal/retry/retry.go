@@ -1,10 +1,7 @@
-// Package retry provides capped exponential backoff with optional full
-// jitter, shared by the scenario retry loop (internal/core) and the cluster
-// layer's peer probing and chunk re-dispatch (internal/cluster). The delay
-// schedule is a pure function of the policy (Policy.Delay), jitter randomness
-// comes from an injectable deterministic RNG, and sleeping goes through a
-// substitutable context-aware primitive — so tests assert exact schedules
-// without a real clock.
+// Package retry provides capped exponential backoff for the scenario retry
+// loop (internal/core). The delay schedule is a pure function of the policy
+// (Policy.Delay), so tests assert exact schedules without a clock, and every
+// wait goes through the context-aware Sleep.
 package retry
 
 import (
@@ -12,28 +9,20 @@ import (
 	"errors"
 	"math"
 	"time"
-
-	"tsperr/internal/numeric"
 )
 
 // Policy describes a capped exponential backoff schedule.
 type Policy struct {
-	// Base is the pre-jitter delay before the first retry; it doubles per
-	// attempt. Zero or negative disables delays entirely (every Delay is 0).
+	// Base is the delay before the first retry; it doubles per attempt.
+	// Zero or negative disables delays entirely (every Delay is 0).
 	Base time.Duration
 	// Cap bounds every delay; the doubling clamps here, as does arithmetic
 	// overflow. Zero means uncapped.
 	Cap time.Duration
-	// Jitter, when set, draws each delay uniformly from [0, d) — "full
-	// jitter" — so concurrent retriers decorrelate instead of thundering
-	// back against a recovering peer in lockstep.
-	Jitter bool
 }
 
-// Delay returns the backoff before retry n (1-based). rng supplies the
-// jitter draw and may be nil when Jitter is unset; with Jitter set and a nil
-// rng the un-jittered delay is returned.
-func (p Policy) Delay(n int, rng *numeric.RNG) time.Duration {
+// Delay returns the backoff before retry n (1-based).
+func (p Policy) Delay(n int) time.Duration {
 	if p.Base <= 0 || n < 1 {
 		return 0
 	}
@@ -50,9 +39,6 @@ func (p Policy) Delay(n int, rng *numeric.RNG) time.Duration {
 	}
 	if p.Cap > 0 && d > p.Cap {
 		d = p.Cap
-	}
-	if p.Jitter && rng != nil && d > 0 {
-		d = time.Duration(rng.Float64() * float64(d))
 	}
 	return d
 }
@@ -78,56 +64,13 @@ func Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// SleepFn matches Sleep; tests substitute a recording fake so whole backoff
-// schedules are asserted deterministically.
-type SleepFn func(ctx context.Context, d time.Duration) error
-
-// Backoff iterates one Policy schedule with its own jitter stream. It is not
-// safe for concurrent use; give each retrying goroutine its own iterator.
-type Backoff struct {
-	policy Policy
-	rng    *numeric.RNG
-	n      int
-	sleep  SleepFn
-}
-
-// NewBackoff starts a backoff iterator. seed feeds the jitter RNG, so a fixed
-// seed replays the exact delay schedule (peers seed with a hash of their
-// address: reproducible per peer, decorrelated across peers).
-func NewBackoff(p Policy, seed uint64) *Backoff {
-	return &Backoff{policy: p, rng: numeric.NewRNG(seed), sleep: Sleep}
-}
-
-// SetSleep substitutes the sleeping primitive (tests).
-func (b *Backoff) SetSleep(fn SleepFn) { b.sleep = fn }
-
-// Attempt reports how many delays the schedule has issued since the last
-// Reset.
-func (b *Backoff) Attempt() int { return b.n }
-
-// Reset rewinds the schedule to the first delay; callers invoke it after a
-// success so the next failure starts the ramp from Base again.
-func (b *Backoff) Reset() { b.n = 0 }
-
-// Next returns the upcoming delay and advances the schedule.
-func (b *Backoff) Next() time.Duration {
-	b.n++
-	return b.policy.Delay(b.n, b.rng)
-}
-
-// Wait sleeps for the next delay in the schedule, honoring ctx.
-func (b *Backoff) Wait(ctx context.Context) error {
-	return b.sleep(ctx, b.Next())
-}
-
 // Do runs fn up to attempts times (the first try plus attempts-1 retries),
-// sleeping the policy's backoff between failures. A context cancellation or
+// sleeping p.Delay(n) after failed attempt n. A context cancellation or
 // deadline expiry — whether observed on ctx or wrapped inside fn's error —
 // stops the loop immediately; retrying cancelled work only delays shutdown.
 // The returned error is fn's last error, joined with the context error when
-// the backoff sleep was interrupted. seed feeds the jitter stream.
-func Do(ctx context.Context, p Policy, seed uint64, attempts int, fn func(attempt int) error) error {
-	b := NewBackoff(p, seed)
+// the backoff sleep was interrupted.
+func Do(ctx context.Context, p Policy, attempts int, fn func(attempt int) error) error {
 	for n := 1; ; n++ {
 		err := fn(n)
 		if err == nil {
@@ -136,7 +79,7 @@ func Do(ctx context.Context, p Policy, seed uint64, attempts int, fn func(attemp
 		if n >= attempts || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
-		if serr := b.Wait(ctx); serr != nil {
+		if serr := Sleep(ctx, p.Delay(n)); serr != nil {
 			return errors.Join(err, serr)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"tsperr/internal/numeric"
 	"tsperr/internal/retry"
 )
 
@@ -18,112 +17,31 @@ func TestDelaySchedule(t *testing.T) {
 		80 * time.Millisecond, 80 * time.Millisecond, 80 * time.Millisecond,
 	}
 	for i, w := range want {
-		if got := p.Delay(i+1, nil); got != w {
+		if got := p.Delay(i + 1); got != w {
 			t.Errorf("Delay(%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	if got := p.Delay(0, nil); got != 0 {
+	if got := p.Delay(0); got != 0 {
 		t.Errorf("Delay(0) = %v, want 0", got)
 	}
 }
 
 func TestDelayDisabledAndUncapped(t *testing.T) {
-	if d := (retry.Policy{Base: 0}).Delay(3, nil); d != 0 {
+	if d := (retry.Policy{Base: 0}).Delay(3); d != 0 {
 		t.Errorf("zero base: Delay = %v, want 0", d)
 	}
-	if d := (retry.Policy{Base: -time.Second}).Delay(1, nil); d != 0 {
+	if d := (retry.Policy{Base: -time.Second}).Delay(1); d != 0 {
 		t.Errorf("negative base: Delay = %v, want 0", d)
 	}
 	// Uncapped schedules must survive the shift overflowing int64.
 	p := retry.Policy{Base: time.Hour}
-	if d := p.Delay(80, nil); d <= 0 {
+	if d := p.Delay(80); d <= 0 {
 		t.Errorf("overflowed delay = %v, want positive clamp", d)
 	}
 	// Capped schedules clamp the same overflow to the cap.
 	p.Cap = time.Minute
-	if d := p.Delay(80, nil); d != time.Minute {
+	if d := p.Delay(80); d != time.Minute {
 		t.Errorf("capped overflow delay = %v, want 1m", d)
-	}
-}
-
-func TestJitterBounds(t *testing.T) {
-	p := retry.Policy{Base: 100 * time.Millisecond, Cap: time.Second, Jitter: true}
-	rng := numeric.NewRNG(7)
-	for n := 1; n <= 6; n++ {
-		exp := retry.Policy{Base: p.Base, Cap: p.Cap}.Delay(n, nil)
-		for i := 0; i < 200; i++ {
-			d := p.Delay(n, rng)
-			if d < 0 || d >= exp {
-				t.Fatalf("attempt %d: jittered delay %v outside [0, %v)", n, d, exp)
-			}
-		}
-	}
-	// The draw must actually spread: a degenerate jitter that always returns
-	// the same value defeats decorrelation.
-	seen := map[time.Duration]bool{}
-	for i := 0; i < 50; i++ {
-		seen[p.Delay(3, rng)] = true
-	}
-	if len(seen) < 25 {
-		t.Errorf("only %d distinct jittered delays in 50 draws", len(seen))
-	}
-}
-
-func TestJitterDeterministicPerSeed(t *testing.T) {
-	p := retry.Policy{Base: 5 * time.Millisecond, Cap: time.Second, Jitter: true}
-	a := retry.NewBackoff(p, 42)
-	b := retry.NewBackoff(p, 42)
-	for i := 0; i < 10; i++ {
-		if da, db := a.Next(), b.Next(); da != db {
-			t.Fatalf("attempt %d: same seed diverged: %v vs %v", i+1, da, db)
-		}
-	}
-	c := retry.NewBackoff(p, 43)
-	same := 0
-	a = retry.NewBackoff(p, 42)
-	for i := 0; i < 10; i++ {
-		if a.Next() == c.Next() {
-			same++
-		}
-	}
-	if same == 10 {
-		t.Error("different seeds replayed the identical schedule")
-	}
-}
-
-// TestBackoffScheduleWithFakeClock pins the whole schedule through a
-// recording sleeper — the deterministic-clock path the cluster prober uses.
-func TestBackoffScheduleWithFakeClock(t *testing.T) {
-	b := retry.NewBackoff(retry.Policy{Base: time.Millisecond, Cap: 4 * time.Millisecond}, 0)
-	var slept []time.Duration
-	b.SetSleep(func(ctx context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	})
-	ctx := context.Background()
-	for i := 0; i < 4; i++ {
-		if err := b.Wait(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 4 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("sleep %d = %v, want %v (schedule %v)", i, slept[i], want[i], slept)
-		}
-	}
-	if b.Attempt() != 4 {
-		t.Errorf("Attempt = %d, want 4", b.Attempt())
-	}
-	b.Reset()
-	if err := b.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if slept[len(slept)-1] != time.Millisecond {
-		t.Errorf("post-Reset sleep = %v, want base again", slept[len(slept)-1])
 	}
 }
 
@@ -157,7 +75,7 @@ func TestSleepCancellation(t *testing.T) {
 
 func TestDoRetriesUntilSuccess(t *testing.T) {
 	calls := 0
-	err := retry.Do(context.Background(), retry.Policy{}, 0, 5, func(n int) error {
+	err := retry.Do(context.Background(), retry.Policy{}, 5, func(n int) error {
 		calls++
 		if n != calls {
 			t.Fatalf("attempt number %d, want %d", n, calls)
@@ -175,7 +93,7 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 func TestDoExhaustsAttempts(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	err := retry.Do(context.Background(), retry.Policy{}, 0, 3, func(int) error {
+	err := retry.Do(context.Background(), retry.Policy{}, 3, func(int) error {
 		calls++
 		return boom
 	})
@@ -186,7 +104,7 @@ func TestDoExhaustsAttempts(t *testing.T) {
 
 func TestDoContextErrorIsTerminal(t *testing.T) {
 	calls := 0
-	err := retry.Do(context.Background(), retry.Policy{}, 0, 5, func(int) error {
+	err := retry.Do(context.Background(), retry.Policy{}, 5, func(int) error {
 		calls++
 		return context.DeadlineExceeded
 	})
@@ -197,7 +115,7 @@ func TestDoContextErrorIsTerminal(t *testing.T) {
 	// A wrapped cancellation is just as terminal.
 	calls = 0
 	wrapped := errors.Join(errors.New("scenario 3 failed"), context.Canceled)
-	err = retry.Do(context.Background(), retry.Policy{}, 0, 5, func(int) error {
+	err = retry.Do(context.Background(), retry.Policy{}, 5, func(int) error {
 		calls++
 		return wrapped
 	})
@@ -215,7 +133,7 @@ func TestDoCancelledDuringBackoff(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	err := retry.Do(ctx, retry.Policy{Base: time.Hour}, 0, 5, func(int) error {
+	err := retry.Do(ctx, retry.Policy{Base: time.Hour}, 5, func(int) error {
 		calls++
 		return boom
 	})
@@ -230,7 +148,7 @@ func TestDoCancelledDuringBackoff(t *testing.T) {
 func TestDelayOverflowNeverNegative(t *testing.T) {
 	p := retry.Policy{Base: time.Duration(math.MaxInt64 / 2)}
 	for n := 1; n < 10; n++ {
-		if d := p.Delay(n, nil); d < 0 {
+		if d := p.Delay(n); d < 0 {
 			t.Fatalf("Delay(%d) = %v went negative", n, d)
 		}
 	}

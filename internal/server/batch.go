@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"tsperr/internal/cluster"
 	"tsperr/internal/core"
 )
 
@@ -63,7 +62,7 @@ type batch struct {
 // is accepted or rejected atomically — no half-admitted suites.
 func parseBatchRequest(w http.ResponseWriter, r *http.Request, limits Limits, maxBatch int) ([]*Request, error) {
 	var br BatchRequest
-	if err := cluster.DecodeJSON(w, r.Body, maxRequestBody, &br); err != nil {
+	if err := decodeJSON(w, r.Body, maxRequestBody, &br); err != nil {
 		return nil, fmt.Errorf("invalid request body: %w", err)
 	}
 	if len(br.Scenarios) == 0 {

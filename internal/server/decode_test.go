@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"tsperr/internal/cluster"
 	"tsperr/internal/core"
 )
 
@@ -43,7 +42,6 @@ func TestBodiesAreOneJSONValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set(cluster.HeaderFingerprint, "model-A")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"unicode/utf8"
 
-	"tsperr/internal/cluster"
 	"tsperr/internal/mibench"
 )
 
@@ -143,8 +142,9 @@ func FuzzRequestHash(f *testing.F) {
 // FuzzParseRequest runs arbitrary bytes through the three request decoders
 // — parseRequest, parseBatchRequest, and the oppoint decode with its
 // normalize and validate — none of which may panic. An accepted estimate
-// request lies within the limits, and its re-marshalled body (what a
-// coordinator proxies to a peer) parses to the same key.
+// request lies within the limits, and its re-marshalled body parses to the
+// same key: a client computes a request's key from the Request it marshals
+// (the benchmark's workloads do), so the key must survive the round trip.
 func FuzzParseRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"benchmark":"typeset","scenarios":2}`,
@@ -194,7 +194,7 @@ func FuzzParseRequest(f *testing.F) {
 			}
 		}
 		var q OppointRequest
-		if cluster.DecodeJSON(httptest.NewRecorder(), post(body).Body, maxRequestBody, &q) == nil {
+		if decodeJSON(httptest.NewRecorder(), post(body).Body, maxRequestBody, &q) == nil {
 			q.normalize(limits)
 			if q.validate(limits) == nil && len(q.conditions()) > maxOppointConditions {
 				t.Fatalf("accepted search spans %d conditions", len(q.conditions()))

@@ -6,8 +6,6 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
-
-	"tsperr/internal/cluster"
 )
 
 // metrics holds the service counters, exported in Prometheus text format at
@@ -21,7 +19,6 @@ type metrics struct {
 	batchRequests    atomic.Uint64
 	batchGetRequests atomic.Uint64
 	healthRequests   atomic.Uint64
-	readyRequests    atomic.Uint64
 	metricsRequests  atomic.Uint64
 
 	computations  atomic.Uint64
@@ -32,9 +29,6 @@ type metrics struct {
 	badRequests   atomic.Uint64
 	failures      atomic.Uint64
 	panics        atomic.Uint64
-	// fingerprintRejects counts cluster requests refused because the caller's
-	// model fingerprint disagrees with this node's.
-	fingerprintRejects atomic.Uint64
 
 	batchesStarted  atomic.Uint64
 	batchesFinished atomic.Uint64
@@ -130,18 +124,8 @@ type gauges struct {
 	mcChunksInflight int64
 	ready            bool
 	uptime           time.Duration
-	// cluster is the coordinator snapshot (nil on single-node daemons):
-	// per-peer health plus the routing counters.
-	cluster *clusterGauges
 	// surrogate is the fast-tier snapshot (nil when the surrogate is off).
 	surrogate *surrogateGauges
-}
-
-// clusterGauges is the coordinator state sampled at render time.
-type clusterGauges struct {
-	peers  []cluster.PeerStatus
-	stats  cluster.Stats
-	quorum int
 }
 
 // render writes the Prometheus text exposition. Order is fixed (no map
@@ -160,7 +144,6 @@ func (m *metrics) render(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"batch\"} %d\n", m.batchRequests.Load())
 	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"batches\"} %d\n", m.batchGetRequests.Load())
 	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"healthz\"} %d\n", m.healthRequests.Load())
-	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"readyz\"} %d\n", m.readyRequests.Load())
 	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"metrics\"} %d\n", m.metricsRequests.Load())
 	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"oppoint\"} %d\n", m.oppointRequests.Load())
 
@@ -174,7 +157,6 @@ func (m *metrics) render(w io.Writer, g gauges) {
 	counter("tsperrd_panics_total", "Worker panics recovered by the compute queue.", m.panics.Load())
 	counter("tsperrd_batches_started_total", "Batch suites admitted.", m.batchesStarted.Load())
 	counter("tsperrd_batches_finished_total", "Batch suites whose every entry reached a terminal state.", m.batchesFinished.Load())
-	counter("tsperrd_fingerprint_rejects_total", "Cluster requests refused for a model fingerprint mismatch.", m.fingerprintRejects.Load())
 	counter("tsperrd_oppoint_searches_total", "Per-condition bisection searches run by /v1/oppoint.", m.oppointSearches.Load())
 	counter("tsperrd_oppoint_subrequests_total", "Estimate sub-requests issued by oppoint bisections.", m.oppointSubrequests.Load())
 	counter("tsperrd_oppoint_subrequest_cache_hits_total", "Oppoint sub-requests served from the LRU result cache.", m.oppointSubrequestCacheHits.Load())
@@ -193,23 +175,6 @@ func (m *metrics) render(w io.Writer, g gauges) {
 	}
 	gauge("tsperrd_ready", "1 once the shared framework is warm.", ready)
 	gauge("tsperrd_uptime_seconds", "Seconds since the server started.", g.uptime.Seconds())
-
-	if c := g.cluster; c != nil {
-		counter("tsperrd_cluster_proxied_estimates_total", "Estimate requests answered by the owning peer.", c.stats.ProxiedEstimates)
-		counter("tsperrd_cluster_proxy_fallbacks_total", "Routed estimates that fell back to local execution.", c.stats.ProxyFallbacks)
-		counter("tsperrd_cluster_fingerprint_mismatches_total", "Peer responses rejected for a model fingerprint mismatch.", c.stats.FingerprintMismatches)
-		gauge("tsperrd_cluster_quorum", "Healthy-peer quorum required for readiness.", float64(c.quorum))
-		fmt.Fprintf(w, "# HELP tsperrd_peer_healthy Per-peer health (1 healthy, 0 not).\n# TYPE tsperrd_peer_healthy gauge\n")
-		// c.peers arrives in configuration order (no map iteration), so
-		// scrapes diff cleanly.
-		for _, p := range c.peers {
-			v := 0
-			if p.Healthy {
-				v = 1
-			}
-			fmt.Fprintf(w, "tsperrd_peer_healthy{peer=%q} %d\n", p.Addr, v)
-		}
-	}
 
 	if sg := g.surrogate; sg != nil {
 		counter("tsperrd_surrogate_hits_total", "Requests answered by the surrogate fast tier.", m.surrogateHits.Load())

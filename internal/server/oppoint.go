@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"tsperr/internal/cell"
-	"tsperr/internal/cluster"
 	"tsperr/internal/core"
 	"tsperr/internal/errormodel"
 )
@@ -226,7 +225,7 @@ func (s *Server) handleOppoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var q OppointRequest
-	if err := cluster.DecodeJSON(w, r.Body, maxRequestBody, &q); err != nil {
+	if err := decodeJSON(w, r.Body, maxRequestBody, &q); err != nil {
 		s.met.badRequests.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid request body: " + err.Error()})
 		return

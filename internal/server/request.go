@@ -12,14 +12,15 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"time"
 
 	"tsperr/internal/cell"
-	"tsperr/internal/cluster"
 	"tsperr/internal/core"
 )
 
@@ -68,11 +69,6 @@ type Request struct {
 	FreqRatio float64 `json:"freq_ratio,omitempty"`
 	VoltageV  float64 `json:"voltage,omitempty"`
 	TempC     float64 `json:"temp_c,omitempty"`
-
-	// forwarded marks a request a cluster coordinator routed here
-	// (cluster.HeaderForwarded): it executes locally and is never re-routed,
-	// so a misconfigured mesh cannot bounce a request in circles.
-	forwarded bool
 }
 
 // maxRequestBody bounds the decode of one request body; estimation requests
@@ -84,15 +80,37 @@ const maxRequestBody = 1 << 20
 // silently selecting a default.
 func parseRequest(w http.ResponseWriter, r *http.Request, limits Limits) (*Request, error) {
 	var req Request
-	if err := cluster.DecodeJSON(w, r.Body, maxRequestBody, &req); err != nil {
+	if err := decodeJSON(w, r.Body, maxRequestBody, &req); err != nil {
 		return nil, fmt.Errorf("invalid request body: %w", err)
 	}
 	req.normalize(limits)
 	if err := req.validate(limits); err != nil {
 		return nil, err
 	}
-	req.forwarded = r.Header.Get(cluster.HeaderForwarded) != ""
 	return &req, nil
+}
+
+// decodeJSON decodes exactly one JSON value from body into v, and fails
+// closed: a body longer than limit bytes, an unknown field, or anything but
+// whitespace after the value is an error. It is the decode of every JSON
+// body tsperrd reads from a client. A handler passes its ResponseWriter, so
+// that net/http closes the connection after an oversized body.
+func decodeJSON(w http.ResponseWriter, body io.ReadCloser, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	_, err := dec.Token()
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, &tooLarge):
+		return err
+	default:
+		return errors.New("unexpected data after the JSON value")
+	}
 }
 
 // Limits is the validation envelope the server applies to every request.
@@ -213,16 +231,6 @@ func (q *Request) analyzeOpts() core.AnalyzeOpts {
 		FailFast:     q.FailFast,
 		MCTrials:     q.MCTrials,
 	}
-}
-
-// proxyBody is the request as re-marshaled for routing to a peer: the same
-// result-determining fields (so the peer computes the identical key and its
-// own dedup layer kicks in), forced synchronous — the coordinator's flight is
-// the thing being awaited, not a job on the peer.
-func (q *Request) proxyBody() Request {
-	p := *q
-	p.Async = false
-	return p
 }
 
 // timeout resolves the effective computation deadline: the request's ask

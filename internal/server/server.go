@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"tsperr/internal/cell"
-	"tsperr/internal/cluster"
 	"tsperr/internal/core"
 	"tsperr/internal/montecarlo"
 	"tsperr/internal/pool"
@@ -65,9 +64,6 @@ type Config struct {
 	// BatchRetention caps stored batches (default 64); when every retained
 	// batch is still running, new batch requests get 503.
 	BatchRetention int
-	// Cluster, when non-nil, makes this node a coordinator: requests route
-	// by consistent hash to their key's owner for cluster-wide dedup.
-	Cluster Cluster
 	// Surrogate, when non-nil, attaches the ML fast tier; SurrogateMode
 	// selects off (default), shadow (train + residuals, never serve), or
 	// serve (confident predictions answer directly). See surrogate.go.
@@ -256,7 +252,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/batches/{id}", s.handleBatchGet)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
@@ -358,7 +353,7 @@ func (s *Server) join(req *Request, key string, j *job) (*core.Report, *flight, 
 				panic(r)
 			}
 		}()
-		rep, err := s.execute(fctx, &reqCopy, key)
+		rep, err := s.execute(fctx, &reqCopy)
 		if err == nil {
 			// Every successful exact result — sync, async, and batch entries
 			// alike funnel through this closure — trains the surrogate and
@@ -375,6 +370,15 @@ func (s *Server) join(req *Request, key string, j *job) (*core.Report, *flight, 
 	s.flights[key] = f
 	s.met.computations.Add(1)
 	return nil, f, joinCreated
+}
+
+// execute runs one admitted request: every computation — sync, async, and
+// batch entries alike — funnels through here from the flight it landed on.
+func (s *Server) execute(ctx context.Context, req *Request) (*core.Report, error) {
+	if req.pointOverride() {
+		return s.cfg.AnalyzeAt(ctx, req.Benchmark, req.Scenarios, req.analyzeOpts(), req.cond(), req.FreqRatio)
+	}
+	return s.cfg.Analyze(ctx, req.Benchmark, req.Scenarios, req.analyzeOpts())
 }
 
 // complete retires a flight: successful reports enter the cache, attached
@@ -450,13 +454,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if !s.ready() {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "model warming up, retry shortly"})
-		return
-	}
-	// A forwarded request carrying a different model fingerprint must not be
-	// answered: the coordinator's cache would silently mix operating points.
-	if fp := r.Header.Get(cluster.HeaderFingerprint); fp != "" && fp != s.cfg.Fingerprint {
-		s.met.fingerprintRejects.Add(1)
-		writeJSON(w, http.StatusConflict, errorResponse{Error: "model fingerprint mismatch"})
 		return
 	}
 	req, err := parseRequest(w, r, s.cfg.Limits)
@@ -643,13 +640,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		uptime:           time.Since(s.start),
 	}
 	s.mu.Unlock()
-	if c := s.cfg.Cluster; c != nil {
-		g.cluster = &clusterGauges{
-			peers:  c.PeerStatuses(),
-			stats:  c.Stats(),
-			quorum: c.Quorum(),
-		}
-	}
 	if sg := s.cfg.Surrogate; sg != nil && s.cfg.SurrogateMode != SurrogateOff {
 		g.surrogate = &surrogateGauges{mode: s.cfg.SurrogateMode, stats: sg.Stats()}
 	}

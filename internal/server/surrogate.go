@@ -67,13 +67,12 @@ type SurrogateTier interface {
 // surrogateEligible reports whether a request may be answered by the fast
 // tier: serve mode only, and never for async requests (the job contract
 // promises an exact pipeline run), Monte Carlo validations (the surrogate
-// has no trials to validate), cluster-forwarded requests (the coordinator
-// already made the tier decision), or operating-point overrides (the tier
-// is trained at the daemon's own serving point and would silently answer
-// for the wrong condition).
+// has no trials to validate), or operating-point overrides (the tier is
+// trained at the daemon's own serving point and would silently answer for
+// the wrong condition).
 func (s *Server) surrogateEligible(req *Request) bool {
 	return s.cfg.SurrogateMode == SurrogateServe && s.cfg.Surrogate != nil &&
-		!req.Async && req.MCTrials == 0 && !req.forwarded && !req.pointOverride()
+		!req.Async && req.MCTrials == 0 && !req.pointOverride()
 }
 
 // consultSurrogate runs the gate for an eligible request. A cached exact
