@@ -1,15 +1,15 @@
 # tsperr build/verify targets.
 #
 # `make check` is the tier-2 verification gate: vet, the project linters
-# (tsperrlint source passes + the netlist structural lint), the full-budget
-# Monte Carlo oracles, the full test suite under the race detector (the
-# resilience tests exercise the scenario worker pool concurrently), and vet
-# plus tests of the nested bench/ module, which the root `go test ./...`
-# never compiles.
+# (tsperrlint source passes + the netlist structural lint), the test-only
+# dependency check, the full-budget Monte Carlo oracles, the full test suite
+# under the race detector (the resilience tests exercise the scenario worker
+# pool concurrently), and vet plus tests of the nested bench/ module, which
+# the root `go test ./...` never compiles.
 
 GO ?= go
 
-.PHONY: all build test lint check oracle fuzz cover smoke bench bench-cold pprof pprof-miss pprof-setup clean
+.PHONY: all build test lint deps check oracle fuzz cover smoke bench bench-cold pprof pprof-miss pprof-setup clean
 
 all: build
 
@@ -27,7 +27,19 @@ lint:
 	$(GO) run ./cmd/tsperrlint -tests ./...
 	$(GO) run ./cmd/tsperrlint -netlist
 
-check: lint fuzz oracle
+# `make deps` fails when a binary links a package that exists for tests:
+# the fault injector, the gate-level DTA and timing-simulation oracles, and
+# the lint fixture harness. `go list -deps` over every command and example
+# is what the binaries link.
+TEST_ONLY_PKGS := tsperr/internal/faultinject tsperr/internal/gdta tsperr/internal/tsim tsperr/internal/lint/linttest
+
+deps:
+	@linked=$$($(GO) list -deps ./cmd/... ./examples/...) || exit 1; \
+	found=$$(echo "$$linked" | grep -Fx $(addprefix -e ,$(TEST_ONLY_PKGS))); \
+	if [ -n "$$found" ]; then echo "FAIL: a binary links test-only packages:"; echo "$$found"; exit 1; fi; \
+	echo "no binary links a test-only package"
+
+check: lint deps fuzz oracle
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -26,18 +26,17 @@
 //
 // Endpoints:
 //
-//	POST /v1/estimate     {"benchmark":"typeset","scenarios":4}  — sync, or
-//	                      {"benchmark":"typeset","async":true}   — 202 + job id;
-//	                      optional freq_ratio/voltage/temp_c fields estimate at
-//	                      an explicit operating point
+//	POST /v1/estimate     {"benchmark":"typeset","scenarios":4}; optional
+//	                      freq_ratio/voltage/temp_c fields estimate at an
+//	                      explicit operating point
 //	POST /v1/oppoint      {"benchmark":"typeset","target_error_rate":1e-4,
 //	                      "voltages":[1.1,1.0],"temps_c":[25,85]} — bisect the
 //	                      fastest frequency per condition, return the
 //	                      (period, voltage) frontier meeting the target
-//	GET  /v1/jobs/{id}    poll an async job
 //	POST /v1/batch        {"scenarios":[{...},{...}]} — 202 + batch id; the
 //	                      suite runs through the dedup/cache layer with
-//	                      bounded-queue pacing (identical entries compute once)
+//	                      bounded-queue pacing (identical entries compute
+//	                      once); a one-entry batch collects a result later
 //	GET  /v1/batches/{id} per-entry status and incremental results
 //	GET  /healthz         503 while the model warms, 200 once ready
 //	GET  /metrics         Prometheus text format

@@ -229,7 +229,7 @@ func (f *Framework) analyze(ctx context.Context, name string, spec ProgramSpec, 
 		})
 	})
 	rep.Simulation = time.Since(simStart)
-	if err := f.gate(ctx, name, spec.Scenarios, errs, opts); err != nil {
+	if err := f.gate(ctx, name, PhaseSimulation, spec.Scenarios, errs, opts); err != nil {
 		return nil, err
 	}
 
@@ -279,7 +279,7 @@ func (f *Framework) analyze(ctx context.Context, name string, spec ProgramSpec, 
 			return nil
 		})
 	})
-	if err := f.gate(ctx, name, spec.Scenarios, errs, opts); err != nil {
+	if err := f.gate(ctx, name, PhaseMarginals, spec.Scenarios, errs, opts); err != nil {
 		return nil, err
 	}
 
@@ -478,13 +478,13 @@ func (f *Framework) withRetry(ctx context.Context, opts AnalyzeOpts, attempt fun
 	})
 }
 
-// gate applies the failure policy between pipeline phases: a clean pass
-// proceeds, a cancelled context always aborts, and otherwise the run
-// continues only when the surviving-scenario count satisfies
-// opts.MinScenarios (strict mode, MinScenarios == 0, tolerates nothing).
-// On abort every collected scenario failure is joined, so the caller sees
-// all failing scenarios, not just the first.
-func (f *Framework) gate(ctx context.Context, name string, n int, errs []error, opts AnalyzeOpts) error {
+// gate applies the failure policy after phase, which just ran: a clean pass
+// proceeds, a cancelled context always aborts (tagged with phase), and
+// otherwise the run continues only when the surviving-scenario count
+// satisfies opts.MinScenarios (strict mode, MinScenarios == 0, tolerates
+// nothing). On abort every collected scenario failure is joined, so the
+// caller sees all failing scenarios, not just the first.
+func (f *Framework) gate(ctx context.Context, name string, phase Phase, n int, errs []error, opts AnalyzeOpts) error {
 	var failures []error
 	for _, e := range errs {
 		if e != nil {
@@ -493,7 +493,7 @@ func (f *Framework) gate(ctx context.Context, name string, n int, errs []error, 
 	}
 	if err := ctx.Err(); err != nil {
 		failures = append(failures,
-			&ScenarioError{Benchmark: name, Scenario: -1, Phase: PhaseSimulation, Err: err})
+			&ScenarioError{Benchmark: name, Scenario: -1, Phase: phase, Err: err})
 		return errors.Join(failures...)
 	}
 	if len(failures) == 0 {

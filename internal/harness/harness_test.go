@@ -158,6 +158,38 @@ func TestDegradedRowAndFailureDetail(t *testing.T) {
 	}
 }
 
+// A run cancelled during the marginals pass must tag its run-level error
+// with that phase, not with the simulation phase that finished before it.
+func TestCancellationNamesRunningPhase(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := nominal.Analyze(ctx, "stringsearch", 2, core.AnalyzeOpts{
+		Inject: func(_ context.Context, ph core.Phase, _ int) error {
+			if ph == core.PhaseMarginals {
+				cancel()
+			}
+			return nil
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a cancellation", err)
+	}
+	var run *core.ScenarioError
+	for _, se := range core.ScenarioErrors(err) {
+		if se.Scenario == -1 {
+			run = se
+		}
+	}
+	if run == nil || run.Phase != core.PhaseMarginals {
+		t.Errorf("run-level error %+v, want phase %q", run, core.PhaseMarginals)
+	}
+	// A scenario's own line reads "scenario N [phase]: ..."; the run-level
+	// line starts with the bracket.
+	if detail := FailureDetail(err); !strings.Contains("\n"+detail, "\n[marginals]: context canceled") {
+		t.Errorf("detail %q has no run-level [marginals] line", detail)
+	}
+}
+
 // Regression: the shared framework used a sync.Once, so a single failed
 // build (e.g. a transient resource problem) was latched and replayed to every
 // later caller. A failure must leave the slot empty so the next call

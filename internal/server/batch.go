@@ -21,8 +21,8 @@ import (
 
 // BatchRequest is the body of POST /v1/batch: a suite of estimate requests
 // sharing the warm framework. Per-entry knobs (scenarios, retries,
-// mc_trials, ...) are exactly the single-request ones; Async is meaningless
-// inside a batch and rejected.
+// mc_trials, ...) are exactly the single-request ones. A one-entry batch is
+// how a client collects a single result later.
 type BatchRequest struct {
 	Scenarios []Request `json:"scenarios"`
 }
@@ -74,9 +74,6 @@ func parseBatchRequest(w http.ResponseWriter, r *http.Request, limits Limits, ma
 	reqs := make([]*Request, len(br.Scenarios))
 	for i := range br.Scenarios {
 		req := br.Scenarios[i]
-		if req.Async {
-			return nil, fmt.Errorf("scenario %d: async is not valid inside a batch", i)
-		}
 		req.normalize(limits)
 		if err := req.validate(limits); err != nil {
 			return nil, fmt.Errorf("scenario %d: %w", i, err)
@@ -99,6 +96,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqs, err := parseBatchRequest(w, r, s.cfg.Limits, s.cfg.MaxBatch)
+	for i := 0; err == nil && i < len(reqs); i++ {
+		if serr := s.servable(reqs[i]); serr != nil {
+			err = fmt.Errorf("scenario %d: %w", i, serr)
+		}
+	}
 	if err != nil {
 		s.met.badRequests.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
@@ -172,7 +174,7 @@ func (s *Server) runBatch(b *batch, reqs []*Request) {
 	for i, req := range reqs {
 		e := b.entries[i]
 		for {
-			rep, f, outcome := s.join(req, e.key, nil)
+			rep, f, outcome := s.join(req, e.key)
 			switch outcome {
 			case joinCacheHit:
 				s.finishEntry(b, e, rep, nil, true, true)
@@ -215,9 +217,9 @@ func (s *Server) setEntryStatus(e *batchEntry, status string, dedup bool) {
 }
 
 // awaitEntry records one entry's result when its flight lands. The entry
-// holds a sync-waiter reference on the flight (taken at join), so an
-// admitted batch entry pins its computation the way async jobs do: it always
-// runs to completion, drain included.
+// holds a reference on the flight (taken at join) and waits without a
+// deadline, so no client disconnect releases it: an admitted batch entry
+// always runs to completion, drain included.
 func (s *Server) awaitEntry(b *batch, e *batchEntry, f *flight, dedup bool) {
 	_ = s.wait(context.Background(), e.key, f)
 	s.finishEntry(b, e, f.rep, f.err, false, dedup)

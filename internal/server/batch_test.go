@@ -269,6 +269,8 @@ func TestBatchValidation(t *testing.T) {
 		{"oversized suite", `{"scenarios":[{"benchmark":"a"},{"benchmark":"b"},{"benchmark":"c"},{"benchmark":"d"}]}`, "exceeds limit"},
 		{"async entry", `{"scenarios":[{"benchmark":"a","async":true}]}`, "async"},
 		{"invalid entry", `{"scenarios":[{"benchmark":"a"},{"benchmark":"b","retries":-1}]}`, "scenario 1"},
+		// This server has no Config.AnalyzeAt, so it serves no override.
+		{"operating-point override", `{"scenarios":[{"benchmark":"typeset","freq_ratio":1.2}]}`, "scenario 0: this daemon does not serve operating-point overrides"},
 		{"unknown field", `{"scenarios":[{"benchmark":"a","bogus":1}]}`, "invalid request body"},
 		{"malformed", `{"scenarios":`, "invalid request body"},
 	}
@@ -294,6 +296,52 @@ func TestBatchValidation(t *testing.T) {
 	m := scrapeMetrics(t, ts.URL)
 	if got := int(m["tsperrd_bad_requests_total"]); got != len(cases) {
 		t.Errorf("bad_requests_total = %d, want %d", got, len(cases))
+	}
+}
+
+// The batch store is bounded: with room for one batch, a second suite is
+// refused with 503 while the first runs, and once the first finishes it is
+// evicted to admit the next.
+func TestBatchRetention(t *testing.T) {
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	analyze := func(ctx context.Context, benchmark string, scenarios int, opts core.AnalyzeOpts) (*core.Report, error) {
+		if benchmark == "basicmath" {
+			started <- struct{}{}
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return fakeReport(benchmark), nil
+	}
+	_, ts := newTestServer(t, context.Background(), Config{Analyze: analyze, BatchRetention: 1})
+
+	code, body := postBatch(t, ts.URL, `{"scenarios":[{"benchmark":"basicmath"}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("first batch: code %d body %v", code, body)
+	}
+	first, _ := body["batch_id"].(string)
+	<-started
+
+	rejects := scrapeMetrics(t, ts.URL)["tsperrd_queue_rejects_total"]
+	code, body = postBatch(t, ts.URL, `{"scenarios":[{"benchmark":"dijkstra"}]}`)
+	if msg, _ := body["error"].(string); code != http.StatusServiceUnavailable || !strings.Contains(msg, "batch store full") {
+		t.Errorf("batch past a full store: code %d body %v, want 503 batch store full", code, body)
+	}
+	if got := scrapeMetrics(t, ts.URL)["tsperrd_queue_rejects_total"]; got != rejects+1 {
+		t.Errorf("queue_rejects_total = %v, want %v", got, rejects+1)
+	}
+
+	close(release)
+	waitBatchStatus(t, ts.URL, first, "done")
+	code, body = postBatch(t, ts.URL, `{"scenarios":[{"benchmark":"dijkstra"}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("batch after the first finished: code %d body %v", code, body)
+	}
+	if code, body := getBatch(t, ts.URL, first); code != http.StatusNotFound {
+		t.Errorf("evicted batch: code %d body %v, want 404", code, body)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // TestChurnFlightTableAndCache hammers the dedup/cache layer with a seeded
-// randomized interleaving of sync requests, async jobs, client
+// randomized interleaving of estimates, one-entry batches, client
 // cancellations, injected failures, and injected panics, with a cache small
 // enough to force constant LRU eviction. Run under -race this is the
 // regression net for the flight-table locking discipline. The invariants at
@@ -29,7 +29,7 @@ import (
 //   - every admitted computation ran Analyze exactly once
 //     (tsperrd_computations_total == observed Analyze calls);
 //   - the LRU never exceeds its capacity;
-//   - every stored async job reaches a terminal state.
+//   - every batch entry reaches a terminal state.
 func TestChurnFlightTableAndCache(t *testing.T) {
 	var analyzeCalls, panicCalls atomic.Int64
 	const cacheSize = 4
@@ -61,8 +61,8 @@ func TestChurnFlightTableAndCache(t *testing.T) {
 		clients     = 8
 		opsPerGoro  = 50
 		benchmarks  = 10 // distinct names; x3 scenario values >> cacheSize keys
-		asyncEvery  = 4  // 1-in-N ops are async
-		cancelEvery = 5  // 1-in-N sync ops use a near-immediate client deadline
+		batchEvery  = 4  // 1-in-N ops are one-entry batches
+		cancelEvery = 5  // 1-in-N estimates use a near-immediate client deadline
 		faultEvery  = 8  // 1-in-N ops target a panic or failure benchmark
 	)
 	var wg sync.WaitGroup
@@ -81,16 +81,28 @@ func TestChurnFlightTableAndCache(t *testing.T) {
 					}
 				}
 				scenarios := 1 + rng.Intn(3)
-				async := rng.Intn(asyncEvery) == 0
-				body := fmt.Sprintf(`{"benchmark":%q,"scenarios":%d,"async":%v}`, name, scenarios, async)
+				body := fmt.Sprintf(`{"benchmark":%q,"scenarios":%d}`, name, scenarios)
 
-				ctx := context.Background()
-				var cancel context.CancelFunc = func() {}
-				if !async && rng.Intn(cancelEvery) == 0 {
-					ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(2))*time.Millisecond)
+				var code int
+				var err error
+				if rng.Intn(batchEvery) == 0 {
+					// Not postBatch: t.Fatal must not be called off the test
+					// goroutine.
+					var resp *http.Response
+					resp, err = http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(`{"scenarios":[`+body+`]}`))
+					if err == nil {
+						code = resp.StatusCode
+						resp.Body.Close()
+					}
+				} else {
+					ctx := context.Background()
+					var cancel context.CancelFunc = func() {}
+					if rng.Intn(cancelEvery) == 0 {
+						ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(2))*time.Millisecond)
+					}
+					code, _, err = postEstimate(ctx, ts.URL, body)
+					cancel()
 				}
-				code, _, err := postEstimate(ctx, ts.URL, body)
-				cancel()
 				if err != nil {
 					continue // client-side cancellation surfaces as a transport error
 				}
@@ -110,17 +122,21 @@ func TestChurnFlightTableAndCache(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Quiesce: abandoned flights retire once their cancelled Analyze returns.
+	// Quiesce: abandoned flights retire once their cancelled Analyze returns,
+	// and a batch entry the full queue paced is admitted and lands.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		s.mu.Lock()
-		inflight := len(s.flights)
+		inflight, remaining := len(s.flights), 0
+		for _, b := range s.batches {
+			remaining += b.remaining
+		}
 		s.mu.Unlock()
-		if inflight == 0 {
+		if inflight == 0 && remaining == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("flight table leaked %d entries after churn", inflight)
+			t.Fatalf("flight table leaked %d entries, batches await %d entries after churn", inflight, remaining)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -134,23 +150,25 @@ func TestChurnFlightTableAndCache(t *testing.T) {
 	if got, want := int64(m["tsperrd_panics_total"]), panicCalls.Load(); got != want {
 		t.Errorf("panics metric %v != injected panics %v (double or dropped retire)", got, want)
 	}
-	if int(m["tsperrd_inflight"]) != 0 {
-		t.Errorf("inflight gauge %v after quiesce", m["tsperrd_inflight"])
+	if v, ok := m["tsperrd_inflight_computations"]; !ok || v != 0 {
+		t.Errorf("inflight gauge %v (exported: %v) after quiesce", v, ok)
 	}
 	s.mu.Lock()
 	cached := s.cache.len()
-	pending := 0
-	for _, j := range s.jobs {
-		if j.status == "pending" {
-			pending++
+	unfinished := 0
+	for _, b := range s.batches {
+		for _, e := range b.entries {
+			if e.status == "pending" || e.status == "running" {
+				unfinished++
+			}
 		}
 	}
 	s.mu.Unlock()
 	if cached > cacheSize {
 		t.Errorf("LRU holds %d entries, capacity %d", cached, cacheSize)
 	}
-	if pending != 0 {
-		t.Errorf("%d async jobs still pending after quiesce", pending)
+	if unfinished != 0 {
+		t.Errorf("%d batch entries unfinished after quiesce", unfinished)
 	}
 	if analyzeCalls.Load() == 0 {
 		t.Error("churn never reached Analyze — fixture broken")

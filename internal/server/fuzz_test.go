@@ -26,7 +26,7 @@ func toggleFloat(v float64) float64 {
 
 // FuzzRequestHash pins the canonical-hashing contract of Request.Key:
 //
-//   - scheduling knobs (workers, timeout_ms, async) must NOT change the key —
+//   - scheduling knobs (workers, timeout_ms) must NOT change the key —
 //     requests differing only in how they are scheduled dedup onto one
 //     computation;
 //   - every result-determining field (benchmark, scenarios, retries,
@@ -36,15 +36,15 @@ func toggleFloat(v float64) float64 {
 //   - JSON field order and whitespace must not matter (the key is computed
 //     from the decoded struct, not the wire bytes).
 func FuzzRequestHash(f *testing.F) {
-	f.Add("typeset", 4, 2, 1, true, 500, "fp-a", 8, int64(1000), true, 1.15, 0.9, 85.0)
-	f.Add("dijkstra", 1, 0, 0, false, 0, "", 0, int64(0), false, 0.0, 0.0, 0.0)
-	f.Add("pgp.encode", 64, 8, 64, true, 5000, "fp-b", 64, int64(600000), true, 1.3, 1.1, 25.0)
-	f.Add("", -3, -1, 99, false, -7, "fp\nwith\nnewlines", -2, int64(-5), false, -1.0, -0.5, -40.0)
-	f.Add("bench=1\nscenarios", 2, 1, 1, true, 1, "fp=x", 3, int64(7), false, 0.5, 1.4, 125.0)
+	f.Add("typeset", 4, 2, 1, true, 500, "fp-a", 8, int64(1000), 1.15, 0.9, 85.0)
+	f.Add("dijkstra", 1, 0, 0, false, 0, "", 0, int64(0), 0.0, 0.0, 0.0)
+	f.Add("pgp.encode", 64, 8, 64, true, 5000, "fp-b", 64, int64(600000), 1.3, 1.1, 25.0)
+	f.Add("", -3, -1, 99, false, -7, "fp\nwith\nnewlines", -2, int64(-5), -1.0, -0.5, -40.0)
+	f.Add("bench=1\nscenarios", 2, 1, 1, true, 1, "fp=x", 3, int64(7), 0.5, 1.4, 125.0)
 
 	f.Fuzz(func(t *testing.T, benchmark string, scenarios, retries, minScenarios int,
 		failFast bool, mcTrials int, fingerprint string,
-		workers int, timeoutMS int64, async bool,
+		workers int, timeoutMS int64,
 		freqRatio, voltageV, tempC float64) {
 		q := Request{
 			Benchmark:    benchmark,
@@ -55,7 +55,6 @@ func FuzzRequestHash(f *testing.F) {
 			MCTrials:     mcTrials,
 			Workers:      workers,
 			TimeoutMS:    timeoutMS,
-			Async:        async,
 			FreqRatio:    freqRatio,
 			VoltageV:     voltageV,
 			TempC:        tempC,
@@ -69,7 +68,6 @@ func FuzzRequestHash(f *testing.F) {
 		sched := q
 		sched.Workers = workers + 17
 		sched.TimeoutMS = timeoutMS + 12345
-		sched.Async = !async
 		if got := sched.Key(fingerprint); got != key {
 			t.Errorf("scheduling knobs changed the key: %s vs %s", got, key)
 		}

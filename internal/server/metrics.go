@@ -15,7 +15,6 @@ import (
 // at render time by the server.
 type metrics struct {
 	estimateRequests atomic.Uint64
-	jobRequests      atomic.Uint64
 	batchRequests    atomic.Uint64
 	batchGetRequests atomic.Uint64
 	healthRequests   atomic.Uint64
@@ -114,7 +113,6 @@ type gauges struct {
 	queueDepth   int
 	inflight     int
 	cacheEntries int
-	jobsStored   int
 	// batchesStored counts retained batches; batchesRunning those with
 	// entries still pending or in flight.
 	batchesStored  int
@@ -140,7 +138,6 @@ func (m *metrics) render(w io.Writer, g gauges) {
 
 	fmt.Fprintf(w, "# HELP tsperrd_requests_total HTTP requests by endpoint.\n# TYPE tsperrd_requests_total counter\n")
 	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"estimate\"} %d\n", m.estimateRequests.Load())
-	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"jobs\"} %d\n", m.jobRequests.Load())
 	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"batch\"} %d\n", m.batchRequests.Load())
 	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"batches\"} %d\n", m.batchGetRequests.Load())
 	fmt.Fprintf(w, "tsperrd_requests_total{endpoint=\"healthz\"} %d\n", m.healthRequests.Load())
@@ -165,7 +162,6 @@ func (m *metrics) render(w io.Writer, g gauges) {
 	gauge("tsperrd_queue_depth", "Jobs pending or running on the compute queue.", float64(g.queueDepth))
 	gauge("tsperrd_inflight_computations", "Deduplicated computations currently in flight.", float64(g.inflight))
 	gauge("tsperrd_cache_entries", "Reports held by the LRU result cache.", float64(g.cacheEntries))
-	gauge("tsperrd_jobs_stored", "Async jobs currently retained.", float64(g.jobsStored))
 	gauge("tsperrd_batches_stored", "Batches currently retained.", float64(g.batchesStored))
 	gauge("tsperrd_batches_running", "Batches with entries still in flight.", float64(g.batchesRunning))
 	gauge("tsperrd_mc_chunks_inflight", "Monte Carlo chunks executing right now.", float64(g.mcChunksInflight))

@@ -201,7 +201,7 @@ var errOppointQueueFull = errors.New("compute queue full, retry later")
 func (s *Server) oppointSub(ctx context.Context, sub *Request) (rep *core.Report, cached bool, err error) {
 	s.met.oppointSubrequests.Add(1)
 	key := sub.Key(s.cfg.Fingerprint)
-	rep, f, outcome := s.join(sub, key, nil)
+	rep, f, outcome := s.join(sub, key)
 	switch outcome {
 	case joinCacheHit:
 		s.met.oppointSubrequestCacheHits.Add(1)

@@ -49,9 +49,6 @@ type Request struct {
 	// TimeoutMS bounds this computation's wall time, capped by the server's
 	// -max-timeout. Zero selects the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Async, when set, returns a job id immediately (202); poll
-	// GET /v1/jobs/{id} for the result.
-	Async bool `json:"async,omitempty"`
 	// ErrorRateThreshold is the caller's decision boundary (a fraction in
 	// [0, 1)): on a serve-mode surrogate daemon, predictions landing inside
 	// the guard band around it escalate to the exact pipeline. It tunes the
@@ -201,7 +198,7 @@ func (q *Request) pointOverride() bool {
 // Key is the canonical content address of a request's result: a SHA-256
 // over the result-determining fields plus the server's model fingerprint
 // (options + cell library), so two daemons at different operating points
-// never share entries. Workers, TimeoutMS, and Async are deliberately
+// never share entries. Workers and TimeoutMS are deliberately
 // excluded — they shape scheduling, not the report (worker-count
 // determinism is pinned by errormodel's determinism tests) — so requests
 // differing only in those knobs dedup onto one computation.

@@ -7,7 +7,7 @@ import (
 	"tsperr/internal/core"
 )
 
-// The request hash must ignore scheduling knobs (workers, timeout, async)
+// The request hash must ignore scheduling knobs (workers, timeout)
 // and respond to every result-determining field plus the model fingerprint.
 func TestRequestKeyCanonicalization(t *testing.T) {
 	base := Request{Benchmark: "patricia", Scenarios: 4}
@@ -16,7 +16,6 @@ func TestRequestKeyCanonicalization(t *testing.T) {
 	same := []Request{
 		{Benchmark: "patricia", Scenarios: 4, Workers: 8},
 		{Benchmark: "patricia", Scenarios: 4, TimeoutMS: 1500},
-		{Benchmark: "patricia", Scenarios: 4, Async: true},
 	}
 	for _, q := range same {
 		if q.Key("fp1") != key {

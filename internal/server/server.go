@@ -55,9 +55,6 @@ type Config struct {
 	// deadline (0 = none); MaxTimeout caps what a request may ask for.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// JobRetention caps stored async jobs (default 256); when every
-	// retained job is still pending, new async requests get 503.
-	JobRetention int
 	// MaxBatch caps the scenario count of one POST /v1/batch suite
 	// (default 32).
 	MaxBatch int
@@ -73,10 +70,10 @@ type Config struct {
 
 // flight is one deduplicated computation. The first request for a key
 // creates it and submits the job; identical concurrent requests join it.
-// Sync waiters hold references: when the last one leaves (client
+// Every waiter holds a reference: when the last one leaves (client
 // disconnect), the flight context is cancelled so the pipeline stops doing
-// unobserved work. Async jobs ride the flight without a revocable
-// reference — an accepted job always runs to completion.
+// unobserved work. A batch entry waits without a deadline, so its reference
+// pins the flight until the computation lands.
 type flight struct {
 	cancel context.CancelFunc
 	// done is closed after rep and err are set; waiters read them only
@@ -85,28 +82,12 @@ type flight struct {
 	rep  *core.Report
 	err  error
 
-	// refs counts sync waiters; guarded by mu (the server's).
+	// refs counts waiters; guarded by mu (the server's).
 	refs int
-	// hasJob marks an attached async job, which pins the flight even with
-	// zero sync waiters; guarded by mu.
-	hasJob bool
-	// jobs are the async jobs to finish on completion; guarded by mu.
-	jobs []*job
-}
-
-// job is one async estimation, addressable via GET /v1/jobs/{id}.
-type job struct {
-	id      string
-	created time.Time
-	// status is "pending", "done", or "failed"; guarded by mu (the
-	// server's), as are rep and errMsg.
-	status string
-	rep    *core.Report
-	errMsg string
 }
 
 // Server is the estimation service: admission (validation + canonical
-// hashing), the dedup/cache layer, the bounded compute queue, the async job
+// hashing), the dedup/cache layer, the bounded compute queue, the batch
 // store, and the HTTP surface.
 type Server struct {
 	cfg   Config
@@ -127,10 +108,6 @@ type Server struct {
 	flights map[string]*flight
 	// cache is the LRU result cache; guarded by mu.
 	cache *lru
-	// jobs and jobOrder (insertion order, for retention eviction) hold the
-	// async job store; guarded by mu.
-	jobs     map[string]*job
-	jobOrder []string
 	// batches and batchOrder hold the batch store; guarded by mu.
 	batches    map[string]*batch
 	batchOrder []string
@@ -167,9 +144,6 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	if cfg.Limits.MaxWorkers <= 0 {
 		cfg.Limits.MaxWorkers = 64
 	}
-	if cfg.JobRetention <= 0 {
-		cfg.JobRetention = 256
-	}
 	if cfg.Limits.MaxMCTrials <= 0 {
 		cfg.Limits.MaxMCTrials = 5000
 	}
@@ -194,7 +168,6 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		start:    time.Now(),
 		flights:  make(map[string]*flight),
 		cache:    newLRU(cfg.CacheSize),
-		jobs:     make(map[string]*job),
 		batches:  make(map[string]*batch),
 	}
 	s.queue = pool.NewQueue(lifeCtx, cfg.Workers, cfg.QueueDepth, func(*pool.PanicError) {
@@ -219,9 +192,9 @@ func (s *Server) ready() bool {
 }
 
 // Close gracefully drains the server: new computations are rejected, every
-// queued and in-flight job (sync and async) runs to completion, and only
-// then is the lifecycle context released. HTTP handlers waiting on those
-// jobs therefore see real results during an http.Server.Shutdown drain.
+// queued and in-flight computation runs to completion, and only then is the
+// lifecycle context released. HTTP handlers waiting on those computations
+// therefore see real results during an http.Server.Shutdown drain.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -248,7 +221,6 @@ func (s *Server) Handler() http.Handler {
 	if s.cfg.AnalyzeAt != nil {
 		mux.HandleFunc("POST /v1/oppoint", s.handleOppoint)
 	}
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/batches/{id}", s.handleBatchGet)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -256,26 +228,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// estimateResponse is the sync success body; asyncResponse acknowledges an
-// accepted async job; errorResponse carries every non-2xx body.
+// estimateResponse is the estimate success body; errorResponse carries every
+// non-2xx body.
 type estimateResponse struct {
 	Key    string `json:"key"`
 	Cached bool   `json:"cached"`
 	// Tier says which tier answered: core.TierExact or core.TierSurrogate.
 	Tier   string       `json:"tier"`
 	Report *core.Report `json:"report"`
-}
-
-type asyncResponse struct {
-	JobID  string `json:"job_id"`
-	Status string `json:"status"`
-}
-
-type jobResponse struct {
-	JobID  string       `json:"job_id"`
-	Status string       `json:"status"`
-	Report *core.Report `json:"report,omitempty"`
-	Error  string       `json:"error,omitempty"`
 }
 
 type errorResponse struct {
@@ -302,9 +262,9 @@ const (
 
 // join is the dedup/cache core: under one critical section it consults the
 // result cache, then the flight table, and only then admits a new
-// computation to the bounded queue. j, when non-nil, is an async job to
-// attach to whatever flight the request lands on.
-func (s *Server) join(req *Request, key string, j *job) (*core.Report, *flight, joinOutcome) {
+// computation to the bounded queue. A returned flight carries a reference
+// for the caller, which wait drops.
+func (s *Server) join(req *Request, key string) (*core.Report, *flight, joinOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rep, ok := s.cache.get(key); ok {
@@ -313,12 +273,7 @@ func (s *Server) join(req *Request, key string, j *job) (*core.Report, *flight, 
 	}
 	if f, ok := s.flights[key]; ok {
 		s.met.dedupJoins.Add(1)
-		if j != nil {
-			f.hasJob = true
-			f.jobs = append(f.jobs, j)
-		} else {
-			f.refs++
-		}
+		f.refs++
 		return nil, f, joinJoined
 	}
 	if s.closed {
@@ -333,13 +288,7 @@ func (s *Server) join(req *Request, key string, j *job) (*core.Report, *flight, 
 	} else {
 		fctx, cancel = context.WithCancel(s.lifeCtx)
 	}
-	f := &flight{cancel: cancel, done: make(chan struct{})}
-	if j != nil {
-		f.hasJob = true
-		f.jobs = []*job{j}
-	} else {
-		f.refs = 1
-	}
+	f := &flight{cancel: cancel, done: make(chan struct{}), refs: 1}
 	// Copy the request so the computation owns an immutable snapshot — the
 	// handler's *Request does not outlive the response.
 	reqCopy := *req
@@ -355,7 +304,7 @@ func (s *Server) join(req *Request, key string, j *job) (*core.Report, *flight, 
 		}()
 		rep, err := s.execute(fctx, &reqCopy)
 		if err == nil {
-			// Every successful exact result — sync, async, and batch entries
+			// Every successful exact result — estimates and batch entries
 			// alike funnel through this closure — trains the surrogate and
 			// updates the shadow-residual histogram.
 			s.observeSurrogate(&reqCopy, rep)
@@ -372,8 +321,9 @@ func (s *Server) join(req *Request, key string, j *job) (*core.Report, *flight, 
 	return nil, f, joinCreated
 }
 
-// execute runs one admitted request: every computation — sync, async, and
-// batch entries alike — funnels through here from the flight it landed on.
+// execute runs one admitted request: every computation — estimates, batch
+// entries and oppoint probes alike — funnels through here from the flight it
+// landed on.
 func (s *Server) execute(ctx context.Context, req *Request) (*core.Report, error) {
 	if req.pointOverride() {
 		return s.cfg.AnalyzeAt(ctx, req.Benchmark, req.Scenarios, req.analyzeOpts(), req.cond(), req.FreqRatio)
@@ -381,9 +331,9 @@ func (s *Server) execute(ctx context.Context, req *Request) (*core.Report, error
 	return s.cfg.Analyze(ctx, req.Benchmark, req.Scenarios, req.analyzeOpts())
 }
 
-// complete retires a flight: successful reports enter the cache, attached
-// async jobs are finalized, and waiters are released. Failures are not
-// cached — the next identical request retries.
+// complete retires a flight: successful reports enter the cache and waiters
+// are released. Failures are not cached — the next identical request
+// retries.
 func (s *Server) complete(key string, f *flight, rep *core.Report, err error) {
 	s.mu.Lock()
 	if cur, ok := s.flights[key]; ok && cur == f {
@@ -397,30 +347,21 @@ func (s *Server) complete(key string, f *flight, rep *core.Report, err error) {
 	} else {
 		s.met.failures.Add(1)
 	}
-	for _, j := range f.jobs {
-		if err == nil {
-			j.status = "done"
-			j.rep = rep
-		} else {
-			j.status = "failed"
-			j.errMsg = err.Error()
-		}
-	}
 	s.mu.Unlock()
 	f.rep, f.err = rep, err
 	close(f.done)
 	f.cancel()
 }
 
-// leave drops one sync waiter's reference. When the last observer leaves an
-// unfinished flight with no attached async job, the computation is
-// cancelled — nobody is left to read the result.
+// leave drops one waiter's reference. When the last observer leaves an
+// unfinished flight, the computation is cancelled — nobody is left to read
+// the result.
 func (s *Server) leave(key string, f *flight) {
 	s.mu.Lock()
 	abandoned := false
 	if cur, ok := s.flights[key]; ok && cur == f {
 		f.refs--
-		abandoned = f.refs <= 0 && !f.hasJob
+		abandoned = f.refs <= 0
 	}
 	s.mu.Unlock()
 	if abandoned {
@@ -449,6 +390,16 @@ func errorStatus(err error, fallback int) int {
 	return fallback
 }
 
+// servable rejects a valid request this daemon cannot run: an
+// operating-point override without Config.AnalyzeAt. The estimate and batch
+// handlers both apply it at admission.
+func (s *Server) servable(req *Request) error {
+	if req.pointOverride() && s.cfg.AnalyzeAt == nil {
+		return errors.New("this daemon does not serve operating-point overrides")
+	}
+	return nil
+}
+
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	s.met.estimateRequests.Add(1)
 	start := time.Now()
@@ -457,21 +408,15 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req, err := parseRequest(w, r, s.cfg.Limits)
+	if err == nil {
+		err = s.servable(req)
+	}
 	if err != nil {
 		s.met.badRequests.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	if req.pointOverride() && s.cfg.AnalyzeAt == nil {
-		s.met.badRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "this daemon does not serve operating-point overrides"})
-		return
-	}
 	key := req.Key(s.cfg.Fingerprint)
-	if req.Async {
-		s.handleEstimateAsync(w, req, key)
-		return
-	}
 	if s.surrogateEligible(req) {
 		if rep := s.consultSurrogate(req, key); rep != nil {
 			writeJSON(w, http.StatusOK, estimateResponse{Key: key, Tier: core.TierSurrogate, Report: rep})
@@ -480,7 +425,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	rep, f, outcome := s.join(req, key, nil)
+	rep, f, outcome := s.join(req, key)
 	switch outcome {
 	case joinCacheHit:
 		writeJSON(w, http.StatusOK, estimateResponse{Key: key, Cached: true, Tier: core.TierExact, Report: rep})
@@ -503,96 +448,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, estimateResponse{Key: key, Cached: false, Tier: core.TierExact, Report: f.rep})
 	}
 	s.met.latency.observeDuration(time.Since(start))
-}
-
-// handleEstimateAsync registers a job, attaches it to the flight (or
-// finishes it straight from the cache), and acknowledges with 202.
-func (s *Server) handleEstimateAsync(w http.ResponseWriter, req *Request, key string) {
-	j := &job{id: newJobID(), created: time.Now(), status: "pending"}
-	if !s.storeJob(j) {
-		s.met.queueRejects.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "job store full, retry later"})
-		return
-	}
-	rep, _, outcome := s.join(req, key, j)
-	switch outcome {
-	case joinCacheHit:
-		s.mu.Lock()
-		j.status = "done"
-		j.rep = rep
-		s.mu.Unlock()
-	case joinRejected:
-		s.dropJob(j.id)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "compute queue full, retry later"})
-		return
-	}
-	writeJSON(w, http.StatusAccepted, asyncResponse{JobID: j.id, Status: s.jobStatus(j)})
-}
-
-// jobStatus reads a job's status under mu (the job may have completed
-// between join and the acknowledgement write).
-func (s *Server) jobStatus(j *job) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return j.status
-}
-
-// storeJob retains a job, evicting the oldest finished job when over the
-// retention cap; it refuses (false) when every retained job is still
-// pending — job-store backpressure.
-func (s *Server) storeJob(j *job) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	if len(s.jobs) >= s.cfg.JobRetention {
-		evicted := false
-		for i, id := range s.jobOrder {
-			if old, ok := s.jobs[id]; ok && old.status != "pending" {
-				delete(s.jobs, id)
-				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return false
-		}
-	}
-	s.jobs[j.id] = j
-	s.jobOrder = append(s.jobOrder, j.id)
-	return true
-}
-
-// dropJob removes a job that never got a computation (queue rejection).
-func (s *Server) dropJob(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, id)
-	for i, jid := range s.jobOrder {
-		if jid == id {
-			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	s.met.jobRequests.Add(1)
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var resp jobResponse
-	if ok {
-		resp = jobResponse{JobID: j.id, Status: j.status, Report: j.rep, Error: j.errMsg}
-	}
-	s.mu.Unlock()
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown job %q", id)})
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 type healthResponse struct {
@@ -632,7 +487,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		queueDepth:       s.queue.Depth(),
 		inflight:         len(s.flights),
 		cacheEntries:     s.cache.len(),
-		jobsStored:       len(s.jobs),
 		batchesStored:    len(s.batches),
 		batchesRunning:   running,
 		mcChunksInflight: montecarlo.InFlightChunks(),
@@ -646,9 +500,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.met.render(w, g)
 }
-
-// newJobID returns a 16-hex-digit random job handle.
-func newJobID() string { return newID("job") }
 
 // newID returns a prefixed 16-hex-digit random handle.
 func newID(prefix string) string {

@@ -369,73 +369,6 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
-// Async mode: 202 with a job id, pending until the computation lands, then
-// the stored report is served from GET /v1/jobs/{id}.
-func TestAsyncJobLifecycle(t *testing.T) {
-	release := make(chan struct{})
-	analyze := func(ctx context.Context, benchmark string, scenarios int, opts core.AnalyzeOpts) (*core.Report, error) {
-		<-release
-		return fakeReport(benchmark), nil
-	}
-	_, ts := newTestServer(t, context.Background(), Config{Analyze: analyze})
-
-	code, body, err := postEstimate(context.Background(), ts.URL, `{"benchmark":"tiff2bw","async":true}`)
-	if err != nil || code != http.StatusAccepted {
-		t.Fatalf("async submit: code %d err %v", code, err)
-	}
-	id, _ := body["job_id"].(string)
-	if id == "" {
-		t.Fatalf("missing job_id in %v", body)
-	}
-	if body["status"] != "pending" {
-		t.Errorf("fresh job status = %v", body["status"])
-	}
-
-	getJob := func() (int, map[string]any) {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var m map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, m
-	}
-	if code, m := getJob(); code != http.StatusOK || m["status"] != "pending" {
-		t.Fatalf("pending poll: code %d body %v", code, m)
-	}
-	close(release)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		code, m := getJob()
-		if code != http.StatusOK {
-			t.Fatalf("poll code %d", code)
-		}
-		if m["status"] == "done" {
-			rep, _ := m["report"].(map[string]any)
-			if rep["name"] != "tiff2bw" {
-				t.Errorf("job report = %v", rep["name"])
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never completed: %v", m)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/jobs/job-doesnotexist0000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job: code %d, want 404", resp.StatusCode)
-	}
-}
-
 // Validation failures are client errors with explanatory bodies, counted in
 // the bad-request metric; unknown fields are rejected.
 func TestRequestValidation(t *testing.T) {
@@ -462,6 +395,7 @@ func TestRequestValidation(t *testing.T) {
 		{"negative retries", `{"benchmark":"known","retries":-1}`, "out of range"},
 		{"min_scenarios above scenarios", `{"benchmark":"known","scenarios":2,"min_scenarios":3}`, "out of range"},
 		{"unknown field", `{"benchmark":"known","scenarioz":2}`, "scenarioz"},
+		{"async field", `{"benchmark":"typeset","async":true}`, "async"},
 		{"malformed body", `{`, "invalid request body"},
 	}
 	for _, tc := range cases {

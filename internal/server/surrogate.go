@@ -64,15 +64,15 @@ type SurrogateTier interface {
 	Stats() SurrogateStats
 }
 
-// surrogateEligible reports whether a request may be answered by the fast
-// tier: serve mode only, and never for async requests (the job contract
-// promises an exact pipeline run), Monte Carlo validations (the surrogate
-// has no trials to validate), or operating-point overrides (the tier is
-// trained at the daemon's own serving point and would silently answer for
-// the wrong condition).
+// surrogateEligible reports whether an estimate request may be answered by
+// the fast tier: serve mode only, and never for Monte Carlo validations (the
+// surrogate has no trials to validate) or operating-point overrides (the
+// tier is trained at the daemon's own serving point and would silently
+// answer for the wrong condition). Batch entries never ask: a stored result
+// promises an exact pipeline run.
 func (s *Server) surrogateEligible(req *Request) bool {
 	return s.cfg.SurrogateMode == SurrogateServe && s.cfg.Surrogate != nil &&
-		!req.Async && req.MCTrials == 0 && !req.pointOverride()
+		req.MCTrials == 0 && !req.pointOverride()
 }
 
 // consultSurrogate runs the gate for an eligible request. A cached exact

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tsperr/internal/cell"
 	"tsperr/internal/core"
@@ -197,9 +196,10 @@ func TestSurrogateShadowNeverServes(t *testing.T) {
 	}
 }
 
-// TestSurrogateBypassedForMCAndAsync: Monte Carlo validations and async jobs
-// must always take the exact pipeline, even with a confident surrogate.
-func TestSurrogateBypassedForMCAndAsync(t *testing.T) {
+// TestSurrogateBypassedForMCAndBatch: Monte Carlo validations and batch
+// entries must always take the exact pipeline, even with a confident
+// surrogate.
+func TestSurrogateBypassedForMCAndBatch(t *testing.T) {
 	var computations atomic.Uint64
 	stub := &stubSurrogate{decision: confidentDecision()}
 	_, ts := newTestServer(t, context.Background(), Config{
@@ -219,22 +219,20 @@ func TestSurrogateBypassedForMCAndAsync(t *testing.T) {
 		t.Fatalf("mc_trials response: status %d tier %v", code, body["tier"])
 	}
 
-	code, body, err = postEstimate(context.Background(), ts.URL, `{"benchmark":"b","async":true}`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	code, body = postBatch(t, ts.URL, `{"scenarios":[{"benchmark":"b"}]}`)
 	if code != 202 {
-		t.Fatalf("async status %d: %v", code, body)
+		t.Fatalf("batch status %d: %v", code, body)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for computations.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	id, _ := body["batch_id"].(string)
+	final := waitBatchStatus(t, ts.URL, id, "done")
+	if e := entries(t, final)[0]; e["status"] != "done" {
+		t.Fatalf("batch entry: %v", e)
 	}
 	if computations.Load() != 2 {
 		t.Errorf("exact pipeline ran %d times, want 2", computations.Load())
 	}
 	if stub.decides.Load() != 0 {
-		t.Errorf("gate consulted %d times for mc/async requests", stub.decides.Load())
+		t.Errorf("gate consulted %d times for mc/batch requests", stub.decides.Load())
 	}
 }
 
