@@ -293,14 +293,14 @@ func BenchmarkFrameworkSetup(b *testing.B) {
 func BenchmarkFrameworkSetupWarm(b *testing.B) {
 	dir := b.TempDir()
 	opts := errormodel.DefaultOptions()
-	if _, warm, err := core.NewFrameworkCached(opts, dir); err != nil {
+	if _, warm, err := core.NewFrameworkCachedContext(context.Background(), opts, dir); err != nil {
 		b.Fatal(err)
 	} else if warm {
 		b.Fatal("first build cannot be warm")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, warm, err := core.NewFrameworkCached(opts, dir)
+		_, warm, err := core.NewFrameworkCachedContext(context.Background(), opts, dir)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -109,7 +109,6 @@ func TestBatchKeyExcludesSchedulingKnobs(t *testing.T) {
 	base := batchItem("x", 4, AnalyzeOpts{Retries: 2})
 	same := base
 	same.Opts.Workers = 7
-	same.Opts.RetryBackoff = -1
 	if base.Key() != same.Key() {
 		t.Error("scheduling knobs must not change the batch key")
 	}

@@ -43,7 +43,7 @@ func TestNewFrameworkCachedWarm(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	fw, warm, err := NewFrameworkCached(opts, dir)
+	fw, warm, err := NewFrameworkCachedContext(context.Background(), opts, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestNewFrameworkCachedColdPublishes(t *testing.T) {
 	}
 	dir := t.TempDir()
 	opts := errormodel.DefaultOptions()
-	cold, warm, err := NewFrameworkCached(opts, dir)
+	cold, warm, err := NewFrameworkCachedContext(context.Background(), opts, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestNewFrameworkCachedColdPublishes(t *testing.T) {
 	if _, err := os.Stat(modelcache.Path(dir, key)); err != nil {
 		t.Fatalf("cold build should publish a snapshot: %v", err)
 	}
-	hot, warm, err := NewFrameworkCached(opts, dir)
+	hot, warm, err := NewFrameworkCachedContext(context.Background(), opts, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestNewFrameworkCachedRebuildsInvalidSnapshot(t *testing.T) {
 		if err := modelcache.Save(dir, key, snap); err != nil {
 			t.Fatal(err)
 		}
-		fw, warm, err := NewFrameworkCached(opts, dir)
+		fw, warm, err := NewFrameworkCachedContext(context.Background(), opts, dir)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -12,7 +12,6 @@ import (
 	"tsperr/internal/errormodel"
 	"tsperr/internal/isa"
 	"tsperr/internal/pool"
-	"tsperr/internal/retry"
 )
 
 // Framework ties the whole flow of Figures 1 and 2 together: netlist
@@ -24,8 +23,17 @@ type Framework struct {
 	Datapath *errormodel.DatapathModel
 
 	// periodModels keeps the datapath models AnalyzeAtRatio trained at
-	// periods other than the working one.
-	periodModels datapathStore
+	// periods other than the working one (see datapathAt).
+	periodModels *pool.Memo[uint64, *errormodel.DatapathModel]
+}
+
+// newFramework assembles a framework from its trained parts.
+func newFramework(m *errormodel.Machine, dp *errormodel.DatapathModel) *Framework {
+	return &Framework{
+		Machine:      m,
+		Datapath:     dp,
+		periodModels: pool.NewMemo[uint64, *errormodel.DatapathModel](periodModelLimit),
+	}
 }
 
 // NewFramework builds and trains the machine-dependent parts (everything
@@ -46,7 +54,7 @@ func NewFrameworkContext(ctx context.Context, opts errormodel.Options) (*Framewo
 	if err != nil {
 		return nil, err
 	}
-	return &Framework{Machine: m, Datapath: dp}, nil
+	return newFramework(m, dp), nil
 }
 
 // ProgramSpec describes one benchmark to analyze.
@@ -87,10 +95,6 @@ type AnalyzeOpts struct {
 	// of the first try) before it counts as failed. Context cancellations
 	// are never retried.
 	Retries int
-	// RetryBackoff is the base delay before the first retry, doubling per
-	// attempt and capped at retryBackoffCap. Zero selects a small default;
-	// negative disables backoff entirely (tests).
-	RetryBackoff time.Duration
 	// MinScenarios, when positive, lets a run proceed in degraded mode if
 	// at least this many scenarios survive: the Report is computed from the
 	// survivors, carries Degraded == true, and joins every scenario failure
@@ -111,9 +115,11 @@ type AnalyzeOpts struct {
 	MCSeed uint64
 }
 
+// A failed scenario attempt waits retryBackoff before its first retry,
+// doubling per retry up to retryBackoffCap.
 const (
-	defaultRetryBackoff = 2 * time.Millisecond
-	retryBackoffCap     = 250 * time.Millisecond
+	retryBackoff    = 2 * time.Millisecond
+	retryBackoffCap = 250 * time.Millisecond
 )
 
 // Report is one row of Table 2 plus everything needed to draw the program's
@@ -218,7 +224,7 @@ func (f *Framework) analyze(ctx context.Context, name string, spec ProgramSpec, 
 	keepUnscaled := opts.MCTrials > 0
 	ft := dp.FailTable()
 	f.runPool(ctx, spec.Scenarios, opts, errs, func(poolCtx context.Context, s int) error {
-		return f.withRetry(poolCtx, opts, func(attempt int) *ScenarioError {
+		return withRetry(poolCtx, opts, func(attempt int) *ScenarioError {
 			raw, serr := f.simScenario(poolCtx, name, spec, cfgCPU, g, s, opts.Inject, keepUnscaled, ft)
 			if serr != nil {
 				serr.Attempts = attempt
@@ -269,7 +275,7 @@ func (f *Framework) analyze(ctx context.Context, name string, spec ProgramSpec, 
 		if errs[s] != nil || raws[s] == nil {
 			return nil // already failed in simulation; keep the original error
 		}
-		return f.withRetry(poolCtx, opts, func(attempt int) *ScenarioError {
+		return withRetry(poolCtx, opts, func(attempt int) *ScenarioError {
 			sc, serr := f.marginalScenario(poolCtx, name, g, cc, raws[s], s, opts.Inject)
 			if serr != nil {
 				serr.Attempts = attempt
@@ -448,34 +454,37 @@ func (f *Framework) runPool(ctx context.Context, n int, opts AnalyzeOpts, errs [
 	pool.Run(ctx, n, opts.Workers, opts.FailFast, errs, work)
 }
 
-// retryPolicy maps AnalyzeOpts onto the backoff helper: zero RetryBackoff
-// selects the small default, negative disables delays entirely (tests), and
-// every schedule clamps at retryBackoffCap.
-func retryPolicy(opts AnalyzeOpts) retry.Policy {
-	base := opts.RetryBackoff
-	switch {
-	case base < 0:
-		base = 0
-	case base == 0:
-		base = defaultRetryBackoff
+// retryDelay returns the backoff before retry n (1-based).
+func retryDelay(n int) time.Duration {
+	d := retryBackoff
+	for i := 1; i < n && d < retryBackoffCap; i++ {
+		d <<= 1
 	}
-	return retry.Policy{Base: base, Cap: retryBackoffCap}
+	return min(d, retryBackoffCap)
 }
 
-// withRetry runs one scenario attempt, retrying transient failures up to
-// opts.Retries times with the capped-exponential backoff
-// (internal/retry). Context cancellations and deadline expiries are terminal
-// immediately, including when they interrupt the backoff sleep itself.
-func (f *Framework) withRetry(ctx context.Context, opts AnalyzeOpts, attempt func(n int) *ScenarioError) error {
-	return retry.Do(ctx, retryPolicy(opts), opts.Retries+1, func(n int) error {
-		// Return the typed error through a plain error variable only when
-		// non-nil: a nil *ScenarioError stuffed into an error interface would
-		// read as a failure.
-		if serr := attempt(n); serr != nil {
+// withRetry runs one scenario attempt, retrying failures up to opts.Retries
+// times after retryDelay's backoff. A context cancellation or deadline
+// expiry, whether observed on ctx or wrapped in the attempt's error, is
+// terminal at once: retrying cancelled work only delays shutdown. When one
+// interrupts the backoff, the attempt's error is returned joined with it.
+func withRetry(ctx context.Context, opts AnalyzeOpts, attempt func(n int) *ScenarioError) error {
+	for n := 1; ; n++ {
+		serr := attempt(n)
+		if serr == nil {
+			return nil
+		}
+		if n > opts.Retries || errors.Is(serr, context.Canceled) || errors.Is(serr, context.DeadlineExceeded) {
 			return serr
 		}
-		return nil
-	})
+		t := time.NewTimer(retryDelay(n))
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return errors.Join(serr, ctx.Err())
+		}
+	}
 }
 
 // gate applies the failure policy after phase, which just ran: a clean pass

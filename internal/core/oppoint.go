@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"tsperr/internal/cpu"
 	"tsperr/internal/errormodel"
@@ -35,7 +34,7 @@ type OperatingPoint struct {
 // AnalyzeAtRatio analyzes the program at the given frequency ratio
 // (speculative over baseline): the clock period BasePeriodPs/ratio is passed
 // down the pipeline with the datapath model trained at it, which the
-// framework trains once per period and keeps (see datapathStore).
+// framework trains once per period and keeps (see datapathAt).
 // Concurrent analyses at any ratios may share the framework, and a later
 // Analyze is bit-identical to one on a framework that never saw another
 // ratio. A ratio whose period is bit-identical to the working period is the
@@ -51,7 +50,7 @@ func (f *Framework) AnalyzeAtRatio(ctx context.Context, name string, spec Progra
 	if math.Float64bits(period) == math.Float64bits(f.Machine.WorkingPeriodPs) {
 		return f.AnalyzeWithOpts(ctx, name, spec, opts)
 	}
-	dp, err := f.periodModels.at(ctx, f.Machine, period)
+	dp, err := f.datapathAt(ctx, period)
 	if err != nil {
 		return nil, err
 	}
@@ -68,83 +67,14 @@ func (f *Framework) AnalyzeAtRatio(ctx context.Context, name string, spec Progra
 // the midpoint too, so those stay kept.
 const periodModelLimit = 16
 
-// datapathStore keeps trained datapath models by the float bits of their
-// clock period, dropping the least recently used once periodModelLimit are
-// kept. A model is a pure function of the machine and the period, so a kept
-// one is the model a new training would return. Callers asking for a period
-// whose training is in flight wait for it; a training that fails or is
-// cancelled is not kept, and its waiters train again under their own
-// contexts.
-type datapathStore struct {
-	mu       sync.Mutex
-	byPeriod map[uint64]*datapathTraining // guarded by mu
-	// lru lists the periods of the kept models, least recently used first;
-	// guarded by mu.
-	lru []uint64
-}
-
-// datapathTraining is one training. dp is nil while it runs and set, under
-// the store's lock, when it succeeds; done is closed when it ends either way.
-type datapathTraining struct {
-	done chan struct{}
-	dp   *errormodel.DatapathModel // guarded by mu, the store's lock
-}
-
-// at returns the datapath model trained at period, training it on first use.
-func (s *datapathStore) at(ctx context.Context, m *errormodel.Machine, period float64) (*errormodel.DatapathModel, error) {
-	key := math.Float64bits(period)
-	for {
-		s.mu.Lock()
-		t, ok := s.byPeriod[key]
-		switch {
-		case !ok:
-			if s.byPeriod == nil {
-				s.byPeriod = map[uint64]*datapathTraining{}
-			}
-			t = &datapathTraining{done: make(chan struct{})}
-			s.byPeriod[key] = t
-			s.mu.Unlock()
-			return s.train(ctx, m, period, key, t)
-		case t.dp != nil:
-			// Move key to the most recently used end.
-			for i, k := range s.lru {
-				if k == key {
-					copy(s.lru[i:], s.lru[i+1:])
-					s.lru[len(s.lru)-1] = key
-					break
-				}
-			}
-			dp := t.dp
-			s.mu.Unlock()
-			return dp, nil
-		}
-		s.mu.Unlock()
-		select {
-		case <-t.done: // look again: kept, or dropped and trained anew
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// train runs t, keeping its model on success and dropping t otherwise.
-func (s *datapathStore) train(ctx context.Context, m *errormodel.Machine, period float64, key uint64, t *datapathTraining) (dp *errormodel.DatapathModel, err error) {
-	defer func() {
-		s.mu.Lock()
-		if dp == nil || err != nil {
-			delete(s.byPeriod, key)
-		} else {
-			t.dp = dp
-			s.lru = append(s.lru, key)
-			if len(s.lru) > periodModelLimit {
-				delete(s.byPeriod, s.lru[0])
-				s.lru = append(s.lru[:0], s.lru[1:]...)
-			}
-		}
-		s.mu.Unlock()
-		close(t.done)
-	}()
-	return m.TrainDatapathWorkers(ctx, 0, period)
+// datapathAt returns the datapath model trained at period. The framework
+// keeps the periodModelLimit most recently used ones by the float bits of
+// their period; a model is a pure function of the machine and the period, so
+// a kept one is the model a new training would return.
+func (f *Framework) datapathAt(ctx context.Context, period float64) (*errormodel.DatapathModel, error) {
+	return f.periodModels.Get(ctx, math.Float64bits(period), func(ctx context.Context) (*errormodel.DatapathModel, error) {
+		return f.Machine.TrainDatapathWorkers(ctx, 0, period)
+	})
 }
 
 // MaxBisectSteps bounds the quantized ratio grid of SelectOperatingPoint;

@@ -306,7 +306,7 @@ func freshFramework(ctx context.Context, t *testing.T, f *Framework) *Framework 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Framework{Machine: m, Datapath: dp}
+	return newFramework(m, dp)
 }
 
 // TestConcurrentRatiosShareOneFramework runs AnalyzeAtRatio at two
@@ -361,7 +361,7 @@ func TestConcurrentRatiosShareOneFramework(t *testing.T) {
 	}
 }
 
-// TestPeriodStoreKeepsRecentlyUsed fills a datapath model store past
+// TestPeriodStoreKeepsRecentlyUsed fills a framework's datapath models past
 // periodModelLimit while asking for one period after every training: that
 // period keeps the model first trained, and the oldest untouched one is
 // dropped. It also pins the limit's reason: on the default operating-point
@@ -386,10 +386,10 @@ func TestPeriodStoreKeepsRecentlyUsed(t *testing.T) {
 		t.Errorf("the default grid has %d non-working periods, periodModelLimit is %d", len(grid), periodModelLimit)
 	}
 
-	var s datapathStore
+	f := newFramework(testFramework(t).Machine, nil)
 	at := func(ratio float64) *errormodel.DatapathModel {
 		t.Helper()
-		dp, err := s.at(ctx, m, m.BasePeriodPs/ratio)
+		dp, err := f.datapathAt(ctx, m.BasePeriodPs/ratio)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,13 +403,14 @@ func TestPeriodStoreKeepsRecentlyUsed(t *testing.T) {
 			t.Fatalf("after %d trainings the most recently used model was retrained", i+2)
 		}
 	}
-	s.mu.Lock()
-	_, ok := s.byPeriod[math.Float64bits(m.BasePeriodPs/1.02)]
-	kept := len(s.lru)
-	s.mu.Unlock()
-	if ok || kept != periodModelLimit {
+	// A probe whose training fails reports whether a model is kept: a
+	// failed training is not.
+	_, err := f.periodModels.Get(ctx, math.Float64bits(m.BasePeriodPs/1.02), func(context.Context) (*errormodel.DatapathModel, error) {
+		return nil, errors.New("not kept")
+	})
+	if kept := f.periodModels.Len(); err == nil || kept != periodModelLimit {
 		t.Errorf("after %d trainings: least recently used kept %v, %d models kept; want it dropped and %d kept",
-			periodModelLimit+1, ok, kept, periodModelLimit)
+			periodModelLimit+1, err == nil, kept, periodModelLimit)
 	}
 }
 

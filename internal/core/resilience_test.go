@@ -33,9 +33,8 @@ func TestAnalyzePanicRecoveredAndRetried(t *testing.T) {
 	f := testFramework(t)
 	inj := faultinject.New(1, faultinject.PanicOnce(faultinject.Simulation, 2))
 	rep, err := f.AnalyzeWithOpts(context.Background(), "sumloop", resilienceSpec(t, 4), AnalyzeOpts{
-		Retries:      1,
-		RetryBackoff: -1,
-		Inject:       hook(inj),
+		Retries: 1,
+		Inject:  hook(inj),
 	})
 	if err != nil {
 		t.Fatalf("panic should be recovered and retried, got %v", err)
@@ -89,7 +88,6 @@ func TestAnalyzeDegradedRun(t *testing.T) {
 	)
 	rep, err := f.AnalyzeWithOpts(context.Background(), "sumloop", resilienceSpec(t, 5), AnalyzeOpts{
 		MinScenarios: 2,
-		RetryBackoff: -1,
 		Inject:       hook(inj),
 	})
 	if err != nil {
@@ -157,7 +155,6 @@ func TestDegradedMCSimulatesSurvivorsOwnDatasets(t *testing.T) {
 	inj := faultinject.New(1, faultinject.FailAlways(faultinject.Setup, 0))
 	rep, err := f.AnalyzeWithOpts(ctx, "triploop", ProgramSpec{Prog: prog, Setup: tripSetup, Scenarios: 2}, AnalyzeOpts{
 		MinScenarios: 1,
-		RetryBackoff: -1,
 		Inject:       hook(inj),
 		MCTrials:     512,
 		MCSeed:       5,
@@ -196,7 +193,6 @@ func TestAnalyzeMinScenariosUnmetJoinsAll(t *testing.T) {
 	)
 	_, err := f.AnalyzeWithOpts(context.Background(), "sumloop", resilienceSpec(t, 4), AnalyzeOpts{
 		MinScenarios: 2,
-		RetryBackoff: -1,
 		Inject:       hook(inj),
 	})
 	if err == nil {
@@ -224,9 +220,8 @@ func TestAnalyzeTransientRetried(t *testing.T) {
 	f := testFramework(t)
 	inj := faultinject.New(1, faultinject.FailOnce(faultinject.Setup, 0))
 	rep, err := f.AnalyzeWithOpts(context.Background(), "sumloop", resilienceSpec(t, 3), AnalyzeOpts{
-		Retries:      2,
-		RetryBackoff: -1,
-		Inject:       hook(inj),
+		Retries: 2,
+		Inject:  hook(inj),
 	})
 	if err != nil {
 		t.Fatalf("transient failure within retry budget: %v", err)
@@ -371,5 +366,78 @@ func TestAnalyzeWorkerCountInvariance(t *testing.T) {
 		t.Errorf("worker count changed the estimate: %v/%v vs %v/%v",
 			seq.Estimate.LambdaMean, seq.Estimate.LambdaStd,
 			par.Estimate.LambdaMean, par.Estimate.LambdaStd)
+	}
+}
+
+// TestRetryDelayDoublesToCap pins the scenario retry backoff: 2 ms before
+// the first retry, doubling per retry up to the 250 ms cap.
+func TestRetryDelayDoublesToCap(t *testing.T) {
+	want := []time.Duration{2, 4, 8, 16, 32, 64, 128, 250, 250}
+	for i, w := range want {
+		if got := retryDelay(i + 1); got != w*time.Millisecond {
+			t.Errorf("retryDelay(%d) = %v, want %v", i+1, got, w*time.Millisecond)
+		}
+	}
+	if got := retryDelay(1000); got != retryBackoffCap {
+		t.Errorf("retryDelay(1000) = %v, want the cap", got)
+	}
+}
+
+// TestWithRetry pins the retry loop: a failed attempt is retried up to
+// opts.Retries times, and a context error, bare or wrapped, is terminal at
+// once.
+func TestWithRetry(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name      string
+		retries   int
+		err       error
+		failures  int // attempts that fail before one succeeds
+		wantCalls int
+		wantErr   error // nil: success
+	}{
+		{"succeeds on a retry", 4, boom, 2, 3, nil},
+		{"exhausts its retries", 2, boom, 10, 3, boom},
+		{"deadline is terminal", 4, context.DeadlineExceeded, 10, 1, context.DeadlineExceeded},
+		{"wrapped cancel is terminal", 4, errors.Join(boom, context.Canceled), 10, 1, context.Canceled},
+	} {
+		calls := 0
+		err := withRetry(context.Background(), AnalyzeOpts{Retries: tc.retries}, func(n int) *ScenarioError {
+			calls++
+			if n != calls {
+				t.Fatalf("%s: attempt number %d, want %d", tc.name, n, calls)
+			}
+			if n <= tc.failures {
+				return &ScenarioError{Err: tc.err}
+			}
+			return nil
+		})
+		if calls != tc.wantCalls || (err == nil) != (tc.wantErr == nil) || !errors.Is(err, tc.wantErr) {
+			t.Errorf("%s: err = %v after %d attempts, want %v after %d", tc.name, err, calls, tc.wantErr, tc.wantCalls)
+		}
+	}
+}
+
+// TestWithRetryCancelledDuringBackoff cancels the context while withRetry
+// sleeps before a retry: it returns at once with the attempt's error joined
+// with the cancellation, and makes no further attempt.
+func TestWithRetryCancelledDuringBackoff(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	boom := errors.New("boom")
+	const last = 8 // the backoff after attempt 8 is the 250 ms cap
+	calls := 0
+	err := withRetry(ctx, AnalyzeOpts{Retries: 100}, func(n int) *ScenarioError {
+		calls++
+		if n == last {
+			time.AfterFunc(10*time.Millisecond, cancel)
+		}
+		return &ScenarioError{Err: boom}
+	})
+	if !errors.Is(err, boom) || !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want boom joined with context.Canceled", err)
+	}
+	if calls != last {
+		t.Errorf("%d attempts, want %d: the backoff was not cut short", calls, last)
 	}
 }

@@ -25,8 +25,8 @@ var std = &struct {
 func init() {
 	std.dir.Store("")
 	std.eng, _ = New(cell.OperatingCondition{}, "") // nominal always validates
-	std.eng.build = func(opts errormodel.Options, _ string) (*core.Framework, error) {
-		return buildFramework(opts, std.dir.Load().(string))
+	std.eng.build = func(ctx context.Context, opts errormodel.Options, _ string) (*core.Framework, error) {
+		return buildFramework(ctx, opts, std.dir.Load().(string))
 	}
 }
 

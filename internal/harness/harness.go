@@ -7,13 +7,13 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"tsperr/internal/cell"
 	"tsperr/internal/core"
 	"tsperr/internal/cpu"
 	"tsperr/internal/errormodel"
 	"tsperr/internal/mibench"
+	"tsperr/internal/pool"
 )
 
 // DefaultScenarios is the number of input datasets per benchmark; their
@@ -25,17 +25,18 @@ const DefaultScenarios = 8
 // and the frameworks of the other conditions an operating-point search
 // visits. Each command, daemon and test holds its own engine, and two
 // engines share nothing. Its methods are safe for concurrent use.
+//
+// A framework is built by the first caller that needs it, under that
+// caller's context; a caller arriving during the build waits for it under
+// its own context. A failed or cancelled build is not kept (pool.Memo).
 type Engine struct {
 	cond     cell.OperatingCondition
 	cacheDir string
 	// build is buildFramework; tests substitute it.
-	build func(opts errormodel.Options, dir string) (*core.Framework, error)
+	build func(ctx context.Context, opts errormodel.Options, dir string) (*core.Framework, error)
 
-	own condEntry // the framework at cond
-
-	condMu  sync.Mutex
-	condFWs map[string]*condEntry // guarded by condMu
-	condLRU []string              // most recently used last; guarded by condMu
+	own    *pool.Memo[struct{}, *core.Framework] // the framework at cond
+	others *pool.Memo[string, *core.Framework]   // by cond.String()
 }
 
 // New returns an engine whose framework builds at cond through the model
@@ -49,18 +50,19 @@ func New(cond cell.OperatingCondition, cacheDir string) (*Engine, error) {
 		cond:     cond,
 		cacheDir: cacheDir,
 		build:    buildFramework,
-		condFWs:  map[string]*condEntry{},
+		own:      pool.NewMemo[struct{}, *core.Framework](1),
+		others:   pool.NewMemo[string, *core.Framework](maxConditionFrameworks),
 	}, nil
 }
 
 // buildFramework is an engine's build: through the model cache in dir unless
 // dir is "" (the condition is part of the cache key, so each condition warms
 // independently).
-func buildFramework(opts errormodel.Options, dir string) (*core.Framework, error) {
+func buildFramework(ctx context.Context, opts errormodel.Options, dir string) (*core.Framework, error) {
 	if dir == "" {
-		return core.NewFramework(opts)
+		return core.NewFrameworkContext(ctx, opts)
 	}
-	f, _, err := core.NewFrameworkCached(opts, dir)
+	f, _, err := core.NewFrameworkCachedContext(ctx, opts, dir)
 	return f, err
 }
 
@@ -83,7 +85,22 @@ func (e *Engine) CacheDir() string { return e.cacheDir }
 // Framework builds (once) the calibrated machine and trained datapath model
 // shared by all benchmarks — the machine-dependent "training" the paper
 // performs once per design.
-func (e *Engine) Framework() (*core.Framework, error) { return e.frameworkAt(&e.own, e.cond) }
+func (e *Engine) Framework() (*core.Framework, error) {
+	return e.framework(context.Background(), e.cond)
+}
+
+// framework returns the framework at cond, building it under ctx on first
+// use: the engine's own at its condition, and otherwise one of the
+// per-condition frameworks, of which it keeps maxConditionFrameworks.
+func (e *Engine) framework(ctx context.Context, cond cell.OperatingCondition) (*core.Framework, error) {
+	build := func(ctx context.Context) (*core.Framework, error) {
+		return e.build(ctx, optionsAt(cond), e.cacheDir)
+	}
+	if cond.Equal(e.cond) {
+		return e.own.Get(ctx, struct{}{}, build)
+	}
+	return e.others.Get(ctx, cond.String(), build)
+}
 
 // SpecFor converts a benchmark into an analyzable program spec.
 func SpecFor(b mibench.Benchmark, scenarios int) core.ProgramSpec {
@@ -107,7 +124,7 @@ func (e *Engine) Analyze(ctx context.Context, name string, scenarios int, opts c
 	if err != nil {
 		return nil, err
 	}
-	f, err := e.Framework()
+	f, err := e.framework(ctx, e.cond)
 	if err != nil {
 		return nil, err
 	}

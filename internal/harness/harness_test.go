@@ -137,7 +137,6 @@ func TestDegradedRowAndFailureDetail(t *testing.T) {
 	inj := faultinject.New(1, faultinject.FailAlways(faultinject.Setup, 1))
 	rep, err := nominal.Analyze(context.Background(), "stringsearch", 3, core.AnalyzeOpts{
 		MinScenarios: 2,
-		RetryBackoff: -1,
 		Inject: func(ctx context.Context, ph core.Phase, s int) error {
 			return inj.Fire(ctx, faultinject.Point(ph), s)
 		},
@@ -198,7 +197,7 @@ func TestSharedFrameworkRetriesAfterFailure(t *testing.T) {
 	e := newEngine(cell.OperatingCondition{}, "")
 	calls := 0
 	sentinel := &core.Framework{}
-	e.build = func(errormodel.Options, string) (*core.Framework, error) {
+	e.build = func(context.Context, errormodel.Options, string) (*core.Framework, error) {
 		calls++
 		if calls == 1 {
 			return nil, errors.New("transient build failure")
@@ -225,7 +224,7 @@ func TestSharedFrameworkUsesModelCache(t *testing.T) {
 	e := newEngine(cell.OperatingCondition{}, dir)
 	sentinel := &core.Framework{}
 	var gotDir string
-	e.build = func(_ errormodel.Options, d string) (*core.Framework, error) {
+	e.build = func(_ context.Context, _ errormodel.Options, d string) (*core.Framework, error) {
 		gotDir = d
 		return sentinel, nil
 	}

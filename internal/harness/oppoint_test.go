@@ -3,8 +3,11 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tsperr/internal/cell"
 	"tsperr/internal/core"
@@ -36,45 +39,115 @@ func TestAnalyzeAtPointValidation(t *testing.T) {
 }
 
 // TestConditionRegistryLRU pins the registry bound: at most
-// maxConditionFrameworks entries live at once, the coldest is evicted, and
-// re-access refreshes recency.
+// maxConditionFrameworks conditions keep a framework at once, the coldest
+// is evicted, and re-access refreshes recency.
 func TestConditionRegistryLRU(t *testing.T) {
 	e := newEngine(cell.OperatingCondition{}, "")
-	keys := []string{"a", "b", "c", "d"}
-	entries := make(map[string]*condEntry)
-	for _, k := range keys {
-		entries[k] = e.conditionEntry(k)
+	builds := map[string]int{}
+	e.build = func(_ context.Context, opts errormodel.Options, _ string) (*core.Framework, error) {
+		builds[opts.Cond.String()]++
+		return &core.Framework{}, nil
+	}
+	conds := map[string]cell.OperatingCondition{}
+	fws := map[string]*core.Framework{}
+	at := func(k string) *core.Framework {
+		t.Helper()
+		f, err := e.framework(context.Background(), conds[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for i, k := range []string{"a", "b", "c", "d", "e"} {
+		conds[k] = cell.OperatingCondition{VoltageV: 0.9 + 0.01*float64(i)}
+	}
+	for _, k := range []string{"a", "b", "c", "d"} {
+		fws[k] = at(k)
 	}
 	// Touch "a" so "b" becomes the coldest, then overflow the bound.
-	if got := e.conditionEntry("a"); got != entries["a"] {
-		t.Fatal("re-access did not return the existing entry")
+	if at("a") != fws["a"] {
+		t.Fatal("re-access did not return the existing framework")
 	}
-	e.conditionEntry("e")
-	e.condMu.Lock()
-	_, aLives := e.condFWs["a"]
-	_, bLives := e.condFWs["b"]
-	n := len(e.condFWs)
-	e.condMu.Unlock()
-	if n != maxConditionFrameworks {
-		t.Errorf("registry holds %d entries, bound is %d", n, maxConditionFrameworks)
+	at("e")
+	if n := e.others.Len(); n != maxConditionFrameworks {
+		t.Errorf("registry holds %d frameworks, bound is %d", n, maxConditionFrameworks)
 	}
-	if !aLives {
-		t.Error("recently used entry was evicted")
+	if _, ok := kept(e, conds["a"]); !ok {
+		t.Error("recently used framework was evicted")
 	}
-	if bLives {
-		t.Error("coldest entry survived the overflow")
+	if _, ok := kept(e, conds["b"]); ok {
+		t.Error("coldest framework survived the overflow")
 	}
-	// An evicted condition transparently gets a fresh entry on next use.
-	if got := e.conditionEntry("b"); got == entries["b"] {
-		t.Error("evicted entry was resurrected instead of rebuilt")
+	// An evicted condition transparently gets a fresh framework on next use.
+	if at("b") == fws["b"] || builds[conds["b"].String()] != 2 {
+		t.Error("evicted framework was resurrected instead of rebuilt")
 	}
 }
 
-// registrySize reads the number of per-condition frameworks e holds.
-func registrySize(e *Engine) int {
-	e.condMu.Lock()
-	defer e.condMu.Unlock()
-	return len(e.condFWs)
+// errNotKept is the failure of kept's probe build.
+var errNotKept = errors.New("not kept")
+
+// kept returns the framework e's registry keeps at cond, without building
+// one: its probe build fails, and a failed build is not kept.
+func kept(e *Engine, cond cell.OperatingCondition) (*core.Framework, bool) {
+	f, err := e.others.Get(context.Background(), cond.String(), func(context.Context) (*core.Framework, error) {
+		return nil, errNotKept
+	})
+	return f, err == nil
+}
+
+// TestAnalyzeAtWaiterLeavesOnItsOwnContext starts a cold build at a new
+// condition and sends a second analysis there whose context is cancelled
+// while the build runs: the second caller leaves at once, not when the
+// build returns. Once the build is cancelled too, the next call builds
+// again.
+func TestAnalyzeAtWaiterLeavesOnItsOwnContext(t *testing.T) {
+	e := newEngine(cell.OperatingCondition{}, "")
+	started := make(chan struct{})
+	var builds atomic.Int32
+	errRebuilt := errors.New("built again")
+	e.build = func(ctx context.Context, _ errormodel.Options, _ string) (*core.Framework, error) {
+		if builds.Add(1) > 1 {
+			return nil, errRebuilt
+		}
+		close(started)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	droop := cell.OperatingCondition{VoltageV: 1.0, TempC: 85}
+	analyze := func(ctx context.Context) <-chan error {
+		out := make(chan error, 1)
+		go func() {
+			_, err := e.AnalyzeAt(ctx, "patricia", 2, core.AnalyzeOpts{}, droop, 0)
+			out <- err
+		}()
+		return out
+	}
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	defer cancel1()
+	first := analyze(ctx1)
+	<-started
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	second := analyze(ctx2)
+	// Give the second caller time to reach the wait; it must leave
+	// promptly whether it waits already or arrives cancelled.
+	time.Sleep(10 * time.Millisecond)
+	cancel2()
+	select {
+	case err := <-second:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled waiter: err = %v, want context.Canceled", err)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("a cancelled caller stayed for another caller's cold build")
+	}
+	cancel1()
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled builder: err = %v, want context.Canceled", err)
+	}
+	if _, err := e.AnalyzeAt(context.Background(), "patricia", 2, core.AnalyzeOpts{}, droop, 0); !errors.Is(err, errRebuilt) || builds.Load() != 2 {
+		t.Errorf("after a cancelled build: err = %v after %d builds, want a new build", err, builds.Load())
+	}
 }
 
 // maskedJSON is a report's wire form with the wall-clock Training and
@@ -103,7 +176,7 @@ func TestAnalyzeAtPointDelegatesAtDefaultPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := registrySize(nominal)
+	before := nominal.others.Len()
 	for _, tc := range []struct {
 		name  string
 		cond  cell.OperatingCondition
@@ -122,7 +195,7 @@ func TestAnalyzeAtPointDelegatesAtDefaultPoint(t *testing.T) {
 				tc.name, a, b)
 		}
 	}
-	if after := registrySize(nominal); after != before {
+	if after := nominal.others.Len(); after != before {
 		t.Errorf("default-point analysis built %d registry frameworks", after-before)
 	}
 }
@@ -140,10 +213,7 @@ func TestAnalyzeAtOwnConditionOtherRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nominal.condMu.Lock()
-	_, built := nominal.condFWs[cell.Nominal().String()]
-	nominal.condMu.Unlock()
-	if built {
+	if _, built := kept(nominal, cell.Nominal()); built {
 		t.Error("an override at the engine's own condition built a registry framework")
 	}
 	fresh, err := core.NewFramework(nominal.Options())
@@ -184,26 +254,15 @@ func TestAnalyzeAtPointDroopRaisesErrorRate(t *testing.T) {
 	if got, base := rep.Estimate.MeanErrorRate(), plain.Estimate.MeanErrorRate(); got < base {
 		t.Errorf("droop corner lowered the error rate: %v < %v", got, base)
 	}
-	nominal.condMu.Lock()
-	entry := nominal.condFWs[droop.String()]
-	nominal.condMu.Unlock()
-	if entry == nil {
-		t.Fatal("droop analysis did not populate the registry")
-	}
-	entry.mu.Lock()
-	built := entry.fw != nil
-	entry.mu.Unlock()
+	entry, built := kept(nominal, droop)
 	if !built {
-		t.Fatal("droop analysis left its registry entry unbuilt")
+		t.Fatal("droop analysis did not leave a built framework in the registry")
 	}
 	// A second call must reuse the same framework, not rebuild.
 	if _, err := nominal.AnalyzeAt(ctx, "patricia", 2, core.AnalyzeOpts{}, droop, 1.1); err != nil {
 		t.Fatal(err)
 	}
-	nominal.condMu.Lock()
-	same := nominal.condFWs[droop.String()] == entry
-	nominal.condMu.Unlock()
-	if !same {
+	if again, _ := kept(nominal, droop); again != entry {
 		t.Error("second analysis at the same condition rebuilt the registry entry")
 	}
 }
@@ -245,7 +304,7 @@ func TestEnginesAreIndependent(t *testing.T) {
 	if !hot.Options().Cond.Equal(droop) || !nominal.Options().Cond.IsNominal() {
 		t.Errorf("options conditions: hot %v, nominal %v", hot.Options().Cond, nominal.Options().Cond)
 	}
-	if n := registrySize(hot); n != 0 {
+	if n := hot.others.Len(); n != 0 {
 		t.Errorf("the droop engine's registry holds %d frameworks; only the nominal engine visited another condition", n)
 	}
 }

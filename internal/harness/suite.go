@@ -117,7 +117,7 @@ func (e *Engine) RunSuite(ctx context.Context, s *Suite, defaults core.AnalyzeOp
 	if err != nil {
 		return nil, err
 	}
-	f, err := e.Framework()
+	f, err := e.framework(ctx, e.cond)
 	if err != nil {
 		return nil, err
 	}

@@ -116,7 +116,7 @@ func (e *Engine) SurrogateEvalSamples(ctx context.Context, benchmarks []string, 
 	if grid == nil {
 		grid = DefaultEvalScenarioGrid
 	}
-	fw, err := e.Framework()
+	fw, err := e.framework(ctx, e.cond)
 	if err != nil {
 		return nil, err
 	}

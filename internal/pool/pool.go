@@ -4,7 +4,9 @@
 // characterization (internal/errormodel). It grew out of the resilient run
 // layer of the core package and was lifted here so the once-per-design and
 // once-per-program characterization phases can reuse the same bounded
-// concurrency and failure semantics.
+// concurrency and failure semantics. Its LRU holds the daemon's result
+// cache, and its Memo, built on an LRU, the once-per-design state: a
+// framework per operating condition and a datapath model per clock period.
 package pool
 
 import (

@@ -255,7 +255,12 @@ func (s *Server) finishEntry(b *batch, e *batchEntry, rep *core.Report, err erro
 		e.errMsg = err.Error()
 	} else {
 		e.status = "done"
+		// Like the result cache, the store keeps the report's summary, which
+		// marshals to the same bytes; a cached report already is one.
 		e.rep = rep
+		if !cached {
+			e.rep = rep.Summary()
+		}
 	}
 	b.remaining--
 	done := b.remaining == 0

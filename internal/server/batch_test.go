@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tsperr/internal/cfg"
 	"tsperr/internal/core"
 )
 
@@ -160,6 +162,73 @@ func TestBatchLifecycleIncrementalResults(t *testing.T) {
 	}
 	if m["tsperrd_batch_seconds_count"] != 1 {
 		t.Errorf("batch_seconds_count = %v, want 1", m["tsperrd_batch_seconds_count"])
+	}
+}
+
+// TestBatchEntryKeepsSummary pins that a finished batch entry stores the
+// report's wire projection, as the result cache does, not the full report
+// with its graph and per-scenario state; and that the entry's report bytes
+// in the poll body equal /v1/estimate's for the same request.
+func TestBatchEntryKeepsSummary(t *testing.T) {
+	analyze := func(ctx context.Context, benchmark string, scenarios int, opts core.AnalyzeOpts) (*core.Report, error) {
+		rep := fakeReport(benchmark)
+		rep.Graph = &cfg.Graph{}
+		return rep, nil
+	}
+	s, ts := newTestServer(t, context.Background(), Config{Analyze: analyze, Workers: 2})
+	code, body := postBatch(t, ts.URL, `{"scenarios":[{"benchmark":"dijkstra","scenarios":2}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d body %v", code, body)
+	}
+	id, _ := body["batch_id"].(string)
+	waitBatchStatus(t, ts.URL, id, "done")
+	s.mu.Lock()
+	rep := s.batches[id].entries[0].rep
+	s.mu.Unlock()
+	if rep == nil || rep.Scenarios != nil || rep.Graph != nil {
+		t.Fatalf("stored entry report keeps %d scenarios and graph %v, want the summary", len(rep.Scenarios), rep.Graph)
+	}
+
+	var polled struct {
+		Scenarios []struct {
+			Report json.RawMessage `json:"report"`
+		} `json:"scenarios"`
+	}
+	resp, err := http.Get(ts.URL + "/v1/batches/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&polled); err != nil {
+		t.Fatal(err)
+	}
+	// A second daemon computes the same request on /v1/estimate, so its
+	// response encodes the full report.
+	_, other := newTestServer(t, context.Background(), Config{Analyze: analyze, Workers: 2})
+	var estimated struct {
+		Cached bool            `json:"cached"`
+		Report json.RawMessage `json:"report"`
+	}
+	resp, err = http.Post(other.URL+"/v1/estimate", "application/json", strings.NewReader(`{"benchmark":"dijkstra","scenarios":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&estimated); err != nil {
+		t.Fatal(err)
+	}
+	if estimated.Cached {
+		t.Fatal("the second daemon answered from its cache")
+	}
+	var a, b bytes.Buffer
+	if err := json.Compact(&a, polled.Scenarios[0].Report); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&b, estimated.Report); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Errorf("batch entry report differs from /v1/estimate's\nbatch:    %s\nestimate: %s", a.String(), b.String())
 	}
 }
 

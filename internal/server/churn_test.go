@@ -154,7 +154,7 @@ func TestChurnFlightTableAndCache(t *testing.T) {
 		t.Errorf("inflight gauge %v (exported: %v) after quiesce", v, ok)
 	}
 	s.mu.Lock()
-	cached := s.cache.len()
+	cached := s.cache.Len()
 	unfinished := 0
 	for _, b := range s.batches {
 		for _, e := range b.entries {

@@ -3,8 +3,6 @@ package server
 import (
 	"testing"
 	"time"
-
-	"tsperr/internal/core"
 )
 
 // The request hash must ignore scheduling knobs (workers, timeout)
@@ -59,38 +57,5 @@ func TestRequestTimeoutResolution(t *testing.T) {
 		if got := q.timeout(tc.def, tc.max); got != tc.want {
 			t.Errorf("%s: timeout = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-}
-
-func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	c := newLRU(2)
-	a, b, d := &core.Report{Name: "a"}, &core.Report{Name: "b"}, &core.Report{Name: "d"}
-	c.add("a", a)
-	c.add("b", b)
-	if _, ok := c.get("a"); !ok { // touch a: b becomes the eviction victim
-		t.Fatal("a missing after insert")
-	}
-	c.add("d", d)
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if got, ok := c.get("a"); !ok || got != a {
-		t.Error("a should have survived (recently used)")
-	}
-	if got, ok := c.get("d"); !ok || got != d {
-		t.Error("d should be present")
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
-	}
-
-	// Refreshing an existing key replaces the value without growing.
-	a2 := &core.Report{Name: "a2"}
-	c.add("a", a2)
-	if got, _ := c.get("a"); got != a2 {
-		t.Error("refresh did not replace the cached report")
-	}
-	if c.len() != 2 {
-		t.Errorf("len after refresh = %d, want 2", c.len())
 	}
 }

@@ -107,7 +107,7 @@ type Server struct {
 	// flights maps request key to the in-flight computation; guarded by mu.
 	flights map[string]*flight
 	// cache is the LRU result cache; guarded by mu.
-	cache *lru
+	cache *pool.LRU[string, *core.Report]
 	// batches and batchOrder hold the batch store; guarded by mu.
 	batches    map[string]*batch
 	batchOrder []string
@@ -167,7 +167,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		lifeStop: lifeStop,
 		start:    time.Now(),
 		flights:  make(map[string]*flight),
-		cache:    newLRU(cfg.CacheSize),
+		cache:    pool.NewLRU[string, *core.Report](cfg.CacheSize),
 		batches:  make(map[string]*batch),
 	}
 	s.queue = pool.NewQueue(lifeCtx, cfg.Workers, cfg.QueueDepth, func(*pool.PanicError) {
@@ -267,7 +267,7 @@ const (
 func (s *Server) join(req *Request, key string) (*core.Report, *flight, joinOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rep, ok := s.cache.get(key); ok {
+	if rep, ok := s.cache.Get(key); ok {
 		s.met.cacheHits.Add(1)
 		return rep, nil, joinCacheHit
 	}
@@ -343,7 +343,7 @@ func (s *Server) complete(key string, f *flight, rep *core.Report, err error) {
 		// The cache serves the wire projection only; the solver state
 		// behind it would hold per-instruction arrays for every scenario of
 		// every cached key.
-		s.cache.add(key, rep.Summary())
+		s.cache.Add(key, rep.Summary())
 	} else {
 		s.met.failures.Add(1)
 	}
@@ -486,7 +486,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g := gauges{
 		queueDepth:       s.queue.Depth(),
 		inflight:         len(s.flights),
-		cacheEntries:     s.cache.len(),
+		cacheEntries:     s.cache.Len(),
 		batchesStored:    len(s.batches),
 		batchesRunning:   running,
 		mcChunksInflight: montecarlo.InFlightChunks(),

@@ -81,7 +81,7 @@ func (s *Server) surrogateEligible(req *Request) bool {
 // request must escalate to the exact pipeline.
 func (s *Server) consultSurrogate(req *Request, key string) *core.Report {
 	s.mu.Lock()
-	_, cached := s.cache.get(key)
+	_, cached := s.cache.Get(key)
 	s.mu.Unlock()
 	if cached {
 		return nil // the join path will serve the exact cached report
