@@ -1,47 +1,65 @@
 package modelcache
 
 import (
-	"context"
-	"os"
+	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"tsperr/internal/cell"
+	"tsperr/internal/dta"
 	"tsperr/internal/errormodel"
+	"tsperr/internal/variation"
 )
 
-// FuzzLoadSnapshot feeds arbitrary bytes to Load under a real key. Load
-// must never panic, and a snapshot it accepts must either fail
+// FuzzLoadSnapshot feeds arbitrary payloads to decodeSnapshot, the step of
+// Load after the size cap and the checksum, under a real key: random bytes
+// in front of a checksum would almost never reach gob. decodeSnapshot must
+// never panic, and a snapshot it accepts must either fail
 // DatapathModel.Validate, as the framework's load path then treats it as a
 // miss, or build a FailTable whose every entry is a probability. The corpus
-// is seeded from a real trained snapshot and cuts of it.
+// is seeded from a small valid payload, one trained row and the rest
+// untrained, and cuts of it.
 func FuzzLoadSnapshot(f *testing.F) {
 	opts := errormodel.DefaultOptions()
-	m, err := errormodel.NewMachine(opts)
+	model, err := variation.NewModel(opts.VariationLevels, opts.CorrShare)
 	if err != nil {
 		f.Fatal(err)
 	}
-	dp, err := m.TrainDatapath(context.Background())
-	if err != nil {
+	pcs := model.NumPCs()
+	row := variation.Canon{Mean: 12.5, Sens: make([]float64, pcs), Rand: 1.5}
+	row.Sens[0] = -40
+	dp := &errormodel.DatapathModel{
+		AdderSlack: make([]variation.Canon, 33),
+		AdderFail:  make([]float64, 33),
+		ShiftSlack: make([]variation.Canon, 6),
+		ShiftFail:  make([]float64, 6),
+		MulSlack:   make([]variation.Canon, 17),
+		MulFail:    make([]float64, 17),
+		LogicFail:  1e-9,
+	}
+	dp.AdderSlack[1], dp.AdderFail[1] = row, dta.ErrorProbability(row)
+	if err := dp.Validate(pcs); err != nil {
 		f.Fatal(err)
 	}
-	dir := f.TempDir()
 	key := Key(opts, cell.Fingerprint())
-	if err := Save(dir, key, &Snapshot{Scales: m.Scales(), Datapath: dp}); err != nil {
+	var seed bytes.Buffer
+	if err := gob.NewEncoder(&seed).Encode(&snapshotFile{
+		Schema:   SchemaVersion,
+		Key:      key,
+		Scales:   []unitScale{{"adder", 1.25}, {"ctrl", 1.1}},
+		Datapath: dp,
+	}); err != nil {
 		f.Fatal(err)
 	}
-	real, err := os.ReadFile(Path(dir, key))
-	if err != nil {
-		f.Fatal(err)
+	payload := seed.Bytes()
+	if _, ok := decodeSnapshot(payload, key); !ok {
+		f.Fatal("the seed payload does not decode")
 	}
-	f.Add(real)
-	f.Add(real[:len(real)/2])
-	f.Add(real[:len(real)-8])
-	pcs := m.Model.NumPCs()
+	f.Add(payload)
+	f.Add(payload[:len(payload)/2])
+	f.Add(payload[:len(payload)-8])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(Path(dir, key), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		snap, ok := Load(dir, key)
+		snap, ok := decodeSnapshot(data, key)
 		if !ok || snap.Datapath.Validate(pcs) != nil {
 			return
 		}

@@ -11,6 +11,11 @@
 // not serialized — they regenerate deterministically from the generators —
 // which keeps snapshots small and sidesteps the unexported graph internals.
 //
+// A snapshot file is a header holding the SHA-256 of its payload, then the
+// gob payload. The bytes are a function of the snapshot, so one design
+// always writes the same file. A reader checks the file's size cap and its
+// checksum before decoding anything.
+//
 // Writes are atomic (temp file + rename in the same directory), so a crashed
 // or concurrent writer can never leave a half-written snapshot visible to
 // readers, and concurrent writers of the same key simply race to publish
@@ -18,24 +23,35 @@
 package modelcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"tsperr/internal/errormodel"
 )
 
 // SchemaVersion invalidates every cached snapshot when the serialized layout
 // or the meaning of the trained tables changes. Bump it on any change to
-// Snapshot, DatapathModel, or the training flow itself.
-const SchemaVersion = 1
+// Snapshot, DatapathModel, or the training flow itself. Version 2: the
+// checksum header, and the scales as a slice sorted by unit name.
+const SchemaVersion = 2
+
+// maxFileBytes caps the bytes a reader takes from a snapshot file; a larger
+// file is a miss, and Save refuses to write one. The largest snapshot the
+// tests and smokes write is a model snapshot of 7.9 KB (the largest
+// surrogate one: 4.9 KB). A surrogate snapshot with the default 4096-sample
+// buffer full and the default 24-tree forest takes about 0.9 MB.
+const maxFileBytes = 16 << 20
 
 // Snapshot is the serializable result of the machine-dependent training
-// phase: everything NewFrameworkCached needs to rebuild a Framework without
-// calibrating or training.
+// phase: everything NewFrameworkCachedContext needs to rebuild a Framework
+// without calibrating or training.
 type Snapshot struct {
 	// Schema and Key echo the cache metadata for self-validation on load.
 	Schema int
@@ -45,6 +61,21 @@ type Snapshot struct {
 	Scales map[string]float64
 	// Datapath is the trained per-depth DTS table set.
 	Datapath *errormodel.DatapathModel
+}
+
+// snapshotFile is a Snapshot as its file's payload holds it: the scales as
+// a slice sorted by unit name, because gob writes a map in Go's random
+// iteration order.
+type snapshotFile struct {
+	Schema   int
+	Key      string
+	Scales   []unitScale
+	Datapath *errormodel.DatapathModel
+}
+
+type unitScale struct {
+	Unit  string
+	Scale float64
 }
 
 // Key derives the content address of a model snapshot from the operating
@@ -95,31 +126,59 @@ func Save(dir, key string, snap *Snapshot) error {
 	}
 	snap.Schema = SchemaVersion
 	snap.Key = key
-	return writeAtomic(dir, "model-*.tmp", Path(dir, key), snap)
+	file := snapshotFile{Schema: snap.Schema, Key: key, Datapath: snap.Datapath}
+	for unit, scale := range snap.Scales {
+		file.Scales = append(file.Scales, unitScale{unit, scale})
+	}
+	sort.Slice(file.Scales, func(i, j int) bool { return file.Scales[i].Unit < file.Scales[j].Unit })
+	return writeAtomic(dir, "model-*.tmp", Path(dir, key), &file)
 }
 
 // Load returns the snapshot stored under key, or ok == false on any miss:
-// absent file, undecodable bytes, or metadata that does not match the
-// requested key or schema. Invalid files are removed so the next Save
-// replaces them; a miss is never an error, the caller just rebuilds.
+// absent, oversized or undecodable file, a checksum mismatch, or metadata
+// that does not match the requested key or schema. Invalid files are
+// removed so the next Save replaces them; a miss is never an error, the
+// caller just rebuilds.
 func Load(dir, key string) (snap *Snapshot, ok bool) {
-	// Decode into a non-nil map: gob sizes a nil destination map by the
-	// entry count the stream claims, so a corrupt count would allocate
-	// without bound before the entries ran out.
-	s := Snapshot{Scales: map[string]float64{}}
-	ok = readValid(Path(dir, key), &s, func() bool {
-		return s.Schema == SchemaVersion && s.Key == key && len(s.Scales) > 0 && s.Datapath != nil
+	ok = readValid(Path(dir, key), func(payload []byte) bool {
+		snap, ok = decodeSnapshot(payload, key)
+		return ok
 	})
-	if !ok {
-		return nil, false
-	}
-	return &s, true
+	return snap, ok
 }
 
-// writeAtomic gob-encodes v into a temp file in dir (created as needed),
-// fsyncs, and renames it over path, so a crashed or concurrent writer never
-// leaves a half-written snapshot visible under path.
+// decodeSnapshot is Load after the checksum: it decodes a file's payload and
+// reports whether it is a valid snapshot for key, its scales sorted by unit
+// name with none repeated, as Save writes them.
+func decodeSnapshot(payload []byte, key string) (*Snapshot, bool) {
+	var file snapshotFile
+	if gob.NewDecoder(bytes.NewReader(payload)).Decode(&file) != nil ||
+		file.Schema != SchemaVersion || file.Key != key || len(file.Scales) == 0 || file.Datapath == nil {
+		return nil, false
+	}
+	snap := &Snapshot{Schema: file.Schema, Key: file.Key, Scales: make(map[string]float64, len(file.Scales)), Datapath: file.Datapath}
+	for i, us := range file.Scales {
+		if i > 0 && file.Scales[i-1].Unit >= us.Unit {
+			return nil, false
+		}
+		snap.Scales[us.Unit] = us.Scale
+	}
+	return snap, true
+}
+
+// writeAtomic gob-encodes v and writes it behind its checksum header into a
+// temp file in dir (created as needed), fsyncs, and renames it over path, so
+// a crashed or concurrent writer never leaves a half-written snapshot
+// visible under path.
 func writeAtomic(dir, tmpPattern, path string, v any) error {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		return fmt.Errorf("modelcache: encoding snapshot: %w", err)
+	}
+	sum := sha256.Sum256(payload.Bytes())
+	if n := len(sum) + payload.Len(); n > maxFileBytes {
+		return fmt.Errorf("modelcache: snapshot of %d bytes exceeds the %d-byte cap", n, maxFileBytes)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("modelcache: %w", err)
 	}
@@ -127,10 +186,10 @@ func writeAtomic(dir, tmpPattern, path string, v any) error {
 	if err != nil {
 		return fmt.Errorf("modelcache: %w", err)
 	}
-	if err := gob.NewEncoder(tmp).Encode(v); err != nil {
+	if _, err := tmp.Write(append(sum[:], payload.Bytes()...)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("modelcache: encoding snapshot: %w", err)
+		return fmt.Errorf("modelcache: writing snapshot: %w", err)
 	}
 	// Flush to stable storage before publishing: without it a crash between
 	// the rename and the kernel writeback could expose an empty or truncated
@@ -152,20 +211,26 @@ func writeAtomic(dir, tmpPattern, path string, v any) error {
 	return nil
 }
 
-// readValid gob-decodes the file at p into v and reports whether it decoded
-// and valid accepts the result. An undecodable or invalid file is removed,
-// under the same-file guard; an absent one is just a miss.
-func readValid(p string, v any, valid func() bool) bool {
+// readValid reads the file at p and reports whether it is at most
+// maxFileBytes long, its checksum header matches its payload, and decode
+// accepts that payload. A file failing any check is removed, under the
+// same-file guard; an absent one is just a miss.
+func readValid(p string, decode func(payload []byte) bool) bool {
 	f, err := os.Open(p)
 	if err != nil {
 		return false
 	}
 	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(v); err != nil || !valid() {
-		removeIfSameFile(f, p)
-		return false
+	data, err := io.ReadAll(io.LimitReader(f, maxFileBytes+1))
+	ok := err == nil && len(data) >= sha256.Size && len(data) <= maxFileBytes
+	if ok {
+		sum := sha256.Sum256(data[sha256.Size:])
+		ok = bytes.Equal(sum[:], data[:sha256.Size]) && decode(data[sha256.Size:])
 	}
-	return true
+	if !ok {
+		removeIfSameFile(f, p)
+	}
+	return ok
 }
 
 // removeIfSameFile deletes the invalid snapshot at p, but only while p still

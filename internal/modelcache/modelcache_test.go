@@ -2,6 +2,7 @@ package modelcache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"os"
 	"reflect"
 	"runtime"
@@ -224,11 +225,86 @@ func TestDefaultDir(t *testing.T) {
 	}
 }
 
-// inflateMapCount rewrites a gob stream whose last message encodes a
-// one-entry map keyed by key, so that the map claims count entries. Gob
-// writes each message as its length and then its bytes, and a map as its
-// entry count and then the entries.
-func inflateMapCount(t *testing.T, stream []byte, key string, count uint64) []byte {
+// TestSaveIsDeterministic saves one design 20 times: each save writes the
+// same bytes, so the file is a function of its content address.
+func TestSaveIsDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	key := Key(errormodel.DefaultOptions(), "lib")
+	snap := testSnapshot()
+	snap.Scales = map[string]float64{"adder": 1.25, "ctrl": 1.1, "logic": 0.9, "mult": 1.3, "shifter": 1.05}
+	var first []byte
+	for i := 0; i < 20; i++ {
+		if err := Save(dir, key, snap); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(Path(dir, key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = b
+		} else if !bytes.Equal(b, first) {
+			t.Fatalf("save %d of one design wrote different bytes", i+1)
+		}
+	}
+}
+
+// seal returns a snapshot file holding payload: its checksum header, then
+// the payload.
+func seal(payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return append(sum[:], payload...)
+}
+
+// TestLoadRejectsDamagedFiles pins the checks before decoding: a flipped
+// payload byte, a truncated file and an oversized file (valid checksum and
+// snapshot, padded past the cap) are misses, and each file is removed. The
+// undamaged file still loads.
+func TestLoadRejectsDamagedFiles(t *testing.T) {
+	dir := t.TempDir()
+	key := Key(errormodel.DefaultOptions(), "lib")
+	if err := Save(dir, key, testSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(Path(dir, key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-1] ^= 1
+	padded := append(append([]byte(nil), good[sha256.Size:]...), make([]byte, maxFileBytes)...)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"a flipped payload byte", flipped},
+		{"a truncated file", good[:len(good)-8]},
+		{"an oversized file", seal(padded)},
+	} {
+		if err := os.WriteFile(Path(dir, key), tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := Load(dir, key); ok {
+			t.Errorf("%s loaded", tc.name)
+		}
+		if _, err := os.Stat(Path(dir, key)); !os.IsNotExist(err) {
+			t.Errorf("%s was not removed", tc.name)
+		}
+	}
+	if err := os.WriteFile(Path(dir, key), good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := Load(dir, key); !ok {
+		t.Error("the undamaged snapshot no longer loads")
+	}
+}
+
+// inflateCount rewrites a snapshot payload whose last gob message encodes a
+// one-entry scale slice keyed by key, so that the slice claims count
+// entries. Gob writes each message as its length and then its bytes, and a
+// slice of structs as its length, then each struct as field deltas and
+// values.
+func inflateCount(t *testing.T, stream []byte, key string, count uint64) []byte {
 	t.Helper()
 	// A gob uint below 128 is one byte; a larger one is its byte count,
 	// negated, and then its big-endian bytes.
@@ -260,19 +336,22 @@ func inflateMapCount(t *testing.T, stream []byte, key string, count uint64) []by
 	}
 	l, n := decUint(stream[last:])
 	msg := stream[last+n:]
+	// The slice's length 1, then its one struct: field delta 1 and the
+	// unit name.
 	entry := append(encUint(uint64(len(key))), key...)
-	i := bytes.Index(msg, append([]byte{1}, entry...))
+	i := bytes.Index(msg, append([]byte{1, 1}, entry...))
 	if i < 0 {
-		t.Fatal("map entry not found in the stream")
+		t.Fatal("scale entry not found in the stream")
 	}
 	body := append(append(append([]byte{}, msg[:i]...), encUint(count)...), msg[i+1:]...)
 	out := append(append([]byte{}, stream[:last]...), encUint(l+uint64(len(body)-len(msg)))...)
 	return append(out, body...)
 }
 
-// TestLoadBoundsAClaimedMapCount loads a snapshot whose scale map claims
-// 2^22 entries and holds one. Load must miss without sizing a map for the
-// claim: decoding into a nil map made gob allocate ~100 MB for it.
+// TestLoadBoundsAClaimedMapCount loads a snapshot whose scale table claims
+// 2^22 entries and holds one. Load must miss without sizing anything for the
+// claim: decoding the scales into a nil map made gob allocate ~100 MB for
+// it. The checksum now rejects such a file before gob reads it.
 func TestLoadBoundsAClaimedMapCount(t *testing.T) {
 	dir := t.TempDir()
 	key := Key(errormodel.DefaultOptions(), "lib")
@@ -285,7 +364,8 @@ func TestLoadBoundsAClaimedMapCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(Path(dir, key), inflateMapCount(t, raw, "inflated", 1<<22), 0o644); err != nil {
+	inflated := append(raw[:sha256.Size:sha256.Size], inflateCount(t, raw[sha256.Size:], "inflated", 1<<22)...)
+	if err := os.WriteFile(Path(dir, key), inflated, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats

@@ -1,6 +1,8 @@
 package modelcache
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"path/filepath"
 
@@ -20,8 +22,8 @@ import (
 // the serialized layout, the feature vector, or the label definition
 // changes. Version 2: the feature vector grew the operating condition
 // (voltage, temperature), so condition-blind version-1 snapshots must not
-// answer.
-const SurrogateSchemaVersion = 2
+// answer. Version 3: the checksum header.
+const SurrogateSchemaVersion = 3
 
 // SurrogateSample is one persisted training observation: the feature vector
 // and the exact tier's log10 error rate.
@@ -70,14 +72,16 @@ func SaveSurrogate(dir, fingerprint string, snap *SurrogateSnapshot) error {
 }
 
 // LoadSurrogate returns the surrogate snapshot stored for a model
-// fingerprint, or ok == false on any miss: absent file, undecodable bytes,
-// schema or fingerprint mismatch, or a structurally invalid forest. Invalid
+// fingerprint, or ok == false on any miss: absent, oversized or undecodable
+// file, a checksum mismatch, schema or fingerprint mismatch, or a
+// structurally invalid forest. Invalid
 // files are removed (with the same same-file guard as Load) so the next
 // SaveSurrogate replaces them.
 func LoadSurrogate(dir, fingerprint string) (snap *SurrogateSnapshot, ok bool) {
 	var s SurrogateSnapshot
-	ok = readValid(SurrogatePath(dir, fingerprint), &s, func() bool {
-		return s.Schema == SurrogateSchemaVersion && s.Fingerprint == fingerprint &&
+	ok = readValid(SurrogatePath(dir, fingerprint), func(payload []byte) bool {
+		return gob.NewDecoder(bytes.NewReader(payload)).Decode(&s) == nil &&
+			s.Schema == SurrogateSchemaVersion && s.Fingerprint == fingerprint &&
 			(s.Forest == nil || s.Forest.Validate() == nil)
 	})
 	if !ok {

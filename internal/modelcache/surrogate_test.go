@@ -1,7 +1,6 @@
 package modelcache
 
 import (
-	"encoding/gob"
 	"math"
 	"os"
 	"testing"
@@ -126,14 +125,9 @@ func TestSurrogateLoadRejectsWrongSchema(t *testing.T) {
 	}
 	// Rewrite the file with a bumped schema but matching fingerprint.
 	snap.Schema = SurrogateSchemaVersion + 1
-	f, err := os.Create(SurrogatePath(dir, fp))
-	if err != nil {
+	if err := writeAtomic(dir, "surrogate-*.tmp", SurrogatePath(dir, fp), snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(f).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	if _, ok := LoadSurrogate(dir, fp); ok {
 		t.Fatal("future-schema snapshot was loaded")
 	}
