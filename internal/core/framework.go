@@ -466,8 +466,9 @@ func retryDelay(n int) time.Duration {
 // withRetry runs one scenario attempt, retrying failures up to opts.Retries
 // times after retryDelay's backoff. A context cancellation or deadline
 // expiry, whether observed on ctx or wrapped in the attempt's error, is
-// terminal at once: retrying cancelled work only delays shutdown. When one
-// interrupts the backoff, the attempt's error is returned joined with it.
+// terminal at once: retrying cancelled work only delays shutdown. When the
+// context is done before or during the backoff, the attempt's error is
+// returned joined with the context's.
 func withRetry(ctx context.Context, opts AnalyzeOpts, attempt func(n int) *ScenarioError) error {
 	for n := 1; ; n++ {
 		serr := attempt(n)
@@ -476,6 +477,9 @@ func withRetry(ctx context.Context, opts AnalyzeOpts, attempt func(n int) *Scena
 		}
 		if n > opts.Retries || errors.Is(serr, context.Canceled) || errors.Is(serr, context.DeadlineExceeded) {
 			return serr
+		}
+		if err := ctx.Err(); err != nil {
+			return errors.Join(serr, err)
 		}
 		t := time.NewTimer(retryDelay(n))
 		select {

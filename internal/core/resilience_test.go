@@ -383,38 +383,72 @@ func TestRetryDelayDoublesToCap(t *testing.T) {
 	}
 }
 
-// TestWithRetry pins the retry loop: a failed attempt is retried up to
-// opts.Retries times, and a context error, bare or wrapped, is terminal at
-// once.
-func TestWithRetry(t *testing.T) {
+// failAfter returns a scenario attempt that fails with err on its first
+// failures attempts and then succeeds, counting its calls into calls. It
+// checks that withRetry numbers the attempts from 1.
+func failAfter(t *testing.T, failures int, err error, calls *int) func(int) *ScenarioError {
+	return func(n int) *ScenarioError {
+		*calls++
+		if n != *calls {
+			t.Fatalf("attempt number %d, want %d", n, *calls)
+		}
+		if n <= failures {
+			return &ScenarioError{Err: err}
+		}
+		return nil
+	}
+}
+
+// TestWithRetryRetriesUntilSuccess: a failed attempt is retried, and the
+// first success ends the loop with no error.
+func TestWithRetryRetriesUntilSuccess(t *testing.T) {
+	calls := 0
+	err := withRetry(context.Background(), AnalyzeOpts{Retries: 4}, failAfter(t, 2, errors.New("transient"), &calls))
+	if err != nil || calls != 3 {
+		t.Fatalf("err = %v, calls = %d; want success on attempt 3", err, calls)
+	}
+}
+
+// TestWithRetryExhaustsRetries: an attempt that keeps failing is tried
+// opts.Retries+1 times and its error is returned.
+func TestWithRetryExhaustsRetries(t *testing.T) {
 	boom := errors.New("boom")
-	for _, tc := range []struct {
-		name      string
-		retries   int
-		err       error
-		failures  int // attempts that fail before one succeeds
-		wantCalls int
-		wantErr   error // nil: success
-	}{
-		{"succeeds on a retry", 4, boom, 2, 3, nil},
-		{"exhausts its retries", 2, boom, 10, 3, boom},
-		{"deadline is terminal", 4, context.DeadlineExceeded, 10, 1, context.DeadlineExceeded},
-		{"wrapped cancel is terminal", 4, errors.Join(boom, context.Canceled), 10, 1, context.Canceled},
+	calls := 0
+	err := withRetry(context.Background(), AnalyzeOpts{Retries: 2}, failAfter(t, 10, boom, &calls))
+	if !errors.Is(err, boom) || calls != 3 {
+		t.Fatalf("err = %v, calls = %d; want boom after 3 attempts", err, calls)
+	}
+}
+
+// TestWithRetryContextErrorIsTerminal: a context error in the attempt's
+// error, bare or wrapped, ends the loop at once.
+func TestWithRetryContextErrorIsTerminal(t *testing.T) {
+	for _, cerr := range []error{
+		context.DeadlineExceeded,
+		errors.Join(errors.New("scenario 3 failed"), context.Canceled),
 	} {
 		calls := 0
-		err := withRetry(context.Background(), AnalyzeOpts{Retries: tc.retries}, func(n int) *ScenarioError {
-			calls++
-			if n != calls {
-				t.Fatalf("%s: attempt number %d, want %d", tc.name, n, calls)
-			}
-			if n <= tc.failures {
-				return &ScenarioError{Err: tc.err}
-			}
-			return nil
-		})
-		if calls != tc.wantCalls || (err == nil) != (tc.wantErr == nil) || !errors.Is(err, tc.wantErr) {
-			t.Errorf("%s: err = %v after %d attempts, want %v after %d", tc.name, err, calls, tc.wantErr, tc.wantCalls)
+		err := withRetry(context.Background(), AnalyzeOpts{Retries: 4}, failAfter(t, 10, cerr, &calls))
+		if !errors.Is(err, cerr) || calls != 1 {
+			t.Errorf("attempt error %v: err = %v, calls = %d; want an immediate stop", cerr, err, calls)
 		}
+	}
+}
+
+// TestWithRetryDeadContextSkipsBackoff: when the context is already done
+// as an attempt fails, withRetry neither sleeps nor retries; it returns the
+// attempt's error joined with the context's.
+func TestWithRetryDeadContextSkipsBackoff(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	boom := errors.New("boom")
+	calls := 0
+	err := withRetry(ctx, AnalyzeOpts{Retries: 4}, failAfter(t, 10, boom, &calls))
+	if !errors.Is(err, boom) || !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want boom joined with context.Canceled", err)
+	}
+	if calls != 1 {
+		t.Errorf("%d attempts, want 1", calls)
 	}
 }
 
