@@ -46,7 +46,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	if err := gob.NewEncoder(&seed).Encode(&snapshotFile{
 		Schema:   SchemaVersion,
 		Key:      key,
-		Scales:   []unitScale{{"adder", 1.25}, {"ctrl", 1.1}},
+		Scales:   scaleTable{"adder": 1.25, "ctrl": 1.1},
 		Datapath: dp,
 	}); err != nil {
 		f.Fatal(err)

@@ -25,10 +25,13 @@ package modelcache
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,7 +42,7 @@ import (
 // SchemaVersion invalidates every cached snapshot when the serialized layout
 // or the meaning of the trained tables changes. Bump it on any change to
 // Snapshot, DatapathModel, or the training flow itself. Version 2: the
-// checksum header, and the scales as a slice sorted by unit name.
+// checksum header, and the scales as one byte string sorted by unit name.
 const SchemaVersion = 2
 
 // maxFileBytes caps the bytes a reader takes from a snapshot file; a larger
@@ -63,19 +66,56 @@ type Snapshot struct {
 	Datapath *errormodel.DatapathModel
 }
 
-// snapshotFile is a Snapshot as its file's payload holds it: the scales as
-// a slice sorted by unit name, because gob writes a map in Go's random
-// iteration order.
+// snapshotFile is a Snapshot as its file's payload holds it.
 type snapshotFile struct {
 	Schema   int
 	Key      string
-	Scales   []unitScale
+	Scales   scaleTable
 	Datapath *errormodel.DatapathModel
 }
 
-type unitScale struct {
-	Unit  string
-	Scale float64
+// scaleTable is Snapshot.Scales as a payload holds it: one byte string of
+// entries sorted by unit name, each the name's uvarint length, the name and
+// the scale's float64 bits. Gob would write a map in Go's random iteration
+// order, and would size a slice by the count the stream claims (up to
+// 10 MB) before finding the data short; a byte string's length is checked
+// against the bytes the payload holds.
+type scaleTable map[string]float64
+
+func (t scaleTable) MarshalBinary() ([]byte, error) {
+	units := make([]string, 0, len(t))
+	for unit := range t {
+		units = append(units, unit)
+	}
+	sort.Strings(units)
+	var b []byte
+	for _, unit := range units {
+		b = binary.AppendUvarint(b, uint64(len(unit)))
+		b = append(b, unit...)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t[unit]))
+	}
+	return b, nil
+}
+
+// UnmarshalBinary accepts only what MarshalBinary writes: whole entries,
+// their units in strictly increasing order.
+func (t *scaleTable) UnmarshalBinary(b []byte) error {
+	table, prev := scaleTable{}, ""
+	for len(b) > 0 {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n > uint64(len(b)-k) || len(b)-k-int(n) < 8 {
+			return errors.New("modelcache: truncated scale table")
+		}
+		unit := string(b[k : k+int(n)])
+		if len(table) > 0 && unit <= prev {
+			return errors.New("modelcache: scale table out of order")
+		}
+		b = b[k+int(n):]
+		table[unit] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		prev, b = unit, b[8:]
+	}
+	*t = table
+	return nil
 }
 
 // Key derives the content address of a model snapshot from the operating
@@ -126,12 +166,7 @@ func Save(dir, key string, snap *Snapshot) error {
 	}
 	snap.Schema = SchemaVersion
 	snap.Key = key
-	file := snapshotFile{Schema: snap.Schema, Key: key, Datapath: snap.Datapath}
-	for unit, scale := range snap.Scales {
-		file.Scales = append(file.Scales, unitScale{unit, scale})
-	}
-	sort.Slice(file.Scales, func(i, j int) bool { return file.Scales[i].Unit < file.Scales[j].Unit })
-	return writeAtomic(dir, "model-*.tmp", Path(dir, key), &file)
+	return writeAtomic(dir, "model-*.tmp", Path(dir, key), &snapshotFile{snap.Schema, key, snap.Scales, snap.Datapath})
 }
 
 // Load returns the snapshot stored under key, or ok == false on any miss:
@@ -148,22 +183,14 @@ func Load(dir, key string) (snap *Snapshot, ok bool) {
 }
 
 // decodeSnapshot is Load after the checksum: it decodes a file's payload and
-// reports whether it is a valid snapshot for key, its scales sorted by unit
-// name with none repeated, as Save writes them.
+// reports whether it is a valid snapshot for key.
 func decodeSnapshot(payload []byte, key string) (*Snapshot, bool) {
 	var file snapshotFile
 	if gob.NewDecoder(bytes.NewReader(payload)).Decode(&file) != nil ||
 		file.Schema != SchemaVersion || file.Key != key || len(file.Scales) == 0 || file.Datapath == nil {
 		return nil, false
 	}
-	snap := &Snapshot{Schema: file.Schema, Key: file.Key, Scales: make(map[string]float64, len(file.Scales)), Datapath: file.Datapath}
-	for i, us := range file.Scales {
-		if i > 0 && file.Scales[i-1].Unit >= us.Unit {
-			return nil, false
-		}
-		snap.Scales[us.Unit] = us.Scale
-	}
-	return snap, true
+	return &Snapshot{file.Schema, file.Key, file.Scales, file.Datapath}, true
 }
 
 // writeAtomic gob-encodes v and writes it behind its checksum header into a

@@ -299,11 +299,11 @@ func TestLoadRejectsDamagedFiles(t *testing.T) {
 	}
 }
 
-// inflateCount rewrites a snapshot payload whose last gob message encodes a
-// one-entry scale slice keyed by key, so that the slice claims count
-// entries. Gob writes each message as its length and then its bytes, and a
-// slice of structs as its length, then each struct as field deltas and
-// values.
+// inflateCount rewrites a snapshot payload whose last gob message holds a
+// one-entry scale table keyed by key, so that the table claims count bytes.
+// Gob writes each message as its length and then its bytes, and the table as
+// its byte count and then its bytes: the unit name's length, the name and
+// the scale's 8 bytes.
 func inflateCount(t *testing.T, stream []byte, key string, count uint64) []byte {
 	t.Helper()
 	// A gob uint below 128 is one byte; a larger one is its byte count,
@@ -336,12 +336,10 @@ func inflateCount(t *testing.T, stream []byte, key string, count uint64) []byte 
 	}
 	l, n := decUint(stream[last:])
 	msg := stream[last+n:]
-	// The slice's length 1, then its one struct: field delta 1 and the
-	// unit name.
-	entry := append(encUint(uint64(len(key))), key...)
-	i := bytes.Index(msg, append([]byte{1, 1}, entry...))
+	table := append([]byte{byte(1 + len(key) + 8), byte(len(key))}, key...)
+	i := bytes.Index(msg, table)
 	if i < 0 {
-		t.Fatal("scale entry not found in the stream")
+		t.Fatal("scale table not found in the stream")
 	}
 	body := append(append(append([]byte{}, msg[:i]...), encUint(count)...), msg[i+1:]...)
 	out := append(append([]byte{}, stream[:last]...), encUint(l+uint64(len(body)-len(msg)))...)
@@ -349,9 +347,10 @@ func inflateCount(t *testing.T, stream []byte, key string, count uint64) []byte 
 }
 
 // TestLoadBoundsAClaimedMapCount loads a snapshot whose scale table claims
-// 2^22 entries and holds one. Load must miss without sizing anything for the
+// 2^22 bytes and holds 17. Load must miss without sizing anything for the
 // claim: decoding the scales into a nil map made gob allocate ~100 MB for
-// it. The checksum now rejects such a file before gob reads it.
+// it, and a slice of scales ~10 MB. The file carries its payload's checksum,
+// so the claim reaches the decoder.
 func TestLoadBoundsAClaimedMapCount(t *testing.T) {
 	dir := t.TempDir()
 	key := Key(errormodel.DefaultOptions(), "lib")
@@ -364,8 +363,7 @@ func TestLoadBoundsAClaimedMapCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inflated := append(raw[:sha256.Size:sha256.Size], inflateCount(t, raw[sha256.Size:], "inflated", 1<<22)...)
-	if err := os.WriteFile(Path(dir, key), inflated, 0o644); err != nil {
+	if err := os.WriteFile(Path(dir, key), seal(inflateCount(t, raw[sha256.Size:], "inflated", 1<<22)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -373,9 +371,35 @@ func TestLoadBoundsAClaimedMapCount(t *testing.T) {
 	_, ok := Load(dir, key)
 	runtime.ReadMemStats(&after)
 	if ok {
-		t.Fatal("a snapshot whose map holds fewer entries than it claims must miss")
+		t.Fatal("a snapshot whose scale table holds less than it claims must miss")
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
 		t.Errorf("Load allocated %d MB for the claimed entries", alloc>>20)
+	}
+}
+
+// TestScaleTableRejectsWhatSaveNeverWrites: a scale table cut inside an
+// entry, claiming a name past its end, or whose units repeat or fall out of
+// order does not decode.
+func TestScaleTableRejectsWhatSaveNeverWrites(t *testing.T) {
+	entry := func(unit string) []byte {
+		b, _ := scaleTable{unit: 1}.MarshalBinary()
+		return b
+	}
+	good, _ := scaleTable{"adder": 1.25, "ctrl": 1.1}.MarshalBinary()
+	for name, b := range map[string][]byte{
+		"a table cut inside an entry": good[:len(good)-1],
+		"a name claimed past the end": {0xff, 0xff, 0x03, 'a'},
+		"a repeated unit":             append(entry("adder"), entry("adder")...),
+		"units out of order":          append(entry("ctrl"), entry("adder")...),
+	} {
+		var got scaleTable
+		if got.UnmarshalBinary(b) == nil {
+			t.Errorf("%s decoded to %v", name, got)
+		}
+	}
+	var got scaleTable
+	if err := got.UnmarshalBinary(good); err != nil || !reflect.DeepEqual(got, scaleTable{"adder": 1.25, "ctrl": 1.1}) {
+		t.Errorf("the table Save writes decoded to %v, %v", got, err)
 	}
 }
