@@ -256,11 +256,8 @@ func (s *Server) finishEntry(b *batch, e *batchEntry, rep *core.Report, err erro
 	} else {
 		e.status = "done"
 		// Like the result cache, the store keeps the report's summary, which
-		// marshals to the same bytes; a cached report already is one.
-		e.rep = rep
-		if !cached {
-			e.rep = rep.Summary()
-		}
+		// marshals to the same bytes.
+		e.rep = rep.Summary()
 	}
 	b.remaining--
 	done := b.remaining == 0
