@@ -150,6 +150,30 @@ func TestAnalyzeAtWaiterLeavesOnItsOwnContext(t *testing.T) {
 	}
 }
 
+// TestCancelledColdBuildsKeepNothing pins what a deadline shorter than a
+// cold build costs: each request at the condition starts the build afresh
+// and leaves with its deadline's error, and nothing is kept, so with the
+// model cache off no such request ever gets a framework.
+func TestCancelledColdBuildsKeepNothing(t *testing.T) {
+	e := newEngine(cell.OperatingCondition{}, "")
+	var builds atomic.Int32
+	e.build = func(ctx context.Context, _ errormodel.Options, _ string) (*core.Framework, error) {
+		builds.Add(1)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	droop := cell.OperatingCondition{VoltageV: 1.0, TempC: 85}
+	for i := 1; i <= 2; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		_, err := e.AnalyzeAt(ctx, "patricia", 2, core.AnalyzeOpts{}, droop, 0)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || int(builds.Load()) != i || e.others.Len() != 0 {
+			t.Errorf("request %d: err = %v after %d builds with %d kept, want its deadline, a build of its own and nothing kept",
+				i, err, builds.Load(), e.others.Len())
+		}
+	}
+}
+
 // maskedJSON is a report's wire form with the wall-clock Training and
 // Simulation durations zeroed: everything else must agree to the byte
 // between two routes to the same analysis.
