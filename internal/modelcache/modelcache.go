@@ -43,7 +43,9 @@ import (
 // or the meaning of the trained tables changes. Bump it on any change to
 // Snapshot, DatapathModel, or the training flow itself. Version 2: the
 // checksum header, and the scales as one byte string sorted by unit name.
-const SchemaVersion = 2
+// Version 3: the scales and tables of the exact-sum path search, whose tie
+// order moved the multiplier, shifter and control scales.
+const SchemaVersion = 3
 
 // maxFileBytes caps the bytes a reader takes from a snapshot file; a larger
 // file is a miss, and Save refuses to write one. The largest snapshot the

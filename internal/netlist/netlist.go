@@ -7,6 +7,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -254,21 +255,21 @@ func (p Path) String() string {
 }
 
 // SortPathsByDelay sorts paths most-critical (longest nominal delay) first,
-// breaking ties deterministically by endpoint then first gate.
+// breaking ties by endpoint and then by gate sequence, source first, gate ID
+// by gate ID (a proper prefix first). Distinct paths never compare equal,
+// so the order is a function of the set, not of the input order.
 func SortPathsByDelay(ps []Path) {
 	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].NominalDelay > ps[j].NominalDelay {
+		a, b := &ps[i], &ps[j]
+		if a.NominalDelay > b.NominalDelay {
 			return true
 		}
-		if ps[i].NominalDelay < ps[j].NominalDelay {
+		if a.NominalDelay < b.NominalDelay {
 			return false
 		}
-		if ps[i].Endpoint != ps[j].Endpoint {
-			return ps[i].Endpoint < ps[j].Endpoint
+		if a.Endpoint != b.Endpoint {
+			return a.Endpoint < b.Endpoint
 		}
-		if len(ps[i].Gates) > 0 && len(ps[j].Gates) > 0 {
-			return ps[i].Gates[0] < ps[j].Gates[0]
-		}
-		return len(ps[i].Gates) < len(ps[j].Gates)
+		return slices.Compare(a.Gates, b.Gates) < 0
 	})
 }

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -140,5 +141,32 @@ func TestSortPathsByDelay(t *testing.T) {
 	}
 	if ps[0].Gates[0] != 1 || ps[1].Gates[0] != 2 {
 		t.Error("tie break not deterministic")
+	}
+}
+
+// TestSortPathsByDelayWholeSequence pins the tie break past the first gate:
+// equal delays and endpoints order by the whole gate sequence, so every
+// permutation of one set sorts to the same order.
+func TestSortPathsByDelayWholeSequence(t *testing.T) {
+	want := []Path{
+		{Gates: []GateID{1, 4, 6}, Endpoint: 7, NominalDelay: 90},
+		{Gates: []GateID{1, 5}, Endpoint: 7, NominalDelay: 90},
+		{Gates: []GateID{1, 5, 2}, Endpoint: 7, NominalDelay: 90},
+		{Gates: []GateID{1, 5, 3}, Endpoint: 7, NominalDelay: 90},
+		{Gates: []GateID{0, 9}, Endpoint: 8, NominalDelay: 90},
+	}
+	perm := []int{0, 1, 2, 3, 4}
+	for trial := 0; trial < 24; trial++ {
+		perm[trial%4], perm[trial%4+1] = perm[trial%4+1], perm[trial%4]
+		ps := make([]Path, len(want))
+		for i, j := range perm {
+			ps[i] = want[j]
+		}
+		SortPathsByDelay(ps)
+		for i := range ps {
+			if ps[i].Endpoint != want[i].Endpoint || !slices.Equal(ps[i].Gates, want[i].Gates) {
+				t.Fatalf("permutation %v sorts to %v, want %v", perm, ps, want)
+			}
+		}
 	}
 }

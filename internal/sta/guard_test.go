@@ -14,11 +14,11 @@ import (
 )
 
 // TestCriticalPathsAllocs bounds the allocations of one CriticalPaths call
-// by the paths it returns and the states its searches hold. The
-// multiplier's largest searches expand ~10^5 states, so a per-expansion
-// allocation (a copied suffix, a boxed heap entry) overshoots the object
-// bound by orders of magnitude; what remains is each path's gate slice and
-// dedup key plus the search arena's chunks. The byte bound admits one pass
+// by the paths it returns and the states its searches hold. A
+// per-expansion allocation (a copied suffix, a boxed heap entry) overshoots
+// the object bound on the multiplier's searches, which expand up to ~10^3
+// states (~10^5 before the search's sums were exact); what remains is each
+// path's gate slice plus the search arena's chunks. The byte bound admits one pass
 // over the arena: 16 bytes per state and per heap entry, a quarter more for
 // the last chunks' unused tails, the first chunk of each, the paths and a
 // few small headers. An arena that grows by copying (append's 1.25x steps
@@ -41,7 +41,7 @@ func TestCriticalPathsAllocs(t *testing.T) {
 			t.Errorf("endpoint %d: CriticalPaths allocates %.0f objects for %d paths, want <= %.0f",
 				ep, allocs, len(paths), limit)
 		}
-		states, heap := e.SearchSize(ep, opts.KPaths)
+		_, states, heap := e.SearchSize(ep, opts.KPaths)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		paths = e.CriticalPaths(ep, opts.KPaths)

@@ -1,8 +1,10 @@
 package sta_test
 
 import (
-	"container/heap"
+	"cmp"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,132 +17,122 @@ import (
 	"tsperr/internal/variation"
 )
 
-// The reference oracles below are the engine's original kernels, kept
-// verbatim apart from reaching the engine through its exported API: the
-// per-call sigma and max-arrival recomputation, the container/heap search
-// over copied suffixes, and the greedy StatMin that rescans every pair's
-// correlation after each merge. The production kernels must reproduce them
-// bit for bit.
+// The reference for the k-critical-path search is a brute-force
+// enumeration sorted by kCriticalTo's contract: the first k paths in
+// decreasing delay on the search grid, equal delays by gate sequence read
+// from the endpoint back. The reference for StatMin is the engine's original
+// greedy kernel, which rescans every pair's correlation after each merge;
+// the production kernel must reproduce it bit for bit.
 
-func refScalarDelay(e *sta.Engine, id netlist.GateID, m sta.Metric) float64 {
-	d := e.GateDelay(id)
-	switch m {
-	case sta.MetricWorst:
-		return d.Mean + 2.3263478740408408*d.Std()
-	case sta.MetricBest:
-		return d.Mean - 2.3263478740408408*d.Std()
-	default:
-		return d.Mean
-	}
-}
-
-func refMaxArrival(e *sta.Engine, m sta.Metric) []float64 {
-	arr := make([]float64, e.N.NumGates())
-	gates := e.N.Gates()
+// refArrivals returns each gate's longest arrival under the engine's grid
+// scalars for metric m, its own scalar included, in one topological pass.
+func refArrivals(e *sta.Engine, m sta.Metric) []float64 {
 	topo, err := e.N.TopoOrder()
 	if err != nil {
 		panic(err)
 	}
+	arr := make([]float64, e.N.NumGates())
 	for _, id := range topo {
-		g := &gates[id]
-		if g.Kind.IsSource() {
-			arr[id] = refScalarDelay(e, id, m) // clock-to-Q or 0
-			continue
-		}
-		best := math.Inf(-1)
-		for _, f := range g.Fanin {
-			if arr[f] > best {
-				best = arr[f]
+		g := e.N.Gate(id)
+		best := 0.0
+		if !g.Kind.IsSource() {
+			best = math.Inf(-1)
+			for _, f := range g.Fanin {
+				best = max(best, arr[f])
 			}
 		}
-		if math.IsInf(best, -1) {
-			best = 0
-		}
-		arr[id] = best + refScalarDelay(e, id, m)
+		arr[id] = best + e.MetricDelay(id, m)
 	}
 	return arr
 }
 
-type refSearchState struct {
-	gate     netlist.GateID
-	suffix   []netlist.GateID
-	sufDelay float64
-	priority float64
+// refDFS walks, depth first from endpoint ep's driver back to the sources,
+// every path whose delay under metric m can reach floor(), and calls leaf
+// with each complete path's gates read from the endpoint back and its
+// delay. It visits a gate's distinct drivers in increasing ID, so it meets
+// the paths in increasing sequence read from the endpoint back, and cuts a
+// branch whose longest completion falls below floor().
+func refDFS(e *sta.Engine, ep netlist.GateID, m sta.Metric, arr []float64,
+	floor func() float64, leaf func(rev []netlist.GateID, delay float64)) {
+	var rev []netlist.GateID
+	var walk func(g netlist.GateID, suf float64)
+	walk = func(g netlist.GateID, suf float64) {
+		rev = append(rev, g)
+		if gate := e.N.Gate(g); gate.Kind.IsSource() {
+			leaf(rev, suf)
+		} else {
+			fanin := slices.Clone(gate.Fanin)
+			slices.Sort(fanin)
+			for _, f := range slices.Compact(fanin) {
+				if arr[f]+suf >= floor() {
+					walk(f, suf+e.MetricDelay(f, m))
+				}
+			}
+		}
+		rev = rev[:len(rev)-1]
+	}
+	if drv := e.N.Gate(ep).Fanin[0]; arr[drv] >= floor() {
+		walk(drv, e.MetricDelay(drv, m))
+	}
 }
 
-type refStateHeap []*refSearchState
-
-func (h refStateHeap) Len() int            { return len(h) }
-func (h refStateHeap) Less(i, j int) bool  { return h[i].priority > h[j].priority }
-func (h refStateHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refStateHeap) Push(x interface{}) { *h = append(*h, x.(*refSearchState)) }
-func (h *refStateHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	s := old[n-1]
-	*h = old[:n-1]
-	return s
-}
-
-func refKCriticalTo(e *sta.Engine, ep netlist.GateID, k int, m sta.Metric, arr []float64) []netlist.Path {
-	g := e.N.Gate(ep)
-	if g.Kind != cell.DFF {
+// refKCritical is the contract's answer for one search. A first walk finds
+// the k largest path delays, cutting every branch that can only tie the
+// k-th found so far. A second collects the paths above the k-th delay and,
+// of the paths at it, the first ones in sequence order until k are held;
+// the multiplier's units tie so many paths at the k-th (tens of thousands
+// in one search) that collecting them all is out. The collection is then
+// sorted by the contract.
+func refKCritical(e *sta.Engine, ep netlist.GateID, k int, m sta.Metric, arr []float64) []netlist.Path {
+	if e.N.Gate(ep).Kind != cell.DFF {
 		return nil
 	}
-	driver := g.Fanin[0]
-	h := &refStateHeap{}
-	start := &refSearchState{
-		gate:     driver,
-		suffix:   []netlist.GateID{driver},
-		sufDelay: refScalarDelay(e, driver, m),
+	var top []float64 // the k largest delays so far, largest first
+	refDFS(e, ep, m, arr, func() float64 {
+		if len(top) < k {
+			return math.Inf(-1)
+		}
+		return math.Nextafter(top[k-1], math.Inf(1))
+	}, func(_ []netlist.GateID, d float64) {
+		i, _ := slices.BinarySearchFunc(top, d, func(a, b float64) int { return cmp.Compare(b, a) })
+		top = slices.Insert(top, i, d)[:min(len(top)+1, k)]
+	})
+	kth, ties := math.Inf(-1), k // every path, when there are under k
+	if len(top) == k {
+		kth = top[k-1]
+		ties -= slices.Index(top, kth)
 	}
-	start.priority = refPrefixBound(e, driver, arr) + start.sufDelay
-	heap.Push(h, start)
+	type found struct {
+		rev   []netlist.GateID
+		delay float64
+	}
+	var all []found
+	refDFS(e, ep, m, arr, func() float64 {
+		if ties > 0 {
+			return kth
+		}
+		return math.Nextafter(kth, math.Inf(1))
+	}, func(rev []netlist.GateID, d float64) {
+		if d == kth && ties > 0 {
+			ties--
+		} else if !(d > kth) {
+			return
+		}
+		all = append(all, found{slices.Clone(rev), d})
+	})
+	slices.SortFunc(all, func(a, b found) int {
+		if c := cmp.Compare(b.delay, a.delay); c != 0 {
+			return c
+		}
+		return slices.Compare(a.rev, b.rev)
+	})
 	var out []netlist.Path
-	for h.Len() > 0 && len(out) < k {
-		s := heap.Pop(h).(*refSearchState)
-		sg := e.N.Gate(s.gate)
-		if sg.Kind.IsSource() {
-			gates := make([]netlist.GateID, len(s.suffix))
-			copy(gates, s.suffix)
-			out = append(out, netlist.Path{
-				Gates:        gates,
-				Endpoint:     ep,
-				NominalDelay: s.sufDelay + cell.Setup,
-			})
-			continue
-		}
-		for _, f := range sg.Fanin {
-			suffix := make([]netlist.GateID, 0, len(s.suffix)+1)
-			suffix = append(suffix, f)
-			suffix = append(suffix, s.suffix...)
-			ns := &refSearchState{
-				gate:     f,
-				suffix:   suffix,
-				sufDelay: s.sufDelay + refScalarDelay(e, f, m),
-			}
-			ns.priority = refPrefixBound(e, f, arr) + ns.sufDelay
-			heap.Push(h, ns)
-		}
+	for _, f := range all[:min(k, len(all))] {
+		gates := slices.Clone(f.rev)
+		slices.Reverse(gates)
+		out = append(out, netlist.Path{Gates: gates, Endpoint: ep, NominalDelay: f.delay + cell.Setup})
 	}
 	return out
-}
-
-func refPrefixBound(e *sta.Engine, g netlist.GateID, arr []float64) float64 {
-	gate := e.N.Gate(g)
-	if gate.Kind.IsSource() {
-		return 0
-	}
-	best := math.Inf(-1)
-	for _, f := range gate.Fanin {
-		if arr[f] > best {
-			best = arr[f]
-		}
-	}
-	if math.IsInf(best, -1) {
-		return 0
-	}
-	return best
 }
 
 func refStatMin(forms []variation.Canon) (variation.Canon, error) {
@@ -176,7 +168,10 @@ func refStatMin(forms []variation.Canon) (variation.Canon, error) {
 	return work[0], nil
 }
 
-// refCriticalPaths is the original CriticalPaths over the reference search.
+// refCriticalPaths merges the three metrics' reference paths as
+// CriticalPaths documents: first occurrence kept, each path's delay
+// re-expressed as its setup time plus its gates' mean delays summed source
+// first, most critical first with ties by endpoint, then gate sequence.
 func refCriticalPaths(e *sta.Engine, byMetric [3][]netlist.Path) []netlist.Path {
 	seen := map[string]bool{}
 	var out []netlist.Path
@@ -195,7 +190,15 @@ func refCriticalPaths(e *sta.Engine, byMetric [3][]netlist.Path) []netlist.Path 
 			out = append(out, p)
 		}
 	}
-	netlist.SortPathsByDelay(out)
+	slices.SortFunc(out, func(a, b netlist.Path) int {
+		if c := cmp.Compare(b.NominalDelay, a.NominalDelay); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Endpoint, b.Endpoint); c != 0 {
+			return c
+		}
+		return slices.Compare(a.Gates, b.Gates)
+	})
 	return out
 }
 
@@ -279,17 +282,80 @@ func sameCanon(a, b variation.Canon) bool {
 	return true
 }
 
-// TestKCriticalMatchesReference pins the arena search to the container/heap
-// original: for every endpoint of every generated unit, at the nominal
-// condition and at offNominal, under each ranking metric and path budget,
-// the same paths come out in the same order with bit-identical delays, and
-// so does the merged CriticalPaths set.
+// randomDAG returns a one-stage netlist over three inputs and a flip-flop
+// source: nGates combinational gates of five kinds, each fed by earlier
+// gates (sometimes one driver twice), and three flip-flop endpoints fed by
+// the last gates. Sums of a few integer delays repeat, so paths tie
+// exactly under every metric.
+func randomDAG(rng *numeric.RNG, nGates int) *netlist.Netlist {
+	n := netlist.New("dag", 1)
+	pool := []netlist.GateID{
+		n.Add(cell.INPUT, "a", 0), n.Add(cell.INPUT, "b", 0), n.Add(cell.INPUT, "c", 0),
+	}
+	pool = append(pool, n.Add(cell.DFF, "q", 0, pool[0]))
+	kinds := []cell.Kind{cell.INV, cell.BUF, cell.NAND2, cell.NOR2, cell.MUX2}
+	for i := 0; i < nGates; i++ {
+		kind := kinds[rng.Intn(len(kinds))]
+		fanin := make([]netlist.GateID, kind.NumInputs())
+		for j := range fanin {
+			fanin[j] = pool[len(pool)-1-rng.Intn(min(len(pool), 5))]
+		}
+		if len(fanin) > 1 && rng.Intn(8) == 0 {
+			fanin[1] = fanin[0]
+		}
+		pool = append(pool, n.Add(kind, fmt.Sprintf("g%d", i), 0, fanin...))
+	}
+	for i := 0; i < 3; i++ {
+		n.Add(cell.DFF, fmt.Sprintf("ff%d", i), 0, pool[len(pool)-1-i])
+	}
+	return n
+}
+
+// TestKCriticalMatchesReference pins the search to its contract. On seeded
+// small DAGs every path of every endpoint is enumerated, and each k from 1
+// to one past the path count must return the contract's first k; the DAGs
+// must tie at the k-th path, or the tie order would go untested. On the
+// five units, at the nominal condition and at offNominal, every endpoint
+// under each metric and k in {1, 3, 8, 32} is compared with the paths whose
+// delay reaches the k-th, and so is the merged CriticalPaths set.
 func TestKCriticalMatchesReference(t *testing.T) {
 	metrics := [3]sta.Metric{sta.MetricNominal, sta.MetricWorst, sta.MetricBest}
+	model, err := variation.NewModel(2, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := numeric.NewRNG(20190603)
+	ties := 0
+	for trial := 0; trial < 40; trial++ {
+		e, err := sta.NewEngine(randomDAG(rng, 6+rng.Intn(11)), model, 1000, cell.SigmaRel, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range metrics {
+			arr := refArrivals(e, m)
+			for _, ep := range endpoints(e.N) {
+				all := refKCritical(e, ep, math.MaxInt32, m, arr)
+				for k := 1; k <= len(all)+1; k++ {
+					want := all[:min(k, len(all))]
+					if got := e.KCriticalTo(ep, k, m); !samePaths(got, want) {
+						t.Fatalf("dag %d ep %d k=%d metric %d: paths differ from the reference\n got %v\nwant %v",
+							trial, ep, k, m, got, want)
+					}
+					if k < len(all) && all[k-1].NominalDelay == all[k].NominalDelay {
+						ties++
+					}
+				}
+			}
+		}
+	}
+	if ties < 100 {
+		t.Fatalf("the DAGs tie at the k-th path %d times, want at least 100", ties)
+	}
+
 	for _, e := range append(units(t, cell.OperatingCondition{}), units(t, offNominal)...) {
 		var arr [3][]float64
 		for i, m := range metrics {
-			arr[i] = refMaxArrival(e, m)
+			arr[i] = refArrivals(e, m)
 		}
 		eps := endpoints(e.N)
 		if len(eps) == 0 {
@@ -299,7 +365,7 @@ func TestKCriticalMatchesReference(t *testing.T) {
 			for _, ep := range eps {
 				var want [3][]netlist.Path
 				for i, m := range metrics {
-					want[i] = refKCriticalTo(e, ep, k, m, arr[i])
+					want[i] = refKCritical(e, ep, k, m, arr[i])
 					if got := e.KCriticalTo(ep, k, m); !samePaths(got, want[i]) {
 						t.Fatalf("%s at %v ep %d k=%d metric %d: paths differ from the reference\n got %v\nwant %v",
 							e.N.Name, e.Cond, ep, k, m, got, want[i])
@@ -312,6 +378,87 @@ func TestKCriticalMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricDelaysOnGrid checks the search's scalars: each gate's is its
+// metric's delay rounded to GridBits significant bits, so within half a
+// grid step of it and a whole multiple of that step.
+func TestMetricDelaysOnGrid(t *testing.T) {
+	metrics := [3]sta.Metric{sta.MetricNominal, sta.MetricWorst, sta.MetricBest}
+	for _, e := range append(units(t, cell.OperatingCondition{}), units(t, offNominal)...) {
+		for id := range e.N.NumGates() {
+			d := e.GateDelay(netlist.GateID(id))
+			for i, m := range metrics {
+				x := d.Mean + [3]float64{0, 1, -1}[i]*2.3263478740408408*d.Std()
+				got := e.MetricDelay(netlist.GateID(id), m)
+				if x == 0 {
+					if got != 0 {
+						t.Fatalf("%s gate %d metric %d: %v, want 0", e.N.Name, id, m, got)
+					}
+					continue
+				}
+				_, exp := math.Frexp(x)
+				step := math.Ldexp(1, exp-sta.GridBits)
+				if q := got / step; math.Abs(got-x) > step/2 || q != math.Trunc(q) {
+					t.Fatalf("%s gate %d metric %d: %v is not %v on a grid of %v", e.N.Name, id, m, got, x, step)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchSizeIsAFunctionOfTheDesign sums the states pushed by the path
+// searches one uncached framework build runs at a condition: every
+// endpoint of the five units under the three metrics at k = KPaths, once
+// for calibration (scale 1, nominal: calibration never reads the
+// condition) and once for training and the DTA endpoint sets (the
+// calibrated scales at the condition). With exact sums the count follows
+// the design, not the rounding the condition's factors set off: under
+// float sums 1.00, 1.07 and 0.95 V pushed 10-100x nominal's states. The
+// count is deterministic, so any change to it is a reviewable event.
+func TestSearchSizeIsAFunctionOfTheDesign(t *testing.T) {
+	const wantNominal = 37920
+	opts := errormodel.DefaultOptions()
+	m, err := errormodel.NewMachine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scales := m.Scales()
+	nets := []*netlist.Netlist{m.Ctrl.N, m.Adder.N, m.Shifter.N, m.Logic.N, m.Mult.N}
+	pushed := func(cond cell.OperatingCondition) int {
+		total := 0
+		for _, n := range nets {
+			cal, err := sta.NewEngine(n, m.Model, m.PoFFPeriodPs, opts.SigmaRel, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := sta.NewEngineAt(n, m.Model, m.WorkingPeriodPs, opts.SigmaRel, scales[n.Name], cond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ep := range endpoints(n) {
+				for _, e := range []*sta.Engine{cal, run} {
+					p, _, _ := e.SearchSize(ep, opts.KPaths)
+					total += p
+				}
+			}
+		}
+		return total
+	}
+	nominal := pushed(cell.OperatingCondition{})
+	if nominal != wantNominal {
+		t.Errorf("a nominal build's searches push %d states, want %d", nominal, wantNominal)
+	}
+	for _, cond := range []cell.OperatingCondition{
+		{VoltageV: 1.00, TempC: 25}, {VoltageV: 1.07, TempC: 25},
+		{VoltageV: 0.95, TempC: 25}, {VoltageV: 1.0, TempC: 85},
+	} {
+		if got := pushed(cond); 10*abs(got-nominal) > nominal {
+			t.Errorf("a build at %v pushes %d states, more than 10%% from nominal's %d", cond, got, nominal)
+		}
+	}
+}
+
+func abs(x int) int { return max(x, -x) }
 
 // TestStatMinMatchesReference pins the cached-correlation greedy StatMin to
 // the full-rescan original on seeded random sets that cross the greedy
@@ -360,10 +507,10 @@ func TestCalibratedScalesPinned(t *testing.T) {
 	}
 	want := map[string]uint64{
 		"adder":      0x3fe01305ddefeb63, // 0.502322133513513
-		"control":    0x4001625210d6b959, // 2.1730080905464715
+		"control":    0x4001625210d6b931, // 2.1730080905464537
 		"logic":      0x4018f8c07878a96a, // 6.242921717037783
-		"multiplier": 0x3fdc75917734b16f, // 0.4446757949943025
-		"shifter":    0x40109bbfed67557f, // 4.152099332267766
+		"multiplier": 0x3fdc8d783aaac512, // 0.44613462189870845
+		"shifter":    0x4010aca41d60a5e7, // 4.168594798110894
 	}
 	got := m.Scales()
 	if len(got) != len(want) {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -119,19 +120,39 @@ const (
 	numMetrics
 )
 
+// gridBits is the number of significant bits a ranking scalar keeps. A
+// scalar of magnitude in [2^e, 2^(e+1)) becomes a multiple of 2^(e-29), so
+// while the longest arrival stays under 2^23 times the smallest nonzero
+// scalar (a path is under 2^13 ps, a gate delay over 1 ps), every sum the
+// search forms is exact: a partial path's priority equals the delay of the
+// complete path it leads to, whichever order the terms were added in.
+// Rounding to significant bits commutes with an exact power-of-two time
+// scale, so a design at twice every delay ranks its paths as at once.
+const gridBits = 30
+
+// onGrid rounds x to gridBits significant bits, halves away from zero.
+func onGrid(x float64) float64 {
+	if x == 0 || math.IsInf(x, 0) || math.IsNaN(x) {
+		return x
+	}
+	frac, exp := math.Frexp(x)
+	return math.Ldexp(math.Round(math.Ldexp(frac, gridBits)), exp-gridBits)
+}
+
 // tabulate fills metric m's tables from the gate sigmas: every gate's
-// scalar delay, then, in topological order, its prefix bound.
+// scalar delay on the search grid, then, in topological order, its prefix
+// bound.
 func (e *Engine) tabulate(m nominalMetric, sigma []float64) {
 	n := len(e.delays)
 	delay, bound := make([]float64, n), make([]float64, n)
 	for id, d := range e.delays {
 		switch m {
 		case metricWorst:
-			delay[id] = d.Mean + 2.3263478740408408*sigma[id]
+			delay[id] = onGrid(d.Mean + 2.3263478740408408*sigma[id])
 		case metricBest:
-			delay[id] = d.Mean - 2.3263478740408408*sigma[id]
+			delay[id] = onGrid(d.Mean - 2.3263478740408408*sigma[id])
 		default:
-			delay[id] = d.Mean
+			delay[id] = onGrid(d.Mean)
 		}
 	}
 	gates := e.N.Gates()
@@ -164,21 +185,21 @@ const (
 
 // Arena is the scratch of the best-first k-critical-path search: search
 // states, each linked to the suffix it extends, and a binary max-heap of
-// state indices. Both live in fixed-size chunks that are appended as the
-// search grows and never copied, and every search run on the arena reuses
-// them. The heap sifts exactly as container/heap does: the same pushes and
-// pops leave the same layout, so paths of equal priority (common under the
-// worst-case metric) pop in the same order and the same k paths come out.
-// The zero value is ready to use; an arena serves one search at a time.
+// state indices in kCriticalTo's pop order. Both live in fixed-size chunks
+// that are appended as the search grows and never copied, and every search
+// run on the arena reuses them. The zero value is ready to use; an arena
+// serves one search at a time.
 type Arena struct {
 	states  []*[chunkLen]searchState
 	heap    []*[chunkLen]heapEntry
 	nstates int32
 	nheap   int32
+	pushed  int
 }
 
 // searchState is a partial path suffix [gate ... endpointDriver]: gate
-// followed by the suffix of state next (-1 after the driver).
+// followed by the suffix of state next (-1 after the driver). A state is
+// stored after the state it extends, so its index is the larger.
 type searchState struct {
 	gate     netlist.GateID
 	next     int32
@@ -191,6 +212,32 @@ type heapEntry struct {
 }
 
 func (a *Arena) state(i int32) *searchState { return &a.states[i>>chunkBits][i&chunkMask] }
+
+// Pushed returns how many search states the arena's searches have pushed
+// since it was made: the size of the searches, which benchmarks report.
+func (a *Arena) Pushed() int { return a.pushed }
+
+// above reports whether heap entry x pops before y: it has the higher
+// priority or, on an exact tie, the smaller gate sequence read from the
+// endpoint back. The heap never holds two states of which one extends the
+// other (a state is popped before its extensions are pushed), so the two
+// sequences differ at the first state below their common ancestor; the
+// walk up finds it by always stepping from the larger index.
+func (a *Arena) above(x, y heapEntry) bool {
+	if x.priority != y.priority {
+		return x.priority > y.priority
+	}
+	i, j := x.state, y.state
+	ci, cj := i, j
+	for i != j {
+		if i > j {
+			ci, i = i, a.state(i).next
+		} else {
+			cj, j = j, a.state(j).next
+		}
+	}
+	return a.state(ci).gate < a.state(cj).gate
+}
 
 // add stores a state and pushes it with the given priority.
 func (a *Arena) add(s searchState, priority float64) {
@@ -205,29 +252,29 @@ func (a *Arena) add(s searchState, priority float64) {
 		a.heap = append(a.heap, new([chunkLen]heapEntry))
 	}
 	a.nheap++
-	// container/heap's up, moving the hole instead of swapping into it.
+	// Sift up, moving the hole instead of swapping into it.
+	e := heapEntry{priority: priority, state: idx}
 	h := a.heap
 	for j > 0 {
 		i := (j - 1) / 2
 		p := &h[i>>chunkBits][i&chunkMask]
-		if !(priority > p.priority) {
+		if !a.above(e, *p) {
 			break
 		}
 		h[j>>chunkBits][j&chunkMask] = *p
 		j = i
 	}
-	h[j>>chunkBits][j&chunkMask] = heapEntry{priority: priority, state: idx}
+	h[j>>chunkBits][j&chunkMask] = e
 }
 
-// pop removes and returns the state index of the highest-priority entry.
+// pop removes and returns the state index of the entry that pops first.
 func (a *Arena) pop() int32 {
 	h := a.heap
 	top := h[0][0].state
 	n := a.nheap - 1
 	a.nheap = n
 	last := h[n>>chunkBits][n&chunkMask]
-	// container/heap's down over the first n entries, with the last entry
-	// swapped into the root and moved as a hole.
+	// Sift the last entry down from the root, moving it as a hole.
 	i := int32(0)
 	for {
 		j := 2*i + 1
@@ -236,11 +283,11 @@ func (a *Arena) pop() int32 {
 		}
 		c := &h[j>>chunkBits][j&chunkMask]
 		if j2 := j + 1; j2 < n {
-			if c2 := &h[j2>>chunkBits][j2&chunkMask]; c2.priority > c.priority {
+			if c2 := &h[j2>>chunkBits][j2&chunkMask]; a.above(*c2, *c) {
 				j, c = j2, c2
 			}
 		}
-		if !(c.priority > last.priority) {
+		if !a.above(*c, last) {
 			break
 		}
 		h[i>>chunkBits][i&chunkMask] = *c
@@ -265,10 +312,21 @@ func (a *Arena) gates(idx int32) []netlist.GateID {
 	return out
 }
 
-// kCriticalTo enumerates up to k complete paths ending at endpoint ep in
-// exactly decreasing order of total delay under the chosen metric, using
-// best-first (A*) search with the max-arrival upper bound as heuristic.
-// The arena is reset and reused as scratch.
+// kCriticalTo returns the first k complete paths ending at endpoint ep in
+// this total order: decreasing delay under metric m (the sum of the gates'
+// scalars on the search grid, exact whatever the order of the terms), then,
+// among equal delays, increasing gate sequence read from the endpoint back
+// (the driver first), compared gate ID by gate ID. A path is a distinct
+// gate sequence: a gate that lists one driver twice is one path through it.
+// Each path's NominalDelay is its metric delay plus the setup time.
+//
+// The search is best-first (A*) with the longest arrival at a gate's fanin
+// as the prefix bound, and pops states in the same order: by priority
+// (prefix bound plus suffix delay), then by the sequence. A partial path's
+// sequence is a prefix of its completions', and exact sums give it the
+// delay of its best completion, so complete paths pop in the order above
+// and the pop order does not depend on the heap's layout. The arena is
+// reset and reused as scratch.
 func (e *Engine) kCriticalTo(ep netlist.GateID, k int, m nominalMetric, a *Arena) []netlist.Path {
 	gates := e.N.Gates()
 	g := &gates[ep]
@@ -293,11 +351,15 @@ func (e *Engine) kCriticalTo(ep netlist.GateID, k int, m nominalMetric, a *Arena
 			})
 			continue
 		}
-		for _, f := range sg.Fanin {
+		for i, f := range sg.Fanin {
+			if slices.Contains(sg.Fanin[:i], f) {
+				continue
+			}
 			suf := s.sufDelay + delay[f]
 			a.add(searchState{gate: f, next: idx, sufDelay: suf}, bound[f]+suf)
 		}
 	}
+	a.pushed += int(a.nstates)
 	return out
 }
 
@@ -314,15 +376,15 @@ func (e *Engine) CriticalPaths(ep netlist.GateID, k int) []netlist.Path {
 // CriticalPathsIn is CriticalPaths searching in a caller-owned arena, which
 // a loop over endpoints grows once instead of once per endpoint.
 func (e *Engine) CriticalPathsIn(ep netlist.GateID, k int, a *Arena) []netlist.Path {
-	seen := map[string]bool{}
 	var out []netlist.Path
 	for _, m := range [...]nominalMetric{metricNominal, metricWorst, metricBest} {
+		// One search's paths are distinct, so only the earlier metrics'
+		// can repeat one.
+		earlier := out
 		for _, p := range e.kCriticalTo(ep, k, m, a) {
-			key := pathKey(p)
-			if seen[key] {
+			if slices.ContainsFunc(earlier, func(q netlist.Path) bool { return slices.Equal(q.Gates, p.Gates) }) {
 				continue
 			}
-			seen[key] = true
 			// Re-express the cached delay under the nominal metric so
 			// ordering is consistent across metrics.
 			p.NominalDelay = e.nominalPathDelay(p)
@@ -331,14 +393,6 @@ func (e *Engine) CriticalPathsIn(ep netlist.GateID, k int, a *Arena) []netlist.P
 	}
 	netlist.SortPathsByDelay(out)
 	return out
-}
-
-func pathKey(p netlist.Path) string {
-	b := make([]byte, 0, 4*len(p.Gates)+4)
-	for _, g := range p.Gates {
-		b = append(b, byte(g), byte(g>>8), byte(g>>16), byte(g>>24))
-	}
-	return string(b)
 }
 
 func (e *Engine) nominalPathDelay(p netlist.Path) float64 {
