@@ -44,7 +44,8 @@ import (
 // Snapshot, DatapathModel, or the training flow itself. Version 2: the
 // checksum header, and the scales as one byte string sorted by unit name.
 // Version 3: the scales and tables of the exact-sum path search, whose tie
-// order moved the multiplier, shifter and control scales.
+// order moved the multiplier, shifter and control scales, and off-nominal
+// tables trained with the setup time derated by the condition.
 const SchemaVersion = 3
 
 // maxFileBytes caps the bytes a reader takes from a snapshot file; a larger

@@ -1,6 +1,10 @@
 package sta
 
-import "tsperr/internal/netlist"
+import (
+	"tsperr/internal/cell"
+	"tsperr/internal/netlist"
+	"tsperr/internal/variation"
+)
 
 // Hooks for the external-package tests, which import the netlist generators
 // (package gen imports sta, so those tests cannot live in package sta).
@@ -14,6 +18,13 @@ const (
 	StatMinGreedyLimit = statMinGreedyLimit
 	GridBits           = gridBits
 )
+
+// NewEngineFactors is NewEngine with gate delays and relative sigma
+// multiplied by the given factors, as a condition's DelayFactor and
+// SigmaFactor would; no valid condition has a factor of exactly 2.
+func NewEngineFactors(n *netlist.Netlist, model *variation.Model, clockPeriod, sigmaRel, delayScale, df, sf float64) (*Engine, error) {
+	return newEngine(n, model, clockPeriod, sigmaRel, delayScale, cell.OperatingCondition{}, df, sf)
+}
 
 // KCriticalTo runs one k-critical-path search with fresh scratch.
 func (e *Engine) KCriticalTo(ep netlist.GateID, k int, m Metric) []netlist.Path {

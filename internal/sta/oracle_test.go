@@ -130,7 +130,7 @@ func refKCritical(e *sta.Engine, ep netlist.GateID, k int, m sta.Metric, arr []f
 	for _, f := range all[:min(k, len(all))] {
 		gates := slices.Clone(f.rev)
 		slices.Reverse(gates)
-		out = append(out, netlist.Path{Gates: gates, Endpoint: ep, NominalDelay: f.delay + cell.Setup})
+		out = append(out, netlist.Path{Gates: gates, Endpoint: ep, NominalDelay: f.delay + e.Setup()})
 	}
 	return out
 }
@@ -170,8 +170,8 @@ func refStatMin(forms []variation.Canon) (variation.Canon, error) {
 
 // refCriticalPaths merges the three metrics' reference paths as
 // CriticalPaths documents: first occurrence kept, each path's delay
-// re-expressed as its setup time plus its gates' mean delays summed source
-// first, most critical first with ties by endpoint, then gate sequence.
+// re-expressed as the engine's setup time plus its gates' mean delays
+// summed source first, most critical first with ties by endpoint, then gate sequence.
 func refCriticalPaths(e *sta.Engine, byMetric [3][]netlist.Path) []netlist.Path {
 	seen := map[string]bool{}
 	var out []netlist.Path
@@ -182,7 +182,7 @@ func refCriticalPaths(e *sta.Engine, byMetric [3][]netlist.Path) []netlist.Path 
 				continue
 			}
 			seen[key] = true
-			d := cell.Setup
+			d := e.Setup()
 			for _, g := range p.Gates {
 				d += e.GateDelay(g).Mean
 			}

@@ -41,6 +41,8 @@ type Engine struct {
 	// bit-identical to a condition-free one.
 	Cond cell.OperatingCondition
 
+	// setup is the endpoint setup time at the condition (see Setup).
+	setup  float64
 	delays []variation.Canon
 	topo   []netlist.GateID
 	// Per ranking metric, delay holds each gate's scalar delay and bound its
@@ -68,6 +70,15 @@ func NewEngine(n *netlist.Netlist, model *variation.Model, clockPeriod, sigmaRel
 // property — calibration runs at the nominal condition and the V/T factors
 // multiply on top.
 func NewEngineAt(n *netlist.Netlist, model *variation.Model, clockPeriod, sigmaRel, delayScale float64, cond cell.OperatingCondition) (*Engine, error) {
+	if err := cond.Validate(); err != nil {
+		return nil, err
+	}
+	return newEngine(n, model, clockPeriod, sigmaRel, delayScale, cond, cond.DelayFactor(), cond.SigmaFactor())
+}
+
+// newEngine is NewEngineAt with the condition's delay and sigma factors
+// given, so a test can pass factors no valid condition has.
+func newEngine(n *netlist.Netlist, model *variation.Model, clockPeriod, sigmaRel, delayScale float64, cond cell.OperatingCondition, df, sf float64) (*Engine, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
@@ -78,14 +89,11 @@ func NewEngineAt(n *netlist.Netlist, model *variation.Model, clockPeriod, sigmaR
 	if delayScale <= 0 {
 		return nil, fmt.Errorf("sta: non-positive delay scale %v", delayScale)
 	}
-	if err := cond.Validate(); err != nil {
-		return nil, err
-	}
 	e := &Engine{
 		N: n, Model: model, ClockPeriod: clockPeriod,
 		SigmaRel: sigmaRel, DelayScale: delayScale, Cond: cond, topo: topo,
+		setup: cell.Setup * df,
 	}
-	df, sf := cond.DelayFactor(), cond.SigmaFactor()
 	e.delays = make([]variation.Canon, n.NumGates())
 	for i := range n.Gates() {
 		g := &n.Gates()[i]
@@ -109,6 +117,12 @@ func (e *Engine) prepare() {
 
 // GateDelay returns the canonical delay form of a gate.
 func (e *Engine) GateDelay(id netlist.GateID) variation.Canon { return e.delays[id] }
+
+// Setup returns the setup time charged at every path's endpoint in ps: the
+// library's cell.Setup times the condition's DelayFactor, which derates the
+// flip-flop like every gate delay (exactly cell.Setup at nominal). Every
+// path delay, slack and endpoint bound of the engine adds this value.
+func (e *Engine) Setup() float64 { return e.setup }
 
 // nominalMetric selects which per-gate scalar delay drives path ranking.
 type nominalMetric int
@@ -347,7 +361,7 @@ func (e *Engine) kCriticalTo(ep netlist.GateID, k int, m nominalMetric, a *Arena
 			out = append(out, netlist.Path{
 				Gates:        a.gates(idx),
 				Endpoint:     ep,
-				NominalDelay: s.sufDelay + cell.Setup,
+				NominalDelay: s.sufDelay + e.setup,
 			})
 			continue
 		}
@@ -396,7 +410,7 @@ func (e *Engine) CriticalPathsIn(ep netlist.GateID, k int, a *Arena) []netlist.P
 }
 
 func (e *Engine) nominalPathDelay(p netlist.Path) float64 {
-	d := cell.Setup
+	d := e.setup
 	for _, g := range p.Gates {
 		d += e.delays[g].Mean
 	}
@@ -404,9 +418,9 @@ func (e *Engine) nominalPathDelay(p netlist.Path) float64 {
 }
 
 // PathDelay returns the canonical delay form of a path: the exact sum of its
-// gate delay forms plus the endpoint setup time.
+// gate delay forms plus the endpoint setup time (Setup).
 func (e *Engine) PathDelay(p netlist.Path) variation.Canon {
-	sum := e.Model.Const(cell.Setup)
+	sum := e.Model.Const(e.setup)
 	for _, g := range p.Gates {
 		sum.AddInPlace(e.delays[g])
 	}
@@ -524,7 +538,7 @@ func (e *Engine) WorstSlackNominal(stage int) float64 {
 	worst := math.Inf(1)
 	for _, ep := range e.N.Endpoints(stage) {
 		driver := e.N.Gate(ep).Fanin[0]
-		slack := e.ClockPeriod - cell.Setup - (bound[driver] + delay[driver])
+		slack := e.ClockPeriod - e.setup - (bound[driver] + delay[driver])
 		if slack < worst {
 			worst = slack
 		}
@@ -541,7 +555,7 @@ func (e *Engine) MaxDelayNominal() float64 {
 	for s := 0; s < e.N.Stages; s++ {
 		for _, ep := range e.N.Endpoints(s) {
 			driver := e.N.Gate(ep).Fanin[0]
-			if d := bound[driver] + delay[driver] + cell.Setup; d > worst {
+			if d := bound[driver] + delay[driver] + e.setup; d > worst {
 				worst = d
 			}
 		}
