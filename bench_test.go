@@ -48,7 +48,7 @@ var benchEngine = func() *harness.Engine {
 // Table 2 row as benchmark metrics.
 func benchTable2(b *testing.B, name string) {
 	b.Helper()
-	if _, err := benchEngine.Framework(); err != nil {
+	if _, err := benchEngine.Framework(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	var rep *core.Report
@@ -85,7 +85,7 @@ func BenchmarkTable2GSMDecode(b *testing.B)    { benchTable2(b, "gsm.decode") }
 // benchFigure3 regenerates one benchmark's Figure 3 CDF series with bounds.
 func benchFigure3(b *testing.B, name string) {
 	b.Helper()
-	f, err := benchEngine.Framework()
+	f, err := benchEngine.Framework(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func BenchmarkPerfModelAnchors(b *testing.B) {
 // Monte Carlo simulation of the Markov error process versus the
 // Poisson-mixture estimate, reporting the worst CDF distance and the bound.
 func BenchmarkApproxValidation(b *testing.B) {
-	f, err := benchEngine.Framework()
+	f, err := benchEngine.Framework(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func BenchmarkAblationKPaths(b *testing.B) {
 // BenchmarkAblationScenarios quantifies how the number of input datasets
 // sharpens the data-variation spread (lambda SD stabilizes with scenarios).
 func BenchmarkAblationScenarios(b *testing.B) {
-	if _, err := benchEngine.Framework(); err != nil {
+	if _, err := benchEngine.Framework(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
@@ -412,7 +412,7 @@ func BenchmarkStatMin(b *testing.B) {
 // is cleared each iteration so the number reflects a cold characterization;
 // a separate metric reports the warm (fully memoized) cost.
 func BenchmarkCharacterizeControl(b *testing.B) {
-	f, err := benchEngine.Framework()
+	f, err := benchEngine.Framework(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func BenchmarkCharacterizeControl(b *testing.B) {
 // run, the profile and features taken from its tally, and the machine's
 // release.
 func BenchmarkSimulationThroughput(b *testing.B) {
-	f, err := benchEngine.Framework()
+	f, err := benchEngine.Framework(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 // This is the ROADMAP's hot-path number: everything model-setup related is
 // amortized by the shared framework and the first untimed request.
 func BenchmarkEndToEndWarm(b *testing.B) {
-	if _, err := benchEngine.Framework(); err != nil {
+	if _, err := benchEngine.Framework(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := benchEngine.Analyze(context.Background(), "stringsearch", 4, core.AnalyzeOpts{}); err != nil {
@@ -508,7 +508,7 @@ func BenchmarkEndToEndWarm(b *testing.B) {
 // analyzer answers from its activation-signature memo — the steady-state
 // cost of Algorithm 1 inside a characterization loop.
 func BenchmarkPerCycleDTA(b *testing.B) {
-	f, err := benchEngine.Framework()
+	f, err := benchEngine.Framework(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -547,7 +547,7 @@ func BenchmarkPerCycleDTA(b *testing.B) {
 // memo, and every timed iteration must answer from it. The allocs/op column
 // is the guarded number — the hit path is supposed to be allocation-free.
 func BenchmarkStageDTSMemoHit(b *testing.B) {
-	f, err := benchEngine.Framework()
+	f, err := benchEngine.Framework(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -600,7 +600,7 @@ func BenchmarkPeriodSweepTraining(b *testing.B) {
 
 // BenchmarkPoissonMixtureCDF measures the Equation (14) quadrature.
 func BenchmarkPoissonMixtureCDF(b *testing.B) {
-	if _, err := benchEngine.Framework(); err != nil {
+	if _, err := benchEngine.Framework(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	rep, err := benchEngine.Analyze(context.Background(), "patricia", 3, core.AnalyzeOpts{})
@@ -710,7 +710,7 @@ func BenchmarkAblationCLAvsRipple(b *testing.B) {
 // compares their calibration against the analytic probabilities — the
 // paper's argument for a DTS-based statistical model.
 func BenchmarkAblationMLBaseline(b *testing.B) {
-	f, err := benchEngine.Framework()
+	f, err := benchEngine.Framework(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -771,7 +771,7 @@ func BenchmarkAblationMLBaseline(b *testing.B) {
 // versus the seed's unbounded per-scenario fan-out shows up as a drop in
 // this metric rather than slipping in unnoticed.
 func BenchmarkAnalyzeScenarioPool(b *testing.B) {
-	if _, err := benchEngine.Framework(); err != nil {
+	if _, err := benchEngine.Framework(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	const scenarios = 16
@@ -800,7 +800,7 @@ func BenchmarkAnalyzeScenarioPool(b *testing.B) {
 // ~1.3ms): a surrogate hit must be at least two orders of magnitude cheaper
 // for the two-tier design to pay off.
 func BenchmarkEstimateSurrogateHit(b *testing.B) {
-	fw, err := benchEngine.Framework()
+	fw, err := benchEngine.Framework(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -855,7 +855,7 @@ var missMixPrograms = []string{
 // too). `make pprof-miss` profiles the mix and `make pprof-setup`
 // setup-cold.
 func BenchmarkLayer(b *testing.B) {
-	f, err := benchEngine.Framework()
+	f, err := benchEngine.Framework(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -160,9 +160,10 @@ func analyze(ctx context.Context, eng *harness.Engine, name string, scenarios in
 	return rep
 }
 
-// framework returns the engine's framework, exiting 1 if it cannot be built.
-func framework(eng *harness.Engine) *core.Framework {
-	f, err := eng.Framework()
+// framework returns the engine's framework, building it under ctx, and exits
+// 1 if it cannot be built.
+func framework(ctx context.Context, eng *harness.Engine) *core.Framework {
+	f, err := eng.Framework(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func runEstimate(args []string) {
 		os.Stdout.Write(jsonDoc(rep))
 		return
 	}
-	pm := framework(a.eng).PerfModel()
+	pm := framework(ctx, a.eng).PerfModel()
 	e := rep.Estimate
 
 	fmt.Println(harness.Table2Header())

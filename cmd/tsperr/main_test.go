@@ -212,6 +212,27 @@ func TestSmokeReportHelpListsFlags(t *testing.T) {
 	}
 }
 
+// TestTimeoutBoundsTheColdBuild runs figure3, report and report -json with
+// a 1 ms deadline on an empty model cache: each builds its framework under
+// the run's deadline, so it exits 1 with the deadline error, and the
+// cancelled build publishes no snapshot.
+func TestTimeoutBoundsTheColdBuild(t *testing.T) {
+	for _, args := range [][]string{
+		{"figure3", "-bench", "typeset"},
+		{"report"},
+		{"report", "-json"},
+	} {
+		dir := t.TempDir()
+		code, stdout, stderr := runSelf(t, append([]string{args[0], "-timeout", "1ms", "-model-cache-dir", dir}, args[1:]...)...)
+		if code != 1 || !strings.Contains(stderr, "context deadline exceeded") {
+			t.Errorf("%v: exit = %d, want 1 with the deadline error\nstdout: %s\nstderr: %s", args, code, stdout, stderr)
+		}
+		if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+			t.Errorf("%v: the model cache holds %v (%v), want nothing", args, left, err)
+		}
+	}
+}
+
 // TestResultGoldens pins the figure3 and report modes to bytes the earlier
 // standalone figure3 and report binaries printed, from a cold (uncached)
 // build.

@@ -80,7 +80,7 @@ func runFigure3(args []string) {
 	ctx, cancel := cliutil.Context(*timeout)
 	defer cancel()
 
-	pm := framework(eng).PerfModel()
+	pm := framework(ctx, eng).PerfModel()
 	if *csv {
 		fmt.Println("benchmark,rate_pct,perf_improvement_pct,cdf_lower,cdf,cdf_upper")
 	}
@@ -135,7 +135,7 @@ func runReport(args []string) {
 // operating-point anchors, and a Monte Carlo validation of the smallest
 // benchmark as one markdown report.
 func reportMarkdown(ctx context.Context, eng *harness.Engine, scenarios int, opts core.AnalyzeOpts) []byte {
-	f := framework(eng)
+	f := framework(ctx, eng)
 	var sb bytes.Buffer
 	pm := f.PerfModel()
 	fmt.Fprintf(&sb, "# tsperr evaluation report\n\n")
@@ -227,7 +227,7 @@ func reportMarkdown(ctx context.Context, eng *harness.Engine, scenarios int, opt
 // shared core.Report JSON schema (the same document the estimate's -json
 // prints and tsperrd serves).
 func reportJSON(ctx context.Context, eng *harness.Engine, scenarios int, opts core.AnalyzeOpts) []byte {
-	f := framework(eng)
+	f := framework(ctx, eng)
 	doc := struct {
 		BaseFreqMHz      float64        `json:"base_freq_mhz"`
 		WorkingFreqMHz   float64        `json:"working_freq_mhz"`

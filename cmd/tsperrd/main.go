@@ -205,7 +205,7 @@ func main() {
 	// or, with a warm model cache, restore in well under a second.
 	go func() {
 		t0 := time.Now()
-		fw, err := eng.Framework()
+		fw, err := eng.Framework(context.Background())
 		if err != nil {
 			log.Fatalf("model warm-up failed: %v", err)
 		}

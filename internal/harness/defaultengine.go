@@ -37,8 +37,10 @@ func SetModelCache(enabled bool, dir string) { std.dir.Store(modelcache.Dir(enab
 // SharedOptions is Engine.Options on the default engine.
 func SharedOptions() errormodel.Options { return std.eng.Options() }
 
-// SharedFramework is Engine.Framework on the default engine.
-func SharedFramework() (*core.Framework, error) { return std.eng.Framework() }
+// SharedFramework is Engine.Framework on the default engine, unbounded.
+func SharedFramework() (*core.Framework, error) {
+	return std.eng.Framework(context.Background())
+}
 
 // AnalyzeWithOpts is Engine.Analyze on the default engine.
 func AnalyzeWithOpts(ctx context.Context, name string, scenarios int, opts core.AnalyzeOpts) (*core.Report, error) {

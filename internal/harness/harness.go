@@ -84,9 +84,10 @@ func (e *Engine) CacheDir() string { return e.cacheDir }
 
 // Framework builds (once) the calibrated machine and trained datapath model
 // shared by all benchmarks — the machine-dependent "training" the paper
-// performs once per design.
-func (e *Engine) Framework() (*core.Framework, error) {
-	return e.framework(context.Background(), e.cond)
+// performs once per design. A cold build runs under ctx, and a cancelled
+// build keeps nothing, so the next call builds again.
+func (e *Engine) Framework(ctx context.Context) (*core.Framework, error) {
+	return e.framework(ctx, e.cond)
 }
 
 // framework returns the framework at cond, building it under ctx on first

@@ -83,7 +83,7 @@ func TestFigure3SeriesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full framework run")
 	}
-	f, err := nominal.Framework()
+	f, err := nominal.Framework(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,17 +204,17 @@ func TestSharedFrameworkRetriesAfterFailure(t *testing.T) {
 		}
 		return sentinel, nil
 	}
-	if _, err := e.Framework(); err == nil {
+	if _, err := e.Framework(context.Background()); err == nil {
 		t.Fatal("first build should fail")
 	}
-	f, err := e.Framework()
+	f, err := e.Framework(context.Background())
 	if err != nil {
 		t.Fatalf("second call should retry the build: %v", err)
 	}
 	if f != sentinel || calls != 2 {
 		t.Errorf("framework %p after %d build calls", f, calls)
 	}
-	if f2, err := e.Framework(); err != nil || f2 != sentinel || calls != 2 {
+	if f2, err := e.Framework(context.Background()); err != nil || f2 != sentinel || calls != 2 {
 		t.Errorf("success should be latched without rebuilding (calls=%d)", calls)
 	}
 }
@@ -228,7 +228,7 @@ func TestSharedFrameworkUsesModelCache(t *testing.T) {
 		gotDir = d
 		return sentinel, nil
 	}
-	f, err := e.Framework()
+	f, err := e.Framework(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestSharedFrameworkUsesModelCache(t *testing.T) {
 	// The real build goes through the cached constructor: it leaves the
 	// snapshot a later engine restores from.
 	cached := newEngine(cell.OperatingCondition{}, t.TempDir())
-	if _, err := cached.Framework(); err != nil {
+	if _, err := cached.Framework(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	snap := modelcache.Path(cached.CacheDir(), modelcache.Key(cached.Options(), cell.Fingerprint()))

@@ -314,11 +314,11 @@ func TestEnginesAreIndependent(t *testing.T) {
 		t.Errorf("droop engine's analysis differs from the nominal engine's at the droop point\nown: %s\nat:  %s", a, b)
 	}
 
-	nf, err := nominal.Framework()
+	nf, err := nominal.Framework(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hf, err := hot.Framework()
+	hf, err := hot.Framework(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestSurrogateHeldOutAccuracy(t *testing.T) {
 // every served answer's reported uncertainty is within the bound it claims.
 func TestSurrogateGateHonestyOnSuite(t *testing.T) {
 	samples := evalSamples(context.Background(), t)
-	fw, err := nominal.Framework()
+	fw, err := nominal.Framework(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSurrogateGateHonestyOnSuite(t *testing.T) {
 // TestSurrogateAdapterUnknownBenchmark: names the suite does not know
 // escalate as untrained and are never observed.
 func TestSurrogateAdapterUnknownBenchmark(t *testing.T) {
-	fw, err := nominal.Framework()
+	fw, err := nominal.Framework(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
