@@ -15,6 +15,7 @@ import (
 	"tsperr/internal/errormodel"
 	"tsperr/internal/isa"
 	"tsperr/internal/modelcache"
+	"tsperr/internal/variation"
 )
 
 // datapathTablesEqual compares the trained (exported, serialized) tables of
@@ -133,8 +134,12 @@ func TestNewFrameworkCachedRebuildsInvalidSnapshot(t *testing.T) {
 		name    string
 		corrupt func(*modelcache.Snapshot)
 	}{
-		{"adder tables cut to 3 rows", func(s *modelcache.Snapshot) {
-			s.Datapath.AdderSlack, s.Datapath.AdderFail = s.Datapath.AdderSlack[:3], s.Datapath.AdderFail[:3]
+		{"an untrained adder row holding a probability", func(s *modelcache.Snapshot) {
+			d := slices.IndexFunc(s.Datapath.AdderSlack, func(c variation.Canon) bool { return len(c.Sens) == 0 })
+			if d < 0 {
+				t.Fatal("the adder tables have no untrained row")
+			}
+			s.Datapath.AdderFail[d] = 0.5
 		}},
 		{"adder probabilities NaN", func(s *modelcache.Snapshot) {
 			for d := range s.Datapath.AdderFail {

@@ -17,7 +17,8 @@ import (
 // never panic, and a snapshot it accepts must either fail
 // DatapathModel.Validate, as the framework's load path then treats it as a
 // miss, or build a FailTable whose every entry is a probability. The corpus
-// is seeded from a small valid payload, one trained row and the rest
+// is seeded from a small valid payload in the format Save writes (the scales
+// and the datapath tables as byte strings), one trained row and the rest
 // untrained, and cuts of it.
 func FuzzLoadSnapshot(f *testing.F) {
 	opts := errormodel.DefaultOptions()
@@ -47,7 +48,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		Schema:   SchemaVersion,
 		Key:      key,
 		Scales:   scaleTable{"adder": 1.25, "ctrl": 1.1},
-		Datapath: dp,
+		Datapath: datapathTable{dp},
 	}); err != nil {
 		f.Fatal(err)
 	}

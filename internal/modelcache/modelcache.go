@@ -37,6 +37,7 @@ import (
 	"sort"
 
 	"tsperr/internal/errormodel"
+	"tsperr/internal/variation"
 )
 
 // SchemaVersion invalidates every cached snapshot when the serialized layout
@@ -44,8 +45,9 @@ import (
 // Snapshot, DatapathModel, or the training flow itself. Version 2: the
 // checksum header, and the scales as one byte string sorted by unit name.
 // Version 3: the scales and tables of the exact-sum path search, whose tie
-// order moved the multiplier, shifter and control scales, and off-nominal
-// tables trained with the setup time derated by the condition.
+// order moved the multiplier, shifter and control scales, off-nominal
+// tables trained with the setup time derated by the condition, and the
+// datapath tables as one byte string.
 const SchemaVersion = 3
 
 // maxFileBytes caps the bytes a reader takes from a snapshot file; a larger
@@ -74,7 +76,7 @@ type snapshotFile struct {
 	Schema   int
 	Key      string
 	Scales   scaleTable
-	Datapath *errormodel.DatapathModel
+	Datapath datapathTable
 }
 
 // scaleTable is Snapshot.Scales as a payload holds it: one byte string of
@@ -118,6 +120,115 @@ func (t *scaleTable) UnmarshalBinary(b []byte) error {
 		prev, b = unit, b[8:]
 	}
 	*t = table
+	return nil
+}
+
+// datapathRows are the row counts of the adder, shifter and multiplier
+// tables a trained DatapathModel holds (DatapathModel.Validate).
+var datapathRows = [3]int{33, 6, 17}
+
+// datapathTable is Snapshot.Datapath as a payload holds it: one byte
+// string, whose length gob checks against the bytes the payload holds, as
+// for scaleTable. It is the sensitivity count every trained row shares (a
+// uvarint), then the adder's, shifter's and multiplier's rows, each a flag
+// byte (1 when the row is trained and carries the sensitivities, else 0),
+// its slack form's mean and residual, the sensitivities when flagged and
+// its failure probability; then the logic failure probability. Every value
+// is a little-endian float64. Gob would size each slice of the model by
+// the count the stream claims, up to 10 MB, before finding the data short.
+type datapathTable struct{ dp *errormodel.DatapathModel }
+
+// datapathTables returns the model's three slack and failure table pairs in
+// datapathRows' order.
+func datapathTables(dp *errormodel.DatapathModel) [3]struct {
+	slack *[]variation.Canon
+	fail  *[]float64
+} {
+	return [3]struct {
+		slack *[]variation.Canon
+		fail  *[]float64
+	}{{&dp.AdderSlack, &dp.AdderFail}, {&dp.ShiftSlack, &dp.ShiftFail}, {&dp.MulSlack, &dp.MulFail}}
+}
+
+func (t datapathTable) MarshalBinary() ([]byte, error) {
+	tables := datapathTables(t.dp)
+	pcs := 0
+	for i, tab := range tables {
+		if len(*tab.slack) != datapathRows[i] || len(*tab.fail) != datapathRows[i] {
+			return nil, fmt.Errorf("modelcache: datapath table %d has %d and %d rows, want %d",
+				i, len(*tab.slack), len(*tab.fail), datapathRows[i])
+		}
+		for _, s := range *tab.slack {
+			if n := len(s.Sens); n > 0 && pcs == 0 {
+				pcs = n
+			} else if n > 0 && n != pcs {
+				return nil, fmt.Errorf("modelcache: datapath rows with %d and %d sensitivities", pcs, n)
+			}
+		}
+	}
+	b := binary.AppendUvarint(nil, uint64(pcs))
+	put := func(v float64) { b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v)) }
+	for _, tab := range tables {
+		for d, s := range *tab.slack {
+			b = append(b, byte(min(len(s.Sens), 1)))
+			put(s.Mean)
+			put(s.Rand)
+			for _, v := range s.Sens {
+				put(v)
+			}
+			put((*tab.fail)[d])
+		}
+	}
+	put(t.dp.LogicFail)
+	return b, nil
+}
+
+// UnmarshalBinary accepts only what MarshalBinary writes: the three tables
+// at their row counts, flags of 0 or 1, one sensitivity count that some row
+// carries, and no byte past the logic probability. A row is allocated only
+// once its bytes are known to be there.
+func (t *datapathTable) UnmarshalBinary(b []byte) error {
+	bad := errors.New("modelcache: malformed datapath tables")
+	pcs, k := binary.Uvarint(b)
+	if k <= 0 || pcs > uint64(len(b)/8) {
+		return bad
+	}
+	b = b[k:]
+	get := func() float64 {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+		return v
+	}
+	dp, trained := &errormodel.DatapathModel{}, false
+	for i, tab := range datapathTables(dp) {
+		*tab.slack = make([]variation.Canon, datapathRows[i])
+		*tab.fail = make([]float64, datapathRows[i])
+		for d := range *tab.slack {
+			if len(b) == 0 || b[0] > 1 || (b[0] == 1 && pcs == 0) {
+				return bad
+			}
+			n := int(b[0]) * int(pcs)
+			if len(b)-1 < 8*(3+n) {
+				return bad
+			}
+			trained = trained || n > 0
+			b = b[1:]
+			s := &(*tab.slack)[d]
+			s.Mean, s.Rand = get(), get()
+			if n > 0 {
+				s.Sens = make([]float64, n)
+				for j := range s.Sens {
+					s.Sens[j] = get()
+				}
+			}
+			(*tab.fail)[d] = get()
+		}
+	}
+	if len(b) != 8 || (pcs > 0 && !trained) {
+		return bad
+	}
+	dp.LogicFail = get()
+	t.dp = dp
 	return nil
 }
 
@@ -169,7 +280,7 @@ func Save(dir, key string, snap *Snapshot) error {
 	}
 	snap.Schema = SchemaVersion
 	snap.Key = key
-	return writeAtomic(dir, "model-*.tmp", Path(dir, key), &snapshotFile{snap.Schema, key, snap.Scales, snap.Datapath})
+	return writeAtomic(dir, "model-*.tmp", Path(dir, key), &snapshotFile{snap.Schema, key, snap.Scales, datapathTable{snap.Datapath}})
 }
 
 // Load returns the snapshot stored under key, or ok == false on any miss:
@@ -190,10 +301,10 @@ func Load(dir, key string) (snap *Snapshot, ok bool) {
 func decodeSnapshot(payload []byte, key string) (*Snapshot, bool) {
 	var file snapshotFile
 	if gob.NewDecoder(bytes.NewReader(payload)).Decode(&file) != nil ||
-		file.Schema != SchemaVersion || file.Key != key || len(file.Scales) == 0 || file.Datapath == nil {
+		file.Schema != SchemaVersion || file.Key != key || len(file.Scales) == 0 || file.Datapath.dp == nil {
 		return nil, false
 	}
-	return &Snapshot{file.Schema, file.Key, file.Scales, file.Datapath}, true
+	return &Snapshot{file.Schema, file.Key, file.Scales, file.Datapath.dp}, true
 }
 
 // writeAtomic gob-encodes v and writes it behind its checksum header into a

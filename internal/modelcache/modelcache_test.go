@@ -15,19 +15,29 @@ import (
 	"tsperr/internal/variation"
 )
 
-// testSnapshot builds a small synthetic snapshot; the cache layer does not
-// care whether the tables came from real training.
+// testSnapshot builds a small synthetic snapshot with tables of the shape
+// training writes, one row of them trained; the cache layer does not care
+// whether the values came from real training.
 func testSnapshot() *Snapshot {
 	return &Snapshot{
-		Scales: map[string]float64{"adder": 1.25, "ctrl": 1.1},
-		Datapath: &errormodel.DatapathModel{
-			AdderSlack: []variation.Canon{{Mean: 12.5, Sens: []float64{0.5, -0.25}, Rand: 1.5}},
-			AdderFail:  []float64{0, 0.125},
-			ShiftFail:  []float64{0, 1e-6},
-			MulFail:    []float64{0, 1e-9},
-			LogicFail:  1e-12,
-		},
+		Scales:   map[string]float64{"adder": 1.25, "ctrl": 1.1},
+		Datapath: testDatapath(),
 	}
+}
+
+func testDatapath() *errormodel.DatapathModel {
+	dp := &errormodel.DatapathModel{
+		AdderSlack: make([]variation.Canon, 33),
+		AdderFail:  make([]float64, 33),
+		ShiftSlack: make([]variation.Canon, 6),
+		ShiftFail:  make([]float64, 6),
+		MulSlack:   make([]variation.Canon, 17),
+		MulFail:    make([]float64, 17),
+		LogicFail:  1e-12,
+	}
+	dp.AdderSlack[1] = variation.Canon{Mean: 12.5, Sens: []float64{0.5, -0.25}, Rand: 1.5}
+	dp.AdderFail[1], dp.ShiftFail[1], dp.MulFail[1] = 0.125, 1e-6, 1e-9
+	return dp
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -204,10 +214,13 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 
 func TestSaveRejectsIncompleteSnapshot(t *testing.T) {
 	dir := t.TempDir()
+	short := testDatapath()
+	short.MulSlack, short.MulFail = short.MulSlack[:16], short.MulFail[:16]
 	for _, snap := range []*Snapshot{
 		nil,
 		{Datapath: testSnapshot().Datapath},
 		{Scales: map[string]float64{"adder": 1}},
+		{Scales: map[string]float64{"adder": 1}, Datapath: short},
 	} {
 		if err := Save(dir, "k", snap); err == nil {
 			t.Errorf("incomplete snapshot %+v must be rejected", snap)
@@ -299,12 +312,11 @@ func TestLoadRejectsDamagedFiles(t *testing.T) {
 	}
 }
 
-// inflateCount rewrites a snapshot payload whose last gob message holds a
-// one-entry scale table keyed by key, so that the table claims count bytes.
-// Gob writes each message as its length and then its bytes, and the table as
-// its byte count and then its bytes: the unit name's length, the name and
-// the scale's 8 bytes.
-func inflateCount(t *testing.T, stream []byte, key string, count uint64) []byte {
+// inflateClaim rewrites a snapshot payload whose last gob message holds the
+// byte string table, so that the string claims claim bytes. Gob writes each
+// message as its length and then its bytes, and a byte string as its byte
+// count and then its bytes.
+func inflateClaim(t *testing.T, stream, table []byte, claim uint64) []byte {
 	t.Helper()
 	// A gob uint below 128 is one byte; a larger one is its byte count,
 	// negated, and then its big-endian bytes.
@@ -336,26 +348,24 @@ func inflateCount(t *testing.T, stream []byte, key string, count uint64) []byte 
 	}
 	l, n := decUint(stream[last:])
 	msg := stream[last+n:]
-	table := append([]byte{byte(1 + len(key) + 8), byte(len(key))}, key...)
-	i := bytes.Index(msg, table)
+	prefix := encUint(uint64(len(table)))
+	i := bytes.Index(msg, append(append([]byte{}, prefix...), table...))
 	if i < 0 {
-		t.Fatal("scale table not found in the stream")
+		t.Fatal("table not found in the stream")
 	}
-	body := append(append(append([]byte{}, msg[:i]...), encUint(count)...), msg[i+1:]...)
+	body := append(append(append([]byte{}, msg[:i]...), encUint(claim)...), msg[i+len(prefix):]...)
 	out := append(append([]byte{}, stream[:last]...), encUint(l+uint64(len(body)-len(msg)))...)
 	return append(out, body...)
 }
 
-// TestLoadBoundsAClaimedMapCount loads a snapshot whose scale table claims
-// 2^22 bytes and holds 17. Load must miss without sizing anything for the
-// claim: decoding the scales into a nil map made gob allocate ~100 MB for
-// it, and a slice of scales ~10 MB. The file carries its payload's checksum,
-// so the claim reaches the decoder.
-func TestLoadBoundsAClaimedMapCount(t *testing.T) {
+// loadInflated saves snap, rewrites its file so that the byte string table
+// claims 2^22 of its units of size bytes, and loads it: the load must miss
+// and allocate under 8 MB, since the claim reaches the decoder (the file
+// carries its payload's checksum) but the bytes are not there.
+func loadInflated(t *testing.T, snap *Snapshot, table []byte, size uint64) {
+	t.Helper()
 	dir := t.TempDir()
 	key := Key(errormodel.DefaultOptions(), "lib")
-	snap := testSnapshot()
-	snap.Scales = map[string]float64{"inflated": 1.25}
 	if err := Save(dir, key, snap); err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +373,7 @@ func TestLoadBoundsAClaimedMapCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(Path(dir, key), seal(inflateCount(t, raw[sha256.Size:], "inflated", 1<<22)), 0o644); err != nil {
+	if err := os.WriteFile(Path(dir, key), seal(inflateClaim(t, raw[sha256.Size:], table, size<<22)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -371,10 +381,85 @@ func TestLoadBoundsAClaimedMapCount(t *testing.T) {
 	_, ok := Load(dir, key)
 	runtime.ReadMemStats(&after)
 	if ok {
-		t.Fatal("a snapshot whose scale table holds less than it claims must miss")
+		t.Fatal("a snapshot whose table holds less than it claims must miss")
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
 		t.Errorf("Load allocated %d MB for the claimed entries", alloc>>20)
+	}
+}
+
+// TestLoadBoundsAClaimedMapCount loads a snapshot whose scale table claims
+// 2^22 bytes and holds 17. Load must miss without sizing anything for the
+// claim: decoding the scales into a nil map made gob allocate ~100 MB for
+// it, and a slice of scales ~10 MB.
+func TestLoadBoundsAClaimedMapCount(t *testing.T) {
+	snap := testSnapshot()
+	snap.Scales = map[string]float64{"inflated": 1.25}
+	table, err := scaleTable(snap.Scales).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadInflated(t, snap, table, 1)
+}
+
+// TestLoadBoundsAClaimedDatapathTable loads a snapshot whose datapath
+// tables claim 2^22 float64s. As gob slices, one []float64 that claimed
+// 2^22 entries and held one allocated 10 MB.
+func TestLoadBoundsAClaimedDatapathTable(t *testing.T) {
+	snap := testSnapshot()
+	table, err := datapathTable{snap.Datapath}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadInflated(t, snap, table, 8)
+}
+
+// TestDatapathTableRejectsWhatSaveNeverWrites: datapath tables cut short,
+// padded past the logic probability, with a flag other than 0 or 1, with a
+// trained row but no sensitivity count, with a count no row carries, or
+// with a count past the bytes there, do not decode. What Save writes
+// decodes to the model it came from.
+func TestDatapathTableRejectsWhatSaveNeverWrites(t *testing.T) {
+	dp := testDatapath()
+	good, err := datapathTable{dp}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	untrained, err := datapathTable{&errormodel.DatapathModel{
+		AdderSlack: make([]variation.Canon, 33), AdderFail: make([]float64, 33),
+		ShiftSlack: make([]variation.Canon, 6), ShiftFail: make([]float64, 6),
+		MulSlack: make([]variation.Canon, 17), MulFail: make([]float64, 17),
+	}}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if good[0] != 2 || untrained[0] != 0 {
+		t.Fatalf("sensitivity counts %d and %d, want 2 and 0", good[0], untrained[0])
+	}
+	// good[1] is the adder's row 0 flag, untrained; its row 1 is trained.
+	with := func(i int, v byte, b []byte) []byte {
+		b = bytes.Clone(b)
+		b[i] = v
+		return b
+	}
+	for name, b := range map[string][]byte{
+		"tables cut inside the logic probability": good[:len(good)-1],
+		"tables cut at a row":                     good[:1+1+3*8],
+		"a byte past the logic probability":       append(bytes.Clone(good), 0),
+		"a flag of 2":                             with(1, 2, good),
+		"a trained row without a count":           with(1, 1, untrained),
+		"a count no row carries":                  with(0, 2, untrained),
+		"a count past the bytes there":            append([]byte{0x80, 0x80, 0x80, 0x02}, good[1:]...),
+		"an empty string":                         {},
+	} {
+		var got datapathTable
+		if got.UnmarshalBinary(b) == nil {
+			t.Errorf("%s decoded", name)
+		}
+	}
+	var got datapathTable
+	if err := got.UnmarshalBinary(good); err != nil || !reflect.DeepEqual(got.dp, dp) {
+		t.Errorf("the tables Save writes decoded to %+v, %v", got.dp, err)
 	}
 }
 
