@@ -286,6 +286,31 @@ func BenchmarkFrameworkSetup(b *testing.B) {
 	}
 }
 
+// BenchmarkFrameworkSetupAt measures uncached framework builds at two V/T
+// corners whose builds exploded under the float path search (about 1 s at
+// 1.0 V/85 C and 12 s at 1.07 V against nominal's 0.1 s): a corner's
+// calibration is nominal's, but its training and DTA endpoint searches run
+// on the corner's gate delays.
+func BenchmarkFrameworkSetupAt(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cond cell.OperatingCondition
+	}{
+		{"1.0V-85C", cell.OperatingCondition{VoltageV: 1.0, TempC: 85}},
+		{"1.07V-25C", cell.OperatingCondition{VoltageV: 1.07, TempC: 25}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			opts := errormodel.DefaultOptions()
+			opts.Cond = c.cond
+			for i := 0; i < b.N; i++ {
+				if _, err := core.NewFramework(opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFrameworkSetupWarm measures a warm start from the persistent
 // model cache: the first (untimed) build publishes the snapshot, then every
 // timed iteration restores the machine from cached delay scales and trained
@@ -362,20 +387,25 @@ func BenchmarkCalibrateScale(b *testing.B) {
 }
 
 // BenchmarkCriticalPaths measures the k-critical-path search over every
-// endpoint of the multiplier, one CriticalPaths call each.
+// endpoint of the multiplier, one CriticalPaths call each on a fresh arena,
+// and reports the search states they push (pushes/op).
 func BenchmarkCriticalPaths(b *testing.B) {
 	e, opts := benchMultiplier(b)
 	var eps []netlist.GateID
 	for s := 0; s < e.N.Stages; s++ {
 		eps = append(eps, e.N.Endpoints(s)...)
 	}
+	pushed := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, ep := range eps {
-			benchPathsSink = e.CriticalPaths(ep, opts.KPaths)
+			var a sta.Arena
+			benchPathsSink = e.CriticalPathsIn(ep, opts.KPaths, &a)
+			pushed += a.Pushed()
 		}
 	}
+	b.ReportMetric(float64(pushed)/float64(b.N), "pushes/op")
 }
 
 // BenchmarkStatMin measures the greedy statistical minimum over the
