@@ -138,16 +138,15 @@ var datapathRows = [3]int{33, 6, 17}
 // the count the stream claims, up to 10 MB, before finding the data short.
 type datapathTable struct{ dp *errormodel.DatapathModel }
 
-// datapathTables returns the model's three slack and failure table pairs in
-// datapathRows' order.
-func datapathTables(dp *errormodel.DatapathModel) [3]struct {
+// tablePair points at one of a model's slack and failure table pairs.
+type tablePair struct {
 	slack *[]variation.Canon
 	fail  *[]float64
-} {
-	return [3]struct {
-		slack *[]variation.Canon
-		fail  *[]float64
-	}{{&dp.AdderSlack, &dp.AdderFail}, {&dp.ShiftSlack, &dp.ShiftFail}, {&dp.MulSlack, &dp.MulFail}}
+}
+
+// datapathTables returns the model's table pairs in datapathRows' order.
+func datapathTables(dp *errormodel.DatapathModel) [3]tablePair {
+	return [3]tablePair{{&dp.AdderSlack, &dp.AdderFail}, {&dp.ShiftSlack, &dp.ShiftFail}, {&dp.MulSlack, &dp.MulFail}}
 }
 
 func (t datapathTable) MarshalBinary() ([]byte, error) {

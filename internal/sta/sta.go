@@ -45,8 +45,8 @@ type Engine struct {
 	setup  float64
 	delays []variation.Canon
 	topo   []netlist.GateID
-	// Per ranking metric, delay holds each gate's scalar delay and bound its
-	// A* prefix bound (the longest arrival at any fanin, 0 for a source), so
+	// Per ranking metric, delay holds each gate's scalar delay on the search
+	// grid (see gridBits) and bound its A* prefix bound (the longest arrival at any fanin, 0 for a source), so
 	// a gate's longest source-to-gate arrival is bound+delay: pure functions
 	// of the gate delays, filled once by prepare on the first path query (a
 	// warm start that never searches paths skips the cost) and read-only
@@ -141,7 +141,8 @@ const (
 // search forms is exact: a partial path's priority equals the delay of the
 // complete path it leads to, whichever order the terms were added in.
 // Rounding to significant bits commutes with an exact power-of-two time
-// scale, so a design at twice every delay ranks its paths as at once.
+// scale, so a design with every delay doubled ranks its paths exactly as
+// the original does.
 const gridBits = 30
 
 // onGrid rounds x to gridBits significant bits, halves away from zero.
@@ -531,7 +532,8 @@ func corrOf(a, b variation.Canon, sa, sb float64) float64 {
 }
 
 // WorstSlackNominal returns the most negative nominal endpoint slack in a
-// stage (the classic STA number), used to calibrate operating points.
+// stage (the classic STA number), used to calibrate operating points. It
+// reads the nominal metric's tables, whose delays are on the search grid.
 func (e *Engine) WorstSlackNominal(stage int) float64 {
 	e.prepare()
 	bound, delay := e.bound[metricNominal], e.delay[metricNominal]
@@ -547,7 +549,8 @@ func (e *Engine) WorstSlackNominal(stage int) float64 {
 }
 
 // MaxDelayNominal returns the longest nominal path delay (including setup)
-// across all stages: the minimum clock period of the design under STA.
+// across all stages: the minimum clock period of the design under STA, from
+// the nominal metric's tables, whose delays are on the search grid.
 func (e *Engine) MaxDelayNominal() float64 {
 	e.prepare()
 	bound, delay := e.bound[metricNominal], e.delay[metricNominal]
