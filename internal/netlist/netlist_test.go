@@ -129,35 +129,23 @@ func TestValidateStageRange(t *testing.T) {
 	}
 }
 
+// TestSortPathsByDelay sorts one set of paths from several input orders:
+// longest delay first, then by endpoint, then by the whole gate sequence,
+// so every order gives the same result.
 func TestSortPathsByDelay(t *testing.T) {
-	ps := []Path{
-		{Gates: []GateID{3}, Endpoint: 9, NominalDelay: 50},
+	want := []Path{
 		{Gates: []GateID{1}, Endpoint: 7, NominalDelay: 120},
 		{Gates: []GateID{2}, Endpoint: 7, NominalDelay: 120},
-	}
-	SortPathsByDelay(ps)
-	if ps[0].NominalDelay != 120 || ps[2].NominalDelay != 50 {
-		t.Error("paths not sorted by delay")
-	}
-	if ps[0].Gates[0] != 1 || ps[1].Gates[0] != 2 {
-		t.Error("tie break not deterministic")
-	}
-}
-
-// TestSortPathsByDelayWholeSequence pins the tie break past the first gate:
-// equal delays and endpoints order by the whole gate sequence, so every
-// permutation of one set sorts to the same order.
-func TestSortPathsByDelayWholeSequence(t *testing.T) {
-	want := []Path{
 		{Gates: []GateID{1, 4, 6}, Endpoint: 7, NominalDelay: 90},
 		{Gates: []GateID{1, 5}, Endpoint: 7, NominalDelay: 90},
 		{Gates: []GateID{1, 5, 2}, Endpoint: 7, NominalDelay: 90},
 		{Gates: []GateID{1, 5, 3}, Endpoint: 7, NominalDelay: 90},
 		{Gates: []GateID{0, 9}, Endpoint: 8, NominalDelay: 90},
+		{Gates: []GateID{3}, Endpoint: 9, NominalDelay: 50},
 	}
-	perm := []int{0, 1, 2, 3, 4}
+	perm := []int{7, 6, 5, 4, 3, 2, 1, 0}
 	for trial := 0; trial < 24; trial++ {
-		perm[trial%4], perm[trial%4+1] = perm[trial%4+1], perm[trial%4]
+		perm[trial%7], perm[trial%7+1] = perm[trial%7+1], perm[trial%7]
 		ps := make([]Path, len(want))
 		for i, j := range perm {
 			ps[i] = want[j]
@@ -165,7 +153,7 @@ func TestSortPathsByDelayWholeSequence(t *testing.T) {
 		SortPathsByDelay(ps)
 		for i := range ps {
 			if ps[i].Endpoint != want[i].Endpoint || !slices.Equal(ps[i].Gates, want[i].Gates) {
-				t.Fatalf("permutation %v sorts to %v, want %v", perm, ps, want)
+				t.Fatalf("input order %v sorts to %v, want %v", perm, ps, want)
 			}
 		}
 	}

@@ -80,8 +80,8 @@ func refDFS(e *sta.Engine, ep netlist.GateID, m sta.Metric, arr []float64,
 // the k largest path delays, cutting every branch that can only tie the
 // k-th found so far. A second collects the paths above the k-th delay and,
 // of the paths at it, the first ones in sequence order until k are held;
-// the multiplier's units tie so many paths at the k-th (tens of thousands
-// in one search) that collecting them all is out. The collection is then
+// a multiplier search can tie so many paths at the k-th (tens of
+// thousands) that collecting them all is out. The collection is then
 // sorted by the contract.
 func refKCritical(e *sta.Engine, ep netlist.GateID, k int, m sta.Metric, arr []float64) []netlist.Path {
 	if e.N.Gate(ep).Kind != cell.DFF {
