@@ -8,11 +8,9 @@
 package sta
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -20,7 +18,6 @@ import (
 	"tsperr/internal/cell"
 	"tsperr/internal/netlist"
 	"tsperr/internal/numeric"
-	"tsperr/internal/pool"
 	"tsperr/internal/variation"
 )
 
@@ -570,50 +567,23 @@ func (e *Engine) MaxDelayNominal() float64 {
 // path delay of the design, approximated by the statistical maximum over the
 // k most critical paths of every endpoint. SSTA sign-off (the paper's
 // 718 MHz with guardband) corresponds to a high percentile of this value.
-// The endpoints' path searches run on the shared worker pool with
-// GOMAXPROCS workers, each reusing one search arena, and their forms are
-// concatenated in endpoint order, so the result is bit-identical to a serial
-// search for any worker count.
+// The endpoints are searched in order in one arena; with exact sums the
+// multiplier's take about a millisecond, so a worker pool no longer pays.
 func (e *Engine) MaxDelayPercentile(p float64, k int) float64 {
-	var eps []netlist.GateID
+	// The statistical maximum is the dual of StatMin over the negated
+	// path delay forms.
+	var neg []variation.Canon
+	var a Arena
 	for s := 0; s < e.N.Stages; s++ {
-		eps = append(eps, e.N.Endpoints(s)...)
-	}
-	// One search arena per worker: a task takes one and puts it back.
-	workers := runtime.GOMAXPROCS(0)
-	arenas := make(chan *Arena, workers)
-	for i := 0; i < workers; i++ {
-		arenas <- new(Arena)
-	}
-	perEP := make([][]variation.Canon, len(eps))
-	errs := make([]error, len(eps))
-	pool.Run(context.Background(), len(eps), workers, false, errs, func(_ context.Context, i int) error {
-		a := <-arenas
-		defer func() { arenas <- a }()
-		for _, path := range e.CriticalPathsIn(eps[i], k, a) {
-			perEP[i] = append(perEP[i], e.PathDelay(path))
+		for _, ep := range e.N.Endpoints(s) {
+			for _, path := range e.CriticalPathsIn(ep, k, &a) {
+				neg = append(neg, e.PathDelay(path).Neg())
+			}
 		}
-		return nil
-	})
-	if err := pool.FirstError(errs); err != nil {
-		panic(err) // a search bug, surfaced as the serial loop would have
-	}
-	var forms []variation.Canon
-	for _, f := range perEP {
-		forms = append(forms, f...)
-	}
-	if len(forms) == 0 {
-		return 0
-	}
-	// Statistical maximum via the dual of StatMin; forms is non-empty here,
-	// so the reduction cannot fail.
-	neg := make([]variation.Canon, len(forms))
-	for i, f := range forms {
-		neg[i] = f.Neg()
 	}
 	mn, err := StatMin(neg)
 	if err != nil {
-		return 0
+		return 0 // no endpoint has a path
 	}
 	return mn.Neg().Percentile(p)
 }
