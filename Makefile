@@ -97,17 +97,18 @@ bench:
 # `make bench-cold` records the cold set-up rows the same way, in
 # BENCH_<date>-cold.json: an uncached framework build, at nominal and at
 # 1.0 V/85 C and 1.07 V/25 C (BenchmarkFrameworkSetupAt), the five-unit SSTA
-# calibration, the multiplier's k-critical-path searches, and a fresh
-# daemon's set-up with and without the framework build
-# (BenchmarkLayer/setup-cold and control-cold), five rounds at -cpu 1 and 2.
-# Two runs, because a pattern with a sub-benchmark level reports no
-# benchmark that has none.
+# calibration, the multiplier's k-critical-path searches, a fresh daemon's
+# set-up with and without the framework build (BenchmarkLayer/setup-cold and
+# control-cold), and a built nominal engine's first request at a new
+# voltage and at a new temperature-only corner (BenchmarkCornerFirstRequest),
+# five rounds at -cpu 1 and 2. Two runs, because a pattern with a
+# sub-benchmark level reports no benchmark that has none.
 BENCH_COLD_OUT := BENCH_$(shell date +%Y-%m-%d)-cold.json
 BENCH_COLD_FLAGS := -run '^$$' -count 5 -cpu 1,2 -benchmem -json
 
 bench-cold:
 	{ $(GO) test $(BENCH_COLD_FLAGS) -bench '^(BenchmarkFrameworkSetup|BenchmarkCalibrateScale|BenchmarkCriticalPaths)$$' . && \
-	  $(GO) test $(BENCH_COLD_FLAGS) -bench '^(BenchmarkLayer|BenchmarkFrameworkSetupAt)$$/^(setup-cold|control-cold|1.0V-85C|1.07V-25C)$$' . ; } | tee $(BENCH_COLD_OUT)
+	  $(GO) test $(BENCH_COLD_FLAGS) -bench '^(BenchmarkLayer|BenchmarkFrameworkSetupAt|BenchmarkCornerFirstRequest)$$/^(setup-cold|control-cold|1.0V-85C|1.07V-25C|1.0V-25C|1.1V-85C)$$' . ; } | tee $(BENCH_COLD_OUT)
 
 # `make pprof` captures CPU and allocation profiles of the warm end-to-end
 # stringsearch estimate (BenchmarkEndToEndWarm drives the simulate -> activity

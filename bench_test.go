@@ -286,11 +286,11 @@ func BenchmarkFrameworkSetup(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameworkSetupAt measures uncached framework builds at two V/T
-// corners whose builds exploded under the float path search (about 1 s at
-// 1.0 V/85 C and 12 s at 1.07 V against nominal's 0.1 s): a corner's
-// calibration is nominal's, but its training and DTA endpoint searches run
-// on the corner's gate delays.
+// BenchmarkFrameworkSetupAt measures uncached framework builds of engines
+// made at two V/T corners whose builds exploded under the float path search
+// (about 1 s at 1.0 V/85 C and 12 s at 1.07 V against nominal's 0.1 s): a
+// corner's calibration is nominal's, but its training and DTA endpoint
+// searches run at the corner's relative sigma.
 func BenchmarkFrameworkSetupAt(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -304,6 +304,41 @@ func BenchmarkFrameworkSetupAt(b *testing.B) {
 			opts.Cond = c.cond
 			for i := 0; i < b.N; i++ {
 				if _, err := core.NewFramework(opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCornerFirstRequest measures what a cold operating-point corner
+// costs a nominal engine whose own framework is built (untimed): its first
+// request there, a 2-scenario stringsearch analysis at the working ratio.
+// At a new voltage the request builds that voltage's framework from the
+// engine's scales; at a temperature-only corner it trains the datapath
+// model at the corner's period on the engine's own framework. Either way it
+// characterizes the program's control network at that period.
+func BenchmarkCornerFirstRequest(b *testing.B) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		cond cell.OperatingCondition
+	}{
+		{"1.0V-25C", cell.OperatingCondition{VoltageV: 1.0, TempC: 25}},
+		{"1.1V-85C", cell.OperatingCondition{VoltageV: 1.1, TempC: 85}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e, err := harness.New(cell.OperatingCondition{}, "")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := e.Framework(ctx); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := e.AnalyzeAt(ctx, "stringsearch", 2, core.AnalyzeOpts{}, c.cond, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -52,7 +52,7 @@ func run(ctx context.Context, w io.Writer) error {
 		// Analyze at this operating point's clock period, with the datapath
 		// tables trained at it (their DTS depends on the clock); the one
 		// framework serves every ratio unchanged.
-		rep, err := fw.AnalyzeAtRatio(ctx, b.Name, spec, ratio, core.AnalyzeOpts{})
+		rep, err := fw.AnalyzeAt(ctx, b.Name, spec, opts.Cond, ratio, core.AnalyzeOpts{})
 		if err != nil {
 			return err
 		}

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestSweepGolden pins the example's output: eight AnalyzeAtRatio calls on
+// TestSweepGolden pins the example's output: eight AnalyzeAt calls on
 // one framework, whose table must match the golden byte for byte.
 func TestSweepGolden(t *testing.T) {
 	if testing.Short() {

@@ -22,8 +22,8 @@ type Framework struct {
 	Machine  *errormodel.Machine
 	Datapath *errormodel.DatapathModel
 
-	// periodModels keeps the datapath models AnalyzeAtRatio trained at
-	// periods other than the working one (see datapathAt).
+	// periodModels keeps the datapath models AnalyzeAt trained at periods
+	// other than the machine's analysis period (see datapathAt).
 	periodModels *pool.Memo[uint64, *errormodel.DatapathModel]
 }
 
@@ -47,6 +47,20 @@ func NewFramework(opts errormodel.Options) (*Framework, error) {
 // returns ctx's error. Work already running finishes first.
 func NewFrameworkContext(ctx context.Context, opts errormodel.Options) (*Framework, error) {
 	m, err := errormodel.NewMachineContext(ctx, opts)
+	return trained(ctx, m, err)
+}
+
+// NewFrameworkWithScales is NewFrameworkContext with the machine rebuilt
+// from calibrated per-unit delay scales (errormodel.NewMachineWithScalesContext,
+// e.g. another framework's Machine.Scales()) instead of calibrated.
+func NewFrameworkWithScales(ctx context.Context, opts errormodel.Options, scales map[string]float64) (*Framework, error) {
+	m, err := errormodel.NewMachineWithScalesContext(ctx, opts, scales)
+	return trained(ctx, m, err)
+}
+
+// trained trains the datapath model of m, which its constructor returned
+// with err, under ctx.
+func trained(ctx context.Context, m *errormodel.Machine, err error) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -183,17 +197,15 @@ func (f *Framework) Analyze(ctx context.Context, name string, spec ProgramSpec) 
 // AnalyzeWithOpts is Analyze with explicit resilience options: bounded
 // worker-pool concurrency, per-scenario retries with backoff, panic
 // recovery, fail-fast, and graceful degradation onto surviving scenarios.
+// It is AnalyzeAt at the framework's own condition and working ratio.
 func (f *Framework) AnalyzeWithOpts(ctx context.Context, name string, spec ProgramSpec, opts AnalyzeOpts) (*Report, error) {
-	return f.analyze(ctx, name, spec, opts, f.Machine.WorkingPeriodPs, f.Datapath)
+	return f.AnalyzeAt(ctx, name, spec, f.Machine.Opts.Cond, f.Machine.Opts.WorkingRatio, opts)
 }
 
 // analyze is AnalyzeWithOpts at clock period period, with dp the datapath
 // model trained at that period. It writes no field of f, so analyses at any
 // periods may share one framework concurrently.
 func (f *Framework) analyze(ctx context.Context, name string, spec ProgramSpec, opts AnalyzeOpts, period float64, dp *errormodel.DatapathModel) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if spec.Scenarios <= 0 {
 		return nil, fmt.Errorf("core: %s: need at least one scenario", name)
 	}

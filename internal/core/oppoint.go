@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"tsperr/internal/cell"
 	"tsperr/internal/cpu"
 	"tsperr/internal/errormodel"
 )
@@ -31,41 +32,48 @@ type OperatingPoint struct {
 	Evals int
 }
 
-// AnalyzeAtRatio analyzes the program at the given frequency ratio
-// (speculative over baseline): the clock period BasePeriodPs/ratio is passed
-// down the pipeline with the datapath model trained at it, which the
-// framework trains once per period and keeps (see datapathAt).
-// Concurrent analyses at any ratios may share the framework, and a later
-// Analyze is bit-identical to one on a framework that never saw another
-// ratio. A ratio whose period is bit-identical to the working period is the
-// plain AnalyzeWithOpts, with its trained datapath model.
-func (f *Framework) AnalyzeAtRatio(ctx context.Context, name string, spec ProgramSpec, ratio float64, opts AnalyzeOpts) (*Report, error) {
+// AnalyzeAt analyzes the program at operating condition cond and frequency
+// ratio ratio (speculative over baseline): at the clock period
+// Machine.PeriodPs, with the datapath model trained at it (see datapathAt).
+// The engines carry the relative sigma of the framework's own condition, so
+// cond must have its SigmaFactor: a condition at the framework's voltage, at
+// any temperature. Analyses at any points may share the framework
+// concurrently, and each is bit-identical to one on a fresh framework. A
+// point at the machine's analysis period is the plain AnalyzeWithOpts.
+func (f *Framework) AnalyzeAt(ctx context.Context, name string, spec ProgramSpec, cond cell.OperatingCondition, ratio float64, opts AnalyzeOpts) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if !(ratio > 0) || math.IsInf(ratio, 0) {
 		return nil, fmt.Errorf("core: non-positive ratio %v", ratio)
 	}
-	period := f.Machine.BasePeriodPs / ratio
-	if math.Float64bits(period) == math.Float64bits(f.Machine.WorkingPeriodPs) {
-		return f.AnalyzeWithOpts(ctx, name, spec, opts)
-	}
-	dp, err := f.datapathAt(ctx, period)
-	if err != nil {
+	if err := cond.Validate(); err != nil {
 		return nil, err
+	}
+	own := f.Machine.Opts.Cond
+	if math.Float64bits(cond.SigmaFactor()) != math.Float64bits(own.SigmaFactor()) {
+		return nil, fmt.Errorf("core: condition %v is not at the voltage of the framework's %v", cond, own)
+	}
+	period := f.Machine.PeriodPs(cond, ratio)
+	dp := f.Datapath
+	if math.Float64bits(period) != math.Float64bits(f.Machine.AnalysisPeriodPs) {
+		var err error
+		if dp, err = f.datapathAt(ctx, period); err != nil {
+			return nil, err
+		}
 	}
 	return f.analyze(ctx, name, spec, opts, period, dp)
 }
 
 // periodModelLimit bounds the datapath models a framework keeps for periods
-// other than its working one. It is the number of non-working ratios on the
-// default operating-point grid of tsperr and tsperrd, 1.0 to 1.3 in 16
-// steps: of its 17 ratios, the midpoint 1.15 gives the working period bit
-// for bit, so a framework serving default searches keeps every model it
-// trains. A larger grid (up to 256 steps) evicts, least recently used first:
-// every search probes the slow end and every bisecting one the fast end and
-// the midpoint too, so those stay kept.
-const periodModelLimit = 16
+// other than its analysis period. On the default operating-point grid of
+// tsperr and tsperrd (1.0 to 1.3 in 16 steps) each temperature at the
+// framework's voltage has 17 periods, one fewer at its own, whose midpoint
+// is the analysis period bit for bit: default searches at four temperatures
+// keep every model they train. More evict, least recently used first; every
+// search probes the slow end, and every bisecting one the fast end and the
+// midpoint too, so those stay kept.
+const periodModelLimit = 16 + 3*17
 
 // datapathAt returns the datapath model trained at period. The framework
 // keeps the periodModelLimit most recently used ones by the float bits of

@@ -55,7 +55,7 @@ func TestSelectOperatingPoint(t *testing.T) {
 	prog := isa.MustAssemble("sumloop", fwProg)
 	spec := ProgramSpec{Prog: prog, Setup: fwSetup, Scenarios: 2}
 	analyze := func(ctx context.Context, ratio float64) (*Report, error) {
-		return f.AnalyzeAtRatio(ctx, "sumloop", spec, ratio, AnalyzeOpts{})
+		return f.AnalyzeAt(ctx, "sumloop", spec, cell.OperatingCondition{}, ratio, AnalyzeOpts{})
 	}
 	lo, hi := 1.05, 1.22
 	const steps = 4
@@ -135,19 +135,29 @@ func TestSelectOperatingPointValidation(t *testing.T) {
 		t.Errorf("estimate-less report: err = %v", err)
 	}
 
-	// A ratio with no positive finite period is refused before any phase
-	// runs.
+	// A ratio with no positive finite period, and a condition whose sigma
+	// factor the framework's engines do not carry, are refused before any
+	// phase runs.
 	f := testFramework(t)
 	prog := isa.MustAssemble("h", "halt\n")
-	for _, ratio := range []float64{-1, math.NaN()} {
+	for _, tc := range []struct {
+		cond  cell.OperatingCondition
+		ratio float64
+		want  string
+	}{
+		{cell.OperatingCondition{}, -1, "non-positive ratio"},
+		{cell.OperatingCondition{}, math.NaN(), "non-positive ratio"},
+		{cell.OperatingCondition{VoltageV: 1.0}, 1.1, "not at the voltage"},
+		{cell.OperatingCondition{VoltageV: 9}, 1.1, "outside"},
+	} {
 		var phases atomic.Int32
 		opts := AnalyzeOpts{Inject: func(context.Context, Phase, int) error { phases.Add(1); return nil }}
-		_, err := f.AnalyzeAtRatio(ctx, "h", ProgramSpec{Prog: prog, Scenarios: 1}, ratio, opts)
-		if err == nil || !strings.Contains(err.Error(), "non-positive ratio") {
-			t.Errorf("ratio %v: err = %v, want the non-positive-ratio error", ratio, err)
+		_, err := f.AnalyzeAt(ctx, "h", ProgramSpec{Prog: prog, Scenarios: 1}, tc.cond, tc.ratio, opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v at ratio %v: err = %v, want %q", tc.cond, tc.ratio, err, tc.want)
 		}
 		if n := phases.Load(); n != 0 {
-			t.Errorf("ratio %v: %d pipeline phases ran before the rejection", ratio, n)
+			t.Errorf("%v at ratio %v: %d pipeline phases ran before the rejection", tc.cond, tc.ratio, n)
 		}
 	}
 }
@@ -233,8 +243,7 @@ func stableReportJSON(t *testing.T, rep *Report) string {
 
 // TestSweepRestoreBitIdentical pins that a ratio sweep leaves the framework
 // as it found it: the same working period and datapath model, and an
-// Analyze after a sweep of AnalyzeAtRatio calls bit-identical to one before
-// it.
+// Analyze after a sweep of AnalyzeAt calls bit-identical to one before it.
 func TestSweepRestoreBitIdentical(t *testing.T) {
 	f := testFramework(t)
 	ctx := context.Background()
@@ -250,7 +259,7 @@ func TestSweepRestoreBitIdentical(t *testing.T) {
 	wantDP := f.Datapath
 
 	for _, ratio := range []float64{1.05, 1.22} {
-		if _, err := f.AnalyzeAtRatio(ctx, "sumloop", spec, ratio, AnalyzeOpts{}); err != nil {
+		if _, err := f.AnalyzeAt(ctx, "sumloop", spec, cell.OperatingCondition{}, ratio, AnalyzeOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +280,8 @@ func TestSweepRestoreBitIdentical(t *testing.T) {
 }
 
 // TestAnalyzeAtRatioRestoresOnError pins the failure path: a scenario that
-// fails at another ratio leaves the working period and datapath in place.
+// fails at another ratio (AnalyzeAt) leaves the working period and datapath
+// in place.
 func TestAnalyzeAtRatioRestoresOnError(t *testing.T) {
 	f := testFramework(t)
 	prog := isa.MustAssemble("sumloop", fwProg)
@@ -282,7 +292,7 @@ func TestAnalyzeAtRatioRestoresOnError(t *testing.T) {
 		Setup:     func(*cpu.CPU, int) error { return errors.New("boom") },
 		Scenarios: 1,
 	}
-	if _, err := f.AnalyzeAtRatio(context.Background(), "sumloop", spec, 1.22, AnalyzeOpts{}); err == nil {
+	if _, err := f.AnalyzeAt(context.Background(), "sumloop", spec, cell.OperatingCondition{}, 1.22, AnalyzeOpts{}); err == nil {
 		t.Fatal("want setup failure")
 	}
 	if got := math.Float64bits(f.Machine.WorkingPeriodPs); got != wantPeriod {
@@ -298,18 +308,14 @@ func TestAnalyzeAtRatioRestoresOnError(t *testing.T) {
 // what a full build gives.
 func freshFramework(ctx context.Context, t *testing.T, f *Framework) *Framework {
 	t.Helper()
-	m, err := errormodel.NewMachineWithScales(f.Machine.Opts, f.Machine.Scales())
+	fresh, err := NewFrameworkWithScales(ctx, f.Machine.Opts, f.Machine.Scales())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := m.TrainDatapath(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return newFramework(m, dp)
+	return fresh
 }
 
-// TestConcurrentRatiosShareOneFramework runs AnalyzeAtRatio at two
+// TestConcurrentRatiosShareOneFramework runs AnalyzeAt at two
 // non-working ratios and AnalyzeWithOpts at the same time on one framework
 // (make check runs it under -race). An analysis only reads the framework, so
 // each report equals, bit for bit, the same call run alone on a fresh
@@ -323,7 +329,7 @@ func TestConcurrentRatiosShareOneFramework(t *testing.T) {
 		if ratio == 0 {
 			return f.AnalyzeWithOpts(ctx, "sumloop", spec, AnalyzeOpts{})
 		}
-		return f.AnalyzeAtRatio(ctx, "sumloop", spec, ratio, AnalyzeOpts{})
+		return f.AnalyzeAt(ctx, "sumloop", spec, cell.OperatingCondition{}, ratio, AnalyzeOpts{})
 	}
 	want := make([]string, len(ratios))
 	for i, ratio := range ratios {
@@ -366,24 +372,27 @@ func TestConcurrentRatiosShareOneFramework(t *testing.T) {
 // period keeps the model first trained, and the oldest untouched one is
 // dropped. It also pins the limit's reason: on the default operating-point
 // grid (1.0 to 1.3 in 16 steps, ratios computed as SelectOperatingPoint
-// does), every ratio but the working one has its own period,
+// does) at the framework's own temperature and three others, every ratio
+// but the working one at its own temperature has a period of its own,
 // periodModelLimit in all.
 func TestPeriodStoreKeepsRecentlyUsed(t *testing.T) {
 	ctx := context.Background()
 	m := testFramework(t).Machine
 	lo, hi, steps := 1.0, 1.3, 16
 	grid := map[uint64]bool{}
-	for i := 0; i <= steps; i++ {
-		ratio := hi
-		if i < steps {
-			ratio = lo + (hi-lo)*float64(i)/float64(steps)
-		}
-		if p := math.Float64bits(m.BasePeriodPs / ratio); p != math.Float64bits(m.WorkingPeriodPs) {
-			grid[p] = true
+	for _, temp := range []float64{25, 60, 85, 100} {
+		for i := 0; i <= steps; i++ {
+			ratio := hi
+			if i < steps {
+				ratio = lo + (hi-lo)*float64(i)/float64(steps)
+			}
+			if p := math.Float64bits(m.PeriodPs(cell.OperatingCondition{TempC: temp}, ratio)); p != math.Float64bits(m.AnalysisPeriodPs) {
+				grid[p] = true
+			}
 		}
 	}
 	if len(grid) != periodModelLimit {
-		t.Errorf("the default grid has %d non-working periods, periodModelLimit is %d", len(grid), periodModelLimit)
+		t.Errorf("the default grid at four temperatures has %d non-working periods, periodModelLimit is %d", len(grid), periodModelLimit)
 	}
 
 	f := newFramework(testFramework(t).Machine, nil)
@@ -422,7 +431,7 @@ var (
 
 // droopFramework builds (once) a framework at a drooped, hot operating
 // condition; periods and calibration match testFramework's, only the V/T
-// delay/sigma factors differ.
+// factors differ.
 func droopFramework(t *testing.T) *Framework {
 	t.Helper()
 	droopOnce.Do(func() {
@@ -437,8 +446,9 @@ func droopFramework(t *testing.T) *Framework {
 }
 
 // TestErrorRateMonotoneInDroop is the voltage-axis property: at a fixed
-// working period, dropping the supply (and heating the die) inflates every
-// delay distribution, so the estimated error rate must not decrease.
+// working period, dropping the supply (and heating the die) slows and
+// widens every delay distribution, so the estimated error rate must not
+// decrease.
 func TestErrorRateMonotoneInDroop(t *testing.T) {
 	nom := testFramework(t)
 	droop := droopFramework(t)
@@ -461,18 +471,28 @@ func TestErrorRateMonotoneInDroop(t *testing.T) {
 	if droopRate < nomRate-1e-12 {
 		t.Errorf("error rate fell under droop: nominal %v, drooped %v", nomRate, droopRate)
 	}
-	// The engines must actually have shifted: mean gate delays inflate by
-	// exactly the condition's delay factor (calibration is
-	// condition-independent, so the scales match and the factor multiplies
-	// on top).
-	df := droop.Machine.Opts.Cond.DelayFactor()
-	if !(df > 1) {
-		t.Fatalf("DelayFactor = %v, want > 1 for droop+heat", df)
+	// The condition must actually have moved the machine, as two numbers:
+	// calibration is condition-independent, so the gate delay means equal
+	// nominal's, the relative sigma is multiplied by the SigmaFactor, and
+	// the analysis period is the base period over the working ratio times
+	// the DelayFactor.
+	cond := droop.Machine.Opts.Cond
+	df, sf := cond.DelayFactor(), cond.SigmaFactor()
+	if !(df > 1 && sf > 1) {
+		t.Fatalf("DelayFactor %v, SigmaFactor %v; want both > 1 for droop+heat", df, sf)
 	}
-	nomD := nom.Machine.AdderEngine.GateDelay(0)
-	droopD := droop.Machine.AdderEngine.GateDelay(0)
-	if math.Float64bits(droopD.Mean) != math.Float64bits(nomD.Mean*df) {
-		t.Errorf("gate delay mean %v != nominal %v * factor %v", droopD.Mean, nomD.Mean, df)
+	nomE, droopE := nom.Machine.AdderEngine, droop.Machine.AdderEngine
+	if a, b := droopE.GateDelay(0).Mean, nomE.GateDelay(0).Mean; math.Float64bits(a) != math.Float64bits(b) {
+		t.Errorf("gate delay mean %v under droop, %v at nominal", a, b)
+	}
+	if math.Float64bits(droopE.SigmaRel) != math.Float64bits(nomE.SigmaRel*sf) {
+		t.Errorf("relative sigma %v under droop, want nominal %v × factor %v", droopE.SigmaRel, nomE.SigmaRel, sf)
+	}
+	want := nom.Machine.BasePeriodPs / (nom.Machine.Opts.WorkingRatio * df)
+	for _, p := range []float64{droop.Machine.AnalysisPeriodPs, droopE.ClockPeriod} {
+		if math.Float64bits(p) != math.Float64bits(want) {
+			t.Errorf("analysis period %v under droop, want %v", p, want)
+		}
 	}
 }
 
@@ -581,13 +601,13 @@ func TestRepeatedRatioTrainsOnce(t *testing.T) {
 	f := freshFramework(ctx, t, testFramework(t))
 	spec := ProgramSpec{Prog: isa.MustAssemble("sumloop", fwProg), Setup: fwSetup, Scenarios: 2}
 	const ratio = 1.22
-	first, err := f.AnalyzeAtRatio(ctx, "sumloop", spec, ratio, AnalyzeOpts{})
+	first, err := f.AnalyzeAt(ctx, "sumloop", spec, cell.OperatingCondition{}, ratio, AnalyzeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var again *Report
 	repeated := testing.AllocsPerRun(3, func() {
-		if again, err = f.AnalyzeAtRatio(ctx, "sumloop", spec, ratio, AnalyzeOpts{}); err != nil {
+		if again, err = f.AnalyzeAt(ctx, "sumloop", spec, cell.OperatingCondition{}, ratio, AnalyzeOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -597,7 +617,7 @@ func TestRepeatedRatioTrainsOnce(t *testing.T) {
 		}
 	})
 	training := testing.AllocsPerRun(1, func() {
-		if _, err := f.Machine.TrainDatapathWorkers(ctx, 0, f.Machine.BasePeriodPs/ratio); err != nil {
+		if _, err := f.Machine.TrainDatapathWorkers(ctx, 0, f.Machine.PeriodPs(f.Machine.Opts.Cond, ratio)); err != nil {
 			t.Fatal(err)
 		}
 	})

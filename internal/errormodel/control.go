@@ -166,10 +166,10 @@ func (m *Machine) instDTSFail(t int, tr *activity.Trace, period float64) float64
 // only on short sequences (each block prefixed by a window of its
 // predecessor), not on whole program executions. results holds a
 // representative EX result value per static instruction, recorded during the
-// training run. Blocks characterize at the working period on the shared
-// worker pool with GOMAXPROCS workers.
+// training run. Blocks characterize at the machine's analysis period
+// (AnalysisPeriodPs) on the shared worker pool with GOMAXPROCS workers.
 func (m *Machine) CharacterizeControl(ctx context.Context, g *cfg.Graph, pr *cfg.Profile, results []uint32) (*ControlChar, error) {
-	return m.CharacterizeControlWorkers(ctx, g, pr, results, 0, m.WorkingPeriodPs)
+	return m.CharacterizeControlWorkers(ctx, g, pr, results, 0, m.AnalysisPeriodPs)
 }
 
 // CharacterizeControlWorkers is CharacterizeControl at clock period period

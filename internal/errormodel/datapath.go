@@ -49,11 +49,11 @@ type DatapathModel struct {
 // TrainDatapath measures the per-depth DTS tables. It mirrors the training
 // flow of Figure 2: run targeted vectors through the gate-level unit, record
 // activity, and apply Algorithm 1 to the data endpoints. Training runs at the
-// working period on the shared worker pool with GOMAXPROCS workers; once ctx
-// is done no further depth measurement starts, and the call returns ctx's
-// error.
+// machine's analysis period (AnalysisPeriodPs) on the shared worker pool
+// with GOMAXPROCS workers; once ctx is done no further depth measurement
+// starts, and the call returns ctx's error.
 func (m *Machine) TrainDatapath(ctx context.Context) (*DatapathModel, error) {
-	return m.TrainDatapathWorkers(ctx, 0, m.WorkingPeriodPs)
+	return m.TrainDatapathWorkers(ctx, 0, m.AnalysisPeriodPs)
 }
 
 // TrainDatapathWorkers is TrainDatapath at clock period period (ps) on a

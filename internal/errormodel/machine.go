@@ -50,10 +50,11 @@ type Options struct {
 	// machine serves at. The zero value is the nominal condition and
 	// reproduces pre-condition behavior bit-exactly. Calibration always
 	// runs at the nominal condition — the delay scale is a design
-	// property — and the condition's V/T factors multiply on top in the
-	// serving engines, so droop and heat shift every DTS distribution.
-	// Cond is part of the model-cache key (the cache hashes Options with
-	// %+v), so snapshots never mix conditions.
+	// property. The condition enters as two numbers: its SigmaFactor
+	// multiplies the relative sigma of the machine's engines, and its
+	// DelayFactor divides the clock period the machine's analyses run at
+	// (PeriodPs). Cond is part of the model-cache key (the cache hashes
+	// Options with %+v), so snapshots never mix conditions.
 	Cond cell.OperatingCondition
 }
 
@@ -87,13 +88,15 @@ type Machine struct {
 	Logic   *gen.LogicNet
 	Mult    *gen.MultiplierNet
 
-	// BasePeriodPs, PoFFPeriodPs and WorkingPeriodPs are the clock periods
-	// of the three operating points in picoseconds, fixed at construction.
-	// The engines carry WorkingPeriodPs; an analysis at another period
-	// passes it to the period-taking methods instead.
-	BasePeriodPs    float64
-	PoFFPeriodPs    float64
-	WorkingPeriodPs float64
+	// BasePeriodPs, PoFFPeriodPs and WorkingPeriodPs are the physical clock
+	// periods of the three operating points in picoseconds, fixed at
+	// construction. The engines carry AnalysisPeriodPs, PeriodPs at the
+	// machine's condition and working ratio (WorkingPeriodPs at nominal); an
+	// analysis at another period passes it to the period-taking methods.
+	BasePeriodPs     float64
+	PoFFPeriodPs     float64
+	WorkingPeriodPs  float64
+	AnalysisPeriodPs float64
 
 	CtrlEngine    *sta.Engine
 	AdderEngine   *sta.Engine
@@ -139,18 +142,15 @@ func NewMachineContext(ctx context.Context, opts Options) (*Machine, error) {
 	return newMachine(ctx, opts, nil)
 }
 
-// NewMachineWithScales rebuilds a machine from previously calibrated
-// per-unit delay scales keyed by netlist name, skipping the expensive SSTA
-// calibration of each unit. It is the warm path of the persistent model
-// cache: the netlists regenerate deterministically, so a machine restored
-// with the scales of an earlier NewMachine call is identical to it. A
-// missing, non-positive or non-finite scale is an error (the caller should
-// fall back to full calibration).
-func NewMachineWithScales(opts Options, scales map[string]float64) (*Machine, error) {
-	return NewMachineWithScalesContext(context.Background(), opts, scales)
-}
-
-// NewMachineWithScalesContext is NewMachineWithScales with cancellation.
+// NewMachineWithScalesContext rebuilds a machine from previously
+// calibrated per-unit delay scales keyed by netlist name, skipping the
+// expensive SSTA calibration of each unit. It is the warm path of the
+// persistent model cache and the build of a framework at another voltage:
+// the netlists regenerate deterministically and calibration never reads
+// the condition, so a machine rebuilt with the scales of an earlier
+// NewMachine call is that machine at opts' condition. A missing,
+// non-positive or non-finite scale is an error (the caller should fall
+// back to full calibration).
 func NewMachineWithScalesContext(ctx context.Context, opts Options, scales map[string]float64) (*Machine, error) {
 	if scales == nil {
 		return nil, fmt.Errorf("errormodel: nil scale table")
@@ -159,7 +159,7 @@ func NewMachineWithScalesContext(ctx context.Context, opts Options, scales map[s
 }
 
 // Scales returns the calibrated per-unit delay scales keyed by netlist name,
-// the input NewMachineWithScales needs to reconstruct this machine.
+// the input NewMachineWithScalesContext needs to reconstruct this machine.
 func (m *Machine) Scales() map[string]float64 {
 	out := make(map[string]float64, 5)
 	for _, e := range []*sta.Engine{
@@ -198,6 +198,8 @@ func newMachine(ctx context.Context, opts Options, scales map[string]float64) (*
 	m.BasePeriodPs = 1e6 / opts.BaseFreqMHz
 	m.PoFFPeriodPs = m.BasePeriodPs / opts.PoFFRatio
 	m.WorkingPeriodPs = m.BasePeriodPs / opts.WorkingRatio
+	m.AnalysisPeriodPs = m.PeriodPs(opts.Cond, opts.WorkingRatio)
+	sigmaRel := opts.SigmaRel * opts.Cond.SigmaFactor()
 
 	type unit struct {
 		n     *netlist.Netlist
@@ -237,7 +239,7 @@ func newMachine(ctx context.Context, opts Options, scales map[string]float64) (*
 				return fmt.Errorf("errormodel: calibrating %s: %w", u.n.Name, err)
 			}
 		}
-		e, err := sta.NewEngineAt(u.n, model, m.WorkingPeriodPs, opts.SigmaRel, scale, opts.Cond)
+		e, err := sta.NewEngine(u.n, model, m.AnalysisPeriodPs, sigmaRel, scale)
 		if err != nil {
 			return err
 		}
@@ -257,3 +259,12 @@ func newMachine(ctx context.Context, opts Options, scales map[string]float64) (*
 
 // WorkingFreqMHz returns the speculative operating frequency.
 func (m *Machine) WorkingFreqMHz() float64 { return 1e6 / m.WorkingPeriodPs }
+
+// PeriodPs returns the clock period in ps an analysis at operating
+// condition cond and frequency ratio ratio runs at: BasePeriodPs / (ratio ×
+// DelayFactor). The V/T law multiplies every delay, setup time included, by
+// DelayFactor; dividing the period by it instead is the same time scale, and
+// the one place the factor enters the model.
+func (m *Machine) PeriodPs(cond cell.OperatingCondition, ratio float64) float64 {
+	return m.BasePeriodPs / (ratio * cond.DelayFactor())
+}

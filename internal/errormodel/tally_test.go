@@ -30,7 +30,7 @@ func TestTallyMatchesObserverPath(t *testing.T) {
 	}
 	opts := m.Opts
 	opts.WorkingRatio = 1.3
-	fast, err := NewMachineWithScales(opts, m.Scales())
+	fast, err := NewMachineWithScalesContext(ctx, opts, m.Scales())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func (a *Analyzer) StageDTS(eps []netlist.GateID, t int, tr *activity.Trace) (va
 	if !found {
 		return variation.Canon{}, false
 	}
-	return worst.Neg().AddConst(a.Engine.ClockPeriod - a.Engine.Setup()), true
+	return worst.Neg().AddConst(a.Engine.ClockPeriod - cell.Setup), true
 }
 
 // InstDTS mirrors Algorithm 2 over the graph-based stage DTS.

@@ -6,6 +6,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"tsperr/internal/cell"
@@ -22,7 +23,7 @@ const DefaultScenarios = 8
 
 // Engine is the once-per-design half of the paper's flow held as one value:
 // the framework calibrated and trained at the engine's operating condition,
-// and the frameworks of the other conditions an operating-point search
+// and the frameworks of the other voltages an operating-point search
 // visits. Each command, daemon and test holds its own engine, and two
 // engines share nothing. Its methods are safe for concurrent use.
 //
@@ -32,11 +33,11 @@ const DefaultScenarios = 8
 type Engine struct {
 	cond     cell.OperatingCondition
 	cacheDir string
-	// build is buildFramework; tests substitute it.
-	build func(ctx context.Context, opts errormodel.Options, dir string) (*core.Framework, error)
+	// build is buildAt; tests substitute it.
+	build func(ctx context.Context, cond cell.OperatingCondition) (*core.Framework, error)
 
 	own    *pool.Memo[struct{}, *core.Framework] // the framework at cond
-	others *pool.Memo[string, *core.Framework]   // by cond.String()
+	others *pool.Memo[uint64, *core.Framework]   // by the float bits of the voltage
 }
 
 // New returns an engine whose framework builds at cond through the model
@@ -46,37 +47,46 @@ func New(cond cell.OperatingCondition, cacheDir string) (*Engine, error) {
 	if err := cond.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{
+	e := &Engine{
 		cond:     cond,
 		cacheDir: cacheDir,
-		build:    buildFramework,
 		own:      pool.NewMemo[struct{}, *core.Framework](1),
-		others:   pool.NewMemo[string, *core.Framework](maxConditionFrameworks),
-	}, nil
-}
-
-// buildFramework is an engine's build: through the model cache in dir unless
-// dir is "" (the condition is part of the cache key, so each condition warms
-// independently).
-func buildFramework(ctx context.Context, opts errormodel.Options, dir string) (*core.Framework, error) {
-	if dir == "" {
-		return core.NewFrameworkContext(ctx, opts)
+		others:   pool.NewMemo[uint64, *core.Framework](maxConditionFrameworks),
 	}
-	f, _, err := core.NewFrameworkCachedContext(ctx, opts, dir)
-	return f, err
+	e.build = e.buildAt
+	return e, nil
 }
 
-// optionsAt returns the default errormodel options at an operating condition.
-func optionsAt(cond cell.OperatingCondition) errormodel.Options {
-	opts := errormodel.DefaultOptions()
+// buildAt is an engine's build of its framework at cond. The engine's own
+// framework calibrates, or restores from the model cache in its dir unless
+// that is "" (the condition is part of the cache key). A framework at
+// another voltage rebuilds the machine from the own framework's calibrated
+// scales, uncached: it calibrates nothing and writes no snapshot.
+func (e *Engine) buildAt(ctx context.Context, cond cell.OperatingCondition) (*core.Framework, error) {
+	if cond.Equal(e.cond) {
+		if e.cacheDir == "" {
+			return core.NewFrameworkContext(ctx, e.Options())
+		}
+		f, _, err := core.NewFrameworkCachedContext(ctx, e.Options(), e.cacheDir)
+		return f, err
+	}
+	own, err := e.Framework(ctx)
+	if err != nil {
+		return nil, err
+	}
+	opts := own.Machine.Opts
 	opts.Cond = cond
-	return opts
+	return core.NewFrameworkWithScales(ctx, opts, own.Machine.Scales())
 }
 
 // Options returns the errormodel options the engine's framework is (or will
 // be) built with, its condition included: the options a daemon must
 // fingerprint under.
-func (e *Engine) Options() errormodel.Options { return optionsAt(e.cond) }
+func (e *Engine) Options() errormodel.Options {
+	opts := errormodel.DefaultOptions()
+	opts.Cond = e.cond
+	return opts
+}
 
 // CacheDir returns the model-cache directory the engine builds through, or
 // "" when it builds uncached.
@@ -87,20 +97,24 @@ func (e *Engine) CacheDir() string { return e.cacheDir }
 // performs once per design. A cold build runs under ctx, and a cancelled
 // build keeps nothing, so the next call builds again.
 func (e *Engine) Framework(ctx context.Context) (*core.Framework, error) {
-	return e.framework(ctx, e.cond)
+	return e.own.Get(ctx, struct{}{}, func(ctx context.Context) (*core.Framework, error) {
+		return e.build(ctx, e.cond)
+	})
 }
 
-// framework returns the framework at cond, building it under ctx on first
-// use: the engine's own at its condition, and otherwise one of the
-// per-condition frameworks, of which it keeps maxConditionFrameworks.
+// framework returns the framework that serves cond, building it under ctx
+// on first use: the engine's own at the engine's voltage, whatever the
+// temperature, and otherwise the one of cond's voltage, built at the
+// engine's temperature, of which it keeps maxConditionFrameworks.
 func (e *Engine) framework(ctx context.Context, cond cell.OperatingCondition) (*core.Framework, error) {
-	build := func(ctx context.Context) (*core.Framework, error) {
-		return e.build(ctx, optionsAt(cond), e.cacheDir)
+	v := cond.Norm().VoltageV
+	if v == e.cond.Norm().VoltageV {
+		return e.Framework(ctx)
 	}
-	if cond.Equal(e.cond) {
-		return e.own.Get(ctx, struct{}{}, build)
-	}
-	return e.others.Get(ctx, cond.String(), build)
+	at := cell.OperatingCondition{VoltageV: v, TempC: e.cond.Norm().TempC}
+	return e.others.Get(ctx, math.Float64bits(v), func(ctx context.Context) (*core.Framework, error) {
+		return e.build(ctx, at)
+	})
 }
 
 // SpecFor converts a benchmark into an analyzable program spec.
@@ -125,7 +139,7 @@ func (e *Engine) Analyze(ctx context.Context, name string, scenarios int, opts c
 	if err != nil {
 		return nil, err
 	}
-	f, err := e.framework(ctx, e.cond)
+	f, err := e.Framework(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -2,14 +2,14 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
-	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"tsperr/internal/cell"
 	"tsperr/internal/core"
-	"tsperr/internal/errormodel"
 	"tsperr/internal/faultinject"
 	"tsperr/internal/mibench"
 	"tsperr/internal/modelcache"
@@ -197,7 +197,7 @@ func TestSharedFrameworkRetriesAfterFailure(t *testing.T) {
 	e := newEngine(cell.OperatingCondition{}, "")
 	calls := 0
 	sentinel := &core.Framework{}
-	e.build = func(context.Context, errormodel.Options, string) (*core.Framework, error) {
+	e.build = func(context.Context, cell.OperatingCondition) (*core.Framework, error) {
 		calls++
 		if calls == 1 {
 			return nil, errors.New("transient build failure")
@@ -219,34 +219,54 @@ func TestSharedFrameworkRetriesAfterFailure(t *testing.T) {
 	}
 }
 
+// TestSharedFrameworkUsesModelCache builds an engine cold through an empty
+// model cache, at nominal and at a droop corner: the build publishes one
+// snapshot, and an engine restoring it returns the cold engine's estimates
+// byte for byte. A nominal engine's framework at another voltage is
+// rebuilt from its scales and writes no snapshot of its own.
 func TestSharedFrameworkUsesModelCache(t *testing.T) {
-	dir := t.TempDir()
-	e := newEngine(cell.OperatingCondition{}, dir)
-	sentinel := &core.Framework{}
-	var gotDir string
-	e.build = func(_ context.Context, _ errormodel.Options, d string) (*core.Framework, error) {
-		gotDir = d
-		return sentinel, nil
-	}
-	f, err := e.Framework(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != sentinel || gotDir != dir {
-		t.Errorf("framework %p via dir %q, want %q", f, gotDir, dir)
-	}
 	if testing.Short() {
-		return
+		t.Skip("builds frameworks at two operating conditions")
 	}
-	// The real build goes through the cached constructor: it leaves the
-	// snapshot a later engine restores from.
-	cached := newEngine(cell.OperatingCondition{}, t.TempDir())
-	if _, err := cached.Framework(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	snap := modelcache.Path(cached.CacheDir(), modelcache.Key(cached.Options(), cell.Fingerprint()))
-	if _, err := os.Stat(snap); err != nil {
-		t.Errorf("cache-enabled build left no snapshot: %v", err)
+	ctx := context.Background()
+	droop := cell.OperatingCondition{VoltageV: 1.0, TempC: 85}
+	for _, cond := range []cell.OperatingCondition{{}, droop} {
+		dir := t.TempDir()
+		cold := newEngine(cond, dir)
+		estimates := func(e *Engine) string {
+			t.Helper()
+			var out []byte
+			for _, name := range []string{"patricia", "typeset"} {
+				rep, err := e.Analyze(ctx, name, 2, core.AnalyzeOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf, err := json.Marshal(rep.Estimate)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(append(out, buf...), '\n')
+			}
+			return string(out)
+		}
+		want := estimates(cold)
+		if _, err := cold.AnalyzeAt(ctx, "patricia", 2, core.AnalyzeOpts{}, cell.OperatingCondition{VoltageV: 1.2}, 0); err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := modelcache.Path(dir, modelcache.Key(cold.Options(), cell.Fingerprint()))
+		if len(files) != 1 || files[0] != snap {
+			t.Fatalf("%v: the cache holds %v, want only the engine's snapshot %s", cond, files, snap)
+		}
+		if _, warm, err := core.NewFrameworkCachedContext(ctx, cold.Options(), dir); err != nil || !warm {
+			t.Fatalf("%v: the published snapshot does not restore (warm %v, %v)", cond, warm, err)
+		}
+		if got := estimates(newEngine(cond, dir)); got != want {
+			t.Errorf("%v: a restored engine's estimates differ from the cold engine's\ncold: %swarm: %s", cond, want, got)
+		}
 	}
 }
 

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,13 +42,14 @@ func TestAnalyzeAtPointValidation(t *testing.T) {
 }
 
 // TestConditionRegistryLRU pins the registry bound: at most
-// maxConditionFrameworks conditions keep a framework at once, the coldest
-// is evicted, and re-access refreshes recency.
+// maxConditionFrameworks voltages keep a framework at once, the coldest is
+// evicted, and re-access refreshes recency. A framework serves every
+// temperature at its voltage and is built at the engine's temperature.
 func TestConditionRegistryLRU(t *testing.T) {
 	e := newEngine(cell.OperatingCondition{}, "")
 	builds := map[string]int{}
-	e.build = func(_ context.Context, opts errormodel.Options, _ string) (*core.Framework, error) {
-		builds[opts.Cond.String()]++
+	e.build = func(_ context.Context, cond cell.OperatingCondition) (*core.Framework, error) {
+		builds[cond.String()]++
 		return &core.Framework{}, nil
 	}
 	conds := map[string]cell.OperatingCondition{}
@@ -64,9 +68,12 @@ func TestConditionRegistryLRU(t *testing.T) {
 	for _, k := range []string{"a", "b", "c", "d"} {
 		fws[k] = at(k)
 	}
-	// Touch "a" so "b" becomes the coldest, then overflow the bound.
-	if at("a") != fws["a"] {
-		t.Fatal("re-access did not return the existing framework")
+	// Another temperature at "a"'s voltage is "a"'s framework; the touch
+	// makes "b" the coldest, then the bound overflows.
+	hot := conds["a"]
+	hot.TempC = 85
+	if f, err := e.framework(context.Background(), hot); err != nil || f != fws["a"] {
+		t.Fatalf("another temperature at a kept voltage got %p (%v), want the voltage's framework", f, err)
 	}
 	at("e")
 	if n := e.others.Len(); n != maxConditionFrameworks {
@@ -82,22 +89,25 @@ func TestConditionRegistryLRU(t *testing.T) {
 	if at("b") == fws["b"] || builds[conds["b"].String()] != 2 {
 		t.Error("evicted framework was resurrected instead of rebuilt")
 	}
+	if len(builds) != 5 || builds[hot.String()] != 0 {
+		t.Errorf("builds by condition %v, want one per voltage at the engine's temperature", builds)
+	}
 }
 
 // errNotKept is the failure of kept's probe build.
 var errNotKept = errors.New("not kept")
 
-// kept returns the framework e's registry keeps at cond, without building
-// one: its probe build fails, and a failed build is not kept.
+// kept returns the framework e's registry keeps at cond's voltage, without
+// building one: its probe build fails, and a failed build is not kept.
 func kept(e *Engine, cond cell.OperatingCondition) (*core.Framework, bool) {
-	f, err := e.others.Get(context.Background(), cond.String(), func(context.Context) (*core.Framework, error) {
+	f, err := e.others.Get(context.Background(), math.Float64bits(cond.Norm().VoltageV), func(context.Context) (*core.Framework, error) {
 		return nil, errNotKept
 	})
 	return f, err == nil
 }
 
 // TestAnalyzeAtWaiterLeavesOnItsOwnContext starts a cold build at a new
-// condition and sends a second analysis there whose context is cancelled
+// voltage and sends a second analysis there whose context is cancelled
 // while the build runs: the second caller leaves at once, not when the
 // build returns. Once the build is cancelled too, the next call builds
 // again.
@@ -106,7 +116,7 @@ func TestAnalyzeAtWaiterLeavesOnItsOwnContext(t *testing.T) {
 	started := make(chan struct{})
 	var builds atomic.Int32
 	errRebuilt := errors.New("built again")
-	e.build = func(ctx context.Context, _ errormodel.Options, _ string) (*core.Framework, error) {
+	e.build = func(ctx context.Context, _ cell.OperatingCondition) (*core.Framework, error) {
 		if builds.Add(1) > 1 {
 			return nil, errRebuilt
 		}
@@ -157,7 +167,7 @@ func TestAnalyzeAtWaiterLeavesOnItsOwnContext(t *testing.T) {
 func TestCancelledColdBuildsKeepNothing(t *testing.T) {
 	e := newEngine(cell.OperatingCondition{}, "")
 	var builds atomic.Int32
-	e.build = func(ctx context.Context, _ errormodel.Options, _ string) (*core.Framework, error) {
+	e.build = func(ctx context.Context, _ cell.OperatingCondition) (*core.Framework, error) {
 		builds.Add(1)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -226,7 +236,7 @@ func TestAnalyzeAtPointDelegatesAtDefaultPoint(t *testing.T) {
 
 // TestAnalyzeAtOwnConditionOtherRatio pins that a ratio override at the
 // engine's own condition runs on the engine's framework: no registry
-// framework is built, and the report is, byte for byte, AnalyzeAtRatio's on
+// framework is built, and the report is, byte for byte, core's AnalyzeAt on
 // a fresh framework at that condition.
 func TestAnalyzeAtOwnConditionOtherRatio(t *testing.T) {
 	if testing.Short() {
@@ -248,19 +258,19 @@ func TestAnalyzeAtOwnConditionOtherRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.AnalyzeAtRatio(ctx, b.Name, SpecFor(b, 2), 1.2, core.AnalyzeOpts{})
+	want, err := fresh.AnalyzeAt(ctx, b.Name, SpecFor(b, 2), cell.Nominal(), 1.2, core.AnalyzeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a, b := maskedJSON(t, want), maskedJSON(t, at); a != b {
-		t.Errorf("override differs from AnalyzeAtRatio on a fresh framework\nfresh: %s\nat:    %s", a, b)
+		t.Errorf("override differs from AnalyzeAt on a fresh framework\nfresh: %s\nat:    %s", a, b)
 	}
 }
 
 // TestAnalyzeAtPointDroopRaisesErrorRate runs the registry path end to end:
 // a droop-and-heat corner at the same ratio must not lower the error rate
-// (the scaling law only inflates delays), and repeated calls reuse the
-// registry entry.
+// (the scaling law only inflates delays), and repeated calls at the voltage
+// reuse the registry entry, at any temperature.
 func TestAnalyzeAtPointDroopRaisesErrorRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full framework run")
@@ -282,12 +292,14 @@ func TestAnalyzeAtPointDroopRaisesErrorRate(t *testing.T) {
 	if !built {
 		t.Fatal("droop analysis did not leave a built framework in the registry")
 	}
-	// A second call must reuse the same framework, not rebuild.
-	if _, err := nominal.AnalyzeAt(ctx, "patricia", 2, core.AnalyzeOpts{}, droop, 1.1); err != nil {
-		t.Fatal(err)
+	// Later calls at the voltage must reuse the same framework, not rebuild.
+	for _, cond := range []cell.OperatingCondition{droop, {VoltageV: 1.0, TempC: 60}} {
+		if _, err := nominal.AnalyzeAt(ctx, "patricia", 2, core.AnalyzeOpts{}, cond, 1.1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if again, _ := kept(nominal, droop); again != entry {
-		t.Error("second analysis at the same condition rebuilt the registry entry")
+		t.Error("a later analysis at the same voltage rebuilt the registry entry")
 	}
 }
 
@@ -330,5 +342,132 @@ func TestEnginesAreIndependent(t *testing.T) {
 	}
 	if n := hot.others.Len(); n != 0 {
 		t.Errorf("the droop engine's registry holds %d frameworks; only the nominal engine visited another condition", n)
+	}
+}
+
+// TestTemperatureCornerIsAScaledRatio pins the fold of the V/T law into the
+// clock period: a temperature-only corner at ratio r is the engine's own
+// condition at ratio r × DelayFactor, estimate byte for byte, on the
+// engine's own framework.
+func TestTemperatureCornerIsAScaledRatio(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full framework run")
+	}
+	ctx := context.Background()
+	const r = 1.1
+	for _, temp := range []float64{-40, 85} {
+		hot := cell.OperatingCondition{TempC: temp}
+		at, err := nominal.AnalyzeAt(ctx, "patricia", 2, core.AnalyzeOpts{}, hot, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scaled, err := nominal.AnalyzeAt(ctx, "patricia", 2, core.AnalyzeOpts{}, cell.Nominal(), r*hot.DelayFactor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := maskedJSON(t, at), maskedJSON(t, scaled); a != b {
+			t.Errorf("%v at %v differs from nominal at the scaled ratio\ncorner: %s\nscaled: %s", hot, r, a, b)
+		}
+		if _, built := kept(nominal, hot); built {
+			t.Errorf("a temperature-only corner at %v built a registry framework", hot)
+		}
+	}
+}
+
+// TestCornerGridBuildsOneFramework serves the 1.0/1.1 V × 25/85 °C grid
+// from a fresh nominal engine: it builds exactly one framework besides its
+// own, for 1.0 V at the engine's temperature, and that build takes the own
+// framework's scales instead of calibrating (the own framework here carries
+// scales calibration would not give).
+func TestCornerGridBuildsOneFramework(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full framework run")
+	}
+	ctx := context.Background()
+	nf, err := nominal.Framework(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scales := nf.Machine.Scales()
+	scales["adder"] *= 1.001
+	e := newEngine(cell.OperatingCondition{}, "")
+	var mu sync.Mutex
+	var built []string
+	e.build = func(ctx context.Context, cond cell.OperatingCondition) (*core.Framework, error) {
+		mu.Lock()
+		built = append(built, cond.String())
+		mu.Unlock()
+		if cond.Equal(e.cond) {
+			return core.NewFrameworkWithScales(ctx, e.Options(), scales)
+		}
+		return e.buildAt(ctx, cond)
+	}
+	for _, v := range []float64{1.0, 1.1} {
+		for _, temp := range []float64{25, 85} {
+			if _, err := e.AnalyzeAt(ctx, "stringsearch", 2, core.AnalyzeOpts{}, cell.OperatingCondition{VoltageV: v, TempC: temp}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	slices.Sort(built)
+	if want := "[1.1V/25C 1V/25C]"; fmt.Sprint(built) != want || e.others.Len() != 1 {
+		t.Fatalf("builds %v with %d registry frameworks, want %s and one", built, e.others.Len(), want)
+	}
+	low, _ := kept(e, cell.OperatingCondition{VoltageV: 1.0})
+	for unit, s := range low.Machine.Scales() {
+		if math.Float64bits(s) != math.Float64bits(scales[unit]) {
+			t.Errorf("the 1.0 V framework's %s scale is %v, the engine's is %v", unit, s, scales[unit])
+		}
+	}
+}
+
+// TestErrorRateMonotoneOverCorners is the standing check that the estimate
+// moves the right way off the anchor point: on three programs, λ must not
+// decrease with the frequency ratio at nominal, with temperature at 1.1 V,
+// or with droop at 25 °C.
+func TestErrorRateMonotoneOverCorners(t *testing.T) {
+	if testing.Short() {
+		t.Skip("analyzes three programs at 17 operating points")
+	}
+	ctx := context.Background()
+	e := newEngine(cell.OperatingCondition{}, "")
+	programs := []string{"typeset", "patricia", "gsm.encode"}
+	type point struct {
+		cond  cell.OperatingCondition
+		ratio float64
+	}
+	var ratios, temps, droops []point
+	for _, r := range []float64{1.10, 1.14, 1.18, 1.22, 1.26} {
+		ratios = append(ratios, point{cell.OperatingCondition{}, r})
+	}
+	for _, temp := range []float64{-40, -10, 25, 60, 100, 125} {
+		temps = append(temps, point{cell.OperatingCondition{VoltageV: 1.1, TempC: temp}, 1.15})
+	}
+	for _, v := range []float64{1.25, 1.20, 1.15, 1.10, 1.05, 1.00} {
+		droops = append(droops, point{cell.OperatingCondition{VoltageV: v, TempC: 25}, 1.15})
+	}
+	for _, axis := range []struct {
+		name   string
+		points []point
+	}{{"ratio", ratios}, {"temperature", temps}, {"droop", droops}} {
+		// Points outermost, so each voltage's framework is built once.
+		lambda := map[string][]float64{}
+		for _, p := range axis.points {
+			for _, name := range programs {
+				rep, err := e.AnalyzeAt(ctx, name, 4, core.AnalyzeOpts{}, p.cond, p.ratio)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lambda[name] = append(lambda[name], rep.Estimate.LambdaMean)
+			}
+		}
+		for _, name := range programs {
+			for i := 1; i < len(axis.points); i++ {
+				if l := lambda[name]; l[i] < l[i-1] {
+					t.Errorf("%s: λ fell along the %s axis from %v at %v/%v to %v at %v/%v", name, axis.name,
+						l[i-1], axis.points[i-1].cond, axis.points[i-1].ratio, l[i], axis.points[i].cond, axis.points[i].ratio)
+				}
+			}
+		}
 	}
 }

@@ -47,8 +47,10 @@ import (
 // Version 3: the scales and tables of the exact-sum path search, whose tie
 // order moved the multiplier, shifter and control scales, off-nominal
 // tables trained with the setup time derated by the condition, and the
-// datapath tables as one byte string.
-const SchemaVersion = 3
+// datapath tables as one byte string. Version 4: off-nominal tables
+// trained on engines at delay factor 1 with the period divided by the
+// condition's DelayFactor, which moves them in the last digits.
+const SchemaVersion = 4
 
 // maxFileBytes caps the bytes a reader takes from a snapshot file; a larger
 // file is a miss, and Save refuses to write one. The largest snapshot the
@@ -65,7 +67,7 @@ type Snapshot struct {
 	Schema int
 	Key    string
 	// Scales are the calibrated per-unit delay scales by netlist name
-	// (errormodel.Machine.Scales), the input of NewMachineWithScales.
+	// (errormodel.Machine.Scales), the input of NewMachineWithScalesContext.
 	Scales map[string]float64
 	// Datapath is the trained per-depth DTS table set.
 	Datapath *errormodel.DatapathModel

@@ -3,6 +3,7 @@ package sta
 import (
 	"math"
 
+	"tsperr/internal/cell"
 	"tsperr/internal/netlist"
 	"tsperr/internal/variation"
 )
@@ -76,7 +77,7 @@ func (e *Engine) SignOffDelay(p float64) float64 {
 		return 0
 	}
 	// Setup is deterministic, so it shifts the percentile directly.
-	return worst.Percentile(p) + e.setup
+	return worst.Percentile(p) + cell.Setup
 }
 
 // EndpointSlackSSTA returns the block-based canonical slack form for one
@@ -87,7 +88,7 @@ func (e *Engine) EndpointSlackSSTA(ep netlist.GateID) (variation.Canon, bool) {
 	if !valid[d] {
 		return variation.Canon{}, false
 	}
-	return arr[d].Neg().AddConst(e.ClockPeriod - e.setup), true
+	return arr[d].Neg().AddConst(e.ClockPeriod - cell.Setup), true
 }
 
 // CriticalityGap reports, for diagnostics, the largest absolute difference
@@ -104,7 +105,7 @@ func (e *Engine) CriticalityGap(k int) float64 {
 			if !valid[d] {
 				continue
 			}
-			blockSlack := arr[d].Neg().AddConst(e.ClockPeriod - e.setup)
+			blockSlack := arr[d].Neg().AddConst(e.ClockPeriod - cell.Setup)
 			paths := e.CriticalPathsIn(ep, k, &a)
 			if len(paths) == 0 {
 				continue

@@ -130,7 +130,7 @@ func refKCritical(e *sta.Engine, ep netlist.GateID, k int, m sta.Metric, arr []f
 	for _, f := range all[:min(k, len(all))] {
 		gates := slices.Clone(f.rev)
 		slices.Reverse(gates)
-		out = append(out, netlist.Path{Gates: gates, Endpoint: ep, NominalDelay: f.delay + e.Setup()})
+		out = append(out, netlist.Path{Gates: gates, Endpoint: ep, NominalDelay: f.delay + cell.Setup})
 	}
 	return out
 }
@@ -170,8 +170,8 @@ func refStatMin(forms []variation.Canon) (variation.Canon, error) {
 
 // refCriticalPaths merges the three metrics' reference paths as
 // CriticalPaths documents: first occurrence kept, each path's delay
-// re-expressed as the engine's setup time plus its gates' mean delays
-// summed source first, most critical first with ties by endpoint, then gate sequence.
+// re-expressed as its setup time plus its gates' mean delays summed source
+// first, most critical first with ties by endpoint, then gate sequence.
 func refCriticalPaths(e *sta.Engine, byMetric [3][]netlist.Path) []netlist.Path {
 	seen := map[string]bool{}
 	var out []netlist.Path
@@ -182,7 +182,7 @@ func refCriticalPaths(e *sta.Engine, byMetric [3][]netlist.Path) []netlist.Path 
 				continue
 			}
 			seen[key] = true
-			d := e.Setup()
+			d := cell.Setup
 			for _, g := range p.Gates {
 				d += e.GateDelay(g).Mean
 			}
@@ -210,20 +210,14 @@ func pathBytes(p netlist.Path) []byte {
 	return b
 }
 
-// offNominal is the oracle's operating condition away from nominal, where
-// both of the condition's factors differ from 1 (DelayFactor 0.855,
-// SigmaFactor 0.927) and the searches stay close to nominal's size: summed
-// over the five units' endpoints and k in {1, 3, 8, 32}, the largest search
-// of each CriticalPaths call holds 2.71M states against nominal's 2.57M
-// (the largest single search 0.53M against 0.18M). Of the 20 corners
-// measured, 11 hold 8-72x nominal's states (1.05 V 28M, 1.0 V/85 C 158M)
-// and 4 under a third (1.08 V 0.11M); 1.07 V pushes ~73M states in one
-// framework build.
-var offNominal = cell.OperatingCondition{VoltageV: 1.2, TempC: -40}
+// offNominal is the oracle's relative-sigma factor away from nominal's 1:
+// 1.2 V's SigmaFactor, 0.927. A condition reaches an engine only through
+// this factor; its DelayFactor divides the analysis period instead.
+var offNominal = cell.OperatingCondition{VoltageV: 1.2}.SigmaFactor()
 
-// units returns SSTA engines over the five generated pipeline units at an
-// operating condition.
-func units(t testing.TB, cond cell.OperatingCondition) []*sta.Engine {
+// units returns SSTA engines over the five generated pipeline units with
+// the relative sigma times sigmaFactor.
+func units(t testing.TB, sigmaFactor float64) []*sta.Engine {
 	t.Helper()
 	opts := errormodel.DefaultOptions()
 	model, err := variation.NewModel(opts.VariationLevels, opts.CorrShare)
@@ -235,7 +229,7 @@ func units(t testing.TB, cond cell.OperatingCondition) []*sta.Engine {
 	}
 	out := make([]*sta.Engine, len(nets))
 	for i, n := range nets {
-		if out[i], err = sta.NewEngineAt(n, model, 1200, opts.SigmaRel, 1, cond); err != nil {
+		if out[i], err = sta.NewEngine(n, model, 1200, opts.SigmaRel*sigmaFactor, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -352,14 +346,14 @@ func TestKCriticalMatchesReference(t *testing.T) {
 		t.Fatalf("the DAGs tie at the k-th path %d times, want at least 100", ties)
 	}
 
-	for _, e := range append(units(t, cell.OperatingCondition{}), units(t, offNominal)...) {
+	for _, e := range append(units(t, 1), units(t, offNominal)...) {
 		var arr [3][]float64
 		for i, m := range metrics {
 			arr[i] = refArrivals(e, m)
 		}
 		eps := endpoints(e.N)
 		if len(eps) == 0 {
-			t.Fatalf("%s at %v: no endpoints", e.N.Name, e.Cond)
+			t.Fatalf("%s at sigma %v: no endpoints", e.N.Name, e.SigmaRel)
 		}
 		for _, k := range []int{1, 3, 8, 32} {
 			for _, ep := range eps {
@@ -367,12 +361,12 @@ func TestKCriticalMatchesReference(t *testing.T) {
 				for i, m := range metrics {
 					want[i] = refKCritical(e, ep, k, m, arr[i])
 					if got := e.KCriticalTo(ep, k, m); !samePaths(got, want[i]) {
-						t.Fatalf("%s at %v ep %d k=%d metric %d: paths differ from the reference\n got %v\nwant %v",
-							e.N.Name, e.Cond, ep, k, m, got, want[i])
+						t.Fatalf("%s at sigma %v ep %d k=%d metric %d: paths differ from the reference\n got %v\nwant %v",
+							e.N.Name, e.SigmaRel, ep, k, m, got, want[i])
 					}
 				}
 				if got, w := e.CriticalPaths(ep, k), refCriticalPaths(e, want); !samePaths(got, w) {
-					t.Fatalf("%s at %v ep %d k=%d: CriticalPaths differs from the reference", e.N.Name, e.Cond, ep, k)
+					t.Fatalf("%s at sigma %v ep %d k=%d: CriticalPaths differs from the reference", e.N.Name, e.SigmaRel, ep, k)
 				}
 			}
 		}
@@ -384,7 +378,7 @@ func TestKCriticalMatchesReference(t *testing.T) {
 // grid step of it and a whole multiple of that step.
 func TestMetricDelaysOnGrid(t *testing.T) {
 	metrics := [3]sta.Metric{sta.MetricNominal, sta.MetricWorst, sta.MetricBest}
-	for _, e := range append(units(t, cell.OperatingCondition{}), units(t, offNominal)...) {
+	for _, e := range append(units(t, 1), units(t, offNominal)...) {
 		for id := range e.N.NumGates() {
 			d := e.GateDelay(netlist.GateID(id))
 			for i, m := range metrics {
@@ -407,13 +401,14 @@ func TestMetricDelaysOnGrid(t *testing.T) {
 }
 
 // TestSearchSizeIsAFunctionOfTheDesign sums the states pushed by the path
-// searches one uncached framework build runs at a condition: every
-// endpoint of the five units under the three metrics at k = KPaths, once
-// for calibration (scale 1, nominal: calibration never reads the
+// searches one uncached framework build runs at a voltage: every endpoint
+// of the five units under the three metrics at k = KPaths, once for
+// calibration (scale 1, nominal sigma: calibration never reads the
 // condition) and once for training and the DTA endpoint sets (the
-// calibrated scales at the condition). With exact sums the count follows
-// the design, not the rounding the condition's factors set off: under
-// float sums 1.00, 1.07 and 0.95 V pushed 10-100x nominal's states. The
+// calibrated scales, the relative sigma times the voltage's SigmaFactor).
+// With exact sums the count follows the design, not the rounding the
+// factors set off: under float sums and with the delays scaled by the
+// condition, 1.00, 1.07 and 0.95 V pushed 10-100x nominal's states. The
 // count is deterministic, so any change to it is a reviewable event.
 func TestSearchSizeIsAFunctionOfTheDesign(t *testing.T) {
 	const wantNominal = 37920
@@ -424,14 +419,14 @@ func TestSearchSizeIsAFunctionOfTheDesign(t *testing.T) {
 	}
 	scales := m.Scales()
 	nets := []*netlist.Netlist{m.Ctrl.N, m.Adder.N, m.Shifter.N, m.Logic.N, m.Mult.N}
-	pushed := func(cond cell.OperatingCondition) int {
+	pushed := func(sigmaFactor float64) int {
 		total := 0
 		for _, n := range nets {
 			cal, err := sta.NewEngine(n, m.Model, m.PoFFPeriodPs, opts.SigmaRel, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, err := sta.NewEngineAt(n, m.Model, m.WorkingPeriodPs, opts.SigmaRel, scales[n.Name], cond)
+			run, err := sta.NewEngine(n, m.Model, m.WorkingPeriodPs, opts.SigmaRel*sigmaFactor, scales[n.Name])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -444,16 +439,14 @@ func TestSearchSizeIsAFunctionOfTheDesign(t *testing.T) {
 		}
 		return total
 	}
-	nominal := pushed(cell.OperatingCondition{})
+	nominal := pushed(1)
 	if nominal != wantNominal {
 		t.Errorf("a nominal build's searches push %d states, want %d", nominal, wantNominal)
 	}
-	for _, cond := range []cell.OperatingCondition{
-		{VoltageV: 1.00, TempC: 25}, {VoltageV: 1.07, TempC: 25},
-		{VoltageV: 0.95, TempC: 25}, {VoltageV: 1.0, TempC: 85},
-	} {
-		if got := pushed(cond); 10*abs(got-nominal) > nominal {
-			t.Errorf("a build at %v pushes %d states, more than 10%% from nominal's %d", cond, got, nominal)
+	for _, v := range []float64{1.00, 1.07, 0.95} {
+		sf := cell.OperatingCondition{VoltageV: v}.SigmaFactor()
+		if got := pushed(sf); 10*abs(got-nominal) > nominal {
+			t.Errorf("a build at %v V (sigma factor %v) pushes %d states, more than 10%% from nominal's %d", v, sf, got, nominal)
 		}
 	}
 }

@@ -32,14 +32,7 @@ type Engine struct {
 	// DelayScale multiplies every nominal gate delay; the calibration step
 	// uses it to place the design's maximum frequency at a chosen value.
 	DelayScale float64
-	// Cond is the operating condition the gate delays are evaluated at.
-	// Its DelayFactor/SigmaFactor multiply on top of DelayScale/SigmaRel;
-	// at the nominal condition both are exactly 1.0 and the engine is
-	// bit-identical to a condition-free one.
-	Cond cell.OperatingCondition
 
-	// setup is the endpoint setup time at the condition (see Setup).
-	setup  float64
 	delays []variation.Canon
 	topo   []netlist.GateID
 	// Per ranking metric, delay holds each gate's scalar delay on the search
@@ -53,29 +46,10 @@ type Engine struct {
 	bound [numMetrics][]float64
 }
 
-// NewEngine prepares an engine at the nominal operating condition. The
-// netlist must validate.
+// NewEngine prepares an engine whose gate delays are the library's nominal
+// delays times delayScale, with relative sigma sigmaRel. The netlist must
+// validate.
 func NewEngine(n *netlist.Netlist, model *variation.Model, clockPeriod, sigmaRel, delayScale float64) (*Engine, error) {
-	return NewEngineAt(n, model, clockPeriod, sigmaRel, delayScale, cell.OperatingCondition{})
-}
-
-// NewEngineAt prepares an engine with gate delays evaluated at the given
-// operating condition: every nominal delay is inflated by the condition's
-// DelayFactor and the relative sigma by its SigmaFactor, so the SSTA
-// distributions (and everything downstream: DTS, calibrated slacks, error
-// rates) shift with voltage and temperature. DelayScale stays a pure design
-// property — calibration runs at the nominal condition and the V/T factors
-// multiply on top.
-func NewEngineAt(n *netlist.Netlist, model *variation.Model, clockPeriod, sigmaRel, delayScale float64, cond cell.OperatingCondition) (*Engine, error) {
-	if err := cond.Validate(); err != nil {
-		return nil, err
-	}
-	return newEngine(n, model, clockPeriod, sigmaRel, delayScale, cond, cond.DelayFactor(), cond.SigmaFactor())
-}
-
-// newEngine is NewEngineAt with the condition's delay and sigma factors
-// given, so a test can pass factors no valid condition has.
-func newEngine(n *netlist.Netlist, model *variation.Model, clockPeriod, sigmaRel, delayScale float64, cond cell.OperatingCondition, df, sf float64) (*Engine, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
@@ -88,13 +62,12 @@ func newEngine(n *netlist.Netlist, model *variation.Model, clockPeriod, sigmaRel
 	}
 	e := &Engine{
 		N: n, Model: model, ClockPeriod: clockPeriod,
-		SigmaRel: sigmaRel, DelayScale: delayScale, Cond: cond, topo: topo,
-		setup: cell.Setup * df,
+		SigmaRel: sigmaRel, DelayScale: delayScale, topo: topo,
 	}
 	e.delays = make([]variation.Canon, n.NumGates())
 	for i := range n.Gates() {
 		g := &n.Gates()[i]
-		e.delays[i] = model.CanonicalScaled(g.X, g.Y, g.Kind.Delay()*delayScale, sigmaRel, df, sf)
+		e.delays[i] = model.Canonical(g.X, g.Y, g.Kind.Delay()*delayScale, sigmaRel)
 	}
 	return e, nil
 }
@@ -114,12 +87,6 @@ func (e *Engine) prepare() {
 
 // GateDelay returns the canonical delay form of a gate.
 func (e *Engine) GateDelay(id netlist.GateID) variation.Canon { return e.delays[id] }
-
-// Setup returns the setup time charged at every path's endpoint in ps: the
-// library's cell.Setup times the condition's DelayFactor, which derates the
-// flip-flop like every gate delay (exactly cell.Setup at nominal). Every
-// path delay, slack and endpoint bound of the engine adds this value.
-func (e *Engine) Setup() float64 { return e.setup }
 
 // nominalMetric selects which per-gate scalar delay drives path ranking.
 type nominalMetric int
@@ -359,7 +326,7 @@ func (e *Engine) kCriticalTo(ep netlist.GateID, k int, m nominalMetric, a *Arena
 			out = append(out, netlist.Path{
 				Gates:        a.gates(idx),
 				Endpoint:     ep,
-				NominalDelay: s.sufDelay + e.setup,
+				NominalDelay: s.sufDelay + cell.Setup,
 			})
 			continue
 		}
@@ -408,7 +375,7 @@ func (e *Engine) CriticalPathsIn(ep netlist.GateID, k int, a *Arena) []netlist.P
 }
 
 func (e *Engine) nominalPathDelay(p netlist.Path) float64 {
-	d := e.setup
+	d := cell.Setup
 	for _, g := range p.Gates {
 		d += e.delays[g].Mean
 	}
@@ -416,9 +383,9 @@ func (e *Engine) nominalPathDelay(p netlist.Path) float64 {
 }
 
 // PathDelay returns the canonical delay form of a path: the exact sum of its
-// gate delay forms plus the endpoint setup time (Setup).
+// gate delay forms plus the endpoint setup time (cell.Setup).
 func (e *Engine) PathDelay(p netlist.Path) variation.Canon {
-	sum := e.Model.Const(e.setup)
+	sum := e.Model.Const(cell.Setup)
 	for _, g := range p.Gates {
 		sum.AddInPlace(e.delays[g])
 	}
@@ -537,7 +504,7 @@ func (e *Engine) WorstSlackNominal(stage int) float64 {
 	worst := math.Inf(1)
 	for _, ep := range e.N.Endpoints(stage) {
 		driver := e.N.Gate(ep).Fanin[0]
-		slack := e.ClockPeriod - e.setup - (bound[driver] + delay[driver])
+		slack := e.ClockPeriod - cell.Setup - (bound[driver] + delay[driver])
 		if slack < worst {
 			worst = slack
 		}
@@ -555,7 +522,7 @@ func (e *Engine) MaxDelayNominal() float64 {
 	for s := 0; s < e.N.Stages; s++ {
 		for _, ep := range e.N.Endpoints(s) {
 			driver := e.N.Gate(ep).Fanin[0]
-			if d := bound[driver] + delay[driver] + e.setup; d > worst {
+			if d := bound[driver] + delay[driver] + cell.Setup; d > worst {
 				worst = d
 			}
 		}

@@ -92,7 +92,7 @@ func (s *Simulator) Cycle(eps []netlist.GateID, t int, tr *activity.Trace) Cycle
 		}
 	}
 	if res.Active {
-		res.Slack = s.Engine.ClockPeriod - s.Engine.Setup() - res.Latest
+		res.Slack = s.Engine.ClockPeriod - cell.Setup - res.Latest
 		res.Violation = res.Slack < 0
 	}
 	return res

@@ -99,16 +99,6 @@ func (m *Model) Canonical(x, y, nominal, sigmaRel float64) Canon {
 	return c
 }
 
-// CanonicalScaled is Canonical with an operating-condition scaling applied:
-// the nominal delay is multiplied by delayFactor (the V/T delay inflation)
-// and the relative sigma by sigmaFactor (droop-driven variability growth).
-// It is definitionally Canonical(x, y, nominal*delayFactor,
-// sigmaRel*sigmaFactor), so factors of exactly 1.0 reproduce the unscaled
-// form bit-identically (multiplication by 1.0 is exact in IEEE 754).
-func (m *Model) CanonicalScaled(x, y, nominal, sigmaRel, delayFactor, sigmaFactor float64) Canon {
-	return m.Canonical(x, y, nominal*delayFactor, sigmaRel*sigmaFactor)
-}
-
 // Zero returns an all-zero canonical form sized for this model.
 func (m *Model) Zero() Canon { return Canon{Sens: make([]float64, m.total)} }
 
