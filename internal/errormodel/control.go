@@ -38,8 +38,12 @@ const prefixWindow = cpu.NumStages
 
 // stimMemoLimit bounds the stimulus memo; dropping it wholesale on overflow
 // keeps memory bounded without affecting results (entries are pure functions
-// of their key).
-const stimMemoLimit = 1 << 12
+// of their key). A machine serves every temperature at its voltage, each at
+// periods of its own, so the bound is four times the 1<<12 sized for one
+// condition: in a 30-s run of the bench's 2x2 V/T oppoint-grid workload the
+// two machines dropped a 1<<12 memo 90 times and this one never. Plain
+// estimates, at one period, stay under 1<<12.
+const stimMemoLimit = 1 << 14
 
 // stimEntry is one memoized control stimulus: the control-path instruction
 // failure probability at every fetch position queried so far. The
