@@ -38,11 +38,10 @@ const prefixWindow = cpu.NumStages
 
 // stimMemoLimit bounds the stimulus memo; dropping it wholesale on overflow
 // keeps memory bounded without affecting results (entries are pure functions
-// of their key). A machine serves every temperature at its voltage, each at
-// periods of its own, so the bound is four times the 1<<12 sized for one
-// condition: in a 30-s run of the bench's 2x2 V/T oppoint-grid workload the
-// two machines dropped a 1<<12 memo 90 times and this one never. Plain
-// estimates, at one period, stay under 1<<12.
+// of their key). A machine serves every temperature of its voltage, each at
+// periods of its own: at the 1<<12 sized for one condition, the bench's
+// oppoint-grid workload dropped it 90 times in 30 s, and at this bound
+// never. Plain estimates, at one period, stay under 1<<12.
 const stimMemoLimit = 1 << 14
 
 // stimEntry is one memoized control stimulus: the control-path instruction

@@ -89,10 +89,9 @@ type Machine struct {
 	Mult    *gen.MultiplierNet
 
 	// BasePeriodPs, PoFFPeriodPs and WorkingPeriodPs are the physical clock
-	// periods of the three operating points in picoseconds, fixed at
-	// construction. The engines carry AnalysisPeriodPs, PeriodPs at the
-	// machine's condition and working ratio (WorkingPeriodPs at nominal); an
-	// analysis at another period passes it to the period-taking methods.
+	// periods of the three operating points in picoseconds. The engines carry
+	// AnalysisPeriodPs, PeriodPs at Opts.Cond and WorkingRatio; an analysis
+	// at another period passes it to the period-taking methods.
 	BasePeriodPs     float64
 	PoFFPeriodPs     float64
 	WorkingPeriodPs  float64

@@ -133,17 +133,10 @@ func SpecFor(b mibench.Benchmark, scenarios int) core.ProgramSpec {
 // Analyze runs the full framework on one named benchmark, honoring ctx
 // cancellation and deadlines and the resilience options (worker bound,
 // retries, fail-fast, graceful degradation via MinScenarios); it is the
-// daemon's server.Config.Analyze.
+// daemon's server.Config.Analyze. It is AnalyzeAt at the engine's own
+// condition and working ratio.
 func (e *Engine) Analyze(ctx context.Context, name string, scenarios int, opts core.AnalyzeOpts) (*core.Report, error) {
-	b, err := mibench.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := e.Framework(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return f.AnalyzeWithOpts(ctx, b.Name, SpecFor(b, scenarios), opts)
+	return e.AnalyzeAt(ctx, name, scenarios, opts, e.cond, 0)
 }
 
 // Table2Header returns the header of the Table 2 reproduction.
