@@ -21,7 +21,7 @@ func init() { SetModelCache(false, "") }
 
 // SetModelCache replaces the default engine with a nominal engine that
 // builds through the model cache in dir when enabled (modelcache.Dir's
-// rule). bench/ calls it once, before its first analysis.
+// rule). bench/ calls it at the start of each run, before any analysis.
 func SetModelCache(enabled bool, dir string) {
 	e, _ := New(cell.OperatingCondition{}, modelcache.Dir(enabled, dir)) // nominal always validates
 	std.Store(e)
