@@ -100,8 +100,8 @@ bench:
 # calibration, the multiplier's k-critical-path searches, a fresh daemon's
 # set-up with and without the framework build (BenchmarkLayer/setup-cold and
 # control-cold), and a built nominal engine's first request at a new
-# voltage and at a new temperature-only corner (BenchmarkCornerFirstRequest),
-# five rounds at -cpu 1 and 2. Two runs, because a pattern with a
+# voltage, at its own temperature and at 85 C, and at a new temperature-only
+# corner (BenchmarkCornerFirstRequest), five rounds at -cpu 1 and 2. Two runs, because a pattern with a
 # sub-benchmark level reports no benchmark that has none.
 BENCH_COLD_OUT := BENCH_$(shell date +%Y-%m-%d)-cold.json
 BENCH_COLD_FLAGS := -run '^$$' -count 5 -cpu 1,2 -benchmem -json

@@ -315,9 +315,12 @@ func BenchmarkFrameworkSetupAt(b *testing.B) {
 // costs a nominal engine whose own framework is built (untimed): its first
 // request there, a 2-scenario stringsearch analysis at the working ratio.
 // At a new voltage the request builds that voltage's framework from the
-// engine's scales; at a temperature-only corner it trains the datapath
-// model at the corner's period on the engine's own framework. Either way it
-// characterizes the program's control network at that period.
+// engine's scales, at the engine's temperature, which trains the datapath
+// model at that framework's own period; at another temperature of that
+// voltage (1.0V-85C) the request then trains the model at its own period
+// too. At a temperature-only corner it trains the datapath model at the
+// corner's period on the engine's own framework. Every row characterizes
+// the program's control network at the request's period.
 func BenchmarkCornerFirstRequest(b *testing.B) {
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -325,6 +328,7 @@ func BenchmarkCornerFirstRequest(b *testing.B) {
 		cond cell.OperatingCondition
 	}{
 		{"1.0V-25C", cell.OperatingCondition{VoltageV: 1.0, TempC: 25}},
+		{"1.0V-85C", cell.OperatingCondition{VoltageV: 1.0, TempC: 85}},
 		{"1.1V-85C", cell.OperatingCondition{VoltageV: 1.1, TempC: 85}},
 	} {
 		b.Run(c.name, func(b *testing.B) {

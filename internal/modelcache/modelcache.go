@@ -49,7 +49,10 @@ import (
 // tables trained with the setup time derated by the condition, and the
 // datapath tables as one byte string. Version 4: off-nominal tables
 // trained on engines at delay factor 1 with the period divided by the
-// condition's DelayFactor, which moves them in the last digits.
+// condition's DelayFactor. Their slack forms (AdderSlack, ShiftSlack,
+// MulSlack) are in picoseconds at that analysis period, the old values
+// divided by the DelayFactor; only the failure probabilities move in the
+// last digits.
 const SchemaVersion = 4
 
 // maxFileBytes caps the bytes a reader takes from a snapshot file; a larger
