@@ -66,15 +66,13 @@ func (f *Framework) AnalyzeAt(ctx context.Context, name string, spec ProgramSpec
 }
 
 // periodModelLimit bounds the datapath models a framework keeps for periods
-// other than its analysis period. On the default operating-point grid of
-// tsperr and tsperrd (1.0 to 1.3 in 16 steps) each temperature at the
-// framework's voltage has 17 periods, one fewer at its own, whose midpoint
-// is the analysis period bit for bit. The bound is that grid at two
-// temperatures, the most a voltage serves in the bench's oppoint-grid
-// workload (25 and 85 C), so those searches keep every model they train.
-// More evict, least recently used first; every search probes the slow end,
-// and every bisecting one the fast end and the midpoint too, so those stay
-// kept.
+// other than its analysis period: the default operating-point grid of tsperr
+// and tsperrd (1.0 to 1.3 in 16 steps) at two temperatures of its voltage,
+// as the bench's oppoint-grid workload searches 25 and 85 C. Each has 17
+// periods, one fewer at the framework's own, whose midpoint is the analysis
+// period bit for bit. More evict, least recently used first; every search
+// probes the slow end, and every bisecting one the fast end and the midpoint
+// too, so those stay kept.
 const periodModelLimit = 16 + 17
 
 // datapathAt returns the datapath model trained at period. The framework

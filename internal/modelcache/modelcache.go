@@ -47,12 +47,10 @@ import (
 // Version 3: the scales and tables of the exact-sum path search, whose tie
 // order moved the multiplier, shifter and control scales, off-nominal
 // tables trained with the setup time derated by the condition, and the
-// datapath tables as one byte string. Version 4: off-nominal tables
-// trained on engines at delay factor 1 with the period divided by the
-// condition's DelayFactor. Their slack forms (AdderSlack, ShiftSlack,
-// MulSlack) are in picoseconds at that analysis period, the old values
-// divided by the DelayFactor; only the failure probabilities move in the
-// last digits.
+// datapath tables as one byte string. Version 4: off-nominal tables trained
+// on delay-factor-1 engines at the period divided by the DelayFactor, whose
+// slack forms are the old ones divided by it (picoseconds at that period)
+// and whose failure probabilities moved in the last digits.
 const SchemaVersion = 4
 
 // maxFileBytes caps the bytes a reader takes from a snapshot file; a larger
