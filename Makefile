@@ -89,9 +89,12 @@ smoke:
 # `make bench` records the full benchmark suite as go-test JSON events in
 # BENCH_<date>.json (benchstat-friendly after extracting the output lines:
 #   jq -r 'select(.Action=="output").Output' BENCH_<date>.json | benchstat -).
+# It refuses to run when that file exists, so a second run on one day never
+# overwrites a committed record: name another file with BENCH_OUT=<file>.
 BENCH_OUT := BENCH_$(shell date +%Y-%m-%d).json
 
 bench:
+	@if [ -e $(BENCH_OUT) ]; then echo "$(BENCH_OUT) exists; record to another file with BENCH_OUT=<file>" >&2; exit 1; fi
 	$(GO) test -run '^$$' -bench . -benchmem -json . | tee $(BENCH_OUT)
 
 # `make bench-cold` records the cold set-up rows the same way, in
@@ -102,11 +105,14 @@ bench:
 # control-cold), and a built nominal engine's first request at a new
 # voltage, at its own temperature and at 85 C, and at a new temperature-only
 # corner (BenchmarkCornerFirstRequest), five rounds at -cpu 1 and 2. Two runs, because a pattern with a
-# sub-benchmark level reports no benchmark that has none.
+# sub-benchmark level reports no benchmark that has none. Like `make bench`,
+# it refuses to overwrite an existing file: name another with
+# BENCH_COLD_OUT=<file>.
 BENCH_COLD_OUT := BENCH_$(shell date +%Y-%m-%d)-cold.json
 BENCH_COLD_FLAGS := -run '^$$' -count 5 -cpu 1,2 -benchmem -json
 
 bench-cold:
+	@if [ -e $(BENCH_COLD_OUT) ]; then echo "$(BENCH_COLD_OUT) exists; record to another file with BENCH_COLD_OUT=<file>" >&2; exit 1; fi
 	{ $(GO) test $(BENCH_COLD_FLAGS) -bench '^(BenchmarkFrameworkSetup|BenchmarkCalibrateScale|BenchmarkCriticalPaths)$$' . && \
 	  $(GO) test $(BENCH_COLD_FLAGS) -bench '^(BenchmarkLayer|BenchmarkFrameworkSetupAt|BenchmarkCornerFirstRequest)$$/^(setup-cold|control-cold|1.0V-85C|1.07V-25C|1.0V-25C|1.1V-85C)$$' . ; } | tee $(BENCH_COLD_OUT)
 

@@ -143,16 +143,12 @@ func BenchmarkOperatingPoint(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dpWork, err := m.TrainDatapath(context.Background())
+		table, err := m.TrainDatapath(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		workER = dpWork.AdderFail[32]
-		dpPoFF, err := m.TrainDatapathWorkers(context.Background(), 0, m.PoFFPeriodPs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		poffER = dpPoFF.AdderFail[32]
+		workER = table.At(m.AnalysisPeriodPs).AdderFail[32]
+		poffER = table.At(m.PoFFPeriodPs).AdderFail[32]
 	}
 	b.ReportMetric(poffER, "fullChainFail_at_PoFF")
 	b.ReportMetric(workER, "fullChainFail_at_1.15x")
@@ -237,7 +233,7 @@ func BenchmarkAblationKPaths(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dp2, err := m2.TrainDatapath(context.Background())
+		table2, err := m2.TrainDatapath(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,12 +242,12 @@ func BenchmarkAblationKPaths(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dp8, err := m8.TrainDatapath(context.Background())
+		table8, err := m8.TrainDatapath(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(dp2.AdderFail[32], "fullChainFail_K2")
-		b.ReportMetric(dp8.AdderFail[32], "fullChainFail_K8")
+		b.ReportMetric(table2.At(m2.AnalysisPeriodPs).AdderFail[32], "fullChainFail_K2")
+		b.ReportMetric(table8.At(m8.AnalysisPeriodPs).AdderFail[32], "fullChainFail_K8")
 	}
 }
 
@@ -315,12 +311,12 @@ func BenchmarkFrameworkSetupAt(b *testing.B) {
 // costs a nominal engine whose own framework is built (untimed): its first
 // request there, a 2-scenario stringsearch analysis at the working ratio.
 // At a new voltage the request builds that voltage's framework from the
-// engine's scales, at the engine's temperature, which trains the datapath
-// model at that framework's own period; at another temperature of that
-// voltage (1.0V-85C) the request then trains the model at its own period
-// too. At a temperature-only corner it trains the datapath model at the
-// corner's period on the engine's own framework. Every row characterizes
-// the program's control network at the request's period.
+// engine's scales, which trains its period-free datapath table once,
+// whatever the request's temperature (1.0V-25C and 1.0V-85C). At a
+// temperature-only corner (1.1V-85C) the engine's own framework serves it.
+// No row trains at the request's period: the model there is one shift of
+// the table. Every row characterizes the program's control network at the
+// request's period.
 func BenchmarkCornerFirstRequest(b *testing.B) {
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -647,13 +643,17 @@ func BenchmarkStageDTSMemoHit(b *testing.B) {
 	}
 }
 
-// BenchmarkPeriodSweepTraining measures datapath training at a period that
-// alternates between the working and PoFF points — the shape of an
-// operating-point bisection. The endpoint path sets and activation
-// signatures are period-independent, so how much of the per-period work the
-// analyzers reuse shows up directly here.
+// BenchmarkPeriodSweepTraining measures what the datapath model at a new
+// clock period costs, alternating between the working and PoFF periods — the
+// shape of an operating-point bisection: the trained table's At and the
+// FailTable an analysis reads of its result. The table is trained once,
+// untimed; no period trains.
 func BenchmarkPeriodSweepTraining(b *testing.B) {
 	m, err := errormodel.NewMachine(errormodel.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	table, err := m.TrainDatapath(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -661,8 +661,8 @@ func BenchmarkPeriodSweepTraining(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.TrainDatapathWorkers(context.Background(), 0, periods[i%2]); err != nil {
-			b.Fatal(err)
+		if table.At(periods[i%2]).FailTable() == nil {
+			b.Fatal("no fail table")
 		}
 	}
 }

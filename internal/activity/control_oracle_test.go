@@ -217,18 +217,18 @@ func scenarioZero(t *testing.T, bm mibench.Benchmark, ft *cpu.FailTable) (*cfg.G
 }
 
 // characterizationMachine returns a fresh machine and the fail table of its
-// trained datapath.
+// trained datapath at its analysis period.
 func characterizationMachine(t *testing.T) (*errormodel.Machine, *cpu.FailTable) {
 	t.Helper()
 	m, err := errormodel.NewMachine(errormodel.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := m.TrainDatapath(context.Background())
+	table, err := m.TrainDatapath(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, dp.FailTable()
+	return m, table.At(m.AnalysisPeriodPs).FailTable()
 }
 
 // sameChar fails the test unless two characterizations are bit-identical.

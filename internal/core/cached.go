@@ -12,11 +12,13 @@ import (
 // model cache in dir. On a warm start (a valid snapshot exists for these
 // options and the current cell library) the expensive once-per-design work —
 // SSTA calibration of every unit and datapath training — is skipped: the
-// machine rebuilds from the cached delay scales and the trained tables
-// restore directly once they pass DatapathModel.Validate. On a miss the
-// framework builds normally under ctx and its results are published to the
-// cache for the next run; a failed cache write is deliberately non-fatal
-// (the framework is still correct, the next run just stays cold).
+// machine rebuilds from the cached delay scales and the period-free
+// datapath table restores directly once it passes DatapathTable.Validate,
+// which rejects a table that would give a probability that is not a
+// number. On a miss the framework builds normally under ctx and its results
+// are published to the cache for the next run; a failed cache write is
+// deliberately non-fatal (the framework is still correct, the next run just
+// stays cold).
 //
 // The returned warm flag reports whether the cache was hit.
 func NewFrameworkCachedContext(ctx context.Context, opts errormodel.Options, dir string) (fw *Framework, warm bool, err error) {
@@ -30,7 +32,7 @@ func NewFrameworkCachedContext(ctx context.Context, opts errormodel.Options, dir
 			return newFramework(m, snap.Datapath), true, nil
 		}
 		// A snapshot whose scales cannot rebuild a machine (a corrupt file,
-		// or a unit renamed without a schema bump) or whose datapath model
+		// or a unit renamed without a schema bump) or whose datapath table
 		// does not validate is a miss: the full rebuild below overwrites it.
 	}
 	fw, err = NewFrameworkContext(ctx, opts)
@@ -39,7 +41,7 @@ func NewFrameworkCachedContext(ctx context.Context, opts errormodel.Options, dir
 	}
 	_ = modelcache.Save(dir, key, &modelcache.Snapshot{
 		Scales:   fw.Machine.Scales(),
-		Datapath: fw.Datapath,
+		Datapath: fw.table,
 	})
 	return fw, false, nil
 }

@@ -18,21 +18,9 @@ import (
 	"tsperr/internal/variation"
 )
 
-// datapathTablesEqual compares the trained (exported, serialized) tables of
-// two datapath models, ignoring the lazily built lookup-table state.
-func datapathTablesEqual(a, b *errormodel.DatapathModel) bool {
-	return reflect.DeepEqual(a.AdderSlack, b.AdderSlack) &&
-		reflect.DeepEqual(a.AdderFail, b.AdderFail) &&
-		reflect.DeepEqual(a.ShiftSlack, b.ShiftSlack) &&
-		reflect.DeepEqual(a.ShiftFail, b.ShiftFail) &&
-		a.LogicFail == b.LogicFail &&
-		reflect.DeepEqual(a.MulSlack, b.MulSlack) &&
-		reflect.DeepEqual(a.MulFail, b.MulFail)
-}
-
 // TestNewFrameworkCachedWarm primes the cache from the shared fixture and
-// checks the warm path restores a framework with bit-identical trained
-// tables and calibrated scales, without retraining.
+// checks the warm path restores a framework with a bit-identical datapath
+// table and calibrated scales, without retraining.
 func TestNewFrameworkCachedWarm(t *testing.T) {
 	f := testFramework(t)
 	dir := t.TempDir()
@@ -40,7 +28,7 @@ func TestNewFrameworkCachedWarm(t *testing.T) {
 	key := modelcache.Key(opts, cell.Fingerprint())
 	if err := modelcache.Save(dir, key, &modelcache.Snapshot{
 		Scales:   f.Machine.Scales(),
-		Datapath: f.Datapath,
+		Datapath: f.table,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +39,8 @@ func TestNewFrameworkCachedWarm(t *testing.T) {
 	if !warm {
 		t.Fatal("primed cache should hit")
 	}
-	if !datapathTablesEqual(fw.Datapath, f.Datapath) {
-		t.Error("restored datapath tables differ from the trained ones")
+	if !reflect.DeepEqual(fw.table, f.table) || !reflect.DeepEqual(fw.Datapath.AdderFail, f.Datapath.AdderFail) {
+		t.Error("the restored datapath table or its model differs from the trained one")
 	}
 	if !reflect.DeepEqual(fw.Machine.Scales(), f.Machine.Scales()) {
 		t.Errorf("restored scales %v != trained %v", fw.Machine.Scales(), f.Machine.Scales())
@@ -88,8 +76,8 @@ func TestNewFrameworkCachedColdPublishes(t *testing.T) {
 	if !warm {
 		t.Fatal("second build should be warm")
 	}
-	if !datapathTablesEqual(hot.Datapath, cold.Datapath) {
-		t.Error("warm datapath tables differ from the cold build")
+	if !reflect.DeepEqual(hot.table, cold.table) {
+		t.Error("the warm datapath table differs from the cold build's")
 	}
 	if !reflect.DeepEqual(hot.Machine.Scales(), cold.Machine.Scales()) {
 		t.Error("warm scales differ from the cold build")
@@ -100,17 +88,20 @@ func TestNewFrameworkCachedColdPublishes(t *testing.T) {
 // that decode under the right key but carry a corrupt model. Before the
 // load path validated the model, adder tables cut to 3 rows made every
 // scenario panic in FailTable, and NaN adder probabilities reported a NaN
-// error rate with a verdict. Each must now be a miss: the framework
-// rebuilds, reports the clean model's bytes, and overwrites the snapshot
-// with one that validates.
+// error rate with a verdict. A sensitivity of 1e200, whose square
+// overflows, gives a NaN variance and probability; while snapshots held
+// probabilities the stored NaN matched the recomputed one, the snapshot was
+// served, and every analysis failed with a non-finite lambda. Each must
+// now be a miss: the framework rebuilds, reports the clean model's bytes,
+// and overwrites the snapshot with one that validates.
 func TestNewFrameworkCachedRebuildsInvalidSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full framework builds in -short mode")
 	}
 	f := testFramework(t)
 	pcs := f.Machine.Model.NumPCs()
-	if err := f.Datapath.Validate(pcs); err != nil {
-		t.Fatalf("trained model does not validate: %v", err)
+	if err := f.table.Validate(pcs); err != nil {
+		t.Fatalf("trained table does not validate: %v", err)
 	}
 	report := func(fw *Framework) []byte {
 		t.Helper()
@@ -134,31 +125,29 @@ func TestNewFrameworkCachedRebuildsInvalidSnapshot(t *testing.T) {
 		name    string
 		corrupt func(*modelcache.Snapshot)
 	}{
-		{"an untrained adder row holding a probability", func(s *modelcache.Snapshot) {
-			d := slices.IndexFunc(s.Datapath.AdderSlack, func(c variation.Canon) bool { return len(c.Sens) == 0 })
+		{"an untrained adder row holding a mean", func(s *modelcache.Snapshot) {
+			d := slices.IndexFunc(s.Datapath.Adder, func(c variation.Canon) bool { return len(c.Sens) == 0 })
 			if d < 0 {
-				t.Fatal("the adder tables have no untrained row")
+				t.Fatal("the adder table has no untrained row")
 			}
-			s.Datapath.AdderFail[d] = 0.5
+			s.Datapath.Adder[d].Mean = -0.5
 		}},
-		{"adder probabilities NaN", func(s *modelcache.Snapshot) {
-			for d := range s.Datapath.AdderFail {
-				s.Datapath.AdderFail[d] = math.NaN()
+		{"adder means NaN", func(s *modelcache.Snapshot) {
+			for d := range s.Datapath.Adder {
+				s.Datapath.Adder[d].Mean = math.NaN()
 			}
+		}},
+		{"a sensitivity of 1e200", func(s *modelcache.Snapshot) {
+			row := &s.Datapath.Adder[len(s.Datapath.Adder)-1]
+			row.Sens = slices.Clone(row.Sens)
+			row.Sens[0] = 1e200
 		}},
 		{"a scale NaN", func(s *modelcache.Snapshot) { s.Scales[f.Machine.AdderEngine.N.Name] = math.NaN() }},
 	} {
 		dir := t.TempDir()
-		dp := f.Datapath
-		snap := &modelcache.Snapshot{
-			Scales: maps.Clone(f.Machine.Scales()),
-			Datapath: &errormodel.DatapathModel{
-				AdderSlack: dp.AdderSlack, AdderFail: slices.Clone(dp.AdderFail),
-				ShiftSlack: dp.ShiftSlack, ShiftFail: dp.ShiftFail,
-				MulSlack: dp.MulSlack, MulFail: dp.MulFail,
-				LogicFail: dp.LogicFail,
-			},
-		}
+		table := *f.table
+		table.Adder = slices.Clone(table.Adder)
+		snap := &modelcache.Snapshot{Scales: maps.Clone(f.Machine.Scales()), Datapath: &table}
 		tc.corrupt(snap)
 		if err := modelcache.Save(dir, key, snap); err != nil {
 			t.Fatal(err)

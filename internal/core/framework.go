@@ -19,21 +19,20 @@ import (
 // characterization, instrumented simulation over input scenarios, marginal
 // probability computation, and the Section 5 statistics.
 type Framework struct {
-	Machine  *errormodel.Machine
+	Machine *errormodel.Machine
+	// Datapath is the datapath model at the machine's analysis period,
+	// computed once when the framework is built.
 	Datapath *errormodel.DatapathModel
 
-	// periodModels keeps the datapath models AnalyzeAt trained at periods
-	// other than the machine's analysis period (see datapathAt).
-	periodModels *pool.Memo[uint64, *errormodel.DatapathModel]
+	// table is the period-free datapath table the machine trained (or its
+	// snapshot restored); AnalyzeAt derives the model at any other period
+	// from it.
+	table *errormodel.DatapathTable
 }
 
 // newFramework assembles a framework from its trained parts.
-func newFramework(m *errormodel.Machine, dp *errormodel.DatapathModel) *Framework {
-	return &Framework{
-		Machine:      m,
-		Datapath:     dp,
-		periodModels: pool.NewMemo[uint64, *errormodel.DatapathModel](periodModelLimit),
-	}
+func newFramework(m *errormodel.Machine, t *errormodel.DatapathTable) *Framework {
+	return &Framework{Machine: m, Datapath: t.At(m.AnalysisPeriodPs), table: t}
 }
 
 // NewFramework builds and trains the machine-dependent parts (everything
@@ -58,17 +57,17 @@ func NewFrameworkWithScales(ctx context.Context, opts errormodel.Options, scales
 	return trained(ctx, m, err)
 }
 
-// trained trains the datapath model of m, which its constructor returned
+// trained trains the datapath table of m, which its constructor returned
 // with err, under ctx.
 func trained(ctx context.Context, m *errormodel.Machine, err error) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	dp, err := m.TrainDatapath(ctx)
+	t, err := m.TrainDatapath(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return newFramework(m, dp), nil
+	return newFramework(m, t), nil
 }
 
 // ProgramSpec describes one benchmark to analyze.
@@ -203,8 +202,8 @@ func (f *Framework) AnalyzeWithOpts(ctx context.Context, name string, spec Progr
 }
 
 // analyze is AnalyzeWithOpts at clock period period, with dp the datapath
-// model trained at that period. It writes no field of f, so analyses at any
-// periods may share one framework concurrently.
+// model at that period. It writes no field of f, so analyses at any periods
+// may share one framework concurrently.
 func (f *Framework) analyze(ctx context.Context, name string, spec ProgramSpec, opts AnalyzeOpts, period float64, dp *errormodel.DatapathModel) (*Report, error) {
 	if spec.Scenarios <= 0 {
 		return nil, fmt.Errorf("core: %s: need at least one scenario", name)

@@ -8,7 +8,6 @@ import (
 
 	"tsperr/internal/cell"
 	"tsperr/internal/cpu"
-	"tsperr/internal/errormodel"
 )
 
 // OperatingPoint is the outcome of one SelectOperatingPoint search.
@@ -34,12 +33,13 @@ type OperatingPoint struct {
 
 // AnalyzeAt analyzes the program at operating condition cond and frequency
 // ratio ratio (speculative over baseline): at the clock period
-// Machine.PeriodPs, with the datapath model trained at it (see datapathAt).
-// The engines carry the relative sigma of the framework's own condition, so
-// cond must have its SigmaFactor: a condition at the framework's voltage, at
-// any temperature. Analyses at any points may share the framework
-// concurrently, and each is bit-identical to one on a fresh framework. A
-// point at the machine's analysis period is the plain AnalyzeWithOpts.
+// Machine.PeriodPs, with the datapath model at it, which the framework's
+// period-free table gives without training. The engines carry the relative
+// sigma of the framework's own condition, so cond must have its
+// SigmaFactor: a condition at the framework's voltage, at any temperature.
+// Analyses at any points may share the framework concurrently, and each is
+// bit-identical to one on a fresh framework. A point at the machine's
+// analysis period is the plain AnalyzeWithOpts.
 func (f *Framework) AnalyzeAt(ctx context.Context, name string, spec ProgramSpec, cond cell.OperatingCondition, ratio float64, opts AnalyzeOpts) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -57,32 +57,9 @@ func (f *Framework) AnalyzeAt(ctx context.Context, name string, spec ProgramSpec
 	period := f.Machine.PeriodPs(cond, ratio)
 	dp := f.Datapath
 	if math.Float64bits(period) != math.Float64bits(f.Machine.AnalysisPeriodPs) {
-		var err error
-		if dp, err = f.datapathAt(ctx, period); err != nil {
-			return nil, err
-		}
+		dp = f.table.At(period)
 	}
 	return f.analyze(ctx, name, spec, opts, period, dp)
-}
-
-// periodModelLimit bounds the datapath models a framework keeps for periods
-// other than its analysis period: the default operating-point grid of tsperr
-// and tsperrd (1.0 to 1.3 in 16 steps) at two temperatures of its voltage,
-// as the bench's oppoint-grid workload searches 25 and 85 C. Each has 17
-// periods, one fewer at the framework's own, whose midpoint is the analysis
-// period bit for bit. More evict, least recently used first; every search
-// probes the slow end, and every bisecting one the fast end and the midpoint
-// too, so those stay kept.
-const periodModelLimit = 16 + 17
-
-// datapathAt returns the datapath model trained at period. The framework
-// keeps the periodModelLimit most recently used ones by the float bits of
-// their period; a model is a pure function of the machine and the period, so
-// a kept one is the model a new training would return.
-func (f *Framework) datapathAt(ctx context.Context, period float64) (*errormodel.DatapathModel, error) {
-	return f.periodModels.Get(ctx, math.Float64bits(period), func(ctx context.Context) (*errormodel.DatapathModel, error) {
-		return f.Machine.TrainDatapathWorkers(ctx, 0, period)
-	})
 }
 
 // MaxBisectSteps bounds the quantized ratio grid of SelectOperatingPoint;

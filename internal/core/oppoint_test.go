@@ -367,62 +367,6 @@ func TestConcurrentRatiosShareOneFramework(t *testing.T) {
 	}
 }
 
-// TestPeriodStoreKeepsRecentlyUsed fills a framework's datapath models past
-// periodModelLimit while asking for one period after every training: that
-// period keeps the model first trained, and the oldest untouched one is
-// dropped. It also pins the limit's reason: on the default operating-point
-// grid (1.0 to 1.3 in 16 steps, ratios computed as SelectOperatingPoint
-// does) at the temperatures of the bench's oppoint-grid workload, the
-// framework's own 25 C and 85 C, every ratio but the working one at its own
-// temperature has a period of its own, periodModelLimit in all.
-func TestPeriodStoreKeepsRecentlyUsed(t *testing.T) {
-	ctx := context.Background()
-	m := testFramework(t).Machine
-	lo, hi, steps := 1.0, 1.3, 16
-	grid := map[uint64]bool{}
-	for _, temp := range []float64{25, 85} {
-		for i := 0; i <= steps; i++ {
-			ratio := hi
-			if i < steps {
-				ratio = lo + (hi-lo)*float64(i)/float64(steps)
-			}
-			if p := math.Float64bits(m.PeriodPs(cell.OperatingCondition{TempC: temp}, ratio)); p != math.Float64bits(m.AnalysisPeriodPs) {
-				grid[p] = true
-			}
-		}
-	}
-	if len(grid) != periodModelLimit {
-		t.Errorf("the default grid at 25 and 85 C has %d non-working periods, periodModelLimit is %d", len(grid), periodModelLimit)
-	}
-
-	f := newFramework(testFramework(t).Machine, nil)
-	at := func(ratio float64) *errormodel.DatapathModel {
-		t.Helper()
-		dp, err := f.datapathAt(ctx, m.BasePeriodPs/ratio)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dp
-	}
-	hot := at(1.01)
-	at(1.02)
-	for i := 1; i < periodModelLimit; i++ {
-		at(1.1 + float64(i)/100)
-		if at(1.01) != hot {
-			t.Fatalf("after %d trainings the most recently used model was retrained", i+2)
-		}
-	}
-	// A probe whose training fails reports whether a model is kept: a
-	// failed training is not.
-	_, err := f.periodModels.Get(ctx, math.Float64bits(m.BasePeriodPs/1.02), func(context.Context) (*errormodel.DatapathModel, error) {
-		return nil, errors.New("not kept")
-	})
-	if kept := f.periodModels.Len(); err == nil || kept != periodModelLimit {
-		t.Errorf("after %d trainings: least recently used kept %v, %d models kept; want it dropped and %d kept",
-			periodModelLimit+1, err == nil, kept, periodModelLimit)
-	}
-}
-
 var (
 	droopOnce sync.Once
 	droopFW   *Framework
@@ -591,42 +535,41 @@ func TestBisectRatioCancel(t *testing.T) {
 	}
 }
 
-// TestRepeatedRatioTrainsOnce pins the framework's store of datapath models
-// trained at non-working periods: a repeated analysis at one ratio reuses
-// the model the first trained, so it allocates about what an analysis at
-// the working ratio does, a training's worth less than when it trained,
-// and its report equals the first one byte for byte.
-func TestRepeatedRatioTrainsOnce(t *testing.T) {
+// TestOverrideNeverTrains pins that an analysis at a period other than the
+// framework's analysis period trains nothing: the first AnalyzeAt at each
+// new ratio allocates about what a repeated analysis at the working ratio
+// does, far from a datapath training's worth more, and its report equals a
+// fresh framework's byte for byte.
+func TestOverrideNeverTrains(t *testing.T) {
 	ctx := context.Background()
 	f := freshFramework(ctx, t, testFramework(t))
 	spec := ProgramSpec{Prog: isa.MustAssemble("sumloop", fwProg), Setup: fwSetup, Scenarios: 2}
-	const ratio = 1.22
-	first, err := f.AnalyzeAt(ctx, "sumloop", spec, cell.OperatingCondition{}, ratio, AnalyzeOpts{})
-	if err != nil {
-		t.Fatal(err)
+	at := func(f *Framework, ratio float64) *Report {
+		t.Helper()
+		rep, err := f.AnalyzeAt(ctx, "sumloop", spec, cell.OperatingCondition{}, ratio, AnalyzeOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	var again *Report
-	repeated := testing.AllocsPerRun(3, func() {
-		if again, err = f.AnalyzeAt(ctx, "sumloop", spec, cell.OperatingCondition{}, ratio, AnalyzeOpts{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	working := testing.AllocsPerRun(3, func() {
-		if _, err := f.AnalyzeWithOpts(ctx, "sumloop", spec, AnalyzeOpts{}); err != nil {
-			t.Fatal(err)
-		}
+	at(f, f.Machine.Opts.WorkingRatio) // the program's control analyzers, warm
+	working := testing.AllocsPerRun(3, func() { at(f, f.Machine.Opts.WorkingRatio) })
+	ratio, first := 1.2, (*Report)(nil)
+	fresh := testing.AllocsPerRun(3, func() {
+		ratio += 0.01
+		first = at(f, ratio)
 	})
 	training := testing.AllocsPerRun(1, func() {
-		if _, err := f.Machine.TrainDatapathWorkers(ctx, 0, f.Machine.PeriodPs(f.Machine.Opts.Cond, ratio)); err != nil {
+		if _, err := f.Machine.TrainDatapath(ctx); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("allocations: repeated override %.0f, working ratio %.0f, one training %.0f", repeated, working, training)
-	if repeated > working+training/2 {
-		t.Errorf("a repeated override allocates %.0f objects, want about the working ratio's %.0f (one training is %.0f)",
-			repeated, working, training)
+	t.Logf("allocations: first analysis at a new ratio %.0f, working ratio %.0f, one training %.0f", fresh, working, training)
+	if fresh > working+training/2 {
+		t.Errorf("the first analysis at a new ratio allocates %.0f objects, want about the working ratio's %.0f (one training is %.0f)",
+			fresh, working, training)
 	}
-	if got, want := stableReportJSON(t, again), stableReportJSON(t, first); got != want {
-		t.Errorf("repeated override's report differs from the first:\nfirst:  %s\nrepeat: %s", want, got)
+	if got, want := stableReportJSON(t, first), stableReportJSON(t, at(freshFramework(ctx, t, f), ratio)); got != want {
+		t.Errorf("ratio %v: the report differs from a fresh framework's:\nfresh:  %s\nshared: %s", ratio, want, got)
 	}
 }

@@ -98,7 +98,8 @@ func (f *Framework) SurrogateFeatures(prog *isa.Program, scenarios int) []float6
 	feats[12] = safeLog10(dp.ShiftFail[len(dp.ShiftFail)-1])
 	feats[13] = safeLog10(dp.MulFail[len(dp.MulFail)-1])
 	feats[14] = safeLog10(worstMean)
-	feats[15] = dp.AdderSlack[len(dp.AdderSlack)-1].Mean / f.Machine.AnalysisPeriodPs
+	full, period := f.table.Adder[len(f.table.Adder)-1], f.Machine.AnalysisPeriodPs
+	feats[15] = (full.Mean + period) / period // the full chain's slack mean over the period
 	// The operating condition is part of the feature space: a model trained
 	// at one (V, T) point must not silently answer for another — predictions
 	// from a differently-conditioned snapshot fail the feature-length or

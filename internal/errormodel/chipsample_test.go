@@ -14,13 +14,14 @@ import (
 // the frequency of negative slack over explicitly sampled manufactured dies.
 func TestChipSampleValidatesSSTAProbability(t *testing.T) {
 	m := testMachine(t)
-	dp, err := m.TrainDatapath(context.Background())
+	table, err := m.TrainDatapath(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	dp := table.At(m.AnalysisPeriodPs)
 	rng := numeric.NewRNG(61)
 	for _, depth := range []int{31, 32} {
-		slack := dp.AdderSlack[depth]
+		slack := table.Adder[depth].AddConst(m.AnalysisPeriodPs)
 		want := dp.AdderFail[depth]
 		if want == 0 {
 			continue
@@ -48,12 +49,12 @@ func TestChipSampleValidatesSSTAProbability(t *testing.T) {
 // exceeds the independence product.
 func TestSpatialCorrelationInflatesJointFailure(t *testing.T) {
 	m := testMachine(t)
-	dp, err := m.TrainDatapath(context.Background())
+	table, err := m.TrainDatapath(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	slack := dp.AdderSlack[32]
-	p := dp.AdderFail[32]
+	slack := table.Adder[32].AddConst(m.AnalysisPeriodPs)
+	p := table.At(m.AnalysisPeriodPs).AdderFail[32]
 	if p <= 0 {
 		t.Skip("full chain does not fail at this operating point")
 	}

@@ -15,253 +15,219 @@ import (
 	"tsperr/internal/variation"
 )
 
-// DatapathModel is the higher-level datapath timing model of [2]: it is
-// trained by applying Algorithm 1 to the data endpoints of each functional
-// unit while special stimulus selectively activates timing paths of a known
-// depth, and is then consulted per dynamic instruction using only
-// architecturally visible values (the activated-depth features the simulator
-// extracts).
+// DatapathTable is the higher-level datapath timing model of [2] without a
+// clock: it is trained once per machine by applying Algorithm 1 to the data
+// endpoints of each functional unit while special stimulus selectively
+// activates timing paths of a known depth. Each row is the unit's DTS form
+// at period 0, the negated delay of the activated paths that StageDTS adds a
+// clock period to, so the model at any period is At of that period. A row
+// no stimulus activates is the zero form.
+type DatapathTable struct {
+	// Adder[d] is the adder's row when a carry chain of exactly d bits is
+	// activated.
+	Adder []variation.Canon
+	// Shift[k] covers k active barrel-shifter layers (depth feature = k+1).
+	Shift []variation.Canon
+	// Mul[d] covers the array multiplier when the smaller operand has d
+	// significant bits (d rows of the array carry).
+	Mul []variation.Canon
+	// Logic is the (depth-independent) logic unit's row.
+	Logic variation.Canon
+}
+
+// DatapathModel is the datapath model at one clock period, consulted per
+// dynamic instruction using only architecturally visible values (the
+// activated-depth features the simulator extracts): each failure
+// probability is P(DTS < 0) of a DatapathTable row at that period.
 type DatapathModel struct {
-	// AdderSlack[d] is the canonical DTS form of the adder when a carry
-	// chain of exactly d bits is activated; AdderFail[d] = P(DTS < 0).
-	AdderSlack []variation.Canon
-	AdderFail  []float64
-	// ShiftSlack[k]/ShiftFail[k] cover k active barrel-shifter layers
-	// (depth feature = k+1).
-	ShiftSlack []variation.Canon
-	ShiftFail  []float64
-	// LogicFail is the (depth-independent) logic-unit failure probability.
+	AdderFail []float64
+	ShiftFail []float64
 	LogicFail float64
-	// MulSlack[d]/MulFail[d] cover the array multiplier when the smaller
-	// operand has d significant bits (d rows of the array carry).
-	MulSlack []variation.Canon
-	MulFail  []float64
+	MulFail   []float64
 
 	// table flattens the per-class clamping rules of failProbSlow into one
-	// depth-indexed row per opcode, built lazily on first use (after
-	// training or cache restore). FailProb and the tally run read it once or
-	// twice per retired instruction, so it must be a pair of loads, not a
-	// switch.
+	// depth-indexed row per opcode, built lazily on first use. FailProb and
+	// the tally run read it once or twice per retired instruction, so it
+	// must be a pair of loads, not a switch.
 	tableOnce sync.Once
 	table     *cpu.FailTable
 }
 
-// TrainDatapath measures the per-depth DTS tables. It mirrors the training
-// flow of Figure 2: run targeted vectors through the gate-level unit, record
-// activity, and apply Algorithm 1 to the data endpoints. Training runs at the
-// machine's analysis period (AnalysisPeriodPs) on the shared worker pool
-// with GOMAXPROCS workers; once ctx is done no further depth measurement
-// starts, and the call returns ctx's error.
-func (m *Machine) TrainDatapath(ctx context.Context) (*DatapathModel, error) {
-	return m.TrainDatapathWorkers(ctx, 0, m.AnalysisPeriodPs)
+// At returns the model at clock period period (ps): every trained row
+// shifted by the period, with the one addition StageDTS performs, and
+// passed to dta.ErrorProbability, so it is bit for bit the model a training
+// at that period gives. An untrained row has probability 0.
+func (t *DatapathTable) At(period float64) *DatapathModel {
+	fail := func(s variation.Canon) float64 {
+		if len(s.Sens) == 0 {
+			return 0
+		}
+		return dta.ErrorProbability(variation.Canon{Mean: s.Mean + period, Sens: s.Sens, Rand: s.Rand})
+	}
+	fails := func(rows []variation.Canon) []float64 {
+		p := make([]float64, len(rows))
+		for d, s := range rows {
+			p[d] = fail(s)
+		}
+		return p
+	}
+	return &DatapathModel{AdderFail: fails(t.Adder), ShiftFail: fails(t.Shift), LogicFail: fail(t.Logic), MulFail: fails(t.Mul)}
 }
 
-// TrainDatapathWorkers is TrainDatapath at clock period period (ps) on a
-// bounded pool of the given number of workers (<= 0 selects
-// runtime.GOMAXPROCS). Every per-depth measurement is an independent task:
-// it owns its simulator and trace, writes a distinct table slot, and the DTA
-// analyzers it consults are safe for concurrent use, so the tables are
-// bit-identical for any worker count.
-func (m *Machine) TrainDatapathWorkers(ctx context.Context, workers int, period float64) (*DatapathModel, error) {
-	dp := &DatapathModel{
-		AdderSlack: make([]variation.Canon, 33),
-		AdderFail:  make([]float64, 33),
-		ShiftSlack: make([]variation.Canon, 6),
-		ShiftFail:  make([]float64, 6),
-		MulSlack:   make([]variation.Canon, 17),
-		MulFail:    make([]float64, 17),
+// datapathSweep is one unit's training sweep: the unit's analyzer and
+// netlist, and the table rows it fills from row first on. drive applies
+// row r's stimulus to the unit's inputs on cycle 1, after a cycle that
+// settles at zero.
+type datapathSweep struct {
+	dta   *dta.Analyzer
+	n     *netlist.Netlist
+	first int
+	rows  []variation.Canon
+	drive func(in activity.Inputs, r int)
+}
+
+// datapathSweeps returns the four sweeps that fill t, logic standing in for
+// t.Logic: 32 adder carry depths, 5 shifter layer counts, 16 multiplier
+// operand widths, and the single full-switch logic measurement.
+func (m *Machine) datapathSweeps(t *DatapathTable, logic []variation.Canon) [4]datapathSweep {
+	low := func(bits int) uint64 { return 1<<uint(bits) - 1 }
+	return [4]datapathSweep{
+		{m.AdderDTA, m.Adder.N, 1, t.Adder, func(in activity.Inputs, d int) {
+			in.SetWord(m.Adder.A[:], low(d)) // a + 1, carry-in 0: a carry chain of d bits
+			in.SetWord(m.Adder.B[:], 1)
+		}},
+		{m.ShifterDTA, m.Shifter.N, 1, t.Shift, func(in activity.Inputs, k int) {
+			in.SetWord(m.Shifter.In[:], 0xFFFFFFFF)
+			in.SetWord(m.Shifter.Amt[:], low(k)) // k low bits set: k active layers
+		}},
+		{m.MultDTA, m.Mult.N, 1, t.Mul, func(in activity.Inputs, d int) {
+			in.SetWord(m.Mult.A[:], 0xFFFF)
+			in.SetWord(m.Mult.B[:], low(d))
+		}},
+		{m.LogicDTA, m.Logic.N, 0, logic, func(in activity.Inputs, _ int) {
+			in.SetWord(m.Logic.A[:], 0xFFFFFFFF)
+			in.SetWord(m.Logic.B[:], 0x55555555)
+			in.Set(m.Logic.Sel[1], true) // xor
+		}},
 	}
-	// Each unit is compiled for simulation once and shared by its tasks.
-	var sims [4]*activity.Sim
-	for i, n := range []*netlist.Netlist{m.Adder.N, m.Shifter.N, m.Mult.N, m.Logic.N} {
-		sim, err := activity.Compile(n)
+}
+
+// trace simulates row r's stimulus on sim, the sweep's compiled netlist.
+func (s *datapathSweep) trace(sim *activity.Sim, r int) (*activity.Trace, error) {
+	return sim.Run(2, func(t int, in activity.Inputs) {
+		if t == 1 {
+			s.drive(in, r)
+		}
+	})
+}
+
+// TrainDatapath measures the period-free datapath table. It mirrors the
+// training flow of Figure 2: run targeted vectors through the gate-level
+// unit, record activity, and apply Algorithm 1 to the data endpoints at
+// period 0. Training runs on the shared worker pool with GOMAXPROCS
+// workers; once ctx is done no further row measurement starts, and the call
+// returns ctx's error.
+func (m *Machine) TrainDatapath(ctx context.Context) (*DatapathTable, error) {
+	return m.TrainDatapathWorkers(ctx, 0)
+}
+
+// TrainDatapathWorkers is TrainDatapath on a bounded pool of the given
+// number of workers (<= 0 selects runtime.GOMAXPROCS). Every row
+// measurement is an independent task: it owns its trace, writes a distinct
+// row, and the compiled netlists and DTA analyzers it shares are safe for
+// concurrent use, so the table is bit-identical for any worker count.
+func (m *Machine) TrainDatapathWorkers(ctx context.Context, workers int) (*DatapathTable, error) {
+	t := &DatapathTable{
+		Adder: make([]variation.Canon, 33),
+		Shift: make([]variation.Canon, 6),
+		Mul:   make([]variation.Canon, 17),
+	}
+	logic := make([]variation.Canon, 1)
+	type task struct {
+		sweep *datapathSweep
+		sim   *activity.Sim
+		eps   []netlist.GateID
+		row   int
+	}
+	var tasks []task
+	sweeps := m.datapathSweeps(t, logic)
+	for i := range sweeps {
+		s := &sweeps[i]
+		sim, err := activity.Compile(s.n)
 		if err != nil {
 			return nil, err
 		}
-		sims[i] = sim
+		eps := s.n.DataEndpoints(0)
+		for r := s.first; r < len(s.rows); r++ {
+			tasks = append(tasks, task{s, sim, eps, r})
+		}
 	}
-	adderEps := m.Adder.N.DataEndpoints(0)
-	shiftEps := m.Shifter.N.DataEndpoints(0)
-	mulEps := m.Mult.N.DataEndpoints(0)
-	logicEps := m.Logic.N.DataEndpoints(0)
-
-	// Flatten the per-depth sweeps into one task list: 32 adder carry
-	// depths, 5 shifter layer counts, 16 multiplier operand widths, and the
-	// single logic measurement.
-	var tasks []func() error
-	for d := 1; d <= 32; d++ {
-		d := d
-		tasks = append(tasks, func() error { return m.trainAdderDepth(dp, sims[0], adderEps, d, period) })
-	}
-	for k := 1; k <= 5; k++ {
-		k := k
-		tasks = append(tasks, func() error { return m.trainShiftLayers(dp, sims[1], shiftEps, k, period) })
-	}
-	for d := 1; d <= 16; d++ {
-		d := d
-		tasks = append(tasks, func() error { return m.trainMulWidth(dp, sims[2], mulEps, d, period) })
-	}
-	tasks = append(tasks, func() error { return m.trainLogic(dp, sims[3], logicEps, period) })
-
 	errs := make([]error, len(tasks))
 	pool.Run(ctx, len(tasks), workers, false, errs, func(ctx context.Context, i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		return tasks[i]()
+		tk := tasks[i]
+		tr, err := tk.sweep.trace(tk.sim, tk.row)
+		if err != nil {
+			return err
+		}
+		if slack, ok := tk.sweep.dta.StageDTS(tk.eps, 1, tr, 0); ok {
+			tk.sweep.rows[tk.row] = slack
+		}
+		return nil
 	})
 	if err := pool.FirstError(errs); err != nil {
 		return nil, err
 	}
-	return dp, nil
+	t.Logic = logic[0]
+	return t, nil
 }
 
-// trainAdderDepth measures the adder DTS with a carry chain of exactly d
-// bits activated and fills table slot d.
-func (m *Machine) trainAdderDepth(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, d int, period float64) error {
-	a := uint64(0xFFFFFFFF)
-	if d < 32 {
-		a = (uint64(1) << uint(d)) - 1
-	}
-	// Cycle 0 settles at zero; cycle 1 applies a + 1 with carry-in 0.
-	tr, err := sim.Run(2, func(t int, in activity.Inputs) {
-		if t == 1 {
-			in.SetWord(m.Adder.A[:], a)
-			in.SetWord(m.Adder.B[:], 1)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	slack, ok := m.AdderDTA.StageDTS(eps, 1, tr, period)
-	if !ok {
-		return nil // no activated path at this depth
-	}
-	dp.AdderSlack[d] = slack
-	dp.AdderFail[d] = dta.ErrorProbability(slack)
-	return nil
-}
-
-// trainShiftLayers measures the shifter DTS with k active barrel layers and
-// fills table slot k.
-func (m *Machine) trainShiftLayers(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, k int, period float64) error {
-	amt := (uint64(1) << uint(k)) - 1 // k low bits set => k active layers
-	tr, err := sim.Run(2, func(t int, in activity.Inputs) {
-		if t == 1 {
-			in.SetWord(m.Shifter.In[:], 0xFFFFFFFF)
-			in.SetWord(m.Shifter.Amt[:], amt)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	slack, ok := m.ShifterDTA.StageDTS(eps, 1, tr, period)
-	if !ok {
-		return nil
-	}
-	dp.ShiftSlack[k] = slack
-	dp.ShiftFail[k] = dta.ErrorProbability(slack)
-	return nil
-}
-
-// trainMulWidth measures the multiplier DTS with d significant bits in the
-// smaller operand and fills table slot d.
-func (m *Machine) trainMulWidth(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, d int, period float64) error {
-	bw := uint64(0xFFFF)
-	if d < 16 {
-		bw = (uint64(1) << uint(d)) - 1
-	}
-	tr, err := sim.Run(2, func(t int, in activity.Inputs) {
-		if t == 1 {
-			in.SetWord(m.Mult.A[:], 0xFFFF)
-			in.SetWord(m.Mult.B[:], bw)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	slack, ok := m.MultDTA.StageDTS(eps, 1, tr, period)
-	if !ok {
-		return nil
-	}
-	dp.MulSlack[d] = slack
-	dp.MulFail[d] = dta.ErrorProbability(slack)
-	return nil
-}
-
-// trainLogic performs the single full-switch logic-unit measurement.
-func (m *Machine) trainLogic(dp *DatapathModel, sim *activity.Sim, eps []netlist.GateID, period float64) error {
-	tr, err := sim.Run(2, func(t int, in activity.Inputs) {
-		if t == 1 {
-			in.SetWord(m.Logic.A[:], 0xFFFFFFFF)
-			in.SetWord(m.Logic.B[:], 0x55555555)
-			in.Set(m.Logic.Sel[1], true) // xor
-		}
-	})
-	if err != nil {
-		return err
-	}
-	if slack, ok := m.LogicDTA.StageDTS(eps, 1, tr, period); ok {
-		dp.LogicFail = dta.ErrorProbability(slack)
-	}
-	return nil
-}
-
-// Validate reports whether dp has the shape and the numbers training gives
-// it, for a variation model of pcs principal components. A model that comes
-// from outside the process (a model-cache snapshot) must pass it before it
-// is used: it checks the row counts the generators fix (33 adder, 6 shift,
-// 17 multiplier rows); that a trained slack form has pcs finite
-// sensitivities, a finite mean and residual, and a failure probability equal
-// bit for bit to dta.ErrorProbability of the form, while an untrained slot
-// holds the zero form and probability 0; and that the logic probability is
-// in [0, 1].
-func (dp *DatapathModel) Validate(pcs int) error {
+// Validate reports whether t has the shape training gives it, for a
+// variation model of pcs principal components. A table that comes from
+// outside the process (a model-cache snapshot) must pass it before it is
+// used: it checks the row counts the generators fix (33 adder, 6 shift, 17
+// multiplier rows), and that every row, the logic row included, is either
+// the zero form of an untrained row or a form of pcs sensitivities with a
+// finite mean and a finite variance. A finite variance bounds the residual
+// and every sensitivity, and a sensitivity whose square overflows makes it
+// NaN, so every probability At derives is a number in [0, 1].
+func (t *DatapathTable) Validate(pcs int) error {
 	for _, u := range []struct {
-		name  string
-		slack []variation.Canon
-		fail  []float64
-		rows  int
+		name string
+		rows []variation.Canon
+		want int
 	}{
-		{"adder", dp.AdderSlack, dp.AdderFail, 33},
-		{"shift", dp.ShiftSlack, dp.ShiftFail, 6},
-		{"multiplier", dp.MulSlack, dp.MulFail, 17},
+		{"adder", t.Adder, 33},
+		{"shift", t.Shift, 6},
+		{"multiplier", t.Mul, 17},
+		{"logic", []variation.Canon{t.Logic}, 1},
 	} {
-		if len(u.slack) != u.rows || len(u.fail) != u.rows {
-			return fmt.Errorf("errormodel: %s tables have %d and %d rows, want %d", u.name, len(u.slack), len(u.fail), u.rows)
+		if len(u.rows) != u.want {
+			return fmt.Errorf("errormodel: %s table has %d rows, want %d", u.name, len(u.rows), u.want)
 		}
-		for d, s := range u.slack {
-			if err := validateRow(s, u.fail[d], pcs); err != nil {
+		for d, s := range u.rows {
+			if err := validateRow(s, pcs); err != nil {
 				return fmt.Errorf("errormodel: %s row %d: %w", u.name, d, err)
 			}
 		}
 	}
-	if !(dp.LogicFail >= 0 && dp.LogicFail <= 1) {
-		return fmt.Errorf("errormodel: logic failure probability %v outside [0, 1]", dp.LogicFail)
-	}
 	return nil
 }
 
-// validateRow checks one trained-table slot; see Validate.
-func validateRow(s variation.Canon, fail float64, pcs int) error {
-	if len(s.Sens) == 0 {
-		if s.Mean != 0 || s.Rand != 0 || fail != 0 {
-			return fmt.Errorf("untrained slot holds mean %v, residual %v, probability %v", s.Mean, s.Rand, fail)
-		}
+// validateRow checks one table row; see Validate.
+func validateRow(s variation.Canon, pcs int) error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	switch {
+	case len(s.Sens) == 0 && (s.Mean != 0 || s.Rand != 0):
+		return fmt.Errorf("untrained row holds mean %v, residual %v", s.Mean, s.Rand)
+	case len(s.Sens) == 0:
 		return nil
-	}
-	if len(s.Sens) != pcs {
+	case len(s.Sens) != pcs:
 		return fmt.Errorf("%d sensitivities, want %d", len(s.Sens), pcs)
-	}
-	finite := !math.IsNaN(s.Mean) && !math.IsInf(s.Mean, 0) && !math.IsNaN(s.Rand) && !math.IsInf(s.Rand, 0)
-	for _, v := range s.Sens {
-		finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
-	}
-	if !finite {
-		return fmt.Errorf("slack form is not finite")
-	}
-	if want := dta.ErrorProbability(s); math.Float64bits(fail) != math.Float64bits(want) {
-		return fmt.Errorf("failure probability %v, its slack form gives %v", fail, want)
+	case !finite(s.Mean) || !finite(s.Var()):
+		return fmt.Errorf("form of mean %v and variance %v is not finite", s.Mean, s.Var())
 	}
 	return nil
 }

@@ -110,11 +110,7 @@ func seedCharacterizeControl(m *Machine, g *cfg.Graph, pr *cfg.Profile, results 
 // count, on both cold and warm stimulus memos.
 func TestCharacterizeControlDeterministic(t *testing.T) {
 	m := testMachine(t)
-	dp, err := m.TrainDatapath(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, pr, feats := runScenario(t, dp)
+	g, pr, feats := runScenario(t, trainedModel(context.Background(), t, m))
 	want, err := seedCharacterizeControl(m, g, pr, feats.Results)
 	if err != nil {
 		t.Fatal(err)
@@ -150,18 +146,18 @@ func TestCharacterizeControlDeterministic(t *testing.T) {
 }
 
 // TestTrainDatapathDeterministic proves the parallel training sweep produces
-// bit-identical tables for any worker count.
+// a bit-identical table for any worker count.
 func TestTrainDatapathDeterministic(t *testing.T) {
 	m := testMachine(t)
-	d1, err := m.TrainDatapathWorkers(context.Background(), 1, m.WorkingPeriodPs)
+	d1, err := m.TrainDatapathWorkers(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d8, err := m.TrainDatapathWorkers(context.Background(), 8, m.WorkingPeriodPs)
+	d8, err := m.TrainDatapathWorkers(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(d1, d8) {
-		t.Error("datapath model differs between 1 and 8 workers")
+		t.Error("datapath table differs between 1 and 8 workers")
 	}
 }

@@ -30,6 +30,17 @@ func testMachine(t *testing.T) *Machine {
 	return mach
 }
 
+// trainedModel trains m's datapath table and returns the model at m's
+// analysis period, the one a framework analyzes with.
+func trainedModel(ctx context.Context, t *testing.T, m *Machine) *DatapathModel {
+	t.Helper()
+	table, err := m.TrainDatapath(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return table.At(m.AnalysisPeriodPs)
+}
+
 func TestMachineOperatingPoints(t *testing.T) {
 	m := testMachine(t)
 	if math.Abs(m.BasePeriodPs-1e6/718) > 1e-9 {
@@ -86,11 +97,7 @@ func TestSetUpHonoursCancelledContext(t *testing.T) {
 // classification for every opcode and every depth, including clamping beyond
 // the table edge and the depth <= 0 contract.
 func TestFailProbLUTMatchesSlow(t *testing.T) {
-	m := testMachine(t)
-	dp, err := m.TrainDatapath(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dp := trainedModel(context.Background(), t, testMachine(t))
 	for op := isa.Op(0); op < isa.NumOps; op++ {
 		for d := -2; d <= maxDepthFeature+8; d++ {
 			want := dp.failProbSlow(op, d)
@@ -110,11 +117,7 @@ func TestFailProbLUTMatchesSlow(t *testing.T) {
 }
 
 func TestTrainDatapathMonotone(t *testing.T) {
-	m := testMachine(t)
-	dp, err := m.TrainDatapath(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dp := trainedModel(context.Background(), t, testMachine(t))
 	// Deeper carry chains must not have lower failure probability.
 	for d := 2; d <= 32; d++ {
 		if dp.AdderFail[d] < dp.AdderFail[d-1]-1e-9 {
@@ -231,11 +234,7 @@ func runScenario(t *testing.T, dp *DatapathModel) (*cfg.Graph, *cfg.Profile, *Sc
 
 func TestCharacterizeControlShapes(t *testing.T) {
 	m := testMachine(t)
-	dp, err := m.TrainDatapath(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, pr, feats := runScenario(t, dp)
+	g, pr, feats := runScenario(t, trainedModel(context.Background(), t, m))
 	cc, err := m.CharacterizeControl(context.Background(), g, pr, feats.Results)
 	if err != nil {
 		t.Fatal(err)
@@ -262,11 +261,7 @@ func TestCharacterizeControlShapes(t *testing.T) {
 
 func TestConditionalsAndMarginals(t *testing.T) {
 	m := testMachine(t)
-	dp, err := m.TrainDatapath(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, pr, feats := runScenario(t, dp)
+	g, pr, feats := runScenario(t, trainedModel(context.Background(), t, m))
 	cc, err := m.CharacterizeControl(context.Background(), g, pr, feats.Results)
 	if err != nil {
 		t.Fatal(err)
@@ -358,14 +353,11 @@ func TestMarginalsHandDerivedChain(t *testing.T) {
 
 func TestShorterPeriodRaisesErrorProbability(t *testing.T) {
 	m := testMachine(t)
-	dpSlow, err := m.TrainDatapath(context.Background())
+	table, err := m.TrainDatapath(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpFast, err := m.TrainDatapathWorkers(context.Background(), 0, m.WorkingPeriodPs*0.95) // higher frequency
-	if err != nil {
-		t.Fatal(err)
-	}
+	dpSlow, dpFast := table.At(m.WorkingPeriodPs), table.At(m.WorkingPeriodPs*0.95) // higher frequency
 	if dpFast.AdderFail[32] <= dpSlow.AdderFail[32] {
 		t.Errorf("overclocking should raise failure probability: %v vs %v",
 			dpFast.AdderFail[32], dpSlow.AdderFail[32])

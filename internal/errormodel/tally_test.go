@@ -18,26 +18,20 @@ import (
 // Profile.ObserveBatch and ScenarioFeatures.ObserveBatch build from the
 // DynInst stream: the instruction, block and edge counts, the per
 // instruction counts and results, and the five failure-probability sums bit
-// for bit. It checks this under the nominal datapath model and under one
-// retrained at a higher frequency ratio, where the adder rows' first nonzero
-// depth, the popcount gate's threshold, differs.
+// for bit. It checks this under the nominal datapath model and under the
+// model of a machine retargeted to a higher frequency ratio, where the
+// adder rows' first nonzero depth, the popcount gate's threshold, differs.
 func TestTallyMatchesObserverPath(t *testing.T) {
 	ctx := context.Background()
 	m := testMachine(t)
-	nominal, err := m.TrainDatapath(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nominal := trainedModel(ctx, t, m)
 	opts := m.Opts
 	opts.WorkingRatio = 1.3
 	fast, err := NewMachineWithScalesContext(ctx, opts, m.Scales())
 	if err != nil {
 		t.Fatal(err)
 	}
-	retargeted, err := fast.TrainDatapath(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	retargeted := trainedModel(ctx, t, fast)
 	if a, b := nominal.FailTable().Min[isa.OpAdd], retargeted.FailTable().Min[isa.OpAdd]; a == b {
 		t.Fatalf("the retargeted adder row starts at depth %d, like the nominal one", a)
 	}

@@ -13,8 +13,9 @@ import (
 // Operating-point serving. An engine's own framework is built at the
 // engine's condition and serves its plain analyses and every operating
 // point at its voltage, any temperature and any ratio, concurrently: an
-// analysis passes its clock period down and writes nothing on the framework
-// but its per-period datapath models. Requests at OTHER voltages — the
+// analysis passes its clock period down, takes the datapath model at it
+// from the framework's period-free table, and writes nothing on the
+// framework. Requests at OTHER voltages — the
 // oppoint search's sub-requests — go through a small registry of
 // per-voltage frameworks, each rebuilt from the engine's calibrated scales
 // (see buildAt).

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tsperr/internal/cell"
-	"tsperr/internal/dta"
 	"tsperr/internal/errormodel"
 	"tsperr/internal/variation"
 )
@@ -15,11 +14,13 @@ import (
 // Load after the size cap and the checksum, under a real key: random bytes
 // in front of a checksum would almost never reach gob. decodeSnapshot must
 // never panic, and a snapshot it accepts must either fail
-// DatapathModel.Validate, as the framework's load path then treats it as a
-// miss, or build a FailTable whose every entry is a probability. The corpus
-// is seeded from a small valid payload in the format Save writes (the scales
-// and the datapath tables as byte strings), one trained row and the rest
-// untrained, and cuts of it.
+// DatapathTable.Validate, as the framework's load path then treats it as a
+// miss, or give a FailTable whose every entry is a probability at the
+// default options' analysis period and at a period 30% shorter. The corpus
+// is seeded from a small valid payload in the format Save writes (the
+// scales and the datapath table as byte strings), one adder row trained and
+// the rest untrained, cuts of it, and the payload of a table whose trained
+// row has a sensitivity whose square overflows.
 func FuzzLoadSnapshot(f *testing.F) {
 	opts := errormodel.DefaultOptions()
 	model, err := variation.NewModel(opts.VariationLevels, opts.CorrShare)
@@ -27,50 +28,49 @@ func FuzzLoadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	pcs := model.NumPCs()
-	row := variation.Canon{Mean: 12.5, Sens: make([]float64, pcs), Rand: 1.5}
-	row.Sens[0] = -40
-	dp := &errormodel.DatapathModel{
-		AdderSlack: make([]variation.Canon, 33),
-		AdderFail:  make([]float64, 33),
-		ShiftSlack: make([]variation.Canon, 6),
-		ShiftFail:  make([]float64, 6),
-		MulSlack:   make([]variation.Canon, 17),
-		MulFail:    make([]float64, 17),
-		LogicFail:  1e-9,
-	}
-	dp.AdderSlack[1], dp.AdderFail[1] = row, dta.ErrorProbability(row)
-	if err := dp.Validate(pcs); err != nil {
-		f.Fatal(err)
-	}
 	key := Key(opts, cell.Fingerprint())
-	var seed bytes.Buffer
-	if err := gob.NewEncoder(&seed).Encode(&snapshotFile{
-		Schema:   SchemaVersion,
-		Key:      key,
-		Scales:   scaleTable{"adder": 1.25, "ctrl": 1.1},
-		Datapath: datapathTable{dp},
-	}); err != nil {
-		f.Fatal(err)
+	payload := func(sens0 float64) []byte {
+		t := &errormodel.DatapathTable{
+			Adder: make([]variation.Canon, 33),
+			Shift: make([]variation.Canon, 6),
+			Mul:   make([]variation.Canon, 17),
+		}
+		t.Adder[1] = variation.Canon{Mean: -1400, Sens: make([]float64, pcs), Rand: 1.5}
+		t.Adder[1].Sens[0] = sens0
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(&snapshotFile{
+			Schema:   SchemaVersion,
+			Key:      key,
+			Scales:   scaleTable{"adder": 1.25, "ctrl": 1.1},
+			Datapath: datapathTable{t},
+		}); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
 	}
-	payload := seed.Bytes()
-	if _, ok := decodeSnapshot(payload, key); !ok {
-		f.Fatal("the seed payload does not decode")
+	seed := payload(-40)
+	if snap, ok := decodeSnapshot(seed, key); !ok || snap.Datapath.Validate(pcs) != nil {
+		f.Fatal("the seed payload does not decode to a valid table")
 	}
-	f.Add(payload)
-	f.Add(payload[:len(payload)/2])
-	f.Add(payload[:len(payload)-8])
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add(seed[:len(seed)-8])
+	f.Add(payload(1e200))
+	analysis := 1e6 / opts.BaseFreqMHz / opts.WorkingRatio
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, ok := decodeSnapshot(data, key)
 		if !ok || snap.Datapath.Validate(pcs) != nil {
 			return
 		}
-		for op, row := range snap.Datapath.FailTable().Rows {
-			if row == nil {
-				continue
-			}
-			for d, p := range row {
-				if !(p >= 0 && p <= 1) {
-					t.Fatalf("op %d depth %d: failure probability %v", op, d, p)
+		for _, period := range []float64{analysis, 0.7 * analysis} {
+			for op, row := range snap.Datapath.At(period).FailTable().Rows {
+				if row == nil {
+					continue
+				}
+				for d, p := range row {
+					if !(p >= 0 && p <= 1) {
+						t.Fatalf("at %v ps, op %d depth %d: failure probability %v", period, op, d, p)
+					}
 				}
 			}
 		}

@@ -42,7 +42,7 @@ import (
 
 // SchemaVersion invalidates every cached snapshot when the serialized layout
 // or the meaning of the trained tables changes. Bump it on any change to
-// Snapshot, DatapathModel, or the training flow itself. Version 2: the
+// Snapshot, DatapathTable, or the training flow itself. Version 2: the
 // checksum header, and the scales as one byte string sorted by unit name.
 // Version 3: the scales and tables of the exact-sum path search, whose tie
 // order moved the multiplier, shifter and control scales, off-nominal
@@ -50,8 +50,10 @@ import (
 // datapath tables as one byte string. Version 4: off-nominal tables trained
 // on delay-factor-1 engines at the period divided by the DelayFactor, whose
 // slack forms are the old ones divided by it (picoseconds at that period)
-// and whose failure probabilities moved in the last digits.
-const SchemaVersion = 4
+// and whose failure probabilities moved in the last digits. Version 5: the
+// period-free datapath table, trained at period 0, with a logic row and no
+// failure probabilities.
+const SchemaVersion = 5
 
 // maxFileBytes caps the bytes a reader takes from a snapshot file; a larger
 // file is a miss, and Save refuses to write one. The largest snapshot the
@@ -70,8 +72,8 @@ type Snapshot struct {
 	// Scales are the calibrated per-unit delay scales by netlist name
 	// (errormodel.Machine.Scales), the input of NewMachineWithScalesContext.
 	Scales map[string]float64
-	// Datapath is the trained per-depth DTS table set.
-	Datapath *errormodel.DatapathModel
+	// Datapath is the trained period-free datapath table.
+	Datapath *errormodel.DatapathTable
 }
 
 // snapshotFile is a Snapshot as its file's payload holds it.
@@ -126,41 +128,29 @@ func (t *scaleTable) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-// datapathRows are the row counts of the adder, shifter and multiplier
-// tables a trained DatapathModel holds (DatapathModel.Validate).
-var datapathRows = [3]int{33, 6, 17}
+// datapathRows are the row counts of the adder, shifter, multiplier and
+// logic rows of a trained datapath table (DatapathTable.Validate).
+var datapathRows = [4]int{33, 6, 17, 1}
 
 // datapathTable is Snapshot.Datapath as a payload holds it: one byte
 // string, whose length gob checks against the bytes the payload holds, as
 // for scaleTable. It is the sensitivity count every trained row shares (a
-// uvarint), then the adder's, shifter's and multiplier's rows, each a flag
-// byte (1 when the row is trained and carries the sensitivities, else 0),
-// its slack form's mean and residual, the sensitivities when flagged and
-// its failure probability; then the logic failure probability. Every value
-// is a little-endian float64. Gob would size each slice of the model by
-// the count the stream claims, up to 10 MB, before finding the data short.
-type datapathTable struct{ dp *errormodel.DatapathModel }
+// uvarint), then the adder's, shifter's, multiplier's and logic unit's
+// rows, each a flag byte (1 when the row is trained and carries the
+// sensitivities, else 0), its form's mean and residual, and the
+// sensitivities when flagged. Every value is a little-endian float64. Gob
+// would size each slice of the table by the count the stream claims, up to
+// 10 MB, before finding the data short.
+type datapathTable struct{ t *errormodel.DatapathTable }
 
-// tablePair points at one of a model's slack and failure table pairs.
-type tablePair struct {
-	slack *[]variation.Canon
-	fail  *[]float64
-}
-
-// datapathTables returns the model's table pairs in datapathRows' order.
-func datapathTables(dp *errormodel.DatapathModel) [3]tablePair {
-	return [3]tablePair{{&dp.AdderSlack, &dp.AdderFail}, {&dp.ShiftSlack, &dp.ShiftFail}, {&dp.MulSlack, &dp.MulFail}}
-}
-
-func (t datapathTable) MarshalBinary() ([]byte, error) {
-	tables := datapathTables(t.dp)
+func (d datapathTable) MarshalBinary() ([]byte, error) {
+	units := [4][]variation.Canon{d.t.Adder, d.t.Shift, d.t.Mul, {d.t.Logic}}
 	pcs := 0
-	for i, tab := range tables {
-		if len(*tab.slack) != datapathRows[i] || len(*tab.fail) != datapathRows[i] {
-			return nil, fmt.Errorf("modelcache: datapath table %d has %d and %d rows, want %d",
-				i, len(*tab.slack), len(*tab.fail), datapathRows[i])
+	for i, rows := range units {
+		if len(rows) != datapathRows[i] {
+			return nil, fmt.Errorf("modelcache: datapath table %d has %d rows, want %d", i, len(rows), datapathRows[i])
 		}
-		for _, s := range *tab.slack {
+		for _, s := range rows {
 			if n := len(s.Sens); n > 0 && pcs == 0 {
 				pcs = n
 			} else if n > 0 && n != pcs {
@@ -170,27 +160,25 @@ func (t datapathTable) MarshalBinary() ([]byte, error) {
 	}
 	b := binary.AppendUvarint(nil, uint64(pcs))
 	put := func(v float64) { b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v)) }
-	for _, tab := range tables {
-		for d, s := range *tab.slack {
+	for _, rows := range units {
+		for _, s := range rows {
 			b = append(b, byte(min(len(s.Sens), 1)))
 			put(s.Mean)
 			put(s.Rand)
 			for _, v := range s.Sens {
 				put(v)
 			}
-			put((*tab.fail)[d])
 		}
 	}
-	put(t.dp.LogicFail)
 	return b, nil
 }
 
-// UnmarshalBinary accepts only what MarshalBinary writes: the three tables
+// UnmarshalBinary accepts only what MarshalBinary writes: the four tables
 // at their row counts, flags of 0 or 1, one sensitivity count that some row
-// carries, and no byte past the logic probability. A row is allocated only
-// once its bytes are known to be there.
-func (t *datapathTable) UnmarshalBinary(b []byte) error {
-	bad := errors.New("modelcache: malformed datapath tables")
+// carries, and no byte past the logic row. A row is allocated only once
+// its bytes are known to be there.
+func (d *datapathTable) UnmarshalBinary(b []byte) error {
+	bad := errors.New("modelcache: malformed datapath table")
 	pcs, k := binary.Uvarint(b)
 	if k <= 0 || pcs > uint64(len(b)/8) {
 		return bad
@@ -201,21 +189,21 @@ func (t *datapathTable) UnmarshalBinary(b []byte) error {
 		b = b[8:]
 		return v
 	}
-	dp, trained := &errormodel.DatapathModel{}, false
-	for i, tab := range datapathTables(dp) {
-		*tab.slack = make([]variation.Canon, datapathRows[i])
-		*tab.fail = make([]float64, datapathRows[i])
-		for d := range *tab.slack {
+	var units [4][]variation.Canon
+	trained := false
+	for i := range units {
+		units[i] = make([]variation.Canon, datapathRows[i])
+		for r := range units[i] {
 			if len(b) == 0 || b[0] > 1 || (b[0] == 1 && pcs == 0) {
 				return bad
 			}
 			n := int(b[0]) * int(pcs)
-			if len(b)-1 < 8*(3+n) {
+			if len(b)-1 < 8*(2+n) {
 				return bad
 			}
 			trained = trained || n > 0
 			b = b[1:]
-			s := &(*tab.slack)[d]
+			s := &units[i][r]
 			s.Mean, s.Rand = get(), get()
 			if n > 0 {
 				s.Sens = make([]float64, n)
@@ -223,14 +211,12 @@ func (t *datapathTable) UnmarshalBinary(b []byte) error {
 					s.Sens[j] = get()
 				}
 			}
-			(*tab.fail)[d] = get()
 		}
 	}
-	if len(b) != 8 || (pcs > 0 && !trained) {
+	if len(b) != 0 || (pcs > 0 && !trained) {
 		return bad
 	}
-	dp.LogicFail = get()
-	t.dp = dp
+	d.t = &errormodel.DatapathTable{Adder: units[0], Shift: units[1], Mul: units[2], Logic: units[3][0]}
 	return nil
 }
 
@@ -303,10 +289,10 @@ func Load(dir, key string) (snap *Snapshot, ok bool) {
 func decodeSnapshot(payload []byte, key string) (*Snapshot, bool) {
 	var file snapshotFile
 	if gob.NewDecoder(bytes.NewReader(payload)).Decode(&file) != nil ||
-		file.Schema != SchemaVersion || file.Key != key || len(file.Scales) == 0 || file.Datapath.dp == nil {
+		file.Schema != SchemaVersion || file.Key != key || len(file.Scales) == 0 || file.Datapath.t == nil {
 		return nil, false
 	}
-	return &Snapshot{file.Schema, file.Key, file.Scales, file.Datapath.dp}, true
+	return &Snapshot{file.Schema, file.Key, file.Scales, file.Datapath.t}, true
 }
 
 // writeAtomic gob-encodes v and writes it behind its checksum header into a

@@ -15,29 +15,25 @@ import (
 	"tsperr/internal/variation"
 )
 
-// testSnapshot builds a small synthetic snapshot with tables of the shape
-// training writes, one row of them trained; the cache layer does not care
-// whether the values came from real training.
+// testSnapshot builds a small synthetic snapshot with a datapath table of
+// the shape training writes, an adder row and the logic row of it trained;
+// the cache layer does not care whether the values came from real training.
 func testSnapshot() *Snapshot {
 	return &Snapshot{
 		Scales:   map[string]float64{"adder": 1.25, "ctrl": 1.1},
-		Datapath: testDatapath(),
+		Datapath: testTable(),
 	}
 }
 
-func testDatapath() *errormodel.DatapathModel {
-	dp := &errormodel.DatapathModel{
-		AdderSlack: make([]variation.Canon, 33),
-		AdderFail:  make([]float64, 33),
-		ShiftSlack: make([]variation.Canon, 6),
-		ShiftFail:  make([]float64, 6),
-		MulSlack:   make([]variation.Canon, 17),
-		MulFail:    make([]float64, 17),
-		LogicFail:  1e-12,
+func testTable() *errormodel.DatapathTable {
+	t := &errormodel.DatapathTable{
+		Adder: make([]variation.Canon, 33),
+		Shift: make([]variation.Canon, 6),
+		Mul:   make([]variation.Canon, 17),
+		Logic: variation.Canon{Mean: -3, Sens: []float64{0.25, 0.125}, Rand: 0.5},
 	}
-	dp.AdderSlack[1] = variation.Canon{Mean: 12.5, Sens: []float64{0.5, -0.25}, Rand: 1.5}
-	dp.AdderFail[1], dp.ShiftFail[1], dp.MulFail[1] = 0.125, 1e-6, 1e-9
-	return dp
+	t.Adder[1] = variation.Canon{Mean: -12.5, Sens: []float64{0.5, -0.25}, Rand: 1.5}
+	return t
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -214,8 +210,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 
 func TestSaveRejectsIncompleteSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	short := testDatapath()
-	short.MulSlack, short.MulFail = short.MulSlack[:16], short.MulFail[:16]
+	short := testTable()
+	short.Mul = short.Mul[:16]
 	for _, snap := range []*Snapshot{
 		nil,
 		{Datapath: testSnapshot().Datapath},
@@ -403,7 +399,7 @@ func TestLoadBoundsAClaimedMapCount(t *testing.T) {
 }
 
 // TestLoadBoundsAClaimedDatapathTable loads a snapshot whose datapath
-// tables claim 2^22 float64s. As gob slices, one []float64 that claimed
+// table claims 2^22 float64s. As gob slices, one []float64 that claimed
 // 2^22 entries and held one allocated 10 MB.
 func TestLoadBoundsAClaimedDatapathTable(t *testing.T) {
 	snap := testSnapshot()
@@ -414,21 +410,21 @@ func TestLoadBoundsAClaimedDatapathTable(t *testing.T) {
 	loadInflated(t, snap, table, 8)
 }
 
-// TestDatapathTableRejectsWhatSaveNeverWrites: datapath tables cut short,
-// padded past the logic probability, with a flag other than 0 or 1, with a
-// trained row but no sensitivity count, with a count no row carries, or
-// with a count past the bytes there, do not decode. What Save writes
-// decodes to the model it came from.
+// TestDatapathTableRejectsWhatSaveNeverWrites: a datapath table cut short,
+// padded past the logic row, with a flag other than 0 or 1, with a trained
+// row but no sensitivity count, with a count no row carries, or with a
+// count past the bytes there, does not decode. What Save writes decodes to
+// the table it came from.
 func TestDatapathTableRejectsWhatSaveNeverWrites(t *testing.T) {
-	dp := testDatapath()
-	good, err := datapathTable{dp}.MarshalBinary()
+	table := testTable()
+	good, err := datapathTable{table}.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	untrained, err := datapathTable{&errormodel.DatapathModel{
-		AdderSlack: make([]variation.Canon, 33), AdderFail: make([]float64, 33),
-		ShiftSlack: make([]variation.Canon, 6), ShiftFail: make([]float64, 6),
-		MulSlack: make([]variation.Canon, 17), MulFail: make([]float64, 17),
+	untrained, err := datapathTable{&errormodel.DatapathTable{
+		Adder: make([]variation.Canon, 33),
+		Shift: make([]variation.Canon, 6),
+		Mul:   make([]variation.Canon, 17),
 	}}.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -443,14 +439,14 @@ func TestDatapathTableRejectsWhatSaveNeverWrites(t *testing.T) {
 		return b
 	}
 	for name, b := range map[string][]byte{
-		"tables cut inside the logic probability": good[:len(good)-1],
-		"tables cut at a row":                     good[:1+1+3*8],
-		"a byte past the logic probability":       append(bytes.Clone(good), 0),
-		"a flag of 2":                             with(1, 2, good),
-		"a trained row without a count":           with(1, 1, untrained),
-		"a count no row carries":                  with(0, 2, untrained),
-		"a count past the bytes there":            append([]byte{0x80, 0x80, 0x80, 0x02}, good[1:]...),
-		"an empty string":                         {},
+		"a table cut inside the logic row": good[:len(good)-1],
+		"a table cut at a row":             good[:1+1+2*8],
+		"a byte past the logic row":        append(bytes.Clone(good), 0),
+		"a flag of 2":                      with(1, 2, good),
+		"a trained row without a count":    with(1, 1, untrained),
+		"a count no row carries":           with(0, 2, untrained),
+		"a count past the bytes there":     append([]byte{0x80, 0x80, 0x80, 0x02}, good[1:]...),
+		"an empty string":                  {},
 	} {
 		var got datapathTable
 		if got.UnmarshalBinary(b) == nil {
@@ -458,8 +454,8 @@ func TestDatapathTableRejectsWhatSaveNeverWrites(t *testing.T) {
 		}
 	}
 	var got datapathTable
-	if err := got.UnmarshalBinary(good); err != nil || !reflect.DeepEqual(got.dp, dp) {
-		t.Errorf("the tables Save writes decoded to %+v, %v", got.dp, err)
+	if err := got.UnmarshalBinary(good); err != nil || !reflect.DeepEqual(got.t, table) {
+		t.Errorf("the table Save writes decoded to %+v, %v", got.t, err)
 	}
 }
 

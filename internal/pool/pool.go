@@ -5,8 +5,8 @@
 // layer of the core package and was lifted here so the once-per-design and
 // once-per-program characterization phases can reuse the same bounded
 // concurrency and failure semantics. Its LRU holds the daemon's result
-// cache, and its Memo, built on an LRU, the once-per-design state: a
-// framework per operating condition and a datapath model per clock period.
+// cache, and its Memo, built on an LRU, the once-per-design state: an
+// engine's framework and the frameworks of its other voltages.
 package pool
 
 import (
