@@ -57,9 +57,10 @@ const SchemaVersion = 5
 
 // maxFileBytes caps the bytes a reader takes from a snapshot file; a larger
 // file is a miss, and Save refuses to write one. The largest snapshot the
-// tests and smokes write is a model snapshot of 7.9 KB (the largest
-// surrogate one: 4.9 KB). A surrogate snapshot with the default 4096-sample
-// buffer full and the default 24-tree forest takes about 0.9 MB.
+// tests and smokes write is a trained machine's model snapshot of 10,353
+// bytes (the largest surrogate one: 4.9 KB). A surrogate snapshot with the
+// default 4096-sample buffer full and the default 24-tree forest takes
+// about 0.9 MB.
 const maxFileBytes = 16 << 20
 
 // Snapshot is the serializable result of the machine-dependent training
