@@ -602,15 +602,16 @@ func BenchmarkPerCycleDTA(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, _ = m.AdderDTA.StageDTS(eps, 1, tr, m.WorkingPeriodPs)
+		_, _ = m.AdderDTA.StageDTS(eps, 1, tr)
 		tr.Release()
 	}
 }
 
 // BenchmarkStageDTSMemoHit isolates the StageDTS memo-hit path: the trace and
 // endpoint set are fixed, the first probe populates the activation-signature
-// memo, and every timed iteration must answer from it. The allocs/op column
-// is the guarded number — the hit path is supposed to be allocation-free.
+// memo, and every timed iteration must answer from it and shift the
+// period-free form to the working period. The allocs/op column is the
+// guarded number — the hit path is supposed to be allocation-free.
 func BenchmarkStageDTSMemoHit(b *testing.B) {
 	f, err := benchEngine.Framework(context.Background())
 	if err != nil {
@@ -631,15 +632,17 @@ func BenchmarkStageDTSMemoHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	eps := m.Adder.N.DataEndpoints(0)
-	if _, ok := m.AdderDTA.StageDTS(eps, 1, tr, m.WorkingPeriodPs); !ok {
+	if _, ok := m.AdderDTA.StageDTS(eps, 1, tr); !ok {
 		b.Fatal("full-chain stimulus must activate a path")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := m.AdderDTA.StageDTS(eps, 1, tr, m.WorkingPeriodPs); !ok {
+		f, ok := m.AdderDTA.StageDTS(eps, 1, tr)
+		if !ok {
 			b.Fatal("memoized stage DTS disappeared")
 		}
+		benchFormSink = variation.Canon{Mean: f.Mean + m.WorkingPeriodPs, Sens: f.Sens, Rand: f.Rand}
 	}
 }
 
@@ -729,9 +732,9 @@ func BenchmarkAblationGraphVsPathDTA(b *testing.B) {
 		gap, worstGap, n = 0, 0, 0
 		for t := 1; t < cycles; t++ {
 			g, okG := ga.StageDTS(eps, t, tr)
-			p, okP := pa.StageDTS(eps, t, tr, m.WorkingPeriodPs)
+			p, okP := pa.StageDTS(eps, t, tr)
 			if okG && okP {
-				d := p.Mean - g.Mean // graph sees more paths => smaller DTS
+				d := p.Mean + m.WorkingPeriodPs - g.Mean // graph sees more paths => smaller DTS
 				gap += d
 				if d > worstGap {
 					worstGap = d
@@ -916,13 +919,18 @@ var missMixPrograms = []string{
 // instruction over scenario 0 of every mix program. The control rows time
 // the control characterization of those nine scenario-0 profiles, as a miss
 // characterizes its first scenario: cold after the stimulus memo is
-// dropped, as at a daemon's first request for a program, and warm. The
-// activity row times the gate-level simulator alone over the distinct
+// dropped, as at a daemon's first request for a program, warm, and warm at
+// a clock period no iteration used before, as an operating-point search
+// probes. The activity row times the gate-level simulator alone over the distinct
 // control stimuli of that characterization, recorded once; setup-cold times
 // a fresh uncached framework plus the nine characterizations, the
 // in-process analogue of a fresh daemon's set-up (its DTA memos start cold
 // too). `make pprof-miss` profiles the mix and `make pprof-setup`
 // setup-cold.
+// controlPeriods counts the periods BenchmarkLayer/control-new-period has
+// characterized at, over every run of it in the process.
+var controlPeriods int
+
 func BenchmarkLayer(b *testing.B) {
 	f, err := benchEngine.Framework(context.Background())
 	if err != nil {
@@ -1085,6 +1093,20 @@ func BenchmarkLayer(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			characterize(b)
+		}
+	})
+	b.Run("control-new-period", func(b *testing.B) {
+		recordControls(b)
+		characterize(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			controlPeriods++
+			period := f.Machine.AnalysisPeriodPs * (1 - 1e-7*float64(controlPeriods))
+			for _, in := range controls {
+				if _, err := f.Machine.CharacterizeControlWorkers(context.Background(), in.g, in.pr, in.results, 0, period); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	})
 	b.Run("activity", func(b *testing.B) {

@@ -111,12 +111,13 @@ func main() {
 		for s := 0; s < n.Stages; s++ {
 			eps = append(eps, n.Endpoints(s)...)
 		}
-		form, ok := analyzer.StageDTS(eps, t, tr, m.WorkingPeriodPs)
+		form, ok := analyzer.StageDTS(eps, t, tr)
 		if !ok {
 			fmt.Printf("%6d %12d %12s %12s %14s\n", t, tr.Count(t), "-", "-", "no active path")
 			continue
 		}
+		mean := form.Mean + m.WorkingPeriodPs // the period-free form at the clock
 		fmt.Printf("%6d %12d %12.1f %12.1f %14.3g\n",
-			t, tr.Count(t), form.Mean, form.Std(), dta.ErrorProbability(form))
+			t, tr.Count(t), mean, form.Std(), dta.ErrorProbability(mean, form.Std()))
 	}
 }

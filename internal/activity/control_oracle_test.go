@@ -2,6 +2,7 @@ package activity_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -94,7 +95,8 @@ func TestSimMatchesOracleOnControlStreams(t *testing.T) {
 // oracleCharacterize is the control characterization of Section 4 driven by
 // the per-cycle oracle: the serial per-block loop over incoming edges and
 // the flushed-state sequence, one oracle simulation per stimulus, and the
-// control-endpoint instruction DTS of each queried position.
+// clock-free control-endpoint instruction DTS of each queried position,
+// priced at the working period.
 func oracleCharacterize(t *testing.T, m *errormodel.Machine, g *cfg.Graph, pr *cfg.Profile, results []uint32) *errormodel.ControlChar {
 	t.Helper()
 	const window = cpu.NumStages // the predecessor prefix of a stimulus
@@ -113,8 +115,8 @@ func oracleCharacterize(t *testing.T, m *errormodel.Machine, g *cfg.Graph, pr *c
 		}
 		out := make([]float64, len(positions))
 		for i, p := range positions {
-			if form, ok := m.CtrlDTA.InstDTSSets(p, tr, ctrlSets, m.WorkingPeriodPs); ok {
-				out[i] = dta.ErrorProbability(form)
+			if form, ok := m.CtrlDTA.InstDTSSets(p, tr, ctrlSets); ok {
+				out[i] = dta.ErrorProbability(form.Mean+m.WorkingPeriodPs, form.Std())
 			}
 		}
 		return out
@@ -264,8 +266,9 @@ func TestCharacterizeControlMatchesOracle(t *testing.T) {
 }
 
 // TestConcurrentColdCharacterization has two goroutines characterize the
-// same program on one cold machine, racing on the stimulus memo's entries
-// (run it under -race); both tables must equal a serial characterization.
+// same program on one cold machine at two periods, racing on the stimulus
+// memo's entries, which serve every period (run it under -race); each table
+// must equal a serial characterization at its period.
 func TestConcurrentColdCharacterization(t *testing.T) {
 	m, ft := characterizationMachine(t)
 	bm, err := mibench.ByName("typeset")
@@ -274,6 +277,7 @@ func TestConcurrentColdCharacterization(t *testing.T) {
 	}
 	g, pr, results := scenarioZero(t, bm, ft)
 	pr.Settle()
+	periods := [2]float64{m.AnalysisPeriodPs, m.AnalysisPeriodPs / 1.26}
 	var got [2]*errormodel.ControlChar
 	var errs [2]error
 	var wg sync.WaitGroup
@@ -281,19 +285,19 @@ func TestConcurrentColdCharacterization(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = m.CharacterizeControl(context.Background(), g, pr, results)
+			got[i], errs[i] = m.CharacterizeControlWorkers(context.Background(), g, pr, results, 0, periods[i])
 		}(i)
 	}
 	wg.Wait()
-	m.ClearStimulusMemo()
-	want, err := m.CharacterizeControlWorkers(context.Background(), g, pr, results, 1, m.WorkingPeriodPs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
+	for i, period := range periods {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		sameChar(t, "concurrent", got[i], want)
+		m.ClearStimulusMemo()
+		want, err := m.CharacterizeControlWorkers(context.Background(), g, pr, results, 1, period)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameChar(t, fmt.Sprintf("concurrent at %v ps", period), got[i], want)
 	}
 }

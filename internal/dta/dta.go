@@ -19,13 +19,16 @@
 //     construction, the same DTS form, so the expensive statistical-minimum
 //     reduction runs once per distinct signature, and the memo probe itself
 //     is allocation-free for sets of up to stageKeyPaths candidate paths;
-//   - the clock period enters only at the very end: path slack is
-//     SL(p) = T - delay(p), so the memo stores the statistical minimum of the
-//     *negated delays* (period-free) and every query adds its own period T.
+//   - no clock period enters at all: path slack is SL(p) = T - delay(p), so
+//     StageDTS and InstDTSSets return the statistical minimum of the
+//     *negated delays*, the DTS at period 0, and a caller prices such a form
+//     at its period T by adding T to the mean it passes ErrorProbability.
 //     Criticality orderings, Clark pairing (driven by correlations, which
 //     live in the sensitivities) and the reduction structure are invariant
-//     under the common shift, so queries at different periods share every
-//     enumeration and reduction.
+//     under the common shift, so every period shares every enumeration and
+//     reduction. Clark's min subtracts means, so InstDTSSets' minimum over
+//     unshifted stage forms, shifted by T, equals the minimum over stage
+//     forms shifted by T only to within rounding.
 package dta
 
 import (
@@ -35,6 +38,7 @@ import (
 
 	"tsperr/internal/activity"
 	"tsperr/internal/netlist"
+	"tsperr/internal/numeric"
 	"tsperr/internal/sta"
 	"tsperr/internal/variation"
 )
@@ -282,14 +286,15 @@ func (a *Analyzer) reduce(paths []*epPaths, actAt func(int) bool) stageEntry {
 }
 
 // StageDTS is Algorithm 1 restricted to an endpoint set: it returns the
-// canonical DTS form of the given endpoints at cycle t under clock period
-// period (ps), and false when no path is activated (the stage imposes no
-// timing constraint that cycle). Results are memoized on the activation
+// period-free canonical DTS form of the given endpoints at cycle t (the
+// statistical minimum of the activated paths' negated delays, the DTS at
+// clock period 0), and false when no path is activated (the stage imposes
+// no timing constraint that cycle). Results are memoized on the activation
 // signature of the candidate paths, so repeated cycles with identical
 // activation patterns cost one map probe — allocation-free for sets of up
-// to stageKeyPaths paths. The returned form shares its sensitivity slice
-// with the memo entry; no Canon operation writes into its operands.
-func (a *Analyzer) StageDTS(eps []netlist.GateID, t int, tr *activity.Trace, period float64) (variation.Canon, bool) {
+// to stageKeyPaths paths. The returned form is the memo entry's; no Canon
+// operation writes into its operands.
+func (a *Analyzer) StageDTS(eps []netlist.GateID, t int, tr *activity.Trace) (variation.Canon, bool) {
 	if len(eps) == 0 {
 		return variation.Canon{}, false
 	}
@@ -333,11 +338,7 @@ func (a *Analyzer) StageDTS(eps []netlist.GateID, t int, tr *activity.Trace, per
 		}
 		a.mu.Unlock()
 	}
-	if !ent.ok {
-		return variation.Canon{}, false
-	}
-	// Bitwise ent.neg.AddConst(period), without copying the sensitivities.
-	return variation.Canon{Mean: ent.neg.Mean + period, Sens: ent.neg.Sens, Rand: ent.neg.Rand}, true
+	return ent.neg, ent.ok
 }
 
 // StageSets returns the per-stage endpoint sets accepted by keep (nil keeps
@@ -356,16 +357,15 @@ func (a *Analyzer) StageSets(keep func(*netlist.Gate) bool) [][]netlist.GateID {
 }
 
 // InstDTSSets is Algorithm 2 over precomputed per-stage endpoint sets: the
-// DTS of the instruction that occupies stage 0 at cycle t is the minimum
-// over stages s of the stage DTS at cycle t+s, all under clock period
-// period.
-func (a *Analyzer) InstDTSSets(t int, tr *activity.Trace, sets [][]netlist.GateID, period float64) (variation.Canon, bool) {
+// period-free DTS of the instruction that occupies stage 0 at cycle t is
+// the statistical minimum over stages s of the stage DTS at cycle t+s.
+func (a *Analyzer) InstDTSSets(t int, tr *activity.Trace, sets [][]netlist.GateID) (variation.Canon, bool) {
 	var forms []variation.Canon
 	for s, eps := range sets {
 		if len(eps) == 0 {
 			continue
 		}
-		if f, ok := a.StageDTS(eps, t+s, tr, period); ok {
+		if f, ok := a.StageDTS(eps, t+s, tr); ok {
 			forms = append(forms, f)
 		}
 	}
@@ -379,8 +379,10 @@ func (a *Analyzer) InstDTSSets(t int, tr *activity.Trace, sets [][]netlist.GateI
 	return mn, true
 }
 
-// ErrorProbability converts an instruction DTS form into the probability of
-// a timing error: P(DTS < 0) under the process-variation model (Section 4.1).
-func ErrorProbability(dts variation.Canon) float64 {
-	return dts.ProbBelow(0)
+// ErrorProbability is the timing-error probability of Section 4.1,
+// P(DTS < 0), of a DTS of mean mean and standard deviation std. A
+// period-free form (what StageDTS and InstDTSSets return) of mean m is, at
+// clock period T, a DTS of mean m+T and the same deviation.
+func ErrorProbability(mean, std float64) float64 {
+	return numeric.NormalCDFMeanStd(0, mean, std)
 }

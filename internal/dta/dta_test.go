@@ -60,8 +60,8 @@ func TestStageDTSTracksActivatedDepth(t *testing.T) {
 		{0, 0}, {1, 1}, {0, 0}, {0xFFFFFFFF, 1},
 	})
 	eps := ad.N.Endpoints(0)
-	shortDTS, ok1 := a.StageDTS(eps, 1, tr, a.Engine.ClockPeriod)
-	longDTS, ok2 := a.StageDTS(eps, 3, tr, a.Engine.ClockPeriod)
+	shortDTS, ok1 := a.StageDTS(eps, 1, tr)
+	longDTS, ok2 := a.StageDTS(eps, 3, tr)
 	if !ok1 || !ok2 {
 		t.Fatal("both cycles should have activated paths")
 	}
@@ -78,22 +78,19 @@ func TestStageDTSNoActivation(t *testing.T) {
 	eps := ad.N.Endpoints(0)
 	// Cycle 2: identical operands, combinational logic quiet; only sum FFs
 	// captured values. Most endpoints should see no activated full path.
-	if _, ok := a.StageDTS(eps, 3, tr, a.Engine.ClockPeriod); ok {
+	if _, ok := a.StageDTS(eps, 3, tr); ok {
 		t.Error("steady-state cycle should have no activated endpoint paths")
 	}
 }
 
 func TestErrorProbabilityMonotoneInPeriod(t *testing.T) {
-	ops := [][2]uint32{{0, 0}, {0xFFFFFFFF, 1}}
-	aFast, trFast, adf := adderFixture(t, 1700, ops)
-	aSlow, trSlow, ads := adderFixture(t, 2600, ops)
-	fast, ok1 := aFast.StageDTS(adf.N.Endpoints(0), 1, trFast, aFast.Engine.ClockPeriod)
-	slow, ok2 := aSlow.StageDTS(ads.N.Endpoints(0), 1, trSlow, aSlow.Engine.ClockPeriod)
-	if !ok1 || !ok2 {
+	a, tr, ad := adderFixture(t, 2500, [][2]uint32{{0, 0}, {0xFFFFFFFF, 1}})
+	form, ok := a.StageDTS(ad.N.Endpoints(0), 1, tr)
+	if !ok {
 		t.Fatal("expected activated paths")
 	}
-	pFast := ErrorProbability(fast)
-	pSlow := ErrorProbability(slow)
+	pFast := ErrorProbability(form.Mean+1700, form.Std())
+	pSlow := ErrorProbability(form.Mean+2600, form.Std())
 	if pFast <= pSlow {
 		t.Errorf("shorter period must raise error probability: fast=%v slow=%v", pFast, pSlow)
 	}
@@ -117,12 +114,12 @@ func TestInstDTSMinOverStages(t *testing.T) {
 		in.SetWord(c.ExResult[:], uint64(words[cyc]^0x5A5A5A5A))
 	})
 	a := New(e, 8)
-	inst, ok := a.InstDTSSets(1, tr, a.StageSets(nil), e.ClockPeriod)
+	inst, ok := a.InstDTSSets(1, tr, a.StageSets(nil))
 	if !ok {
 		t.Fatal("expected instruction DTS")
 	}
 	for s := 0; s < c.N.Stages; s++ {
-		if f, ok := a.StageDTS(c.N.Endpoints(s), 1+s, tr, e.ClockPeriod); ok {
+		if f, ok := a.StageDTS(c.N.Endpoints(s), 1+s, tr); ok {
 			if inst.Mean > f.Mean+1 {
 				t.Errorf("instruction DTS mean %v exceeds stage %d DTS %v", inst.Mean, s, f.Mean)
 			}
@@ -130,7 +127,7 @@ func TestInstDTSMinOverStages(t *testing.T) {
 	}
 	// Control-endpoint restriction must also work.
 	ctrl := a.StageSets(func(g *netlist.Gate) bool { return !g.Data })
-	if _, ok := a.InstDTSSets(1, tr, ctrl, e.ClockPeriod); !ok {
+	if _, ok := a.InstDTSSets(1, tr, ctrl); !ok {
 		t.Error("control-only instruction DTS should exist")
 	}
 }
@@ -138,8 +135,8 @@ func TestInstDTSMinOverStages(t *testing.T) {
 func TestAnalyzerCaching(t *testing.T) {
 	a, tr, ad := adderFixture(t, 2500, [][2]uint32{{0, 0}, {3, 1}})
 	eps := ad.N.Endpoints(0)
-	d1, ok1 := a.StageDTS(eps, 1, tr, a.Engine.ClockPeriod)
-	d2, ok2 := a.StageDTS(eps, 1, tr, a.Engine.ClockPeriod)
+	d1, ok1 := a.StageDTS(eps, 1, tr)
+	d2, ok2 := a.StageDTS(eps, 1, tr)
 	if ok1 != ok2 || math.Abs(d1.Mean-d2.Mean) > 1e-12 {
 		t.Error("cached recomputation should be identical")
 	}
@@ -174,9 +171,9 @@ func TestStageDTSMemo(t *testing.T) {
 	eps := ad.N.Endpoints(0)
 	// Cycles 1 and 3 apply the same stimulus after a zero cycle, so their
 	// activation signatures match and the memo must serve cycle 3.
-	d1, ok1 := a.StageDTS(eps, 1, tr, a.Engine.ClockPeriod)
+	d1, ok1 := a.StageDTS(eps, 1, tr)
 	before := memoSize(a)
-	d3, ok3 := a.StageDTS(eps, 3, tr, a.Engine.ClockPeriod)
+	d3, ok3 := a.StageDTS(eps, 3, tr)
 	if !ok1 || !ok3 {
 		t.Fatal("expected activated paths at cycles 1 and 3")
 	}
@@ -188,7 +185,7 @@ func TestStageDTSMemo(t *testing.T) {
 	}
 	// A fresh analyzer recomputing cycle 3 from scratch must agree exactly.
 	fresh := New(a.Engine, a.K)
-	df, okf := fresh.StageDTS(eps, 3, tr, fresh.Engine.ClockPeriod)
+	df, okf := fresh.StageDTS(eps, 3, tr)
 	if !okf || df.Mean != d3.Mean || df.Rand != d3.Rand {
 		t.Errorf("fresh recomputation differs: %v vs %v", df.Mean, d3.Mean)
 	}
@@ -196,18 +193,17 @@ func TestStageDTSMemo(t *testing.T) {
 
 // TestStageDTSMemoHitZeroAlloc pins the memo-hit fast path: once a stage
 // signature is memoized, re-querying it must not allocate — the key is built
-// on the stack and the memoized form is shifted by the period without
-// copying its sensitivities.
+// on the stack and the memoized form is returned as it is stored.
 func TestStageDTSMemoHitZeroAlloc(t *testing.T) {
 	ops := [][2]uint32{{0, 0}, {0xFFFF, 1}, {0, 0}, {0xFFFF, 1}}
 	a, tr, ad := adderFixture(t, 2500, ops)
 	eps := ad.N.Endpoints(0)
-	if _, ok := a.StageDTS(eps, 1, tr, a.Engine.ClockPeriod); !ok {
+	if _, ok := a.StageDTS(eps, 1, tr); !ok {
 		t.Fatal("expected activated paths at cycle 1")
 	}
 	hit := true
 	allocs := testing.AllocsPerRun(100, func() {
-		_, ok := a.StageDTS(eps, 3, tr, a.Engine.ClockPeriod)
+		_, ok := a.StageDTS(eps, 3, tr)
 		hit = hit && ok
 	})
 	if !hit {
@@ -232,7 +228,7 @@ func TestAnalyzerConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for _, cyc := range []int{1, 2, 3, 1, 2, 3} {
-				if f, ok := a.StageDTS(eps, cyc, tr, a.Engine.ClockPeriod); ok {
+				if f, ok := a.StageDTS(eps, cyc, tr); ok {
 					means[w] = append(means[w], f.Mean)
 				} else {
 					means[w] = append(means[w], math.NaN())
@@ -269,27 +265,28 @@ func sameForm(x, y variation.Canon) bool {
 	return true
 }
 
-// TestStageDTSPeriodArgument pins the period argument: one analyzer queried
-// at two periods in turn returns, bit for bit, what a fresh analyzer on an
-// engine built at each period returns, and the queries share one memo
-// entry.
-func TestStageDTSPeriodArgument(t *testing.T) {
+// TestStageDTSIsClockFree pins the clock-free contract: analyzers whose
+// engines were built at 2500 and 1700 ps return, bit for bit, the same
+// form, and repeated queries of one signature share one memo entry.
+func TestStageDTSIsClockFree(t *testing.T) {
 	a, tr, ad := adderFixture(t, 2500, [][2]uint32{{0, 0}, {0xFFFFFFFF, 1}})
 	eps := ad.N.Endpoints(0)
-	for _, period := range []float64{2500, 1700, 2500} {
-		got, ok := a.StageDTS(eps, 1, tr, period)
-		e, err := sta.NewEngine(ad.N, a.Engine.Model, period, cell.SigmaRel, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := New(e, a.K)
-		want, okw := fresh.StageDTS(eps, 1, tr, period)
-		if !ok || !okw || !sameForm(got, want) {
-			t.Errorf("period %v: form %+v (%v), fresh analyzer %+v (%v)", period, got, ok, want, okw)
+	want, ok := a.StageDTS(eps, 1, tr)
+	if !ok {
+		t.Fatal("expected activated paths")
+	}
+	e, err := sta.NewEngine(ad.N, a.Engine.Model, 1700, cell.SigmaRel, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, an := range []*Analyzer{a, New(e, a.K)} {
+		got, ok := an.StageDTS(eps, 1, tr)
+		if !ok || !sameForm(got, want) {
+			t.Errorf("engine at %v ps: form %+v (%v), want %+v", an.Engine.ClockPeriod, got, ok, want)
 		}
 	}
 	if n := memoSize(a); n != 1 {
-		t.Errorf("three queries of one signature left %d memo entries, want 1", n)
+		t.Errorf("two queries of one signature left %d memo entries, want 1", n)
 	}
 }
 
@@ -307,10 +304,9 @@ func TestStageDTSLargeSet(t *testing.T) {
 	if set.bits <= stageKeyPaths {
 		t.Fatalf("fixture set has %d candidate paths, want more than %d", set.bits, stageKeyPaths)
 	}
-	period := a.Engine.ClockPeriod
-	d1, ok1 := a.StageDTS(eps, 1, tr, period)
+	d1, ok1 := a.StageDTS(eps, 1, tr)
 	before := memoSize(a)
-	d3, ok3 := a.StageDTS(eps, 3, tr, period)
+	d3, ok3 := a.StageDTS(eps, 3, tr)
 	if !ok1 || !ok3 {
 		t.Fatal("expected activated paths at cycles 1 and 3")
 	}
@@ -318,7 +314,7 @@ func TestStageDTSLargeSet(t *testing.T) {
 		t.Errorf("identical signature must hit the memo: %d -> %d entries", before, after)
 	}
 	fresh := New(a.Engine, k)
-	df, okf := fresh.StageDTS(eps, 3, tr, period)
+	df, okf := fresh.StageDTS(eps, 3, tr)
 	if !okf || !sameForm(d1, d3) || !sameForm(df, d3) {
 		t.Errorf("large-set forms differ: cycle 1 %v, cycle 3 %v, fresh %v", d1.Mean, d3.Mean, df.Mean)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
-	"sync"
 
 	"tsperr/internal/activity"
 	"tsperr/internal/cfg"
@@ -36,24 +35,17 @@ type ControlChar struct {
 // block during characterization, enough to fill the 6-stage pipeline.
 const prefixWindow = cpu.NumStages
 
-// stimMemoLimit bounds the stimulus memo; dropping it wholesale on overflow
-// keeps memory bounded without affecting results (entries are pure functions
-// of their key). A machine serves every temperature of its voltage, each at
-// periods of its own: at the 1<<12 sized for one condition, the bench's
-// oppoint-grid workload dropped it 90 times in 30 s, and at this bound
-// never. Plain estimates, at one period, stay under 1<<12.
-const stimMemoLimit = 1 << 14
+// stimMemoLimit bounds the stimulus memo, least recently used entry first.
+// The scenario-0 characterizations of all 12 programs fill 791 entries
+// (2,428 positions), and since no entry depends on the clock, so do they at
+// every period and every temperature of the machine's voltage.
+const stimMemoLimit = 1 << 12
 
-// stimEntry is one memoized control stimulus: the control-path instruction
-// failure probability at every fetch position queried so far. The
-// activation trace is not kept — a query for a position the entry lacks
-// simulates the stimulus again (microseconds) — so an entry costs a few
-// floats, not a trace.
-type stimEntry struct {
-	mu sync.Mutex
-	// fail maps sequence position to failure probability; guarded by mu.
-	fail map[int]float64
-}
+// instDTS is the period-free control DTS of one instruction: at clock
+// period T its DTS is Gaussian of mean mean+T and deviation std. An
+// instruction whose stages activate no path has mean +Inf, so no clock
+// fails it.
+type instDTS struct{ mean, std float64 }
 
 // controlStimulus drives the control network for one instruction sequence
 // and returns the activation trace. results[i] supplies the representative
@@ -85,82 +77,63 @@ func (m *Machine) stimulusCycle(seq []isa.Inst, seqIdx []int, results []uint32, 
 
 // stimulusFails returns the control-path instruction failure probability
 // under clock period period at each queried fetch position of the stimulus
-// defined by (seq, seqIdx, results). The per-position probabilities are
-// memoized on the period and the exact (instruction word, EX result)
+// defined by (seq, seqIdx, results). The period-free DTS of the positions
+// is memoized on the positions and the exact (instruction word, EX result)
 // stream: different blocks and incoming edges frequently replay identical
-// streams (shared predecessors, all-nop prefixes), and the probability is a
-// pure function of the two, so reusing the memo is bit-identical to
-// recomputing. A query with a position the entry lacks simulates the stream
-// and fills in every missing position; concurrent queries may both
-// simulate, and both store the same values.
-func (m *Machine) stimulusFails(seq []isa.Inst, seqIdx []int, results []uint32, positions []int, period float64) ([]float64, error) {
+// streams (shared predecessors, all-nop prefixes), every period prices the
+// same DTS, and the DTS is a pure function of the key, so reusing the memo
+// is bit-identical to recomputing. A missing entry is built under ctx.
+func (m *Machine) stimulusFails(ctx context.Context, seq []isa.Inst, seqIdx []int, results []uint32, positions []int, period float64) ([]float64, error) {
+	// The key: the position count, the positions, then the word and result
+	// of every cycle, 4 bytes each, little-endian, built on the stack when
+	// it fits.
 	total := len(seq) + cpu.NumStages
-	key := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+8*total), math.Float64bits(period))
+	var buf [1024]byte
+	key := binary.LittleEndian.AppendUint32(buf[:0], uint32(len(positions)))
+	for _, t := range positions {
+		key = binary.LittleEndian.AppendUint32(key, uint32(t))
+	}
 	for t := 0; t < total; t++ {
 		word, res := m.stimulusCycle(seq, seqIdx, results, t)
-		key = append(key,
-			byte(word), byte(word>>8), byte(word>>16), byte(word>>24),
-			byte(res), byte(res>>8), byte(res>>16), byte(res>>24))
+		key = binary.LittleEndian.AppendUint32(key, word)
+		key = binary.LittleEndian.AppendUint32(key, res)
 	}
-	m.stimMu.Lock()
-	if m.stim == nil {
-		m.stim = map[string]*stimEntry{}
-	}
-	e, ok := m.stim[string(key)]
-	if !ok {
-		if len(m.stim) >= stimMemoLimit {
-			m.stim = map[string]*stimEntry{}
+	dts, err := m.stim.Load().Get(ctx, string(key), func(context.Context) ([]instDTS, error) {
+		tr, err := m.controlStimulus(seq, seqIdx, results)
+		if err != nil {
+			return nil, err
 		}
-		e = &stimEntry{fail: map[int]float64{}}
-		m.stim[string(key)] = e
-	}
-	m.stimMu.Unlock()
-	out := make([]float64, len(positions))
-	var missing []int // indices into positions
-	e.mu.Lock()
-	for i, t := range positions {
-		f, ok := e.fail[t]
-		if !ok {
-			missing = append(missing, i)
+		defer tr.Release()
+		dts := make([]instDTS, len(positions))
+		for i, t := range positions {
+			dts[i] = m.controlDTS(t, tr)
 		}
-		out[i] = f
-	}
-	e.mu.Unlock()
-	if len(missing) == 0 {
-		return out, nil
-	}
-	tr, err := m.controlStimulus(seq, seqIdx, results)
+		return dts, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, i := range missing {
-		out[i] = m.instDTSFail(positions[i], tr, period)
+	fails := make([]float64, len(dts))
+	for i, d := range dts {
+		fails[i] = dta.ErrorProbability(d.mean+period, d.std)
 	}
-	tr.Release()
-	e.mu.Lock()
-	for _, i := range missing {
-		e.fail[positions[i]] = out[i]
-	}
-	e.mu.Unlock()
-	return out, nil
+	return fails, nil
 }
 
-// ClearStimulusMemo drops the stimulus memo, for benchmarks that measure
-// cold characterization.
+// ClearStimulusMemo gives the machine an empty stimulus memo, as newMachine
+// does, for benchmarks that measure cold characterization.
 func (m *Machine) ClearStimulusMemo() {
-	m.stimMu.Lock()
-	m.stim = nil
-	m.stimMu.Unlock()
+	m.stim.Store(pool.NewMemo[string, []instDTS](stimMemoLimit))
 }
 
-// instDTSFail returns the control-endpoint instruction error probability for
-// the instruction fetched at cycle t of the trace, under clock period period.
-func (m *Machine) instDTSFail(t int, tr *activity.Trace, period float64) float64 {
-	form, ok := m.CtrlDTA.InstDTSSets(t, tr, m.ctrlSets, period)
+// controlDTS returns the period-free control-endpoint DTS of the
+// instruction fetched at cycle t of the trace.
+func (m *Machine) controlDTS(t int, tr *activity.Trace) instDTS {
+	form, ok := m.CtrlDTA.InstDTSSets(t, tr, m.ctrlSets)
 	if !ok {
-		return 0
+		return instDTS{mean: math.Inf(1)}
 	}
-	return dta.ErrorProbability(form)
+	return instDTS{form.Mean, form.Std()}
 }
 
 // CharacterizeControl performs the control-network DTS characterization for
@@ -180,7 +153,8 @@ func (m *Machine) CharacterizeControl(ctx context.Context, g *cfg.Graph, pr *cfg
 // runtime.GOMAXPROCS). Blocks are independent tasks writing distinct rows of
 // the output tables; per-block accumulation preserves the serial edge order
 // and every memoized quantity is a pure function of its key, so the tables
-// are bit-identical for any worker count.
+// are bit-identical for any worker count. The stimulus memo holds no clock,
+// so characterizations at every period share it.
 func (m *Machine) CharacterizeControlWorkers(ctx context.Context, g *cfg.Graph, pr *cfg.Profile, results []uint32, workers int, period float64) (*ControlChar, error) {
 	nb := len(g.Blocks)
 	cc := &ControlChar{
@@ -192,8 +166,8 @@ func (m *Machine) CharacterizeControlWorkers(ctx context.Context, g *cfg.Graph, 
 	// The block workers share pr: settle its lazily built edge state first,
 	// so that they only read it.
 	pr.Settle()
-	pool.Run(ctx, nb, workers, false, errs, func(_ context.Context, b int) error {
-		return m.characterizeBlock(g, pr, results, cc, trained, b, period)
+	pool.Run(ctx, nb, workers, false, errs, func(ctx context.Context, b int) error {
+		return m.characterizeBlock(ctx, g, pr, results, cc, trained, b, period)
 	})
 	if err := pool.FirstError(errs); err != nil {
 		return nil, err
@@ -207,8 +181,8 @@ func (m *Machine) CharacterizeControlWorkers(ctx context.Context, g *cfg.Graph, 
 }
 
 // characterizeBlock fills row b of the characterization tables at clock
-// period period.
-func (m *Machine) characterizeBlock(g *cfg.Graph, pr *cfg.Profile, results []uint32, cc *ControlChar, trained []bool, b int, period float64) error {
+// period period, building missing stimulus-memo entries under ctx.
+func (m *Machine) characterizeBlock(ctx context.Context, g *cfg.Graph, pr *cfg.Profile, results []uint32, cc *ControlChar, trained []bool, b int, period float64) error {
 	blk := &g.Blocks[b]
 	n := blk.NumInsts()
 	cc.Fail[b] = make([]float64, n)
@@ -268,7 +242,7 @@ func (m *Machine) characterizeBlock(g *cfg.Graph, pr *cfg.Profile, results []uin
 		for k := 0; k < n; k++ {
 			positions[k] = len(in.prefix) + k
 		}
-		fails, err := m.stimulusFails(seq, seqIdx, results, positions, period)
+		fails, err := m.stimulusFails(ctx, seq, seqIdx, results, positions, period)
 		if err != nil {
 			return err
 		}
@@ -295,7 +269,7 @@ func (m *Machine) characterizeBlock(g *cfg.Graph, pr *cfg.Profile, results []uin
 		seq = append(seq, g.Prog.Insts[i])
 		seqIdx = append(seqIdx, i)
 	}
-	fails, err := m.stimulusFails(seq, seqIdx, results, pos, period)
+	fails, err := m.stimulusFails(ctx, seq, seqIdx, results, pos, period)
 	if err != nil {
 		return err
 	}

@@ -18,9 +18,9 @@ import (
 // DatapathTable is the higher-level datapath timing model of [2] without a
 // clock: it is trained once per machine by applying Algorithm 1 to the data
 // endpoints of each functional unit while special stimulus selectively
-// activates timing paths of a known depth. Each row is the unit's DTS form
-// at period 0, the negated delay of the activated paths that StageDTS adds a
-// clock period to, so the model at any period is At of that period. A row
+// activates timing paths of a known depth. Each row is the unit's
+// period-free DTS form, the negated delay of the activated paths that
+// StageDTS returns, so the model at any period is At of that period. A row
 // no stimulus activates is the zero form.
 type DatapathTable struct {
 	// Adder[d] is the adder's row when a carry chain of exactly d bits is
@@ -53,16 +53,16 @@ type DatapathModel struct {
 	table     *cpu.FailTable
 }
 
-// At returns the model at clock period period (ps): every trained row
-// shifted by the period, with the one addition StageDTS performs, and
-// passed to dta.ErrorProbability, so it is bit for bit the model a training
-// at that period gives. An untrained row has probability 0.
+// At returns the model at clock period period (ps): each trained row's
+// error probability with the period added to its mean, as the control
+// characterization prices its period-free forms. An untrained row has
+// probability 0.
 func (t *DatapathTable) At(period float64) *DatapathModel {
 	fail := func(s variation.Canon) float64 {
 		if len(s.Sens) == 0 {
 			return 0
 		}
-		return dta.ErrorProbability(variation.Canon{Mean: s.Mean + period, Sens: s.Sens, Rand: s.Rand})
+		return dta.ErrorProbability(s.Mean+period, s.Std())
 	}
 	fails := func(rows []variation.Canon) []float64 {
 		p := make([]float64, len(rows))
@@ -123,8 +123,8 @@ func (s *datapathSweep) trace(sim *activity.Sim, r int) (*activity.Trace, error)
 
 // TrainDatapath measures the period-free datapath table. It mirrors the
 // training flow of Figure 2: run targeted vectors through the gate-level
-// unit, record activity, and apply Algorithm 1 to the data endpoints at
-// period 0. Training runs on the shared worker pool with GOMAXPROCS
+// unit, record activity, and apply Algorithm 1 to the data endpoints.
+// Training runs on the shared worker pool with GOMAXPROCS
 // workers; once ctx is done no further row measurement starts, and the call
 // returns ctx's error.
 func (m *Machine) TrainDatapath(ctx context.Context) (*DatapathTable, error) {
@@ -172,7 +172,7 @@ func (m *Machine) TrainDatapathWorkers(ctx context.Context, workers int) (*Datap
 		if err != nil {
 			return err
 		}
-		if slack, ok := tk.sweep.dta.StageDTS(tk.eps, 1, tr, 0); ok {
+		if slack, ok := tk.sweep.dta.StageDTS(tk.eps, 1, tr); ok {
 			tk.sweep.rows[tk.row] = slack
 		}
 		return nil

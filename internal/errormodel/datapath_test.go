@@ -8,7 +8,6 @@ import (
 
 	"tsperr/internal/activity"
 	"tsperr/internal/cell"
-	"tsperr/internal/dta"
 	"tsperr/internal/variation"
 )
 
@@ -17,11 +16,11 @@ import (
 // nominal machine's scales, and at 71 periods each (the machine's analysis,
 // PoFF and working periods, and the default operating-point grid's 17
 // ratios at 25, 85, -40 and 125 C), every probability of At(T) equals bit
-// for bit the reference: StageDTS at T on the row's stimulus, then
-// dta.ErrorProbability, or 0 when the stimulus activates no path. Every row
+// for bit the reference: StageDTS's form on the row's stimulus shifted by
+// T, then P(DTS < 0), or 0 when the stimulus activates no path. Every row
 // of the adder, shifter, multiplier and logic unit is checked, the
 // untrained ones included, and every trained row's form is the one
-// StageDTS gives at T, shifted back by T.
+// StageDTS gives.
 func TestTableAtMatchesTrainingAtThePeriod(t *testing.T) {
 	ctx := context.Background()
 	scales := testMachine(t).Scales()
@@ -79,11 +78,11 @@ func TestTableAtMatchesTrainingAtThePeriod(t *testing.T) {
 				for i, period := range periods {
 					want := 0.0
 					if tr != nil {
-						if form, ok := s.dta.StageDTS(eps, 1, tr, period); ok {
-							want = dta.ErrorProbability(form)
-							if math.Float64bits(row.Mean+period) != math.Float64bits(form.Mean) ||
+						if form, ok := s.dta.StageDTS(eps, 1, tr); ok {
+							want = form.AddConst(period).ProbBelow(0)
+							if math.Float64bits(row.Mean) != math.Float64bits(form.Mean) ||
 								math.Float64bits(row.Rand) != math.Float64bits(form.Rand) || !reflect.DeepEqual(row.Sens, form.Sens) {
-								t.Fatalf("%v unit %d row %d: the period-free form shifted by %v is not StageDTS's", cond, u, r, period)
+								t.Fatalf("%v unit %d row %d: the trained row is not StageDTS's form", cond, u, r)
 							}
 						} else if len(row.Sens) != 0 {
 							t.Fatalf("%v unit %d row %d: trained, but no path is activated", cond, u, r)

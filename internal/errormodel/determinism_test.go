@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"tsperr/internal/activity"
 	"tsperr/internal/cfg"
+	"tsperr/internal/dta"
 	"tsperr/internal/isa"
 )
 
@@ -76,7 +78,7 @@ func seedCharacterizeControl(m *Machine, g *cfg.Graph, pr *cfg.Profile, results 
 				return nil, err
 			}
 			for k := 0; k < n; k++ {
-				cc.Fail[b][k] += in.weight * m.instDTSFail(len(in.prefix)+k, tr, m.WorkingPeriodPs)
+				cc.Fail[b][k] += in.weight * failAt(m, len(in.prefix)+k, tr, m.WorkingPeriodPs)
 			}
 		}
 
@@ -99,10 +101,17 @@ func seedCharacterizeControl(m *Machine, g *cfg.Graph, pr *cfg.Profile, results 
 			return nil, err
 		}
 		for k := 0; k < n; k++ {
-			cc.FailFlush[b][k] = m.instDTSFail(pos[k], tr, m.WorkingPeriodPs)
+			cc.FailFlush[b][k] = failAt(m, pos[k], tr, m.WorkingPeriodPs)
 		}
 	}
 	return cc, nil
+}
+
+// failAt is the reference's control-path failure probability at clock
+// period period of the instruction fetched at cycle t of tr.
+func failAt(m *Machine, t int, tr *activity.Trace, period float64) float64 {
+	d := m.controlDTS(t, tr)
+	return dta.ErrorProbability(d.mean+period, d.std)
 }
 
 // TestCharacterizeControlDeterministic proves the block-parallel, memoizing

@@ -11,7 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"tsperr/internal/activity"
 	"tsperr/internal/cell"
@@ -109,11 +109,10 @@ type Machine struct {
 	LogicDTA   *dta.Analyzer
 	MultDTA    *dta.Analyzer
 
-	stimMu sync.Mutex
-	// stim memoizes control-stimulus probabilities across blocks, programs
-	// and clock periods, keyed by period and stimulus (see control.go);
-	// guarded by stimMu.
-	stim map[string]*stimEntry
+	// stim memoizes the period-free control DTS of each stimulus across
+	// blocks, programs and clock periods (see control.go);
+	// ClearStimulusMemo swaps in an empty one.
+	stim atomic.Pointer[pool.Memo[string, []instDTS]]
 
 	// ctrlSim is the control network compiled for simulation, set by
 	// newMachine.
@@ -188,6 +187,7 @@ func newMachine(ctx context.Context, opts Options, scales map[string]float64) (*
 		return nil, err
 	}
 	m := &Machine{Opts: opts, Model: model}
+	m.ClearStimulusMemo()
 	m.Ctrl = gen.Control()
 	m.Adder = gen.Adder()
 	m.Shifter = gen.Shifter()

@@ -67,7 +67,8 @@ func chainFixture(t *testing.T, n int, period float64) (*Analyzer, *dta.Analyzer
 func TestGraphMatchesPathOnChain(t *testing.T) {
 	ga, pa, tr, eps := chainFixture(t, 6, 1000)
 	g, ok1 := ga.StageDTS(eps, 1, tr)
-	p, ok2 := pa.StageDTS(eps, 1, tr, pa.Engine.ClockPeriod)
+	p, ok2 := pa.StageDTS(eps, 1, tr)
+	p = p.AddConst(pa.Engine.ClockPeriod) // the graph method's DTS is at the engine's clock
 	if !ok1 || !ok2 {
 		t.Fatal("both analyzers should find the activated chain")
 	}
@@ -110,7 +111,8 @@ func TestGraphAtMostPathDTSOnAdder(t *testing.T) {
 	eps := ad.N.Endpoints(0)
 	for cyc := 1; cyc < len(ops); cyc++ {
 		g, okG := ga.StageDTS(eps, cyc, tr)
-		p, okP := pa.StageDTS(eps, cyc, tr, pa.Engine.ClockPeriod)
+		p, okP := pa.StageDTS(eps, cyc, tr)
+		p = p.AddConst(pa.Engine.ClockPeriod)
 		// The graph method sees a superset of the enumerated paths: it may
 		// report DTS where top-K path enumeration found nothing, never the
 		// reverse.

@@ -117,13 +117,13 @@ func TestCLALessOperandDependentDelay(t *testing.T) {
 			in.SetWord(ad.B[:], uint64(ops[c][1]))
 		})
 		eps := ad.N.Endpoints(0)
-		shortDTS, ok1 := an.StageDTS(eps, 1, tr, an.Engine.ClockPeriod)
-		longDTS, ok2 := an.StageDTS(eps, 3, tr, an.Engine.ClockPeriod)
+		shortDTS, ok1 := an.StageDTS(eps, 1, tr)
+		longDTS, ok2 := an.StageDTS(eps, 3, tr)
 		if !ok1 || !ok2 {
 			t.Fatal("expected activated paths in both cycles")
 		}
-		// Activated path delay = period - DTS.
-		return (period - longDTS.Mean) / (period - shortDTS.Mean)
+		// Activated path delay = -DTS, the form being period-free.
+		return longDTS.Mean / shortDTS.Mean
 	}
 	r := spread(Adder())
 	c := spread(CLAAdder())

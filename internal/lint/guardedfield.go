@@ -108,7 +108,7 @@ func collectGuardTargets(pass *Pass) map[types.Object]string {
 }
 
 // lockedMutexNames returns the set of terminal selector names on which a
-// Lock/RLock call appears anywhere in body: m.stimMu.Lock() -> "stimMu",
+// Lock/RLock call appears anywhere in body: s.readyMu.Lock() -> "readyMu",
 // fwMu.RLock() -> "fwMu". Matching is by mutex name, not full selector
 // chain; the annotation names the mutex, so one name per guarded object is
 // the contract.

@@ -6,7 +6,8 @@
 // once-per-program characterization phases can reuse the same bounded
 // concurrency and failure semantics. Its LRU holds the daemon's result
 // cache, and its Memo, built on an LRU, the once-per-design state: an
-// engine's framework and the frameworks of its other voltages.
+// engine's framework, the frameworks of its other voltages, and a
+// machine's period-free control-stimulus DTS.
 package pool
 
 import (

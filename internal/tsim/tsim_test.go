@@ -87,11 +87,11 @@ func TestDeterministicVerdictHidesProbability(t *testing.T) {
 		t.Fatal("expected activity")
 	}
 	// Retune the clock to sit 1 sigma above the nominal critical delay.
-	form, ok := pa.StageDTS(eps, 1, tr, pa.Engine.ClockPeriod)
+	form, ok := pa.StageDTS(eps, 1, tr)
 	if !ok {
 		t.Fatal("expected DTS")
 	}
-	criticalDelay := 2500 - form.Mean // activated path delay incl. setup
+	criticalDelay := -form.Mean // activated path delay incl. setup
 	period := criticalDelay + form.Std()
 	m, _ := variation.NewModel(2, 0.5)
 	e2, err := sta.NewEngine(ad.N, m, period, cell.SigmaRel, 1)
@@ -104,8 +104,8 @@ func TestDeterministicVerdictHidesProbability(t *testing.T) {
 	if res.Violation {
 		t.Fatalf("deterministic sim should pass at +1 sigma: slack %v", res.Slack)
 	}
-	form2, _ := pa2.StageDTS(eps, 1, tr, pa2.Engine.ClockPeriod)
-	p := dta.ErrorProbability(form2)
+	form2, _ := pa2.StageDTS(eps, 1, tr)
+	p := dta.ErrorProbability(form2.Mean+period, form2.Std())
 	if p < 0.05 {
 		t.Errorf("SSTA should assign a visible failure probability, got %v", p)
 	}
